@@ -21,19 +21,19 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import cones
 from .levy import (AtomicJumps, NoiseModel, TabulatedJumps, ZeroJumps,
-                   build_model, mean_slope, nu_integral)
-from .field import (FieldSample, GaussianFieldSampler, GridSpec,
-                    HybridFieldSampler, JumpSampler, PoissonFieldSampler,
-                    _chol_with_jitter, _covered_cell_range, _gram_objects,
-                    _overlap_kernel_arr, _shadow_index_range, field_kind,
-                    sample_field, truncated_model)
-from ._rng import make_generator, stream_key
+                   jump_drift, mean_slope)
+from .field import (FieldSample, GridSpec, JumpSampler, PoissonFieldSampler,
+                    _chol_with_jitter, _gram_objects, _normal_columns,
+                    _shadow_index_range, field_kind, footprint_areas,
+                    make_sampler, poisson_points, range_sums, sample_field,
+                    truncated_model)
+from ._rng import make_generator
 
 
 def model_digest(model):
@@ -117,48 +117,16 @@ class BatchSimulator:
 
     def __init__(self, model, grid, *, kind="auto", cutoff=None,
                  substitute=False, stream_tag="cascade"):
-        if kind == "auto":
-            kind = field_kind(model)
         self.model = model
         self.grid = grid
-        self.kind = kind
         self.stream_tag = stream_tag
-        if kind == "gaussian":
-            self.gauss = GaussianFieldSampler(grid, model.sigma2)
-            self.poisson = None
-        elif kind == "poisson":
-            eff = (truncated_model(model, cutoff, substitute)
-                   if cutoff is not None else model)
-            self.poisson = PoissonFieldSampler(grid, eff)
-            self.gauss = None
-        elif kind == "hybrid":
-            h = HybridFieldSampler(grid, model, cutoff, substitute)
-            self.gauss = h.gauss
-            self.poisson = h.poisson
-        else:
-            raise ValueError(f"unknown sampler kind {kind!r}")
+        self.sampler = make_sampler(grid, model, kind, cutoff, substitute)
 
     def point_log_chunk(self, seed, start, count):
         """(count, n_points) noise values for replicas start..start+count."""
-        g = self.grid
-        out = np.zeros((count, g.n_points))
-        if self.gauss is not None:
-            normals = np.empty((self.gauss.dim, count))
-            for j in range(count):
-                r = make_generator(seed, start + j, self.stream_tag)
-                normals[:, j] = r.standard_normal(self.gauss.dim)
-            vals = self.gauss.draw_columns(normals)
-            out += vals[:g.n_points].T
-        if self.poisson is not None:
-            for j in range(count):
-                r = make_generator(seed, start + j,
-                                   self.stream_tag + "-jumps"
-                                   if self.gauss is not None
-                                   else self.stream_tag)
-                x, y, jump = self.poisson.draw_points(r)
-                pl, _ = self.poisson.evaluate(x, y, jump)
-                out[j] += pl
-        return out
+        return self.sampler.point_logs(
+            [make_generator(seed, start + j, self.stream_tag)
+             for j in range(count)])
 
     def chunks(self, seed, replicas, chunk=512, progress=None):
         for start in range(0, replicas, chunk):
@@ -307,13 +275,7 @@ def _refine_poisson(realization, fine, rng):
     old = realization.field
     strip = cones.refinement_strip(g.interval, g.eps, fine.eps)
     sampler = PoissonFieldSampler(fine, realization.model)
-    n_new = rng.poisson(sampler.jumps.total * strip.mass())
-    u = rng.random((n_new, 3))
-    xs = np.empty(n_new)
-    ys = np.empty(n_new)
-    for j in range(n_new):
-        xs[j], ys[j] = strip.sample(u[j, 0], u[j, 1], u[j, 2])
-    jumps = sampler.jumps.draw(rng, n_new)
+    xs, ys, jumps = poisson_points(rng, [strip], sampler.jumps)
     x = np.concatenate([old.points_x, xs])
     y = np.concatenate([old.points_y, ys])
     jump = np.concatenate([old.points_jump, jumps])
@@ -329,7 +291,7 @@ def _refine_gaussian(realization, fine, rng):
     old = realization.field
 
     # conditioning objects: old points (cut at old eps) and old cells
-    p_lo, p_hi, p_cut = _gram_objects(g)
+    p = _gram_objects(g)
     x_old = np.concatenate([old.point_log] +
                            [old.cell_log[lev] for lev in g.carried_levels])
 
@@ -347,19 +309,13 @@ def _refine_gaussian(realization, fine, rng):
         q_hi.append(b[:, 1])
     q_lo = np.concatenate(q_lo)
     q_hi = np.concatenate(q_hi)
-    q_cut = np.full(q_lo.size, g.eps)
+    q = (q_lo, q_hi, np.full(q_lo.size, g.eps))
 
-    def gram(alo, ahi, acut, blo, bhi, bcut):
-        hull = (np.maximum(ahi[:, None], bhi[None, :]) -
-                np.minimum(alo[:, None], blo[None, :]))
-        cut = np.maximum(acut[:, None], bcut[None, :])
-        return _overlap_kernel_arr(L, hull, cut)
-
-    G_pp = sigma2 * gram(p_lo, p_hi, p_cut, p_lo, p_hi, p_cut)
-    G_qp = sigma2 * gram(q_lo, q_hi, q_cut, p_lo, p_hi, p_cut)
-    G_qq = sigma2 * gram(q_lo, q_hi, q_cut, q_lo, q_hi, q_cut)
-    mean_p = -0.5 * sigma2 * _overlap_kernel_arr(L, p_hi - p_lo, p_cut)
-    mean_q = -0.5 * sigma2 * _overlap_kernel_arr(L, q_hi - q_lo, q_cut)
+    G_pp = sigma2 * footprint_areas(L, p, p)
+    G_qp = sigma2 * footprint_areas(L, q, p)
+    G_qq = sigma2 * footprint_areas(L, q, q)
+    mean_p = -0.5 * sigma2 * footprint_areas(L, p)
+    mean_q = -0.5 * sigma2 * footprint_areas(L, q)
 
     solve = np.linalg.solve
     jitter = 1e-12 * float(np.mean(np.diag(G_pp)))
@@ -374,9 +330,9 @@ def _refine_gaussian(realization, fine, rng):
     # independent band field between the two truncation heights
     hull = (np.maximum(q_hi[:, None], q_hi[None, :]) -
             np.minimum(q_lo[:, None], q_lo[None, :]))
-    band = sigma2 * _strip_kernel_arr(hull, fine.eps, g.eps)
-    band_mean = -0.5 * sigma2 * _strip_kernel_arr(q_hi - q_lo, fine.eps,
-                                                  g.eps)
+    band = sigma2 * cones.strip_kernel(hull, fine.eps, g.eps)
+    band_mean = -0.5 * sigma2 * cones.strip_kernel(q_hi - q_lo, fine.eps,
+                                                   g.eps)
     chol_band = _chol_with_jitter(band)
     vals = above + band_mean + chol_band @ rng.standard_normal(q_lo.size)
 
@@ -392,38 +348,9 @@ def _refine_gaussian(realization, fine, rng):
     return FieldSample(fine, "gaussian", point_log, cell_log)
 
 
-def _strip_kernel_arr(h, lo, hi):
-    h = np.asarray(h, float)
-    out = np.zeros(h.shape)
-    sel = h < hi
-    a = np.maximum(lo, h[sel])
-    out[sel] = np.log(hi / a) + h[sel] / hi - h[sel] / a
-    return out
-
-
 # ---------------------------------------------------------------------------
 # juxtaposition: adjacent intervals driven by one noise field
 # ---------------------------------------------------------------------------
-
-
-def _cross_kernel(I, J, alo, ahi, blo, bhi, cut):
-    """Overlap areas between footprints in interval I and in interval J.
-
-    Inclusion-exclusion over the two interval cones; every term is the area
-    of a hull cone above the cutoff, f(r) = log(max(c, r)) + r / max(c, r),
-    and the alternating combination is finite.
-    """
-    def f(r):
-        c = np.maximum(cut, r)
-        return np.log(c) + r / c
-
-    hi = np.maximum(ahi[:, None], bhi[None, :])
-    lo = np.minimum(alo[:, None], blo[None, :])
-    tau1 = hi - lo
-    tau2 = np.maximum(hi, I[1]) - np.minimum(lo, I[0])
-    tau3 = np.maximum(hi, J[1]) - np.minimum(lo, J[0])
-    tau4 = (max(I[1], J[1]) - min(I[0], J[0])) * np.ones_like(tau1)
-    return f(tau2) + f(tau3) - f(tau1) - f(tau4)
 
 
 class JuxtaposedGaussianSampler:
@@ -449,19 +376,17 @@ class JuxtaposedGaussianSampler:
         offs = np.concatenate([[0], np.cumsum(dims)])
         for i, (ilo, ihi, icut) in enumerate(objs):
             mean[offs[i]:offs[i + 1]] = \
-                -0.5 * sigma2 * _overlap_kernel_arr(L, ihi - ilo, icut)
+                -0.5 * sigma2 * footprint_areas(L, objs[i])
             for j, (jlo, jhi, jcut) in enumerate(objs):
                 if j < i:
                     continue
-                cut = np.maximum(icut[:, None], jcut[None, :])
                 if i == j:
-                    hull = (np.maximum(ihi[:, None], jhi[None, :]) -
-                            np.minimum(ilo[:, None], jlo[None, :]))
-                    blk = _overlap_kernel_arr(L, hull, cut)
+                    blk = footprint_areas(L, objs[i], objs[i])
                 else:
-                    blk = _cross_kernel(self.grids[i].interval,
-                                        self.grids[j].interval,
-                                        ilo, ihi, jlo, jhi, cut)
+                    cut = np.maximum(icut[:, None], jcut[None, :])
+                    blk = cones.cross_kernel(self.grids[i].interval,
+                                             self.grids[j].interval,
+                                             ilo, ihi, jlo, jhi, cut)
                 G[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = blk
                 G[offs[j]:offs[j + 1], offs[i]:offs[i + 1]] = blk.T
         self.mean = mean
@@ -489,11 +414,9 @@ def juxtaposed_total_masses(model, grid, n_intervals, seed, replicas, *,
         out = np.empty((replicas, n_intervals))
         for start in range(0, replicas, chunk):
             count = min(chunk, replicas - start)
-            normals = np.empty((sam.dim, count))
-            for j in range(count):
-                r = make_generator(seed, start + j, stream_tag)
-                normals[:, j] = r.standard_normal(sam.dim)
-            vals = sam.draw_columns(normals)
+            vals = sam.draw_columns(_normal_columns(
+                [make_generator(seed, start + j, stream_tag)
+                 for j in range(count)], sam.dim))
             for i in range(n_intervals):
                 pl = sam.interval_point_log(vals, i).T
                 _, total = masses_from_point_log(sam.grids[i], pl)
@@ -515,25 +438,15 @@ def _juxtaposed_poisson(model, grid, n_intervals, seed, replicas,
     # per-interval local cones are all inside the hull's sampling domain,
     # and their union fills it, so one point process serves every interval.
     strips = cones.sampling_domain(hull, grid.eps)
-    masses = np.array([s.mass() for s in strips])
-    total_mass = float(masses.sum())
     jumps = JumpSampler(model.nu)
-    drift = -nu_integral(model.nu, lambda x: math.exp(x) - 1.0)
+    drift = jump_drift(model.nu)
     grids = [GridSpec((lo + i * L, lo + (i + 1) * L), grid.levels,
                       grid.oversample, 0) for i in range(n_intervals)]
     point_area = cones.area_local_cone(grids[0].interval, grid.eps)
     out = np.empty((replicas, n_intervals))
-    cum = np.cumsum(masses) / total_mass
     for rix in range(replicas):
         rng = make_generator(seed, rix, stream_tag)
-        n = rng.poisson(jumps.total * total_mass)
-        which = np.searchsorted(cum, rng.random(n))
-        u = rng.random((n, 3))
-        x = np.empty(n)
-        y = np.empty(n)
-        for j in range(n):
-            x[j], y[j] = strips[which[j]].sample(u[j, 0], u[j, 1], u[j, 2])
-        jp = jumps.draw(rng, n)
+        x, y, jp = poisson_points(rng, strips, jumps)
         for i, gr in enumerate(grids):
             # keep only points outside the interval's own cone
             keep = ~((x - 0.5 * y <= gr.interval[0]) &
@@ -542,10 +455,7 @@ def _juxtaposed_poisson(model, grid, n_intervals, seed, replicas,
             if np.any(keep):
                 k0, k1 = _shadow_index_range(
                     x[keep], y[keep], gr.interval[0], gr.spacing, gr.n_points)
-                diff = np.zeros(gr.n_points + 1)
-                np.add.at(diff, k0, jp[keep])
-                np.subtract.at(diff, k1, jp[keep])
-                pl += np.cumsum(diff[:-1])
+                pl += range_sums(k0, k1, jp[keep], gr.n_points)
             _, total = masses_from_point_log(gr, pl[None, :])
             out[rix, i] = total[0]
         if progress is not None and (rix + 1) % 256 == 0:
@@ -575,7 +485,7 @@ def sample_area_log(model, area, rng, size=None):
                               math.sqrt(model.sigma2 * area), size=n)
         if not isinstance(model.nu, ZeroJumps):
             js = JumpSampler(model.nu)
-            drift = -nu_integral(model.nu, lambda x: math.exp(x) - 1.0)
+            drift = jump_drift(model.nu)
             counts = rng.poisson(js.total * area, size=n)
             jumps = js.draw(rng, int(counts.sum()))
             edges = np.concatenate([[0], np.cumsum(counts)])

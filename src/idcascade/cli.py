@@ -199,7 +199,6 @@ def _check_normalization(cfg, model, grid, seed):
 
 
 def _check_areas(cfg, model, grid, seed):
-    import numpy as np
     from . import cones
     from ._rng import make_generator
     tol = cfg.get_float("experiment", "areas_tol", 1e-8)
@@ -225,7 +224,6 @@ def _check_areas(cfg, model, grid, seed):
 
 
 def _check_star(cfg, model, grid, seed):
-    import numpy as np
     from .cascade import build_realization, decompose_star
     tol = cfg.get_float("experiment", "star_tol", 1e-10)
     worst = 0.0

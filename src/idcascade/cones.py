@@ -19,7 +19,7 @@ cross-section interval algebra.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -309,7 +309,7 @@ def area_cell(interval, cell):
     L, c = _length(interval), _length(cell)
     if not (interval[0] <= cell[0] and cell[1] <= interval[1]):
         raise ValueError("cell must sit inside the base interval")
-    return math.log(L / c)
+    return float(overlap_kernel(L, c, 0.0))
 
 
 def area_local_cone(interval, eps):
@@ -317,9 +317,7 @@ def area_local_cone(interval, eps):
     L = _length(interval)
     if eps <= 0:
         raise ValueError("truncation height must be positive")
-    if eps <= L:
-        return math.log(L / eps) + 1.0
-    return L / eps
+    return float(overlap_kernel(L, 0.0, eps))
 
 
 def area_pair(interval, s, t, eps):
@@ -328,11 +326,7 @@ def area_pair(interval, s, t, eps):
     lo, hi = interval
     if not (lo <= s <= hi and lo <= t <= hi):
         raise ValueError("anchor times must lie in the base interval")
-    tau = abs(t - s)
-    c = max(eps, tau)
-    if c <= L:
-        return math.log(L / c) + 1.0 - tau / c
-    return (L - tau) / c
+    return float(overlap_kernel(L, abs(t - s), eps))
 
 
 def overlap_kernel(L, h, c):
@@ -341,14 +335,21 @@ def overlap_kernel(L, h, c):
     L is the base-interval length, h the hull length of the two footprints
     (h = 0 for a single time), c the effective cutoff (0 when neither region
     is height-truncated).  Every same-interval Gram entry reduces to this.
+    h and c are arrays (broadcast together) or scalars; the result has the
+    shape of h.
     """
-    if h >= L:
-        return 0.0
-    if c <= h:
-        return math.log(L / max(h, 1e-300)) if h > 0 else math.inf
-    if c <= L:
-        return math.log(L / c) + 1.0 - h / c
-    return (L - h) / c
+    h = np.asarray(h, float)
+    c = np.broadcast_to(np.asarray(c, float), h.shape)
+    out = np.zeros(h.shape)
+    inside = h < L
+    low = inside & (c <= h)
+    with np.errstate(divide="ignore"):
+        out[low] = np.log(L / h[low])
+    mid = inside & (c > h) & (c <= L)
+    out[mid] = np.log(L / c[mid]) + 1.0 - h[mid] / c[mid]
+    high = inside & (c > L)
+    out[high] = (L - h[high]) / c[high]
+    return out
 
 
 def area_cross(I, J, s, t, eps):
@@ -360,7 +361,9 @@ def area_cross(I, J, s, t, eps):
         f(r) = log(max(eps, r)) + r / max(eps, r),
 
     the area is f(tau2) + f(tau3) - f(tau1) - f(tau4) for the four hull
-    lengths tau1 = |t - s| <= tau2, tau3 <= tau4 = |hull(I, J)|.
+    lengths tau1 = |t - s| <= tau2, tau3 <= tau4 = |hull(I, J)|.  Scalar
+    code on purpose: the quadrature of the juxtaposed pair moment calls it
+    once per node.  cross_kernel is the array form the samplers use.
     """
     if J[1] <= I[0]:
         I, J = J, I
@@ -381,16 +384,40 @@ def area_cross(I, J, s, t, eps):
     return f(tau2) + f(tau3) - f(tau1) - f(tau4)
 
 
+def cross_kernel(I, J, alo, ahi, blo, bhi, cut):
+    """Overlap areas between footprints in interval I and in interval J.
+
+    Inclusion-exclusion over the two interval cones; every term is the area
+    of a hull cone above the cutoff, f(r) = log(max(c, r)) + r / max(c, r),
+    and the alternating combination is finite.  Rows are the footprints
+    [alo, ahi] in I, columns the footprints [blo, bhi] in J.
+    """
+    def f(r):
+        c = np.maximum(cut, r)
+        return np.log(c) + r / c
+
+    hi = np.maximum(ahi[:, None], bhi[None, :])
+    lo = np.minimum(alo[:, None], blo[None, :])
+    tau1 = hi - lo
+    tau2 = np.maximum(hi, I[1]) - np.minimum(lo, I[0])
+    tau3 = np.maximum(hi, J[1]) - np.minimum(lo, J[0])
+    tau4 = (max(I[1], J[1]) - min(I[0], J[0])) * np.ones_like(tau1)
+    return f(tau2) + f(tau3) - f(tau1) - f(tau4)
+
+
 def strip_kernel(h, lo, hi):
     """Area of cone_of(hull) restricted to heights [lo, hi).
 
-    h is the hull length of the two footprints.  Used when refining: the new
-    noise between two truncation heights has exactly this covariance shape.
+    h is the hull length of the two footprints (array or scalar).  Used when
+    refining: the new noise between two truncation heights has exactly this
+    covariance shape.
     """
-    if h >= hi:
-        return 0.0
-    a = max(lo, h)
-    return math.log(hi / a) + h / hi - h / a
+    h = np.asarray(h, float)
+    out = np.zeros(h.shape)
+    sel = h < hi
+    a = np.maximum(lo, h[sel])
+    out[sel] = np.log(hi / a) + h[sel] / hi - h[sel] / a
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ output and the config hash is stable across cosmetic reformatting.
 import configparser
 import hashlib
 import io
-import math
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Optional
+from typing import Dict
 
 from .levy import AtomicJumps, TabulatedJumps, ZeroJumps, build_model
 from .field import GridSpec
@@ -141,8 +140,8 @@ class RunConfig:
         oversample = self.get_int("grid", "oversample", 4)
         lo = self.get_float("grid", "interval_lo", 0.0)
         hi = self.get_float("grid", "interval_hi", 1.0)
-        raw_cl = self.get("grid", "cell_levels")
-        cl = None if raw_cl in (None, "all") else int(raw_cl)
+        cl = (None if self.get("grid", "cell_levels") in (None, "all")
+              else self.get_int("grid", "cell_levels"))
         try:
             return GridSpec((lo, hi), levels, oversample, cl)
         except ValueError as exc:
@@ -156,8 +155,9 @@ class RunConfig:
         return kind
 
     def small_jump_cutoff(self):
-        raw = self.get("model", "small_jump_cutoff")
-        return None if raw is None else float(raw)
+        if self.get("model", "small_jump_cutoff") is None:
+            return None
+        return self.get_float("model", "small_jump_cutoff")
 
     def output_dir(self):
         return self.get("output", "directory", "out")

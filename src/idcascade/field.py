@@ -19,6 +19,14 @@ A hybrid path splits a general model into a Gaussian part plus the jumps of
 size >= cutoff, with the drift re-normalized so the truncated model is again
 exactly mean-one (optionally the dropped small jumps are replaced by a
 variance-matched Gaussian).
+
+make_sampler is the one place that turns a model and the (kind, cutoff,
+substitute) choice into a sampler; single builds, batches and the CLI all
+go through it.  Every sampler draws one field with sample(rng) and the
+point values of many replicas with point_logs(rngs), one generator per
+replica consumed in the same order as sample(): Gaussian normals first,
+then Poisson points.  So a (seed, replica, stream tag) names one
+realization whichever path draws it.
 """
 
 import math
@@ -28,9 +36,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import cones
-from .levy import (AtomicJumps, MomentDomainError, NoiseModel, TabulatedJumps,
-                   ZeroJumps, build_model, nu_integral)
-from ._rng import make_generator
+from .levy import (AtomicJumps, TabulatedJumps, ZeroJumps, build_model,
+                   jump_drift)
 
 
 @dataclass(frozen=True)
@@ -149,27 +156,29 @@ def _gram_objects(grid):
             np.concatenate(cut))
 
 
-def _overlap_gram(L, foot_lo, foot_hi, cut):
-    """Matrix of overlap_kernel over all object pairs, vectorized."""
-    hull = np.maximum(foot_hi[:, None], foot_hi[None, :]) - \
-        np.minimum(foot_lo[:, None], foot_lo[None, :])
-    c = np.maximum(cut[:, None], cut[None, :])
-    return _overlap_kernel_arr(L, hull, c)
+def footprint_areas(L, rows, cols=None):
+    """Overlap areas of footprint triples (lo, hi, cut) on one base interval.
+
+    With cols, the matrix whose (i, j) entry is cones.overlap_kernel of the
+    hull of footprints rows[i] and cols[j] above the larger cutoff: sigma2
+    times it is the covariance of the two noise values.  Without cols, the
+    area of each row footprint's own region, which fixes its mean.
+    """
+    lo, hi, cut = rows
+    if cols is None:
+        return cones.overlap_kernel(L, hi - lo, cut)
+    hull = (np.maximum(hi[:, None], cols[1][None, :]) -
+            np.minimum(lo[:, None], cols[0][None, :]))
+    return cones.overlap_kernel(L, hull,
+                                np.maximum(cut[:, None], cols[2][None, :]))
 
 
-def _overlap_kernel_arr(L, h, c):
-    h = np.asarray(h, float)
-    c = np.broadcast_to(np.asarray(c, float), h.shape)
-    out = np.zeros(h.shape)
-    inside = h < L
-    low = inside & (c <= h)
-    with np.errstate(divide="ignore"):
-        out[low] = np.log(L / h[low])
-    mid = inside & (c > h) & (c <= L)
-    out[mid] = np.log(L / c[mid]) + 1.0 - h[mid] / c[mid]
-    high = inside & (c > L)
-    out[high] = (L - h[high]) / c[high]
-    return out
+def _normal_columns(rngs, dim):
+    """(dim, len(rngs)) standard normals, column j drawn from rngs[j]."""
+    normals = np.empty((dim, len(rngs)))
+    for j, r in enumerate(rngs):
+        normals[:, j] = r.standard_normal(dim)
+    return normals
 
 
 def _chol_with_jitter(cov):
@@ -194,12 +203,11 @@ class GaussianFieldSampler:
             raise ValueError("Gaussian sampler needs sigma2 > 0")
         self.grid = grid
         self.sigma2 = float(sigma2)
-        foot_lo, foot_hi, cut = _gram_objects(grid)
-        hull_self = foot_hi - foot_lo
-        areas = _overlap_kernel_arr(grid.length, hull_self, cut)
+        objs = _gram_objects(grid)
+        areas = footprint_areas(grid.length, objs)
         self.mean = -0.5 * sigma2 * areas
-        gram = _overlap_gram(grid.length, foot_lo, foot_hi, cut)
-        self.chol = _chol_with_jitter(sigma2 * gram)
+        self.chol = _chol_with_jitter(
+            sigma2 * footprint_areas(grid.length, objs, objs))
         self.dim = areas.size
 
     def draw(self, rng, count=1):
@@ -210,6 +218,11 @@ class GaussianFieldSampler:
     def draw_columns(self, normals):
         """Map externally drawn standard normals (dim, count) to values."""
         return self.chol @ normals + self.mean[:, None]
+
+    def point_logs(self, rngs):
+        """(len(rngs), n_points) point values, replica j drawn from rngs[j]."""
+        vals = self.draw_columns(_normal_columns(rngs, self.dim))
+        return np.ascontiguousarray(vals[:self.grid.n_points].T)
 
     def split(self, values):
         """Slice a stacked value vector into (point_log, cell_log dict)."""
@@ -226,13 +239,6 @@ class GaussianFieldSampler:
         vals = self.draw(rng, 1)[:, 0]
         point_log, cell_log = self.split(vals)
         return FieldSample(self.grid, "gaussian", point_log, cell_log)
-
-
-def sample_gaussian_field(grid, model, rng):
-    """One Gaussian field draw; requires a purely Gaussian model."""
-    if not isinstance(model.nu, ZeroJumps):
-        raise ValueError("model has jumps; use the atomic or hybrid sampler")
-    return GaussianFieldSampler(grid, model.sigma2).sample(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +331,40 @@ def _covered_cell_range(x, y, lo, width, count):
     return np.clip(i0, 0, count), np.clip(i1, 0, count)
 
 
+def range_sums(i0, i1, values, count):
+    """Per-index totals of values[m] over the index ranges [i0[m], i1[m]).
+
+    A difference-array sweep: each range adds at its start and subtracts at
+    its end, and a cumulative sum spreads the values over the indices.
+    """
+    diff = np.zeros(count + 1)
+    np.add.at(diff, i0, values)
+    np.subtract.at(diff, i1, values)
+    return np.cumsum(diff[:-1])
+
+
+def poisson_points(rng, strips, jumps):
+    """Poisson point set with jumps on the union of strips: (x, y, jump).
+
+    The draws come in a fixed order: the count, the strip of each point
+    (only when there is more than one strip), three uniforms per point,
+    then the jump sizes.
+    """
+    mass = np.array([s.mass() for s in strips])
+    total = float(mass.sum())
+    n = rng.poisson(jumps.total * total)
+    which = (np.searchsorted(np.cumsum(mass) / total, rng.random(n))
+             if len(strips) > 1 else np.zeros(n, np.int64))
+    u = rng.random((n, 3))
+    x = np.empty(n)
+    y = np.empty(n)
+    # the uniforms stay numpy floats, so the strips' powers are numpy's
+    for i, s in enumerate(strips):
+        for j in np.nonzero(which == i)[0]:
+            x[j], y[j] = s.sample(u[j, 0], u[j, 1], u[j, 2])
+    return x, y, jumps.draw(rng, n)
+
+
 class PoissonFieldSampler:
     """Exact sampler for pure-jump models with finite jump-measure mass."""
 
@@ -335,10 +375,7 @@ class PoissonFieldSampler:
         self.model = model
         self.jumps = JumpSampler(model.nu)
         self.strips = cones.sampling_domain(grid.interval, grid.eps)
-        self.strip_mass = np.array([s.mass() for s in self.strips])
-        self.domain_mass = float(self.strip_mass.sum())
-        # drift of the pure-jump normalization: Lambda(R) = drift*area + jumps
-        self.drift = -nu_integral(model.nu, lambda x: math.exp(x) - 1.0)
+        self.drift = jump_drift(model.nu)
         g = grid
         self._point_area = cones.area_local_cone(g.interval, g.eps)
         self._cell_area = {
@@ -347,21 +384,7 @@ class PoissonFieldSampler:
 
     def draw_points(self, rng):
         """Poisson point set on the sampling domain: (x, y, jump) arrays."""
-        n = rng.poisson(self.jumps.total * self.domain_mass)
-        if n == 0:
-            empty = np.empty(0)
-            return empty, empty, np.empty(0)
-        which = np.searchsorted(np.cumsum(self.strip_mass) / self.domain_mass,
-                                rng.random(n))
-        u = rng.random((n, 3))
-        x = np.empty(n)
-        y = np.empty(n)
-        for i, s in enumerate(self.strips):
-            sel = np.nonzero(which == i)[0]
-            for j in sel:
-                x[j], y[j] = s.sample(u[j, 0], u[j, 1], u[j, 2])
-        jump = self.jumps.draw(rng, n)
-        return x, y, jump
+        return poisson_points(rng, self.strips, self.jumps)
 
     def evaluate(self, x, y, jump):
         """Field values (point_log, cell_log) of one point set."""
@@ -370,10 +393,7 @@ class PoissonFieldSampler:
         point_log = np.full(g.n_points, self.drift * self._point_area)
         if x.size:
             k0, k1 = _shadow_index_range(x, y, lo, g.spacing, g.n_points)
-            diff = np.zeros(g.n_points + 1)
-            np.add.at(diff, k0, jump)
-            np.subtract.at(diff, k1, jump)
-            point_log += np.cumsum(diff[:-1])
+            point_log += range_sums(k0, k1, jump, g.n_points)
         cell_log = {}
         for lev in g.carried_levels:
             count = 2 ** lev
@@ -382,10 +402,7 @@ class PoissonFieldSampler:
                 width = g.length / count
                 i0, i1 = _covered_cell_range(x, y, lo, width, count)
                 ok = i0 < i1
-                diff = np.zeros(count + 1)
-                np.add.at(diff, i0[ok], jump[ok])
-                np.subtract.at(diff, i1[ok], jump[ok])
-                vals += np.cumsum(diff[:-1])
+                vals += range_sums(i0[ok], i1[ok], jump[ok], count)
             cell_log[lev] = vals
         return point_log, cell_log
 
@@ -395,10 +412,12 @@ class PoissonFieldSampler:
         return FieldSample(self.grid, "poisson", point_log, cell_log,
                            points_x=x, points_y=y, points_jump=jump)
 
-
-def sample_poisson_field(grid, model, rng):
-    """One compound-Poisson field draw for a pure-jump model."""
-    return PoissonFieldSampler(grid, model).sample(rng)
+    def point_logs(self, rngs):
+        """(len(rngs), n_points) point values, replica j drawn from rngs[j]."""
+        out = np.empty((len(rngs), self.grid.n_points))
+        for j, r in enumerate(rngs):
+            out[j], _ = self.evaluate(*self.draw_points(r))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -477,21 +496,30 @@ class HybridFieldSampler:
         cell_log = {lev: np.zeros(2 ** lev) for lev in g.carried_levels}
         px = py = pj = None
         kind = []
-        if self.gauss is not None:
-            f = self.gauss.sample(rng)
+        for part in (self.gauss, self.poisson):
+            if part is None:
+                continue
+            f = part.sample(rng)
             point_log += f.point_log
             for lev in cell_log:
                 cell_log[lev] = cell_log[lev] + f.cell_log[lev]
-            kind.append("gaussian")
-        if self.poisson is not None:
-            f = self.poisson.sample(rng)
-            point_log += f.point_log
-            for lev in cell_log:
-                cell_log[lev] = cell_log[lev] + f.cell_log[lev]
-            px, py, pj = f.points_x, f.points_y, f.points_jump
-            kind.append("poisson")
+            if f.points_x is not None:
+                px, py, pj = f.points_x, f.points_y, f.points_jump
+            kind.append(f.kind)
         return FieldSample(g, "+".join(kind), point_log, cell_log,
                            points_x=px, points_y=py, points_jump=pj)
+
+    def point_logs(self, rngs):
+        """(len(rngs), n_points) point values, replica j drawn from rngs[j].
+
+        Each generator gives its Gaussian normals first, then its Poisson
+        points, as in sample(), so a batch replays the single draws.
+        """
+        out = np.zeros((len(rngs), self.grid.n_points))
+        for part in (self.gauss, self.poisson):
+            if part is not None:
+                out += part.point_logs(rngs)
+        return out
 
 
 def field_kind(model):
@@ -503,19 +531,34 @@ def field_kind(model):
     return "hybrid"
 
 
-def sample_field(grid, model, rng, kind="auto", cutoff=None,
-                 substitute=False):
-    """Dispatch to the right sampler for the model."""
+def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False):
+    """The exact field sampler for a model on a grid.
+
+    kind is "gaussian", "poisson", "hybrid" or "auto" (field_kind of the
+    model).  cutoff drops the jumps smaller than it and re-normalizes the
+    drift (truncated_model, with substitute); it applies to jump models
+    only.  Every sampler has sample(rng) for one FieldSample and
+    point_logs(rngs) for a batch of point values, one generator per replica.
+    """
     if kind == "auto":
         kind = field_kind(model)
     if kind == "gaussian":
         if cutoff is not None:
             raise ValueError("cutoff only applies to jump models")
-        return sample_gaussian_field(grid, model, rng)
+        if not isinstance(model.nu, ZeroJumps):
+            raise ValueError("model has jumps; use the atomic or hybrid "
+                             "sampler")
+        return GaussianFieldSampler(grid, model.sigma2)
     if kind == "poisson":
         if cutoff is not None:
             model = truncated_model(model, cutoff, substitute)
-        return sample_poisson_field(grid, model, rng)
+        return PoissonFieldSampler(grid, model)
     if kind == "hybrid":
-        return HybridFieldSampler(grid, model, cutoff, substitute).sample(rng)
+        return HybridFieldSampler(grid, model, cutoff, substitute)
     raise ValueError(f"unknown sampler kind {kind!r}")
+
+
+def sample_field(grid, model, rng, kind="auto", cutoff=None,
+                 substitute=False):
+    """One field draw from make_sampler's sampler for the model."""
+    return make_sampler(grid, model, kind, cutoff, substitute).sample(rng)

@@ -190,6 +190,16 @@ def normalize_drift(sigma2, nu):
     return -0.5 * sigma2 - compensated
 
 
+def jump_drift(nu):
+    """Drift of the pure-jump part: -integral (exp(x) - 1) nu(dx).
+
+    The jump noise of a region of area a is jump_drift(nu) * a plus the
+    jumps of the Poisson points inside it, which has a mean-one exponential
+    whenever nu has finite total mass.
+    """
+    return -nu_integral(nu, lambda x: math.exp(x) - 1.0)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Normalized infinitely divisible noise: variance, jumps, derived drift.
@@ -201,9 +211,6 @@ class NoiseModel:
     nu: object
     drift: float
     moment_q_range: Tuple[float, float]
-
-    def is_degenerate_pair(self):
-        return self.sigma2 == 0.0 and isinstance(self.nu, ZeroJumps)
 
 
 def build_model(sigma2, nu=None):
@@ -430,7 +437,7 @@ def _support_nonpositive(nu):
             return False
         x = np.asarray(nu.grid_x, float)
         d = np.asarray(nu.grid_density, float)
-        return bool(np.all(d[x > 0] == 0.0)) and (d[x == 0].size == 0 or True)
+        return bool(np.all(d[x > 0] == 0.0))
     raise TypeError(f"unknown jump measure {type(nu).__name__}")
 
 

@@ -20,15 +20,14 @@ sequence of log E Z^n / (n log n).
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy import integrate, stats
 
 from . import cones
-from .levy import (MomentDomainError, ZeroJumps, levy_exponent, nu_integral,
-                   structure_function)
+from .levy import MomentDomainError, levy_exponent, nu_integral
 
 # ---------------------------------------------------------------------------
 # pair exponents

@@ -26,6 +26,7 @@ from idcascade.moments import juxtaposed_pair_moment
 
 LOGN = lognormal_model(0.5)
 ATOM = single_atom_model(-math.log(2.0), 1.0)
+HYBRID = single_atom_model(-0.4, 0.8, sigma2=0.2)
 
 
 def test_build_realization_seed_rng_exclusive():
@@ -112,12 +113,17 @@ def test_batch_chunking_is_invisible(model):
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
 
 
-def test_simulate_total_masses_matches_single_builds():
+# Carried cell values take Gaussian normals ahead of the jump draws, so a
+# hybrid single build replays the batch on the batch's points-only grid.
+@pytest.mark.parametrize("model,cell_levels",
+                         [(LOGN, None), (ATOM, None), (HYBRID, 0)],
+                         ids=["gaussian", "poisson", "hybrid"])
+def test_simulate_total_masses_matches_single_builds(model, cell_levels):
     g = GridSpec((0.0, 1.0), 4, 2, 0)
-    z = simulate_total_masses(LOGN, g, 11, 4, chunk=2)
+    z = simulate_total_masses(model, g, 11, 4, chunk=2)
     for i in range(4):
-        r = build_realization(LOGN, GridSpec((0.0, 1.0), 4, 2), seed=11,
-                              replica=i)
+        r = build_realization(model, GridSpec((0.0, 1.0), 4, 2, cell_levels),
+                              seed=11, replica=i)
         assert z[i] == pytest.approx(r.total_mass, rel=1e-12)
 
 

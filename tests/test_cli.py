@@ -119,6 +119,11 @@ def test_config_error_exits_2(tmp_path):
     assert run("--config", bad, "theory") == 2
     ok = write_cfg(tmp_path / "ok.ini", tmp_path / "out")
     assert run("--config", ok, "--seed", -1, "theory") == 2
+    for old, new in (("cell_levels = 0", "cell_levels = x"),
+                     ("jump_kind = none",
+                      "jump_kind = none\nsmall_jump_cutoff = abc")):
+        bad.write_text(ok.read_text().replace(old, new))
+        assert run("--config", bad, "simulate") == 2
 
 
 def test_runtime_error_exits_3(tmp_path):

@@ -14,6 +14,7 @@ from idcascade.cones import (
     area_local_cone,
     area_pair,
     cell_cone,
+    cross_kernel,
     domain_mass,
     local_cone,
     overlap_kernel,
@@ -110,6 +111,11 @@ def test_cross_interval_area_against_oracle():
         region = (PointCone(s, eps) & PointCone(t, eps)) \
             - (IntervalCone(*I) | IntervalCone(*J))
         assert closed == pytest.approx(region_area(region), abs=1e-9)
+        # the array kernel the juxtaposed sampler runs, on point footprints
+        a, b = np.array([s]), np.array([t])
+        kernel = cross_kernel(I, J, a, a, b, b, eps)
+        assert kernel.shape == (1, 1)
+        assert kernel[0, 0] == pytest.approx(region_area(region), abs=1e-9)
 
 
 def test_cross_interval_swaps_and_validates():

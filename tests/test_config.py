@@ -86,6 +86,14 @@ def test_unknown_section_and_bad_values():
     cfg.set("experiment", "replicas", "0")
     with pytest.raises(ConfigError, match="replicas"):
         cfg.replicas()
+    cfg = parse_config(SAMPLE)
+    cfg.set("grid", "cell_levels", "x")
+    with pytest.raises(ConfigError, match="grid.cell_levels"):
+        cfg.build_grid()
+    cfg = parse_config(SAMPLE)
+    cfg.set("model", "small_jump_cutoff", "abc")
+    with pytest.raises(ConfigError, match="model.small_jump_cutoff"):
+        cfg.small_jump_cutoff()
 
 
 def test_atom_model_from_config():

@@ -5,6 +5,7 @@ import pytest
 
 from idcascade import cones
 from idcascade._rng import make_generator
+from idcascade.cascade import BatchSimulator
 from idcascade.field import (
     GaussianFieldSampler,
     GridSpec,
@@ -13,8 +14,6 @@ from idcascade.field import (
     _shadow_index_range,
     field_kind,
     sample_field,
-    sample_gaussian_field,
-    sample_poisson_field,
     truncated_model,
 )
 from idcascade.levy import (
@@ -95,16 +94,23 @@ def test_gaussian_field_is_mean_one():
 
 
 def test_gaussian_sampler_rejects_jump_models():
-    with pytest.raises(ValueError):
-        sample_gaussian_field(GridSpec(), single_atom_model(-0.5, 1.0),
-                              np.random.default_rng(0))
+    # pure-jump and hybrid models, and a cutoff, have no Gaussian-only path
+    g = GridSpec((0.0, 1.0), 3, 2, 0)
+    for model, cutoff in ((single_atom_model(-0.5, 1.0), None),
+                          (single_atom_model(-0.5, 1.0, sigma2=0.2), None),
+                          (lognormal_model(0.5), 0.5)):
+        with pytest.raises(ValueError):
+            sample_field(g, model, np.random.default_rng(0),
+                         kind="gaussian", cutoff=cutoff)
+        with pytest.raises(ValueError):
+            BatchSimulator(model, g, kind="gaussian", cutoff=cutoff)
 
 
 def test_poisson_field_matches_bruteforce_points():
     model = single_atom_model(-math.log(2.0), 1.0)
     g = GridSpec((0.25, 1.75), 4, 3)
     rng = make_generator(99, 5, "field-test")
-    f = sample_poisson_field(g, model, rng)
+    f = sample_field(g, model, rng, kind="poisson")
     x, y, jump = f.points_x, f.points_y, f.points_jump
     assert x.size > 0
     drift = -(math.exp(-math.log(2.0)) - 1.0)  # -(e^loc - 1) * mass
