@@ -27,12 +27,12 @@ import numpy as np
 
 from . import cones
 from .levy import (AtomicJumps, NoiseModel, TabulatedJumps, ZeroJumps,
-                   jump_drift, mean_slope)
-from .field import (FieldSample, GridSpec, JumpSampler, PoissonFieldSampler,
+                   mean_slope)
+from .field import (FieldSample, GridSpec, PoissonFieldSampler,
                     _chol_with_jitter, _gram_objects, _normal_columns,
                     _shadow_index_range, field_kind, footprint_areas,
-                    make_sampler, poisson_points, range_sums, sample_field,
-                    truncated_model)
+                    jump_law, make_sampler, poisson_points, range_sums,
+                    sample_field, truncated_model)
 from ._rng import make_generator
 
 
@@ -438,26 +438,27 @@ def _juxtaposed_poisson(model, grid, n_intervals, seed, replicas,
     # per-interval local cones are all inside the hull's sampling domain,
     # and their union fills it, so one point process serves every interval.
     strips = cones.sampling_domain(hull, grid.eps)
-    jumps = JumpSampler(model.nu)
-    drift = jump_drift(model.nu)
-    grids = [GridSpec((lo + i * L, lo + (i + 1) * L), grid.levels,
-                      grid.oversample, 0) for i in range(n_intervals)]
-    point_area = cones.area_local_cone(grids[0].interval, grid.eps)
+    jumps, drift = jump_law(model.nu)
+    count = grid.n_points
+    # one row per interval, each with its own edges and spacing: for a
+    # non-dyadic L the lengths (lo + (i+1)L) - (lo + iL) need not equal L
+    edges = lo + np.arange(n_intervals + 1) * L
+    left, right = edges[:-1, None], edges[1:, None]
+    spacing = (right - left) / count
+    row_offset = np.arange(n_intervals)[:, None] * (count + 1)
+    base = drift * cones.area_local_cone((lo, lo + L), grid.eps)
     out = np.empty((replicas, n_intervals))
     for rix in range(replicas):
         rng = make_generator(seed, rix, stream_tag)
         x, y, jp = poisson_points(rng, strips, jumps)
-        for i, gr in enumerate(grids):
-            # keep only points outside the interval's own cone
-            keep = ~((x - 0.5 * y <= gr.interval[0]) &
-                     (gr.interval[1] <= x + 0.5 * y))
-            pl = np.full(gr.n_points, drift * point_area)
-            if np.any(keep):
-                k0, k1 = _shadow_index_range(
-                    x[keep], y[keep], gr.interval[0], gr.spacing, gr.n_points)
-                pl += range_sums(k0, k1, jp[keep], gr.n_points)
-            _, total = masses_from_point_log(gr, pl[None, :])
-            out[rix, i] = total[0]
+        # keep, per interval, only points outside the interval's own cone
+        keep = ~((x - 0.5 * y <= left) & (right <= x + 0.5 * y))
+        k0, k1 = _shadow_index_range(x, y, left, spacing, count)
+        pl = base + range_sums((k0 + row_offset)[keep],
+                               (k1 + row_offset)[keep],
+                               np.broadcast_to(jp, keep.shape)[keep],
+                               count, rows=n_intervals)
+        _, out[rix] = masses_from_point_log(grid, pl)
         if progress is not None and (rix + 1) % 256 == 0:
             progress(rix + 1)
     return out
@@ -484,8 +485,7 @@ def sample_area_log(model, area, rng, size=None):
             val += rng.normal(-0.5 * model.sigma2 * area,
                               math.sqrt(model.sigma2 * area), size=n)
         if not isinstance(model.nu, ZeroJumps):
-            js = JumpSampler(model.nu)
-            drift = jump_drift(model.nu)
+            js, drift = jump_law(model.nu)
             counts = rng.poisson(js.total * area, size=n)
             jumps = js.draw(rng, int(counts.sum()))
             edges = np.concatenate([[0], np.cumsum(counts)])

@@ -448,23 +448,25 @@ class DomainStrip:
         return 2.0 * L / self.y_lo
 
     def sample(self, u_y, u_branch, u_x):
-        """Map three uniforms to (x, y) with the strip's normalized law."""
+        """Map three arrays of uniforms to (x, y) arrays, one point per
+        index, with the strip's normalized law."""
         lo, hi = self.interval
         L = hi - lo
         if self.kind == "fan":
             m_log = math.log(self.y_hi / self.y_lo)
             m_inv = L / self.y_lo - L / self.y_hi
-            if u_branch * (m_log + m_inv) < m_log:
-                y = self.y_lo * (self.y_hi / self.y_lo) ** u_y
-            else:
-                y = 1.0 / (1.0 / self.y_lo - u_y * (1.0 / self.y_lo - 1.0 / self.y_hi))
+            log_branch = u_branch * (m_log + m_inv) < m_log
+            y = 1.0 / (1.0 / self.y_lo
+                       - u_y * (1.0 / self.y_lo - 1.0 / self.y_hi))
+            ratio = self.y_hi / self.y_lo
+            # scalar pow: numpy's SIMD array power can differ in the last ulp
+            y[log_branch] = [self.y_lo * ratio ** float(u)
+                             for u in u_y[log_branch]]
             x = (lo - 0.5 * y) + u_x * (y + L)
             return x, y
-        y = self.y_lo / u_y if u_y > 0 else math.inf
-        if u_branch < 0.5:
-            x = (lo - 0.5 * y) + u_x * L
-        else:
-            x = (lo + 0.5 * y) + u_x * L
+        with np.errstate(divide="ignore"):
+            y = np.where(u_y > 0, self.y_lo / u_y, math.inf)
+        x = np.where(u_branch < 0.5, lo - 0.5 * y, lo + 0.5 * y) + u_x * L
         return x, y
 
 

@@ -1,9 +1,10 @@
 """Run configuration: INI-style files with a canonical serialization.
 
 Four sections (model, grid, experiment, output) hold flat key = value
-pairs.  Serialization is canonical -- fixed section order, sorted keys,
-single-space separators -- so parse -> serialize is a fixpoint on its own
-output and the config hash is stable across cosmetic reformatting.
+pairs; an unknown section or key is an error.  Serialization is canonical
+-- fixed section order, sorted keys, single-space separators -- so parse
+-> serialize is a fixpoint on its own output and the config hash is stable
+across cosmetic reformatting.
 """
 
 import configparser
@@ -15,7 +16,21 @@ from typing import Dict
 from .levy import AtomicJumps, TabulatedJumps, ZeroJumps, build_model
 from .field import GridSpec
 
-_SECTION_ORDER = ("model", "grid", "experiment", "output")
+# The keys each section may hold, which are the keys the code reads; the
+# section order is the canonical serialization order.
+_KEYS = {
+    "model": ("sigma2", "jump_kind", "atom_locations", "atom_masses",
+              "tabulated_x", "tabulated_density", "left_rate", "right_rate",
+              "small_jump_cutoff", "substitute_small"),
+    "grid": ("levels", "oversample", "cell_levels", "interval_lo",
+             "interval_hi"),
+    "experiment": ("seed", "replicas", "sampler", "kind", "chunk", "checks",
+                   "normalization_tol", "areas_tol", "areas_count",
+                   "star_tol", "ks_p_min", "q_values", "scale_ratios",
+                   "n_intervals"),
+    "output": ("directory", "formats"),
+}
+_SECTION_ORDER = tuple(_KEYS)
 
 
 class ConfigError(ValueError):
@@ -180,6 +195,8 @@ def parse_config(text):
         if section not in _SECTION_ORDER:
             raise ConfigError(section, "unknown section")
         for key, value in parser.items(section):
+            if key not in _KEYS[section]:
+                raise ConfigError(f"{section}.{key}", "unknown key")
             cfg.set(section, key, value.strip())
     return cfg
 

@@ -24,11 +24,14 @@ make_sampler is the one place that turns a model and the (kind, cutoff,
 substitute) choice into a sampler; single builds, batches and the CLI all
 go through it.  Every sampler draws one field with sample(rng) and the
 point values of many replicas with point_logs(rngs), one generator per
-replica consumed in the same order as sample(): Gaussian normals first,
-then Poisson points.  So a (seed, replica, stream tag) names one
-realization whichever path draws it.
+replica consumed in the same order as sample(): the Gaussian normals of
+the points first, then the Poisson points, and last the Gaussian normals
+of any carried cells.  So a (seed, replica, stream tag) names one
+realization whichever path draws it, and its point values do not depend
+on the grid's cell_levels.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
@@ -216,8 +219,14 @@ class GaussianFieldSampler:
         return self.chol @ z + self.mean[:, None]
 
     def draw_columns(self, normals):
-        """Map externally drawn standard normals (dim, count) to values."""
-        return self.chol @ normals + self.mean[:, None]
+        """Map externally drawn standard normals (k, count) to the values of
+        the first k objects (k = dim for all of them).
+
+        The factor is lower triangular, so the leading values need only the
+        leading normals: with k = n_points, the point values alone.
+        """
+        k = normals.shape[0]
+        return self.chol[:k, :k] @ normals + self.mean[:k, None]
 
     def point_logs(self, rngs):
         """(len(rngs), n_points) point values, replica j drawn from rngs[j]."""
@@ -312,6 +321,16 @@ class JumpSampler:
         return out
 
 
+@functools.lru_cache(maxsize=64)
+def jump_law(nu):
+    """(JumpSampler(nu), jump_drift(nu)), built once per jump measure.
+
+    Measures are frozen and hashable; a tabulated one needs quadrature for
+    both, which would otherwise run again on every sampler and area draw.
+    """
+    return JumpSampler(nu), jump_drift(nu)
+
+
 def _shadow_index_range(x, y, lo, spacing, count):
     """Evaluation-index range [k0, k1) of points inside cone shadows.
 
@@ -331,16 +350,20 @@ def _covered_cell_range(x, y, lo, width, count):
     return np.clip(i0, 0, count), np.clip(i1, 0, count)
 
 
-def range_sums(i0, i1, values, count):
+def range_sums(i0, i1, values, count, rows=None):
     """Per-index totals of values[m] over the index ranges [i0[m], i1[m]).
 
     A difference-array sweep: each range adds at its start and subtracts at
     its end, and a cumulative sum spreads the values over the indices.
+    With rows, the ranges of several rows are summed at once: an index is
+    row * (count + 1) + k and the result has shape (rows, count).
     """
-    diff = np.zeros(count + 1)
-    np.add.at(diff, i0, values)
-    np.subtract.at(diff, i1, values)
-    return np.cumsum(diff[:-1])
+    diff = np.zeros((1 if rows is None else rows, count + 1))
+    flat = diff.reshape(-1)
+    np.add.at(flat, i0, values)
+    np.subtract.at(flat, i1, values)
+    sums = np.cumsum(diff[:, :-1], axis=1)
+    return sums[0] if rows is None else sums
 
 
 def poisson_points(rng, strips, jumps):
@@ -358,10 +381,9 @@ def poisson_points(rng, strips, jumps):
     u = rng.random((n, 3))
     x = np.empty(n)
     y = np.empty(n)
-    # the uniforms stay numpy floats, so the strips' powers are numpy's
     for i, s in enumerate(strips):
-        for j in np.nonzero(which == i)[0]:
-            x[j], y[j] = s.sample(u[j, 0], u[j, 1], u[j, 2])
+        sel = which == i
+        x[sel], y[sel] = s.sample(u[sel, 0], u[sel, 1], u[sel, 2])
     return x, y, jumps.draw(rng, n)
 
 
@@ -373,9 +395,8 @@ class PoissonFieldSampler:
             raise ValueError("model has a Gaussian part; use the hybrid path")
         self.grid = grid
         self.model = model
-        self.jumps = JumpSampler(model.nu)
+        self.jumps, self.drift = jump_law(model.nu)
         self.strips = cones.sampling_domain(grid.interval, grid.eps)
-        self.drift = jump_drift(model.nu)
         g = grid
         self._point_area = cones.area_local_cone(g.interval, g.eps)
         self._cell_area = {
@@ -491,34 +512,45 @@ class HybridFieldSampler:
             raise ValueError("nothing left to sample")
 
     def sample(self, rng):
+        # The point normals, then the jumps, then the cell normals: so the
+        # point values do not depend on how many cell levels are carried.
         g = self.grid
+        parts = []
+        if self.gauss is not None:
+            z_points = rng.standard_normal((g.n_points, 1))
+        jumps = self.poisson.sample(rng) if self.poisson is not None else None
+        if self.gauss is not None:
+            z_cells = rng.standard_normal((self.gauss.dim - g.n_points, 1))
+            vals = self.gauss.draw_columns(np.concatenate([z_points,
+                                                           z_cells]))
+            parts.append(FieldSample(g, "gaussian",
+                                     *self.gauss.split(vals[:, 0])))
+        px = py = pj = None
+        if jumps is not None:
+            parts.append(jumps)
+            px, py, pj = jumps.points_x, jumps.points_y, jumps.points_jump
         point_log = np.zeros(g.n_points)
         cell_log = {lev: np.zeros(2 ** lev) for lev in g.carried_levels}
-        px = py = pj = None
-        kind = []
-        for part in (self.gauss, self.poisson):
-            if part is None:
-                continue
-            f = part.sample(rng)
+        for f in parts:
             point_log += f.point_log
             for lev in cell_log:
                 cell_log[lev] = cell_log[lev] + f.cell_log[lev]
-            if f.points_x is not None:
-                px, py, pj = f.points_x, f.points_y, f.points_jump
-            kind.append(f.kind)
-        return FieldSample(g, "+".join(kind), point_log, cell_log,
-                           points_x=px, points_y=py, points_jump=pj)
+        return FieldSample(g, "+".join(f.kind for f in parts), point_log,
+                           cell_log, points_x=px, points_y=py, points_jump=pj)
 
     def point_logs(self, rngs):
         """(len(rngs), n_points) point values, replica j drawn from rngs[j].
 
-        Each generator gives its Gaussian normals first, then its Poisson
-        points, as in sample(), so a batch replays the single draws.
+        Each generator gives its point normals first, then its Poisson
+        points, as in sample(); the cell normals that sample() draws last
+        are not needed, so a batch replays the single draws.
         """
-        out = np.zeros((len(rngs), self.grid.n_points))
-        for part in (self.gauss, self.poisson):
-            if part is not None:
-                out += part.point_logs(rngs)
+        n = self.grid.n_points
+        out = np.zeros((len(rngs), n))
+        if self.gauss is not None:
+            out += self.gauss.draw_columns(_normal_columns(rngs, n)).T
+        if self.poisson is not None:
+            out += self.poisson.point_logs(rngs)
         return out
 
 

@@ -113,18 +113,49 @@ def test_batch_chunking_is_invisible(model):
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
 
 
-# Carried cell values take Gaussian normals ahead of the jump draws, so a
-# hybrid single build replays the batch on the batch's points-only grid.
 @pytest.mark.parametrize("model,cell_levels",
-                         [(LOGN, None), (ATOM, None), (HYBRID, 0)],
-                         ids=["gaussian", "poisson", "hybrid"])
+                         [(LOGN, None), (ATOM, None), (HYBRID, 0),
+                          (HYBRID, None)],
+                         ids=["gaussian", "poisson", "hybrid", "hybrid-cells"])
 def test_simulate_total_masses_matches_single_builds(model, cell_levels):
-    g = GridSpec((0.0, 1.0), 4, 2, 0)
-    z = simulate_total_masses(model, g, 11, 4, chunk=2)
-    for i in range(4):
-        r = build_realization(model, GridSpec((0.0, 1.0), 4, 2, cell_levels),
-                              seed=11, replica=i)
-        assert z[i] == pytest.approx(r.total_mass, rel=1e-12)
+    grid = GridSpec((0.0, 1.0), 4, 2, cell_levels)
+    singles = [build_realization(model, grid, seed=11, replica=i).total_mass
+               for i in range(4)]
+    # the batch on a points-only grid and on the single builds' grid
+    for batch_grid in (GridSpec((0.0, 1.0), 4, 2, 0), grid):
+        z = simulate_total_masses(model, batch_grid, 11, 4, chunk=2)
+        for i in range(4):
+            assert z[i] == pytest.approx(singles[i], rel=1e-12)
+
+
+def test_hybrid_point_values_do_not_depend_on_cell_levels():
+    points_only = build_realization(HYBRID, GridSpec((0.0, 1.0), 4, 2, 0),
+                                    seed=11)
+    all_levels = build_realization(HYBRID, GridSpec((0.0, 1.0), 4, 2),
+                                   seed=11)
+    np.testing.assert_array_equal(all_levels.field.points_x,
+                                  points_only.field.points_x)
+    np.testing.assert_array_equal(all_levels.field.points_jump,
+                                  points_only.field.points_jump)
+    # the two grids' Cholesky factors agree only to rounding
+    np.testing.assert_allclose(all_levels.field.point_log,
+                               points_only.field.point_log, rtol=0,
+                               atol=1e-12)
+
+
+def test_poisson_draws_keep_their_pinned_values():
+    # Recorded with the scalar, point-by-point map from uniforms to points:
+    # a seed must name the same realization on every version.
+    z = simulate_total_masses(ATOM, GridSpec((0.0, 1.0), 8, 2, 0), 11, 3)
+    assert [v.hex() for v in z.tolist()] == [
+        "0x1.7dd216d965d8ap-2", "0x1.75753984f0249p-1", "0x1.f05ea86fc9337p-2"]
+    # a non-dyadic base interval, so each interval keeps its own spacing
+    j = juxtaposed_total_masses(ATOM, GridSpec((0.1, 0.4), 6, 2, 0), 3, 11, 2)
+    assert [[v.hex() for v in row] for row in j.tolist()] == [
+        ["0x1.307f8aab7496bp-1", "0x1.02efa9bd968b0p+0",
+         "0x1.d1a9248bb4082p+0"],
+        ["0x1.0087dd9b88fd6p+1", "0x1.39768fcac0cbep+0",
+         "0x1.63f81f40402d6p-2"]]
 
 
 def test_prefix_masses_columns_are_nested():

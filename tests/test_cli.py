@@ -121,7 +121,8 @@ def test_config_error_exits_2(tmp_path):
     assert run("--config", ok, "--seed", -1, "theory") == 2
     for old, new in (("cell_levels = 0", "cell_levels = x"),
                      ("jump_kind = none",
-                      "jump_kind = none\nsmall_jump_cutoff = abc")):
+                      "jump_kind = none\nsmall_jump_cutoff = abc"),
+                     ("cell_levels = 0", "cell_levels = 0\ninterval = 0, 2")):
         bad.write_text(ok.read_text().replace(old, new))
         assert run("--config", bad, "simulate") == 2
 

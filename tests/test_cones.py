@@ -168,8 +168,8 @@ def test_sampling_domain_strip_layout():
 def test_strip_samples_land_inside_their_strip():
     rng = np.random.default_rng(7)
     for strip in sampling_domain((0.2, 1.4), 0.15):
-        for _ in range(200):
-            x, y = strip.sample(*rng.uniform(size=3))
+        xs, ys = strip.sample(*rng.uniform(size=(200, 3)).T)
+        for x, y in zip(xs, ys):
             assert strip.y_lo <= y
             if not math.isinf(strip.y_hi):
                 assert y <= strip.y_hi * (1 + 1e-12)
@@ -186,7 +186,7 @@ def test_strip_y_marginal_quantiles():
     strip = DomainStrip("fan", (0.0, 1.0), 0.125, 1.0)
     rng = np.random.default_rng(11)
     u = rng.uniform(size=(40_000, 3))
-    ys = np.array([strip.sample(*row)[1] for row in u])
+    ys = strip.sample(*u.T)[1]
     # CDF of y under (1 + L/y^2 * ...)  -- check via the strip mass integral
     def cdf(y):
         part = DomainStrip("fan", (0.0, 1.0), 0.125, y).mass()
@@ -194,6 +194,50 @@ def test_strip_y_marginal_quantiles():
     for q in (0.25, 0.5, 0.75):
         y_emp = float(np.quantile(ys, q))
         assert cdf(y_emp) == pytest.approx(q, abs=0.02)
+
+
+def _reference_strip_sample(strip, u_y, u_branch, u_x):
+    """One point of DomainStrip.sample, in scalar Python floats."""
+    lo, hi = strip.interval
+    L = hi - lo
+    if strip.kind == "fan":
+        m_log = math.log(strip.y_hi / strip.y_lo)
+        m_inv = L / strip.y_lo - L / strip.y_hi
+        if u_branch * (m_log + m_inv) < m_log:
+            y = strip.y_lo * (strip.y_hi / strip.y_lo) ** u_y
+        else:
+            y = 1.0 / (1.0 / strip.y_lo
+                       - u_y * (1.0 / strip.y_lo - 1.0 / strip.y_hi))
+        return (lo - 0.5 * y) + u_x * (y + L), y
+    y = strip.y_lo / u_y if u_y > 0 else math.inf
+    if u_branch < 0.5:
+        return (lo - 0.5 * y) + u_x * L, y
+    return (lo + 0.5 * y) + u_x * L, y
+
+
+@pytest.mark.parametrize("strip", [
+    sampling_domain((0.3, 1.1), 0.8 * 2.0 ** -10)[0],
+    refinement_strip((0.3, 1.1), 0.4, 0.2),
+    sampling_domain((0.3, 1.1), 0.8 * 2.0 ** -10)[1],
+    sampling_domain((0.3, 1.1), 1.7)[0],
+], ids=["fan", "refinement-fan", "flank", "flank-above-L"])
+def test_strip_sample_matches_scalar_formula_bitwise(strip):
+    u = np.random.default_rng(99).random((100_000, 3))
+    u[:50, 0] = 0.0
+    u[50:100, 1] = 0.5
+    x, y = strip.sample(u[:, 0], u[:, 1], u[:, 2])
+    ref = np.array([_reference_strip_sample(strip, *map(float, row))
+                    for row in u])
+    np.testing.assert_array_equal(x.view(np.int64), ref[:, 0].view(np.int64))
+    np.testing.assert_array_equal(y.view(np.int64), ref[:, 1].view(np.int64))
+    if strip.kind == "fan":
+        lo, hi = strip.interval
+        m_log = math.log(strip.y_hi / strip.y_lo)
+        m_inv = (hi - lo) / strip.y_lo - (hi - lo) / strip.y_hi
+        n_log = int(np.sum(u[:, 1] * (m_log + m_inv) < m_log))
+        assert 500 < n_log < u.shape[0] - 500    # both branches are hit
+    else:
+        assert np.isinf(y[:50]).all() and np.isfinite(y[50:]).all()
 
 
 def test_refinement_strip_is_the_missing_band():

@@ -74,6 +74,10 @@ def test_hash_ignores_formatting_but_not_values():
 def test_unknown_section_and_bad_values():
     with pytest.raises(ConfigError, match="unknown"):
         parse_config("[nonsense]\nx = 1\n")
+    with pytest.raises(ConfigError, match="grid.interval: unknown key"):
+        parse_config(SAMPLE.replace("[grid]\n", "[grid]\ninterval = 0, 2\n"))
+    with pytest.raises(ConfigError, match="model.sigm: unknown key"):
+        parse_config(SAMPLE.replace("sigma2 = 0.5", "sigm = 0.5"))
     cfg = parse_config(SAMPLE)
     cfg.set("model", "sigma2", "not-a-number")
     with pytest.raises(ConfigError, match="sigma2"):
