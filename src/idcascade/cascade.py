@@ -110,9 +110,12 @@ def build_realization(model, grid, rng=None, *, seed=None, replica=0,
 class BatchSimulator:
     """Chunked replica simulation with one stream per replica.
 
-    Values are bit-identical however the work is chunked, because each
-    replica draws from its own counter-based stream.  Yields (start index,
-    point_log matrix) chunks; reduce them as they come to keep memory flat.
+    Each replica draws from its own counter-based stream, so the values do
+    not depend on how the work is chunked: bit for bit on the circulant
+    and Poisson paths, and to the last ulp on the dense Gaussian path,
+    whose matrix product changes its BLAS kernel with the chunk width.
+    Yields (start index, point_log matrix) chunks; reduce them as they
+    come to keep memory flat.
     """
 
     def __init__(self, model, grid, *, kind="auto", cutoff=None,
@@ -324,7 +327,7 @@ def _refine_gaussian(realization, fine, rng):
     cond_mean = mean_q + G_qp @ w
     cond_cov = G_qq - G_qp @ solve(G_pp, G_qp.T)
     cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    chol = _chol_with_jitter(cond_cov)
+    chol, _ = _chol_with_jitter(cond_cov)
     above = cond_mean + chol @ rng.standard_normal(q_lo.size)
 
     # independent band field between the two truncation heights
@@ -333,7 +336,7 @@ def _refine_gaussian(realization, fine, rng):
     band = sigma2 * cones.strip_kernel(hull, fine.eps, g.eps)
     band_mean = -0.5 * sigma2 * cones.strip_kernel(q_hi - q_lo, fine.eps,
                                                    g.eps)
-    chol_band = _chol_with_jitter(band)
+    chol_band, _ = _chol_with_jitter(band)
     vals = above + band_mean + chol_band @ rng.standard_normal(q_lo.size)
 
     point_log = vals[:fine.n_points]
@@ -390,7 +393,7 @@ class JuxtaposedGaussianSampler:
                 G[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = blk
                 G[offs[j]:offs[j + 1], offs[i]:offs[i + 1]] = blk.T
         self.mean = mean
-        self.chol = _chol_with_jitter(sigma2 * G)
+        self.chol, _ = _chol_with_jitter(sigma2 * G)
         self.dims = dims
         self.offs = offs
         self.dim = D

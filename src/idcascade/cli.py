@@ -180,6 +180,8 @@ def cmd_simulate(cfg):
         payload = dict(_stamp(cfg))
         payload["replicas"] = replicas
         payload["mean_total_mass"] = float(np.mean([z for _, z in rows]))
+        payload["sampler"] = sim.sampler.name
+        payload["sampler_health"] = sim.sampler.health
         _write_json(cfg, "summary.json", payload)
     print(os.path.join(outdir, "summary.csv" if fmt != "json"
                        else "summary.json"))

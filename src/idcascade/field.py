@@ -5,11 +5,21 @@ A grid fixes a base interval, a dyadic depth n (the truncation height is
 noise integral over the local cone of every evaluation midpoint, plus the
 noise of every dyadic cell's shared-ancestry region.
 
-Two exact samplers cover the model classes:
+Exact samplers cover the model classes:
 
-* Gaussian: the joint law of all point and cell values is a Gaussian vector
-  whose covariance is sigma2 times the overlap kernel of the regions, built
-  densely and factored once per grid.
+* Gaussian, dense: the joint law of all point and cell values is a
+  Gaussian vector whose covariance is sigma2 times the overlap kernel of
+  the regions, built densely and Cholesky-factored once per grid.  It
+  serves grids that carry cells, grids below CIRCULANT_MIN_POINTS points,
+  the Gaussian part of the hybrid sampler, and refinement and
+  juxtaposition.
+* Gaussian, circulant embedding: on a points-only grid (cell_levels = 0)
+  the covariance depends only on the lag, so it is a Toeplitz matrix and
+  its circulant embedding of size 2N samples it exactly with two FFTs per
+  replica, in O(N log N) time and O(N) memory.  It serves points-only
+  grids of at least CIRCULANT_MIN_POINTS points and falls back to the
+  dense sampler, with a RuntimeWarning, if an embedding eigenvalue is
+  negative.
 * Atomic (compound Poisson): the jump part is a Poisson point process on the
   union of all local cones; each sampled point adds its jump to exactly the
   evaluation points whose cone contains it, which is a contiguous index
@@ -27,12 +37,18 @@ point values of many replicas with point_logs(rngs), one generator per
 replica consumed in the same order as sample(): the Gaussian normals of
 the points first, then the Poisson points, and last the Gaussian normals
 of any carried cells.  So a (seed, replica, stream tag) names one
-realization whichever path draws it, and its point values do not depend
-on the grid's cell_levels.
+realization whichever path draws it.  Its point values do not depend on
+the grid's cell_levels for the hybrid sampler and for Gaussian grids
+below CIRCULANT_MIN_POINTS points; above that a points-only grid uses the
+circulant embedding and a cell-carrying grid the dense factor, both exact
+in law but with different bits.  Every sampler names itself (name) and
+reports its numerical health (health): the Cholesky jitter applied or the
+smallest embedding eigenvalue relative to the largest.
 """
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -185,13 +201,24 @@ def _normal_columns(rngs, dim):
 
 
 def _chol_with_jitter(cov):
+    """(Cholesky factor, relative jitter) of a covariance matrix.
+
+    The jitter, a multiple of the mean diagonal added to the diagonal, is
+    0 when the plain factorization succeeds; any other value is warned
+    about, since it perturbs the law that is sampled.
+    """
     scale = float(np.mean(np.diag(cov))) or 1.0
     for jitter in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
         try:
-            return np.linalg.cholesky(
+            chol = np.linalg.cholesky(
                 cov + jitter * scale * np.eye(cov.shape[0]))
         except np.linalg.LinAlgError:
             continue
+        if jitter:
+            warnings.warn(f"covariance needed relative jitter {jitter:g} "
+                          f"for its Cholesky factor", RuntimeWarning,
+                          stacklevel=2)
+        return chol, jitter
     w = np.linalg.eigvalsh(cov)
     raise np.linalg.LinAlgError(
         f"covariance not positive definite (min eigenvalue {w[0]:.3e} "
@@ -201,6 +228,8 @@ def _chol_with_jitter(cov):
 class GaussianFieldSampler:
     """Joint exact sampler for the Gaussian part of the noise on a grid."""
 
+    name = "dense"
+
     def __init__(self, grid, sigma2):
         if sigma2 <= 0:
             raise ValueError("Gaussian sampler needs sigma2 > 0")
@@ -209,8 +238,9 @@ class GaussianFieldSampler:
         objs = _gram_objects(grid)
         areas = footprint_areas(grid.length, objs)
         self.mean = -0.5 * sigma2 * areas
-        self.chol = _chol_with_jitter(
+        self.chol, jitter = _chol_with_jitter(
             sigma2 * footprint_areas(grid.length, objs, objs))
+        self.health = {"cholesky_jitter": jitter}
         self.dim = areas.size
 
     def draw(self, rng, count=1):
@@ -229,9 +259,13 @@ class GaussianFieldSampler:
         return self.chol[:k, :k] @ normals + self.mean[:k, None]
 
     def point_logs(self, rngs):
-        """(len(rngs), n_points) point values, replica j drawn from rngs[j]."""
-        vals = self.draw_columns(_normal_columns(rngs, self.dim))
-        return np.ascontiguousarray(vals[:self.grid.n_points].T)
+        """(len(rngs), n_points) point values, replica j drawn from rngs[j].
+
+        Only the point normals are drawn, the first n_points of the ones
+        sample() draws, so the carried cells cost nothing here.
+        """
+        vals = self.draw_columns(_normal_columns(rngs, self.grid.n_points))
+        return np.ascontiguousarray(vals.T)
 
     def split(self, values):
         """Slice a stacked value vector into (point_log, cell_log dict)."""
@@ -248,6 +282,87 @@ class GaussianFieldSampler:
         vals = self.draw(rng, 1)[:, 0]
         point_log, cell_log = self.split(vals)
         return FieldSample(self.grid, "gaussian", point_log, cell_log)
+
+
+# Points-only Gaussian grids with at least this many points use the
+# circulant embedding.  Per replica, Philox stream included, one BLAS
+# thread on a 2-core x86 host, dense against embedding: 0.30 against
+# 0.17 ms at 2048 points and 0.89 against 0.31 ms at 4096, with builds of
+# 0.4 s and 2.1 s against under 1 ms.  At 1024 points the two were within
+# 15% of each other, in either order across measurements, and at 512 they
+# tied; the embedding draws 2N normals where dense draws N.
+CIRCULANT_MIN_POINTS = 2048
+
+
+def _embedding_spectrum(row):
+    """Eigenvalues of the circulant embedding of the Toeplitz row c_0..c_N.
+
+    The embedding's first row is [c_0..c_N, c_{N-1}..c_1]; it is
+    symmetric, so its rfft is real.
+    """
+    return np.fft.rfft(np.concatenate([row, row[-2:0:-1]])).real
+
+
+class CirculantGaussianSampler:
+    """Exact sampler of the point values on a points-only grid by circulant
+    embedding (Wood & Chan, JCGS 1994; Dietrich & Newsam, SIAM J. Sci.
+    Comput. 1997).
+
+    The point covariance sigma2 * overlap_kernel(L, |t - s|, eps) is the
+    Toeplitz matrix of c_j = sigma2 * overlap_kernel(L, j * spacing, eps),
+    and c_N = 0.  Its circulant embedding C of size M = 2N, a power of two
+    whenever oversample is, has eigenvalues lam = rfft of its first row.
+    With S the symmetric circulant of eigenvalues sqrt(lam), the values
+    S z of M standard normals z have covariance S^2 = C, so their first N
+    entries have the point covariance exactly, provided lam >= 0;
+    otherwise the constructor raises LinAlgError.  Each replica draws its
+    M normals from its own generator and numpy's FFT transforms each row
+    on its own, so a batch gives the bits of single draws whatever its
+    size.
+    """
+
+    name = "circulant"
+
+    def __init__(self, grid, sigma2):
+        if sigma2 <= 0:
+            raise ValueError("Gaussian sampler needs sigma2 > 0")
+        if grid.cell_levels != 0:
+            raise ValueError("circulant embedding needs a points-only grid "
+                             "(cell_levels = 0)")
+        self.grid = grid
+        self.sigma2 = float(sigma2)
+        n = grid.n_points
+        kernel = cones.overlap_kernel(grid.length,
+                                      grid.spacing * np.arange(n + 1),
+                                      grid.eps)
+        lam = _embedding_spectrum(sigma2 * kernel)
+        ratio = float(lam.min() / lam.max())
+        if ratio < 0:
+            raise np.linalg.LinAlgError(
+                f"circulant embedding has a negative eigenvalue (min/max "
+                f"{ratio:.3e})")
+        self.size = 2 * n
+        self.sqrt_lam = np.sqrt(lam)
+        self.mean = -0.5 * sigma2 * kernel[0]
+        self.health = {"min_eigenvalue_ratio": ratio}
+
+    def draw_rows(self, normals):
+        """Map standard normals (..., M) to point values (..., n_points)."""
+        spec = np.fft.rfft(normals, axis=-1)
+        spec *= self.sqrt_lam
+        vals = np.fft.irfft(spec, n=self.size, axis=-1)
+        return vals[..., :self.grid.n_points] + self.mean
+
+    def point_logs(self, rngs):
+        """(len(rngs), n_points) point values, replica j drawn from rngs[j]."""
+        z = np.empty((len(rngs), self.size))
+        for j, r in enumerate(rngs):
+            r.standard_normal(out=z[j])
+        return self.draw_rows(z)
+
+    def sample(self, rng):
+        point_log = self.draw_rows(rng.standard_normal(self.size))
+        return FieldSample(self.grid, "gaussian", point_log, {})
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +505,9 @@ def poisson_points(rng, strips, jumps):
 class PoissonFieldSampler:
     """Exact sampler for pure-jump models with finite jump-measure mass."""
 
+    name = "poisson"
+    health = {}
+
     def __init__(self, grid, model):
         if model.sigma2 != 0.0:
             raise ValueError("model has a Gaussian part; use the hybrid path")
@@ -494,7 +612,13 @@ def _clip_tabulated(nu, cutoff):
 
 
 class HybridFieldSampler:
-    """Gaussian part plus retained jumps, each exactly normalized."""
+    """Gaussian part plus retained jumps, each exactly normalized.
+
+    The Gaussian part always uses the dense sampler, whose lower-triangular
+    factor lets sample() draw the cell normals after the jumps.
+    """
+
+    name = "hybrid"
 
     def __init__(self, grid, model, cutoff=None, substitute=False):
         if cutoff is None:
@@ -510,6 +634,7 @@ class HybridFieldSampler:
             if not isinstance(effective.nu, ZeroJumps) else None)
         if self.gauss is None and self.poisson is None:
             raise ValueError("nothing left to sample")
+        self.health = self.gauss.health if self.gauss is not None else {}
 
     def sample(self, rng):
         # The point normals, then the jumps, then the cell normals: so the
@@ -545,10 +670,9 @@ class HybridFieldSampler:
         points, as in sample(); the cell normals that sample() draws last
         are not needed, so a batch replays the single draws.
         """
-        n = self.grid.n_points
-        out = np.zeros((len(rngs), n))
+        out = np.zeros((len(rngs), self.grid.n_points))
         if self.gauss is not None:
-            out += self.gauss.draw_columns(_normal_columns(rngs, n)).T
+            out += self.gauss.point_logs(rngs)
         if self.poisson is not None:
             out += self.poisson.point_logs(rngs)
         return out
@@ -571,6 +695,10 @@ def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False):
     drift (truncated_model, with substitute); it applies to jump models
     only.  Every sampler has sample(rng) for one FieldSample and
     point_logs(rngs) for a batch of point values, one generator per replica.
+
+    A Gaussian model gets the circulant-embedding sampler on a points-only
+    grid of at least CIRCULANT_MIN_POINTS points, and the dense sampler
+    otherwise or when the embedding has a negative eigenvalue (warned).
     """
     if kind == "auto":
         kind = field_kind(model)
@@ -580,6 +708,13 @@ def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False):
         if not isinstance(model.nu, ZeroJumps):
             raise ValueError("model has jumps; use the atomic or hybrid "
                              "sampler")
+        if (grid.cell_levels == 0
+                and grid.n_points >= CIRCULANT_MIN_POINTS):
+            try:
+                return CirculantGaussianSampler(grid, model.sigma2)
+            except np.linalg.LinAlgError as exc:
+                warnings.warn(f"{exc}; using the dense sampler",
+                              RuntimeWarning, stacklevel=2)
         return GaussianFieldSampler(grid, model.sigma2)
     if kind == "poisson":
         if cutoff is not None:

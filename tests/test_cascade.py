@@ -128,6 +128,28 @@ def test_simulate_total_masses_matches_single_builds(model, cell_levels):
             assert z[i] == pytest.approx(singles[i], rel=1e-12)
 
 
+def test_circulant_batches_replay_single_builds_bitwise():
+    # numpy's FFT transforms each row on its own, so on the embedding path
+    # neither the chunk width nor a single build moves a bit
+    grid = GridSpec((0.0, 1.0), 10, 2, 0)
+    sim = BatchSimulator(LOGN, grid)
+    assert sim.sampler.name == "circulant"
+    singles = np.array([build_realization(LOGN, grid, seed=5,
+                                          replica=i).field.point_log
+                        for i in range(40)])
+    for chunk in (1, 3, 37):
+        batch = np.vstack([pl for _, pl in sim.chunks(5, 40, chunk)])
+        np.testing.assert_array_equal(batch, singles)
+
+
+def test_deep_circulant_total_mass_has_mean_one():
+    # 65,536 points: far past what a dense factor could hold
+    z = simulate_total_masses(LOGN, GridSpec((0.0, 1.0), 16, 1, 0), 16,
+                              300, chunk=25)
+    pull = abs(z.mean() - 1.0) / (z.std(ddof=1) / math.sqrt(z.size))
+    assert pull < 3.0
+
+
 def test_hybrid_point_values_do_not_depend_on_cell_levels():
     points_only = build_realization(HYBRID, GridSpec((0.0, 1.0), 4, 2, 0),
                                     seed=11)

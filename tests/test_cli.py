@@ -62,6 +62,8 @@ def test_simulate_outputs_and_reruns_identically(cfg_file, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["replicas"] == 3
     assert summary["mean_total_mass"] > 0
+    assert summary["sampler"] == "dense"
+    assert summary["sampler_health"] == {"cholesky_jitter": 0.0}
     header, cols, *rows = first.decode().strip().splitlines()
     assert header.startswith("# config_hash=")
     assert cols == "replica,total_mass"
@@ -73,6 +75,15 @@ def test_simulate_outputs_and_reruns_identically(cfg_file, tmp_path):
     # the stamp differs (directory is part of the config), the data rows not
     second = (tmp_path / "o2" / "summary.csv").read_bytes()
     assert second.decode().splitlines()[2:] == first.decode().splitlines()[2:]
+
+
+def test_simulate_records_the_circulant_sampler(tmp_path):
+    path = write_cfg(tmp_path / "deep.ini", tmp_path / "deep")
+    path.write_text(path.read_text().replace("levels = 4", "levels = 10"))
+    assert run("--config", path, "simulate") == 0
+    summary = json.loads((tmp_path / "deep" / "summary.json").read_text())
+    assert summary["sampler"] == "circulant"
+    assert 0.0 < summary["sampler_health"]["min_eigenvalue_ratio"] < 1.0
 
 
 def test_seed_flag_changes_rows(cfg_file, tmp_path):

@@ -3,16 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from idcascade import cones
+from idcascade import cones, field
 from idcascade._rng import make_generator
 from idcascade.cascade import BatchSimulator
 from idcascade.field import (
+    CirculantGaussianSampler,
     GaussianFieldSampler,
     GridSpec,
+    HybridFieldSampler,
     JumpSampler,
     PoissonFieldSampler,
+    _chol_with_jitter,
+    _gram_objects,
     _shadow_index_range,
     field_kind,
+    footprint_areas,
+    make_sampler,
     sample_field,
     truncated_model,
 )
@@ -104,6 +110,85 @@ def test_gaussian_sampler_rejects_jump_models():
                          kind="gaussian", cutoff=cutoff)
         with pytest.raises(ValueError):
             BatchSimulator(model, g, kind="gaussian", cutoff=cutoff)
+
+
+def test_circulant_covariance_matches_dense_gram():
+    g = GridSpec((0.0, 1.0), 6, 2, 0)
+    sam = CirculantGaussianSampler(g, 0.7)
+    assert g.n_points == 128 and sam.size == 256
+    # row k of the map applied to the identity is column k of the factor
+    factor = sam.draw_rows(np.eye(sam.size)) - sam.mean
+    cov = factor.T @ factor
+    objs = _gram_objects(g)
+    gram = 0.7 * footprint_areas(g.length, objs, objs)
+    assert np.abs(cov - gram).max() <= 1e-13 * gram.max()
+    assert 0.0 < sam.health["min_eigenvalue_ratio"] < 1.0
+
+
+def test_circulant_mean_matches_dense_mean():
+    g = GridSpec((0.0, 1.0), 6, 2, 0)
+    dense = GaussianFieldSampler(g, 0.7)
+    circ = CirculantGaussianSampler(g, 0.7)
+    np.testing.assert_allclose(np.full(g.n_points, circ.mean), dense.mean,
+                               rtol=1e-15)
+    f = circ.sample(make_generator(3, 0, "t"))
+    assert f.point_log.shape == (g.n_points,) and f.cell_log == {}
+    with pytest.raises(ValueError):
+        CirculantGaussianSampler(GridSpec((0.0, 1.0), 6, 2, 1), 0.7)
+
+
+def test_make_sampler_dispatches_gaussian_by_grid():
+    model = lognormal_model(0.5)
+    assert field.CIRCULANT_MIN_POINTS == 2048
+    points_only = GridSpec((0.0, 1.0), 10, 2, 0)
+    assert isinstance(make_sampler(points_only, model),
+                      CirculantGaussianSampler)
+    # too few points, or cells carried: the dense factor
+    for grid in (GridSpec((0.0, 1.0), 10, 1, 0),
+                 GridSpec((0.0, 1.0), 10, 2, 1)):
+        assert type(make_sampler(grid, model)) is GaussianFieldSampler
+    hybrid = make_sampler(points_only,
+                          single_atom_model(-0.4, 0.8, sigma2=0.2))
+    assert isinstance(hybrid, HybridFieldSampler)
+    assert type(hybrid.gauss) is GaussianFieldSampler
+
+
+def test_negative_embedding_eigenvalue_falls_back_to_dense(monkeypatch):
+    real = field._embedding_spectrum
+
+    def negative(row):
+        lam = real(row)
+        lam[-1] = -1e-3 * lam.max()
+        return lam
+
+    monkeypatch.setattr(field, "CIRCULANT_MIN_POINTS", 64)
+    monkeypatch.setattr(field, "_embedding_spectrum", negative)
+    g = GridSpec((0.0, 1.0), 6, 1, 0)
+    with pytest.warns(RuntimeWarning, match="negative eigenvalue"):
+        sam = make_sampler(g, lognormal_model(0.5))
+    assert type(sam) is GaussianFieldSampler
+    assert sam.health == {"cholesky_jitter": 0.0}
+
+
+def test_cholesky_jitter_is_warned():
+    v = np.arange(1.0, 5.0)[:, None]
+    with pytest.warns(RuntimeWarning, match="relative jitter"):
+        chol, jitter = _chol_with_jitter(v @ v.T)
+    assert jitter > 0
+    assert np.abs(chol @ chol.T - v @ v.T).max() < 1e-6
+
+
+def test_dense_point_logs_draw_only_the_point_normals():
+    g = GridSpec((0.0, 1.0), 4, 2)
+    sam = GaussianFieldSampler(g, 0.5)
+    rngs = [make_generator(8, j, "t") for j in range(3)]
+    batch = sam.point_logs(rngs)
+    for j, r in enumerate(rngs):
+        # the stream stopped after n_points normals
+        ref = make_generator(8, j, "t").standard_normal(g.n_points + 1)
+        assert r.standard_normal() == ref[-1]
+        single = sam.sample(make_generator(8, j, "t")).point_log
+        np.testing.assert_allclose(batch[j], single, rtol=1e-12)
 
 
 def test_poisson_field_matches_bruteforce_points():
