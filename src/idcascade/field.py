@@ -44,6 +44,17 @@ circulant embedding and a cell-carrying grid the dense factor, both exact
 in law but with different bits.  Every sampler names itself (name) and
 reports its numerical health (health): the Cholesky jitter applied or the
 smallest embedding eigenvalue relative to the largest.
+
+make_sampler builds each sampler once per (grid, model, kind, cutoff,
+substitute) key and keeps the SAMPLER_CACHE_SIZE most recently used, so
+repeated single builds on one grid, as in the star checks, share one Gram
+and Cholesky factorization.  Grids and models are frozen and hashable,
+and no sampler changes after its constructor: the arrays it shares (the
+Cholesky factor and mean, the embedding's square-root spectrum, the jump
+tables) are read-only, so a caller that writes into one gets a ValueError
+instead of altering every later draw.  A fallback or jitter warning is
+raised when a key is first built, not on later calls that reuse it; the
+sampler's health still records it.
 """
 
 import functools
@@ -75,6 +86,10 @@ class GridSpec:
     cell_levels: Optional[int] = None
 
     def __post_init__(self):
+        # a tuple of floats whatever sequence was passed, so that the grid
+        # hashes and equal grids share one cached sampler
+        object.__setattr__(self, "interval",
+                           tuple(float(v) for v in self.interval))
         lo, hi = self.interval
         if not lo < hi:
             raise ValueError("interval must have positive length")
@@ -240,6 +255,8 @@ class GaussianFieldSampler:
         self.mean = -0.5 * sigma2 * areas
         self.chol, jitter = _chol_with_jitter(
             sigma2 * footprint_areas(grid.length, objs, objs))
+        for a in (self.mean, self.chol):
+            a.setflags(write=False)
         self.health = {"cholesky_jitter": jitter}
         self.dim = areas.size
 
@@ -343,6 +360,7 @@ class CirculantGaussianSampler:
                 f"{ratio:.3e})")
         self.size = 2 * n
         self.sqrt_lam = np.sqrt(lam)
+        self.sqrt_lam.setflags(write=False)
         self.mean = -0.5 * sigma2 * kernel[0]
         self.health = {"min_eigenvalue_ratio": ratio}
 
@@ -380,15 +398,19 @@ class JumpSampler:
             self.total = float(masses.sum())
             self.locations = np.asarray(nu.locations, float)
             self.cum = np.cumsum(masses) / self.total
+            tables = (self.locations, self.cum)
         elif isinstance(nu, TabulatedJumps):
             self.total = nu.total_mass()
             if not math.isfinite(self.total) or self.total <= 0:
                 raise ValueError("tabulated measure must have finite positive "
                                  "total mass for Poisson sampling")
             self._build_tabulated(nu)
+            tables = (self._x, self._d, self._pieces, self._cum)
         else:
             raise TypeError("Poisson sampling needs an atomic or tabulated "
                             "jump measure with finite mass")
+        for a in tables:
+            a.setflags(write=False)
 
     def _build_tabulated(self, nu):
         x = np.asarray(nu.grid_x, float)
@@ -687,6 +709,12 @@ def field_kind(model):
     return "hybrid"
 
 
+# How many samplers make_sampler keeps alive.  A dense factor at 4096
+# points is 134 MB, so the bound also caps the memory the cache holds.
+SAMPLER_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=SAMPLER_CACHE_SIZE)
 def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False):
     """The exact field sampler for a model on a grid.
 
@@ -699,6 +727,11 @@ def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False):
     A Gaussian model gets the circulant-embedding sampler on a points-only
     grid of at least CIRCULANT_MIN_POINTS points, and the dense sampler
     otherwise or when the embedding has a negative eigenvalue (warned).
+
+    The sampler is built once per argument tuple and shared by every later
+    call with equal arguments, among the SAMPLER_CACHE_SIZE most recently
+    used; a fallback or jitter warning fires on the build only.  Its shared
+    arrays are read-only.  make_sampler.cache_clear() drops them all.
     """
     if kind == "auto":
         kind = field_kind(model)
@@ -727,5 +760,5 @@ def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False):
 
 def sample_field(grid, model, rng, kind="auto", cutoff=None,
                  substitute=False):
-    """One field draw from make_sampler's sampler for the model."""
+    """One field draw from make_sampler's (cached) sampler for the model."""
     return make_sampler(grid, model, kind, cutoff, substitute).sample(rng)

@@ -22,6 +22,7 @@ decides nondegeneracy of the cascade limit; its root above 1 (when it exists)
 is the tail index of the total-mass distribution.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -280,8 +281,13 @@ def structure_derivatives(model, q):
     return d1, d2
 
 
+@functools.lru_cache(maxsize=64)
 def mean_slope(model):
-    """Slope of the structure function at q = 1; negative iff nondegenerate."""
+    """Slope of the structure function at q = 1; negative iff nondegenerate.
+
+    Cached per model: a tabulated model needs five quadratures for it, and
+    build_realization checks it on every call.
+    """
     return structure_derivatives(model, 1.0)[0]
 
 

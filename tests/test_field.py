@@ -5,7 +5,7 @@ import pytest
 
 from idcascade import cones, field
 from idcascade._rng import make_generator
-from idcascade.cascade import BatchSimulator
+from idcascade.cascade import BatchSimulator, build_realization
 from idcascade.field import (
     CirculantGaussianSampler,
     GaussianFieldSampler,
@@ -44,6 +44,21 @@ def test_grid_basic_properties():
     pts = g.eval_points()
     assert pts[0] == pytest.approx(g.spacing / 2)
     assert pts[-1] == pytest.approx(2.0 - g.spacing / 2)
+
+
+def test_grid_interval_is_a_float_tuple():
+    g = GridSpec([0, 1], 4, 2)
+    ref = GridSpec((0.0, 1.0), 4, 2)
+    assert g.interval == (0.0, 1.0)
+    assert all(type(v) is float for v in g.interval)
+    assert g == ref and hash(g) == hash(ref)
+    model = single_atom_model(-0.4, 0.8, sigma2=0.2)
+    a = build_realization(model, g, seed=3, replica=1)
+    make_sampler.cache_clear()
+    b = build_realization(model, ref, seed=3, replica=1)
+    np.testing.assert_array_equal(a.cell_masses, b.cell_masses)
+    for lev in ref.carried_levels:
+        np.testing.assert_array_equal(a.weights[lev], b.weights[lev])
 
 
 def test_grid_validation():
@@ -164,10 +179,34 @@ def test_negative_embedding_eigenvalue_falls_back_to_dense(monkeypatch):
     monkeypatch.setattr(field, "CIRCULANT_MIN_POINTS", 64)
     monkeypatch.setattr(field, "_embedding_spectrum", negative)
     g = GridSpec((0.0, 1.0), 6, 1, 0)
-    with pytest.warns(RuntimeWarning, match="negative eigenvalue"):
-        sam = make_sampler(g, lognormal_model(0.5))
+    # a cached sampler for this key would skip the dispatch, and one built
+    # under the patch must not outlive it
+    field.make_sampler.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning, match="negative eigenvalue"):
+            sam = make_sampler(g, lognormal_model(0.5))
+    finally:
+        field.make_sampler.cache_clear()
     assert type(sam) is GaussianFieldSampler
     assert sam.health == {"cholesky_jitter": 0.0}
+
+
+def test_make_sampler_shares_one_read_only_sampler():
+    g = GridSpec((0.0, 1.0), 3, 2)
+    model = lognormal_model(0.5)
+    dense = make_sampler(g, model)
+    assert make_sampler(GridSpec([0, 1], 3, 2), lognormal_model(0.5)) is dense
+    assert (BatchSimulator(model, g).sampler is
+            make_sampler(g, model, "auto", None, False))
+    circ = make_sampler(GridSpec((0.0, 1.0), 10, 2, 0), model)
+    atom = make_sampler(g, single_atom_model(-0.5, 1.0))
+    tab = make_sampler(g, build_model(0.0, TabulatedJumps(
+        (-1.0, 0.0, 0.5), (1.0, 2.0, 0.4), 2.0, 3.0)))
+    for arr in (dense.chol, dense.mean, circ.sqrt_lam, atom.jumps.locations,
+                atom.jumps.cum, tab.jumps._x, tab.jumps._d, tab.jumps._pieces,
+                tab.jumps._cum):
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 1.0
 
 
 def test_cholesky_jitter_is_warned():
