@@ -6,7 +6,6 @@ give statistically independent streams, so replicas are reproducible and can
 be generated in any order or in parallel without coordination.
 """
 
-import functools
 import hashlib
 
 import numpy as np
@@ -22,9 +21,8 @@ def _splitmix64(x):
     return x ^ (x >> 31)
 
 
-@functools.lru_cache(maxsize=64)
 def tag_hash(tag):
-    """Stable 64-bit hash of a module tag string (cached: a run uses few)."""
+    """Stable 64-bit hash of a module tag string."""
     digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 

@@ -45,16 +45,17 @@ in law but with different bits.  Every sampler names itself (name) and
 reports its numerical health (health): the Cholesky jitter applied or the
 smallest embedding eigenvalue relative to the largest.
 
-make_sampler builds each sampler once per (grid, model, kind, cutoff,
-substitute) key and keeps the SAMPLER_CACHE_SIZE most recently used, so
+make_sampler keeps the sampler it built last and returns it again to the
+next call with the same (grid, model, kind, cutoff, substitute), so
 repeated single builds on one grid, as in the star checks, share one Gram
-and Cholesky factorization.  Grids and models are frozen and hashable,
-and no sampler changes after its constructor: the arrays it shares (the
-Cholesky factor and mean, the embedding's square-root spectrum, the jump
-tables) are read-only, so a caller that writes into one gets a ValueError
-instead of altering every later draw.  A fallback or jitter warning is
-raised when a key is first built, not on later calls that reuse it; the
-sampler's health still records it.
+and Cholesky factorization; a call with other arguments replaces it.
+Grids and models are frozen and hashable, and no sampler changes after
+its constructor: the arrays it shares (the Cholesky factor and mean, the
+embedding's square-root spectrum, the jump tables) are read-only, so a
+caller that writes into one gets a ValueError instead of altering every
+later draw.  A fallback or jitter warning is raised when a sampler is
+built, not on later calls that reuse it; the sampler's health still
+records it.
 """
 
 import functools
@@ -709,12 +710,11 @@ def field_kind(model):
     return "hybrid"
 
 
-# How many samplers make_sampler keeps alive.  A dense factor at 4096
-# points is 134 MB, so the bound also caps the memory the cache holds.
-SAMPLER_CACHE_SIZE = 4
-
-
-@functools.lru_cache(maxsize=SAMPLER_CACHE_SIZE)
+# One slot: every repeated caller (build_realization in a loop, the star
+# check) reuses a single key, and a dense factor can be large (about 300 MB
+# for 4096 points at oversample 4 carrying all 2046 cells), so no earlier
+# sampler is kept alive once another is built.
+@functools.lru_cache(maxsize=1)
 def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False):
     """The exact field sampler for a model on a grid.
 
@@ -728,10 +728,10 @@ def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False):
     grid of at least CIRCULANT_MIN_POINTS points, and the dense sampler
     otherwise or when the embedding has a negative eigenvalue (warned).
 
-    The sampler is built once per argument tuple and shared by every later
-    call with equal arguments, among the SAMPLER_CACHE_SIZE most recently
-    used; a fallback or jitter warning fires on the build only.  Its shared
-    arrays are read-only.  make_sampler.cache_clear() drops them all.
+    The most recent sampler is kept and returned again to the next call
+    with equal arguments; a fallback or jitter warning fires on the build
+    only.  Its shared arrays are read-only.  make_sampler.cache_clear()
+    drops it.
     """
     if kind == "auto":
         kind = field_kind(model)

@@ -22,7 +22,6 @@ decides nondegeneracy of the cascade limit; its root above 1 (when it exists)
 is the tail index of the total-mass distribution.
 """
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -71,6 +70,12 @@ class AtomicJumps:
     masses: Tuple[float, ...]
 
     def __post_init__(self):
+        # tuples of floats whatever sequence was passed, so that the measure
+        # hashes (make_sampler and jump_law are cached per model)
+        object.__setattr__(self, "locations",
+                           tuple(float(v) for v in self.locations))
+        object.__setattr__(self, "masses",
+                           tuple(float(v) for v in self.masses))
         if len(self.locations) != len(self.masses):
             raise ValueError("locations and masses must have equal length")
         if len(self.locations) == 0:
@@ -106,6 +111,9 @@ class TabulatedJumps:
         d = np.asarray(self.grid_density, float)
         if x.ndim != 1 or x.size < 2:
             raise ValueError("need at least two grid nodes")
+        # tuples of floats, as in AtomicJumps, so that the measure hashes
+        object.__setattr__(self, "grid_x", tuple(x.tolist()))
+        object.__setattr__(self, "grid_density", tuple(d.tolist()))
         if np.any(np.diff(x) <= 0):
             raise ValueError("grid_x must be strictly increasing")
         if np.any(d < 0):
@@ -281,13 +289,8 @@ def structure_derivatives(model, q):
     return d1, d2
 
 
-@functools.lru_cache(maxsize=64)
 def mean_slope(model):
-    """Slope of the structure function at q = 1; negative iff nondegenerate.
-
-    Cached per model: a tabulated model needs five quadratures for it, and
-    build_realization checks it on every call.
-    """
+    """Slope of the structure function at q = 1; negative iff nondegenerate."""
     return structure_derivatives(model, 1.0)[0]
 
 

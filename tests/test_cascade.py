@@ -55,8 +55,8 @@ def test_build_realization_masses_consistent():
 
 def test_degenerate_model_warns():
     g = GridSpec((0.0, 1.0), 3, 1)
-    # the slope and the sampler are cached after the first call; the
-    # warning still fires on every call
+    # the sampler is cached after the first call; the warning still fires
+    # on every call
     for replica in (0, 1):
         with pytest.warns(UserWarning, match="degenerate"):
             build_realization(lognormal_model(2.5), g, seed=0,

@@ -209,6 +209,16 @@ def test_make_sampler_shares_one_read_only_sampler():
             arr *= 1.0
 
 
+def test_array_valued_jump_model_gets_a_sampler():
+    g = GridSpec((0.0, 1.0), 4, 2)
+    arr = build_model(0.2, AtomicJumps(np.array([-0.4]), np.array([0.8])))
+    ref = build_model(0.2, AtomicJumps((-0.4,), (0.8,)))
+    a = make_sampler(g, arr).sample(make_generator(5, 0, "field"))
+    make_sampler.cache_clear()
+    b = make_sampler(g, ref).sample(make_generator(5, 0, "field"))
+    np.testing.assert_array_equal(a.point_log, b.point_log)
+
+
 def test_cholesky_jitter_is_warned():
     v = np.arange(1.0, 5.0)[:, None]
     with pytest.warns(RuntimeWarning, match="relative jitter"):

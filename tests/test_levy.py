@@ -145,6 +145,18 @@ def test_diagnose_atom_model_report():
     assert "growth_constant" in payload
 
 
+def test_array_valued_measures_hash_and_diagnose():
+    tab = TabulatedJumps(np.array([-1.0, 0.0, 0.5]), np.array([1.0, 2.0, 0.4]),
+                         2.0, 3.0)
+    ref = TabulatedJumps((-1.0, 0.0, 0.5), (1.0, 2.0, 0.4), 2.0, 3.0)
+    atoms = AtomicJumps(np.array([-0.5, 0.3]), [1.0, 0.5])
+    assert tab == ref and hash(tab) == hash(ref)
+    assert atoms == AtomicJumps((-0.5, 0.3), (1.0, 0.5))
+    for nu, same in ((tab, ref), (atoms, AtomicJumps((-0.5, 0.3), (1.0, 0.5)))):
+        rep = diagnose(build_model(0.1, nu))
+        assert rep.to_json() == diagnose(build_model(0.1, same)).to_json()
+
+
 def test_diagnose_critical_tail_constant():
     rep = diagnose(lognormal_model(1.0))
     assert rep.tail_index == pytest.approx(2.0, abs=1e-9)
