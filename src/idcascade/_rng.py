@@ -9,6 +9,9 @@ be generated in any order or in parallel without coordination.
 import hashlib
 
 import numpy as np
+# numpy 2 imports its random subpackage on first attribute access; every
+# simulation draws from it, so it loads with this module, not on a first draw
+import numpy.random  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

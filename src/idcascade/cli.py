@@ -6,8 +6,11 @@ comes from an INI-style file; the global flags --seed, --threads, --out and
 --format override it.  Exit codes: 0 success, 1 failed verification check,
 2 configuration error, 3 runtime/sampler error.
 
-Only the standard library is imported at module level so that --threads can
-cap the BLAS pools before numpy first loads.
+--threads sets the BLAS/OpenMP thread variables when main starts, and they
+take effect only if numpy is not loaded yet.  This module imports only the
+standard library, but importing it runs the package __init__, which loads
+numpy; so the console script, and any caller that imports idcascade first,
+gets the default pools.
 """
 
 import argparse

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import integrate
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +286,7 @@ def _piece_area(width, a, b, tol):
     if abs(alpha + beta * mid - w_mid) <= 1e-9 * (1.0 + abs(w_mid)):
         # integral (alpha + beta*y) y^-2 dy = alpha*(1/a - 1/b) + beta*log(b/a)
         return alpha * (1.0 / a - 1.0 / b) + beta * math.log(b / a)
+    from scipy import integrate
     val, _ = integrate.quad(lambda y: width(y) / (y * y), a, b,
                             epsabs=tol, epsrel=tol, limit=200)
     return val
@@ -355,15 +355,8 @@ def overlap_kernel(L, h, c):
 def area_cross(I, J, s, t, eps):
     """Area of cone(s) & cone(t) above eps, outside cone_of(I) | cone_of(J).
 
-    s lies in I, t in J, with I and J disjoint.  Via inclusion-exclusion over
-    which interval cones the shadow clears, with
-
-        f(r) = log(max(eps, r)) + r / max(eps, r),
-
-    the area is f(tau2) + f(tau3) - f(tau1) - f(tau4) for the four hull
-    lengths tau1 = |t - s| <= tau2, tau3 <= tau4 = |hull(I, J)|.  Scalar
-    code on purpose: the quadrature of the juxtaposed pair moment calls it
-    once per node.  cross_kernel is the array form the samplers use.
+    s lies in I, t in J, with I and J disjoint and in either order.  This is
+    cross_kernel for the two point footprints, as a float.
     """
     if J[1] <= I[0]:
         I, J = J, I
@@ -372,16 +365,8 @@ def area_cross(I, J, s, t, eps):
         raise ValueError("intervals must be disjoint")
     if not (I[0] <= s <= I[1] and J[0] <= t <= J[1]):
         raise ValueError("anchors must lie in their intervals")
-
-    def f(r):
-        c = max(eps, r)
-        return math.log(c) + r / c
-
-    tau1 = t - s
-    tau2 = t - I[0]
-    tau3 = J[1] - s
-    tau4 = J[1] - I[0]
-    return f(tau2) + f(tau3) - f(tau1) - f(tau4)
+    a, b = np.array([s], float), np.array([t], float)
+    return float(cross_kernel(I, J, a, a, b, b, eps)[0, 0])
 
 
 def cross_kernel(I, J, alo, ahi, blo, bhi, cut):

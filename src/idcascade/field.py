@@ -710,11 +710,6 @@ def field_kind(model):
     return "hybrid"
 
 
-# One slot: every repeated caller (build_realization in a loop, the star
-# check) reuses a single key, and a dense factor can be large (about 300 MB
-# for 4096 points at oversample 4 carrying all 2046 cells), so no earlier
-# sampler is kept alive once another is built.
-@functools.lru_cache(maxsize=1)
 def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False):
     """The exact field sampler for a model on a grid.
 
@@ -729,12 +724,24 @@ def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False):
     otherwise or when the embedding has a negative eigenvalue (warned).
 
     The most recent sampler is kept and returned again to the next call
-    with equal arguments; a fallback or jitter warning fires on the build
-    only.  Its shared arrays are read-only.  make_sampler.cache_clear()
-    drops it.
+    with equal arguments, however they are spelled: by keyword or by
+    position, with defaults left out or given, "auto" or the kind it
+    resolves to.  A fallback or jitter warning fires on the build only.
+    Its shared arrays are read-only.  make_sampler.cache_clear() drops it
+    and make_sampler.cache_info() counts the hits and misses.
     """
     if kind == "auto":
         kind = field_kind(model)
+    return _cached_sampler(grid, model, kind, cutoff, substitute)
+
+
+# One slot: every repeated caller (build_realization in a loop, the star
+# check) reuses a single key, and a dense factor can be large (about 300 MB
+# for 4096 points at oversample 4 carrying all 2046 cells), so no earlier
+# sampler is kept alive once another is built.  make_sampler resolves the
+# arguments to positions first, so that each key has one spelling.
+@functools.lru_cache(maxsize=1)
+def _cached_sampler(grid, model, kind, cutoff, substitute):
     if kind == "gaussian":
         if cutoff is not None:
             raise ValueError("cutoff only applies to jump models")
@@ -747,7 +754,7 @@ def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False):
                 return CirculantGaussianSampler(grid, model.sigma2)
             except np.linalg.LinAlgError as exc:
                 warnings.warn(f"{exc}; using the dense sampler",
-                              RuntimeWarning, stacklevel=2)
+                              RuntimeWarning, stacklevel=3)
         return GaussianFieldSampler(grid, model.sigma2)
     if kind == "poisson":
         if cutoff is not None:
@@ -756,6 +763,10 @@ def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False):
     if kind == "hybrid":
         return HybridFieldSampler(grid, model, cutoff, substitute)
     raise ValueError(f"unknown sampler kind {kind!r}")
+
+
+make_sampler.cache_clear = _cached_sampler.cache_clear
+make_sampler.cache_info = _cached_sampler.cache_info
 
 
 def sample_field(grid, model, rng, kind="auto", cutoff=None,

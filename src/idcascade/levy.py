@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import integrate
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
 
@@ -132,6 +131,7 @@ class TabulatedJumps:
 
     def integrate_weighted(self, f):
         """integral f(x) nu(dx) with the tail pieces folded into quad."""
+        from scipy import integrate
         x, d = self._arrays()
         total, _ = integrate.quad(
             lambda t: f(t) * np.interp(t, x, d), x[0], x[-1],

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import integrate, stats
 
 from . import cones
 from .levy import MomentDomainError, levy_exponent, nu_integral
@@ -137,6 +136,12 @@ def exact_joint_moment(model, blocks, base=(0.0, 1.0), resolution=None):
                              abs(scale * norm * (v1 - v2)), n)
 
 
+def _unit_gauss(n):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
 def _ordered_quadrature(spans, alphas, T, M):
     """Integral of prod (t_j - t_i)^-alpha over the ordered block simplex.
 
@@ -146,9 +151,7 @@ def _ordered_quadrature(spans, alphas, T, M):
     nodes, valid for any alpha including >= 1).
     """
     n = len(spans)
-    x, w = np.polynomial.legendre.leggauss(M)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
+    u, wu = _unit_gauss(M)
     a1 = alphas.get(1, 0.0)
     p = 1.0 / (1.0 - a1) if a1 < 1.0 else None
 
@@ -193,21 +196,68 @@ def _ordered_quadrature(spans, alphas, T, M):
     return total
 
 
-def juxtaposed_pair_moment(model, gap, tol=1e-11):
+# Sizes of the juxtaposed pair moment's product rule: Gauss-Legendre nodes
+# per axis (and per angle), then the radial nodes of the touching corner in
+# log radius above the cutoff and below it.
+_CROSS_NODES, _CROSS_LOG_NODES, _CROSS_CUT_NODES = 20, 40, 8
+_CROSS_CUT = 1e-12
+
+
+def juxtaposed_pair_moment(model, gap):
     """E mass_0 * mass_gap for unit cascades sharing one noise field.
 
     Different construction from exact_joint_moment: each interval subtracts
     its own interval cone, so the kernel is the cross-interval overlap area.
+    The covariance is the integral of expm1(psi(2) * area) over the anchor
+    pairs (s, t) in [0, 1] x [gap, gap + 1], the area cut below at 1e-12.
     Returns (covariance, product-moment); the mean of each mass is 1.
+
+    The integral is a fixed product rule.  For gap >= 2 the integrand is
+    smooth and the rule is tensor Gauss-Legendre.  Closer, it peaks like
+    (t - s)^-psi(2) at the corner (1, gap); in the distances u = 1 - s and
+    v = t - gap from it, the square splits along u + v = 1 into two
+    triangles mapped from (radius, angle) squares (Duffy).  The corner
+    triangle has the radius u + v = t - s, Gauss-Legendre in log radius
+    above the cutoff and plainly below it, so the cutoff's kink is a node
+    boundary.  Touching intervals (gap 1) need psi(2) < 2: the corner
+    integral diverges otherwise and this raises MomentDomainError.
     """
+    gap = float(gap)
+    if gap < 1.0:
+        raise ValueError("the intervals [0, 1] and [gap, gap + 1] overlap")
     psi2 = levy_exponent(model, 2.0)
-    I, J = (0.0, 1.0), (float(gap), float(gap) + 1.0)
-
-    def f(t, s):
-        return math.expm1(psi2 * cones.area_cross(I, J, s, t, 1e-12))
-
-    cov, _ = integrate.dblquad(f, 0.0, 1.0, lambda s: J[0], lambda s: J[1],
-                               epsabs=tol, epsrel=1e-10)
+    if gap == 1.0 and psi2 >= 2.0:
+        raise MomentDomainError(
+            f"psi(2) = {psi2:.6g} >= 2: the pair moment of touching "
+            "intervals diverges at their common end")
+    I, J = (0.0, 1.0), (gap, gap + 1.0)
+    x, w = _unit_gauss(_CROSS_NODES)
+    if gap >= 2.0:
+        s, t = np.meshgrid(I[0] + x, J[0] + x, indexing="ij")
+        weights = np.outer(w, w)
+    else:
+        xc, wc = _unit_gauss(_CROSS_CUT_NODES)
+        xl, wl = _unit_gauss(_CROSS_LOG_NODES)
+        log_span = -math.log(_CROSS_CUT)
+        above = np.exp(log_span * (xl - 1.0))
+        r = np.concatenate([_CROSS_CUT * xc, above])
+        dr = np.concatenate([_CROSS_CUT * wc, log_span * above * wl])
+        # (u, v) = r (1 - a, a) on the corner triangle u + v <= 1 and
+        # (1, 1) - r (a, 1 - a) on the far one; both have the Jacobian r
+        rc, rf, a = r[:, None], x[:, None], x[None, :]
+        u = np.concatenate([(rc * (1.0 - a)).ravel(), (1.0 - rf * a).ravel()])
+        v = np.concatenate([(rc * a).ravel(), (1.0 - rf * (1.0 - a)).ravel()])
+        weights = np.concatenate([np.outer(r * dr, w).ravel(),
+                                  np.outer(x * w, w).ravel()])
+        s, t = I[1] - u, J[0] + v
+    s, t = s.ravel(), t.ravel()
+    # cross_kernel sees a row and a column footprint only through their
+    # hull; the row [s, t] against the point J[0], which lies between s and
+    # t, has the hull of the anchor pair, so its one column is the area of
+    # every pair (s, t)
+    point = np.array([J[0]])
+    area = cones.cross_kernel(I, J, s, t, point, point, _CROSS_CUT)[:, 0]
+    cov = float(weights.ravel() @ np.expm1(psi2 * area))
     return cov, cov + 1.0
 
 
@@ -311,6 +361,7 @@ def ks_two_sample(a, b, min_size=5000):
     if min(a.size, b.size) < min_size:
         raise ValueError(f"KS check needs at least {min_size} samples per "
                          f"side, got {a.size} and {b.size}")
+    from scipy import stats
     res = stats.ks_2samp(a, b, method="asymp")
     return float(res.statistic), float(res.pvalue)
 

@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 import subprocess
@@ -162,3 +163,39 @@ def test_console_script_smoke(cfg_file, tmp_path):
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().endswith("diagnostics.json")
+
+
+def _scipy_modules_after(launch, *argv):
+    """Run launch in a fresh interpreter importing this idcascade package,
+    check that it succeeds, and return the list of scipy modules it loaded
+    as printed."""
+    pkg_root = str(Path(idcascade.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
+    report = ("import sys; print(sorted(m for m in sys.modules "
+              "if m.startswith('scipy')))")
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{launch}\n{report}", *map(str, argv)],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_modules_after("import idcascade") == "[]"
+
+
+@pytest.mark.parametrize("name", ["atom.ini", "lognormal.ini"])
+def test_simulate_loads_no_scipy(name, tmp_path):
+    # scipy serves the theory side only; drawing replicas needs numpy alone
+    cfg = configparser.ConfigParser()
+    cfg.read(Path(__file__).resolve().parents[1] / "configs" / name)
+    cfg["experiment"]["replicas"] = "4"
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / name
+    with open(path, "w") as fh:
+        cfg.write(fh)
+    launch = ("import sys; from idcascade import cli\n"
+              "assert cli.main(sys.argv[1:]) == 0")
+    assert _scipy_modules_after(launch, "--config", path, "simulate") == "[]"
+    assert len(list((tmp_path / "out").glob("realization_*.bin"))) == 4

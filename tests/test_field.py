@@ -209,6 +209,20 @@ def test_make_sampler_shares_one_read_only_sampler():
             arr *= 1.0
 
 
+def test_make_sampler_key_ignores_argument_spelling():
+    g = GridSpec((0.0, 1.0), 3, 2)
+    model = lognormal_model(0.5)
+    make_sampler.cache_clear()
+    first = make_sampler(g, model)
+    assert make_sampler(g, model, "auto", None, False) is first
+    assert make_sampler(g, model, kind="auto") is first
+    info = make_sampler.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # "auto" is resolved before the lookup too
+    assert make_sampler(g, model, "gaussian") is first
+    assert make_sampler.cache_info().hits == 3
+
+
 def test_array_valued_jump_model_gets_a_sampler():
     g = GridSpec((0.0, 1.0), 4, 2)
     arr = build_model(0.2, AtomicJumps(np.array([-0.4]), np.array([0.8])))

@@ -81,6 +81,47 @@ def test_juxtaposed_pair_moment_frozen_oracle():
         assert prod == pytest.approx(1.0 + cov, rel=1e-12)
 
 
+def _dblquad_pair_moment(model, gap):
+    # reference rule: adaptive dblquad of the scalar cross-overlap area, cut
+    # below at 1e-12, independent of cones.cross_kernel
+    from scipy import integrate
+
+    psi2 = levy_exponent(model, 2.0)
+    I, J = (0.0, 1.0), (float(gap), float(gap) + 1.0)
+
+    def f(r):
+        c = max(1e-12, r)
+        return math.log(c) + r / c
+
+    def integrand(t, s):
+        area = f(t - I[0]) + f(J[1] - s) - f(t - s) - f(J[1] - I[0])
+        return math.expm1(psi2 * area)
+
+    cov, _ = integrate.dblquad(integrand, I[0], I[1], J[0], J[1],
+                               epsabs=1e-11, epsrel=1e-10)
+    return cov
+
+
+@pytest.mark.parametrize("model", [ATOM, LOGN, lognormal_model(1.0)],
+                         ids=["atom", "lognormal-0.5", "lognormal-1"])
+def test_juxtaposed_pair_moment_matches_dblquad(model):
+    for gap in (1, 2, 3, 8):
+        cov, prod = juxtaposed_pair_moment(model, gap)
+        assert cov == pytest.approx(_dblquad_pair_moment(model, gap),
+                                    rel=1e-10)
+        assert prod == cov + 1.0
+
+
+def test_juxtaposed_pair_moment_domain():
+    # psi(2) = sigma2 = 2: the touching-corner integral diverges
+    model = lognormal_model(2.0)
+    with pytest.raises(MomentDomainError):
+        juxtaposed_pair_moment(model, 1)
+    assert juxtaposed_pair_moment(model, 2)[0] > 0.0
+    with pytest.raises(ValueError):
+        juxtaposed_pair_moment(LOGN, 0.5)
+
+
 def test_estimate_moment_small_exact():
     e = estimate_moment([1.0, 2.0, 3.0, 4.0], 1.0, blocks=2)
     assert e.mean == pytest.approx(2.5)
