@@ -29,10 +29,9 @@ from . import cones
 from .levy import (AtomicJumps, NoiseModel, TabulatedJumps, ZeroJumps,
                    mean_slope)
 from .field import (FieldSample, GridSpec, PoissonFieldSampler,
-                    _chol_with_jitter, _gram_objects, _normal_columns,
-                    _shadow_index_range, field_kind, footprint_areas,
-                    jump_law, make_sampler, poisson_points, range_sums,
-                    sample_field, truncated_model)
+                    _chol_with_jitter, _gram_objects, footprint_areas,
+                    jump_law, make_sampler, poisson_points, sample_field,
+                    truncated_model)
 from ._rng import make_generator
 
 
@@ -114,19 +113,22 @@ class BatchSimulator:
     not depend on how the work is chunked: bit for bit on the circulant
     and Poisson paths, and to the last ulp on the dense Gaussian path,
     whose matrix product changes its BLAS kernel with the chunk width.
-    Yields (start index, point_log matrix) chunks; reduce them as they
-    come to keep memory flat.
+    Yields (start index, point_log array) chunks; reduce them as they
+    come to keep memory flat.  With n_intervals > 1 each replica is
+    n_intervals adjacent copies of the grid driven by one noise.
     """
 
     def __init__(self, model, grid, *, kind="auto", cutoff=None,
-                 substitute=False, stream_tag="cascade"):
+                 substitute=False, stream_tag="cascade", n_intervals=1):
         self.model = model
         self.grid = grid
         self.stream_tag = stream_tag
-        self.sampler = make_sampler(grid, model, kind, cutoff, substitute)
+        self.sampler = make_sampler(grid, model, kind, cutoff, substitute,
+                                    n_intervals)
 
     def point_log_chunk(self, seed, start, count):
-        """(count, n_points) noise values for replicas start..start+count."""
+        """(count, n_points) noise values for replicas start..start+count,
+        (count, n_intervals, n_points) with n_intervals > 1."""
         return self.sampler.point_logs(
             [make_generator(seed, start + j, self.stream_tag)
              for j in range(count)])
@@ -301,17 +303,9 @@ def _refine_gaussian(realization, fine, rng):
     # new objects, part above the old truncation height: fine points cut at
     # the OLD eps, plus the genuinely new cell levels cut at the old eps
     # (their regions continue below it; that part belongs to the band field).
-    t_fine = fine.eval_points()
     new_levels = [lev for lev in fine.carried_levels
                   if lev not in g.carried_levels]
-    q_lo = [t_fine]
-    q_hi = [t_fine]
-    for lev in new_levels:
-        b = fine.cell_bounds(lev)
-        q_lo.append(b[:, 0])
-        q_hi.append(b[:, 1])
-    q_lo = np.concatenate(q_lo)
-    q_hi = np.concatenate(q_hi)
+    q_lo, q_hi, _ = _gram_objects(fine, new_levels)
     q = (q_lo, q_hi, np.full(q_lo.size, g.eps))
 
     G_pp = sigma2 * footprint_areas(L, p, p)
@@ -356,114 +350,18 @@ def _refine_gaussian(realization, fine, rng):
 # ---------------------------------------------------------------------------
 
 
-class JuxtaposedGaussianSampler:
-    """Joint field over adjacent copies of a grid, exact cross-covariance."""
-
-    def __init__(self, model, grid, n_intervals):
-        if not isinstance(model.nu, ZeroJumps):
-            raise ValueError("gaussian juxtaposition needs a gaussian model")
-        self.model = model
-        self.grid = grid
-        self.n_intervals = n_intervals
-        L = grid.length
-        self.grids = [
-            GridSpec((grid.interval[0] + i * L, grid.interval[0] + (i + 1) * L),
-                     grid.levels, grid.oversample, grid.cell_levels)
-            for i in range(n_intervals)]
-        objs = [_gram_objects(gr) for gr in self.grids]
-        sigma2 = model.sigma2
-        dims = [o[0].size for o in objs]
-        D = sum(dims)
-        G = np.empty((D, D))
-        mean = np.empty(D)
-        offs = np.concatenate([[0], np.cumsum(dims)])
-        for i, (ilo, ihi, icut) in enumerate(objs):
-            mean[offs[i]:offs[i + 1]] = \
-                -0.5 * sigma2 * footprint_areas(L, objs[i])
-            for j, (jlo, jhi, jcut) in enumerate(objs):
-                if j < i:
-                    continue
-                if i == j:
-                    blk = footprint_areas(L, objs[i], objs[i])
-                else:
-                    cut = np.maximum(icut[:, None], jcut[None, :])
-                    blk = cones.cross_kernel(self.grids[i].interval,
-                                             self.grids[j].interval,
-                                             ilo, ihi, jlo, jhi, cut)
-                G[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = blk
-                G[offs[j]:offs[j + 1], offs[i]:offs[i + 1]] = blk.T
-        self.mean = mean
-        self.chol, _ = _chol_with_jitter(sigma2 * G)
-        self.dims = dims
-        self.offs = offs
-        self.dim = D
-
-    def draw_columns(self, normals):
-        return self.chol @ normals + self.mean[:, None]
-
-    def interval_point_log(self, values, i):
-        o = self.offs[i]
-        return values[o:o + self.grids[i].n_points]
-
-
 def juxtaposed_total_masses(model, grid, n_intervals, seed, replicas, *,
-                            kind="auto", chunk=256, stream_tag="juxtapose",
-                            progress=None):
-    """(replicas, n_intervals) total masses of cascades sharing one noise."""
-    if kind == "auto":
-        kind = field_kind(model)
-    if kind == "gaussian":
-        sam = JuxtaposedGaussianSampler(model, grid, n_intervals)
-        out = np.empty((replicas, n_intervals))
-        for start in range(0, replicas, chunk):
-            count = min(chunk, replicas - start)
-            vals = sam.draw_columns(_normal_columns(
-                [make_generator(seed, start + j, stream_tag)
-                 for j in range(count)], sam.dim))
-            for i in range(n_intervals):
-                pl = sam.interval_point_log(vals, i).T
-                _, total = masses_from_point_log(sam.grids[i], pl)
-                out[start:start + count, i] = total
-            if progress is not None:
-                progress(start + count)
-        return out
-    if kind == "poisson":
-        return _juxtaposed_poisson(model, grid, n_intervals, seed, replicas,
-                                   stream_tag, progress)
-    raise ValueError("juxtaposition supports gaussian and poisson kinds")
-
-
-def _juxtaposed_poisson(model, grid, n_intervals, seed, replicas,
-                        stream_tag, progress=None):
-    L = grid.length
-    lo = grid.interval[0]
-    hull = (lo, lo + n_intervals * L)
-    # per-interval local cones are all inside the hull's sampling domain,
-    # and their union fills it, so one point process serves every interval.
-    strips = cones.sampling_domain(hull, grid.eps)
-    jumps, drift = jump_law(model.nu)
-    count = grid.n_points
-    # one row per interval, each with its own edges and spacing: for a
-    # non-dyadic L the lengths (lo + (i+1)L) - (lo + iL) need not equal L
-    edges = lo + np.arange(n_intervals + 1) * L
-    left, right = edges[:-1, None], edges[1:, None]
-    spacing = (right - left) / count
-    row_offset = np.arange(n_intervals)[:, None] * (count + 1)
-    base = drift * cones.area_local_cone((lo, lo + L), grid.eps)
+                            kind="auto", cutoff=None, substitute=False,
+                            chunk=256, stream_tag="juxtapose", progress=None):
+    """(replicas, n_intervals) total masses of adjacent copies of grid
+    sharing one noise."""
+    sim = BatchSimulator(model, grid, kind=kind, cutoff=cutoff,
+                         substitute=substitute, stream_tag=stream_tag,
+                         n_intervals=n_intervals)
     out = np.empty((replicas, n_intervals))
-    for rix in range(replicas):
-        rng = make_generator(seed, rix, stream_tag)
-        x, y, jp = poisson_points(rng, strips, jumps)
-        # keep, per interval, only points outside the interval's own cone
-        keep = ~((x - 0.5 * y <= left) & (right <= x + 0.5 * y))
-        k0, k1 = _shadow_index_range(x, y, left, spacing, count)
-        pl = base + range_sums((k0 + row_offset)[keep],
-                               (k1 + row_offset)[keep],
-                               np.broadcast_to(jp, keep.shape)[keep],
-                               count, rows=n_intervals)
-        _, out[rix] = masses_from_point_log(grid, pl)
-        if progress is not None and (rix + 1) % 256 == 0:
-            progress(rix + 1)
+    for start, pl in sim.chunks(seed, replicas, chunk, progress):
+        _, total = masses_from_point_log(grid, pl)
+        out[start:start + len(pl)] = total.reshape(len(pl), n_intervals)
     return out
 
 

@@ -123,6 +123,22 @@ def _write_csv(cfg, name, columns, rows):
     return path
 
 
+def _write_report(cfg, stem, fields, columns, rows):
+    """<stem>.json (fields and the stamp) and <stem>.csv, each if
+    output.formats asks for it."""
+    fmt = cfg.output_formats()
+    if fmt in ("json", "both"):
+        _write_json(cfg, f"{stem}.json", {**fields, **_stamp(cfg)})
+    if fmt in ("csv", "both"):
+        _write_csv(cfg, f"{stem}.csv", columns, rows)
+
+
+def _sampler_args(cfg):
+    """The sampler choice (kind, cutoff, substitute) of every draw."""
+    return {"kind": cfg.sampler_kind(), "cutoff": cfg.small_jump_cutoff(),
+            "substitute": cfg.get_bool("model", "substitute_small")}
+
+
 def _progress(total):
     def tick(done):
         print(f"\rreplica {done}/{total}", end="", file=sys.stderr,
@@ -160,9 +176,7 @@ def cmd_simulate(cfg):
     replicas = cfg.replicas()
     outdir = _outdir(cfg)
     fmt = cfg.output_formats()
-    sim = BatchSimulator(model, grid, kind=cfg.sampler_kind(),
-                         cutoff=cfg.small_jump_cutoff(),
-                         substitute=cfg.get_bool("model", "substitute_small"))
+    sim = BatchSimulator(model, grid, **_sampler_args(cfg))
     digest = model_digest(model)
     rows = []
     tick = _progress(replicas)
@@ -177,15 +191,12 @@ def cmd_simulate(cfg):
                 grid, digest, cells[j])
         tick(start + len(totals))
     _progress_done(replicas)
-    if fmt in ("csv", "both"):
-        _write_csv(cfg, "summary.csv", ("replica", "total_mass"), rows)
-    if fmt in ("json", "both"):
-        payload = dict(_stamp(cfg))
-        payload["replicas"] = replicas
-        payload["mean_total_mass"] = float(np.mean([z for _, z in rows]))
-        payload["sampler"] = sim.sampler.name
-        payload["sampler_health"] = sim.sampler.health
-        _write_json(cfg, "summary.json", payload)
+    _write_report(cfg, "summary", {
+        "replicas": replicas,
+        "mean_total_mass": float(np.mean([z for _, z in rows])),
+        "sampler": sim.sampler.name,
+        "sampler_health": sim.sampler.health,
+    }, ("replica", "total_mass"), rows)
     print(os.path.join(outdir, "summary.csv" if fmt != "json"
                        else "summary.json"))
     return 0
@@ -291,18 +302,13 @@ def cmd_verify(cfg):
         results.append({"check": name, "passed": bool(passed), **detail})
         status = "pass" if passed else "FAIL"
         print(f"{name}: {status}")
-    payload = dict(_stamp(cfg))
-    payload["checks"] = results
-    payload["all_passed"] = all(r["passed"] for r in results)
-    fmt = cfg.output_formats()
-    if fmt in ("json", "both"):
-        _write_json(cfg, "verify.json", payload)
-    if fmt in ("csv", "both"):
-        _write_csv(cfg, "verify.csv",
-                   ("check", "passed", "metric", "tolerance"),
-                   [(r["check"], int(r["passed"]), r.get("metric", ""),
-                     r.get("tolerance", "")) for r in results])
-    return 0 if payload["all_passed"] else 1
+    all_passed = all(r["passed"] for r in results)
+    _write_report(cfg, "verify", {"checks": results,
+                                  "all_passed": all_passed},
+                  ("check", "passed", "metric", "tolerance"),
+                  [(r["check"], int(r["passed"]), r.get("metric", ""),
+                    r.get("tolerance", "")) for r in results])
+    return 0 if all_passed else 1
 
 
 # -- estimate ---------------------------------------------------------------
@@ -327,10 +333,9 @@ def _simulate_totals(cfg, model, grid):
     replicas = cfg.replicas()
     tick = _progress(replicas)
     z = simulate_total_masses(
-        model, grid, cfg.seed(), replicas, kind=cfg.sampler_kind(),
-        cutoff=cfg.small_jump_cutoff(),
-        substitute=cfg.get_bool("model", "substitute_small"),
-        chunk=cfg.get_int("experiment", "chunk", 256), progress=tick)
+        model, grid, cfg.seed(), replicas,
+        chunk=cfg.get_int("experiment", "chunk", 256), progress=tick,
+        **_sampler_args(cfg))
     _progress_done(replicas)
     return z
 
@@ -350,17 +355,12 @@ def _estimate_moments(cfg):
                      e.median_of_means if e.median_of_means is not None
                      else math.nan,
                      "" if e.heavy_tail is None else int(e.heavy_tail)))
-    payload = dict(_stamp(cfg))
-    payload["estimates"] = [
+    estimates = [
         {"q": r[0], "mean": r[1], "stderr": r[2], "median_of_means": r[3],
          "heavy_tail": r[4]} for r in rows]
-    fmt = cfg.output_formats()
-    if fmt in ("json", "both"):
-        _write_json(cfg, "moments.json", payload)
-    if fmt in ("csv", "both"):
-        _write_csv(cfg, "moments.csv",
-                   ("q", "mean", "stderr", "median_of_means", "heavy_tail"),
-                   rows)
+    _write_report(cfg, "moments", {"estimates": estimates},
+                  ("q", "mean", "stderr", "median_of_means", "heavy_tail"),
+                  rows)
     return 0
 
 
@@ -372,20 +372,13 @@ def _estimate_tail(cfg):
     z = _simulate_totals(cfg, model, grid)
     zeta = diagnose(model).tail_index
     rep = hill_tail_report(z, tail_index_for_constant=zeta)
-    payload = dict(_stamp(cfg))
-    payload.update({
+    _write_report(cfg, "tail", {
         "hill": {str(f): v for f, v in rep.hill.items()},
         "hill_selected": rep.hill_selected,
         "hill_stderr": rep.hill_stderr,
         "tail_constant": rep.tail_constant,
         "theory_tail_index": zeta,
-    })
-    fmt = cfg.output_formats()
-    if fmt in ("json", "both"):
-        _write_json(cfg, "tail.json", payload)
-    if fmt in ("csv", "both"):
-        _write_csv(cfg, "tail.csv", ("fraction", "hill_estimate"),
-                   sorted(rep.hill.items()))
+    }, ("fraction", "hill_estimate"), sorted(rep.hill.items()))
     return 0
 
 
@@ -405,46 +398,44 @@ def _estimate_scaling(cfg):
                                progress=tick)
     _progress_done(replicas)
     rep = scaling_fit(model, lams, m, qs)
-    payload = dict(_stamp(cfg))
-    payload.update({
+    _write_report(cfg, "scaling", {
         "q_values": list(rep.q_values),
         "fitted_slopes": list(rep.slopes),
         "theory_exponents": list(rep.theory),
         "max_abs_error": rep.max_abs_error,
-    })
-    fmt = cfg.output_formats()
-    if fmt in ("json", "both"):
-        _write_json(cfg, "scaling.json", payload)
-    if fmt in ("csv", "both"):
-        _write_csv(cfg, "scaling.csv", ("q", "fitted_slope", "theory"),
-                   list(zip(rep.q_values, rep.slopes, rep.theory)))
+    }, ("q", "fitted_slope", "theory"),
+        list(zip(rep.q_values, rep.slopes, rep.theory)))
     return 0
 
 
 def _estimate_covariance(cfg):
     from .cascade import juxtaposed_total_masses
+    from .config import ConfigError
+    from .field import make_sampler
     from .moments import covariance_report
     model = cfg.build_model()
     grid = cfg.build_grid()
     n_intervals = cfg.get_int("experiment", "n_intervals", 4)
+    if n_intervals < 2:
+        raise ConfigError("experiment.n_intervals", "must be >= 2")
+    sampling = _sampler_args(cfg)
+    # built here, before any draw, and reused from the cache by the batch
+    sampler = make_sampler(grid, model, n_intervals=n_intervals, **sampling)
     replicas = cfg.replicas()
     tick = _progress(replicas)
-    masses = juxtaposed_total_masses(model, grid, n_intervals, cfg.seed(),
-                                     replicas, kind=cfg.sampler_kind(),
-                                     progress=tick)
+    masses = juxtaposed_total_masses(
+        model, grid, n_intervals, cfg.seed(), replicas,
+        chunk=cfg.get_int("experiment", "chunk", 256), progress=tick,
+        **sampling)
     _progress_done(replicas)
     rep = covariance_report(model, masses)
-    payload = dict(_stamp(cfg))
-    payload["rows"] = [
-        {"gap": g, "covariance": e, "stderr": s, "theory_claimed": tc,
-         "theory_exact_quadrature": tq} for g, e, s, tc, tq in rep.rows()]
-    fmt = cfg.output_formats()
-    if fmt in ("json", "both"):
-        _write_json(cfg, "covariance.json", payload)
-    if fmt in ("csv", "both"):
-        _write_csv(cfg, "covariance.csv",
-                   ("gap", "covariance", "stderr", "theory_claimed",
-                    "theory_exact_quadrature"), rep.rows())
+    rows = [{"gap": g, "covariance": e, "stderr": s, "theory_claimed": tc,
+             "theory_exact_quadrature": tq} for g, e, s, tc, tq in rep.rows()]
+    _write_report(cfg, "covariance", {
+        "rows": rows, "sampler": sampler.name,
+        "sampler_health": sampler.health,
+    }, ("gap", "covariance", "stderr", "theory_claimed",
+        "theory_exact_quadrature"), rep.rows())
     return 0
 
 

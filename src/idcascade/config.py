@@ -53,12 +53,6 @@ class RunConfig:
     def set(self, section, key, value):
         self.sections.setdefault(section, {})[key] = str(value)
 
-    def require(self, section, key):
-        val = self.get(section, key)
-        if val is None:
-            raise ConfigError(f"{section}.{key}", "missing required key")
-        return val
-
     def get_float(self, section, key, default=None):
         raw = self.get(section, key)
         if raw is None:

@@ -11,8 +11,10 @@ Exact samplers cover the model classes:
   Gaussian vector whose covariance is sigma2 times the overlap kernel of
   the regions, built densely and Cholesky-factored once per grid.  It
   serves grids that carry cells, grids below CIRCULANT_MIN_POINTS points,
-  the Gaussian part of the hybrid sampler, and refinement and
-  juxtaposition.
+  the Gaussian part of the hybrid sampler, and refinement.  Juxtaposition,
+  n_intervals adjacent copies of a grid driven by one noise, factors the
+  Gram of the copies' points alone, with the cross kernel of two copies'
+  cones off the diagonal blocks: (n_intervals * n_points)^2 doubles.
 * Gaussian, circulant embedding: on a points-only grid (cell_levels = 0)
   the covariance depends only on the lag, so it is a Toeplitz matrix and
   its circulant embedding of size 2N samples it exactly with two FFTs per
@@ -23,7 +25,8 @@ Exact samplers cover the model classes:
 * Atomic (compound Poisson): the jump part is a Poisson point process on the
   union of all local cones; each sampled point adds its jump to exactly the
   evaluation points whose cone contains it, which is a contiguous index
-  range, so evaluation is a difference-array sweep.
+  range, so evaluation is a difference-array sweep.  Juxtaposed copies
+  share one point set, drawn on the sampling domain of their hull.
 
 A hybrid path splits a general model into a Gaussian part plus the jumps of
 size >= cutoff, with the drift re-normalized so the truncated model is again
@@ -31,12 +34,13 @@ exactly mean-one (optionally the dropped small jumps are replaced by a
 variance-matched Gaussian).
 
 make_sampler is the one place that turns a model and the (kind, cutoff,
-substitute) choice into a sampler; single builds, batches and the CLI all
-go through it.  Every sampler draws one field with sample(rng) and the
+substitute, n_intervals) choice into a sampler; single builds, batches,
+juxtaposition and the CLI all go through it.  Every sampler draws the
 point values of many replicas with point_logs(rngs), one generator per
-replica consumed in the same order as sample(): the Gaussian normals of
-the points first, then the Poisson points, and last the Gaussian normals
-of any carried cells.  So a (seed, replica, stream tag) names one
+replica, and every one-interval sampler draws one field with sample(rng),
+consuming the generator in the same order: the Gaussian normals of the
+points first, then the Poisson points, and last the Gaussian normals of
+any carried cells.  So a (seed, replica, stream tag) names one
 realization whichever path draws it.  Its point values do not depend on
 the grid's cell_levels for the hybrid sampler and for Gaussian grids
 below CIRCULANT_MIN_POINTS points; above that a points-only grid uses the
@@ -46,16 +50,16 @@ reports its numerical health (health): the Cholesky jitter applied or the
 smallest embedding eigenvalue relative to the largest.
 
 make_sampler keeps the sampler it built last and returns it again to the
-next call with the same (grid, model, kind, cutoff, substitute), so
-repeated single builds on one grid, as in the star checks, share one Gram
-and Cholesky factorization; a call with other arguments replaces it.
-Grids and models are frozen and hashable, and no sampler changes after
-its constructor: the arrays it shares (the Cholesky factor and mean, the
-embedding's square-root spectrum, the jump tables) are read-only, so a
-caller that writes into one gets a ValueError instead of altering every
-later draw.  A fallback or jitter warning is raised when a sampler is
-built, not on later calls that reuse it; the sampler's health still
-records it.
+next call with the same (grid, model, kind, cutoff, substitute,
+n_intervals), so repeated single builds on one grid, as in the star
+checks, share one Gram and Cholesky factorization; a call with other
+arguments replaces it.  Grids and models are frozen and hashable, and no
+sampler changes after its constructor: the arrays it shares (the Cholesky
+factor and mean, the embedding's square-root spectrum, the jump tables)
+are read-only, so a caller that writes into one gets a ValueError instead
+of altering every later draw.  A fallback or jitter warning is raised
+when a sampler is built, not on later calls that reuse it; the sampler's
+health still records it.
 """
 
 import functools
@@ -171,18 +175,19 @@ class FieldSample:
 # ---------------------------------------------------------------------------
 
 
-def _gram_objects(grid):
-    """Footprints (lo, hi) and cutoffs of all objects on one grid.
+def _gram_objects(grid, levels=None):
+    """Footprints (lo, hi) and cutoffs of the objects on one grid.
 
     Objects are the evaluation points (degenerate footprint, truncated at
-    eps) followed by the carried cells level by level (full footprint, no
-    truncation: their regions reach down to their own length).
+    eps) followed by the cells of the given levels, by default the carried
+    ones, level by level (full footprint, no truncation: their regions
+    reach down to their own length).
     """
     t = grid.eval_points()
     foot_lo = [t]
     foot_hi = [t]
     cut = [np.full(t.size, grid.eps)]
-    for lev in grid.carried_levels:
+    for lev in grid.carried_levels if levels is None else levels:
         b = grid.cell_bounds(lev)
         foot_lo.append(b[:, 0])
         foot_hi.append(b[:, 1])
@@ -221,19 +226,25 @@ def _chol_with_jitter(cov):
 
     The jitter, a multiple of the mean diagonal added to the diagonal, is
     0 when the plain factorization succeeds; any other value is warned
-    about, since it perturbs the law that is sampled.
+    about, since it perturbs the law that is sampled.  cov itself is
+    factored first, so only a failed factorization pays for a copy.
     """
-    scale = float(np.mean(np.diag(cov))) or 1.0
-    for jitter in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
+    try:
+        return np.linalg.cholesky(cov), 0.0
+    except np.linalg.LinAlgError:
+        pass
+    diag = np.diag(cov)
+    scale = float(np.mean(diag)) or 1.0
+    shifted = cov.copy()
+    for jitter in (1e-14, 1e-12, 1e-10, 1e-8):
+        np.fill_diagonal(shifted, diag + jitter * scale)
         try:
-            chol = np.linalg.cholesky(
-                cov + jitter * scale * np.eye(cov.shape[0]))
+            chol = np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             continue
-        if jitter:
-            warnings.warn(f"covariance needed relative jitter {jitter:g} "
-                          f"for its Cholesky factor", RuntimeWarning,
-                          stacklevel=2)
+        warnings.warn(f"covariance needed relative jitter {jitter:g} "
+                      f"for its Cholesky factor", RuntimeWarning,
+                      stacklevel=2)
         return chol, jitter
     w = np.linalg.eigvalsh(cov)
     raise np.linalg.LinAlgError(
@@ -300,6 +311,50 @@ class GaussianFieldSampler:
         vals = self.draw(rng, 1)[:, 0]
         point_log, cell_log = self.split(vals)
         return FieldSample(self.grid, "gaussian", point_log, cell_log)
+
+
+class JuxtaposedGaussianSampler:
+    """Exact sampler of the point values of n_intervals adjacent copies of
+    a grid under one Gaussian noise, by the dense factor of their point
+    Gram: one copy's overlap kernel in the diagonal blocks, the cross
+    kernel of two copies' cones off them."""
+
+    name = "juxtaposed-dense"
+
+    def __init__(self, grid, sigma2, n_intervals):
+        if sigma2 <= 0:
+            raise ValueError("Gaussian sampler needs sigma2 > 0")
+        self.grid = grid
+        self.n_intervals = n_intervals
+        L, lo, n = grid.length, grid.interval[0], grid.n_points
+        copies = [replace(grid, interval=(lo + i * L, lo + (i + 1) * L))
+                  for i in range(n_intervals)]
+        feet = [_gram_objects(g, levels=()) for g in copies]
+        self.mean = -0.5 * sigma2 * np.concatenate(
+            [footprint_areas(L, f) for f in feet])
+        cov = np.empty((self.mean.size, self.mean.size))
+        for i, fi in enumerate(feet):
+            for j, fj in enumerate(feet[i:], i):
+                blk = (footprint_areas(L, fi, fi) if i == j else
+                       cones.cross_kernel(
+                           copies[i].interval, copies[j].interval, fi[0],
+                           fi[1], fj[0], fj[1],
+                           np.maximum(fi[2][:, None], fj[2][None, :])))
+                cov[i * n:(i + 1) * n, j * n:(j + 1) * n] = blk
+                cov[j * n:(j + 1) * n, i * n:(i + 1) * n] = blk.T
+        cov *= sigma2
+        self.chol, jitter = _chol_with_jitter(cov)
+        for a in (self.mean, self.chol):
+            a.setflags(write=False)
+        self.health = {"cholesky_jitter": jitter}
+
+    def point_logs(self, rngs):
+        """(len(rngs), n_intervals, n_points) point values, replica j drawn
+        from rngs[j]."""
+        vals = (self.chol @ _normal_columns(rngs, self.mean.size)
+                + self.mean[:, None])
+        # a view: a contiguous copy would change the totals' summation order
+        return vals.T.reshape(len(rngs), self.n_intervals, self.grid.n_points)
 
 
 # Points-only Gaussian grids with at least this many points use the
@@ -582,6 +637,52 @@ class PoissonFieldSampler:
         return out
 
 
+class JuxtaposedPoissonSampler:
+    """Exact sampler of the point values of n_intervals adjacent copies of
+    a grid under one compound-Poisson noise.
+
+    The copies' local cones fill the sampling domain of their hull, so one
+    point set serves every copy: a point adds its jump to the copy's points
+    under its shadow unless it lies in that copy's own interval cone.
+    """
+
+    name = "juxtaposed-poisson"
+    health = {}
+
+    def __init__(self, grid, model, n_intervals):
+        if model.sigma2 != 0.0:
+            raise ValueError("model has a Gaussian part; use the hybrid path")
+        self.grid = grid
+        self.n_intervals = n_intervals
+        L, lo, n = grid.length, grid.interval[0], grid.n_points
+        self.strips = cones.sampling_domain((lo, lo + n_intervals * L),
+                                            grid.eps)
+        self.jumps, drift = jump_law(model.nu)
+        self._base = drift * cones.area_local_cone((lo, lo + L), grid.eps)
+        # one row per copy, each with its own edges and spacing: for a
+        # non-dyadic L the lengths (lo + (i+1)L) - (lo + iL) need not equal L
+        edges = lo + np.arange(n_intervals + 1) * L
+        self._left, self._right = edges[:-1, None], edges[1:, None]
+        self._spacing = (self._right - self._left) / n
+        self._row_offset = np.arange(n_intervals)[:, None] * (n + 1)
+
+    def point_logs(self, rngs):
+        """(len(rngs), n_intervals, n_points) point values, replica j drawn
+        from rngs[j]."""
+        n = self.grid.n_points
+        out = np.empty((len(rngs), self.n_intervals, n))
+        for j, r in enumerate(rngs):
+            x, y, jump = poisson_points(r, self.strips, self.jumps)
+            keep = ~((x - 0.5 * y <= self._left) &
+                     (self._right <= x + 0.5 * y))
+            k0, k1 = _shadow_index_range(x, y, self._left, self._spacing, n)
+            out[j] = self._base + range_sums(
+                (k0 + self._row_offset)[keep], (k1 + self._row_offset)[keep],
+                np.broadcast_to(jump, keep.shape)[keep], n,
+                rows=self.n_intervals)
+        return out
+
+
 # ---------------------------------------------------------------------------
 # hybrid sampler and model truncation
 # ---------------------------------------------------------------------------
@@ -635,7 +736,8 @@ def _clip_tabulated(nu, cutoff):
 
 
 class HybridFieldSampler:
-    """Gaussian part plus retained jumps, each exactly normalized.
+    """Gaussian part plus jumps of a model, each exactly normalized; a
+    cutoff is applied by make_sampler, which passes the truncated model.
 
     The Gaussian part always uses the dense sampler, whose lower-triangular
     factor lets sample() draw the cell normals after the jumps.
@@ -643,18 +745,14 @@ class HybridFieldSampler:
 
     name = "hybrid"
 
-    def __init__(self, grid, model, cutoff=None, substitute=False):
-        if cutoff is None:
-            effective = model
-        else:
-            effective = truncated_model(model, cutoff, substitute)
-        self.effective = effective
+    def __init__(self, grid, model):
+        self.model = model
         self.grid = grid
-        self.gauss = (GaussianFieldSampler(grid, effective.sigma2)
-                      if effective.sigma2 > 0 else None)
+        self.gauss = (GaussianFieldSampler(grid, model.sigma2)
+                      if model.sigma2 > 0 else None)
         self.poisson = (
-            PoissonFieldSampler(grid, build_model(0.0, effective.nu))
-            if not isinstance(effective.nu, ZeroJumps) else None)
+            PoissonFieldSampler(grid, build_model(0.0, model.nu))
+            if not isinstance(model.nu, ZeroJumps) else None)
         if self.gauss is None and self.poisson is None:
             raise ValueError("nothing left to sample")
         self.health = self.gauss.health if self.gauss is not None else {}
@@ -710,18 +808,25 @@ def field_kind(model):
     return "hybrid"
 
 
-def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False):
+def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False,
+                 n_intervals=1):
     """The exact field sampler for a model on a grid.
 
     kind is "gaussian", "poisson", "hybrid" or "auto" (field_kind of the
     model).  cutoff drops the jumps smaller than it and re-normalizes the
     drift (truncated_model, with substitute); it applies to jump models
-    only.  Every sampler has sample(rng) for one FieldSample and
-    point_logs(rngs) for a batch of point values, one generator per replica.
+    only.  Every sampler has point_logs(rngs) for a batch of point values,
+    one generator per replica, and the one-interval samplers sample(rng)
+    for one FieldSample.
 
     A Gaussian model gets the circulant-embedding sampler on a points-only
     grid of at least CIRCULANT_MIN_POINTS points, and the dense sampler
     otherwise or when the embedding has a negative eigenvalue (warned).
+
+    With n_intervals > 1 it draws that many adjacent copies of the grid
+    under one noise, and point_logs gives (replicas, n_intervals,
+    n_points): JuxtaposedGaussianSampler, whose Gram holds the points
+    alone whatever the cell_levels, or JuxtaposedPoissonSampler; no hybrid.
 
     The most recent sampler is kept and returned again to the next call
     with equal arguments, however they are spelled: by keyword or by
@@ -732,7 +837,8 @@ def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False):
     """
     if kind == "auto":
         kind = field_kind(model)
-    return _cached_sampler(grid, model, kind, cutoff, substitute)
+    return _cached_sampler(grid, model, kind, cutoff, substitute,
+                           n_intervals)
 
 
 # One slot: every repeated caller (build_realization in a loop, the star
@@ -741,13 +847,15 @@ def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False):
 # sampler is kept alive once another is built.  make_sampler resolves the
 # arguments to positions first, so that each key has one spelling.
 @functools.lru_cache(maxsize=1)
-def _cached_sampler(grid, model, kind, cutoff, substitute):
+def _cached_sampler(grid, model, kind, cutoff, substitute, n_intervals):
     if kind == "gaussian":
         if cutoff is not None:
             raise ValueError("cutoff only applies to jump models")
         if not isinstance(model.nu, ZeroJumps):
             raise ValueError("model has jumps; use the atomic or hybrid "
                              "sampler")
+        if n_intervals > 1:
+            return JuxtaposedGaussianSampler(grid, model.sigma2, n_intervals)
         if (grid.cell_levels == 0
                 and grid.n_points >= CIRCULANT_MIN_POINTS):
             try:
@@ -756,13 +864,17 @@ def _cached_sampler(grid, model, kind, cutoff, substitute):
                 warnings.warn(f"{exc}; using the dense sampler",
                               RuntimeWarning, stacklevel=3)
         return GaussianFieldSampler(grid, model.sigma2)
-    if kind == "poisson":
-        if cutoff is not None:
-            model = truncated_model(model, cutoff, substitute)
-        return PoissonFieldSampler(grid, model)
+    if kind not in ("poisson", "hybrid"):
+        raise ValueError(f"unknown sampler kind {kind!r}")
+    if kind == "hybrid" and n_intervals > 1:
+        raise ValueError("juxtaposition supports gaussian and poisson kinds")
+    if cutoff is not None:
+        model = truncated_model(model, cutoff, substitute)
     if kind == "hybrid":
-        return HybridFieldSampler(grid, model, cutoff, substitute)
-    raise ValueError(f"unknown sampler kind {kind!r}")
+        return HybridFieldSampler(grid, model)
+    if n_intervals > 1:
+        return JuxtaposedPoissonSampler(grid, model, n_intervals)
+    return PoissonFieldSampler(grid, model)
 
 
 make_sampler.cache_clear = _cached_sampler.cache_clear

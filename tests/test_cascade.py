@@ -175,13 +175,16 @@ def test_poisson_draws_keep_their_pinned_values():
     z = simulate_total_masses(ATOM, GridSpec((0.0, 1.0), 8, 2, 0), 11, 3)
     assert [v.hex() for v in z.tolist()] == [
         "0x1.7dd216d965d8ap-2", "0x1.75753984f0249p-1", "0x1.f05ea86fc9337p-2"]
-    # a non-dyadic base interval, so each interval keeps its own spacing
-    j = juxtaposed_total_masses(ATOM, GridSpec((0.1, 0.4), 6, 2, 0), 3, 11, 2)
-    assert [[v.hex() for v in row] for row in j.tolist()] == [
-        ["0x1.307f8aab7496bp-1", "0x1.02efa9bd968b0p+0",
-         "0x1.d1a9248bb4082p+0"],
-        ["0x1.0087dd9b88fd6p+1", "0x1.39768fcac0cbep+0",
-         "0x1.63f81f40402d6p-2"]]
+    # a non-dyadic base interval, so each interval keeps its own spacing;
+    # every chunk width replays the same bits
+    for chunk in (256, 1, 2):
+        j = juxtaposed_total_masses(ATOM, GridSpec((0.1, 0.4), 6, 2, 0), 3,
+                                    11, 2, chunk=chunk)
+        assert [[v.hex() for v in row] for row in j.tolist()] == [
+            ["0x1.307f8aab7496bp-1", "0x1.02efa9bd968b0p+0",
+             "0x1.d1a9248bb4082p+0"],
+            ["0x1.0087dd9b88fd6p+1", "0x1.39768fcac0cbep+0",
+             "0x1.63f81f40402d6p-2"]]
 
 
 def test_prefix_masses_columns_are_nested():

@@ -47,6 +47,21 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def shipped_cfg(name, tmp_path, **sections):
+    """configs/<name> with 4 replicas, output to tmp_path / "out" and the
+    given {section: {key: value}} overrides, written to tmp_path / name."""
+    cfg = configparser.ConfigParser()
+    cfg.read(Path(__file__).resolve().parents[1] / "configs" / name)
+    cfg["experiment"]["replicas"] = "4"
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    for section, keys in sections.items():
+        cfg[section].update(keys)
+    path = tmp_path / name
+    with open(path, "w") as fh:
+        cfg.write(fh)
+    return path
+
+
 def test_theory_writes_stamped_report(cfg_file, tmp_path):
     assert run("--config", cfg_file, "theory") == 0
     payload = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
@@ -123,6 +138,15 @@ def test_estimate_moments_report(cfg_file, tmp_path):
     assert all(row["mean"] > 0 for row in payload["estimates"])
     assert (tmp_path / "out" / "moments.csv").exists()
 
+    cov = write_cfg(tmp_path / "cov.ini", tmp_path / "cov",
+                    experiment="kind = covariance\nn_intervals = 3\n")
+    cov.write_text(cov.read_text().replace("replicas = 3", "replicas = 40"))
+    assert run("--config", cov, "estimate") == 0
+    payload = json.loads((tmp_path / "cov" / "covariance.json").read_text())
+    assert [row["gap"] for row in payload["rows"]] == [1, 2]
+    assert payload["sampler"] == "juxtaposed-dense"
+    assert payload["sampler_health"] == {"cholesky_jitter": 0.0}
+
 
 def test_config_error_exits_2(tmp_path):
     assert run("--config", tmp_path / "missing.ini", "theory") == 2
@@ -137,12 +161,21 @@ def test_config_error_exits_2(tmp_path):
                      ("cell_levels = 0", "cell_levels = 0\ninterval = 0, 2")):
         bad.write_text(ok.read_text().replace(old, new))
         assert run("--config", bad, "simulate") == 2
+    # covariance needs two intervals; caught before any replica is drawn
+    bad.write_text(ok.read_text().replace(
+        "replicas = 3", "replicas = 3\nkind = covariance\nn_intervals = 1"))
+    assert run("--config", bad, "estimate") == 2
 
 
 def test_runtime_error_exits_3(tmp_path):
     path = write_cfg(tmp_path / "r.ini", tmp_path / "r",
                      experiment="kind = scaling\nscale_ratios = 0.3\n")
     assert run("--config", path, "estimate") == 3
+    # a cutoff above the only atom leaves no randomness, on every path
+    path = shipped_cfg("atom.ini", tmp_path, model={"small_jump_cutoff": "0.9"},
+                       experiment={"kind": "covariance"})
+    for command in ("simulate", "estimate"):
+        assert run("--config", path, command) == 3
 
 
 def test_console_script_smoke(cfg_file, tmp_path):
@@ -188,13 +221,7 @@ def test_import_loads_no_scipy():
 @pytest.mark.parametrize("name", ["atom.ini", "lognormal.ini"])
 def test_simulate_loads_no_scipy(name, tmp_path):
     # scipy serves the theory side only; drawing replicas needs numpy alone
-    cfg = configparser.ConfigParser()
-    cfg.read(Path(__file__).resolve().parents[1] / "configs" / name)
-    cfg["experiment"]["replicas"] = "4"
-    cfg["output"]["directory"] = str(tmp_path / "out")
-    path = tmp_path / name
-    with open(path, "w") as fh:
-        cfg.write(fh)
+    path = shipped_cfg(name, tmp_path)
     launch = ("import sys; from idcascade import cli\n"
               "assert cli.main(sys.argv[1:]) == 0")
     assert _scipy_modules_after(launch, "--config", path, "simulate") == "[]"

@@ -202,11 +202,20 @@ def test_make_sampler_shares_one_read_only_sampler():
     atom = make_sampler(g, single_atom_model(-0.5, 1.0))
     tab = make_sampler(g, build_model(0.0, TabulatedJumps(
         (-1.0, 0.0, 0.5), (1.0, 2.0, 0.4), 2.0, 3.0)))
+    jux = make_sampler(g, model, n_intervals=3)
+    assert make_sampler(g, model, "gaussian", None, False, 3) is jux
+    assert jux.point_logs([make_generator(1, 0, "t")]).shape == (1, 3, 16)
     for arr in (dense.chol, dense.mean, circ.sqrt_lam, atom.jumps.locations,
                 atom.jumps.cum, tab.jumps._x, tab.jumps._d, tab.jumps._pieces,
-                tab.jumps._cum):
+                tab.jumps._cum, jux.chol, jux.mean):
         with pytest.raises(ValueError, match="read-only"):
             arr *= 1.0
+    # juxtaposition has no hybrid sampler, and a cutoff needs jumps
+    with pytest.raises(ValueError, match="juxtaposition"):
+        make_sampler(g, single_atom_model(-0.4, 0.8, sigma2=0.2),
+                     n_intervals=3)
+    with pytest.raises(ValueError, match="cutoff"):
+        make_sampler(g, model, cutoff=0.5, n_intervals=3)
 
 
 def test_make_sampler_key_ignores_argument_spelling():
