@@ -30,8 +30,7 @@ from .levy import (AtomicJumps, NoiseModel, TabulatedJumps, ZeroJumps,
                    mean_slope)
 from .field import (FieldSample, GridSpec, PoissonFieldSampler,
                     _chol_with_jitter, _gram_objects, footprint_areas,
-                    jump_law, make_sampler, poisson_points, sample_field,
-                    truncated_model)
+                    jump_law, make_sampler, poisson_points, sample_field)
 from ._rng import make_generator
 
 
@@ -82,7 +81,6 @@ def masses_from_point_log(grid, point_log):
 
 
 def build_realization(model, grid, rng=None, *, seed=None, replica=0,
-                      kind="auto", cutoff=None, substitute=False,
                       stream_tag="cascade"):
     """Simulate one realization; pass either an rng or a (seed, replica)."""
     if (rng is None) == (seed is None):
@@ -93,8 +91,7 @@ def build_realization(model, grid, rng=None, *, seed=None, replica=0,
                       "collapse", stacklevel=2)
     if rng is None:
         rng = make_generator(seed, replica, stream_tag)
-    f = sample_field(grid, model, rng, kind=kind, cutoff=cutoff,
-                     substitute=substitute)
+    f = sample_field(grid, model, rng)
     cell, total = masses_from_point_log(grid, f.point_log)
     weights = {lev: np.exp(v) for lev, v in f.cell_log.items()}
     return Realization(grid, model, f.kind, cell, weights, float(total),
@@ -118,13 +115,11 @@ class BatchSimulator:
     n_intervals adjacent copies of the grid driven by one noise.
     """
 
-    def __init__(self, model, grid, *, kind="auto", cutoff=None,
-                 substitute=False, stream_tag="cascade", n_intervals=1):
+    def __init__(self, model, grid, *, stream_tag="cascade", n_intervals=1):
         self.model = model
         self.grid = grid
         self.stream_tag = stream_tag
-        self.sampler = make_sampler(grid, model, kind, cutoff, substitute,
-                                    n_intervals)
+        self.sampler = make_sampler(grid, model, n_intervals)
 
     def point_log_chunk(self, seed, start, count):
         """(count, n_points) noise values for replicas start..start+count,
@@ -141,12 +136,10 @@ class BatchSimulator:
                 progress(start + count)
 
 
-def simulate_total_masses(model, grid, seed, replicas, *, kind="auto",
-                          cutoff=None, substitute=False, chunk=512,
+def simulate_total_masses(model, grid, seed, replicas, *, chunk=512,
                           stream_tag="cascade", progress=None):
     """Total masses of independent replicas, one counter stream each."""
-    sim = BatchSimulator(model, grid, kind=kind, cutoff=cutoff,
-                         substitute=substitute, stream_tag=stream_tag)
+    sim = BatchSimulator(model, grid, stream_tag=stream_tag)
     out = np.empty(replicas)
     for start, pl in sim.chunks(seed, replicas, chunk, progress):
         _, total = masses_from_point_log(grid, pl)
@@ -155,8 +148,7 @@ def simulate_total_masses(model, grid, seed, replicas, *, kind="auto",
 
 
 def simulate_prefix_masses(model, grid, seed, replicas, fractions, *,
-                           kind="auto", chunk=512, stream_tag="cascade",
-                           progress=None):
+                           chunk=512, stream_tag="cascade", progress=None):
     """Masses of [lo, lo + f*length] for each dyadic fraction f, per replica."""
     fractions = list(fractions)
     counts = []
@@ -165,7 +157,7 @@ def simulate_prefix_masses(model, grid, seed, replicas, fractions, *,
         if abs(k - round(k)) > 1e-9:
             raise ValueError(f"fraction {f} does not align with leaf cells")
         counts.append(round(k))
-    sim = BatchSimulator(model, grid, kind=kind, stream_tag=stream_tag)
+    sim = BatchSimulator(model, grid, stream_tag=stream_tag)
     out = np.empty((replicas, len(fractions)))
     for start, pl in sim.chunks(seed, replicas, chunk, progress):
         cells, _ = masses_from_point_log(grid, pl)
@@ -351,12 +343,10 @@ def _refine_gaussian(realization, fine, rng):
 
 
 def juxtaposed_total_masses(model, grid, n_intervals, seed, replicas, *,
-                            kind="auto", cutoff=None, substitute=False,
                             chunk=256, stream_tag="juxtapose", progress=None):
     """(replicas, n_intervals) total masses of adjacent copies of grid
     sharing one noise."""
-    sim = BatchSimulator(model, grid, kind=kind, cutoff=cutoff,
-                         substitute=substitute, stream_tag=stream_tag,
+    sim = BatchSimulator(model, grid, stream_tag=stream_tag,
                          n_intervals=n_intervals)
     out = np.empty((replicas, n_intervals))
     for start, pl in sim.chunks(seed, replicas, chunk, progress):
@@ -395,22 +385,19 @@ def sample_area_log(model, area, rng, size=None):
     return float(val[0]) if size is None else val
 
 
-def sample_scale_log(model, lam, rng, *, cutoff=None, substitute=False):
+def sample_scale_log(model, lam, rng):
     """log of the random factor relating masses across scale ratio lam.
 
     The factor exp(W) has W the noise of one fixed region of area
-    log(1/lam); lam = 1 gives W = 0 exactly.  When a cutoff is supplied the
-    draw uses the truncated model, matching what the samplers simulate.
+    log(1/lam); lam = 1 gives W = 0 exactly.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("scale ratio must lie in (0, 1]")
-    eff = (truncated_model(model, cutoff, substitute)
-           if cutoff is not None else model)
-    return sample_area_log(eff, math.log(1.0 / lam), rng)
+    return sample_area_log(model, math.log(1.0 / lam), rng)
 
 
-def scaled_mass_samples(model, grid, lam, seed, replicas, *, kind="auto",
-                        chunk=512, stream_tag="scaling"):
+def scaled_mass_samples(model, grid, lam, seed, replicas, *, chunk=512,
+                        stream_tag="scaling"):
     """Independent draws of lam * exp(W) * Z' at matched truncation.
 
     Z' is simulated at level levels - log2(1/lam) so its relative truncation
@@ -423,8 +410,8 @@ def scaled_mass_samples(model, grid, lam, seed, replicas, *, kind="auto",
     if k >= grid.levels:
         raise ValueError("scale ratio too small for the grid depth")
     sub = GridSpec(grid.interval, grid.levels - k, grid.oversample, 0)
-    z = simulate_total_masses(model, sub, seed, replicas, kind=kind,
-                              chunk=chunk, stream_tag=stream_tag + "-z")
+    z = simulate_total_masses(model, sub, seed, replicas, chunk=chunk,
+                              stream_tag=stream_tag + "-z")
     w = np.empty(replicas)
     for r in range(replicas):
         rng = make_generator(seed, r, stream_tag + "-w")

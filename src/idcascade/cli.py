@@ -133,12 +133,6 @@ def _write_report(cfg, stem, fields, columns, rows):
         _write_csv(cfg, f"{stem}.csv", columns, rows)
 
 
-def _sampler_args(cfg):
-    """The sampler choice (kind, cutoff, substitute) of every draw."""
-    return {"kind": cfg.sampler_kind(), "cutoff": cfg.small_jump_cutoff(),
-            "substitute": cfg.get_bool("model", "substitute_small")}
-
-
 def _progress(total):
     def tick(done):
         print(f"\rreplica {done}/{total}", end="", file=sys.stderr,
@@ -176,7 +170,7 @@ def cmd_simulate(cfg):
     replicas = cfg.replicas()
     outdir = _outdir(cfg)
     fmt = cfg.output_formats()
-    sim = BatchSimulator(model, grid, **_sampler_args(cfg))
+    sim = BatchSimulator(model, grid)
     digest = model_digest(model)
     rows = []
     tick = _progress(replicas)
@@ -334,8 +328,7 @@ def _simulate_totals(cfg, model, grid):
     tick = _progress(replicas)
     z = simulate_total_masses(
         model, grid, cfg.seed(), replicas,
-        chunk=cfg.get_int("experiment", "chunk", 256), progress=tick,
-        **_sampler_args(cfg))
+        chunk=cfg.get_int("experiment", "chunk", 256), progress=tick)
     _progress_done(replicas)
     return z
 
@@ -393,7 +386,6 @@ def _estimate_scaling(cfg):
     replicas = cfg.replicas()
     tick = _progress(replicas)
     m = simulate_prefix_masses(model, grid, cfg.seed(), replicas, lams,
-                               kind=cfg.sampler_kind(),
                                chunk=cfg.get_int("experiment", "chunk", 256),
                                progress=tick)
     _progress_done(replicas)
@@ -418,15 +410,13 @@ def _estimate_covariance(cfg):
     n_intervals = cfg.get_int("experiment", "n_intervals", 4)
     if n_intervals < 2:
         raise ConfigError("experiment.n_intervals", "must be >= 2")
-    sampling = _sampler_args(cfg)
     # built here, before any draw, and reused from the cache by the batch
-    sampler = make_sampler(grid, model, n_intervals=n_intervals, **sampling)
+    sampler = make_sampler(grid, model, n_intervals)
     replicas = cfg.replicas()
     tick = _progress(replicas)
     masses = juxtaposed_total_masses(
         model, grid, n_intervals, cfg.seed(), replicas,
-        chunk=cfg.get_int("experiment", "chunk", 256), progress=tick,
-        **sampling)
+        chunk=cfg.get_int("experiment", "chunk", 256), progress=tick)
     _progress_done(replicas)
     rep = covariance_report(model, masses)
     rows = [{"gap": g, "covariance": e, "stderr": s, "theory_claimed": tc,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict
 
 from .levy import AtomicJumps, TabulatedJumps, ZeroJumps, build_model
-from .field import GridSpec
+from .field import GridSpec, truncated_model
 
 # The keys each section may hold, which are the keys the code reads; the
 # section order is the canonical serialization order.
@@ -24,7 +24,7 @@ _KEYS = {
               "small_jump_cutoff", "substitute_small"),
     "grid": ("levels", "oversample", "cell_levels", "interval_lo",
              "interval_hi"),
-    "experiment": ("seed", "replicas", "sampler", "kind", "chunk", "checks",
+    "experiment": ("seed", "replicas", "kind", "chunk", "checks",
                    "normalization_tol", "areas_tol", "areas_count",
                    "star_tol", "ks_p_min", "q_values", "scale_ratios",
                    "n_intervals"),
@@ -116,6 +116,8 @@ class RunConfig:
         return r
 
     def build_model(self):
+        """The model every subcommand draws and theorizes: the configured
+        one, with its small jumps truncated when small_jump_cutoff is set."""
         sigma2 = self.get_float("model", "sigma2", 0.0)
         if sigma2 < 0:
             raise ConfigError("model.sigma2", "must be nonnegative")
@@ -138,11 +140,19 @@ class RunConfig:
             else:
                 raise ConfigError("model.jump_kind",
                                   f"unknown kind {kind!r}")
-            return build_model(sigma2, nu)
+            model = build_model(sigma2, nu)
         except ConfigError:
             raise
         except ValueError as exc:
             raise ConfigError("model", str(exc)) from exc
+        substitute = self.get_bool("model", "substitute_small")
+        cutoff = self.small_jump_cutoff()
+        if cutoff is None:
+            return model
+        try:
+            return truncated_model(model, cutoff, substitute)
+        except ValueError as exc:
+            raise ConfigError("model.small_jump_cutoff", str(exc)) from exc
 
     def build_grid(self):
         levels = self.get_int("grid", "levels", 8)
@@ -155,13 +165,6 @@ class RunConfig:
             return GridSpec((lo, hi), levels, oversample, cl)
         except ValueError as exc:
             raise ConfigError("grid", str(exc)) from exc
-
-    def sampler_kind(self):
-        kind = self.get("experiment", "sampler", "auto").strip().lower()
-        if kind not in ("auto", "gaussian", "poisson", "hybrid"):
-            raise ConfigError("experiment.sampler",
-                              f"unknown sampler {kind!r}")
-        return kind
 
     def small_jump_cutoff(self):
         if self.get("model", "small_jump_cutoff") is None:

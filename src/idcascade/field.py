@@ -27,39 +27,41 @@ Exact samplers cover the model classes:
   evaluation points whose cone contains it, which is a contiguous index
   range, so evaluation is a difference-array sweep.  Juxtaposed copies
   share one point set, drawn on the sampling domain of their hull.
+* Hybrid: a model with a Gaussian part and jumps adds the two samplers.
 
-A hybrid path splits a general model into a Gaussian part plus the jumps of
-size >= cutoff, with the drift re-normalized so the truncated model is again
-exactly mean-one (optionally the dropped small jumps are replaced by a
-variance-matched Gaussian).
+truncated_model drops the jumps smaller than a cutoff and re-normalizes
+the drift, so the result is again an exactly mean-one model (optionally
+the dropped jumps are replaced by a variance-matched Gaussian), sampled
+and theorized like any other; the run configuration applies it once.
 
-make_sampler is the one place that turns a model and the (kind, cutoff,
-substitute, n_intervals) choice into a sampler; single builds, batches,
-juxtaposition and the CLI all go through it.  Every sampler draws the
-point values of many replicas with point_logs(rngs), one generator per
-replica, and every one-interval sampler draws one field with sample(rng),
-consuming the generator in the same order: the Gaussian normals of the
-points first, then the Poisson points, and last the Gaussian normals of
-any carried cells.  So a (seed, replica, stream tag) names one
-realization whichever path draws it.  Its point values do not depend on
-the grid's cell_levels for the hybrid sampler and for Gaussian grids
-below CIRCULANT_MIN_POINTS points; above that a points-only grid uses the
-circulant embedding and a cell-carrying grid the dense factor, both exact
-in law but with different bits.  Every sampler names itself (name) and
-reports its numerical health (health): the Cholesky jitter applied or the
-smallest embedding eigenvalue relative to the largest.
+make_sampler is the one place that turns a model, whose parts alone pick
+the kind, and a number of juxtaposed intervals into a sampler; single
+builds, batches, juxtaposition and the CLI all go through it.  Every
+sampler draws the point values of many replicas with point_logs(rngs),
+one generator per replica, and every one-interval sampler draws one
+field with sample(rng), consuming the generator in the same order: the
+Gaussian normals of the points first, then the Poisson points, and last
+the Gaussian normals of any carried cells.  So a (seed, replica, stream
+tag) names one realization whichever path draws it.  Its point values do
+not depend on the grid's cell_levels for the hybrid sampler and for
+Gaussian grids below CIRCULANT_MIN_POINTS points; above that a
+points-only grid uses the circulant embedding and a cell-carrying grid
+the dense factor, both exact in law but with different bits.  Every
+sampler names itself (name) and reports its numerical health (health):
+the Cholesky jitter applied or the smallest embedding eigenvalue
+relative to the largest.
 
 make_sampler keeps the sampler it built last and returns it again to the
-next call with the same (grid, model, kind, cutoff, substitute,
-n_intervals), so repeated single builds on one grid, as in the star
-checks, share one Gram and Cholesky factorization; a call with other
-arguments replaces it.  Grids and models are frozen and hashable, and no
-sampler changes after its constructor: the arrays it shares (the Cholesky
-factor and mean, the embedding's square-root spectrum, the jump tables)
-are read-only, so a caller that writes into one gets a ValueError instead
-of altering every later draw.  A fallback or jitter warning is raised
-when a sampler is built, not on later calls that reuse it; the sampler's
-health still records it.
+next call with the same (grid, model, n_intervals), so repeated single
+builds on one grid, as in the star checks, share one Gram and Cholesky
+factorization; a call with other arguments replaces it.  Grids and
+models are frozen and hashable, and no sampler changes after its
+constructor: the arrays it shares (the Cholesky factor and mean, the
+embedding's square-root spectrum, the jump tables) are read-only, so a
+caller that writes into one gets a ValueError instead of altering every
+later draw.  A fallback or jitter warning is raised when a sampler is
+built, not on later calls that reuse it; the sampler's health still
+records it.
 """
 
 import functools
@@ -724,7 +726,6 @@ def truncated_model(model, cutoff, substitute=False):
 def _clip_tabulated(nu, cutoff):
     x = np.asarray(nu.grid_x, float)
     d = np.asarray(nu.grid_density, float).copy()
-    inside = np.abs(x) < cutoff
     pts = sorted(set(list(x) + [-cutoff, cutoff]))
     pts = [p for p in pts if x[0] <= p <= x[-1]]
     dens = [0.0 if abs(p) < cutoff else float(np.interp(p, x, d))
@@ -736,8 +737,8 @@ def _clip_tabulated(nu, cutoff):
 
 
 class HybridFieldSampler:
-    """Gaussian part plus jumps of a model, each exactly normalized; a
-    cutoff is applied by make_sampler, which passes the truncated model.
+    """Gaussian part plus jumps of a model with both, each exactly
+    normalized.
 
     The Gaussian part always uses the dense sampler, whose lower-triangular
     factor lets sample() draw the cell normals after the jumps.
@@ -746,43 +747,28 @@ class HybridFieldSampler:
     name = "hybrid"
 
     def __init__(self, grid, model):
+        if field_kind(model) != "hybrid":
+            raise ValueError("hybrid sampler needs a Gaussian part and jumps")
         self.model = model
         self.grid = grid
-        self.gauss = (GaussianFieldSampler(grid, model.sigma2)
-                      if model.sigma2 > 0 else None)
-        self.poisson = (
-            PoissonFieldSampler(grid, build_model(0.0, model.nu))
-            if not isinstance(model.nu, ZeroJumps) else None)
-        if self.gauss is None and self.poisson is None:
-            raise ValueError("nothing left to sample")
-        self.health = self.gauss.health if self.gauss is not None else {}
+        self.gauss = GaussianFieldSampler(grid, model.sigma2)
+        self.poisson = PoissonFieldSampler(grid, build_model(0.0, model.nu))
+        self.health = self.gauss.health
 
     def sample(self, rng):
         # The point normals, then the jumps, then the cell normals: so the
         # point values do not depend on how many cell levels are carried.
         g = self.grid
-        parts = []
-        if self.gauss is not None:
-            z_points = rng.standard_normal((g.n_points, 1))
-        jumps = self.poisson.sample(rng) if self.poisson is not None else None
-        if self.gauss is not None:
-            z_cells = rng.standard_normal((self.gauss.dim - g.n_points, 1))
-            vals = self.gauss.draw_columns(np.concatenate([z_points,
-                                                           z_cells]))
-            parts.append(FieldSample(g, "gaussian",
-                                     *self.gauss.split(vals[:, 0])))
-        px = py = pj = None
-        if jumps is not None:
-            parts.append(jumps)
-            px, py, pj = jumps.points_x, jumps.points_y, jumps.points_jump
-        point_log = np.zeros(g.n_points)
-        cell_log = {lev: np.zeros(2 ** lev) for lev in g.carried_levels}
-        for f in parts:
-            point_log += f.point_log
-            for lev in cell_log:
-                cell_log[lev] = cell_log[lev] + f.cell_log[lev]
-        return FieldSample(g, "+".join(f.kind for f in parts), point_log,
-                           cell_log, points_x=px, points_y=py, points_jump=pj)
+        z_points = rng.standard_normal((g.n_points, 1))
+        jumps = self.poisson.sample(rng)
+        z_cells = rng.standard_normal((self.gauss.dim - g.n_points, 1))
+        point_log, cell_log = self.gauss.split(
+            self.gauss.draw_columns(np.concatenate([z_points, z_cells]))[:, 0])
+        return FieldSample(
+            g, "gaussian+poisson", point_log + jumps.point_log,
+            {lev: v + jumps.cell_log[lev] for lev, v in cell_log.items()},
+            points_x=jumps.points_x, points_y=jumps.points_y,
+            points_jump=jumps.points_jump)
 
     def point_logs(self, rngs):
         """(len(rngs), n_points) point values, replica j drawn from rngs[j].
@@ -791,12 +777,7 @@ class HybridFieldSampler:
         points, as in sample(); the cell normals that sample() draws last
         are not needed, so a batch replays the single draws.
         """
-        out = np.zeros((len(rngs), self.grid.n_points))
-        if self.gauss is not None:
-            out += self.gauss.point_logs(rngs)
-        if self.poisson is not None:
-            out += self.poisson.point_logs(rngs)
-        return out
+        return self.gauss.point_logs(rngs) + self.poisson.point_logs(rngs)
 
 
 def field_kind(model):
@@ -808,16 +789,14 @@ def field_kind(model):
     return "hybrid"
 
 
-def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False,
-                 n_intervals=1):
+def make_sampler(grid, model, n_intervals=1):
     """The exact field sampler for a model on a grid.
 
-    kind is "gaussian", "poisson", "hybrid" or "auto" (field_kind of the
-    model).  cutoff drops the jumps smaller than it and re-normalizes the
-    drift (truncated_model, with substitute); it applies to jump models
-    only.  Every sampler has point_logs(rngs) for a batch of point values,
-    one generator per replica, and the one-interval samplers sample(rng)
-    for one FieldSample.
+    The model alone picks the sampler (field_kind): Gaussian, Poisson or
+    hybrid.  A model with small jumps truncated is built first by
+    truncated_model.  Every sampler has point_logs(rngs) for a batch of
+    point values, one generator per replica, and the one-interval samplers
+    sample(rng) for one FieldSample.
 
     A Gaussian model gets the circulant-embedding sampler on a points-only
     grid of at least CIRCULANT_MIN_POINTS points, and the dense sampler
@@ -830,15 +809,12 @@ def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False,
 
     The most recent sampler is kept and returned again to the next call
     with equal arguments, however they are spelled: by keyword or by
-    position, with defaults left out or given, "auto" or the kind it
-    resolves to.  A fallback or jitter warning fires on the build only.
-    Its shared arrays are read-only.  make_sampler.cache_clear() drops it
-    and make_sampler.cache_info() counts the hits and misses.
+    position, with the default left out or given.  A fallback or jitter
+    warning fires on the build only.  Its shared arrays are read-only.
+    make_sampler.cache_clear() drops it and make_sampler.cache_info()
+    counts the hits and misses.
     """
-    if kind == "auto":
-        kind = field_kind(model)
-    return _cached_sampler(grid, model, kind, cutoff, substitute,
-                           n_intervals)
+    return _cached_sampler(grid, model, n_intervals)
 
 
 # One slot: every repeated caller (build_realization in a loop, the star
@@ -847,13 +823,9 @@ def make_sampler(grid, model, kind="auto", cutoff=None, substitute=False,
 # sampler is kept alive once another is built.  make_sampler resolves the
 # arguments to positions first, so that each key has one spelling.
 @functools.lru_cache(maxsize=1)
-def _cached_sampler(grid, model, kind, cutoff, substitute, n_intervals):
+def _cached_sampler(grid, model, n_intervals):
+    kind = field_kind(model)
     if kind == "gaussian":
-        if cutoff is not None:
-            raise ValueError("cutoff only applies to jump models")
-        if not isinstance(model.nu, ZeroJumps):
-            raise ValueError("model has jumps; use the atomic or hybrid "
-                             "sampler")
         if n_intervals > 1:
             return JuxtaposedGaussianSampler(grid, model.sigma2, n_intervals)
         if (grid.cell_levels == 0
@@ -864,13 +836,10 @@ def _cached_sampler(grid, model, kind, cutoff, substitute, n_intervals):
                 warnings.warn(f"{exc}; using the dense sampler",
                               RuntimeWarning, stacklevel=3)
         return GaussianFieldSampler(grid, model.sigma2)
-    if kind not in ("poisson", "hybrid"):
-        raise ValueError(f"unknown sampler kind {kind!r}")
-    if kind == "hybrid" and n_intervals > 1:
-        raise ValueError("juxtaposition supports gaussian and poisson kinds")
-    if cutoff is not None:
-        model = truncated_model(model, cutoff, substitute)
     if kind == "hybrid":
+        if n_intervals > 1:
+            raise ValueError("juxtaposition supports gaussian and poisson "
+                             "models")
         return HybridFieldSampler(grid, model)
     if n_intervals > 1:
         return JuxtaposedPoissonSampler(grid, model, n_intervals)
@@ -881,7 +850,6 @@ make_sampler.cache_clear = _cached_sampler.cache_clear
 make_sampler.cache_info = _cached_sampler.cache_info
 
 
-def sample_field(grid, model, rng, kind="auto", cutoff=None,
-                 substitute=False):
+def sample_field(grid, model, rng):
     """One field draw from make_sampler's (cached) sampler for the model."""
-    return make_sampler(grid, model, kind, cutoff, substitute).sample(rng)
+    return make_sampler(grid, model).sample(rng)

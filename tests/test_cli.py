@@ -93,13 +93,21 @@ def test_simulate_outputs_and_reruns_identically(cfg_file, tmp_path):
     assert second.decode().splitlines()[2:] == first.decode().splitlines()[2:]
 
 
-def test_simulate_records_the_circulant_sampler(tmp_path):
+def test_simulate_records_its_sampler(tmp_path):
     path = write_cfg(tmp_path / "deep.ini", tmp_path / "deep")
     path.write_text(path.read_text().replace("levels = 4", "levels = 10"))
     assert run("--config", path, "simulate") == 0
     summary = json.loads((tmp_path / "deep" / "summary.json").read_text())
     assert summary["sampler"] == "circulant"
     assert 0.0 < summary["sampler_health"]["min_eigenvalue_ratio"] < 1.0
+    # a pure-jump model whose small jumps become a Gaussian is hybrid
+    path = shipped_cfg("atom.ini", tmp_path, grid={"levels": "6"}, model={
+        "atom_locations": "-0.6931471805599453, -0.05",
+        "atom_masses": "1.0, 2.0", "small_jump_cutoff": "0.1",
+        "substitute_small": "true"})
+    assert run("--config", path, "simulate") == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["sampler"] == "hybrid"
 
 
 def test_seed_flag_changes_rows(cfg_file, tmp_path):
@@ -158,9 +166,18 @@ def test_config_error_exits_2(tmp_path):
     for old, new in (("cell_levels = 0", "cell_levels = x"),
                      ("jump_kind = none",
                       "jump_kind = none\nsmall_jump_cutoff = abc"),
+                     ("jump_kind = none",
+                      "jump_kind = none\nsmall_jump_cutoff = 1.5"),
                      ("cell_levels = 0", "cell_levels = 0\ninterval = 0, 2")):
         bad.write_text(ok.read_text().replace(old, new))
         assert run("--config", bad, "simulate") == 2
+    # a cutoff above the only atom leaves no randomness, on every path
+    for kind in ("scaling", "covariance"):
+        path = shipped_cfg("atom.ini", tmp_path,
+                           model={"small_jump_cutoff": "0.9"},
+                           experiment={"kind": kind})
+        for command in ("theory", "simulate", "verify", "estimate"):
+            assert run("--config", path, command) == 2
     # covariance needs two intervals; caught before any replica is drawn
     bad.write_text(ok.read_text().replace(
         "replicas = 3", "replicas = 3\nkind = covariance\nn_intervals = 1"))
@@ -171,11 +188,6 @@ def test_runtime_error_exits_3(tmp_path):
     path = write_cfg(tmp_path / "r.ini", tmp_path / "r",
                      experiment="kind = scaling\nscale_ratios = 0.3\n")
     assert run("--config", path, "estimate") == 3
-    # a cutoff above the only atom leaves no randomness, on every path
-    path = shipped_cfg("atom.ini", tmp_path, model={"small_jump_cutoff": "0.9"},
-                       experiment={"kind": "covariance"})
-    for command in ("simulate", "estimate"):
-        assert run("--config", path, command) == 3
 
 
 def test_console_script_smoke(cfg_file, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from idcascade.config import (ConfigError, RunConfig, config_hash,
                               load_config, parse_config, serialize_config)
-from idcascade.field import GridSpec
+from idcascade.field import GridSpec, field_kind, truncated_model
 from idcascade.levy import AtomicJumps, ZeroJumps
 
 SAMPLE = """
@@ -111,6 +111,24 @@ def test_atom_model_from_config():
     assert model.sigma2 == 0.0
     cfg.set("model", "atom_masses", "1.0, 2.0")
     with pytest.raises(ConfigError, match="equal length"):
+        cfg.build_model()
+
+
+def test_build_model_truncates_small_jumps():
+    cfg = parse_config(SAMPLE)
+    cfg.set("model", "sigma2", "0")
+    cfg.set("model", "jump_kind", "atoms")
+    cfg.set("model", "atom_locations", f"{-math.log(2.0)!r}, -0.05")
+    cfg.set("model", "atom_masses", "1.0, 2.0")
+    configured = cfg.build_model()
+    cfg.set("model", "small_jump_cutoff", "0.1")
+    cfg.set("model", "substitute_small", "true")
+    model = cfg.build_model()
+    assert model == truncated_model(configured, 0.1, True)
+    assert model.nu == AtomicJumps((-math.log(2.0),), (1.0,))
+    assert field_kind(model) == "hybrid"
+    cfg.set("model", "substitute_small", "maybe")
+    with pytest.raises(ConfigError, match="model.substitute_small"):
         cfg.build_model()
 
 

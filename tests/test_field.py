@@ -114,19 +114,6 @@ def test_gaussian_field_is_mean_one():
     assert np.all(np.abs(m - 1.0) < 4.0 * se)
 
 
-def test_gaussian_sampler_rejects_jump_models():
-    # pure-jump and hybrid models, and a cutoff, have no Gaussian-only path
-    g = GridSpec((0.0, 1.0), 3, 2, 0)
-    for model, cutoff in ((single_atom_model(-0.5, 1.0), None),
-                          (single_atom_model(-0.5, 1.0, sigma2=0.2), None),
-                          (lognormal_model(0.5), 0.5)):
-        with pytest.raises(ValueError):
-            sample_field(g, model, np.random.default_rng(0),
-                         kind="gaussian", cutoff=cutoff)
-        with pytest.raises(ValueError):
-            BatchSimulator(model, g, kind="gaussian", cutoff=cutoff)
-
-
 def test_circulant_covariance_matches_dense_gram():
     g = GridSpec((0.0, 1.0), 6, 2, 0)
     sam = CirculantGaussianSampler(g, 0.7)
@@ -196,26 +183,23 @@ def test_make_sampler_shares_one_read_only_sampler():
     model = lognormal_model(0.5)
     dense = make_sampler(g, model)
     assert make_sampler(GridSpec([0, 1], 3, 2), lognormal_model(0.5)) is dense
-    assert (BatchSimulator(model, g).sampler is
-            make_sampler(g, model, "auto", None, False))
+    assert BatchSimulator(model, g).sampler is make_sampler(g, model)
     circ = make_sampler(GridSpec((0.0, 1.0), 10, 2, 0), model)
     atom = make_sampler(g, single_atom_model(-0.5, 1.0))
     tab = make_sampler(g, build_model(0.0, TabulatedJumps(
         (-1.0, 0.0, 0.5), (1.0, 2.0, 0.4), 2.0, 3.0)))
     jux = make_sampler(g, model, n_intervals=3)
-    assert make_sampler(g, model, "gaussian", None, False, 3) is jux
+    assert make_sampler(g, model, 3) is jux
     assert jux.point_logs([make_generator(1, 0, "t")]).shape == (1, 3, 16)
     for arr in (dense.chol, dense.mean, circ.sqrt_lam, atom.jumps.locations,
                 atom.jumps.cum, tab.jumps._x, tab.jumps._d, tab.jumps._pieces,
                 tab.jumps._cum, jux.chol, jux.mean):
         with pytest.raises(ValueError, match="read-only"):
             arr *= 1.0
-    # juxtaposition has no hybrid sampler, and a cutoff needs jumps
+    # juxtaposition has no hybrid sampler
     with pytest.raises(ValueError, match="juxtaposition"):
         make_sampler(g, single_atom_model(-0.4, 0.8, sigma2=0.2),
                      n_intervals=3)
-    with pytest.raises(ValueError, match="cutoff"):
-        make_sampler(g, model, cutoff=0.5, n_intervals=3)
 
 
 def test_make_sampler_key_ignores_argument_spelling():
@@ -223,13 +207,10 @@ def test_make_sampler_key_ignores_argument_spelling():
     model = lognormal_model(0.5)
     make_sampler.cache_clear()
     first = make_sampler(g, model)
-    assert make_sampler(g, model, "auto", None, False) is first
-    assert make_sampler(g, model, kind="auto") is first
+    assert make_sampler(g, model, 1) is first
+    assert make_sampler(g, model, n_intervals=1) is first
     info = make_sampler.cache_info()
     assert (info.misses, info.hits) == (1, 2)
-    # "auto" is resolved before the lookup too
-    assert make_sampler(g, model, "gaussian") is first
-    assert make_sampler.cache_info().hits == 3
 
 
 def test_array_valued_jump_model_gets_a_sampler():
@@ -267,7 +248,7 @@ def test_poisson_field_matches_bruteforce_points():
     model = single_atom_model(-math.log(2.0), 1.0)
     g = GridSpec((0.25, 1.75), 4, 3)
     rng = make_generator(99, 5, "field-test")
-    f = sample_field(g, model, rng, kind="poisson")
+    f = sample_field(g, model, rng)
     x, y, jump = f.points_x, f.points_y, f.points_jump
     assert x.size > 0
     drift = -(math.exp(-math.log(2.0)) - 1.0)  # -(e^loc - 1) * mass
