@@ -110,6 +110,8 @@ class BatchSimulator:
     not depend on how the work is chunked: bit for bit on the circulant
     and Poisson paths, and to the last ulp on the dense Gaussian path,
     whose matrix product changes its BLAS kernel with the chunk width.
+    A chunk is one point_logs call, which the Poisson samplers draw and
+    evaluate a sub-batch of replicas at a time.
     Yields (start index, point_log array) chunks; reduce them as they
     come to keep memory flat.  With n_intervals > 1 each replica is
     n_intervals adjacent copies of the grid driven by one noise.
@@ -272,7 +274,7 @@ def _refine_poisson(realization, fine, rng):
     old = realization.field
     strip = cones.refinement_strip(g.interval, g.eps, fine.eps)
     sampler = PoissonFieldSampler(fine, realization.model)
-    xs, ys, jumps = poisson_points(rng, [strip], sampler.jumps)
+    _, xs, ys, jumps = poisson_points([rng], [strip], sampler.jumps)
     x = np.concatenate([old.points_x, xs])
     y = np.concatenate([old.points_y, ys])
     jump = np.concatenate([old.points_jump, jumps])
@@ -367,22 +369,36 @@ def sample_area_log(model, area, rng, size=None):
     is the scalar building block of the scale-factor law and of the
     single-region normalization checks.  With size=None returns a float.
     """
+    val = sample_area_logs(model, area, [rng], 1 if size is None else size)[0]
+    return float(val[0]) if size is None else val
+
+
+def sample_area_logs(model, area, rngs, size=1):
+    """(len(rngs), size) draws of sample_area_log, row j from rngs[j].
+
+    Each generator makes sample_area_log's draws; the batch's jumps are
+    mapped and summed at once, so reduceat groups every sum alike."""
     if area < 0:
         raise ValueError("area must be nonnegative")
-    n = 1 if size is None else int(size)
-    val = np.zeros(n)
-    if area > 0:
-        if model.sigma2 > 0:
-            val += rng.normal(-0.5 * model.sigma2 * area,
-                              math.sqrt(model.sigma2 * area), size=n)
-        if not isinstance(model.nu, ZeroJumps):
-            js, drift = jump_law(model.nu)
-            counts = rng.poisson(js.total * area, size=n)
-            jumps = js.draw(rng, int(counts.sum()))
-            edges = np.concatenate([[0], np.cumsum(counts)])
-            val += drift * area + np.add.reduceat(
-                np.concatenate([jumps, [0.0]]), edges[:-1]) * (counts > 0)
-    return float(val[0]) if size is None else val
+    val = np.zeros((len(rngs), size))
+    if area > 0 and model.sigma2 > 0:
+        val += [r.normal(-0.5 * model.sigma2 * area,
+                         math.sqrt(model.sigma2 * area), size=size)
+                for r in rngs]
+    if area > 0 and not isinstance(model.nu, ZeroJumps):
+        js, drift = jump_law(model.nu)
+        counts = np.array([r.poisson(js.total * area, size=size)
+                           for r in rngs])
+        totals = counts.sum(axis=1)
+        u = [js.uniforms(r, n) for r, n in zip(rngs, totals)]
+        jumps = np.insert(js.from_uniforms(np.concatenate(u, axis=1)),
+                          np.cumsum(totals), 0.0)
+        seg = counts.copy()
+        seg[:, -1] += 1  # a generator's 0.0 ends its last sum
+        val += drift * area + np.add.reduceat(
+            jumps, np.cumsum(seg) - seg.ravel()).reshape(seg.shape) * (
+                counts > 0)
+    return val
 
 
 def sample_scale_log(model, lam, rng):
@@ -413,9 +429,11 @@ def scaled_mass_samples(model, grid, lam, seed, replicas, *, chunk=512,
     z = simulate_total_masses(model, sub, seed, replicas, chunk=chunk,
                               stream_tag=stream_tag + "-z")
     w = np.empty(replicas)
-    for r in range(replicas):
-        rng = make_generator(seed, r, stream_tag + "-w")
-        w[r] = sample_scale_log(model, lam, rng)
+    for start in range(0, replicas, chunk):
+        rngs = [make_generator(seed, r, stream_tag + "-w")
+                for r in range(start, min(start + chunk, replicas))]
+        w[start:start + chunk] = sample_area_logs(
+            model, math.log(1.0 / lam), rngs)[:, 0]
     return lam * np.exp(w) * z
 
 

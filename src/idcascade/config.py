@@ -147,6 +147,9 @@ class RunConfig:
             raise ConfigError("model", str(exc)) from exc
         substitute = self.get_bool("model", "substitute_small")
         cutoff = self.small_jump_cutoff()
+        if cutoff is None and substitute:
+            raise ConfigError("model.substitute_small",
+                              "needs model.small_jump_cutoff")
         if cutoff is None:
             return model
         try:

@@ -16,12 +16,14 @@ from idcascade.cascade import (
     realization_to_csv,
     refine,
     sample_area_log,
+    sample_scale_log,
     scaled_mass_samples,
     simulate_prefix_masses,
     simulate_total_masses,
 )
 from idcascade.field import GridSpec
-from idcascade.levy import lognormal_model, single_atom_model
+from idcascade.levy import (TabulatedJumps, build_model, lognormal_model,
+                            single_atom_model)
 from idcascade.moments import juxtaposed_pair_moment
 
 LOGN = lognormal_model(0.5)
@@ -259,6 +261,23 @@ def test_scaled_mass_samples_validation():
     out = scaled_mass_samples(LOGN, g, 0.25, 1, 16)
     assert out.shape == (16,)
     assert np.all(out > 0)
+
+
+@pytest.mark.parametrize("model", [
+    ATOM, HYBRID, LOGN, build_model(0.0, TabulatedJumps(
+        (-1.0, 0.0, 0.5), (1.0, 2.0, 0.4), 2.0, 3.0))],
+    ids=["atom", "hybrid", "lognormal", "tabulated"])
+def test_scaled_mass_samples_replay_single_scale_draws(model):
+    # the scale factors are drawn and summed a chunk at a time, with the
+    # bits of one sample_scale_log per replica
+    grid = GridSpec((0.0, 1.0), 5, 2, 0)
+    got = scaled_mass_samples(model, grid, 0.25, 4, 50, chunk=16)
+    z = simulate_total_masses(model, GridSpec((0.0, 1.0), 3, 2, 0), 4, 50,
+                              chunk=16, stream_tag="scaling-z")
+    w = np.array([sample_scale_log(model, 0.25,
+                                   make_generator(4, r, "scaling-w"))
+                  for r in range(50)])
+    np.testing.assert_array_equal(got, 0.25 * np.exp(w) * z)
 
 
 def test_sample_area_log_zero_area_and_mean_one():

@@ -168,6 +168,8 @@ def test_config_error_exits_2(tmp_path):
                       "jump_kind = none\nsmall_jump_cutoff = abc"),
                      ("jump_kind = none",
                       "jump_kind = none\nsmall_jump_cutoff = 1.5"),
+                     ("jump_kind = none",
+                      "jump_kind = none\nsubstitute_small = true"),
                      ("cell_levels = 0", "cell_levels = 0\ninterval = 0, 2")):
         bad.write_text(ok.read_text().replace(old, new))
         assert run("--config", bad, "simulate") == 2
@@ -182,6 +184,14 @@ def test_config_error_exits_2(tmp_path):
     bad.write_text(ok.read_text().replace(
         "replicas = 3", "replicas = 3\nkind = covariance\nn_intervals = 1"))
     assert run("--config", bad, "estimate") == 2
+
+
+def test_substitute_without_cutoff_is_a_config_error(tmp_path, capsys):
+    path = shipped_cfg("atom.ini", tmp_path,
+                       model={"substitute_small": "true"})
+    for command in ("theory", "simulate", "verify", "estimate"):
+        assert run("--config", path, command) == 2
+    assert "model.substitute_small" in capsys.readouterr().err
 
 
 def test_runtime_error_exits_3(tmp_path):
@@ -232,9 +242,13 @@ def test_import_loads_no_scipy():
 
 @pytest.mark.parametrize("name", ["atom.ini", "lognormal.ini"])
 def test_simulate_loads_no_scipy(name, tmp_path):
-    # scipy serves the theory side only; drawing replicas needs numpy alone
+    # scipy serves the theory side only; drawing replicas and the KS test
+    # of verify's scaling_ks check need numpy alone
     path = shipped_cfg(name, tmp_path)
     launch = ("import sys; from idcascade import cli\n"
               "assert cli.main(sys.argv[1:]) == 0")
     assert _scipy_modules_after(launch, "--config", path, "simulate") == "[]"
     assert len(list((tmp_path / "out").glob("realization_*.bin"))) == 4
+    assert _scipy_modules_after(launch, "--config", path, "verify") == "[]"
+    assert json.loads((tmp_path / "out" / "verify.json").read_text())[
+        "all_passed"]

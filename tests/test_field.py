@@ -12,6 +12,7 @@ from idcascade.field import (
     GridSpec,
     HybridFieldSampler,
     JumpSampler,
+    JuxtaposedPoissonSampler,
     PoissonFieldSampler,
     _chol_with_jitter,
     _gram_objects,
@@ -289,6 +290,62 @@ def test_poisson_field_is_mean_one():
     assert np.all(np.abs(m - 1.0) < 4.0 * se)
 
 
+TABULATED = build_model(0.0, TabulatedJumps((-1.0, 0.0, 0.5), (1.0, 2.0, 0.4),
+                                            2.0, 3.0))
+HYBRID = single_atom_model(-0.4, 0.8, sigma2=0.2)
+TWO_ATOMS = build_model(0.0, AtomicJumps((-0.7, 0.3), (1.0, 0.5)))
+# about 0.7 expected points per replica on the grid below: many get none
+SPARSE = single_atom_model(-0.5, 0.02)
+
+
+@pytest.mark.parametrize("slots", [None, 600], ids=["default", "small"])
+@pytest.mark.parametrize("model", [TABULATED, HYBRID, TWO_ATOMS, SPARSE],
+                         ids=["tabulated", "hybrid", "two-atoms", "sparse"])
+def test_poisson_batches_replay_single_draws_bitwise(model, slots,
+                                                     monkeypatch):
+    # a batch maps all its replicas' uniforms at once, in sub-batches of
+    # POISSON_BATCH_SLOTS (600: a few replicas each); every replica keeps
+    # the bits of its own sample(rng).  The hybrid's dense Gaussian part
+    # moves in the last ulp with the batch width, so its Poisson part is
+    # compared, drawn after the point normals as in the hybrid.
+    if slots is not None:
+        monkeypatch.setattr(field, "POISSON_BATCH_SLOTS", slots)
+    grid = GridSpec((0.0, 1.0), 5, 2, 0)
+    if field_kind(model) == "hybrid":
+        sam, lead = HybridFieldSampler(grid, model).poisson, grid.n_points
+    else:
+        sam, lead = PoissonFieldSampler(grid, model), 0
+
+    def gen(i):
+        r = make_generator(3, i, "batch")
+        r.standard_normal(lead)
+        return r
+
+    singles = [sam.sample(gen(i)) for i in range(40)]
+    want = np.array([f.point_log for f in singles])
+    for width in (1, 3, 37):
+        got = np.vstack([sam.point_logs([gen(i) for i in range(
+            s, min(s + width, 40))]) for s in range(0, 40, width)])
+        np.testing.assert_array_equal(got, want)
+    if model is SPARSE:
+        assert sum(f.points_x.size == 0 for f in singles) > 5
+
+
+@pytest.mark.parametrize("slots", [None, 2000], ids=["default", "small"])
+def test_juxtaposed_poisson_batches_are_width_invariant(slots, monkeypatch):
+    if slots is not None:
+        monkeypatch.setattr(field, "POISSON_BATCH_SLOTS", slots)
+    sam = JuxtaposedPoissonSampler(GridSpec((0.1, 0.4), 5, 2, 0),
+                                   single_atom_model(-math.log(2.0), 1.0), 3)
+    rngs = [make_generator(4, i, "jux") for i in range(40)]
+    want = np.array([sam.point_logs([r])[0] for r in rngs])
+    for width in (3, 37):
+        rngs = [make_generator(4, i, "jux") for i in range(40)]
+        got = np.concatenate([sam.point_logs(rngs[s:s + width])
+                              for s in range(0, 40, width)])
+        np.testing.assert_array_equal(got, want)
+
+
 def test_poisson_rejects_gaussian_part():
     with pytest.raises(ValueError):
         PoissonFieldSampler(GridSpec(), lognormal_model(0.5))
@@ -351,7 +408,7 @@ def test_jump_sampler_tabulated_cdf():
     nu = TabulatedJumps((-1.0, 0.0, 0.5), (1.0, 2.0, 0.4), 2.0, 3.0)
     js = JumpSampler(nu)
     rng = np.random.default_rng(31)
-    draws = js.draw(rng, 60_000)
+    draws = js.from_uniforms(js.uniforms(rng, 60_000))
     total = nu.total_mass()
     for q in (-1.2, -0.5, 0.0, 0.3, 0.7):
         want = nu.integrate_weighted(lambda t, q=q: 1.0 if t <= q else 0.0)
