@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import struct
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -31,7 +32,7 @@ from .levy import (AtomicJumps, NoiseModel, TabulatedJumps, ZeroJumps,
 from .field import (FieldSample, GridSpec, PoissonFieldSampler,
                     _chol_with_jitter, _gram_objects, footprint_areas,
                     jump_law, make_sampler, poisson_points, sample_field)
-from ._rng import make_generator
+from ._rng import make_generator, streams
 
 
 def model_digest(model):
@@ -106,7 +107,8 @@ def build_realization(model, grid, rng=None, *, seed=None, replica=0,
 class BatchSimulator:
     """Chunked replica simulation with one stream per replica.
 
-    Each replica draws from its own counter-based stream, so the values do
+    Each replica draws from its own counter-based stream (each thread's
+    generators are re-keyed from chunk to chunk), so the values do
     not depend on how the work is chunked: bit for bit on the circulant
     and Poisson paths, and to the last ulp on the dense Gaussian path,
     whose matrix product changes its BLAS kernel with the chunk width.
@@ -122,13 +124,14 @@ class BatchSimulator:
         self.grid = grid
         self.stream_tag = stream_tag
         self.sampler = make_sampler(grid, model, n_intervals)
+        self._local = threading.local()  # per-thread generators to re-key
 
     def point_log_chunk(self, seed, start, count):
         """(count, n_points) noise values for replicas start..start+count,
         (count, n_intervals, n_points) with n_intervals > 1."""
         return self.sampler.point_logs(
-            [make_generator(seed, start + j, self.stream_tag)
-             for j in range(count)])
+            streams(vars(self._local).setdefault("gens", []), seed, start,
+                    count, self.stream_tag))
 
     def chunks(self, seed, replicas, chunk=512, progress=None):
         for start in range(0, replicas, chunk):
@@ -429,9 +432,10 @@ def scaled_mass_samples(model, grid, lam, seed, replicas, *, chunk=512,
     z = simulate_total_masses(model, sub, seed, replicas, chunk=chunk,
                               stream_tag=stream_tag + "-z")
     w = np.empty(replicas)
+    gens = []
     for start in range(0, replicas, chunk):
-        rngs = [make_generator(seed, r, stream_tag + "-w")
-                for r in range(start, min(start + chunk, replicas))]
+        rngs = streams(gens, seed, start, min(chunk, replicas - start),
+                       stream_tag + "-w")
         w[start:start + chunk] = sample_area_logs(
             model, math.log(1.0 / lam), rngs)[:, 0]
     return lam * np.exp(w) * z

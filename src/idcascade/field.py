@@ -10,18 +10,19 @@ Exact samplers cover the model classes:
 * Gaussian, dense: the joint law of all point and cell values is a
   Gaussian vector whose covariance is sigma2 times the overlap kernel of
   the regions, built densely and Cholesky-factored once per grid.  It
-  serves grids that carry cells, grids below CIRCULANT_MIN_POINTS points,
-  the Gaussian part of the hybrid sampler, and refinement.  Juxtaposition,
-  n_intervals adjacent copies of a grid driven by one noise, factors the
-  Gram of the copies' points alone, with the cross kernel of two copies'
-  cones off the diagonal blocks: (n_intervals * n_points)^2 doubles.
+  serves grids that carry cells, grids below CIRCULANT_MIN_POINTS points
+  and refinement.  Juxtaposition, n_intervals adjacent copies of a grid
+  driven by one noise, factors the Gram of the copies' points alone, with
+  the cross kernel of two copies' cones off the diagonal blocks:
+  (n_intervals * n_points)^2 doubles.
 * Gaussian, circulant embedding: on a points-only grid (cell_levels = 0)
   the covariance depends only on the lag, so it is a Toeplitz matrix and
-  its circulant embedding of size 2N samples it exactly with two FFTs per
-  replica, in O(N log N) time and O(N) memory.  It serves points-only
-  grids of at least CIRCULANT_MIN_POINTS points and falls back to the
-  dense sampler, with a RuntimeWarning, if an embedding eigenvalue is
-  negative.
+  its circulant embedding of size M = 2N samples it exactly with one
+  inverse real FFT of a replica's M normals, read as a weighted Hermitian
+  spectrum, a block of replicas at a time.  It serves points-only grids
+  of at least CIRCULANT_MIN_POINTS points, also as a hybrid's Gaussian
+  part, and falls back to the dense sampler, with a RuntimeWarning, if
+  an embedding eigenvalue is negative.
 * Atomic (compound Poisson): the jump part is a Poisson point process on the
   union of all local cones; each sampled point adds its jump to exactly the
   evaluation points whose cone contains it, which is a contiguous index
@@ -45,10 +46,10 @@ field with sample(rng), consuming the generator in the same order: the
 Gaussian normals of the points first, then the Poisson points, and last
 the Gaussian normals of any carried cells.  So a (seed, replica, stream
 tag) names one realization whichever path draws it.  Its point values do
-not depend on the grid's cell_levels for the hybrid sampler and for
-Gaussian grids below CIRCULANT_MIN_POINTS points; above that a
-points-only grid uses the circulant embedding and a cell-carrying grid
-the dense factor, both exact in law but with different bits.  Every
+not depend on the grid's cell_levels below CIRCULANT_MIN_POINTS points;
+from there a points-only grid uses the circulant embedding, for a
+Gaussian model and for the hybrid's Gaussian part, and a cell-carrying
+grid the dense factor, both exact in law but with different bits.  Every
 sampler names itself (name) and reports its numerical health (health):
 the Cholesky jitter applied or the smallest embedding eigenvalue
 relative to the largest.
@@ -59,7 +60,7 @@ builds on one grid, as in the star checks, share one Gram and Cholesky
 factorization; a call with other arguments replaces it.  Grids and
 models are frozen and hashable, and no sampler changes after its
 constructor: the arrays it shares (the Cholesky factor and mean, the
-embedding's square-root spectrum, the jump tables) are read-only, so a
+embedding's spectral weights, the jump tables) are read-only, so a
 caller that writes into one gets a ValueError instead of altering every
 later draw.  A fallback or jitter warning is raised when a sampler is
 built, not on later calls that reuse it; the sampler's health still
@@ -362,12 +363,10 @@ class JuxtaposedGaussianSampler:
 
 
 # Points-only Gaussian grids with at least this many points use the
-# circulant embedding.  Per replica, Philox stream included, one BLAS
-# thread on a 2-core x86 host, dense against embedding: 0.30 against
-# 0.17 ms at 2048 points and 0.89 against 0.31 ms at 4096, with builds of
-# 0.4 s and 2.1 s against under 1 ms.  At 1024 points the two were within
-# 15% of each other, in either order across measurements, and at 512 they
-# tied; the embedding draws 2N normals where dense draws N.
+# circulant embedding.  Per replica, one BLAS thread on a 2-vCPU x86
+# host, dense against embedding: 28 against 37 us at 512 points, 78
+# against 60 at 1024 and 226 against 130 at 2048.  The threshold stays
+# above that crossover, so the dense draws below it keep their bits.
 CIRCULANT_MIN_POINTS = 2048
 
 
@@ -380,6 +379,12 @@ def _embedding_spectrum(row):
     return np.fft.rfft(np.concatenate([row, row[-2:0:-1]])).real
 
 
+# Normals per block of a circulant batch, 16 rows at 4096 points: a
+# batch's memory is its output plus about two blocks.  64 rows took 8 MB
+# more peak RSS at 4096 points, chunks of 500; loop times tied.
+CIRCULANT_BLOCK_VALUES = 2 ** 17
+
+
 class CirculantGaussianSampler:
     """Exact sampler of the point values on a points-only grid by circulant
     embedding (Wood & Chan, JCGS 1994; Dietrich & Newsam, SIAM J. Sci.
@@ -388,14 +393,15 @@ class CirculantGaussianSampler:
     The point covariance sigma2 * overlap_kernel(L, |t - s|, eps) is the
     Toeplitz matrix of c_j = sigma2 * overlap_kernel(L, j * spacing, eps),
     and c_N = 0.  Its circulant embedding C of size M = 2N, a power of two
-    whenever oversample is, has eigenvalues lam = rfft of its first row.
-    With S the symmetric circulant of eigenvalues sqrt(lam), the values
-    S z of M standard normals z have covariance S^2 = C, so their first N
-    entries have the point covariance exactly, provided lam >= 0;
-    otherwise the constructor raises LinAlgError.  Each replica draws its
-    M normals from its own generator and numpy's FFT transforms each row
-    on its own, so a batch gives the bits of single draws whatever its
-    size.
+    whenever oversample is, has eigenvalues lam = rfft of its first row,
+    which must be >= 0 (else the constructor raises LinAlgError).  A
+    replica's M normals are the parts of a Hermitian spectrum, the DC and
+    Nyquist bins real, scaled by sqrt(M lam) on those two bins and by
+    sqrt(M lam / 2) on the others; its irfft has covariance C, so its
+    first N entries have the point covariance exactly.  numpy's FFT
+    transforms each row on its own: a batch, drawn and transformed
+    CIRCULANT_BLOCK_VALUES normals at a time, has the bits of single
+    draws.
     """
 
     name = "circulant"
@@ -418,29 +424,47 @@ class CirculantGaussianSampler:
             raise np.linalg.LinAlgError(
                 f"circulant embedding has a negative eigenvalue (min/max "
                 f"{ratio:.3e})")
-        self.size = 2 * n
-        self.sqrt_lam = np.sqrt(lam)
-        self.sqrt_lam.setflags(write=False)
+        self.size = m = 2 * n
+        # (real, imaginary) weights of bins 0..N as the float view of the
+        # spectrum: normals fill 1..M, and the DC bin's moves from 1 to 0
+        self.weights = np.repeat(np.sqrt(0.5 * m * lam), 2)
+        self.weights[[0, m]] = np.sqrt(m * lam[[0, -1]])
+        self.weights[[1, m + 1]] = 0.0
+        self.weights.setflags(write=False)
         self.mean = -0.5 * sigma2 * kernel[0]
         self.health = {"min_eigenvalue_ratio": ratio}
 
+    def _spectral_values(self, spec, out=None):
+        """(rows, M) irfft of the normals in spec[:, 1:M+1] (overwritten)."""
+        spec[:, 0] = spec[:, 1]
+        spec *= self.weights
+        return np.fft.irfft(spec.view(np.complex128), n=self.size, out=out)
+
     def draw_rows(self, normals):
-        """Map standard normals (..., M) to point values (..., n_points)."""
-        spec = np.fft.rfft(normals, axis=-1)
-        spec *= self.sqrt_lam
-        vals = np.fft.irfft(spec, n=self.size, axis=-1)
-        return vals[..., :self.grid.n_points] + self.mean
+        """Map standard normals (rows, M) to point values (rows, n_points)."""
+        spec = np.zeros((len(normals), self.size + 2))
+        spec[:, 1:self.size + 1] = normals
+        return self._spectral_values(spec)[:, :self.grid.n_points] + self.mean
 
     def point_logs(self, rngs):
         """(len(rngs), n_points) point values, replica j drawn from rngs[j]."""
-        z = np.empty((len(rngs), self.size))
-        for j, r in enumerate(rngs):
-            r.standard_normal(out=z[j])
-        return self.draw_rows(z)
+        m, n = self.size, self.grid.n_points
+        rows = max(1, CIRCULANT_BLOCK_VALUES // m)
+        out = np.empty((len(rngs), n))
+        spec = np.zeros((min(rows, len(rngs)), m + 2))
+        vals = np.empty((len(spec), m))
+        for s in range(0, len(rngs), rows):
+            block = rngs[s:s + rows]
+            for i, r in enumerate(block):
+                r.standard_normal(out=spec[i, 1:m + 1])
+            b = len(block)
+            self._spectral_values(spec[:b], vals[:b])
+            np.add(vals[:b, :n], self.mean, out=out[s:s + b])
+        return out
 
     def sample(self, rng):
-        point_log = self.draw_rows(rng.standard_normal(self.size))
-        return FieldSample(self.grid, "gaussian", point_log, {})
+        return FieldSample(self.grid, "gaussian", self.point_logs([rng])[0],
+                           {})
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +795,9 @@ class HybridFieldSampler:
     """Gaussian part plus jumps of a model with both, each exactly
     normalized.
 
-    The Gaussian part always uses the dense sampler, whose lower-triangular
-    factor lets sample() draw the cell normals after the jumps.
+    The Gaussian part is a Gaussian model's sampler (gaussian_sampler);
+    the dense factor is lower triangular, so sample() can draw the cell
+    normals after the jumps.
     """
 
     name = "hybrid"
@@ -782,19 +807,23 @@ class HybridFieldSampler:
             raise ValueError("hybrid sampler needs a Gaussian part and jumps")
         self.model = model
         self.grid = grid
-        self.gauss = GaussianFieldSampler(grid, model.sigma2)
+        self.gauss = gaussian_sampler(grid, model.sigma2)
         self.poisson = PoissonFieldSampler(grid, build_model(0.0, model.nu))
         self.health = self.gauss.health
 
     def sample(self, rng):
         # The point normals, then the jumps, then the cell normals: so the
         # point values do not depend on how many cell levels are carried.
-        g = self.grid
-        z_points = rng.standard_normal((g.n_points, 1))
-        jumps = self.poisson.sample(rng)
-        z_cells = rng.standard_normal((self.gauss.dim - g.n_points, 1))
-        point_log, cell_log = self.gauss.split(
-            self.gauss.draw_columns(np.concatenate([z_points, z_cells]))[:, 0])
+        g, gauss = self.grid, self.gauss
+        if isinstance(gauss, CirculantGaussianSampler):  # no cells
+            point_log, cell_log = gauss.sample(rng).point_log, {}
+            jumps = self.poisson.sample(rng)
+        else:
+            z_points = rng.standard_normal((g.n_points, 1))
+            jumps = self.poisson.sample(rng)
+            z_cells = rng.standard_normal((gauss.dim - g.n_points, 1))
+            point_log, cell_log = gauss.split(
+                gauss.draw_columns(np.concatenate([z_points, z_cells]))[:, 0])
         return FieldSample(
             g, "gaussian+poisson", point_log + jumps.point_log,
             {lev: v + jumps.cell_log[lev] for lev, v in cell_log.items()},
@@ -809,6 +838,19 @@ class HybridFieldSampler:
         are not needed, so a batch replays the single draws.
         """
         return self.gauss.point_logs(rngs) + self.poisson.point_logs(rngs)
+
+
+def gaussian_sampler(grid, sigma2):
+    """The circulant embedding on a points-only grid of at least
+    CIRCULANT_MIN_POINTS points, else the dense factor; the dense factor
+    too, warned, if the embedding has a negative eigenvalue."""
+    if grid.cell_levels == 0 and grid.n_points >= CIRCULANT_MIN_POINTS:
+        try:
+            return CirculantGaussianSampler(grid, sigma2)
+        except np.linalg.LinAlgError as exc:
+            warnings.warn(f"{exc}; using the dense sampler", RuntimeWarning,
+                          stacklevel=4)
+    return GaussianFieldSampler(grid, sigma2)
 
 
 def field_kind(model):
@@ -829,9 +871,9 @@ def make_sampler(grid, model, n_intervals=1):
     point values, one generator per replica, and the one-interval samplers
     sample(rng) for one FieldSample.
 
-    A Gaussian model gets the circulant-embedding sampler on a points-only
-    grid of at least CIRCULANT_MIN_POINTS points, and the dense sampler
-    otherwise or when the embedding has a negative eigenvalue (warned).
+    gaussian_sampler gives a Gaussian model or a hybrid's Gaussian part the
+    circulant embedding on a points-only grid of CIRCULANT_MIN_POINTS or
+    more points, else, or on a negative eigenvalue (warned), the dense one.
 
     With n_intervals > 1 it draws that many adjacent copies of the grid
     under one noise, and point_logs gives (replicas, n_intervals,
@@ -859,14 +901,7 @@ def _cached_sampler(grid, model, n_intervals):
     if kind == "gaussian":
         if n_intervals > 1:
             return JuxtaposedGaussianSampler(grid, model.sigma2, n_intervals)
-        if (grid.cell_levels == 0
-                and grid.n_points >= CIRCULANT_MIN_POINTS):
-            try:
-                return CirculantGaussianSampler(grid, model.sigma2)
-            except np.linalg.LinAlgError as exc:
-                warnings.warn(f"{exc}; using the dense sampler",
-                              RuntimeWarning, stacklevel=3)
-        return GaussianFieldSampler(grid, model.sigma2)
+        return gaussian_sampler(grid, model.sigma2)
     if kind == "hybrid":
         if n_intervals > 1:
             raise ValueError("juxtaposition supports gaussian and poisson "

@@ -309,14 +309,17 @@ def growth_constant(model):
 
 
 def tail_index_root(model, cap=64.0):
-    """Root of the structure function in (1, inf), or None.
+    """Root of the structure function in (1, cap), or None.
 
     Scans q = 1 + 2^k for a sign change, then brentq.  The structure function
     is convex with value 0 and negative slope at 1 (nondegenerate case), so
-    any root above 1 is unique.
+    any root above 1 is unique.  A pure Gaussian model has
+    zeta(q) = (q - 1)(sigma2 q / 2 - 1), whose root is 2 / sigma2.
     """
     if mean_slope(model) >= 0:
         return None
+    if isinstance(model.nu, ZeroJumps):
+        return 2.0 / model.sigma2 if model.sigma2 * cap > 2.0 else None
     lo_q, hi_q = model.moment_q_range
     margin = 1e-9 + 1e-6 * min(abs(hi_q), 1.0) if math.isfinite(hi_q) else 0.0
     q_cap = min(cap, hi_q - margin) if math.isfinite(hi_q) else cap

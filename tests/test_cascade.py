@@ -148,6 +148,20 @@ def test_circulant_batches_replay_single_builds_bitwise():
         np.testing.assert_array_equal(batch, singles)
 
 
+def test_circulant_hybrid_batches_replay_single_builds_bitwise():
+    # the hybrid's Gaussian part is the embedding here: its M normals come
+    # before the jumps on every path, so no bit moves
+    grid = GridSpec((0.0, 1.0), 10, 2, 0)
+    sim = BatchSimulator(HYBRID, grid)
+    assert sim.sampler.gauss.name == "circulant"
+    singles = np.array([build_realization(HYBRID, grid, seed=6,
+                                          replica=i).field.point_log
+                        for i in range(12)])
+    for chunk in (1, 5, 12):
+        batch = np.vstack([pl for _, pl in sim.chunks(6, 12, chunk)])
+        np.testing.assert_array_equal(batch, singles)
+
+
 def test_deep_circulant_total_mass_has_mean_one():
     # 65,536 points: far past what a dense factor could hold
     z = simulate_total_masses(LOGN, GridSpec((0.0, 1.0), 16, 1, 0), 16,

@@ -242,11 +242,14 @@ def test_import_loads_no_scipy():
 
 @pytest.mark.parametrize("name", ["atom.ini", "lognormal.ini"])
 def test_simulate_loads_no_scipy(name, tmp_path):
-    # scipy serves the theory side only; drawing replicas and the KS test
-    # of verify's scaling_ks check need numpy alone
+    # scipy serves the theory side only, and theory needs none on the
+    # shipped configs (the lognormal tail index is 2 / sigma2); drawing
+    # replicas and the KS test of verify's scaling_ks check need numpy alone
     path = shipped_cfg(name, tmp_path)
     launch = ("import sys; from idcascade import cli\n"
               "assert cli.main(sys.argv[1:]) == 0")
+    assert _scipy_modules_after(launch, "--config", path, "theory") == "[]"
+    assert (tmp_path / "out" / "diagnostics.json").exists()
     assert _scipy_modules_after(launch, "--config", path, "simulate") == "[]"
     assert len(list((tmp_path / "out").glob("realization_*.bin"))) == 4
     assert _scipy_modules_after(launch, "--config", path, "verify") == "[]"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,39 @@ def test_circulant_mean_matches_dense_mean():
         CirculantGaussianSampler(GridSpec((0.0, 1.0), 6, 2, 1), 0.7)
 
 
+@pytest.mark.parametrize("rows", [2, 5])
+def test_circulant_blocks_replay_single_draws_bitwise(rows, monkeypatch):
+    # blocks of a few rows cross the chunk bounds; every replica keeps the
+    # bits of its own sample(rng)
+    grid = GridSpec((0.0, 1.0), 6, 2, 0)
+    sam = CirculantGaussianSampler(grid, 0.5)
+    monkeypatch.setattr(field, "CIRCULANT_BLOCK_VALUES", rows * sam.size)
+    want = np.array([sam.sample(make_generator(5, i, "t")).point_log
+                     for i in range(40)])
+    for width in (1, 3, 37):
+        got = np.vstack([sam.point_logs([make_generator(5, i, "t") for i in
+                                         range(s, min(s + width, 40))])
+                         for s in range(0, 40, width)])
+        np.testing.assert_array_equal(got, want)
+
+
+def test_circulant_batch_memory_is_its_output_plus_two_blocks():
+    sam = CirculantGaussianSampler(GridSpec((0.0, 1.0), 10, 4, 0), 0.5)
+    assert sam.grid.n_points == 4096
+    rngs = [make_generator(2, i, "t") for i in range(500)]
+    block = field.CIRCULANT_BLOCK_VALUES // sam.size * (sam.size + 2) * 8
+    tracemalloc.start()
+    try:
+        out = sam.point_logs(rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of spectra and one of transforms, the FFT's one-row work
+    # buffer and 16 KiB of small objects; the spectra and transforms of
+    # all 500 rows at once would add 98 MB
+    assert peak < out.nbytes + 2 * block + 8 * sam.size + 16384
+
+
 def test_make_sampler_dispatches_gaussian_by_grid():
     model = lognormal_model(0.5)
     assert field.CIRCULANT_MIN_POINTS == 2048
@@ -150,10 +184,13 @@ def test_make_sampler_dispatches_gaussian_by_grid():
     for grid in (GridSpec((0.0, 1.0), 10, 1, 0),
                  GridSpec((0.0, 1.0), 10, 2, 1)):
         assert type(make_sampler(grid, model)) is GaussianFieldSampler
-    hybrid = make_sampler(points_only,
-                          single_atom_model(-0.4, 0.8, sigma2=0.2))
-    assert isinstance(hybrid, HybridFieldSampler)
-    assert type(hybrid.gauss) is GaussianFieldSampler
+    # a hybrid's Gaussian part is picked alike
+    for grid, gauss in ((points_only, CirculantGaussianSampler),
+                        (GridSpec((0.0, 1.0), 10, 2, 1),
+                         GaussianFieldSampler)):
+        hybrid = make_sampler(grid, single_atom_model(-0.4, 0.8, sigma2=0.2))
+        assert isinstance(hybrid, HybridFieldSampler)
+        assert type(hybrid.gauss) is gauss
 
 
 def test_negative_embedding_eigenvalue_falls_back_to_dense(monkeypatch):
@@ -192,7 +229,7 @@ def test_make_sampler_shares_one_read_only_sampler():
     jux = make_sampler(g, model, n_intervals=3)
     assert make_sampler(g, model, 3) is jux
     assert jux.point_logs([make_generator(1, 0, "t")]).shape == (1, 3, 16)
-    for arr in (dense.chol, dense.mean, circ.sqrt_lam, atom.jumps.locations,
+    for arr in (dense.chol, dense.mean, circ.weights, atom.jumps.locations,
                 atom.jumps.cum, tab.jumps._x, tab.jumps._d, tab.jumps._pieces,
                 tab.jumps._cum, jux.chol, jux.mean):
         with pytest.raises(ValueError, match="read-only"):
