@@ -15,6 +15,7 @@ the structural facts the engine exists to verify:
   matched relative truncation.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -73,12 +74,38 @@ class Realization:
         return float(self.cell_masses[:round(k)].sum())
 
 
-def masses_from_point_log(grid, point_log):
-    """Leaf masses and total from point noise values (any leading shape)."""
+# Point values per block of a batch reduction: the exp of one block is
+# the reduction's largest temporary.
+REDUCE_BLOCK_VALUES = 2 ** 16
+
+
+def _leaf_masses(grid, point_log):
     w = np.exp(point_log)
     leaf = w.reshape(w.shape[:-1] + (grid.n_cells, grid.oversample))
     cell = leaf.mean(axis=-1) * (2.0 ** (-grid.levels))
     return cell, cell.sum(axis=-1)
+
+
+def masses_from_point_log(grid, point_log):
+    """Leaf masses and total from point noise values (any leading shape).
+
+    A batch is reduced in blocks of about REDUCE_BLOCK_VALUES values along
+    its leading axis, each a slice of the caller's array in the caller's
+    layout, with the bits of the whole batch at once: a contiguous copy of
+    a transposed view (JuxtaposedGaussianSampler's) would change the
+    totals' summation order, and so would a block of one row of it, so
+    every block of a batch of two or more rows has at least two.
+    """
+    if point_log.ndim == 1:
+        return _leaf_masses(grid, point_log)
+    count = len(point_log)
+    cell = np.empty(point_log.shape[:-1] + (grid.n_cells,))
+    total = np.empty(point_log.shape[:-1])
+    step = max(2, REDUCE_BLOCK_VALUES // math.prod(point_log.shape[1:]))
+    starts = range(0, max(1, count - 1), step)  # the last block takes 2+
+    for a, b in zip(starts, [*starts[1:], count]):
+        cell[a:b], total[a:b] = _leaf_masses(grid, point_log[a:b])
+    return cell, total
 
 
 def build_realization(model, grid, rng=None, *, seed=None, replica=0,
@@ -305,9 +332,11 @@ def _refine_gaussian(realization, fine, rng):
     q_lo, q_hi, _ = _gram_objects(fine, new_levels)
     q = (q_lo, q_hi, np.full(q_lo.size, g.eps))
 
-    G_pp = sigma2 * footprint_areas(L, p, p)
-    G_qp = sigma2 * footprint_areas(L, q, p)
-    G_qq = sigma2 * footprint_areas(L, q, q)
+    G_pp = footprint_areas(L, p, p)
+    G_qp = footprint_areas(L, q, p)
+    G_qq = footprint_areas(L, q, q)
+    for G in (G_pp, G_qp, G_qq):
+        G *= sigma2
     mean_p = -0.5 * sigma2 * footprint_areas(L, p)
     mean_q = -0.5 * sigma2 * footprint_areas(L, q)
 
@@ -448,14 +477,22 @@ def scaled_mass_samples(model, grid, lam, seed, replicas, *, chunk=512,
 _MAGIC = b"IDCZ"
 
 
+@functools.lru_cache(maxsize=8)
+def _csv_row_heads(grid):
+    """The "index,lo,hi," head of each leaf cell's CSV row."""
+    edges = grid.cell_edges(grid.levels).tolist()
+    return tuple(f"{i},{lo:.17g},{hi:.17g},"
+                 for i, (lo, hi) in enumerate(zip(edges, edges[1:])))
+
+
 def realization_to_csv(realization, path):
     """Leaf masses as delimited text with 17 significant digits."""
-    g = realization.grid
-    edges = g.cell_edges(g.levels)
+    heads = _csv_row_heads(realization.grid)
+    body = "".join([f"{head}{m:.17g}\n" for head, m in
+                    zip(heads, realization.cell_masses.tolist())])
     with open(path, "w") as fh:
         fh.write("cell_index,cell_lo,cell_hi,mass\n")
-        for i, m in enumerate(realization.cell_masses):
-            fh.write(f"{i},{edges[i]:.17g},{edges[i + 1]:.17g},{m:.17g}\n")
+        fh.write(body)
 
 
 def write_masses_binary(path, grid, digest, masses):

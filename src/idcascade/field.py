@@ -201,6 +201,12 @@ def _gram_objects(grid, levels=None):
             np.concatenate(cut))
 
 
+# Entries per block of rows of a footprint_areas matrix: the kernel's
+# temporaries (hull, cutoffs, masks, gathered branch values) are a few
+# blocks, not a few copies of the whole Gram.
+FOOTPRINT_BLOCK_VALUES = 2 ** 16
+
+
 def footprint_areas(L, rows, cols=None):
     """Overlap areas of footprint triples (lo, hi, cut) on one base interval.
 
@@ -208,14 +214,26 @@ def footprint_areas(L, rows, cols=None):
     hull of footprints rows[i] and cols[j] above the larger cutoff: sigma2
     times it is the covariance of the two noise values.  Without cols, the
     area of each row footprint's own region, which fixes its mean.
+
+    The matrix is filled FOOTPRINT_BLOCK_VALUES entries of rows at a time,
+    elementwise, so its bits do not depend on the block; callers scale it
+    in place.  Building and factoring a dense Gram of dim objects thus
+    holds the Gram, its factor and LAPACK's work copy, about 3 dim^2
+    doubles.
     """
     lo, hi, cut = rows
     if cols is None:
         return cones.overlap_kernel(L, hi - lo, cut)
-    hull = (np.maximum(hi[:, None], cols[1][None, :]) -
-            np.minimum(lo[:, None], cols[0][None, :]))
-    return cones.overlap_kernel(L, hull,
-                                np.maximum(cut[:, None], cols[2][None, :]))
+    c_lo, c_hi, c_cut = cols
+    out = np.empty((lo.size, c_lo.size))
+    step = max(1, FOOTPRINT_BLOCK_VALUES // c_lo.size)
+    for a in range(0, lo.size, step):
+        b = slice(a, a + step)
+        hull = (np.maximum(hi[b, None], c_hi[None, :]) -
+                np.minimum(lo[b, None], c_lo[None, :]))
+        out[b] = cones.overlap_kernel(
+            L, hull, np.maximum(cut[b, None], c_cut[None, :]))
+    return out
 
 
 def _normal_columns(rngs, dim):
@@ -258,7 +276,12 @@ def _chol_with_jitter(cov):
 
 
 class GaussianFieldSampler:
-    """Joint exact sampler for the Gaussian part of the noise on a grid."""
+    """Joint exact sampler for the Gaussian part of the noise on a grid.
+
+    The build's peak is the Gram, scaled in place, its Cholesky factor
+    and LAPACK's work copy: about 3 dim^2 doubles (footprint_areas); the
+    sampler keeps the factor alone.
+    """
 
     name = "dense"
 
@@ -270,8 +293,9 @@ class GaussianFieldSampler:
         objs = _gram_objects(grid)
         areas = footprint_areas(grid.length, objs)
         self.mean = -0.5 * sigma2 * areas
-        self.chol, jitter = _chol_with_jitter(
-            sigma2 * footprint_areas(grid.length, objs, objs))
+        cov = footprint_areas(grid.length, objs, objs)
+        cov *= sigma2
+        self.chol, jitter = _chol_with_jitter(cov)
         for a in (self.mean, self.chol):
             a.setflags(write=False)
         self.health = {"cholesky_jitter": jitter}

@@ -1,15 +1,18 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from idcascade import cascade
 from idcascade._rng import make_generator
 from idcascade.cascade import (
     BatchSimulator,
     build_realization,
     decompose_star,
     juxtaposed_total_masses,
+    masses_from_point_log,
     model_digest,
     read_binary_masses,
     realization_to_binary,
@@ -21,7 +24,7 @@ from idcascade.cascade import (
     simulate_prefix_masses,
     simulate_total_masses,
 )
-from idcascade.field import GridSpec
+from idcascade.field import GridSpec, make_sampler
 from idcascade.levy import (TabulatedJumps, build_model, lognormal_model,
                             single_atom_model)
 from idcascade.moments import juxtaposed_pair_moment
@@ -344,3 +347,59 @@ def test_csv_export(tmp_path):
     idx, lo, hi, mass = lines[1].split(",")
     assert (int(idx), float(lo), float(hi)) == (0, 0.0, 0.125)
     assert float(mass) == pytest.approx(r.cell_masses[0], rel=1e-15)
+
+
+def test_csv_bytes_match_the_per_row_format(tmp_path):
+    def per_row(r):
+        edges = r.grid.cell_edges(r.grid.levels)
+        return "".join(["cell_index,cell_lo,cell_hi,mass\n"] + [
+            f"{i},{edges[i]:.17g},{edges[i + 1]:.17g},{m:.17g}\n"
+            for i, m in enumerate(r.cell_masses)]).encode()
+
+    # written alternately, so each grid's cached row heads are reused
+    grids = (GridSpec((0.1, 0.4), 4, 2), GridSpec((0.0, 1.0), 5, 2))
+    path = tmp_path / "r.csv"
+    for replica in range(3):
+        for g in grids:
+            r = build_realization(LOGN, g, seed=4, replica=replica)
+            realization_to_csv(r, path)
+            assert path.read_bytes() == per_row(r)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_block_reduction_keeps_the_one_shot_bits(rows, monkeypatch):
+    grid = GridSpec((0.1, 0.4), 4, 3, 0)
+    rngs = [make_generator(6, i, "t") for i in range(40)]
+    batch = make_sampler(grid, LOGN).point_logs(rngs)
+    # the juxtaposed batch is a transposed view: a C-contiguous copy, or
+    # a block of one row of it, would sum the totals in another order
+    # (rows 1 and 3 leave a one-row block if the blocks are not merged)
+    jux = make_sampler(grid, LOGN, 3).point_logs(rngs)
+    assert jux.shape == (40, 3, grid.n_points)
+    assert not jux.flags.c_contiguous
+    for point_log in (batch[0], batch, jux):
+        monkeypatch.setattr(cascade, "REDUCE_BLOCK_VALUES",
+                            rows * point_log[0].size)
+        got = masses_from_point_log(grid, point_log)
+        want = cascade._leaf_masses(grid, point_log)  # the whole at once
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+
+
+def test_batch_reduction_memory_is_its_outputs_plus_one_block():
+    grid = GridSpec((0.0, 1.0), 10, 4, 0)
+    point_log = make_generator(2, 0, "t").standard_normal(
+        (500, grid.n_points))
+    block = cascade.REDUCE_BLOCK_VALUES * 8
+    tracemalloc.start()
+    try:
+        cell, total = masses_from_point_log(grid, point_log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block's exp, its two cell-sized products (the mean and the
+    # scaled mean, 1 / oversample of a block each) and 16 KiB of small
+    # objects; the exp of the whole chunk would add 16 MB
+    assert peak < (cell.nbytes + total.nbytes
+                   + block * (1 + 2 / grid.oversample) + 16384)

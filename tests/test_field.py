@@ -6,13 +6,14 @@ import pytest
 
 from idcascade import cones, field
 from idcascade._rng import make_generator
-from idcascade.cascade import BatchSimulator, build_realization
+from idcascade.cascade import BatchSimulator, build_realization, refine
 from idcascade.field import (
     CirculantGaussianSampler,
     GaussianFieldSampler,
     GridSpec,
     HybridFieldSampler,
     JumpSampler,
+    JuxtaposedGaussianSampler,
     JuxtaposedPoissonSampler,
     PoissonFieldSampler,
     _chol_with_jitter,
@@ -172,6 +173,61 @@ def test_circulant_batch_memory_is_its_output_plus_two_blocks():
     # buffer and 16 KiB of small objects; the spectra and transforms of
     # all 500 rows at once would add 98 MB
     assert peak < out.nbytes + 2 * block + 8 * sam.size + 16384
+
+
+def test_dense_build_memory_is_gram_and_factor_plus_two_blocks():
+    grid = GridSpec((0.0, 1.0), 8, 2, None)
+    block = field.FOOTPRINT_BLOCK_VALUES * 8
+    tracemalloc.start()
+    try:
+        sam = GaussianFieldSampler(grid, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dim = sam.dim
+    assert dim == 512 + 510
+    # the Gram and its factor, a block's kernel temporaries and 16 KiB of
+    # small objects.  numpy's LAPACK work copy of the Gram is malloc'd
+    # outside Python's allocators, so tracemalloc does not trace it.  The
+    # Gram built in one piece and then scaled peaked at 5.25 dim^2 doubles
+    assert peak < 2 * 8 * dim * dim + 2 * block + 16384
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_footprint_blocks_leave_the_dense_bits_unchanged(rows, monkeypatch):
+    # the block of rows changes neither the dense factors, cell-carrying
+    # and on a non-dyadic interval, nor a refinement's three Grams nor the
+    # juxtaposed factor
+    grids = (GridSpec((0.0, 1.0), 5, 2, None), GridSpec((0.1, 0.4), 4, 3, 2))
+    model = lognormal_model(0.5)
+
+    def arrays():
+        out = []
+        for g in grids:
+            sam = GaussianFieldSampler(g, 0.5)
+            out += [sam.chol, sam.mean]
+        r = build_realization(model, grids[1], seed=3, replica=1)
+        fine = refine(r, 2, make_generator(3, 1, "refine"))
+        jux = JuxtaposedGaussianSampler(grids[1], 0.5, 3)
+        return out + [fine.field.point_log, *fine.field.cell_log.values(),
+                      jux.chol, jux.mean]
+
+    # a cached sampler for this key would skip the build, and one built
+    # under the patch must not outlive it
+    field.make_sampler.cache_clear()
+    try:
+        want = arrays()
+        # rows of the first Gram; the other matrices get other row counts
+        dim = GaussianFieldSampler(grids[0], 0.5).dim
+        assert field.FOOTPRINT_BLOCK_VALUES >= dim * dim
+        monkeypatch.setattr(field, "FOOTPRINT_BLOCK_VALUES", rows * dim)
+        field.make_sampler.cache_clear()
+        got = arrays()
+    finally:
+        field.make_sampler.cache_clear()
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_make_sampler_dispatches_gaussian_by_grid():
