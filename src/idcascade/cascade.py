@@ -86,7 +86,7 @@ def _leaf_masses(grid, point_log):
     return cell, cell.sum(axis=-1)
 
 
-def masses_from_point_log(grid, point_log):
+def masses_from_point_log(grid, point_log, out=None):
     """Leaf masses and total from point noise values (any leading shape).
 
     A batch is reduced in blocks of about REDUCE_BLOCK_VALUES values along
@@ -94,13 +94,16 @@ def masses_from_point_log(grid, point_log):
     layout, with the bits of the whole batch at once: a contiguous copy of
     a transposed view (JuxtaposedGaussianSampler's) would change the
     totals' summation order, and so would a block of one row of it, so
-    every block of a batch of two or more rows has at least two.
+    every block of a batch of two or more rows has at least two.  A
+    C-contiguous batch reduces each row to the same bits on its own.
+    A batch's (cell, total) may be written into out.
     """
     if point_log.ndim == 1:
         return _leaf_masses(grid, point_log)
     count = len(point_log)
-    cell = np.empty(point_log.shape[:-1] + (grid.n_cells,))
-    total = np.empty(point_log.shape[:-1])
+    cell, total = out if out is not None else (
+        np.empty(point_log.shape[:-1] + (grid.n_cells,)),
+        np.empty(point_log.shape[:-1]))
     step = max(2, REDUCE_BLOCK_VALUES // math.prod(point_log.shape[1:]))
     starts = range(0, max(1, count - 1), step)  # the last block takes 2+
     for a, b in zip(starts, [*starts[1:], count]):
@@ -139,11 +142,17 @@ class BatchSimulator:
     not depend on how the work is chunked: bit for bit on the circulant
     and Poisson paths, and to the last ulp on the dense Gaussian path,
     whose matrix product changes its BLAS kernel with the chunk width.
-    A chunk is one point_logs call, which the Poisson samplers draw and
-    evaluate a sub-batch of replicas at a time.
-    Yields (start index, point_log array) chunks; reduce them as they
-    come to keep memory flat.  With n_intervals > 1 each replica is
-    n_intervals adjacent copies of the grid driven by one noise.
+    With n_intervals > 1 each replica is n_intervals adjacent copies of
+    the grid driven by one noise.
+
+    A chunk is drawn a sampler block at a time (the sampler's blocks):
+    a block of CIRCULANT_BLOCK_VALUES normals, a Poisson sub-batch, or,
+    on the dense paths, whose bits depend on the width, the whole chunk.
+    masses() reduces each block as it is drawn and yields (start, cells,
+    totals): it holds one chunk's leaf masses and one block of point
+    values.  chunks() yields (start, point_log) for callers that need
+    the point values: it holds the chunk's point values, and the
+    caller's previous chunk while it draws the next.
     """
 
     def __init__(self, model, grid, *, stream_tag="cascade", n_intervals=1):
@@ -153,19 +162,43 @@ class BatchSimulator:
         self.sampler = make_sampler(grid, model, n_intervals)
         self._local = threading.local()  # per-thread generators to re-key
 
+    def _streams(self, seed, start, count):
+        return streams(vars(self._local).setdefault("gens", []), seed, start,
+                       count, self.stream_tag)
+
     def point_log_chunk(self, seed, start, count):
         """(count, n_points) noise values for replicas start..start+count,
         (count, n_intervals, n_points) with n_intervals > 1."""
-        return self.sampler.point_logs(
-            streams(vars(self._local).setdefault("gens", []), seed, start,
-                    count, self.stream_tag))
+        return self.sampler.point_logs(self._streams(seed, start, count))
 
-    def chunks(self, seed, replicas, chunk=512, progress=None):
+    @staticmethod
+    def _spans(replicas, chunk, progress):
         for start in range(0, replicas, chunk):
             count = min(chunk, replicas - start)
-            yield start, self.point_log_chunk(seed, start, count)
+            yield start, count
             if progress is not None:
                 progress(start + count)
+
+    def chunks(self, seed, replicas, chunk=512, progress=None):
+        """(start, point_log) per chunk of replicas; progress(done) is
+        called after the caller is done with a chunk."""
+        for start, count in self._spans(replicas, chunk, progress):
+            yield start, self.point_log_chunk(seed, start, count)
+
+    def masses(self, seed, replicas, chunk=512, progress=None):
+        """(start, cells, totals) per chunk: masses_from_point_log of the
+        chunk's point values, reduced a sampler block at a time."""
+        for start, count in self._spans(replicas, chunk, progress):
+            for s, vals in self.sampler.blocks(
+                    self._streams(seed, start, count)):
+                if s == 0:
+                    lead = (count,) + vals.shape[1:-1]
+                    cells = np.empty(lead + (self.grid.n_cells,))
+                    totals = np.empty(lead)
+                rows = slice(s, s + len(vals))
+                masses_from_point_log(self.grid, vals,
+                                      out=(cells[rows], totals[rows]))
+            yield start, cells, totals
 
 
 def simulate_total_masses(model, grid, seed, replicas, *, chunk=512,
@@ -173,9 +206,8 @@ def simulate_total_masses(model, grid, seed, replicas, *, chunk=512,
     """Total masses of independent replicas, one counter stream each."""
     sim = BatchSimulator(model, grid, stream_tag=stream_tag)
     out = np.empty(replicas)
-    for start, pl in sim.chunks(seed, replicas, chunk, progress):
-        _, total = masses_from_point_log(grid, pl)
-        out[start:start + len(total)] = total
+    for start, _, totals in sim.masses(seed, replicas, chunk, progress):
+        out[start:start + len(totals)] = totals
     return out
 
 
@@ -191,8 +223,7 @@ def simulate_prefix_masses(model, grid, seed, replicas, fractions, *,
         counts.append(round(k))
     sim = BatchSimulator(model, grid, stream_tag=stream_tag)
     out = np.empty((replicas, len(fractions)))
-    for start, pl in sim.chunks(seed, replicas, chunk, progress):
-        cells, _ = masses_from_point_log(grid, pl)
+    for start, cells, _ in sim.masses(seed, replicas, chunk, progress):
         csum = np.cumsum(cells, axis=1)
         for i, k in enumerate(counts):
             out[start:start + len(cells), i] = csum[:, k - 1] if k else 0.0
@@ -383,9 +414,8 @@ def juxtaposed_total_masses(model, grid, n_intervals, seed, replicas, *,
     sim = BatchSimulator(model, grid, stream_tag=stream_tag,
                          n_intervals=n_intervals)
     out = np.empty((replicas, n_intervals))
-    for start, pl in sim.chunks(seed, replicas, chunk, progress):
-        _, total = masses_from_point_log(grid, pl)
-        out[start:start + len(pl)] = total.reshape(len(pl), n_intervals)
+    for start, _, totals in sim.masses(seed, replicas, chunk, progress):
+        out[start:start + len(totals)] = totals
     return out
 
 

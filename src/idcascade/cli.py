@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import time
 
 
 def _build_parser():
@@ -28,7 +29,10 @@ def _build_parser():
     p.add_argument("--config", help="path to an INI-style run configuration")
     p.add_argument("--seed", type=int, help="override experiment.seed")
     p.add_argument("--threads", type=int,
-                   help="bound the worker/BLAS thread count")
+                   help="set OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and "
+                        "MKL_NUM_THREADS; they take effect only before "
+                        "numpy loads, and the console script loads it "
+                        "first, so there they change nothing")
     p.add_argument("--out", help="override output.directory")
     p.add_argument("--format", choices=("csv", "json", "both"),
                    help="override output.formats")
@@ -133,15 +137,24 @@ def _write_report(cfg, stem, fields, columns, rows):
         _write_csv(cfg, f"{stem}.csv", columns, rows)
 
 
-def _progress(total):
-    def tick(done):
-        print(f"\rreplica {done}/{total}", end="", file=sys.stderr,
-              flush=True)
-    return tick
+class _Progress:
+    """Replica progress on stderr: called with the replicas done after
+    each chunk, it rewrites one line with the count, the rate so far and
+    the time left at that rate; finish() ends the line."""
 
+    def __init__(self, total):
+        self.total = total
+        self.start = time.monotonic()
 
-def _progress_done(total):
-    print(f"\rreplica {total}/{total}", file=sys.stderr, flush=True)
+    def __call__(self, done, end=""):
+        elapsed = time.monotonic() - self.start
+        rate = done / elapsed if elapsed > 0 else math.inf
+        eta = (self.total - done) / rate if rate > 0 else math.inf
+        print(f"\rreplica {done}/{self.total}  {rate:.0f} replicas/s  "
+              f"ETA {eta:.1f} s", end=end, file=sys.stderr, flush=True)
+
+    def finish(self):
+        self(self.total, end="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +175,7 @@ def cmd_theory(cfg):
 
 def cmd_simulate(cfg):
     import numpy as np
-    from .cascade import (BatchSimulator, masses_from_point_log,
-                          model_digest, write_masses_binary)
+    from .cascade import BatchSimulator, model_digest, write_masses_binary
     model = cfg.build_model()
     grid = cfg.build_grid()
     seed = cfg.seed()
@@ -173,18 +185,17 @@ def cmd_simulate(cfg):
     sim = BatchSimulator(model, grid)
     digest = model_digest(model)
     rows = []
-    tick = _progress(replicas)
-    for start, pl in sim.chunks(seed, replicas,
-                                cfg.get_int("experiment", "chunk", 256)):
-        cells, totals = masses_from_point_log(grid, pl)
+    progress = _Progress(replicas)
+    for start, cells, totals in sim.masses(
+            seed, replicas, cfg.get_int("experiment", "chunk", 256),
+            progress):
         for j, z in enumerate(totals):
             replica = start + j
             rows.append((replica, float(z)))
             write_masses_binary(
                 os.path.join(outdir, f"realization_{replica:06d}.bin"),
                 grid, digest, cells[j])
-        tick(start + len(totals))
-    _progress_done(replicas)
+    progress.finish()
     _write_report(cfg, "summary", {
         "replicas": replicas,
         "mean_total_mass": float(np.mean([z for _, z in rows])),
@@ -325,11 +336,11 @@ def cmd_estimate(cfg):
 def _simulate_totals(cfg, model, grid):
     from .cascade import simulate_total_masses
     replicas = cfg.replicas()
-    tick = _progress(replicas)
+    progress = _Progress(replicas)
     z = simulate_total_masses(
         model, grid, cfg.seed(), replicas,
-        chunk=cfg.get_int("experiment", "chunk", 256), progress=tick)
-    _progress_done(replicas)
+        chunk=cfg.get_int("experiment", "chunk", 256), progress=progress)
+    progress.finish()
     return z
 
 
@@ -384,11 +395,11 @@ def _estimate_scaling(cfg):
                               (0.5, 0.25, 0.125, 0.0625))
     qs = cfg.get_float_list("experiment", "q_values", (0.5, 1.0, 1.5, 2.0))
     replicas = cfg.replicas()
-    tick = _progress(replicas)
+    progress = _Progress(replicas)
     m = simulate_prefix_masses(model, grid, cfg.seed(), replicas, lams,
                                chunk=cfg.get_int("experiment", "chunk", 256),
-                               progress=tick)
-    _progress_done(replicas)
+                               progress=progress)
+    progress.finish()
     rep = scaling_fit(model, lams, m, qs)
     _write_report(cfg, "scaling", {
         "q_values": list(rep.q_values),
@@ -413,11 +424,11 @@ def _estimate_covariance(cfg):
     # built here, before any draw, and reused from the cache by the batch
     sampler = make_sampler(grid, model, n_intervals)
     replicas = cfg.replicas()
-    tick = _progress(replicas)
+    progress = _Progress(replicas)
     masses = juxtaposed_total_masses(
         model, grid, n_intervals, cfg.seed(), replicas,
-        chunk=cfg.get_int("experiment", "chunk", 256), progress=tick)
-    _progress_done(replicas)
+        chunk=cfg.get_int("experiment", "chunk", 256), progress=progress)
+    progress.finish()
     rep = covariance_report(model, masses)
     rows = [{"gap": g, "covariance": e, "stderr": s, "theory_claimed": tc,
              "theory_exact_quadrature": tq} for g, e, s, tc, tq in rep.rows()]

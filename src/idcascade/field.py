@@ -41,7 +41,9 @@ make_sampler is the one place that turns a model, whose parts alone pick
 the kind, and a number of juxtaposed intervals into a sampler; single
 builds, batches, juxtaposition and the CLI all go through it.  Every
 sampler draws the point values of many replicas with point_logs(rngs),
-one generator per replica, and every one-interval sampler draws one
+one generator per replica, a block of replicas at a time (blocks(rngs),
+which a caller can also reduce block by block without the whole
+batch's values), and every one-interval sampler draws one
 field with sample(rng), consuming the generator in the same order: the
 Gaussian normals of the points first, then the Poisson points, and last
 the Gaussian normals of any carried cells.  So a (seed, replica, stream
@@ -244,6 +246,36 @@ def _normal_columns(rngs, dim):
     return normals
 
 
+def _block_slots(count, rows, shape, out=None):
+    """(start, destination) of each block of a batch of count replicas,
+    rows at a time: out[start:start + b] of a (count, *shape) out, or,
+    without out, the first b rows of one (rows, *shape) buffer reused
+    from block to block.
+
+    A sampler's blocks(rngs, out=None) yields (start, values) this way,
+    values holding the point values of rngs[start:start + b]; a reused
+    buffer is overwritten by the next block.  point_logs collects the
+    blocks into one output, and BatchSimulator.masses reduces each as it
+    comes, so one chunk's point values need never exist at once.
+    (JuxtaposedGaussianSampler's one block is its transposed view, and
+    it takes no out.)
+    """
+    rows = max(1, min(rows, count))
+    buf = np.empty((rows,) + shape) if out is None else None
+    for s in range(0, count, rows):
+        b = min(rows, count - s)
+        yield s, (buf[:b] if out is None else out[s:s + b])
+
+
+def _all_blocks(blocks, rngs, shape):
+    """The (len(rngs), *shape) values a blocks(rngs, out) generator
+    writes into out."""
+    out = np.empty((len(rngs),) + shape)
+    for _ in blocks(rngs, out):
+        pass
+    return out
+
+
 def _chol_with_jitter(cov):
     """(Cholesky factor, relative jitter) of a covariance matrix.
 
@@ -303,8 +335,9 @@ class GaussianFieldSampler:
 
     def draw(self, rng, count=1):
         """(dim, count) matrix of field values, one replica per column."""
-        z = rng.standard_normal((self.dim, count))
-        return self.chol @ z + self.mean[:, None]
+        vals = self.chol @ rng.standard_normal((self.dim, count))
+        vals += self.mean[:, None]
+        return vals
 
     def draw_columns(self, normals):
         """Map externally drawn standard normals (k, count) to the values of
@@ -314,16 +347,27 @@ class GaussianFieldSampler:
         leading normals: with k = n_points, the point values alone.
         """
         k = normals.shape[0]
-        return self.chol[:k, :k] @ normals + self.mean[:k, None]
+        vals = self.chol[:k, :k] @ normals
+        vals += self.mean[:k, None]
+        return vals
 
-    def point_logs(self, rngs):
-        """(len(rngs), n_points) point values, replica j drawn from rngs[j].
+    def blocks(self, rngs, out=None):
+        """One block, the whole batch: the matrix product's bits depend on
+        its width (see _block_slots for the protocol).
 
         Only the point normals are drawn, the first n_points of the ones
         sample() draws, so the carried cells cost nothing here.
         """
-        vals = self.draw_columns(_normal_columns(rngs, self.grid.n_points))
-        return np.ascontiguousarray(vals.T)
+        n = self.grid.n_points
+        vals = self.draw_columns(_normal_columns(rngs, n))
+        if out is None:
+            out = np.empty((len(rngs), n))
+        out[...] = vals.T
+        yield 0, out
+
+    def point_logs(self, rngs):
+        """(len(rngs), n_points) point values, replica j drawn from rngs[j]."""
+        return _all_blocks(self.blocks, rngs, (self.grid.n_points,))
 
     def split(self, values):
         """Slice a stacked value vector into (point_log, cell_log dict)."""
@@ -380,10 +424,15 @@ class JuxtaposedGaussianSampler:
     def point_logs(self, rngs):
         """(len(rngs), n_intervals, n_points) point values, replica j drawn
         from rngs[j]."""
-        vals = (self.chol @ _normal_columns(rngs, self.mean.size)
-                + self.mean[:, None])
+        vals = self.chol @ _normal_columns(rngs, self.mean.size)
+        vals += self.mean[:, None]
         # a view: a contiguous copy would change the totals' summation order
         return vals.T.reshape(len(rngs), self.n_intervals, self.grid.n_points)
+
+    def blocks(self, rngs):
+        """One block, the whole batch, as point_logs gives it: the matrix
+        product's bits depend on its width."""
+        yield 0, self.point_logs(rngs)
 
 
 # Points-only Gaussian grids with at least this many points use the
@@ -403,8 +452,8 @@ def _embedding_spectrum(row):
     return np.fft.rfft(np.concatenate([row, row[-2:0:-1]])).real
 
 
-# Normals per block of a circulant batch, 16 rows at 4096 points: a
-# batch's memory is its output plus about two blocks.  64 rows took 8 MB
+# Normals per block of a circulant batch, 16 rows at 4096 points:
+# point_logs holds its output plus about two blocks.  64 rows took 8 MB
 # more peak RSS at 4096 points, chunks of 500; loop times tied.
 CIRCULANT_BLOCK_VALUES = 2 ** 17
 
@@ -470,21 +519,24 @@ class CirculantGaussianSampler:
         spec[:, 1:self.size + 1] = normals
         return self._spectral_values(spec)[:, :self.grid.n_points] + self.mean
 
-    def point_logs(self, rngs):
-        """(len(rngs), n_points) point values, replica j drawn from rngs[j]."""
+    def blocks(self, rngs, out=None):
+        """Blocks of CIRCULANT_BLOCK_VALUES normals (see _block_slots),
+        drawn and transformed in one spectrum and one transform buffer."""
         m, n = self.size, self.grid.n_points
         rows = max(1, CIRCULANT_BLOCK_VALUES // m)
-        out = np.empty((len(rngs), n))
         spec = np.zeros((min(rows, len(rngs)), m + 2))
         vals = np.empty((len(spec), m))
-        for s in range(0, len(rngs), rows):
-            block = rngs[s:s + rows]
-            for i, r in enumerate(block):
+        for s, dest in _block_slots(len(rngs), rows, (n,), out):
+            b = len(dest)
+            for i, r in enumerate(rngs[s:s + b]):
                 r.standard_normal(out=spec[i, 1:m + 1])
-            b = len(block)
             self._spectral_values(spec[:b], vals[:b])
-            np.add(vals[:b, :n], self.mean, out=out[s:s + b])
-        return out
+            np.add(vals[:b, :n], self.mean, out=dest)
+            yield s, dest
+
+    def point_logs(self, rngs):
+        """(len(rngs), n_points) point values, replica j drawn from rngs[j]."""
+        return _all_blocks(self.blocks, rngs, (self.grid.n_points,))
 
     def sample(self, rng):
         return FieldSample(self.grid, "gaussian", self.point_logs([rng])[0],
@@ -595,25 +647,32 @@ def _covered_cell_range(x, y, lo, width, count):
     return np.clip(i0, 0, count), np.clip(i1, 0, count)
 
 
-def range_sums(i0, i1, values, count, rows=1):
+def range_sums(i0, i1, values, count, rows=1, diff=None):
     """(rows, count) totals of values[m] over the index ranges [i0[m],
     i1[m]), an index being row * (count + 1) + k.
 
     A difference-array sweep: each range adds at its start and subtracts at
-    its end, and a cumulative sum spreads the values over the indices.
+    its end, and a cumulative sum spreads the values over the indices, in
+    place: the totals are a view of the (rows, count + 1) difference
+    array, which may be a caller's buffer to reuse (diff, overwritten).
     """
-    diff = np.zeros((rows, count + 1))
+    if diff is None:
+        diff = np.zeros((rows, count + 1))
+    else:
+        diff.fill(0.0)
     flat = diff.reshape(-1)
     np.add.at(flat, i0, values)
     np.subtract.at(flat, i1, values)
-    return np.cumsum(diff[:, :-1], axis=1)
+    sums = diff[:, :-1]
+    return np.cumsum(sums, axis=1, out=sums)
 
 
-def shadow_sums(counts, x, y, jump, left, spacing, n, right=None):
+def shadow_sums(counts, x, y, jump, left, spacing, n, right=None, diff=None):
     """(len(counts) * copies, n) jump totals at the evaluation points of
-    each replica's grid copies, in one range_sums call; replica j owns the
-    next counts[j] points.  left and spacing are scalars for one copy or
-    (copies, 1) columns; with right, a copy drops the points covering it."""
+    each replica's grid copies, in one range_sums call (with its diff);
+    replica j owns the next counts[j] points.  left and spacing are
+    scalars for one copy or (copies, 1) columns; with right, a copy drops
+    the points covering it."""
     k0, k1 = np.atleast_2d(*_shadow_index_range(x, y, left, spacing, n))
     off = (np.repeat(np.arange(len(counts)) * len(k0), counts)
            + np.arange(len(k0))[:, None]) * (n + 1)
@@ -623,7 +682,7 @@ def shadow_sums(counts, x, y, jump, left, spacing, n, right=None):
     k1 += off
     return range_sums(k0[keep], k1[keep],
                       np.broadcast_to(jump, k0.shape)[keep], n,
-                      rows=len(counts) * len(k0))
+                      rows=len(counts) * len(k0), diff=diff)
 
 
 def poisson_points(rngs, strips, jumps):
@@ -686,16 +745,12 @@ class PoissonFieldSampler:
         """Poisson point set on the sampling domain: (x, y, jump) arrays."""
         return poisson_points([rng], self.strips, self.jumps)[1:]
 
-    def _point_values(self, counts, x, y, jump):
-        g = self.grid
-        return self._base + shadow_sums(counts, x, y, jump, g.interval[0],
-                                        g.spacing, g.n_points)
-
     def evaluate(self, x, y, jump):
         """Field values (point_log, cell_log) of one point set."""
         g = self.grid
         lo = g.interval[0]
-        point_log = self._point_values([x.size], x, y, jump)[0]
+        point_log = self._base + shadow_sums([x.size], x, y, jump, lo,
+                                             g.spacing, g.n_points)[0]
         cell_log = {}
         for lev in g.carried_levels:
             count = 2 ** lev
@@ -711,13 +766,22 @@ class PoissonFieldSampler:
         return FieldSample(self.grid, "poisson", point_log, cell_log,
                            points_x=x, points_y=y, points_jump=jump)
 
+    def blocks(self, rngs, out=None):
+        """Sub-batches of POISSON_BATCH_SLOTS (see _block_slots), summed
+        in one reused difference array."""
+        g = self.grid
+        diff = np.empty((min(self._batch, len(rngs)), g.n_points + 1))
+        for s, dest in _block_slots(len(rngs), self._batch, (g.n_points,),
+                                    out):
+            sums = shadow_sums(*poisson_points(
+                rngs[s:s + len(dest)], self.strips, self.jumps),
+                g.interval[0], g.spacing, g.n_points, diff=diff[:len(dest)])
+            np.add(sums, self._base, out=dest)
+            yield s, dest
+
     def point_logs(self, rngs):
         """(len(rngs), n_points) point values, replica j from rngs[j]."""
-        out = np.empty((len(rngs), self.grid.n_points))
-        for s in range(0, len(rngs), self._batch):
-            out[s:s + self._batch] = self._point_values(*poisson_points(
-                rngs[s:s + self._batch], self.strips, self.jumps))
-        return out
+        return _all_blocks(self.blocks, rngs, (self.grid.n_points,))
 
 
 class JuxtaposedPoissonSampler:
@@ -750,18 +814,25 @@ class JuxtaposedPoissonSampler:
         self._batch = _batch_size(self.strips, self.jumps,
                                   n_intervals * (n + 1))
 
+    def blocks(self, rngs, out=None):
+        """Sub-batches of POISSON_BATCH_SLOTS (see _block_slots), summed
+        in one reused difference array."""
+        n, m = self.grid.n_points, self.n_intervals
+        diff = np.empty((min(self._batch, len(rngs)) * m, n + 1))
+        for s, dest in _block_slots(len(rngs), self._batch, (m, n), out):
+            counts, x, y, jump = poisson_points(rngs[s:s + len(dest)],
+                                                self.strips, self.jumps)
+            sums = shadow_sums(counts, x, y, jump, self._left,
+                               self._spacing, n, self._right,
+                               diff=diff[:len(dest) * m])
+            np.add(sums.reshape(dest.shape), self._base, out=dest)
+            yield s, dest
+
     def point_logs(self, rngs):
         """(len(rngs), n_intervals, n_points) point values, replica j drawn
         from rngs[j]."""
-        n, m = self.grid.n_points, self.n_intervals
-        out = np.empty((len(rngs), m, n))
-        for s in range(0, len(rngs), self._batch):
-            counts, x, y, jump = poisson_points(rngs[s:s + self._batch],
-                                                self.strips, self.jumps)
-            out[s:s + self._batch] = self._base + shadow_sums(
-                counts, x, y, jump, self._left, self._spacing, n,
-                self._right).reshape(-1, m, n)
-        return out
+        return _all_blocks(self.blocks, rngs,
+                           (self.n_intervals, self.grid.n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -854,14 +925,22 @@ class HybridFieldSampler:
             points_x=jumps.points_x, points_y=jumps.points_y,
             points_jump=jumps.points_jump)
 
-    def point_logs(self, rngs):
-        """(len(rngs), n_points) point values, replica j drawn from rngs[j].
+    def blocks(self, rngs, out=None):
+        """The Gaussian part's blocks (see _block_slots), each with the
+        jumps of its replicas added.
 
         Each generator gives its point normals first, then its Poisson
         points, as in sample(); the cell normals that sample() draws last
         are not needed, so a batch replays the single draws.
         """
-        return self.gauss.point_logs(rngs) + self.poisson.point_logs(rngs)
+        for s, vals in self.gauss.blocks(rngs, out):
+            for t, jumps in self.poisson.blocks(rngs[s:s + len(vals)]):
+                vals[t:t + len(jumps)] += jumps
+            yield s, vals
+
+    def point_logs(self, rngs):
+        """(len(rngs), n_points) point values, replica j drawn from rngs[j]."""
+        return _all_blocks(self.blocks, rngs, (self.grid.n_points,))
 
 
 def gaussian_sampler(grid, sigma2):

@@ -165,6 +165,61 @@ def test_circulant_hybrid_batches_replay_single_builds_bitwise():
         np.testing.assert_array_equal(batch, singles)
 
 
+BLOCKED = [  # model, grid, copies, replicas: each exceeds its block + 1
+    (LOGN, GridSpec((0.0, 1.0), 10, 2, 0), 1, 40),       # circulant, 32
+    (ATOM, GridSpec((0.0, 1.0), 10, 4, 0), 1, 20),       # Poisson, 12
+    (ATOM, GridSpec((0.0, 1.0), 8, 4, 0), 2, 30),        # 2 copies, 25
+    (ATOM, GridSpec((0.0, 1.0), 8, 4, 0), 4, 16),        # 4 copies, 12
+    (HYBRID, GridSpec((0.0, 1.0), 10, 2, 0), 1, 40),     # circulant part
+    (LOGN, GridSpec((0.1, 0.4), 4, 3, None), 1, 12),     # dense: the chunk
+    (LOGN, GridSpec((0.1, 0.4), 4, 3, 0), 3, 12),        # juxtaposed dense
+]
+
+
+@pytest.mark.parametrize("model,grid,copies,replicas", BLOCKED,
+                         ids=["circulant", "poisson", "juxtaposed-poisson-2",
+                              "juxtaposed-poisson-4", "hybrid-circulant",
+                              "dense", "juxtaposed-dense"])
+def test_masses_are_the_reduced_chunks_bit_for_bit(model, grid, copies,
+                                                   replicas):
+    sim = BatchSimulator(model, grid, n_intervals=copies)
+    rngs = [make_generator(3, i, "t") for i in range(replicas)]
+    block = len(next(sim.sampler.blocks(rngs))[1])
+    dense = sim.sampler.name in ("dense", "juxtaposed-dense")
+    assert block == replicas if dense else 1 < block < replicas - 1
+    for chunk in (1, 7, block - 1, block + 1, replicas + 5):
+        want = [(start, *masses_from_point_log(grid, pl))
+                for start, pl in sim.chunks(3, replicas, chunk)]
+        got = list(sim.masses(3, replicas, chunk))
+        assert [g[0] for g in got] == [w[0] for w in want]
+        for g, w in zip(got, want):
+            for a, b in zip(g[1:], w[1:]):
+                assert a.shape == b.shape
+                np.testing.assert_array_equal(a, b)
+        if not dense:
+            # a row's masses keep their bits in a block of any width,
+            # also alone, so the chunk width is invisible too
+            whole = list(sim.masses(3, replicas, replicas))[0]
+            for i in (1, 2):
+                np.testing.assert_array_equal(
+                    np.concatenate([g[i] for g in got]), whole[i])
+
+
+def test_batch_masses_memory_is_below_one_chunk_of_point_values():
+    grid = GridSpec((0.0, 1.0), 10, 4, 0)
+    assert make_sampler(grid, LOGN).name == "circulant"
+    tracemalloc.start()
+    try:
+        simulate_total_masses(LOGN, grid, 4, 520, chunk=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a chunk of cells (4 MB), a block of point values and the
+    # circulant's spectra and transforms: about 8 MB; drawn a chunk at a
+    # time, the point values alone would be the bound, 16 MB
+    assert peak < 512 * grid.n_points * 8
+
+
 def test_deep_circulant_total_mass_has_mean_one():
     # 65,536 points: far past what a dense factor could hold
     z = simulate_total_masses(LOGN, GridSpec((0.0, 1.0), 16, 1, 0), 16,

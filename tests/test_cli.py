@@ -1,6 +1,7 @@
 import configparser
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,19 @@ def test_simulate_outputs_and_reruns_identically(cfg_file, tmp_path):
     # the stamp differs (directory is part of the config), the data rows not
     second = (tmp_path / "o2" / "summary.csv").read_bytes()
     assert second.decode().splitlines()[2:] == first.decode().splitlines()[2:]
+
+
+def test_progress_reports_count_and_rate(tmp_path, capsys):
+    path = write_cfg(tmp_path / "p.ini", tmp_path / "p",
+                     experiment="chunk = 2\n")
+    assert run("--config", path, "simulate") == 0
+    err = capsys.readouterr().err
+    # a tick per chunk of 2 and the closing line, each rewriting one line
+    ticks = err.split("\r")[1:]
+    assert len(ticks) == 3 and err.endswith("\n")
+    assert re.fullmatch(r"replica 3/3  \d+ replicas/s  ETA 0\.0 s\n",
+                        ticks[-1])
+    assert ticks[0].startswith("replica 2/3  ")
 
 
 def test_simulate_records_its_sampler(tmp_path):
