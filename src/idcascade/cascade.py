@@ -373,7 +373,7 @@ def _refine_gaussian(realization, fine, rng):
 
     solve = np.linalg.solve
     jitter = 1e-12 * float(np.mean(np.diag(G_pp)))
-    G_pp = G_pp + jitter * np.eye(G_pp.shape[0])
+    np.fill_diagonal(G_pp, G_pp.diagonal() + jitter)
     w = solve(G_pp, x_old - mean_p)
     cond_mean = mean_q + G_qp @ w
     cond_cov = G_qq - G_qp @ solve(G_pp, G_qp.T)

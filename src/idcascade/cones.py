@@ -329,22 +329,25 @@ def area_pair(interval, s, t, eps):
     return float(overlap_kernel(L, abs(t - s), eps))
 
 
-def overlap_kernel(L, h, c):
+def overlap_kernel(L, h, c, out=None):
     """Area of cone_of(hull) minus cone_of(base), cut below at height c.
 
     L is the base-interval length, h the hull length of the two footprints
     (h = 0 for a single time), c the effective cutoff (0 when neither region
     is height-truncated).  Every same-interval Gram entry reduces to this.
     h and c are arrays (broadcast together) or scalars; the result has the
-    shape of h.
+    shape of h, written into out when given.
     """
     h = np.asarray(h, float)
     c = np.broadcast_to(np.asarray(c, float), h.shape)
-    out = np.zeros(h.shape)
+    if out is None:
+        out = np.empty(h.shape)
+    out.fill(0.0)
     inside = h < L
     low = inside & (c <= h)
     with np.errstate(divide="ignore"):
-        out[low] = np.log(L / h[low])
+        v = h[low]
+        out[low] = np.log(np.divide(L, v, out=v), out=v)
     mid = inside & (c > h) & (c <= L)
     out[mid] = np.log(L / c[mid]) + 1.0 - h[mid] / c[mid]
     high = inside & (c > L)

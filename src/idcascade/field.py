@@ -209,7 +209,15 @@ def _gram_objects(grid, levels=None):
 FOOTPRINT_BLOCK_VALUES = 2 ** 16
 
 
-def footprint_areas(L, rows, cols=None):
+def _row_slices(out):
+    """(rows, out[rows]) for successive slices of rows of a matrix,
+    FOOTPRINT_BLOCK_VALUES entries at a time."""
+    step = max(1, FOOTPRINT_BLOCK_VALUES // out.shape[1])
+    for a in range(0, len(out), step):
+        yield slice(a, a + step), out[a:a + step]
+
+
+def footprint_areas(L, rows, cols=None, out=None):
     """Overlap areas of footprint triples (lo, hi, cut) on one base interval.
 
     With cols, the matrix whose (i, j) entry is cones.overlap_kernel of the
@@ -217,24 +225,23 @@ def footprint_areas(L, rows, cols=None):
     times it is the covariance of the two noise values.  Without cols, the
     area of each row footprint's own region, which fixes its mean.
 
-    The matrix is filled FOOTPRINT_BLOCK_VALUES entries of rows at a time,
-    elementwise, so its bits do not depend on the block; callers scale it
-    in place.  Building and factoring a dense Gram of dim objects thus
-    holds the Gram, its factor and LAPACK's work copy, about 3 dim^2
-    doubles.
+    The matrix, written into out when given, is filled a block of rows at
+    a time (_row_slices), elementwise, so its bits do not depend on the
+    block; callers scale it in place.  Building and factoring a dense Gram
+    of dim objects thus holds dim^2 doubles and a few blocks or one panel
+    of the factorization (_chol_with_jitter).
     """
     lo, hi, cut = rows
     if cols is None:
         return cones.overlap_kernel(L, hi - lo, cut)
     c_lo, c_hi, c_cut = cols
-    out = np.empty((lo.size, c_lo.size))
-    step = max(1, FOOTPRINT_BLOCK_VALUES // c_lo.size)
-    for a in range(0, lo.size, step):
-        b = slice(a, a + step)
+    if out is None:
+        out = np.empty((lo.size, c_lo.size))
+    for b, dest in _row_slices(out):
         hull = (np.maximum(hi[b, None], c_hi[None, :]) -
                 np.minimum(lo[b, None], c_lo[None, :]))
-        out[b] = cones.overlap_kernel(
-            L, hull, np.maximum(cut[b, None], c_cut[None, :]))
+        cones.overlap_kernel(L, hull, np.maximum(cut[b, None], c_cut[None, :]),
+                             out=dest)
     return out
 
 
@@ -276,43 +283,99 @@ def _all_blocks(blocks, rngs, shape):
     return out
 
 
+# Columns per block of the in-place Cholesky factorization.  Of 64, 128
+# and 256, 128 was the fastest at dims 1022, 2047 and 4096 on a 2-vCPU
+# x86 host, one BLAS thread: 0.034, 0.16 and 0.99 s, against 0.11, 0.23
+# and 1.24 s for np.linalg.cholesky with its copies.
+CHOLESKY_BLOCK = 128
+
+
+def _factor_lower(a):
+    """Left-looking blocked Cholesky factorization of a's lower triangle,
+    in place (Golub & Van Loan, Matrix Computations, 4.2), CHOLESKY_BLOCK
+    columns at a time: each block column is updated by one matrix product
+    with the columns already factored, its diagonal block factored by
+    LAPACK and the panel below solved against that factor.
+
+    The strict upper triangle is neither read nor written.  False, with
+    the lower triangle partly overwritten, if a diagonal block is not
+    positive definite.
+    """
+    n, b = len(a), CHOLESKY_BLOCK
+    tri = np.tri(min(b, n), dtype=bool)
+    for k in range(0, n, b):
+        e = min(k + b, n)
+        d, lower = a[k:e, k:e], tri[:e - k, :e - k]
+        if k:
+            upd = a[k:, :k] @ a[k:e, :k].T
+            # np.linalg.cholesky reads the lower triangle alone
+            np.subtract(d, upd[:e - k], out=d, where=lower)
+            a[e:, k:e] -= upd[e - k:]
+            del upd
+        try:
+            lkk = np.linalg.cholesky(d)
+        except np.linalg.LinAlgError:
+            return False
+        np.copyto(d, lkk, where=lower)
+        if e < n:
+            a[e:, k:e] = np.linalg.solve(lkk, a[e:, k:e].T).T
+    return True
+
+
+def _row_blocks(a):
+    """(rows, diagonal block, strict upper mask) of a square matrix,
+    CHOLESKY_BLOCK rows at a time."""
+    n, b = len(a), CHOLESKY_BLOCK
+    upper = ~np.tri(min(b, n), dtype=bool)
+    for r in range(0, n, b):
+        s = min(r + b, n)
+        yield slice(r, s), a[r:s, r:s], upper[:s - r, :s - r]
+
+
 def _chol_with_jitter(cov):
-    """(Cholesky factor, relative jitter) of a covariance matrix.
+    """(Cholesky factor, relative jitter) of a covariance matrix, factored
+    in place: the factor returned is cov itself, and the build's peak is
+    cov plus one panel of CHOLESKY_BLOCK columns.
 
     The jitter, a multiple of the mean diagonal added to the diagonal, is
     0 when the plain factorization succeeds; any other value is warned
-    about, since it perturbs the law that is sampled.  cov itself is
-    factored first, so only a failed factorization pays for a copy.
+    about, since it perturbs the law that is sampled.  Until a
+    factorization succeeds only the lower triangle is written, so a
+    failed one is undone from the strict upper triangle and a copy of the
+    diagonal; then the next jitter is tried.
     """
-    try:
-        return np.linalg.cholesky(cov), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    diag = np.diag(cov)
+    diag = np.diag(cov).copy()
     scale = float(np.mean(diag)) or 1.0
-    shifted = cov.copy()
-    for jitter in (1e-14, 1e-12, 1e-10, 1e-8):
-        np.fill_diagonal(shifted, diag + jitter * scale)
-        try:
-            chol = np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            continue
+    for jitter in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
+        if jitter:
+            np.fill_diagonal(cov, diag + jitter * scale)
+        if _factor_lower(cov):
+            break
+        for rows, blk, upper in _row_blocks(cov):
+            cov[rows, :rows.start] = cov[:rows.start, rows].T
+            np.copyto(blk, blk.T, where=upper.T)
+        np.fill_diagonal(cov, diag)
+    else:
+        w = np.linalg.eigvalsh(cov)
+        raise np.linalg.LinAlgError(
+            f"covariance not positive definite (min eigenvalue {w[0]:.3e} "
+            f"of scale {scale:.3e}) even with jitter 1e-8")
+    for rows, blk, upper in _row_blocks(cov):
+        cov[rows, rows.stop:] = 0.0
+        np.copyto(blk, 0.0, where=upper)
+    if jitter:
         warnings.warn(f"covariance needed relative jitter {jitter:g} "
                       f"for its Cholesky factor", RuntimeWarning,
                       stacklevel=2)
-        return chol, jitter
-    w = np.linalg.eigvalsh(cov)
-    raise np.linalg.LinAlgError(
-        f"covariance not positive definite (min eigenvalue {w[0]:.3e} "
-        f"of scale {scale:.3e}) even with jitter 1e-8")
+    return cov, jitter
 
 
 class GaussianFieldSampler:
     """Joint exact sampler for the Gaussian part of the noise on a grid.
 
-    The build's peak is the Gram, scaled in place, its Cholesky factor
-    and LAPACK's work copy: about 3 dim^2 doubles (footprint_areas); the
-    sampler keeps the factor alone.
+    The Gram is scaled and Cholesky-factored in place, so the build's
+    peak is dim^2 doubles and one panel of the factorization
+    (footprint_areas, _chol_with_jitter); the factor is that same array.
     """
 
     name = "dense"
@@ -390,7 +453,9 @@ class JuxtaposedGaussianSampler:
     """Exact sampler of the point values of n_intervals adjacent copies of
     a grid under one Gaussian noise, by the dense factor of their point
     Gram: one copy's overlap kernel in the diagonal blocks, the cross
-    kernel of two copies' cones off them."""
+    kernel of two copies' cones off them.  Both are filled in place a
+    block of rows at a time (_row_slices) and the Gram is factored in
+    place, so the build holds the Gram and a panel or a few blocks."""
 
     name = "juxtaposed-dense"
 
@@ -407,14 +472,16 @@ class JuxtaposedGaussianSampler:
             [footprint_areas(L, f) for f in feet])
         cov = np.empty((self.mean.size, self.mean.size))
         for i, fi in enumerate(feet):
-            for j, fj in enumerate(feet[i:], i):
-                blk = (footprint_areas(L, fi, fi) if i == j else
-                       cones.cross_kernel(
-                           copies[i].interval, copies[j].interval, fi[0],
-                           fi[1], fj[0], fj[1],
-                           np.maximum(fi[2][:, None], fj[2][None, :])))
-                cov[i * n:(i + 1) * n, j * n:(j + 1) * n] = blk
-                cov[j * n:(j + 1) * n, i * n:(i + 1) * n] = blk.T
+            ri = slice(i * n, (i + 1) * n)
+            footprint_areas(L, fi, fi, out=cov[ri, ri])
+            for j, fj in enumerate(feet[i + 1:], i + 1):
+                rj = slice(j * n, (j + 1) * n)
+                for b, dest in _row_slices(cov[ri, rj]):
+                    dest[...] = cones.cross_kernel(
+                        copies[i].interval, copies[j].interval, fi[0][b],
+                        fi[1][b], fj[0], fj[1],
+                        np.maximum(fi[2][b, None], fj[2][None, :]))
+                    cov[rj, ri][:, b] = dest.T
         cov *= sigma2
         self.chol, jitter = _chol_with_jitter(cov)
         for a in (self.mean, self.chol):

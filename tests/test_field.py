@@ -175,7 +175,7 @@ def test_circulant_batch_memory_is_its_output_plus_two_blocks():
     assert peak < out.nbytes + 2 * block + 8 * sam.size + 16384
 
 
-def test_dense_build_memory_is_gram_and_factor_plus_two_blocks():
+def test_dense_build_memory_is_the_gram_plus_one_panel():
     grid = GridSpec((0.0, 1.0), 8, 2, None)
     block = field.FOOTPRINT_BLOCK_VALUES * 8
     tracemalloc.start()
@@ -186,11 +186,88 @@ def test_dense_build_memory_is_gram_and_factor_plus_two_blocks():
         tracemalloc.stop()
     dim = sam.dim
     assert dim == 512 + 510
-    # the Gram and its factor, a block's kernel temporaries and 16 KiB of
-    # small objects.  numpy's LAPACK work copy of the Gram is malloc'd
-    # outside Python's allocators, so tracemalloc does not trace it.  The
-    # Gram built in one piece and then scaled peaked at 5.25 dim^2 doubles
-    assert peak < 2 * 8 * dim * dim + 2 * block + 16384
+    panel = 8 * dim * field.CHOLESKY_BLOCK
+    # the Gram, factored in place, and either a panel of the factorization
+    # or a block's kernel temporaries, and 16 KiB of small objects.  The
+    # Gram and a separate factor, as np.linalg.cholesky returns, traced
+    # about 2 dim^2 doubles; its LAPACK work copy is malloc'd outside
+    # Python's allocators, so tracemalloc does not see it
+    assert peak < 8 * dim * dim + panel + 2 * block + 16384
+
+
+def _relative_error(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_blocked_cholesky_matches_lapack(block, monkeypatch):
+    # a cell-carrying dense grid, a non-dyadic one and a 3-copy juxtaposed
+    # Gram, each factored in place at this block width
+    model = lognormal_model(0.5)
+    keys = ((GridSpec((0.0, 1.0), 8, 2, None), 1),
+            (GridSpec((0.1, 0.4), 4, 3, 2), 1),
+            (GridSpec((0.1, 0.4), 4, 3, 2), 3))
+    grams = []
+    real = field._chol_with_jitter
+
+    def spy(cov):
+        grams.append(cov.copy())
+        chol, jitter = real(cov)
+        assert chol is cov
+        return chol, jitter
+
+    monkeypatch.setattr(field, "_chol_with_jitter", spy)
+    monkeypatch.setattr(field, "CHOLESKY_BLOCK", block)
+    # a cached sampler for these keys would skip the build, and one built
+    # under the patch must not outlive it
+    field.make_sampler.cache_clear()
+    try:
+        samplers = [make_sampler(g, model, k) for g, k in keys]
+    finally:
+        field.make_sampler.cache_clear()
+    assert len(grams) == 3
+    assert max(len(g) for g in grams) < 4096
+    for sam, gram in zip(samplers, grams):
+        assert sam.health == {"cholesky_jitter": 0.0}
+        assert _relative_error(sam.chol, np.linalg.cholesky(gram)) <= 1e-13
+        assert not np.triu(sam.chol, 1).any()
+
+
+def test_failed_factorization_is_restored_from_the_upper_triangle(
+        monkeypatch):
+    # positive definite in its first two block columns, then a rank-one
+    # block decoupled from them, then a block coupled to the first ones:
+    # the first attempt fails in block column 2, after blocks 0 and 1 have
+    # been overwritten by their factor
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((6, 6))
+    pd = m @ m.T + np.eye(6)
+    cov = np.zeros((8, 8))
+    keep = [0, 1, 2, 3, 6, 7]
+    cov[np.ix_(keep, keep)] = pd
+    cov[4:6, 4:6] = 1.0
+    np.linalg.cholesky(cov[:4, :4])
+    scale = float(np.mean(np.diag(cov)))
+    # the jitter ladder of plain LAPACK factorizations
+    for want in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
+        try:
+            ref = np.linalg.cholesky(cov + want * scale * np.eye(8))
+            break
+        except np.linalg.LinAlgError:
+            pass
+    assert want == 1e-14
+    monkeypatch.setattr(field, "CHOLESKY_BLOCK", 2)
+    with pytest.warns(RuntimeWarning, match="relative jitter 1e-14"):
+        chol, jitter = _chol_with_jitter(cov.copy())
+    assert jitter == want
+    assert _relative_error(chol, ref) <= 1e-13
+    assert not np.triu(chol, 1).any()
+    # no jitter helps an indefinite matrix: the error reports the smallest
+    # eigenvalue of the restored matrix
+    cov[4:6, 4:6] = [[1.0, 2.0], [2.0, 1.0]]
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"min eigenvalue -1\.000e\+00"):
+        _chol_with_jitter(cov)
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -323,6 +400,22 @@ def test_cholesky_jitter_is_warned():
         chol, jitter = _chol_with_jitter(v @ v.T)
     assert jitter > 0
     assert np.abs(chol @ chol.T - v @ v.T).max() < 1e-6
+
+
+def test_refinement_keeps_its_bits():
+    # recorded before the conditioning Gram took its jitter in place; every
+    # factor here is below CHOLESKY_BLOCK, so it is LAPACK's own
+    g = GridSpec((0.1, 0.4), 4, 3, 2)
+    r = build_realization(lognormal_model(0.5), g, seed=3, replica=1)
+    fine = refine(r, 1, make_generator(3, 1, "refine"))
+    assert fine.field.point_log.size < field.CHOLESKY_BLOCK
+    np.testing.assert_array_equal(
+        fine.field.point_log[::19],
+        [float.fromhex(h) for h in (
+            "-0x1.385013bc872a0p-2", "-0x1.ca877134dfba7p+0",
+            "-0x1.aa558794676f0p+0", "-0x1.2ef0d29d8d0dcp-4",
+            "0x1.730069ba8d740p-1", "-0x1.41bae93b7b0d6p-1")])
+    assert fine.total_mass == float.fromhex("0x1.8becb9e51dcedp-1")
 
 
 def test_dense_point_logs_draw_only_the_point_normals():
