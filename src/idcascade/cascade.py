@@ -90,24 +90,20 @@ def masses_from_point_log(grid, point_log, out=None):
     """Leaf masses and total from point noise values (any leading shape).
 
     A batch is reduced in blocks of about REDUCE_BLOCK_VALUES values along
-    its leading axis, each a slice of the caller's array in the caller's
-    layout, with the bits of the whole batch at once: a contiguous copy of
-    a transposed view (JuxtaposedGaussianSampler's) would change the
-    totals' summation order, and so would a block of one row of it, so
-    every block of a batch of two or more rows has at least two.  A
-    C-contiguous batch reduces each row to the same bits on its own.
-    A batch's (cell, total) may be written into out.
+    its leading axis, each a slice of the caller's array.  The samplers'
+    batches are C-contiguous, and such a batch reduces each row to the
+    same bits on its own, so the blocks keep the bits of the whole batch
+    at once.  A batch's (cell, total) may be written into out.
     """
     if point_log.ndim == 1:
         return _leaf_masses(grid, point_log)
-    count = len(point_log)
     cell, total = out if out is not None else (
         np.empty(point_log.shape[:-1] + (grid.n_cells,)),
         np.empty(point_log.shape[:-1]))
-    step = max(2, REDUCE_BLOCK_VALUES // math.prod(point_log.shape[1:]))
-    starts = range(0, max(1, count - 1), step)  # the last block takes 2+
-    for a, b in zip(starts, [*starts[1:], count]):
-        cell[a:b], total[a:b] = _leaf_masses(grid, point_log[a:b])
+    step = max(1, REDUCE_BLOCK_VALUES // math.prod(point_log.shape[1:]))
+    for a in range(0, len(point_log), step):
+        cell[a:a + step], total[a:a + step] = _leaf_masses(
+            grid, point_log[a:a + step])
     return cell, total
 
 
@@ -150,9 +146,11 @@ class BatchSimulator:
     on the dense paths, whose bits depend on the width, the whole chunk.
     masses() reduces each block as it is drawn and yields (start, cells,
     totals): it holds one chunk's leaf masses and one block of point
-    values.  chunks() yields (start, point_log) for callers that need
-    the point values: it holds the chunk's point values, and the
-    caller's previous chunk while it draws the next.
+    values (on the dense paths also the matrix product that block is
+    copied from, C-contiguous like every block).  chunks() yields
+    (start, point_log) for callers that need the point values: it holds
+    the chunk's point values, and the caller's previous chunk while it
+    draws the next.
     """
 
     def __init__(self, model, grid, *, stream_tag="cascade", n_intervals=1):
@@ -168,11 +166,17 @@ class BatchSimulator:
 
     def point_log_chunk(self, seed, start, count):
         """(count, n_points) noise values for replicas start..start+count,
-        (count, n_intervals, n_points) with n_intervals > 1."""
-        return self.sampler.point_logs(self._streams(seed, start, count))
+        (count, n_intervals, n_points) with n_intervals > 1: the sampler's
+        blocks, written into one array."""
+        out = np.empty((count,) + self.sampler.shape)
+        for _ in self.sampler.blocks(self._streams(seed, start, count), out):
+            pass
+        return out
 
     @staticmethod
     def _spans(replicas, chunk, progress):
+        if chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {chunk}")
         for start in range(0, replicas, chunk):
             count = min(chunk, replicas - start)
             yield start, count
@@ -188,13 +192,12 @@ class BatchSimulator:
     def masses(self, seed, replicas, chunk=512, progress=None):
         """(start, cells, totals) per chunk: masses_from_point_log of the
         chunk's point values, reduced a sampler block at a time."""
+        lead = self.sampler.shape[:-1]
         for start, count in self._spans(replicas, chunk, progress):
+            cells = np.empty((count, *lead, self.grid.n_cells))
+            totals = np.empty((count, *lead))
             for s, vals in self.sampler.blocks(
                     self._streams(seed, start, count)):
-                if s == 0:
-                    lead = (count,) + vals.shape[1:-1]
-                    cells = np.empty(lead + (self.grid.n_cells,))
-                    totals = np.empty(lead)
                 rows = slice(s, s + len(vals))
                 masses_from_point_log(self.grid, vals,
                                       out=(cells[rows], totals[rows]))

@@ -179,16 +179,14 @@ def cmd_simulate(cfg):
     model = cfg.build_model()
     grid = cfg.build_grid()
     seed = cfg.seed()
-    replicas = cfg.replicas()
+    replicas, chunk = cfg.replicas(), cfg.chunk()
     outdir = _outdir(cfg)
     fmt = cfg.output_formats()
     sim = BatchSimulator(model, grid)
     digest = model_digest(model)
     rows = []
     progress = _Progress(replicas)
-    for start, cells, totals in sim.masses(
-            seed, replicas, cfg.get_int("experiment", "chunk", 256),
-            progress):
+    for start, cells, totals in sim.masses(seed, replicas, chunk, progress):
         for j, z in enumerate(totals):
             replica = start + j
             rows.append((replica, float(z)))
@@ -339,7 +337,7 @@ def _simulate_totals(cfg, model, grid):
     progress = _Progress(replicas)
     z = simulate_total_masses(
         model, grid, cfg.seed(), replicas,
-        chunk=cfg.get_int("experiment", "chunk", 256), progress=progress)
+        chunk=cfg.chunk(), progress=progress)
     progress.finish()
     return z
 
@@ -397,7 +395,7 @@ def _estimate_scaling(cfg):
     replicas = cfg.replicas()
     progress = _Progress(replicas)
     m = simulate_prefix_masses(model, grid, cfg.seed(), replicas, lams,
-                               chunk=cfg.get_int("experiment", "chunk", 256),
+                               chunk=cfg.chunk(),
                                progress=progress)
     progress.finish()
     rep = scaling_fit(model, lams, m, qs)
@@ -421,13 +419,13 @@ def _estimate_covariance(cfg):
     n_intervals = cfg.get_int("experiment", "n_intervals", 4)
     if n_intervals < 2:
         raise ConfigError("experiment.n_intervals", "must be >= 2")
+    replicas, chunk = cfg.replicas(), cfg.chunk()
     # built here, before any draw, and reused from the cache by the batch
     sampler = make_sampler(grid, model, n_intervals)
-    replicas = cfg.replicas()
     progress = _Progress(replicas)
     masses = juxtaposed_total_masses(
         model, grid, n_intervals, cfg.seed(), replicas,
-        chunk=cfg.get_int("experiment", "chunk", 256), progress=progress)
+        chunk=chunk, progress=progress)
     progress.finish()
     rep = covariance_report(model, masses)
     rows = [{"gap": g, "covariance": e, "stderr": s, "theory_claimed": tc,

@@ -109,11 +109,18 @@ class RunConfig:
                               "must be an unsigned 64-bit integer")
         return s
 
+    def _count(self, key, default):
+        n = self.get_int("experiment", key, default)
+        if n < 1:
+            raise ConfigError(f"experiment.{key}", "must be >= 1")
+        return n
+
     def replicas(self):
-        r = self.get_int("experiment", "replicas", 1)
-        if r < 1:
-            raise ConfigError("experiment.replicas", "must be >= 1")
-        return r
+        return self._count("replicas", 1)
+
+    def chunk(self):
+        """Replicas drawn and reduced together."""
+        return self._count("chunk", 256)
 
     def build_model(self):
         """The model every subcommand draws and theorizes: the configured
@@ -132,11 +139,10 @@ class RunConfig:
             elif kind == "tabulated":
                 xs = self.get_float_list("model", "tabulated_x")
                 ds = self.get_float_list("model", "tabulated_density")
-                lr = self.get("model", "left_rate")
-                rr = self.get("model", "right_rate")
-                nu = TabulatedJumps(tuple(xs), tuple(ds),
-                                    None if lr is None else float(lr),
-                                    None if rr is None else float(rr))
+                lr, rr = (None if self.get("model", k) is None
+                          else self.get_float("model", k)
+                          for k in ("left_rate", "right_rate"))
+                nu = TabulatedJumps(tuple(xs), tuple(ds), lr, rr)
             else:
                 raise ConfigError("model.jump_kind",
                                   f"unknown kind {kind!r}")

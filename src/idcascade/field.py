@@ -40,11 +40,10 @@ and theorized like any other; the run configuration applies it once.
 make_sampler is the one place that turns a model, whose parts alone pick
 the kind, and a number of juxtaposed intervals into a sampler; single
 builds, batches, juxtaposition and the CLI all go through it.  Every
-sampler draws the point values of many replicas with point_logs(rngs),
-one generator per replica, a block of replicas at a time (blocks(rngs),
-which a caller can also reduce block by block without the whole
-batch's values), and every one-interval sampler draws one
-field with sample(rng), consuming the generator in the same order: the
+sampler draws the point values of many replicas, one generator each, a
+block of replicas at a time with blocks(rngs, out=None) (_block_slots),
+and every one-interval sampler draws one field with sample(rng),
+consuming the generator in the same order: the
 Gaussian normals of the points first, then the Poisson points, and last
 the Gaussian normals of any carried cells.  So a (seed, replica, stream
 tag) names one realization whichever path draws it.  Its point values do
@@ -260,27 +259,18 @@ def _block_slots(count, rows, shape, out=None):
     from block to block.
 
     A sampler's blocks(rngs, out=None) yields (start, values) this way,
-    values holding the point values of rngs[start:start + b]; a reused
-    buffer is overwritten by the next block.  point_logs collects the
-    blocks into one output, and BatchSimulator.masses reduces each as it
-    comes, so one chunk's point values need never exist at once.
-    (JuxtaposedGaussianSampler's one block is its transposed view, and
-    it takes no out.)
+    values holding the C-contiguous point values of rngs[start:start + b],
+    each of the sampler's shape: (n_points,), or (n_intervals, n_points)
+    for juxtaposed copies; a reused buffer is overwritten by the next
+    block.  BatchSimulator.point_log_chunk has the blocks fill one
+    output, and BatchSimulator.masses reduces each as it comes, so one
+    chunk's point values need never exist at once.
     """
     rows = max(1, min(rows, count))
     buf = np.empty((rows,) + shape) if out is None else None
     for s in range(0, count, rows):
         b = min(rows, count - s)
         yield s, (buf[:b] if out is None else out[s:s + b])
-
-
-def _all_blocks(blocks, rngs, shape):
-    """The (len(rngs), *shape) values a blocks(rngs, out) generator
-    writes into out."""
-    out = np.empty((len(rngs),) + shape)
-    for _ in blocks(rngs, out):
-        pass
-    return out
 
 
 # Columns per block of the in-place Cholesky factorization.  Of 64, 128
@@ -370,37 +360,19 @@ def _chol_with_jitter(cov):
     return cov, jitter
 
 
-class GaussianFieldSampler:
-    """Joint exact sampler for the Gaussian part of the noise on a grid.
+class _DenseGaussian:
+    """The draws of a dense Gaussian factor, shared by the one-interval
+    and the juxtaposed samplers: a replica's point values, of the
+    sampler's shape, are the first prod(shape) values of the factor."""
 
-    The Gram is scaled and Cholesky-factored in place, so the build's
-    peak is dim^2 doubles and one panel of the factorization
-    (footprint_areas, _chol_with_jitter); the factor is that same array.
-    """
-
-    name = "dense"
-
-    def __init__(self, grid, sigma2):
-        if sigma2 <= 0:
-            raise ValueError("Gaussian sampler needs sigma2 > 0")
-        self.grid = grid
-        self.sigma2 = float(sigma2)
-        objs = _gram_objects(grid)
-        areas = footprint_areas(grid.length, objs)
-        self.mean = -0.5 * sigma2 * areas
-        cov = footprint_areas(grid.length, objs, objs)
-        cov *= sigma2
+    def _set_factor(self, mean, cov):
+        """Factor the Gram cov in place; the mean and factor are shared,
+        so read-only."""
+        self.mean = mean
         self.chol, jitter = _chol_with_jitter(cov)
         for a in (self.mean, self.chol):
             a.setflags(write=False)
         self.health = {"cholesky_jitter": jitter}
-        self.dim = areas.size
-
-    def draw(self, rng, count=1):
-        """(dim, count) matrix of field values, one replica per column."""
-        vals = self.chol @ rng.standard_normal((self.dim, count))
-        vals += self.mean[:, None]
-        return vals
 
     def draw_columns(self, normals):
         """Map externally drawn standard normals (k, count) to the values of
@@ -418,19 +390,46 @@ class GaussianFieldSampler:
         """One block, the whole batch: the matrix product's bits depend on
         its width (see _block_slots for the protocol).
 
-        Only the point normals are drawn, the first n_points of the ones
-        sample() draws, so the carried cells cost nothing here.
+        Only the point normals are drawn, on one interval the first
+        n_points of the ones sample() draws, so the carried cells cost
+        nothing here.
         """
-        n = self.grid.n_points
-        vals = self.draw_columns(_normal_columns(rngs, n))
+        vals = self.draw_columns(
+            _normal_columns(rngs, math.prod(self.shape)))
         if out is None:
-            out = np.empty((len(rngs), n))
-        out[...] = vals.T
+            out = np.empty((len(rngs),) + self.shape)
+        out[...] = vals.T.reshape(out.shape)
         yield 0, out
 
-    def point_logs(self, rngs):
-        """(len(rngs), n_points) point values, replica j drawn from rngs[j]."""
-        return _all_blocks(self.blocks, rngs, (self.grid.n_points,))
+
+class GaussianFieldSampler(_DenseGaussian):
+    """Joint exact sampler for the Gaussian part of the noise on a grid.
+
+    The Gram is scaled and Cholesky-factored in place, so the build's
+    peak is dim^2 doubles and one panel of the factorization
+    (footprint_areas, _chol_with_jitter); the factor is that same array.
+    """
+
+    name = "dense"
+
+    def __init__(self, grid, sigma2):
+        if sigma2 <= 0:
+            raise ValueError("Gaussian sampler needs sigma2 > 0")
+        self.grid = grid
+        self.shape = (grid.n_points,)
+        self.sigma2 = float(sigma2)
+        objs = _gram_objects(grid)
+        areas = footprint_areas(grid.length, objs)
+        cov = footprint_areas(grid.length, objs, objs)
+        cov *= sigma2
+        self._set_factor(-0.5 * sigma2 * areas, cov)
+        self.dim = areas.size
+
+    def draw(self, rng, count=1):
+        """(dim, count) matrix of field values, one replica per column."""
+        vals = self.chol @ rng.standard_normal((self.dim, count))
+        vals += self.mean[:, None]
+        return vals
 
     def split(self, values):
         """Slice a stacked value vector into (point_log, cell_log dict)."""
@@ -449,7 +448,7 @@ class GaussianFieldSampler:
         return FieldSample(self.grid, "gaussian", point_log, cell_log)
 
 
-class JuxtaposedGaussianSampler:
+class JuxtaposedGaussianSampler(_DenseGaussian):
     """Exact sampler of the point values of n_intervals adjacent copies of
     a grid under one Gaussian noise, by the dense factor of their point
     Gram: one copy's overlap kernel in the diagonal blocks, the cross
@@ -463,14 +462,12 @@ class JuxtaposedGaussianSampler:
         if sigma2 <= 0:
             raise ValueError("Gaussian sampler needs sigma2 > 0")
         self.grid = grid
-        self.n_intervals = n_intervals
         L, lo, n = grid.length, grid.interval[0], grid.n_points
+        self.shape = (n_intervals, n)
         copies = [replace(grid, interval=(lo + i * L, lo + (i + 1) * L))
                   for i in range(n_intervals)]
         feet = [_gram_objects(g, levels=()) for g in copies]
-        self.mean = -0.5 * sigma2 * np.concatenate(
-            [footprint_areas(L, f) for f in feet])
-        cov = np.empty((self.mean.size, self.mean.size))
+        cov = np.empty((n_intervals * n,) * 2)
         for i, fi in enumerate(feet):
             ri = slice(i * n, (i + 1) * n)
             footprint_areas(L, fi, fi, out=cov[ri, ri])
@@ -483,23 +480,8 @@ class JuxtaposedGaussianSampler:
                         np.maximum(fi[2][b, None], fj[2][None, :]))
                     cov[rj, ri][:, b] = dest.T
         cov *= sigma2
-        self.chol, jitter = _chol_with_jitter(cov)
-        for a in (self.mean, self.chol):
-            a.setflags(write=False)
-        self.health = {"cholesky_jitter": jitter}
-
-    def point_logs(self, rngs):
-        """(len(rngs), n_intervals, n_points) point values, replica j drawn
-        from rngs[j]."""
-        vals = self.chol @ _normal_columns(rngs, self.mean.size)
-        vals += self.mean[:, None]
-        # a view: a contiguous copy would change the totals' summation order
-        return vals.T.reshape(len(rngs), self.n_intervals, self.grid.n_points)
-
-    def blocks(self, rngs):
-        """One block, the whole batch, as point_logs gives it: the matrix
-        product's bits depend on its width."""
-        yield 0, self.point_logs(rngs)
+        self._set_factor(-0.5 * sigma2 * np.concatenate(
+            [footprint_areas(L, f) for f in feet]), cov)
 
 
 # Points-only Gaussian grids with at least this many points use the
@@ -519,9 +501,9 @@ def _embedding_spectrum(row):
     return np.fft.rfft(np.concatenate([row, row[-2:0:-1]])).real
 
 
-# Normals per block of a circulant batch, 16 rows at 4096 points:
-# point_logs holds its output plus about two blocks.  64 rows took 8 MB
-# more peak RSS at 4096 points, chunks of 500; loop times tied.
+# Normals per block of a circulant batch, 16 rows at 4096 points: a
+# batch written into its output holds about two blocks more.  64 rows
+# took 8 MB more peak RSS at 4096 points, chunks of 500; loop times tied.
 CIRCULANT_BLOCK_VALUES = 2 ** 17
 
 
@@ -553,6 +535,7 @@ class CirculantGaussianSampler:
             raise ValueError("circulant embedding needs a points-only grid "
                              "(cell_levels = 0)")
         self.grid = grid
+        self.shape = (grid.n_points,)
         self.sigma2 = float(sigma2)
         n = grid.n_points
         kernel = cones.overlap_kernel(grid.length,
@@ -593,7 +576,7 @@ class CirculantGaussianSampler:
         rows = max(1, CIRCULANT_BLOCK_VALUES // m)
         spec = np.zeros((min(rows, len(rngs)), m + 2))
         vals = np.empty((len(spec), m))
-        for s, dest in _block_slots(len(rngs), rows, (n,), out):
+        for s, dest in _block_slots(len(rngs), rows, self.shape, out):
             b = len(dest)
             for i, r in enumerate(rngs[s:s + b]):
                 r.standard_normal(out=spec[i, 1:m + 1])
@@ -601,13 +584,9 @@ class CirculantGaussianSampler:
             np.add(vals[:b, :n], self.mean, out=dest)
             yield s, dest
 
-    def point_logs(self, rngs):
-        """(len(rngs), n_points) point values, replica j drawn from rngs[j]."""
-        return _all_blocks(self.blocks, rngs, (self.grid.n_points,))
-
     def sample(self, rng):
-        return FieldSample(self.grid, "gaussian", self.point_logs([rng])[0],
-                           {})
+        point_log = self.draw_rows(rng.standard_normal((1, self.size)))[0]
+        return FieldSample(self.grid, "gaussian", point_log, {})
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +755,7 @@ def poisson_points(rngs, strips, jumps):
     return counts, x, y, jumps.from_uniforms(ju)
 
 
-# Evaluation slots plus expected points of one Poisson point_logs
+# Evaluation slots plus expected points of one Poisson blocks
 # sub-batch.  Drawn whole, chunks at 4096 points ran 1.5x (one copy) to
 # 2.3x (4 copies) slower per replica; caps from 65536 to 131072 tied.
 POISSON_BATCH_SLOTS = 65536
@@ -798,6 +777,7 @@ class PoissonFieldSampler:
         if model.sigma2 != 0.0:
             raise ValueError("model has a Gaussian part; use the hybrid path")
         self.grid = grid
+        self.shape = (grid.n_points,)
         self.model = model
         self.jumps, self.drift = jump_law(model.nu)
         self.strips = cones.sampling_domain(grid.interval, grid.eps)
@@ -838,17 +818,12 @@ class PoissonFieldSampler:
         in one reused difference array."""
         g = self.grid
         diff = np.empty((min(self._batch, len(rngs)), g.n_points + 1))
-        for s, dest in _block_slots(len(rngs), self._batch, (g.n_points,),
-                                    out):
+        for s, dest in _block_slots(len(rngs), self._batch, self.shape, out):
             sums = shadow_sums(*poisson_points(
                 rngs[s:s + len(dest)], self.strips, self.jumps),
                 g.interval[0], g.spacing, g.n_points, diff=diff[:len(dest)])
             np.add(sums, self._base, out=dest)
             yield s, dest
-
-    def point_logs(self, rngs):
-        """(len(rngs), n_points) point values, replica j from rngs[j]."""
-        return _all_blocks(self.blocks, rngs, (self.grid.n_points,))
 
 
 class JuxtaposedPoissonSampler:
@@ -867,8 +842,8 @@ class JuxtaposedPoissonSampler:
         if model.sigma2 != 0.0:
             raise ValueError("model has a Gaussian part; use the hybrid path")
         self.grid = grid
-        self.n_intervals = n_intervals
         L, lo, n = grid.length, grid.interval[0], grid.n_points
+        self.shape = (n_intervals, n)
         self.strips = cones.sampling_domain((lo, lo + n_intervals * L),
                                             grid.eps)
         self.jumps, drift = jump_law(model.nu)
@@ -884,9 +859,9 @@ class JuxtaposedPoissonSampler:
     def blocks(self, rngs, out=None):
         """Sub-batches of POISSON_BATCH_SLOTS (see _block_slots), summed
         in one reused difference array."""
-        n, m = self.grid.n_points, self.n_intervals
+        m, n = self.shape
         diff = np.empty((min(self._batch, len(rngs)) * m, n + 1))
-        for s, dest in _block_slots(len(rngs), self._batch, (m, n), out):
+        for s, dest in _block_slots(len(rngs), self._batch, self.shape, out):
             counts, x, y, jump = poisson_points(rngs[s:s + len(dest)],
                                                 self.strips, self.jumps)
             sums = shadow_sums(counts, x, y, jump, self._left,
@@ -894,12 +869,6 @@ class JuxtaposedPoissonSampler:
                                diff=diff[:len(dest) * m])
             np.add(sums.reshape(dest.shape), self._base, out=dest)
             yield s, dest
-
-    def point_logs(self, rngs):
-        """(len(rngs), n_intervals, n_points) point values, replica j drawn
-        from rngs[j]."""
-        return _all_blocks(self.blocks, rngs,
-                           (self.n_intervals, self.grid.n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -972,6 +941,7 @@ class HybridFieldSampler:
         self.gauss = gaussian_sampler(grid, model.sigma2)
         self.poisson = PoissonFieldSampler(grid, build_model(0.0, model.nu))
         self.health = self.gauss.health
+        self.shape = self.gauss.shape
 
     def sample(self, rng):
         # The point normals, then the jumps, then the cell normals: so the
@@ -1005,10 +975,6 @@ class HybridFieldSampler:
                 vals[t:t + len(jumps)] += jumps
             yield s, vals
 
-    def point_logs(self, rngs):
-        """(len(rngs), n_points) point values, replica j drawn from rngs[j]."""
-        return _all_blocks(self.blocks, rngs, (self.grid.n_points,))
-
 
 def gaussian_sampler(grid, sigma2):
     """The circulant embedding on a points-only grid of at least
@@ -1037,18 +1003,18 @@ def make_sampler(grid, model, n_intervals=1):
 
     The model alone picks the sampler (field_kind): Gaussian, Poisson or
     hybrid.  A model with small jumps truncated is built first by
-    truncated_model.  Every sampler has point_logs(rngs) for a batch of
-    point values, one generator per replica, and the one-interval samplers
-    sample(rng) for one FieldSample.
+    truncated_model.  Every sampler has blocks(rngs, out=None) for a batch
+    of point values, one generator per replica, each of the sampler's
+    shape, and the one-interval samplers sample(rng) for one FieldSample.
 
     gaussian_sampler gives a Gaussian model or a hybrid's Gaussian part the
     circulant embedding on a points-only grid of CIRCULANT_MIN_POINTS or
     more points, else, or on a negative eigenvalue (warned), the dense one.
 
     With n_intervals > 1 it draws that many adjacent copies of the grid
-    under one noise, and point_logs gives (replicas, n_intervals,
-    n_points): JuxtaposedGaussianSampler, whose Gram holds the points
-    alone whatever the cell_levels, or JuxtaposedPoissonSampler; no hybrid.
+    under one noise, of shape (n_intervals, n_points):
+    JuxtaposedGaussianSampler, whose Gram holds the points alone whatever
+    the cell_levels, or JuxtaposedPoissonSampler; no hybrid.
 
     The most recent sampler is kept and returned again to the next call
     with equal arguments, however they are spelled: by keyword or by

@@ -196,13 +196,30 @@ def test_masses_are_the_reduced_chunks_bit_for_bit(model, grid, copies,
             for a, b in zip(g[1:], w[1:]):
                 assert a.shape == b.shape
                 np.testing.assert_array_equal(a, b)
+        # a row's masses keep their bits in a block of any width, also
+        # alone, on every path: each block is C-contiguous
+        for (_, pl), w in zip(sim.chunks(3, replicas, chunk), want):
+            for i in range(len(pl)):
+                for a, b in zip(masses_from_point_log(grid, pl[i:i + 1]),
+                                w[1:]):
+                    np.testing.assert_array_equal(a[0], b[i])
         if not dense:
-            # a row's masses keep their bits in a block of any width,
-            # also alone, so the chunk width is invisible too
+            # and the draws keep theirs, so the chunk width is invisible
+            # too; the dense paths' matrix product sees the width
             whole = list(sim.masses(3, replicas, replicas))[0]
             for i in (1, 2):
                 np.testing.assert_array_equal(
                     np.concatenate([g[i] for g in got]), whole[i])
+
+
+def test_batch_rejects_a_non_positive_chunk():
+    sim = BatchSimulator(ATOM, GridSpec((0.0, 1.0), 4, 2, 0))
+    for chunk in (0, -1):
+        for draw in (sim.chunks, sim.masses):
+            with pytest.raises(ValueError, match="chunk must be >= 1"):
+                next(draw(1, 4, chunk))
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            simulate_total_masses(ATOM, sim.grid, 1, 4, chunk=chunk)
 
 
 def test_batch_masses_memory_is_below_one_chunk_of_point_values():
@@ -425,13 +442,15 @@ def test_csv_bytes_match_the_per_row_format(tmp_path):
 def test_block_reduction_keeps_the_one_shot_bits(rows, monkeypatch):
     grid = GridSpec((0.1, 0.4), 4, 3, 0)
     rngs = [make_generator(6, i, "t") for i in range(40)]
-    batch = make_sampler(grid, LOGN).point_logs(rngs)
-    # the juxtaposed batch is a transposed view: a C-contiguous copy, or
-    # a block of one row of it, would sum the totals in another order
-    # (rows 1 and 3 leave a one-row block if the blocks are not merged)
-    jux = make_sampler(grid, LOGN, 3).point_logs(rngs)
+    batch = np.empty((40, grid.n_points))
+    for _ in make_sampler(grid, LOGN).blocks(rngs, batch):
+        pass
+    # the juxtaposed dense block, the whole batch, is C-contiguous like
+    # every block, so a block of any rows, also of one (rows 1 and 3
+    # leave one), sums each row's totals in the same order
+    (_, jux), = make_sampler(grid, LOGN, 3).blocks(rngs)
     assert jux.shape == (40, 3, grid.n_points)
-    assert not jux.flags.c_contiguous
+    assert jux.flags.c_contiguous
     for point_log in (batch[0], batch, jux):
         monkeypatch.setattr(cascade, "REDUCE_BLOCK_VALUES",
                             rows * point_log[0].size)

@@ -208,6 +208,18 @@ def test_substitute_without_cutoff_is_a_config_error(tmp_path, capsys):
     assert "model.substitute_small" in capsys.readouterr().err
 
 
+def test_non_positive_chunk_is_a_config_error(tmp_path, capsys):
+    # caught before any replica is drawn or written, on every batch path
+    for chunk in ("0", "-1"):
+        for kind in ("moments", "tail", "scaling", "covariance"):
+            path = shipped_cfg("atom.ini", tmp_path,
+                               experiment={"chunk": chunk, "kind": kind})
+            for command in ("simulate", "estimate"):
+                assert run("--config", path, command) == 2
+                assert "experiment.chunk" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_runtime_error_exits_3(tmp_path):
     path = write_cfg(tmp_path / "r.ini", tmp_path / "r",
                      experiment="kind = scaling\nscale_ratios = 0.3\n")

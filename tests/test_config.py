@@ -5,7 +5,7 @@ import pytest
 from idcascade.config import (ConfigError, RunConfig, config_hash,
                               load_config, parse_config, serialize_config)
 from idcascade.field import GridSpec, field_kind, truncated_model
-from idcascade.levy import AtomicJumps, ZeroJumps
+from idcascade.levy import AtomicJumps, TabulatedJumps, ZeroJumps
 
 SAMPLE = """
 [model]
@@ -90,6 +90,10 @@ def test_unknown_section_and_bad_values():
     cfg.set("experiment", "replicas", "0")
     with pytest.raises(ConfigError, match="replicas"):
         cfg.replicas()
+    for chunk in ("0", "-1"):
+        cfg.set("experiment", "chunk", chunk)
+        with pytest.raises(ConfigError, match="experiment.chunk"):
+            cfg.chunk()
     cfg = parse_config(SAMPLE)
     cfg.set("grid", "cell_levels", "x")
     with pytest.raises(ConfigError, match="grid.cell_levels"):
@@ -112,6 +116,20 @@ def test_atom_model_from_config():
     cfg.set("model", "atom_masses", "1.0, 2.0")
     with pytest.raises(ConfigError, match="equal length"):
         cfg.build_model()
+
+
+def test_bad_tabulated_rate_names_its_key():
+    cfg = parse_config(SAMPLE)
+    cfg.set("model", "jump_kind", "tabulated")
+    cfg.set("model", "tabulated_x", "-1.0, 0.0, 0.5")
+    cfg.set("model", "tabulated_density", "1.0, 2.0, 0.4")
+    for key in ("left_rate", "right_rate"):
+        cfg.set("model", key, "abc")
+        with pytest.raises(ConfigError, match=f"model.{key}: not a number"):
+            cfg.build_model()
+        cfg.set("model", key, "3.0")
+    assert cfg.build_model().nu == TabulatedJumps(
+        (-1.0, 0.0, 0.5), (1.0, 2.0, 0.4), 3.0, 3.0)
 
 
 def test_build_model_truncates_small_jumps():

@@ -35,6 +35,15 @@ from idcascade.levy import (
 )
 
 
+def filled(sam, rngs):
+    """The (len(rngs), *sam.shape) point values sam.blocks(rngs, out)
+    writes into out."""
+    out = np.full((len(rngs),) + sam.shape, np.nan)
+    for _ in sam.blocks(rngs, out):
+        pass
+    return out
+
+
 def test_grid_basic_properties():
     g = GridSpec((0.0, 2.0), 4, 3)
     assert g.length == 2.0
@@ -152,8 +161,8 @@ def test_circulant_blocks_replay_single_draws_bitwise(rows, monkeypatch):
     want = np.array([sam.sample(make_generator(5, i, "t")).point_log
                      for i in range(40)])
     for width in (1, 3, 37):
-        got = np.vstack([sam.point_logs([make_generator(5, i, "t") for i in
-                                         range(s, min(s + width, 40))])
+        got = np.vstack([filled(sam, [make_generator(5, i, "t") for i in
+                                      range(s, min(s + width, 40))])
                          for s in range(0, 40, width)])
         np.testing.assert_array_equal(got, want)
 
@@ -165,7 +174,7 @@ def test_circulant_batch_memory_is_its_output_plus_two_blocks():
     block = field.CIRCULANT_BLOCK_VALUES // sam.size * (sam.size + 2) * 8
     tracemalloc.start()
     try:
-        out = sam.point_logs(rngs)
+        out = filled(sam, rngs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -361,7 +370,7 @@ def test_make_sampler_shares_one_read_only_sampler():
         (-1.0, 0.0, 0.5), (1.0, 2.0, 0.4), 2.0, 3.0)))
     jux = make_sampler(g, model, n_intervals=3)
     assert make_sampler(g, model, 3) is jux
-    assert jux.point_logs([make_generator(1, 0, "t")]).shape == (1, 3, 16)
+    assert filled(jux, [make_generator(1, 0, "t")]).shape == (1, 3, 16)
     for arr in (dense.chol, dense.mean, circ.weights, atom.jumps.locations,
                 atom.jumps.cum, tab.jumps._x, tab.jumps._d, tab.jumps._pieces,
                 tab.jumps._cum, jux.chol, jux.mean):
@@ -418,11 +427,11 @@ def test_refinement_keeps_its_bits():
     assert fine.total_mass == float.fromhex("0x1.8becb9e51dcedp-1")
 
 
-def test_dense_point_logs_draw_only_the_point_normals():
+def test_dense_blocks_draw_only_the_point_normals():
     g = GridSpec((0.0, 1.0), 4, 2)
     sam = GaussianFieldSampler(g, 0.5)
     rngs = [make_generator(8, j, "t") for j in range(3)]
-    batch = sam.point_logs(rngs)
+    batch = filled(sam, rngs)
     for j, r in enumerate(rngs):
         # the stream stopped after n_points normals
         ref = make_generator(8, j, "t").standard_normal(g.n_points + 1)
@@ -510,7 +519,7 @@ def test_poisson_batches_replay_single_draws_bitwise(model, slots,
     singles = [sam.sample(gen(i)) for i in range(40)]
     want = np.array([f.point_log for f in singles])
     for width in (1, 3, 37):
-        got = np.vstack([sam.point_logs([gen(i) for i in range(
+        got = np.vstack([filled(sam, [gen(i) for i in range(
             s, min(s + width, 40))]) for s in range(0, 40, width)])
         np.testing.assert_array_equal(got, want)
     if model is SPARSE:
@@ -524,12 +533,45 @@ def test_juxtaposed_poisson_batches_are_width_invariant(slots, monkeypatch):
     sam = JuxtaposedPoissonSampler(GridSpec((0.1, 0.4), 5, 2, 0),
                                    single_atom_model(-math.log(2.0), 1.0), 3)
     rngs = [make_generator(4, i, "jux") for i in range(40)]
-    want = np.array([sam.point_logs([r])[0] for r in rngs])
+    want = np.array([filled(sam, [r])[0] for r in rngs])
     for width in (3, 37):
         rngs = [make_generator(4, i, "jux") for i in range(40)]
-        got = np.concatenate([sam.point_logs(rngs[s:s + width])
+        got = np.concatenate([filled(sam, rngs[s:s + width])
                               for s in range(0, 40, width)])
         np.testing.assert_array_equal(got, want)
+
+
+SAMPLERS = [  # name, model, grid, copies: each sampler make_sampler gives
+    ("dense", lognormal_model(0.5), GridSpec((0.1, 0.4), 4, 2), 1),
+    ("juxtaposed-dense", lognormal_model(0.5), GridSpec((0.1, 0.4), 4, 2, 0),
+     3),
+    ("circulant", lognormal_model(0.5), GridSpec((0.0, 1.0), 9, 4, 0), 1),
+    ("poisson", TWO_ATOMS, GridSpec((0.1, 0.4), 4, 2), 1),
+    ("juxtaposed-poisson", TWO_ATOMS, GridSpec((0.1, 0.4), 4, 2, 0), 3),
+    ("hybrid", HYBRID, GridSpec((0.1, 0.4), 4, 2), 1),
+]
+
+
+@pytest.mark.parametrize("name,model,grid,copies", SAMPLERS,
+                         ids=[s[0] for s in SAMPLERS])
+def test_every_sampler_draws_batches_with_blocks(name, model, grid, copies):
+    sam = make_sampler(grid, model, copies)
+    assert sam.name == name
+    assert sam.shape == ((grid.n_points,) if copies == 1 else
+                         (copies, grid.n_points))
+
+    def gens():
+        return [make_generator(7, i, "t") for i in range(5)]
+
+    out = np.full((5,) + sam.shape, np.nan)
+    for s, vals in sam.blocks(gens(), out):
+        assert np.shares_memory(vals, out)
+    assert np.isfinite(out).all()
+    # without out, each block is C-contiguous, with the same bits
+    for s, vals in sam.blocks(gens()):
+        assert vals.flags.c_contiguous
+        np.testing.assert_array_equal(vals, out[s:s + len(vals)])
+    assert s + len(vals) == 5
 
 
 def test_poisson_rejects_gaussian_part():
