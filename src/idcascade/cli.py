@@ -261,14 +261,14 @@ def _check_scaling_ks(cfg, model, grid, seed):
     from .cascade import scaled_mass_samples, simulate_prefix_masses
     from .moments import ks_two_sample
     p_min = cfg.get_float("experiment", "ks_p_min", 0.01)
-    replicas = max(cfg.replicas(), 5000)
+    replicas, chunk = max(cfg.replicas(), 5000), cfg.chunk()
     lam = 0.5
     small = type(grid)(grid.interval, min(grid.levels, 8),
                        grid.oversample, 0)
     a = simulate_prefix_masses(model, small, seed, replicas, [lam],
-                               stream_tag="verify-ks-a")[:, 0]
+                               chunk=chunk, stream_tag="verify-ks-a")[:, 0]
     b = scaled_mass_samples(model, small, lam, seed + 1, replicas,
-                            stream_tag="verify-ks-b")
+                            chunk=chunk, stream_tag="verify-ks-b")
     stat, p = ks_two_sample(a, b)
     return p >= p_min, {"metric": p, "tolerance": p_min, "statistic": stat,
                         "replicas": replicas}

@@ -10,10 +10,9 @@ Exact samplers cover the model classes:
 * Gaussian, dense: the joint law of all point and cell values is a
   Gaussian vector whose covariance is sigma2 times the overlap kernel of
   the regions, built densely and Cholesky-factored once per grid.  It
-  serves grids that carry cells, grids below CIRCULANT_MIN_POINTS points
-  and refinement.  Juxtaposition, n_intervals adjacent copies of a grid
-  driven by one noise, factors the Gram of the copies' points alone, with
-  the cross kernel of two copies' cones off the diagonal blocks:
+  serves grids that carry cells, grids below CIRCULANT_MIN_POINTS points,
+  refinement and juxtaposition: n_intervals adjacent copies of a grid
+  driven by one noise, whose Gram holds the copies' points alone,
   (n_intervals * n_points)^2 doubles.
 * Gaussian, circulant embedding: on a points-only grid (cell_levels = 0)
   the covariance depends only on the lag, so it is a Toeplitz matrix and
@@ -26,9 +25,9 @@ Exact samplers cover the model classes:
 * Atomic (compound Poisson): the jump part is a Poisson point process on the
   union of all local cones; each sampled point adds its jump to exactly the
   evaluation points whose cone contains it, which is a contiguous index
-  range, so evaluation is a difference-array sweep.  Juxtaposed copies
-  share one point set, drawn on the sampling domain of their hull.  A
-  batch's point sets are drawn, mapped and summed together
+  range, so evaluation is a difference-array sweep.  The same sampler
+  draws juxtaposed copies from one point set on the sampling domain of
+  their hull.  A batch's point sets are drawn, mapped and summed together
   (poisson_points, shadow_sums), with the bits of one replica at a time.
 * Hybrid: a model with a Gaussian part and jumps adds the two samplers.
 
@@ -360,19 +359,74 @@ def _chol_with_jitter(cov):
     return cov, jitter
 
 
-class _DenseGaussian:
-    """The draws of a dense Gaussian factor, shared by the one-interval
-    and the juxtaposed samplers: a replica's point values, of the
-    sampler's shape, are the first prod(shape) values of the factor."""
+def _set_copies(sampler, grid, n_intervals):
+    """Set the grid, shape and name of a sampler of n_intervals adjacent
+    copies of grid; return their edges: lo + i L, or for one copy the
+    interval itself (lo + L need not be hi)."""
+    if n_intervals < 1:
+        raise ValueError("n_intervals must be >= 1")
+    sampler.grid = grid
+    if n_intervals == 1:
+        sampler.shape = (grid.n_points,)
+        return list(grid.interval)
+    sampler.shape = (n_intervals, grid.n_points)
+    sampler.name = "juxtaposed-" + sampler.name
+    lo, L = grid.interval[0], grid.length
+    return [lo + i * L for i in range(n_intervals + 1)]
 
-    def _set_factor(self, mean, cov):
-        """Factor the Gram cov in place; the mean and factor are shared,
-        so read-only."""
-        self.mean = mean
+
+class GaussianFieldSampler:
+    """Joint exact sampler for the Gaussian part of the noise on a grid, or
+    for the point values of n_intervals adjacent copies of it.
+
+    The Gram holds one copy's points and carried cells, or the copies'
+    points alone: one copy's overlap kernel in the diagonal blocks, the
+    cross kernel of two copies' cones off them.  It is filled a block of
+    rows at a time (_row_slices), scaled and Cholesky-factored in place,
+    so the build's peak is dim^2 doubles and one panel of the
+    factorization (footprint_areas, _chol_with_jitter).  A replica's point
+    values are the first prod(shape) values.
+    """
+
+    name = "dense"
+
+    def __init__(self, grid, sigma2, n_intervals=1):
+        if sigma2 <= 0:
+            raise ValueError("Gaussian sampler needs sigma2 > 0")
+        edges = _set_copies(self, grid, n_intervals)
+        self.sigma2 = float(sigma2)
+        L = grid.length
+        copies = [replace(grid, interval=iv) for iv in zip(edges, edges[1:])]
+        feet = [_gram_objects(g, levels=None if n_intervals == 1 else ())
+                for g in copies]
+        n = feet[0][0].size
+        self.dim = n_intervals * n
+        cov = np.empty((self.dim, self.dim))
+        for i, fi in enumerate(feet):
+            ri = slice(i * n, (i + 1) * n)
+            footprint_areas(L, fi, fi, out=cov[ri, ri])
+            for j, fj in enumerate(feet[i + 1:], i + 1):
+                rj = slice(j * n, (j + 1) * n)
+                for b, dest in _row_slices(cov[ri, rj]):
+                    dest[...] = cones.cross_kernel(
+                        copies[i].interval, copies[j].interval, fi[0][b],
+                        fi[1][b], fj[0], fj[1],
+                        np.maximum(fi[2][b, None], fj[2][None, :]))
+                    cov[rj, ri][:, b] = dest.T
+        cov *= sigma2
+        # the mean and factor are shared, so read-only
+        self.mean = -0.5 * sigma2 * np.concatenate(
+            [footprint_areas(L, f) for f in feet])
         self.chol, jitter = _chol_with_jitter(cov)
         for a in (self.mean, self.chol):
             a.setflags(write=False)
         self.health = {"cholesky_jitter": jitter}
+
+    def draw(self, rng, count=1):
+        """(dim, count) matrix of field values, one replica per column."""
+        vals = self.chol @ rng.standard_normal((self.dim, count))
+        vals += self.mean[:, None]
+        return vals
 
     def draw_columns(self, normals):
         """Map externally drawn standard normals (k, count) to the values of
@@ -401,36 +455,6 @@ class _DenseGaussian:
         out[...] = vals.T.reshape(out.shape)
         yield 0, out
 
-
-class GaussianFieldSampler(_DenseGaussian):
-    """Joint exact sampler for the Gaussian part of the noise on a grid.
-
-    The Gram is scaled and Cholesky-factored in place, so the build's
-    peak is dim^2 doubles and one panel of the factorization
-    (footprint_areas, _chol_with_jitter); the factor is that same array.
-    """
-
-    name = "dense"
-
-    def __init__(self, grid, sigma2):
-        if sigma2 <= 0:
-            raise ValueError("Gaussian sampler needs sigma2 > 0")
-        self.grid = grid
-        self.shape = (grid.n_points,)
-        self.sigma2 = float(sigma2)
-        objs = _gram_objects(grid)
-        areas = footprint_areas(grid.length, objs)
-        cov = footprint_areas(grid.length, objs, objs)
-        cov *= sigma2
-        self._set_factor(-0.5 * sigma2 * areas, cov)
-        self.dim = areas.size
-
-    def draw(self, rng, count=1):
-        """(dim, count) matrix of field values, one replica per column."""
-        vals = self.chol @ rng.standard_normal((self.dim, count))
-        vals += self.mean[:, None]
-        return vals
-
     def split(self, values):
         """Slice a stacked value vector into (point_log, cell_log dict)."""
         g = self.grid
@@ -443,45 +467,12 @@ class GaussianFieldSampler(_DenseGaussian):
         return point_log, cell_log
 
     def sample(self, rng):
+        """One copy's FieldSample."""
+        if len(self.shape) > 1:
+            raise ValueError("juxtaposed copies draw only with blocks()")
         vals = self.draw(rng, 1)[:, 0]
         point_log, cell_log = self.split(vals)
         return FieldSample(self.grid, "gaussian", point_log, cell_log)
-
-
-class JuxtaposedGaussianSampler(_DenseGaussian):
-    """Exact sampler of the point values of n_intervals adjacent copies of
-    a grid under one Gaussian noise, by the dense factor of their point
-    Gram: one copy's overlap kernel in the diagonal blocks, the cross
-    kernel of two copies' cones off them.  Both are filled in place a
-    block of rows at a time (_row_slices) and the Gram is factored in
-    place, so the build holds the Gram and a panel or a few blocks."""
-
-    name = "juxtaposed-dense"
-
-    def __init__(self, grid, sigma2, n_intervals):
-        if sigma2 <= 0:
-            raise ValueError("Gaussian sampler needs sigma2 > 0")
-        self.grid = grid
-        L, lo, n = grid.length, grid.interval[0], grid.n_points
-        self.shape = (n_intervals, n)
-        copies = [replace(grid, interval=(lo + i * L, lo + (i + 1) * L))
-                  for i in range(n_intervals)]
-        feet = [_gram_objects(g, levels=()) for g in copies]
-        cov = np.empty((n_intervals * n,) * 2)
-        for i, fi in enumerate(feet):
-            ri = slice(i * n, (i + 1) * n)
-            footprint_areas(L, fi, fi, out=cov[ri, ri])
-            for j, fj in enumerate(feet[i + 1:], i + 1):
-                rj = slice(j * n, (j + 1) * n)
-                for b, dest in _row_slices(cov[ri, rj]):
-                    dest[...] = cones.cross_kernel(
-                        copies[i].interval, copies[j].interval, fi[0][b],
-                        fi[1][b], fj[0], fj[1],
-                        np.maximum(fi[2][b, None], fj[2][None, :]))
-                    cov[rj, ri][:, b] = dest.T
-        cov *= sigma2
-        self._set_factor(-0.5 * sigma2 * np.concatenate(
-            [footprint_areas(L, f) for f in feet]), cov)
 
 
 # Points-only Gaussian grids with at least this many points use the
@@ -713,17 +704,16 @@ def range_sums(i0, i1, values, count, rows=1, diff=None):
     return np.cumsum(sums, axis=1, out=sums)
 
 
-def shadow_sums(counts, x, y, jump, left, spacing, n, right=None, diff=None):
+def shadow_sums(counts, x, y, jump, left, spacing, n, right, diff=None):
     """(len(counts) * copies, n) jump totals at the evaluation points of
     each replica's grid copies, in one range_sums call (with its diff);
-    replica j owns the next counts[j] points.  left and spacing are
-    scalars for one copy or (copies, 1) columns; with right, a copy drops
-    the points covering it."""
-    k0, k1 = np.atleast_2d(*_shadow_index_range(x, y, left, spacing, n))
+    replica j owns the next counts[j] points.  left, spacing and right
+    are (copies, 1) columns; a copy drops the points covering it, which
+    lie in its interval cone."""
+    k0, k1 = _shadow_index_range(x, y, left, spacing, n)
     off = (np.repeat(np.arange(len(counts)) * len(k0), counts)
            + np.arange(len(k0))[:, None]) * (n + 1)
-    keep = (... if right is None else
-            ~((x - 0.5 * y <= left) & (right <= x + 0.5 * y)))
+    keep = ~((x - 0.5 * y <= left) & (right <= x + 0.5 * y))
     k0 += off
     k1 += off
     return range_sums(k0[keep], k1[keep],
@@ -768,36 +758,48 @@ def _batch_size(strips, jumps, slots):
 
 
 class PoissonFieldSampler:
-    """Exact sampler for pure-jump models with finite jump-measure mass."""
+    """Exact sampler for pure-jump models with finite jump-measure mass, on
+    a grid or on n_intervals adjacent copies of it under one noise.
+
+    The copies' local cones fill the sampling domain of their hull, so one
+    point set serves every copy: a point adds its jump to the copy's points
+    under its shadow unless it lies in that copy's own interval cone
+    (shadow_sums; one copy's sampling domain holds no such point).
+    """
 
     name = "poisson"
     health = {}
 
-    def __init__(self, grid, model):
+    def __init__(self, grid, model, n_intervals=1):
         if model.sigma2 != 0.0:
             raise ValueError("model has a Gaussian part; use the hybrid path")
-        self.grid = grid
-        self.shape = (grid.n_points,)
+        edges = _set_copies(self, grid, n_intervals)
         self.model = model
         self.jumps, self.drift = jump_law(model.nu)
-        self.strips = cones.sampling_domain(grid.interval, grid.eps)
-        g = grid
-        self._base = self.drift * cones.area_local_cone(g.interval, g.eps)
+        self.strips = cones.sampling_domain((edges[0], edges[-1]), grid.eps)
+        self._base = self.drift * cones.area_local_cone(edges[:2], grid.eps)
         self._cell_area = {
-            lev: math.log(g.length / (g.length * 2.0 ** (-lev)))
-            for lev in g.carried_levels}
-        self._batch = _batch_size(self.strips, self.jumps, g.n_points + 1)
+            lev: math.log(grid.length / (grid.length * 2.0 ** (-lev)))
+            for lev in grid.carried_levels}
+        # one row per copy, each with its own edges and spacing: for a
+        # non-dyadic L the lengths (lo + (i+1)L) - (lo + iL) need not equal L
+        edges = np.array(edges)
+        self._left, self._right = edges[:-1, None], edges[1:, None]
+        self._spacing = (self._right - self._left) / grid.n_points
+        self._batch = _batch_size(self.strips, self.jumps,
+                                  n_intervals * (grid.n_points + 1))
 
     def draw_points(self, rng):
         """Poisson point set on the sampling domain: (x, y, jump) arrays."""
         return poisson_points([rng], self.strips, self.jumps)[1:]
 
     def evaluate(self, x, y, jump):
-        """Field values (point_log, cell_log) of one point set."""
+        """One copy's field values (point_log, cell_log) of one point set."""
         g = self.grid
         lo = g.interval[0]
-        point_log = self._base + shadow_sums([x.size], x, y, jump, lo,
-                                             g.spacing, g.n_points)[0]
+        point_log = self._base + shadow_sums(
+            [x.size], x, y, jump, self._left, self._spacing, g.n_points,
+            self._right)[0]
         cell_log = {}
         for lev in g.carried_levels:
             count = 2 ** lev
@@ -808,6 +810,9 @@ class PoissonFieldSampler:
         return point_log, cell_log
 
     def sample(self, rng):
+        """One copy's FieldSample."""
+        if len(self.shape) > 1:
+            raise ValueError("juxtaposed copies draw only with blocks()")
         x, y, jump = self.draw_points(rng)
         point_log, cell_log = self.evaluate(x, y, jump)
         return FieldSample(self.grid, "poisson", point_log, cell_log,
@@ -816,57 +821,14 @@ class PoissonFieldSampler:
     def blocks(self, rngs, out=None):
         """Sub-batches of POISSON_BATCH_SLOTS (see _block_slots), summed
         in one reused difference array."""
-        g = self.grid
-        diff = np.empty((min(self._batch, len(rngs)), g.n_points + 1))
-        for s, dest in _block_slots(len(rngs), self._batch, self.shape, out):
-            sums = shadow_sums(*poisson_points(
-                rngs[s:s + len(dest)], self.strips, self.jumps),
-                g.interval[0], g.spacing, g.n_points, diff=diff[:len(dest)])
-            np.add(sums, self._base, out=dest)
-            yield s, dest
-
-
-class JuxtaposedPoissonSampler:
-    """Exact sampler of the point values of n_intervals adjacent copies of
-    a grid under one compound-Poisson noise.
-
-    The copies' local cones fill the sampling domain of their hull, so one
-    point set serves every copy: a point adds its jump to the copy's points
-    under its shadow unless it lies in that copy's own interval cone.
-    """
-
-    name = "juxtaposed-poisson"
-    health = {}
-
-    def __init__(self, grid, model, n_intervals):
-        if model.sigma2 != 0.0:
-            raise ValueError("model has a Gaussian part; use the hybrid path")
-        self.grid = grid
-        L, lo, n = grid.length, grid.interval[0], grid.n_points
-        self.shape = (n_intervals, n)
-        self.strips = cones.sampling_domain((lo, lo + n_intervals * L),
-                                            grid.eps)
-        self.jumps, drift = jump_law(model.nu)
-        self._base = drift * cones.area_local_cone((lo, lo + L), grid.eps)
-        # one row per copy, each with its own edges and spacing: for a
-        # non-dyadic L the lengths (lo + (i+1)L) - (lo + iL) need not equal L
-        edges = lo + np.arange(n_intervals + 1) * L
-        self._left, self._right = edges[:-1, None], edges[1:, None]
-        self._spacing = (self._right - self._left) / n
-        self._batch = _batch_size(self.strips, self.jumps,
-                                  n_intervals * (n + 1))
-
-    def blocks(self, rngs, out=None):
-        """Sub-batches of POISSON_BATCH_SLOTS (see _block_slots), summed
-        in one reused difference array."""
-        m, n = self.shape
+        m, n = len(self._left), self.grid.n_points
         diff = np.empty((min(self._batch, len(rngs)) * m, n + 1))
         for s, dest in _block_slots(len(rngs), self._batch, self.shape, out):
-            counts, x, y, jump = poisson_points(rngs[s:s + len(dest)],
-                                                self.strips, self.jumps)
-            sums = shadow_sums(counts, x, y, jump, self._left,
-                               self._spacing, n, self._right,
-                               diff=diff[:len(dest) * m])
+            # the points die with the call, before the next block's draw
+            sums = shadow_sums(*poisson_points(
+                rngs[s:s + len(dest)], self.strips, self.jumps),
+                self._left, self._spacing, n, self._right,
+                diff=diff[:len(dest) * m])
             np.add(sums.reshape(dest.shape), self._base, out=dest)
             yield s, dest
 
@@ -976,17 +938,18 @@ class HybridFieldSampler:
             yield s, vals
 
 
-def gaussian_sampler(grid, sigma2):
-    """The circulant embedding on a points-only grid of at least
-    CIRCULANT_MIN_POINTS points, else the dense factor; the dense factor
-    too, warned, if the embedding has a negative eigenvalue."""
-    if grid.cell_levels == 0 and grid.n_points >= CIRCULANT_MIN_POINTS:
+def gaussian_sampler(grid, sigma2, n_intervals=1):
+    """The circulant embedding for one copy of a points-only grid of at
+    least CIRCULANT_MIN_POINTS points, else the dense factor; the dense
+    factor too, warned, if the embedding has a negative eigenvalue."""
+    if (n_intervals == 1 and grid.cell_levels == 0
+            and grid.n_points >= CIRCULANT_MIN_POINTS):
         try:
             return CirculantGaussianSampler(grid, sigma2)
         except np.linalg.LinAlgError as exc:
             warnings.warn(f"{exc}; using the dense sampler", RuntimeWarning,
                           stacklevel=4)
-    return GaussianFieldSampler(grid, sigma2)
+    return GaussianFieldSampler(grid, sigma2, n_intervals)
 
 
 def field_kind(model):
@@ -1012,9 +975,9 @@ def make_sampler(grid, model, n_intervals=1):
     more points, else, or on a negative eigenvalue (warned), the dense one.
 
     With n_intervals > 1 it draws that many adjacent copies of the grid
-    under one noise, of shape (n_intervals, n_points):
-    JuxtaposedGaussianSampler, whose Gram holds the points alone whatever
-    the cell_levels, or JuxtaposedPoissonSampler; no hybrid.
+    under one noise, of shape (n_intervals, n_points), from the same
+    classes: GaussianFieldSampler, whose Gram then holds the points alone
+    whatever the cell_levels, or PoissonFieldSampler; no hybrid.
 
     The most recent sampler is kept and returned again to the next call
     with equal arguments, however they are spelled: by keyword or by
@@ -1035,17 +998,12 @@ def make_sampler(grid, model, n_intervals=1):
 def _cached_sampler(grid, model, n_intervals):
     kind = field_kind(model)
     if kind == "gaussian":
-        if n_intervals > 1:
-            return JuxtaposedGaussianSampler(grid, model.sigma2, n_intervals)
-        return gaussian_sampler(grid, model.sigma2)
-    if kind == "hybrid":
-        if n_intervals > 1:
-            raise ValueError("juxtaposition supports gaussian and poisson "
-                             "models")
-        return HybridFieldSampler(grid, model)
+        return gaussian_sampler(grid, model.sigma2, n_intervals)
+    if kind == "poisson":
+        return PoissonFieldSampler(grid, model, n_intervals)
     if n_intervals > 1:
-        return JuxtaposedPoissonSampler(grid, model, n_intervals)
-    return PoissonFieldSampler(grid, model)
+        raise ValueError("juxtaposition supports gaussian and poisson models")
+    return HybridFieldSampler(grid, model)
 
 
 make_sampler.cache_clear = _cached_sampler.cache_clear

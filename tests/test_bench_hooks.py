@@ -1,0 +1,45 @@
+"""The benchmark's tracer (perfbench/tracing.py) and its gauss-batch child
+wrap or call package methods by name; a change in src/ that drops one
+fails here, not only in a traced benchmark run.  perfbench/ is only read.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import idcascade
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import tracing
+from idcascade import GridSpec, lognormal_model, single_atom_model
+from idcascade.cascade import BatchSimulator
+
+assert callable(BatchSimulator.chunks)
+assert callable(BatchSimulator.point_log_chunk)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+grid = GridSpec((0.0, 1.0), 3, 2, 0)
+for model in (lognormal_model(0.5), single_atom_model(-0.7, 1.0)):
+    for copies in (1, 3):
+        sim = BatchSimulator(model, grid, n_intervals=copies)
+        for _, vals in sim.chunks(1, 4, 2):
+            assert vals.shape == (2,) + sim.sampler.shape
+layers = tracing.layer_totals(tracer)
+# every build, one-copy or juxtaposed, is a wrapped constructor
+assert len(layers["field.build_keys"]) == 4, layers["field.build_keys"]
+assert layers["field.transform_gflop"] > 0
+print(sum(span[0] == "cascade.chunk" for span in tracer.spans))
+"""
+
+
+def test_tracer_installs_on_the_package():
+    src = str(Path(idcascade.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), src],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["8"]

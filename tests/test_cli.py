@@ -217,6 +217,11 @@ def test_non_positive_chunk_is_a_config_error(tmp_path, capsys):
             for command in ("simulate", "estimate"):
                 assert run("--config", path, command) == 2
                 assert "experiment.chunk" in capsys.readouterr().err
+        # verify's scaling check draws batches too
+        path = shipped_cfg("atom.ini", tmp_path, experiment={
+            "chunk": chunk, "checks": "scaling_ks"})
+        assert run("--config", path, "verify") == 2
+        assert "experiment.chunk" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -13,8 +13,6 @@ from idcascade.field import (
     GridSpec,
     HybridFieldSampler,
     JumpSampler,
-    JuxtaposedGaussianSampler,
-    JuxtaposedPoissonSampler,
     PoissonFieldSampler,
     _chol_with_jitter,
     _gram_objects,
@@ -294,7 +292,7 @@ def test_footprint_blocks_leave_the_dense_bits_unchanged(rows, monkeypatch):
             out += [sam.chol, sam.mean]
         r = build_realization(model, grids[1], seed=3, replica=1)
         fine = refine(r, 2, make_generator(3, 1, "refine"))
-        jux = JuxtaposedGaussianSampler(grids[1], 0.5, 3)
+        jux = GaussianFieldSampler(grids[1], 0.5, 3)
         return out + [fine.field.point_log, *fine.field.cell_log.values(),
                       jux.chol, jux.mean]
 
@@ -530,8 +528,8 @@ def test_poisson_batches_replay_single_draws_bitwise(model, slots,
 def test_juxtaposed_poisson_batches_are_width_invariant(slots, monkeypatch):
     if slots is not None:
         monkeypatch.setattr(field, "POISSON_BATCH_SLOTS", slots)
-    sam = JuxtaposedPoissonSampler(GridSpec((0.1, 0.4), 5, 2, 0),
-                                   single_atom_model(-math.log(2.0), 1.0), 3)
+    sam = PoissonFieldSampler(GridSpec((0.1, 0.4), 5, 2, 0),
+                              single_atom_model(-math.log(2.0), 1.0), 3)
     rngs = [make_generator(4, i, "jux") for i in range(40)]
     want = np.array([filled(sam, [r])[0] for r in rngs])
     for width in (3, 37):
@@ -572,6 +570,20 @@ def test_every_sampler_draws_batches_with_blocks(name, model, grid, copies):
         assert vals.flags.c_contiguous
         np.testing.assert_array_equal(vals, out[s:s + len(vals)])
     assert s + len(vals) == 5
+    if copies > 1:
+        # one class per noise kind: juxtaposed copies are the one-copy
+        # sampler's class, and draw only batches
+        one = make_sampler(grid, model)
+        assert type(sam) is type(one) and name == "juxtaposed-" + one.name
+        with pytest.raises(ValueError, match="blocks"):
+            sam.sample(make_generator(7, 0, "t"))
+
+
+@pytest.mark.parametrize("model", [lognormal_model(0.5), TWO_ATOMS],
+                         ids=["gaussian", "poisson"])
+def test_make_sampler_needs_a_copy(model):
+    with pytest.raises(ValueError, match="n_intervals must be >= 1"):
+        make_sampler(GridSpec((0.0, 1.0), 3, 2, 0), model, 0)
 
 
 def test_poisson_rejects_gaussian_part():
