@@ -305,8 +305,10 @@ def refine(realization, extra_levels, rng):
     The already-drawn noise (heights >= eps) is kept; only the band between
     the new and old truncation heights is fresh.  Atomic fields keep their
     points and add a Poisson draw on the new band.  Gaussian fields draw the
-    fine-grid values conditionally on every old value and add an independent
-    band field.  With extra_levels = 0 the realization is returned as is.
+    fine-grid values from their exact law given every old value, from one
+    Cholesky factor of the old and new values' joint Gram, whose entries
+    hold the noise above the old height and the band below it alike.  With
+    extra_levels = 0 the realization is returned as is.
     """
     if extra_levels < 0:
         raise ValueError("extra_levels must be >= 0")
@@ -348,61 +350,35 @@ def _refine_poisson(realization, fine, rng):
 
 
 def _refine_gaussian(realization, fine, rng):
+    # One Gram of the old objects (points cut at the old eps, carried
+    # cells) and the new ones (fine points cut at the new eps, new cell
+    # levels): footprint_areas cuts each pair at the larger cutoff, so it
+    # holds the noise above the old height and the band below it.  With
+    # its factor [[A, 0], [B, C]], the old values fix z = A^-1 (x - mean)
+    # and the new values are mean + B z + C times fresh normals.
     g = realization.grid
     sigma2 = realization.model.sigma2
-    L = g.length
     old = realization.field
-
-    # conditioning objects: old points (cut at old eps) and old cells
-    p = _gram_objects(g)
-    x_old = np.concatenate([old.point_log] +
-                           [old.cell_log[lev] for lev in g.carried_levels])
-
-    # new objects, part above the old truncation height: fine points cut at
-    # the OLD eps, plus the genuinely new cell levels cut at the old eps
-    # (their regions continue below it; that part belongs to the band field).
     new_levels = [lev for lev in fine.carried_levels
                   if lev not in g.carried_levels]
-    q_lo, q_hi, _ = _gram_objects(fine, new_levels)
-    q = (q_lo, q_hi, np.full(q_lo.size, g.eps))
-
-    G_pp = footprint_areas(L, p, p)
-    G_qp = footprint_areas(L, q, p)
-    G_qq = footprint_areas(L, q, q)
-    for G in (G_pp, G_qp, G_qq):
-        G *= sigma2
-    mean_p = -0.5 * sigma2 * footprint_areas(L, p)
-    mean_q = -0.5 * sigma2 * footprint_areas(L, q)
-
-    solve = np.linalg.solve
-    jitter = 1e-12 * float(np.mean(np.diag(G_pp)))
-    np.fill_diagonal(G_pp, G_pp.diagonal() + jitter)
-    w = solve(G_pp, x_old - mean_p)
-    cond_mean = mean_q + G_qp @ w
-    cond_cov = G_qq - G_qp @ solve(G_pp, G_qp.T)
-    cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    chol, _ = _chol_with_jitter(cond_cov)
-    above = cond_mean + chol @ rng.standard_normal(q_lo.size)
-
-    # independent band field between the two truncation heights
-    hull = (np.maximum(q_hi[:, None], q_hi[None, :]) -
-            np.minimum(q_lo[:, None], q_lo[None, :]))
-    band = sigma2 * cones.strip_kernel(hull, fine.eps, g.eps)
-    band_mean = -0.5 * sigma2 * cones.strip_kernel(q_hi - q_lo, fine.eps,
-                                                   g.eps)
-    chol_band, _ = _chol_with_jitter(band)
-    vals = above + band_mean + chol_band @ rng.standard_normal(q_lo.size)
-
-    point_log = vals[:fine.n_points]
-    cell_log = {}
-    off = fine.n_points
-    for lev in new_levels:
-        cell_log[lev] = vals[off:off + 2 ** lev]
-        off += 2 ** lev
-    for lev in g.carried_levels:
-        if lev in fine.carried_levels:
-            cell_log[lev] = old.cell_log[lev].copy()
-    return FieldSample(fine, "gaussian", point_log, cell_log)
+    objects = [np.concatenate(pair) for pair in
+               zip(_gram_objects(g), _gram_objects(fine, new_levels))]
+    gram = footprint_areas(g.length, objects, objects)
+    gram *= sigma2
+    mean = -0.5 * sigma2 * footprint_areas(g.length, objects)
+    chol, _ = _chol_with_jitter(gram)
+    x_old = np.concatenate([old.point_log] +
+                           [old.cell_log[lev] for lev in g.carried_levels])
+    p = x_old.size
+    z = np.linalg.solve(chol[:p, :p], x_old - mean[:p])
+    vals = mean[p:] + chol[p:, :p] @ z + chol[p:, p:] @ rng.standard_normal(
+        len(chol) - p)
+    # the fine grid carries every old level, whose cells keep their values
+    point_log, *cells = np.split(vals, np.cumsum(
+        [fine.n_points] + [2 ** lev for lev in new_levels[:-1]]))
+    cell_log = {lev: old.cell_log[lev].copy() for lev in g.carried_levels}
+    return FieldSample(fine, "gaussian", point_log,
+                       {**cell_log, **dict(zip(new_levels, cells))})
 
 
 # ---------------------------------------------------------------------------

@@ -99,9 +99,12 @@ def _stamp(cfg):
 
 
 def _write_json(cfg, name, payload):
+    # JSON has no NaN or infinity, and strict parsers reject Python's
+    # tokens for them: a value that is not finite is written as null
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     path = os.path.join(_outdir(cfg), name)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -221,7 +224,7 @@ def _check_areas(cfg, model, grid, seed):
     from . import cones
     from ._rng import make_generator
     tol = cfg.get_float("experiment", "areas_tol", 1e-8)
-    count = cfg.get_int("experiment", "areas_count", 60)
+    count = cfg._count("areas_count", 60)
     rng = make_generator(seed, 0, "verify-areas")
     worst = 0.0
     for _ in range(count):
@@ -350,16 +353,17 @@ def _estimate_moments(cfg):
     qs = cfg.get_float_list("experiment", "q_values", (1.0, 2.0))
     z = _simulate_totals(cfg, model, grid)
     zeta = diagnose(model).tail_index
-    rows = []
+    rows, estimates = [], []
     for q in qs:
         e = estimate_moment(z, q, tail_index=zeta)
+        heavy = None if e.heavy_tail is None else int(e.heavy_tail)
+        estimates.append({"q": q, "mean": e.mean, "stderr": e.stderr,
+                          "median_of_means": e.median_of_means,
+                          "heavy_tail": heavy})
+        # the CSV spells an unknown value nan or leaves it empty
         rows.append((q, e.mean, e.stderr,
-                     e.median_of_means if e.median_of_means is not None
-                     else math.nan,
-                     "" if e.heavy_tail is None else int(e.heavy_tail)))
-    estimates = [
-        {"q": r[0], "mean": r[1], "stderr": r[2], "median_of_means": r[3],
-         "heavy_tail": r[4]} for r in rows]
+                     math.nan if e.median_of_means is None
+                     else e.median_of_means, "" if heavy is None else heavy))
     _write_report(cfg, "moments", {"estimates": estimates},
                   ("q", "mean", "stderr", "median_of_means", "heavy_tail"),
                   rows)
@@ -386,11 +390,17 @@ def _estimate_tail(cfg):
 
 def _estimate_scaling(cfg):
     from .cascade import simulate_prefix_masses
+    from .config import ConfigError
     from .moments import scaling_fit
     model = cfg.build_model()
     grid = cfg.build_grid()
     lams = cfg.get_float_list("experiment", "scale_ratios",
                               (0.5, 0.25, 0.125, 0.0625))
+    for lam in lams:
+        k = lam * grid.n_cells
+        if not (1 <= round(k) <= grid.n_cells and abs(k - round(k)) <= 1e-9):
+            raise ConfigError("experiment.scale_ratios", f"{lam!r} is not "
+                              f"a whole 1 to {grid.n_cells} leaf cells")
     qs = cfg.get_float_list("experiment", "q_values", (0.5, 1.0, 1.5, 2.0))
     replicas = cfg.replicas()
     progress = _Progress(replicas)

@@ -226,15 +226,15 @@ def cell_cone(interval, cell):
 # ---------------------------------------------------------------------------
 
 
-def region_area(region, tol=1e-10):
+def region_area(region):
     """Scale-measure area of a region, from cross-sections alone.
 
     Widths of these regions are piecewise linear in y with kinks only at
     pairwise distances of the x marks (where two cross-section endpoints
     collide) and at declared floors.  Between kinks the width is fitted
     linearly and integrated exactly; a midpoint check guards the linearity
-    assumption and falls back to adaptive quadrature when it fails.  Above
-    the last kink the width must be constant or the area is infinite.
+    assumption, and a piece that fails it raises ValueError.  Above the
+    last kink the width must be constant or the area is infinite.
     """
     marks = sorted(set(region.x_marks()))
     cuts = {region.floor()}
@@ -250,7 +250,7 @@ def region_area(region, tol=1e-10):
     total = 0.0
     width = lambda y: _xsec_width(region.cross_section(y))
     for a, b in zip(grid[:-1], grid[1:]):
-        total += _piece_area(width, a, b, tol)
+        total += _piece_area(width, a, b)
     top = grid[-1] if grid[-1] > 0 else 1.0
     w_top = width(top * (1 + 1e-9))
     w_far = width(top * 4.0)
@@ -272,7 +272,7 @@ def _collect_floors(region):
     return [region.floor()]
 
 
-def _piece_area(width, a, b, tol):
+def _piece_area(width, a, b):
     if b <= a:
         return 0.0
     # fit w = alpha + beta*y on (a, b) from two interior samples
@@ -283,13 +283,12 @@ def _piece_area(width, a, b, tol):
     alpha = w1 - beta * y1
     mid = 0.5 * (a + b)
     w_mid = width(mid)
-    if abs(alpha + beta * mid - w_mid) <= 1e-9 * (1.0 + abs(w_mid)):
-        # integral (alpha + beta*y) y^-2 dy = alpha*(1/a - 1/b) + beta*log(b/a)
-        return alpha * (1.0 / a - 1.0 / b) + beta * math.log(b / a)
-    from scipy import integrate
-    val, _ = integrate.quad(lambda y: width(y) / (y * y), a, b,
-                            epsabs=tol, epsrel=tol, limit=200)
-    return val
+    if abs(alpha + beta * mid - w_mid) > 1e-9 * (1.0 + abs(w_mid)):
+        raise ValueError(f"width is not linear on the piece [{a!r}, {b!r}]: "
+                         f"{w_mid!r} at its midpoint, {alpha + beta * mid!r} "
+                         f"on the line through its quarter points")
+    # integral (alpha + beta*y) y^-2 dy = alpha*(1/a - 1/b) + beta*log(b/a)
+    return alpha * (1.0 / a - 1.0 / b) + beta * math.log(b / a)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ across cosmetic reformatting.
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Dict
 
@@ -59,11 +60,7 @@ class RunConfig:
             if default is None:
                 raise ConfigError(f"{section}.{key}", "missing required key")
             return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key}",
-                              f"not a number: {raw!r}") from None
+        return self._floats(section, key, raw, [raw], "a number")[0]
 
     def get_int(self, section, key, default=None):
         raw = self.get(section, key)
@@ -94,11 +91,21 @@ class RunConfig:
             if default is None:
                 raise ConfigError(f"{section}.{key}", "missing required key")
             return list(default)
+        return self._floats(section, key, raw,
+                            [tok for tok in raw.split(",") if tok.strip()],
+                            "a comma list of numbers")
+
+    @staticmethod
+    def _floats(section, key, raw, tokens, what):
+        """The tokens as finite floats, else a ConfigError naming the key."""
         try:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
+            values = [float(tok) for tok in tokens]
         except ValueError:
             raise ConfigError(f"{section}.{key}",
-                              f"not a comma list of numbers: {raw!r}") from None
+                              f"not {what}: {raw!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{section}.{key}", f"not finite: {raw!r}")
+        return values
 
     # -- typed views --------------------------------------------------------
 

@@ -79,10 +79,10 @@ class AtomicJumps:
             raise ValueError("locations and masses must have equal length")
         if len(self.locations) == 0:
             raise ValueError("empty atom list; use ZeroJumps instead")
-        if any(m <= 0 for m in self.masses):
-            raise ValueError("atom masses must be positive")
-        if any(x == 0.0 for x in self.locations):
-            raise ValueError("atom at 0 carries no jump; remove it")
+        if not all(0 < m < math.inf for m in self.masses):
+            raise ValueError("atom masses must be positive and finite")
+        if not all(0 < abs(x) < math.inf for x in self.locations):
+            raise ValueError("atom locations must be finite and nonzero")
 
     def total_mass(self):
         return float(sum(self.masses))
@@ -113,14 +113,14 @@ class TabulatedJumps:
         # tuples of floats, as in AtomicJumps, so that the measure hashes
         object.__setattr__(self, "grid_x", tuple(x.tolist()))
         object.__setattr__(self, "grid_density", tuple(d.tolist()))
-        if np.any(np.diff(x) <= 0):
-            raise ValueError("grid_x must be strictly increasing")
-        if np.any(d < 0):
-            raise ValueError("density must be nonnegative")
-        if self.left_rate is not None and self.left_rate <= 0:
-            raise ValueError("left_rate must be positive (decay toward -inf)")
-        if self.right_rate is not None and self.right_rate <= 0:
-            raise ValueError("right_rate must be positive (decay toward +inf)")
+        if not (np.isfinite(x).all() and np.all(np.diff(x) > 0)):
+            raise ValueError("grid_x must be finite and strictly increasing")
+        if not np.all((d >= 0) & np.isfinite(d)):
+            raise ValueError("density must be finite and nonnegative")
+        if self.left_rate is not None and not 0 < self.left_rate < math.inf:
+            raise ValueError("left_rate must be positive and finite")
+        if self.right_rate is not None and not 0 < self.right_rate < math.inf:
+            raise ValueError("right_rate must be positive and finite")
 
     def _arrays(self):
         return np.asarray(self.grid_x, float), np.asarray(self.grid_density, float)
@@ -188,8 +188,8 @@ def _in_moment_interval(nu, q):
 
 def normalize_drift(sigma2, nu):
     """The unique drift making exponent(0) = exponent(1) = 0."""
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
+    if not 0 <= sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
     if not _in_moment_interval(nu, 1.0):
         raise MomentDomainError(
             "integral exp(x) nu(dx) diverges; the mean-one normalization "

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from idcascade import cascade
+from idcascade import cascade, cones, field
 from idcascade._rng import make_generator
 from idcascade.cascade import (
     BatchSimulator,
@@ -321,6 +321,87 @@ def test_refine_matches_direct_law(model):
         a, b = refined ** q, direct ** q
         se = math.hypot(a.std() / math.sqrt(n), b.std() / math.sqrt(n))
         assert abs(a.mean() - b.mean()) < 3.5 * se
+
+
+class _UnitNormals:
+    """A stand-in generator: standard_normal(n) gives zeros, then each
+    unit vector of length n in turn."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def standard_normal(self, n):
+        z = np.zeros(n)
+        if self.calls:
+            z[self.calls - 1] = 1.0
+        self.calls += 1
+        return z
+
+
+def _reference_refinement_law(r, fine):
+    """Conditional mean and covariance of a Gaussian refinement's new
+    values: the Schur complement of the old values' Gram, with every new
+    object cut at the old eps, plus the independent band between the two
+    truncation heights (cones.strip_kernel)."""
+    g, s2 = r.grid, r.model.sigma2
+    new_levels = [lev for lev in fine.carried_levels
+                  if lev not in g.carried_levels]
+    p = field._gram_objects(g)
+    q_lo, q_hi, _ = field._gram_objects(fine, new_levels)
+    q = (q_lo, q_hi, np.full(q_lo.size, g.eps))
+    x_old = np.concatenate([r.field.point_log] +
+                           [r.field.cell_log[lev] for lev in g.carried_levels])
+    G_pp, G_qp, G_qq = (s2 * field.footprint_areas(g.length, a, b)
+                        for a, b in ((p, p), (q, p), (q, q)))
+    w = np.linalg.solve(G_pp, x_old + 0.5 * s2 * field.footprint_areas(
+        g.length, p))
+    hull = (np.maximum(q_hi[:, None], q_hi[None, :]) -
+            np.minimum(q_lo[:, None], q_lo[None, :]))
+    mean = -0.5 * s2 * (field.footprint_areas(g.length, q)
+                        + cones.strip_kernel(q_hi - q_lo, fine.eps, g.eps))
+    cov = (G_qq - G_qp @ np.linalg.solve(G_pp, G_qp.T)
+           + s2 * cones.strip_kernel(hull, fine.eps, g.eps))
+    return mean + G_qp @ w, cov
+
+
+@pytest.mark.parametrize("extra", [1, 2])
+@pytest.mark.parametrize("grid", [
+    GridSpec((0.0, 1.0), 3, 2, None), GridSpec((0.0, 1.0), 3, 2, 0),
+    GridSpec((0.1, 0.4), 3, 2, 2)], ids=["cells", "points", "non-dyadic"])
+def test_gaussian_refinement_law_is_exact(grid, extra):
+    # the refinement is affine in its normals: zeros give its mean, each
+    # unit vector one column of its factor
+    r = build_realization(LOGN, grid, seed=4, replica=2)
+    rng = _UnitNormals()
+
+    def new_values():
+        f = refine(r, extra, rng).field
+        return f.grid, np.concatenate([f.point_log] + [
+            v for lev, v in f.cell_log.items()
+            if lev not in grid.carried_levels])
+
+    fine, base = new_values()
+    B = np.column_stack([new_values()[1] - base for _ in range(base.size)])
+    mean, cov = _reference_refinement_law(r, fine)
+    np.testing.assert_allclose(base, mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(B @ B.T, cov, rtol=0, atol=1e-12)
+
+
+def test_gaussian_refinement_memory_is_one_gram():
+    # 256 points and 254 cells conditioned, 512 points and 256 cells new:
+    # the joint Gram, factored in place, and as in a dense build either a
+    # panel of the factorization or a block's kernel temporaries
+    r = build_realization(LOGN, GridSpec((0.0, 1.0), 7, 2, None), seed=1)
+    tracemalloc.start()
+    try:
+        refine(r, 1, make_generator(1, 0, "refine"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dim = 510 + 768
+    block = field.FOOTPRINT_BLOCK_VALUES * 8
+    panel = 8 * dim * field.CHOLESKY_BLOCK
+    assert peak < 8 * dim * dim + panel + 2 * block + 16384
 
 
 @pytest.mark.parametrize("model", [LOGN, ATOM])

@@ -226,9 +226,66 @@ def test_non_positive_chunk_is_a_config_error(tmp_path, capsys):
 
 
 def test_runtime_error_exits_3(tmp_path):
+    # the Hill estimator needs 100 replicas and the config draws 3
     path = write_cfg(tmp_path / "r.ini", tmp_path / "r",
-                     experiment="kind = scaling\nscale_ratios = 0.3\n")
+                     experiment="kind = tail\n")
     assert run("--config", path, "estimate") == 3
+
+
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys):
+    # caught before any output is written, on every subcommand
+    for key, value in (("sigma2", "nan"), ("sigma2", "inf"),
+                       ("sigma2", "-inf"), ("atom_masses", "1.0, nan")):
+        path = shipped_cfg("atom.ini", tmp_path, model={key: value})
+        for command in ("theory", "simulate", "verify", "estimate"):
+            assert run("--config", path, command) == 2
+            assert f"model.{key}: not finite" in capsys.readouterr().err
+    path = shipped_cfg("atom.ini", tmp_path,
+                       experiment={"normalization_tol": "nan"})
+    assert run("--config", path, "verify") == 2
+    assert "experiment.normalization_tol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_areas_count_must_be_positive(tmp_path, capsys):
+    path = write_cfg(tmp_path / "a.ini", tmp_path / "a",
+                     experiment="checks = areas\nareas_count = -5\n")
+    assert run("--config", path, "verify") == 2
+    assert "experiment.areas_count" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
+def test_scale_ratios_off_the_grid_are_config_errors(tmp_path, capsys):
+    # 0.3 is no whole number of the 16 leaf cells, 2^-5 is below one
+    for ratios in ("0.5, 0.3", "0.5, 0.03125", "1.5"):
+        path = write_cfg(tmp_path / "s.ini", tmp_path / "s", experiment=(
+            f"kind = scaling\nscale_ratios = {ratios}\n"))
+        assert run("--config", path, "estimate") == 2
+        assert "experiment.scale_ratios" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_moments_report_is_strict_json(tmp_path):
+    # 10 replicas are too few for median-of-means; sigma2 = 0.8 has the
+    # tail index 2.5, and sigma2 = 0.02 one above the root search's cap
+    def strict(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    for sigma2, heavy in (("0.8", [0, 1]), ("0.02", [None, None])):
+        out = tmp_path / sigma2
+        path = write_cfg(tmp_path / "m.ini", out)
+        path.write_text(path.read_text().replace(
+            "replicas = 3", "replicas = 10").replace(
+            "sigma2 = 0.5", f"sigma2 = {sigma2}"))
+        assert run("--config", path, "estimate") == 0
+        payload = json.loads((out / "moments.json").read_text(),
+                             parse_constant=strict)
+        rows = payload["estimates"]
+        assert [row["median_of_means"] for row in rows] == [None, None]
+        assert [row["heavy_tail"] for row in rows] == heavy
+        csv = (out / "moments.csv").read_text().splitlines()[2:]
+        assert [line.split(",")[3:] for line in csv] == [
+            ["nan", "" if h is None else str(h)] for h in heavy]
 
 
 def test_console_script_smoke(cfg_file, tmp_path):

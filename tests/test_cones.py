@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from idcascade.cones import (
     DomainStrip,
     IntervalCone,
     PointCone,
+    Region,
     area_cell,
     area_cross,
     area_local_cone,
@@ -255,6 +257,23 @@ def test_region_area_rejects_infinite_regions():
         region_area(PointCone(0.0, 0.0))
     with pytest.raises(ValueError):
         region_area(PointCone(0.0, 1.0) & PointCone(0.1, 1.0))
+
+
+@dataclass(frozen=True)
+class _Parabola(Region):
+    """A region of width y^2 below height 1, a width no cone combination
+    has: it is not linear between kinks."""
+
+    def cross_section(self, y):
+        return [(0.0, y * y)] if y < 1.0 else []
+
+    def x_marks(self):
+        return (0.0, 0.5)
+
+
+def test_region_area_rejects_a_nonlinear_piece():
+    with pytest.raises(ValueError, match="not linear on the piece"):
+        region_area(_Parabola())
 
 
 @given(shift=st.floats(-5.0, 5.0), scale=st.floats(0.1, 8.0))

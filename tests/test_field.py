@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,7 +284,7 @@ def test_failed_factorization_is_restored_from_the_upper_triangle(
 @pytest.mark.parametrize("rows", [1, 7])
 def test_footprint_blocks_leave_the_dense_bits_unchanged(rows, monkeypatch):
     # the block of rows changes neither the dense factors, cell-carrying
-    # and on a non-dyadic interval, nor a refinement's three Grams nor the
+    # and on a non-dyadic interval, nor a refinement's joint Gram nor the
     # juxtaposed factor
     grids = (GridSpec((0.0, 1.0), 5, 2, None), GridSpec((0.1, 0.4), 4, 3, 2))
     model = lognormal_model(0.5)
@@ -410,19 +414,34 @@ def test_cholesky_jitter_is_warned():
 
 
 def test_refinement_keeps_its_bits():
-    # recorded before the conditioning Gram took its jitter in place; every
-    # factor here is below CHOLESKY_BLOCK, so it is LAPACK's own
-    g = GridSpec((0.1, 0.4), 4, 3, 2)
-    r = build_realization(lognormal_model(0.5), g, seed=3, replica=1)
-    fine = refine(r, 1, make_generator(3, 1, "refine"))
-    assert fine.field.point_log.size < field.CHOLESKY_BLOCK
-    np.testing.assert_array_equal(
-        fine.field.point_log[::19],
-        [float.fromhex(h) for h in (
-            "-0x1.385013bc872a0p-2", "-0x1.ca877134dfba7p+0",
-            "-0x1.aa558794676f0p+0", "-0x1.2ef0d29d8d0dcp-4",
-            "0x1.730069ba8d740p-1", "-0x1.41bae93b7b0d6p-1")])
-    assert fine.total_mass == float.fromhex("0x1.8becb9e51dcedp-1")
+    # recorded with one joint Gram of 54 old and 96 new objects, more than
+    # CHOLESKY_BLOCK: the factor is blocked, and its first diagonal block
+    # is LAPACK's factor of 128 columns, whose OpenBLAS bits change with
+    # the BLAS thread count, so a fresh interpreter draws with one thread
+    script = """if True:
+        from idcascade import GridSpec, field, lognormal_model
+        from idcascade._rng import make_generator
+        from idcascade.cascade import build_realization, refine
+        g = GridSpec((0.1, 0.4), 4, 3, 2)
+        r = build_realization(lognormal_model(0.5), g, seed=3, replica=1)
+        fine = refine(r, 1, make_generator(3, 1, "refine"))
+        old = r.field.point_log.size + sum(map(len, r.field.cell_log.values()))
+        assert old + fine.field.point_log.size > field.CHOLESKY_BLOCK
+        print(*[v.hex() for v in fine.field.point_log[::19].tolist()],
+              fine.total_mass.hex())
+    """
+    pkg_root = str(Path(field.__file__).resolve().parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "-0x1.a6252be5b1900p-1", "-0x1.af254849ed288p+0",
+        "-0x1.61580878b9604p+0", "-0x1.f78317f97b19cp-3",
+        "0x1.b372c50a52c90p-5", "-0x1.bbb0c1d919514p-3",
+        "0x1.663b98a32c0a8p-1"]
 
 
 def test_dense_blocks_draw_only_the_point_normals():

@@ -134,6 +134,21 @@ def test_atomic_validation():
         TabulatedJumps((0.0, -1.0), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_rejected(bad):
+    with pytest.raises(ValueError, match="sigma2 must be finite"):
+        build_model(bad)
+    for locations, masses in (((bad,), (1.0,)), ((-0.5,), (bad,))):
+        with pytest.raises(ValueError, match="finite"):
+            AtomicJumps(locations, masses)
+    for x, d, rates in (((-1.0, bad), (1.0, 1.0), ()),
+                        ((-1.0, 0.5), (bad, 1.0), ()),
+                        ((-1.0, 0.5), (1.0, 1.0), (bad,)),
+                        ((-1.0, 0.5), (1.0, 1.0), (2.0, bad))):
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedJumps(x, d, *rates)
+
+
 def test_diagnose_atom_model_report():
     rep = diagnose(single_atom_model(-math.log(2), 1.0))
     assert rep.nondegenerate
