@@ -67,11 +67,8 @@ class Realization:
     replica: Optional[int] = None
 
     def mass_of_prefix(self, fraction):
-        """Mass of [lo, lo + fraction * length]; fraction must be dyadic."""
-        k = fraction * self.grid.n_cells
-        if abs(k - round(k)) > 1e-9:
-            raise ValueError("prefix must align with the leaf cells")
-        return float(self.cell_masses[:round(k)].sum())
+        """Mass of [lo, lo + fraction * length] (GridSpec.leaf_count)."""
+        return float(self.cell_masses[:self.grid.leaf_count(fraction)].sum())
 
 
 # Point values per block of a batch reduction: the exp of one block is
@@ -203,29 +200,27 @@ class BatchSimulator:
                                       out=(cells[rows], totals[rows]))
             yield start, cells, totals
 
+    def total_masses(self, seed, replicas, chunk, progress=None):
+        """Total masses, (replicas,) or (replicas, n_intervals)."""
+        out = np.empty((replicas, *self.sampler.shape[:-1]))
+        for start, _, totals in self.masses(seed, replicas, chunk, progress):
+            out[start:start + len(totals)] = totals
+        return out
+
 
 def simulate_total_masses(model, grid, seed, replicas, *, chunk=512,
                           stream_tag="cascade", progress=None):
     """Total masses of independent replicas, one counter stream each."""
-    sim = BatchSimulator(model, grid, stream_tag=stream_tag)
-    out = np.empty(replicas)
-    for start, _, totals in sim.masses(seed, replicas, chunk, progress):
-        out[start:start + len(totals)] = totals
-    return out
+    return BatchSimulator(model, grid, stream_tag=stream_tag).total_masses(
+        seed, replicas, chunk, progress)
 
 
 def simulate_prefix_masses(model, grid, seed, replicas, fractions, *,
                            chunk=512, stream_tag="cascade", progress=None):
     """Masses of [lo, lo + f*length] for each dyadic fraction f, per replica."""
-    fractions = list(fractions)
-    counts = []
-    for f in fractions:
-        k = f * grid.n_cells
-        if abs(k - round(k)) > 1e-9:
-            raise ValueError(f"fraction {f} does not align with leaf cells")
-        counts.append(round(k))
+    counts = [grid.leaf_count(f) for f in fractions]
     sim = BatchSimulator(model, grid, stream_tag=stream_tag)
-    out = np.empty((replicas, len(fractions)))
+    out = np.empty((replicas, len(counts)))
     for start, cells, _ in sim.masses(seed, replicas, chunk, progress):
         csum = np.cumsum(cells, axis=1)
         for i, k in enumerate(counts):
@@ -390,12 +385,9 @@ def juxtaposed_total_masses(model, grid, n_intervals, seed, replicas, *,
                             chunk=256, stream_tag="juxtapose", progress=None):
     """(replicas, n_intervals) total masses of adjacent copies of grid
     sharing one noise."""
-    sim = BatchSimulator(model, grid, stream_tag=stream_tag,
-                         n_intervals=n_intervals)
-    out = np.empty((replicas, n_intervals))
-    for start, _, totals in sim.masses(seed, replicas, chunk, progress):
-        out[start:start + len(totals)] = totals
-    return out
+    return BatchSimulator(model, grid, stream_tag=stream_tag,
+                          n_intervals=n_intervals).total_masses(
+        seed, replicas, chunk, progress)
 
 
 # ---------------------------------------------------------------------------

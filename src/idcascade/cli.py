@@ -334,6 +334,14 @@ def cmd_estimate(cfg):
     return runner(cfg)
 
 
+def _sampler_record(grid, model, n_intervals=1):
+    """The report fields naming the sampler a run draws from: built here,
+    before any draw, and reused from make_sampler's cache by the batch."""
+    from .field import make_sampler
+    sampler = make_sampler(grid, model, n_intervals)
+    return {"sampler": sampler.name, "sampler_health": sampler.health}
+
+
 def _simulate_totals(cfg, model, grid):
     from .cascade import simulate_total_masses
     replicas = cfg.replicas()
@@ -351,6 +359,7 @@ def _estimate_moments(cfg):
     model = cfg.build_model()
     grid = cfg.build_grid()
     qs = cfg.get_float_list("experiment", "q_values", (1.0, 2.0))
+    record = _sampler_record(grid, model)
     z = _simulate_totals(cfg, model, grid)
     zeta = diagnose(model).tail_index
     rows, estimates = [], []
@@ -364,17 +373,23 @@ def _estimate_moments(cfg):
         rows.append((q, e.mean, e.stderr,
                      math.nan if e.median_of_means is None
                      else e.median_of_means, "" if heavy is None else heavy))
-    _write_report(cfg, "moments", {"estimates": estimates},
+    _write_report(cfg, "moments", {"estimates": estimates, **record},
                   ("q", "mean", "stderr", "median_of_means", "heavy_tail"),
                   rows)
     return 0
 
 
 def _estimate_tail(cfg):
+    from .config import ConfigError
     from .levy import diagnose
-    from .moments import hill_tail_report
+    from .moments import TAIL_MIN_SAMPLES, hill_tail_report
     model = cfg.build_model()
     grid = cfg.build_grid()
+    cfg.chunk()  # a bad chunk is named first, as on every batch path
+    if cfg.replicas() < TAIL_MIN_SAMPLES:
+        raise ConfigError("experiment.replicas", "tail estimation needs at "
+                          f"least {TAIL_MIN_SAMPLES}")
+    record = _sampler_record(grid, model)
     z = _simulate_totals(cfg, model, grid)
     zeta = diagnose(model).tail_index
     rep = hill_tail_report(z, tail_index_for_constant=zeta)
@@ -384,6 +399,7 @@ def _estimate_tail(cfg):
         "hill_stderr": rep.hill_stderr,
         "tail_constant": rep.tail_constant,
         "theory_tail_index": zeta,
+        **record,
     }, ("fraction", "hill_estimate"), sorted(rep.hill.items()))
     return 0
 
@@ -397,11 +413,13 @@ def _estimate_scaling(cfg):
     lams = cfg.get_float_list("experiment", "scale_ratios",
                               (0.5, 0.25, 0.125, 0.0625))
     for lam in lams:
-        k = lam * grid.n_cells
-        if not (1 <= round(k) <= grid.n_cells and abs(k - round(k)) <= 1e-9):
-            raise ConfigError("experiment.scale_ratios", f"{lam!r} is not "
-                              f"a whole 1 to {grid.n_cells} leaf cells")
+        try:
+            if grid.leaf_count(lam) == 0:
+                raise ValueError(f"{lam!r} gives an empty prefix")
+        except ValueError as exc:
+            raise ConfigError("experiment.scale_ratios", str(exc)) from None
     qs = cfg.get_float_list("experiment", "q_values", (0.5, 1.0, 1.5, 2.0))
+    record = _sampler_record(grid, model)
     replicas = cfg.replicas()
     progress = _Progress(replicas)
     m = simulate_prefix_masses(model, grid, cfg.seed(), replicas, lams,
@@ -414,6 +432,7 @@ def _estimate_scaling(cfg):
         "fitted_slopes": list(rep.slopes),
         "theory_exponents": list(rep.theory),
         "max_abs_error": rep.max_abs_error,
+        **record,
     }, ("q", "fitted_slope", "theory"),
         list(zip(rep.q_values, rep.slopes, rep.theory)))
     return 0
@@ -422,7 +441,6 @@ def _estimate_scaling(cfg):
 def _estimate_covariance(cfg):
     from .cascade import juxtaposed_total_masses
     from .config import ConfigError
-    from .field import make_sampler
     from .moments import covariance_report
     model = cfg.build_model()
     grid = cfg.build_grid()
@@ -430,8 +448,7 @@ def _estimate_covariance(cfg):
     if n_intervals < 2:
         raise ConfigError("experiment.n_intervals", "must be >= 2")
     replicas, chunk = cfg.replicas(), cfg.chunk()
-    # built here, before any draw, and reused from the cache by the batch
-    sampler = make_sampler(grid, model, n_intervals)
+    record = _sampler_record(grid, model, n_intervals)
     progress = _Progress(replicas)
     masses = juxtaposed_total_masses(
         model, grid, n_intervals, cfg.seed(), replicas,
@@ -440,11 +457,9 @@ def _estimate_covariance(cfg):
     rep = covariance_report(model, masses)
     rows = [{"gap": g, "covariance": e, "stderr": s, "theory_claimed": tc,
              "theory_exact_quadrature": tq} for g, e, s, tc, tq in rep.rows()]
-    _write_report(cfg, "covariance", {
-        "rows": rows, "sampler": sampler.name,
-        "sampler_health": sampler.health,
-    }, ("gap", "covariance", "stderr", "theory_claimed",
-        "theory_exact_quadrature"), rep.rows())
+    _write_report(cfg, "covariance", {"rows": rows, **record},
+                  ("gap", "covariance", "stderr", "theory_claimed",
+                   "theory_exact_quadrature"), rep.rows())
     return 0
 
 

@@ -131,6 +131,16 @@ class GridSpec:
     def spacing(self):
         return self.length / self.n_points
 
+    def leaf_count(self, fraction):
+        """Leaf cells in [lo, lo + fraction * length]: fraction * n_cells
+        must be a whole number in [0, n_cells]."""
+        k = fraction * self.n_cells
+        if not (-1e-9 <= k <= self.n_cells + 1e-9
+                and abs(k - round(k)) <= 1e-9):
+            raise ValueError(f"fraction {fraction!r} is not a whole 0 to "
+                             f"{self.n_cells} leaf cells")
+        return round(k)
+
     @property
     def carried_levels(self):
         top = self.levels if self.cell_levels is None else self.cell_levels
@@ -601,25 +611,15 @@ class JumpSampler:
             if not math.isfinite(self.total) or self.total <= 0:
                 raise ValueError("tabulated measure must have finite positive "
                                  "total mass for Poisson sampling")
-            self._build_tabulated(nu)
+            self._x, self._d = nu._arrays()
+            self._pieces = nu.pieces
+            self._cum = np.cumsum(self._pieces) / self.total
             tables = (self._x, self._d, self._pieces, self._cum)
         else:
             raise TypeError("Poisson sampling needs an atomic or tabulated "
                             "jump measure with finite mass")
         for a in tables:
             a.setflags(write=False)
-
-    def _build_tabulated(self, nu):
-        x = np.asarray(nu.grid_x, float)
-        d = np.asarray(nu.grid_density, float)
-        bin_mass = 0.5 * (d[:-1] + d[1:]) * np.diff(x)
-        left = nu.left_rate and d[0] > 0
-        right = nu.right_rate and d[-1] > 0
-        left_mass = d[0] / nu.left_rate if left else 0.0
-        right_mass = d[-1] / nu.right_rate if right else 0.0
-        self._x, self._d = x, d
-        self._pieces = np.concatenate([[left_mass], bin_mass, [right_mass]])
-        self._cum = np.cumsum(self._pieces) / self._pieces.sum()
 
     def uniforms(self, rng, size):
         """(1 atomic or 2 tabulated rows, size) uniforms of size jumps."""
@@ -659,8 +659,8 @@ class JumpSampler:
 def jump_law(nu):
     """(JumpSampler(nu), jump_drift(nu)), built once per jump measure.
 
-    Measures are frozen and hashable; a tabulated one needs quadrature for
-    both, which would otherwise run again on every sampler and area draw.
+    Measures are frozen and hashable; a tabulated drift's quadrature would
+    otherwise run again on every sampler and area draw.
     """
     return JumpSampler(nu), jump_drift(nu)
 
@@ -779,7 +779,8 @@ class PoissonFieldSampler:
         self.strips = cones.sampling_domain((edges[0], edges[-1]), grid.eps)
         self._base = self.drift * cones.area_local_cone(edges[:2], grid.eps)
         self._cell_area = {
-            lev: math.log(grid.length / (grid.length * 2.0 ** (-lev)))
+            lev: cones.area_cell((0.0, grid.length),
+                                 (0.0, grid.length * 2.0 ** (-lev)))
             for lev in grid.carried_levels}
         # one row per copy, each with its own edges and spacing: for a
         # non-dyadic L the lengths (lo + (i+1)L) - (lo + iL) need not equal L

@@ -36,12 +36,22 @@ def _damped(f, t, scale, log_damp):
     if log_damp < -745.0:          # damping alone underflows float64
         return 0.0
     try:
-        return f(t) * scale * math.exp(log_damp)
+        v = f(t) * scale * math.exp(log_damp)
     except OverflowError:
-        # f blows up only far out in a tail; whenever the weighted tail
-        # integral converges at all, the damping has already crushed the
-        # product to zero at machine precision by that point
         return 0.0
+    # f blows up (raising, or to inf) only far out in a tail; whenever the
+    # weighted tail integral converges at all, the damping has already
+    # crushed the product to zero at machine precision by that point
+    return v if math.isfinite(v) else 0.0
+
+
+def _split_quad(g, a, b):
+    """quad of g over [a, b], split where the compensator [|x| <= 1] of
+    the exponent's integrands jumps."""
+    from scipy import integrate
+    edges = [a, *(k for k in (-1.0, 1.0) if a < k < b), b]
+    return sum(integrate.quad(g, lo, hi, **_QUAD_KW)[0]
+               for lo, hi in zip(edges, edges[1:]))
 
 
 class MomentDomainError(ValueError):
@@ -98,6 +108,9 @@ class TabulatedJumps:
     right_rate = r > 0 it continues as density(grid_x[-1]) * exp(-r*(x -
     grid_x[-1])) above it.  Tail rates keep every integral here computable in
     closed form on the tail pieces.
+
+    pieces holds the closed-form masses of the left tail, the trapezoid
+    bins and the right tail.
     """
 
     grid_x: Tuple[float, ...]
@@ -121,37 +134,41 @@ class TabulatedJumps:
             raise ValueError("left_rate must be positive and finite")
         if self.right_rate is not None and not 0 < self.right_rate < math.inf:
             raise ValueError("right_rate must be positive and finite")
+        b, r = self.left_rate, self.right_rate
+        left = d[0] / b if b and d[0] > 0 else 0.0
+        right = d[-1] / r if r and d[-1] > 0 else 0.0
+        pieces = np.concatenate(
+            [[left], 0.5 * (d[:-1] + d[1:]) * np.diff(x), [right]])
+        pieces.setflags(write=False)
+        object.__setattr__(self, "pieces", pieces)
 
     def _arrays(self):
         return np.asarray(self.grid_x, float), np.asarray(self.grid_density, float)
 
-    # tail integrands multiply a possibly huge f(t) by an exponentially
-    # small damping factor; when f alone overflows the product is zero to
-    # machine precision whenever the integral converges at all
-
     def integrate_weighted(self, f):
-        """integral f(x) nu(dx) with the tail pieces folded into quad."""
+        """integral f(x) nu(dx) with the tail pieces folded into quad.
+
+        quad's breakpoints are the grid nodes (up to 50) and the kinks of
+        the compensated integrands at x = -1 and x = 1 (_split_quad).
+        """
         from scipy import integrate
         x, d = self._arrays()
+        kinks = {k for k in (-1.0, 1.0) if x[0] < k < x[-1]}
+        points = sorted(kinks.union(x.tolist()) if x.size <= 50 else kinks)
         total, _ = integrate.quad(
             lambda t: f(t) * np.interp(t, x, d), x[0], x[-1],
-            points=list(x) if x.size <= 50 else None, **_QUAD_KW)
-        if self.left_rate is not None and d[0] > 0:
-            b = self.left_rate
-            val, _ = integrate.quad(
-                lambda t: _damped(f, t, d[0], b * (t - x[0])),
-                -np.inf, x[0], **_QUAD_KW)
-            total += val
-        if self.right_rate is not None and d[-1] > 0:
-            r = self.right_rate
-            val, _ = integrate.quad(
-                lambda t: _damped(f, t, d[-1], -r * (t - x[-1])),
-                x[-1], np.inf, **_QUAD_KW)
-            total += val
+            points=points or None, **_QUAD_KW)
+        b, r = self.left_rate, self.right_rate
+        if self.pieces[0] > 0:
+            total += _split_quad(lambda t: _damped(
+                f, t, d[0], b * (t - x[0])), -np.inf, x[0])
+        if self.pieces[-1] > 0:
+            total += _split_quad(lambda t: _damped(
+                f, t, d[-1], -r * (t - x[-1])), x[-1], np.inf)
         return total
 
     def total_mass(self):
-        return self.integrate_weighted(lambda t: 1.0)
+        return float(self.pieces.sum())
 
 
 def nu_integral(nu, f):
@@ -180,33 +197,35 @@ def moment_interval(nu):
     raise TypeError(f"unknown jump measure {type(nu).__name__}")
 
 
-def _in_moment_interval(nu, q):
+def _checked_q(nu, q):
+    """float(q), which must lie in the open finite-moment interval of nu:
+    at an endpoint the tail integral diverges."""
+    q = float(q)
     lo, hi = moment_interval(nu)
-    # endpoints excluded: at q == rate the tail integral diverges.
-    return lo < q < hi
+    if not lo < q < hi:
+        raise MomentDomainError(
+            f"q = {q} outside ({lo}, {hi}): integral exp(q*x) nu(dx) diverges")
+    return q
 
 
 def normalize_drift(sigma2, nu):
     """The unique drift making exponent(0) = exponent(1) = 0."""
     if not 0 <= sigma2 < math.inf:
         raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
-    if not _in_moment_interval(nu, 1.0):
-        raise MomentDomainError(
-            "integral exp(x) nu(dx) diverges; the mean-one normalization "
-            "needs q = 1 inside the finite-moment interval")
+    _checked_q(nu, 1.0)  # the mean-one normalization needs exp(x) moments
     compensated = nu_integral(
         nu, lambda x: math.exp(x) - 1.0 - (x if abs(x) <= 1.0 else 0.0))
     return -0.5 * sigma2 - compensated
 
 
 def jump_drift(nu):
-    """Drift of the pure-jump part: -integral (exp(x) - 1) nu(dx).
+    """Drift of the pure-jump part: integral (1 - exp(x)) nu(dx).
 
     The jump noise of a region of area a is jump_drift(nu) * a plus the
     jumps of the Poisson points inside it, which has a mean-one exponential
     whenever nu has finite total mass.
     """
-    return -nu_integral(nu, lambda x: math.exp(x) - 1.0)
+    return nu_integral(nu, lambda x: 1.0 - math.exp(x))
 
 
 @dataclass(frozen=True)
@@ -230,13 +249,9 @@ def build_model(sigma2, nu=None):
         raise ValueError(
             "sigma2 = 0 with no jumps gives deterministic Lebesgue measure; "
             "rejected")
+    # every measure's interval holds q < 0, and normalize_drift checks q = 1
     drift = normalize_drift(sigma2, nu)
-    lo, hi = moment_interval(nu)
-    if not (lo < 0.0 and hi > 1.0):
-        raise MomentDomainError(
-            "finite-moment interval of nu must contain [0, 1] strictly; "
-            f"got ({lo}, {hi})")
-    return NoiseModel(float(sigma2), nu, float(drift), (lo, hi))
+    return NoiseModel(float(sigma2), nu, float(drift), moment_interval(nu))
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +261,7 @@ def build_model(sigma2, nu=None):
 
 def levy_exponent(model, q):
     """Real moment exponent: log E exp(q * noise) per unit area."""
-    q = float(q)
-    if not _in_moment_interval(model.nu, q):
-        lo, hi = model.moment_q_range
-        raise MomentDomainError(
-            f"q = {q} outside ({lo}, {hi}): integral exp(q*x) nu(dx) diverges")
+    q = _checked_q(model.nu, q)
     jumps = nu_integral(
         model.nu,
         lambda x: math.exp(q * x) - 1.0 - (q * x if abs(x) <= 1.0 else 0.0))
@@ -265,28 +276,15 @@ def structure_function(model, q):
 def structure_derivatives(model, q):
     """(first, second) derivative of the structure function at q.
 
-    Analytic for atomic/zero jump measures; central differences otherwise.
+    They are exponent'(q) - 1 and exponent''(q), where exponent'(q) =
+    drift + sigma2*q + integral x*(exp(q*x) - [|x| <= 1]) nu(dx) and
+    exponent''(q) = sigma2 + integral x^2*exp(q*x) nu(dx).
     """
-    q = float(q)
-    if isinstance(model.nu, (ZeroJumps, AtomicJumps)):
-        d1 = model.drift + model.sigma2 * q
-        d2 = model.sigma2
-        if isinstance(model.nu, AtomicJumps):
-            for x, p in zip(model.nu.locations, model.nu.masses):
-                e = math.exp(q * x)
-                d1 += p * (x * e - (x if abs(x) <= 1.0 else 0.0))
-                d2 += p * x * x * e
-        return d1 - 1.0, d2
-    h = 1e-5 * max(1.0, abs(q))
-    lo, hi = model.moment_q_range
-    if not (lo < q - 2 * h and q + 2 * h < hi):
-        raise MomentDomainError(
-            f"cannot difference the structure function at q = {q}: too close "
-            f"to the boundary of ({lo}, {hi})")
-    f = [structure_function(model, q + k * h) for k in (-2, -1, 0, 1, 2)]
-    d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
-    d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
-    return d1, d2
+    q = _checked_q(model.nu, q)
+    d1 = nu_integral(model.nu, lambda x: x * math.exp(q * x) - (
+        x if abs(x) <= 1.0 else 0.0))
+    d2 = nu_integral(model.nu, lambda x: x * x * math.exp(q * x))
+    return model.drift + model.sigma2 * q + d1 - 1.0, model.sigma2 + d2
 
 
 def mean_slope(model):
@@ -295,17 +293,8 @@ def mean_slope(model):
 
 
 def growth_constant(model):
-    """integral (1 - exp(x)) nu(dx) when absolutely convergent, else None.
-
-    Finite exactly when the jump measure has finite variation near zero; all
-    variants representable here satisfy that, but a divergent positive tail
-    (right_rate <= 1) is rejected upstream, so convergence only needs the
-    total-variation check near the origin, which holds for bounded densities
-    and finite atom sets.
-    """
-    if isinstance(model.nu, ZeroJumps):
-        return 0.0
-    return nu_integral(model.nu, lambda x: 1.0 - math.exp(x))
+    """integral (1 - exp(x)) nu(dx), the jump part's drift (jump_drift)."""
+    return jump_drift(model.nu)
 
 
 def tail_index_root(model, cap=64.0):
@@ -368,7 +357,7 @@ class DiagnosticsReport:
     structure_slope_at_one: float
     moment_region_sup: float
     all_moments_finite: bool
-    growth_constant: Optional[float]
+    growth_constant: float
     tail_index: Optional[float]
     tail_slope: Optional[float]
     tail_constant_at_two: Optional[float]
@@ -388,7 +377,7 @@ class DiagnosticsReport:
 
 def diagnose(model):
     """Assemble the report of every closed-form quantity for a model."""
-    slope = mean_slope(model)
+    slope, curvature = structure_derivatives(model, 1.0)
     nondeg = slope < 0.0
     root = tail_index_root(model) if nondeg else None
     lo_q, hi_q = model.moment_q_range
@@ -402,9 +391,7 @@ def diagnose(model):
 
     support_nonpos = _support_nonpositive(model.nu)
     gam = growth_constant(model)
-    all_finite = (
-        model.sigma2 == 0.0 and support_nonpos
-        and gam is not None and gam <= 1.0)
+    all_finite = model.sigma2 == 0.0 and support_nonpos and gam <= 1.0
     if all_finite:
         sup = math.inf
 
@@ -416,7 +403,6 @@ def diagnose(model):
             d2_slope = structure_derivatives(model, 2.0)[0]
             tail_const = 1.0 / d2_slope if d2_slope != 0 else None
 
-    d1_one, d2_one = structure_derivatives(model, 1.0)
     arithmetic = (
         model.sigma2 == 0.0 and isinstance(model.nu, AtomicJumps)
         and _arithmetic_atoms(model.nu))
@@ -433,8 +419,8 @@ def diagnose(model):
         tail_slope=tail_slope,
         tail_constant_at_two=tail_const,
         neg_moment_bound=float(lo_q),
-        local_dimension=-d1_one,
-        gauge_correction_critical=math.sqrt(2.0 * d2_one),
+        local_dimension=-slope,
+        gauge_correction_critical=math.sqrt(2.0 * curvature),
         arithmetic_support=bool(arithmetic),
     )
 

@@ -26,7 +26,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import cones
-from .levy import MomentDomainError, levy_exponent, nu_integral
+from .levy import (MomentDomainError, growth_constant, levy_exponent,
+                   nu_integral)
 
 # ---------------------------------------------------------------------------
 # pair exponents
@@ -311,6 +312,9 @@ class TailReport:
     exceedances: Dict[float, int]
 
 
+TAIL_MIN_SAMPLES = 100  # fewest samples hill_tail_report accepts
+
+
 def hill_tail_report(samples, fractions=(0.005, 0.01, 0.02, 0.05),
                      tail_index_for_constant=None):
     """Hill estimates over several top fractions, plus a plateau constant.
@@ -322,8 +326,9 @@ def hill_tail_report(samples, fractions=(0.005, 0.01, 0.02, 0.05),
     """
     x = np.sort(np.asarray(samples, float))[::-1]
     N = x.size
-    if N < 100:
-        raise ValueError("tail estimation needs at least 100 samples")
+    if N < TAIL_MIN_SAMPLES:
+        raise ValueError(
+            f"tail estimation needs at least {TAIL_MIN_SAMPLES} samples")
     hill = {}
     ks = {}
     for f in fractions:
@@ -546,7 +551,6 @@ def growth_ratio_probe(model, orders, mc_samples=None, mc_from=5):
     expected signature of factorial-type moment growth with the model's
     growth constant as the limiting slope.
     """
-    from .levy import growth_constant as model_growth_constant
     logs, ratios, sources = [], [], []
     for n in orders:
         if n < 2:
@@ -568,5 +572,5 @@ def growth_ratio_probe(model, orders, mc_samples=None, mc_from=5):
         ratios.append(logs[-1] / (n * math.log(n)))
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
     return GrowthReport(tuple(orders), tuple(logs), tuple(ratios),
-                        bool(increasing), model_growth_constant(model),
+                        bool(increasing), growth_constant(model),
                         tuple(sources))

@@ -170,6 +170,18 @@ def test_estimate_moments_report(cfg_file, tmp_path):
     assert payload["sampler_health"] == {"cholesky_jitter": 0.0}
 
 
+def test_estimate_reports_record_their_sampler(tmp_path):
+    for kind in ("moments", "tail", "scaling"):
+        path = write_cfg(tmp_path / f"{kind}.ini", tmp_path / kind,
+                         experiment=f"kind = {kind}\n")
+        path.write_text(path.read_text().replace("replicas = 3",
+                                                 "replicas = 100"))
+        assert run("--config", path, "estimate") == 0
+        payload = json.loads((tmp_path / kind / f"{kind}.json").read_text())
+        assert payload["sampler"] == "dense"
+        assert payload["sampler_health"] == {"cholesky_jitter": 0.0}
+
+
 def test_config_error_exits_2(tmp_path):
     assert run("--config", tmp_path / "missing.ini", "theory") == 2
     bad = tmp_path / "bad.ini"
@@ -225,11 +237,23 @@ def test_non_positive_chunk_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_runtime_error_exits_3(tmp_path):
-    # the Hill estimator needs 100 replicas and the config draws 3
-    path = write_cfg(tmp_path / "r.ini", tmp_path / "r",
-                     experiment="kind = tail\n")
+def test_runtime_error_exits_3(tmp_path, capsys):
+    # juxtaposed copies of a hybrid model have no sampler
+    path = shipped_cfg("atom.ini", tmp_path, model={"sigma2": "0.2"},
+                       experiment={"kind": "covariance"})
     assert run("--config", path, "estimate") == 3
+    assert "juxtaposition supports gaussian and poisson models" in \
+        capsys.readouterr().err
+
+
+def test_tail_estimate_needs_100_replicas(tmp_path, capsys):
+    # the config draws 3 replicas; nothing is drawn or written
+    path = write_cfg(tmp_path / "t.ini", tmp_path / "t",
+                     experiment="kind = tail\n")
+    assert run("--config", path, "estimate") == 2
+    assert "experiment.replicas: tail estimation needs at least 100" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys):

@@ -84,6 +84,18 @@ def test_grid_validation():
         GridSpec((0.0, 1.0), 4, 2, 7)
 
 
+@pytest.mark.parametrize("fraction, count", [
+    (0.0, 0), (0.5, 8), (1.0, 16),
+    (0.3, None), (1.5, None), (2.0 ** -5, None)])
+def test_leaf_count_takes_whole_cells_of_the_grid(fraction, count):
+    g = GridSpec((0.0, 1.0), 4, 2)
+    if count is None:
+        with pytest.raises(ValueError, match="leaf cells"):
+            g.leaf_count(fraction)
+    else:
+        assert g.leaf_count(fraction) == count
+
+
 def test_gaussian_gram_matches_region_oracle():
     g = GridSpec((0.0, 1.0), 3, 2, 2)
     sam = GaussianFieldSampler(g, 0.7)

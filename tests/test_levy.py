@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idcascade.field import JumpSampler
 from idcascade.levy import (
     AtomicJumps,
     MomentDomainError,
@@ -12,6 +13,7 @@ from idcascade.levy import (
     build_model,
     diagnose,
     growth_constant,
+    jump_drift,
     levy_exponent,
     lognormal_model,
     mean_slope,
@@ -79,6 +81,48 @@ def test_structure_derivatives_match_finite_differences():
     d1, d2 = structure_derivatives(m, q)
     assert d1 == pytest.approx(d1_fd, rel=1e-7)
     assert d2 > 0  # convexity
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0 - 1e-5])
+def test_tabulated_structure_derivatives_match_central_differences(q):
+    # the right rate declares the moment domain (-2, 3); the density ends
+    # at 0 on the grid, so the structure function stays smooth up to the
+    # edge, where the last q sits closer than a five-point stencil reaches
+    m = build_model(0.1, TabulatedJumps((-1.5, -0.2, 0.5), (0.4, 1.0, 0.0),
+                                        2.0, 3.0))
+    h = min(1e-4, (3.0 - q) / 4)
+    lo, mid, hi = (structure_function(m, q + k * h) for k in (-1, 0, 1))
+    d1, d2 = structure_derivatives(m, q)
+    assert d1 == pytest.approx((hi - lo) / (2 * h), rel=1e-7)
+    assert d2 == pytest.approx((hi - 2 * mid + lo) / h ** 2, rel=1e-3)
+    with pytest.raises(MomentDomainError):
+        structure_derivatives(m, 3.0)
+
+
+def test_tabulated_total_mass_is_closed_form():
+    from scipy import integrate
+    nu = TabulatedJumps((-1.0, -0.3, 0.0, 0.5), (1.0, 0.2, 2.0, 0.4),
+                        2.0, 3.0)
+    x, d = np.array(nu.grid_x), np.array(nu.grid_density)
+    want = integrate.quad(lambda t: np.interp(t, x, d), x[0], x[-1],
+                          points=x[1:-1], epsabs=0, epsrel=1e-13)[0]
+    want += integrate.quad(lambda t: d[0] * math.exp(2.0 * (t - x[0])),
+                           -np.inf, x[0], epsabs=0, epsrel=1e-13)[0]
+    want += integrate.quad(lambda t: d[-1] * math.exp(-3.0 * (t - x[-1])),
+                           x[-1], np.inf, epsabs=0, epsrel=1e-13)[0]
+    assert nu.total_mass() == pytest.approx(want, rel=1e-12, abs=0)
+    assert nu.total_mass() == pytest.approx(1.0 / 2 + 0.4 / 3 + 0.6 * 0.7
+                                            + 0.3 * 1.1 + 0.5 * 1.2)
+    assert JumpSampler(nu).total == nu.total_mass()
+
+
+@pytest.mark.parametrize("model", [
+    single_atom_model(-math.log(2), 1.0),
+    build_model(0.3, AtomicJumps((-1.0, 0.4, 1.7), (0.6, 0.2, 0.05))),
+    build_model(0.1, TabulatedJumps((-2.0, -0.5, 0.5), (0.3, 1.0, 0.1),
+                                    2.0, 4.0))])
+def test_growth_constant_is_jump_drift(model):
+    assert growth_constant(model).hex() == jump_drift(model.nu).hex()
 
 
 def test_moment_interval_tabulated_tails():
