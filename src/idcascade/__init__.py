@@ -45,7 +45,6 @@ from .moments import (  # noqa: F401
     hill_tail_report,
     ks_two_sample,
     moment_pair_exponent,
-    negative_moment_probe,
     scaling_exponent,
     scaling_fit,
 )

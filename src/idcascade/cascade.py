@@ -28,27 +28,17 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import cones
-from .levy import (AtomicJumps, NoiseModel, TabulatedJumps, ZeroJumps,
-                   mean_slope)
+from .levy import NoiseModel, ZeroJumps, jump_drift, mean_slope
 from .field import (FieldSample, GridSpec, PoissonFieldSampler,
                     _chol_with_jitter, _gram_objects, footprint_areas,
-                    jump_law, make_sampler, poisson_points, sample_field)
+                    make_sampler, poisson_points, sample_field)
 from ._rng import make_generator, streams
 
 
 def model_digest(model):
     """16-byte stable digest of a model's defining data."""
-    nu = model.nu
-    if isinstance(nu, ZeroJumps):
-        desc = ["zero"]
-    elif isinstance(nu, AtomicJumps):
-        desc = ["atoms", list(nu.locations), list(nu.masses)]
-    elif isinstance(nu, TabulatedJumps):
-        desc = ["tabulated", list(nu.grid_x), list(nu.grid_density),
-                nu.left_rate, nu.right_rate]
-    else:
-        raise TypeError(f"unknown jump measure {type(nu).__name__}")
-    blob = json.dumps([model.sigma2, desc], sort_keys=True).encode()
+    blob = json.dumps([model.sigma2, model.nu.digest_fields()],
+                      sort_keys=True).encode()
     return hashlib.sha256(blob).digest()[:16]
 
 
@@ -335,7 +325,7 @@ def _refine_poisson(realization, fine, rng):
     old = realization.field
     strip = cones.refinement_strip(g.interval, g.eps, fine.eps)
     sampler = PoissonFieldSampler(fine, realization.model)
-    _, xs, ys, jumps = poisson_points([rng], [strip], sampler.jumps)
+    _, xs, ys, jumps = poisson_points([rng], [strip], sampler.nu)
     x = np.concatenate([old.points_x, xs])
     y = np.concatenate([old.points_y, ys])
     jump = np.concatenate([old.points_jump, jumps])
@@ -418,17 +408,17 @@ def sample_area_logs(model, area, rngs, size=1):
         val += [r.normal(-0.5 * model.sigma2 * area,
                          math.sqrt(model.sigma2 * area), size=size)
                 for r in rngs]
-    if area > 0 and not isinstance(model.nu, ZeroJumps):
-        js, drift = jump_law(model.nu)
-        counts = np.array([r.poisson(js.total * area, size=size)
+    nu = model.nu
+    if area > 0 and not isinstance(nu, ZeroJumps):
+        counts = np.array([r.poisson(nu.total_mass() * area, size=size)
                            for r in rngs])
         totals = counts.sum(axis=1)
-        u = [js.uniforms(r, n) for r, n in zip(rngs, totals)]
-        jumps = np.insert(js.from_uniforms(np.concatenate(u, axis=1)),
+        u = [nu.uniforms(r, n) for r, n in zip(rngs, totals)]
+        jumps = np.insert(nu.from_uniforms(np.concatenate(u, axis=1)),
                           np.cumsum(totals), 0.0)
         seg = counts.copy()
         seg[:, -1] += 1  # a generator's 0.0 ends its last sum
-        val += drift * area + np.add.reduceat(
+        val += jump_drift(nu) * area + np.add.reduceat(
             jumps, np.cumsum(seg) - seg.ravel()).reshape(seg.shape) * (
                 counts > 0)
     return val

@@ -262,9 +262,9 @@ def _check_star(cfg, model, grid, seed):
 
 def _check_scaling_ks(cfg, model, grid, seed):
     from .cascade import scaled_mass_samples, simulate_prefix_masses
-    from .moments import ks_two_sample
+    from .moments import KS_MIN_SAMPLES, ks_two_sample
     p_min = cfg.get_float("experiment", "ks_p_min", 0.01)
-    replicas, chunk = max(cfg.replicas(), 5000), cfg.chunk()
+    replicas, chunk = max(cfg.replicas(), KS_MIN_SAMPLES), cfg.chunk()
     lam = 0.5
     small = type(grid)(grid.interval, min(grid.levels, 8),
                        grid.oversample, 0)

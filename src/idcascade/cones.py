@@ -475,10 +475,6 @@ def sampling_domain(interval, eps):
     return [DomainStrip("flank", (lo, hi), eps, math.inf)]
 
 
-def domain_mass(interval, eps):
-    return sum(s.mass() for s in sampling_domain(interval, eps))
-
-
 def refinement_strip(interval, eps_old, eps_new):
     """The extra band eps_new <= y < eps_old of the sampling domain."""
     if not 0 < eps_new < eps_old <= _length(interval):

@@ -22,19 +22,22 @@ Exact samplers cover the model classes:
   of at least CIRCULANT_MIN_POINTS points, also as a hybrid's Gaussian
   part, and falls back to the dense sampler, with a RuntimeWarning, if
   an embedding eigenvalue is negative.
-* Atomic (compound Poisson): the jump part is a Poisson point process on the
-  union of all local cones; each sampled point adds its jump to exactly the
-  evaluation points whose cone contains it, which is a contiguous index
-  range, so evaluation is a difference-array sweep.  The same sampler
-  draws juxtaposed copies from one point set on the sampling domain of
-  their hull.  A batch's point sets are drawn, mapped and summed together
-  (poisson_points, shadow_sums), with the bits of one replica at a time.
+* Jumps (compound Poisson): the jump part is a Poisson point process on the
+  union of all local cones, its jumps drawn by the jump measure itself
+  (uniforms, from_uniforms); each sampled point adds its jump to exactly
+  the evaluation points whose cone contains it, which is a contiguous
+  index range, so evaluation is a difference-array sweep.  The same
+  sampler draws juxtaposed copies from one point set on the sampling
+  domain of their hull.  A batch's point sets are drawn, mapped and summed
+  together (poisson_points, shadow_sums), with the bits of one replica at
+  a time.
 * Hybrid: a model with a Gaussian part and jumps adds the two samplers.
 
-truncated_model drops the jumps smaller than a cutoff and re-normalizes
-the drift, so the result is again an exactly mean-one model (optionally
-the dropped jumps are replaced by a variance-matched Gaussian), sampled
-and theorized like any other; the run configuration applies it once.
+truncated_model drops the jumps smaller than a cutoff (the measure's own
+truncated) and re-normalizes the drift, so the result is again an exactly
+mean-one model (optionally the dropped jumps are replaced by a
+variance-matched Gaussian), sampled and theorized like any other; the run
+configuration applies it once.
 
 make_sampler is the one place that turns a model, whose parts alone pick
 the kind, and a number of juxtaposed intervals into a sampler; single
@@ -60,9 +63,9 @@ builds on one grid, as in the star checks, share one Gram and Cholesky
 factorization; a call with other arguments replaces it.  Grids and
 models are frozen and hashable, and no sampler changes after its
 constructor: the arrays it shares (the Cholesky factor and mean, the
-embedding's spectral weights, the jump tables) are read-only, so a
-caller that writes into one gets a ValueError instead of altering every
-later draw.  A fallback or jitter warning is raised when a sampler is
+embedding's spectral weights, the measure's jump tables) are read-only,
+so a caller that writes into one gets a ValueError instead of altering
+every later draw.  A fallback or jitter warning is raised when a sampler is
 built, not on later calls that reuse it; the sampler's health still
 records it.
 """
@@ -76,8 +79,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import cones
-from .levy import (AtomicJumps, TabulatedJumps, ZeroJumps, build_model,
-                   jump_drift)
+from .levy import ZeroJumps, build_model, jump_drift
 
 
 @dataclass(frozen=True)
@@ -595,76 +597,6 @@ class CirculantGaussianSampler:
 # ---------------------------------------------------------------------------
 
 
-class JumpSampler:
-    """Draw jump sizes from a finite-total-mass jump measure."""
-
-    def __init__(self, nu):
-        self.nu = nu
-        if isinstance(nu, AtomicJumps):
-            masses = np.asarray(nu.masses, float)
-            self.total = float(masses.sum())
-            self.locations = np.asarray(nu.locations, float)
-            self.cum = np.cumsum(masses) / self.total
-            tables = (self.locations, self.cum)
-        elif isinstance(nu, TabulatedJumps):
-            self.total = nu.total_mass()
-            if not math.isfinite(self.total) or self.total <= 0:
-                raise ValueError("tabulated measure must have finite positive "
-                                 "total mass for Poisson sampling")
-            self._x, self._d = nu._arrays()
-            self._pieces = nu.pieces
-            self._cum = np.cumsum(self._pieces) / self.total
-            tables = (self._x, self._d, self._pieces, self._cum)
-        else:
-            raise TypeError("Poisson sampling needs an atomic or tabulated "
-                            "jump measure with finite mass")
-        for a in tables:
-            a.setflags(write=False)
-
-    def uniforms(self, rng, size):
-        """(1 atomic or 2 tabulated rows, size) uniforms of size jumps."""
-        return rng.random((1 if isinstance(self.nu, AtomicJumps) else 2, size))
-
-    def from_uniforms(self, u):
-        """Jump sizes of uniforms() rows, elementwise: many draws at once."""
-        if isinstance(self.nu, AtomicJumps):
-            return self.locations[np.searchsorted(self.cum, u[0])]
-        nu, x, d = self.nu, self._x, self._d
-        piece, u = np.searchsorted(self._cum, u[0]), u[1]
-        out = np.empty(u.size)
-        nb = x.size - 1
-        for k in range(nb + 2):
-            sel = np.flatnonzero(piece == k)
-            if not sel.size:
-                continue
-            uu = u[sel]
-            if k == 0:
-                out[sel] = x[0] + np.log(uu) / nu.left_rate
-            elif k == nb + 1:
-                out[sel] = x[-1] - np.log(1.0 - uu) / nu.right_rate
-            else:
-                a, b = x[k - 1], x[k]
-                da, db = d[k - 1], d[k]
-                if abs(db - da) < 1e-14 * max(da, db, 1.0):
-                    out[sel] = a + uu * (b - a)
-                else:
-                    # invert the linear-density CDF on the bin
-                    slope = (db - da) / (b - a)
-                    disc = da * da + uu * (db * db - da * da)
-                    out[sel] = a + (np.sqrt(disc) - da) / slope
-        return out
-
-
-@functools.lru_cache(maxsize=64)
-def jump_law(nu):
-    """(JumpSampler(nu), jump_drift(nu)), built once per jump measure.
-
-    Measures are frozen and hashable; a tabulated drift's quadrature would
-    otherwise run again on every sampler and area draw.
-    """
-    return JumpSampler(nu), jump_drift(nu)
-
-
 def _shadow_index_range(x, y, lo, spacing, count):
     """Evaluation-index range [k0, k1) of points inside cone shadows.
 
@@ -721,9 +653,10 @@ def shadow_sums(counts, x, y, jump, left, spacing, n, right, diff=None):
                       rows=len(counts) * len(k0), diff=diff)
 
 
-def poisson_points(rngs, strips, jumps):
-    """Poisson point sets with jumps on the union of strips, one per
-    generator: (counts, x, y, jump), the sets concatenated in order.
+def poisson_points(rngs, strips, nu):
+    """Poisson point sets with jumps of the measure nu on the union of
+    strips, one per generator: (counts, x, y, jump), the sets concatenated
+    in order.
 
     Each generator draws its count, its points' strips (with more than one
     strip), three uniforms per point, then its jump uniforms; the batch's
@@ -731,18 +664,18 @@ def poisson_points(rngs, strips, jumps):
     """
     mass = np.array([s.mass() for s in strips])
     total = float(mass.sum())
-    counts = np.array([r.poisson(jumps.total * total) for r in rngs])
+    counts = np.array([r.poisson(nu.total_mass() * total) for r in rngs])
     which = (np.searchsorted(np.cumsum(mass) / total, np.concatenate(
         [r.random(n) for r, n in zip(rngs, counts)]))
              if len(strips) > 1 else np.zeros(counts.sum(), np.int64))
     u = np.concatenate([r.random((n, 3)) for r, n in zip(rngs, counts)]).T
-    ju = np.concatenate([jumps.uniforms(r, n) for r, n in zip(rngs, counts)],
+    ju = np.concatenate([nu.uniforms(r, n) for r, n in zip(rngs, counts)],
                         axis=1)
     x, y = np.empty((2, u.shape[1]))
     for i, s in enumerate(strips):
         sel = np.flatnonzero(which == i)  # indices: far faster than masks
         x[sel], y[sel] = s.sample(*u.take(sel, axis=1))
-    return counts, x, y, jumps.from_uniforms(ju)
+    return counts, x, y, nu.from_uniforms(ju)
 
 
 # Evaluation slots plus expected points of one Poisson blocks
@@ -751,9 +684,9 @@ def poisson_points(rngs, strips, jumps):
 POISSON_BATCH_SLOTS = 65536
 
 
-def _batch_size(strips, jumps, slots):
+def _batch_size(strips, nu, slots):
     """Replicas per sub-batch, each with its slots and expected points."""
-    points = jumps.total * sum(s.mass() for s in strips)
+    points = nu.total_mass() * sum(s.mass() for s in strips)
     return max(1, int(POISSON_BATCH_SLOTS // (slots + points)))
 
 
@@ -775,7 +708,7 @@ class PoissonFieldSampler:
             raise ValueError("model has a Gaussian part; use the hybrid path")
         edges = _set_copies(self, grid, n_intervals)
         self.model = model
-        self.jumps, self.drift = jump_law(model.nu)
+        self.nu, self.drift = model.nu, jump_drift(model.nu)
         self.strips = cones.sampling_domain((edges[0], edges[-1]), grid.eps)
         self._base = self.drift * cones.area_local_cone(edges[:2], grid.eps)
         self._cell_area = {
@@ -787,12 +720,12 @@ class PoissonFieldSampler:
         edges = np.array(edges)
         self._left, self._right = edges[:-1, None], edges[1:, None]
         self._spacing = (self._right - self._left) / grid.n_points
-        self._batch = _batch_size(self.strips, self.jumps,
+        self._batch = _batch_size(self.strips, self.nu,
                                   n_intervals * (grid.n_points + 1))
 
     def draw_points(self, rng):
         """Poisson point set on the sampling domain: (x, y, jump) arrays."""
-        return poisson_points([rng], self.strips, self.jumps)[1:]
+        return poisson_points([rng], self.strips, self.nu)[1:]
 
     def evaluate(self, x, y, jump):
         """One copy's field values (point_log, cell_log) of one point set."""
@@ -827,7 +760,7 @@ class PoissonFieldSampler:
         for s, dest in _block_slots(len(rngs), self._batch, self.shape, out):
             # the points die with the call, before the next block's draw
             sums = shadow_sums(*poisson_points(
-                rngs[s:s + len(dest)], self.strips, self.jumps),
+                rngs[s:s + len(dest)], self.strips, self.nu),
                 self._left, self._spacing, n, self._right,
                 diff=diff[:len(dest) * m])
             np.add(sums.reshape(dest.shape), self._base, out=dest)
@@ -847,42 +780,12 @@ def truncated_model(model, cutoff, substitute=False):
     """
     if not 0.0 < cutoff <= 1.0:
         raise ValueError("cutoff must lie in (0, 1]")
-    nu = model.nu
-    if isinstance(nu, ZeroJumps):
-        big = ZeroJumps()
-        var_small = 0.0
-    elif isinstance(nu, AtomicJumps):
-        kept = [(x, m) for x, m in zip(nu.locations, nu.masses)
-                if abs(x) >= cutoff]
-        big = (AtomicJumps(tuple(x for x, _ in kept),
-                           tuple(m for _, m in kept))
-               if kept else ZeroJumps())
-        var_small = sum(m * x * x for x, m in zip(nu.locations, nu.masses)
-                        if abs(x) < cutoff)
-    elif isinstance(nu, TabulatedJumps):
-        var_small = nu.integrate_weighted(
-            lambda t: t * t if abs(t) < cutoff else 0.0)
-        big = _clip_tabulated(nu, cutoff)
-    else:
-        raise TypeError(f"unknown jump measure {type(nu).__name__}")
+    big, var_small = model.nu.truncated(cutoff)
     sigma2 = model.sigma2 + (var_small if substitute else 0.0)
     if sigma2 == 0.0 and isinstance(big, ZeroJumps):
         raise ValueError("truncation removed all randomness; lower the "
                          "cutoff or enable substitution")
     return build_model(sigma2, big)
-
-
-def _clip_tabulated(nu, cutoff):
-    x = np.asarray(nu.grid_x, float)
-    d = np.asarray(nu.grid_density, float).copy()
-    pts = sorted(set(list(x) + [-cutoff, cutoff]))
-    pts = [p for p in pts if x[0] <= p <= x[-1]]
-    dens = [0.0 if abs(p) < cutoff else float(np.interp(p, x, d))
-            for p in pts]
-    if np.allclose(dens, 0.0) and nu.left_rate is None and nu.right_rate is None:
-        return ZeroJumps()
-    return TabulatedJumps(tuple(pts), tuple(dens),
-                          left_rate=nu.left_rate, right_rate=nu.right_rate)
 
 
 class HybridFieldSampler:

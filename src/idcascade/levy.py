@@ -22,6 +22,7 @@ decides nondegeneracy of the cascade limit; its root above 1 (when it exists)
 is the tail index of the total-mass distribution.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -63,28 +64,76 @@ class MomentDomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+class JumpMeasure:
+    """A jump measure nu, which alone knows the rules of its kind.
+
+    Each variant is a frozen, hashable dataclass (make_sampler and
+    jump_drift cache per measure) with these methods:
+
+    * integrate_weighted(f): integral f(x) nu(dx), through nu_integral;
+    * moment_interval(): the open-ended (lo, hi) of q with integral
+      exp(q*x) nu(dx) finite on |x| >= 1, which holds [0, 1];
+    * support_nonpositive(): nu charges no x > 0;
+    * arithmetic(): the atoms are integer multiples of one spacing;
+    * digest_fields(): the JSON list model_digest hashes;
+    * truncated(cutoff): (the jumps |x| >= cutoff as a measure, the
+      integral of x^2 over the dropped jumps |x| < cutoff);
+    * total_mass(): nu(R), the Poisson rate of the jumps;
+    * uniforms(rng, size), from_uniforms(u): the (rows, size) uniforms of
+      size jumps, then the jumps, elementwise, so that many draws map at
+      once.  Their tables are built in __post_init__ and read-only.
+    """
+
+    def uniforms(self, rng, size):
+        raise ValueError(f"{type(self).__name__} has no jumps to draw")
+
+    def moment_interval(self):
+        return (-math.inf, math.inf)
+
+    def arithmetic(self):
+        return False
+
+
+def _set(obj, **values):
+    """Set attributes of a frozen dataclass, numpy arrays read-only."""
+    for name, v in values.items():
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+        object.__setattr__(obj, name, v)
+
+
 @dataclass(frozen=True)
-class ZeroJumps:
+class ZeroJumps(JumpMeasure):
     """No jump component (purely Gaussian noise)."""
+
+    def integrate_weighted(self, f):
+        return 0.0
+
+    def support_nonpositive(self):
+        return True
+
+    def digest_fields(self):
+        return ["zero"]
+
+    def truncated(self, cutoff):
+        return self, 0.0
 
     def total_mass(self):
         return 0.0
 
 
 @dataclass(frozen=True)
-class AtomicJumps:
+class AtomicJumps(JumpMeasure):
     """Finite collection of atoms: nu = sum masses[k] * delta(locations[k])."""
 
     locations: Tuple[float, ...]
     masses: Tuple[float, ...]
 
     def __post_init__(self):
-        # tuples of floats whatever sequence was passed, so that the measure
-        # hashes (make_sampler and jump_law are cached per model)
-        object.__setattr__(self, "locations",
-                           tuple(float(v) for v in self.locations))
-        object.__setattr__(self, "masses",
-                           tuple(float(v) for v in self.masses))
+        # tuples of floats whatever sequence was passed, so that the
+        # measure hashes
+        _set(self, locations=tuple(float(v) for v in self.locations),
+             masses=tuple(float(v) for v in self.masses))
         if len(self.locations) != len(self.masses):
             raise ValueError("locations and masses must have equal length")
         if len(self.locations) == 0:
@@ -93,13 +142,50 @@ class AtomicJumps:
             raise ValueError("atom masses must be positive and finite")
         if not all(0 < abs(x) < math.inf for x in self.locations):
             raise ValueError("atom locations must be finite and nonzero")
+        masses = np.asarray(self.masses)
+        total = float(masses.sum())
+        _set(self, _total=total, _x=np.asarray(self.locations),
+             _cum=np.cumsum(masses) / total)
+
+    def integrate_weighted(self, f):
+        return float(sum(m * f(x) for x, m in zip(self.locations,
+                                                  self.masses)))
+
+    def support_nonpositive(self):
+        return all(x < 0 for x in self.locations)
+
+    def arithmetic(self):
+        rel_tol = 1e-9
+        xs = [abs(x) for x in self.locations]
+        g = xs[0]
+        for x in xs[1:]:
+            a, b = max(g, x), min(g, x)
+            while b > rel_tol * xs[0]:
+                a, b = b, math.fmod(a, b)
+            g = a
+        return g > rel_tol * max(xs)
+
+    def digest_fields(self):
+        return ["atoms", list(self.locations), list(self.masses)]
+
+    def truncated(self, cutoff):
+        atoms = list(zip(self.locations, self.masses))
+        kept = [(x, m) for x, m in atoms if abs(x) >= cutoff]
+        var_small = sum(m * x * x for x, m in atoms if abs(x) < cutoff)
+        return (AtomicJumps(*zip(*kept)) if kept else ZeroJumps()), var_small
 
     def total_mass(self):
-        return float(sum(self.masses))
+        return self._total
+
+    def uniforms(self, rng, size):
+        return rng.random((1, size))
+
+    def from_uniforms(self, u):
+        return self._x[np.searchsorted(self._cum, u[0])]
 
 
 @dataclass(frozen=True)
-class TabulatedJumps:
+class TabulatedJumps(JumpMeasure):
     """Density given on a finite grid, linearly interpolated between nodes.
 
     Outside [grid_x[0], grid_x[-1]] the density is zero unless an exponential
@@ -107,10 +193,11 @@ class TabulatedJumps:
     density(grid_x[0]) * exp(b*(x - grid_x[0])) for x below the grid, and with
     right_rate = r > 0 it continues as density(grid_x[-1]) * exp(-r*(x -
     grid_x[-1])) above it.  Tail rates keep every integral here computable in
-    closed form on the tail pieces.
+    closed form on the tail pieces.  The total mass must be positive.
 
     pieces holds the closed-form masses of the left tail, the trapezoid
-    bins and the right tail.
+    bins and the right tail; a jump draw picks a piece by its mass, then
+    inverts the piece's CDF.
     """
 
     grid_x: Tuple[float, ...]
@@ -119,13 +206,12 @@ class TabulatedJumps:
     right_rate: Optional[float] = None
 
     def __post_init__(self):
-        x = np.asarray(self.grid_x, float)
-        d = np.asarray(self.grid_density, float)
+        x = np.array(self.grid_x, float)
+        d = np.array(self.grid_density, float)
         if x.ndim != 1 or x.size < 2:
             raise ValueError("need at least two grid nodes")
         # tuples of floats, as in AtomicJumps, so that the measure hashes
-        object.__setattr__(self, "grid_x", tuple(x.tolist()))
-        object.__setattr__(self, "grid_density", tuple(d.tolist()))
+        _set(self, grid_x=tuple(x.tolist()), grid_density=tuple(d.tolist()))
         if not (np.isfinite(x).all() and np.all(np.diff(x) > 0)):
             raise ValueError("grid_x must be finite and strictly increasing")
         if not np.all((d >= 0) & np.isfinite(d)):
@@ -139,11 +225,12 @@ class TabulatedJumps:
         right = d[-1] / r if r and d[-1] > 0 else 0.0
         pieces = np.concatenate(
             [[left], 0.5 * (d[:-1] + d[1:]) * np.diff(x), [right]])
-        pieces.setflags(write=False)
-        object.__setattr__(self, "pieces", pieces)
-
-    def _arrays(self):
-        return np.asarray(self.grid_x, float), np.asarray(self.grid_density, float)
+        total = float(pieces.sum())
+        if not total > 0:
+            raise ValueError("tabulated density has zero total mass; use "
+                             "ZeroJumps instead")
+        _set(self, _total=total, _x=x, _d=d, pieces=pieces,
+             _cum=np.cumsum(pieces) / total)
 
     def integrate_weighted(self, f):
         """integral f(x) nu(dx) with the tail pieces folded into quad.
@@ -152,7 +239,7 @@ class TabulatedJumps:
         the compensated integrands at x = -1 and x = 1 (_split_quad).
         """
         from scipy import integrate
-        x, d = self._arrays()
+        x, d = self._x, self._d
         kinks = {k for k in (-1.0, 1.0) if x[0] < k < x[-1]}
         points = sorted(kinks.union(x.tolist()) if x.size <= 50 else kinks)
         total, _ = integrate.quad(
@@ -167,41 +254,76 @@ class TabulatedJumps:
                 f, t, d[-1], -r * (t - x[-1])), x[-1], np.inf)
         return total
 
+    def moment_interval(self):
+        lo = -math.inf if self.left_rate is None else -self.left_rate
+        hi = math.inf if self.right_rate is None else self.right_rate
+        return (lo, hi)
+
+    def support_nonpositive(self):
+        return self.right_rate is None and bool(
+            np.all(self._d[self._x > 0] == 0.0))
+
+    def digest_fields(self):
+        return ["tabulated", list(self.grid_x), list(self.grid_density),
+                self.left_rate, self.right_rate]
+
+    def truncated(self, cutoff):
+        var_small = self.integrate_weighted(
+            lambda t: t * t if abs(t) < cutoff else 0.0)
+        x, d = self._x, self._d
+        pts = [p for p in sorted({*x.tolist(), -cutoff, cutoff})
+               if x[0] <= p <= x[-1]]
+        dens = [0.0 if abs(p) < cutoff else float(np.interp(p, x, d))
+                for p in pts]
+        if not any(dens):
+            return ZeroJumps(), var_small
+        return TabulatedJumps(tuple(pts), tuple(dens), self.left_rate,
+                              self.right_rate), var_small
+
     def total_mass(self):
-        return float(self.pieces.sum())
+        return self._total
+
+    def uniforms(self, rng, size):
+        return rng.random((2, size))
+
+    def from_uniforms(self, u):
+        x, d = self._x, self._d
+        piece, u = np.searchsorted(self._cum, u[0]), u[1]
+        out = np.empty(u.size)
+        nb = x.size - 1
+        for k in range(nb + 2):
+            sel = np.flatnonzero(piece == k)
+            if not sel.size:
+                continue
+            uu = u[sel]
+            if k == 0:
+                out[sel] = x[0] + np.log(uu) / self.left_rate
+            elif k == nb + 1:
+                out[sel] = x[-1] - np.log(1.0 - uu) / self.right_rate
+            else:
+                a, b = x[k - 1], x[k]
+                da, db = d[k - 1], d[k]
+                if abs(db - da) < 1e-14 * max(da, db, 1.0):
+                    out[sel] = a + uu * (b - a)
+                else:
+                    # invert the linear-density CDF on the bin
+                    slope = (db - da) / (b - a)
+                    disc = da * da + uu * (db * db - da * da)
+                    out[sel] = a + (np.sqrt(disc) - da) / slope
+        return out
 
 
 def nu_integral(nu, f):
-    """integral f(x) nu(dx) for any jump-measure variant."""
-    if isinstance(nu, ZeroJumps):
-        return 0.0
-    if isinstance(nu, AtomicJumps):
-        return float(sum(m * f(x) for x, m in zip(nu.locations, nu.masses)))
-    if isinstance(nu, TabulatedJumps):
-        return nu.integrate_weighted(f)
-    raise TypeError(f"unknown jump measure {type(nu).__name__}")
-
-
-def moment_interval(nu):
-    """Open-ended interval of q with integral exp(q*x) nu(dx) finite on |x|>=1.
-
-    Returns (lo, hi); lo may be -inf and hi +inf.  The interval always
-    contains [0, 1] for the variants accepted by build_model.
-    """
-    if isinstance(nu, (ZeroJumps, AtomicJumps)):
-        return (-math.inf, math.inf)
-    if isinstance(nu, TabulatedJumps):
-        lo = -math.inf if nu.left_rate is None else -nu.left_rate
-        hi = math.inf if nu.right_rate is None else nu.right_rate
-        return (lo, hi)
-    raise TypeError(f"unknown jump measure {type(nu).__name__}")
+    """integral f(x) nu(dx) for any jump measure: every nu integral goes
+    through here to the measure's integrate_weighted."""
+    return nu.integrate_weighted(f)
 
 
 def _checked_q(nu, q):
     """float(q), which must lie in the open finite-moment interval of nu:
     at an endpoint the tail integral diverges."""
     q = float(q)
-    lo, hi = moment_interval(nu)
+    lo, hi = nu.moment_interval()
     if not lo < q < hi:
         raise MomentDomainError(
             f"q = {q} outside ({lo}, {hi}): integral exp(q*x) nu(dx) diverges")
@@ -218,12 +340,14 @@ def normalize_drift(sigma2, nu):
     return -0.5 * sigma2 - compensated
 
 
+@functools.lru_cache(maxsize=64)
 def jump_drift(nu):
     """Drift of the pure-jump part: integral (1 - exp(x)) nu(dx).
 
     The jump noise of a region of area a is jump_drift(nu) * a plus the
     jumps of the Poisson points inside it, which has a mean-one exponential
-    whenever nu has finite total mass.
+    whenever nu has finite total mass.  Cached per measure: a tabulated
+    measure's quadrature runs once for all its samplers and area draws.
     """
     return nu_integral(nu, lambda x: 1.0 - math.exp(x))
 
@@ -236,7 +360,7 @@ class NoiseModel:
     """
 
     sigma2: float
-    nu: object
+    nu: JumpMeasure
     drift: float
     moment_q_range: Tuple[float, float]
 
@@ -251,7 +375,7 @@ def build_model(sigma2, nu=None):
             "rejected")
     # every measure's interval holds q < 0, and normalize_drift checks q = 1
     drift = normalize_drift(sigma2, nu)
-    return NoiseModel(float(sigma2), nu, float(drift), moment_interval(nu))
+    return NoiseModel(float(sigma2), nu, float(drift), nu.moment_interval())
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +421,12 @@ def growth_constant(model):
     return jump_drift(model.nu)
 
 
-def tail_index_root(model, cap=64.0):
-    """Root of the structure function in (1, cap), or None.
+# The tail index search stops here: a root above it reads as none.
+TAIL_INDEX_CAP = 64.0
+
+
+def tail_index_root(model):
+    """Root of the structure function in (1, TAIL_INDEX_CAP), or None.
 
     Scans q = 1 + 2^k for a sign change, then brentq.  The structure function
     is convex with value 0 and negative slope at 1 (nondegenerate case), so
@@ -308,10 +436,12 @@ def tail_index_root(model, cap=64.0):
     if mean_slope(model) >= 0:
         return None
     if isinstance(model.nu, ZeroJumps):
-        return 2.0 / model.sigma2 if model.sigma2 * cap > 2.0 else None
+        return (2.0 / model.sigma2 if model.sigma2 * TAIL_INDEX_CAP > 2.0
+                else None)
     lo_q, hi_q = model.moment_q_range
     margin = 1e-9 + 1e-6 * min(abs(hi_q), 1.0) if math.isfinite(hi_q) else 0.0
-    q_cap = min(cap, hi_q - margin) if math.isfinite(hi_q) else cap
+    q_cap = (min(TAIL_INDEX_CAP, hi_q - margin) if math.isfinite(hi_q)
+             else TAIL_INDEX_CAP)
     prev = 1.0
     k = -10
     while True:
@@ -328,18 +458,6 @@ def tail_index_root(model, cap=64.0):
             return None
         prev = q
         k += 1
-
-
-def _arithmetic_atoms(nu, rel_tol=1e-9):
-    """True when all atom locations are integer multiples of one spacing."""
-    xs = [abs(x) for x in nu.locations]
-    g = xs[0]
-    for x in xs[1:]:
-        a, b = max(g, x), min(g, x)
-        while b > rel_tol * xs[0]:
-            a, b = b, math.fmod(a, b)
-        g = a
-    return g > rel_tol * max(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +507,7 @@ def diagnose(model):
     else:
         sup = hi_q  # structure function stays negative up to the domain edge
 
-    support_nonpos = _support_nonpositive(model.nu)
+    support_nonpos = model.nu.support_nonpositive()
     gam = growth_constant(model)
     all_finite = model.sigma2 == 0.0 and support_nonpos and gam <= 1.0
     if all_finite:
@@ -403,9 +521,7 @@ def diagnose(model):
             d2_slope = structure_derivatives(model, 2.0)[0]
             tail_const = 1.0 / d2_slope if d2_slope != 0 else None
 
-    arithmetic = (
-        model.sigma2 == 0.0 and isinstance(model.nu, AtomicJumps)
-        and _arithmetic_atoms(model.nu))
+    arithmetic = model.sigma2 == 0.0 and model.nu.arithmetic()
 
     return DiagnosticsReport(
         sigma2=model.sigma2,
@@ -423,20 +539,6 @@ def diagnose(model):
         gauge_correction_critical=math.sqrt(2.0 * curvature),
         arithmetic_support=bool(arithmetic),
     )
-
-
-def _support_nonpositive(nu):
-    if isinstance(nu, ZeroJumps):
-        return True
-    if isinstance(nu, AtomicJumps):
-        return all(x < 0 for x in nu.locations)
-    if isinstance(nu, TabulatedJumps):
-        if nu.right_rate is not None:
-            return False
-        x = np.asarray(nu.grid_x, float)
-        d = np.asarray(nu.grid_density, float)
-        return bool(np.all(d[x > 0] == 0.0))
-    raise TypeError(f"unknown jump measure {type(nu).__name__}")
 
 
 # convenient constructors used all over the tests ---------------------------

@@ -15,8 +15,7 @@ singularity.
 The statistical side has the usual suspects: median-of-means moment
 estimates, a Hill tail-index ladder with a plateau estimate of the tail
 constant, jackknifed covariances of juxtaposed masses, scaling-exponent
-fits, a prefix-stability probe for negative moments, and the growth-ratio
-sequence of log E Z^n / (n log n).
+fits, and the growth-ratio sequence of log E Z^n / (n log n).
 """
 
 import math
@@ -26,8 +25,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import cones
-from .levy import (MomentDomainError, growth_constant, levy_exponent,
-                   nu_integral)
+from .levy import MomentDomainError, growth_constant, levy_exponent
 
 # ---------------------------------------------------------------------------
 # pair exponents
@@ -45,19 +43,6 @@ def moment_pair_exponent(model, j, k):
         raise ValueError("pair exponent needs two distinct ranks")
     return (levy_exponent(model, d + 1) + levy_exponent(model, d - 1)
             - 2.0 * levy_exponent(model, d))
-
-
-def moment_pair_exponent_jump_form(model, j, k):
-    """Same exponent along the jump route, for pure-jump models only:
-    integral exp((d-1) x) (1 - exp(x))^2 nu(dx)."""
-    if model.sigma2 != 0.0:
-        raise ValueError("jump-form route is only valid when sigma2 = 0")
-    d = abs(int(j) - int(k))
-    if d == 0:
-        raise ValueError("pair exponent needs two distinct ranks")
-    return nu_integral(
-        model.nu,
-        lambda x: math.exp((d - 1) * x) * (1.0 - math.exp(x)) ** 2)
 
 
 def scaling_exponent(model, q):
@@ -94,7 +79,12 @@ def _expand_blocks(blocks):
     return spans
 
 
-def exact_joint_moment(model, blocks, base=(0.0, 1.0), resolution=None):
+# Gauss-Legendre nodes per axis of exact_joint_moment's two resolutions,
+# by total degree.
+_JOINT_NODES = {2: (320, 220), 3: (150, 104), 4: (56, 40)}
+
+
+def exact_joint_moment(model, blocks, base=(0.0, 1.0)):
     """E prod_j mass(I_j)^{p_j} for one cascade on the base interval.
 
     blocks is a sequence of (interval, power) pairs, sorted left to right,
@@ -122,9 +112,7 @@ def exact_joint_moment(model, blocks, base=(0.0, 1.0), resolution=None):
             f"adjacent-gap exponent alpha(1) = {a1:.6g} >= 1: the joint "
             "moment diverges on vanishing same-interval gaps")
 
-    sizes = {2: (320, 220), 3: (150, 104), 4: (56, 40)}
-    M, M2 = sizes[n] if resolution is None else (resolution,
-                                                 max(8, 2 * resolution // 3))
+    M, M2 = _JOINT_NODES[n]
     v1 = _ordered_quadrature(spans, alphas, T, M)
     v2 = _ordered_quadrature(spans, alphas, T, M2)
     scale = 1.0
@@ -355,7 +343,11 @@ def hill_tail_report(samples, fractions=(0.005, 0.01, 0.02, 0.05),
                       tail_constant, ks)
 
 
-def ks_two_sample(a, b, min_size=5000):
+# Fewest samples per side ks_two_sample accepts.
+KS_MIN_SAMPLES = 5000
+
+
+def ks_two_sample(a, b):
     """Two-sample Kolmogorov-Smirnov test: (statistic, asymptotic p-value).
 
     The statistic is scipy.stats.ks_2samp's.  The p-value is Kolmogorov's
@@ -365,9 +357,9 @@ def ks_two_sample(a, b, min_size=5000):
     """
     a = np.sort(np.asarray(a, float))
     b = np.sort(np.asarray(b, float))
-    if min(a.size, b.size) < min_size:
-        raise ValueError(f"KS check needs at least {min_size} samples per "
-                         f"side, got {a.size} and {b.size}")
+    if min(a.size, b.size) < KS_MIN_SAMPLES:
+        raise ValueError(f"KS check needs at least {KS_MIN_SAMPLES} samples "
+                         f"per side, got {a.size} and {b.size}")
     both = np.concatenate([a, b])
     stat = float(np.max(np.abs(np.searchsorted(a, both, "right") / a.size
                                - np.searchsorted(b, both, "right") / b.size)))
@@ -397,7 +389,7 @@ class CovarianceReport:
                         self.theory_claimed, self.theory_exact_quadrature))
 
 
-def covariance_report(model, masses, gaps=None, exact=True):
+def covariance_report(model, masses, gaps=None):
     """Stationary covariance across interval gaps with jackknife errors.
 
     masses has shape (replicas, intervals); gap g pools every pair of
@@ -422,10 +414,7 @@ def covariance_report(model, masses, gaps=None, exact=True):
         est.append(_pooled_cov(x, y))
         err.append(_jackknife_cov(xr, yr))
         claimed.append(2.0 * psi2 / (3.0 * g))
-        if exact:
-            quad.append(juxtaposed_pair_moment(model, g)[0])
-        else:
-            quad.append(math.nan)
+        quad.append(juxtaposed_pair_moment(model, g)[0])
     return CovarianceReport(tuple(gaps), tuple(est), tuple(err),
                             tuple(claimed), tuple(quad))
 
@@ -466,15 +455,14 @@ class ScalingReport:
     max_abs_error: float
 
 
-def scaling_fit(model, lams, prefix_masses, q_values, blocks=0):
+def scaling_fit(model, lams, prefix_masses, q_values):
     """Fit log E mass([0, lam])^q against log lam and compare with theory.
 
     prefix_masses has shape (replicas, len(lams)).  The per-lam moment is
-    the plain mean by default: the columns come from the same replicas, so
-    their fluctuations are positively correlated and largely cancel in the
+    the plain mean: the columns come from the same replicas, so their
+    fluctuations are positively correlated and largely cancel in the
     slope, while median-of-means has an order- and lam-dependent downward
-    bias that tilts the fit.  Pass blocks > 1 to use median-of-means
-    anyway.
+    bias that tilts the fit.
     """
     m = np.asarray(prefix_masses, float)
     lams = np.asarray(lams, float)
@@ -484,11 +472,8 @@ def scaling_fit(model, lams, prefix_masses, q_values, blocks=0):
     theory = []
     lx = np.log(lams)
     for q in q_values:
-        ly = []
-        for j in range(lams.size):
-            e = estimate_moment(m[:, j], q, blocks=blocks)
-            val = e.median_of_means if e.median_of_means is not None else e.mean
-            ly.append(math.log(val))
+        ly = [math.log(float((m[:, j] ** q).mean()))
+              for j in range(lams.size)]
         slope = float(np.polyfit(lx, ly, 1)[0])
         slopes.append(slope)
         theory.append(scaling_exponent(model, q))
@@ -498,38 +483,8 @@ def scaling_fit(model, lams, prefix_masses, q_values, blocks=0):
 
 
 # ---------------------------------------------------------------------------
-# negative moments and growth ratios
+# growth ratios
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NegativeMomentProbe:
-    q: float
-    value: float
-    stable: bool
-    drift: float
-
-
-def negative_moment_probe(samples, q, drift_tol=0.05):
-    """Prefix-mean stability scan of E X^q for q < 0.
-
-    Reports the final estimate and whether the running mean over the last
-    quarter of the (shuffled-order-free) sample stays within drift_tol of
-    it.  This is a numerical stability probe only: it never claims the
-    negative moment is finite, it just reports what the sample says.
-    """
-    if q >= 0:
-        raise ValueError("probe is for negative orders")
-    x = np.asarray(samples, float)
-    if np.any(x <= 0):
-        raise ValueError("negative-order moments need positive samples")
-    powered = x ** q
-    prefix = np.cumsum(powered) / np.arange(1, x.size + 1)
-    final = float(prefix[-1])
-    tail = prefix[3 * x.size // 4:]
-    drift = float(np.max(np.abs(tail - final)) / abs(final))
-    return NegativeMomentProbe(float(q), final, bool(drift <= drift_tol),
-                               drift)
 
 
 @dataclass(frozen=True)
@@ -542,10 +497,10 @@ class GrowthReport:
     sources: Tuple[str, ...]
 
 
-def growth_ratio_probe(model, orders, mc_samples=None, mc_from=5):
+def growth_ratio_probe(model, orders, mc_samples=None):
     """Ratios log E Z^n / (n log n) across orders.
 
-    Orders below mc_from use the exact quadrature; higher orders need a
+    Orders up to 4 use the exact quadrature; higher orders need a
     Monte Carlo sample of total masses (plain mean of Z^n).  The
     increasing flag reports whether the ratio sequence is monotone, the
     expected signature of factorial-type moment growth with the model's
@@ -555,7 +510,7 @@ def growth_ratio_probe(model, orders, mc_samples=None, mc_from=5):
     for n in orders:
         if n < 2:
             raise ValueError("orders start at 2")
-        if n < mc_from and n <= 4:
+        if n <= 4:
             res = exact_joint_moment(model, [((0.0, 1.0), n)])
             val = res.value
             sources.append("quadrature")

@@ -1,8 +1,10 @@
-"""The benchmark's tracer (perfbench/tracing.py) and its gauss-batch child
-wrap or call package methods by name; a change in src/ that drops one
-fails here, not only in a traced benchmark run.  perfbench/ is only read.
+"""The benchmark's tracer (perfbench/tracing.py) and its child workloads
+(perfbench/child.py) wrap or call package methods by name; a change in
+src/ that drops one fails here, not only in a benchmark run.  perfbench/
+is only read.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -43,3 +45,33 @@ def test_tracer_installs_on_the_package():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["8"]
+
+
+CHILD = """
+import json
+import sys
+sys.path[:0] = sys.argv[1:3]
+import child
+batch = child.run_gauss_batch({"seed": 3, "replicas": 100, "chunk": 50})
+single = child.run_gauss_single({"seed": 3, "replicas": 2,
+                                 "workdir": sys.argv[3]})
+print(json.dumps([batch, single]))
+"""
+
+
+def test_benchmark_child_runs_on_the_package(tmp_path):
+    # perfbench/child.py's Gaussian workloads, untraced and small: the
+    # package calls they make exist, and the exports round-trip
+    src = str(Path(idcascade.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(ROOT / "perfbench"), src,
+         str(tmp_path)], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    batch, single = json.loads(proc.stdout)
+    keys = {"setup_end", "loop_s", "replicas", "failed_replicas", "checks",
+            "digest"}
+    assert keys <= batch.keys() and keys <= single.keys()
+    assert (batch["replicas"], single["replicas"]) == (100, 2)
+    checks = {row[0]: row for row in single["checks"]}
+    for name in ("binary round trip", "csv round trip"):
+        assert checks[name][1:2] == [True] and checks[name][3:] == [2, 0]

@@ -25,13 +25,18 @@ from idcascade.cascade import (
     simulate_total_masses,
 )
 from idcascade.field import GridSpec, make_sampler
-from idcascade.levy import (TabulatedJumps, build_model, lognormal_model,
-                            single_atom_model)
+from idcascade.levy import (AtomicJumps, TabulatedJumps, build_model,
+                            lognormal_model, single_atom_model)
 from idcascade.moments import juxtaposed_pair_moment
 
 LOGN = lognormal_model(0.5)
 ATOM = single_atom_model(-math.log(2.0), 1.0)
 HYBRID = single_atom_model(-0.4, 0.8, sigma2=0.2)
+NINE_ATOMS = build_model(0.0, AtomicJumps(
+    (-1.2, -0.9, -0.6, -0.3, -0.1, 0.1, 0.3, 0.5, 0.8),
+    (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)))
+TABULATED = build_model(0.0, TabulatedJumps((-1.0, 0.0, 0.5), (1.0, 2.0, 0.4),
+                                            2.0, 3.0))
 
 
 def test_build_realization_seed_rng_exclusive():
@@ -278,6 +283,25 @@ def test_poisson_draws_keep_their_pinned_values():
              "0x1.63f81f40402d6p-2"]]
 
 
+@pytest.mark.parametrize("model,totals,row", [
+    (NINE_ATOMS,
+     ["0x1.64025c82b84e6p+1", "0x1.6953fd438b076p+0", "0x1.aca64c297e268p-3"],
+     ["0x1.e17992d416ff9p-4", "0x1.a06d9fec7048cp-8", "0x1.079c52a7aa543p-2"]),
+    (TABULATED,
+     ["0x1.648f3bcdecb4fp-4", "0x1.3cb82f35aebfap-1", "0x1.9004ee6bfc9fap+0"],
+     ["0x1.9325175390fc8p-1", "0x1.c6fa248d19e48p-2", "0x1.f7debf8d72bd4p-4"]),
+], ids=["nine-atoms", "tabulated"])
+def test_jump_measure_draws_keep_their_pinned_values(model, totals, row):
+    # the jump draws of a many-atom and of a tabulated measure, pinned so
+    # that the measure's own tables replay the bits they had when a
+    # separate sampler object held them
+    z = simulate_total_masses(model, GridSpec((0.0, 1.0), 6, 2, 0), 11, 3)
+    assert [v.hex() for v in z.tolist()] == totals
+    j = juxtaposed_total_masses(model, GridSpec((0.1, 0.4), 5, 2, 0), 3,
+                                11, 1)
+    assert [v.hex() for v in j[0].tolist()] == row
+
+
 def test_prefix_masses_columns_are_nested():
     g = GridSpec((0.0, 1.0), 5, 2, 0)
     m = simulate_prefix_masses(LOGN, g, 3, 50, [0.25, 0.5, 1.0])
@@ -465,6 +489,18 @@ def test_model_digest_distinguishes_models():
     assert model_digest(LOGN) != model_digest(lognormal_model(0.6))
     assert model_digest(ATOM) != model_digest(LOGN)
     assert len(model_digest(ATOM)) == 16
+
+
+def test_model_digest_keeps_its_pinned_bytes():
+    # written into every binary dump, so the bytes of each kind are fixed
+    want = {
+        "zero": (LOGN, "ae21889734175c3245e2550c0531b284"),
+        "hybrid": (HYBRID, "9f79c9520d4f1a2140cf08dda7b34460"),
+        "atoms": (NINE_ATOMS, "b3e05391544263a0a3e9fd43a0f2d384"),
+        "tabulated": (TABULATED, "383c27b771004b42f73caefed7a2e7f3"),
+    }
+    for kind, (model, digest) in want.items():
+        assert model_digest(model).hex() == digest, kind
 
 
 def test_binary_roundtrip(tmp_path):

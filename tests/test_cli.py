@@ -212,6 +212,25 @@ def test_config_error_exits_2(tmp_path):
     assert run("--config", bad, "estimate") == 2
 
 
+@pytest.mark.parametrize("rates", ["", "left_rate = 2.0\nright_rate = 3.0\n"],
+                         ids=["no-tails", "tails"])
+@pytest.mark.parametrize("sigma2", ["0", "0.3"])
+def test_zero_mass_tabulated_density_is_a_config_error(tmp_path, capsys,
+                                                       rates, sigma2):
+    # a density that is zero everywhere names the model, before anything
+    # is drawn or written, with or without a Gaussian part and tail rates
+    path = write_cfg(tmp_path / "z.ini", tmp_path / "z")
+    path.write_text(path.read_text().replace(
+        "sigma2 = 0.5\njump_kind = none\n",
+        f"sigma2 = {sigma2}\njump_kind = tabulated\ntabulated_x = -1, 1\n"
+        f"tabulated_density = 0, 0\n{rates}"))
+    for command in ("theory", "simulate"):
+        assert run("--config", path, command) == 2
+        assert "model: tabulated density has zero total mass" in \
+            capsys.readouterr().err
+    assert not (tmp_path / "z").exists()
+
+
 def test_substitute_without_cutoff_is_a_config_error(tmp_path, capsys):
     path = shipped_cfg("atom.ini", tmp_path,
                        model={"substitute_small": "true"})

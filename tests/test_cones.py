@@ -17,7 +17,6 @@ from idcascade.cones import (
     area_pair,
     cell_cone,
     cross_kernel,
-    domain_mass,
     local_cone,
     overlap_kernel,
     refinement_strip,
@@ -27,6 +26,11 @@ from idcascade.cones import (
 )
 
 RNG = np.random.default_rng(20260814)
+
+
+def domain_mass(interval, eps):
+    """Area of the Poisson sampling domain: the sum of its strips'."""
+    return sum(s.mass() for s in sampling_domain(interval, eps))
 
 
 def test_half_interval_cell_area_is_log_two():

@@ -16,7 +16,6 @@ from idcascade.field import (
     GaussianFieldSampler,
     GridSpec,
     HybridFieldSampler,
-    JumpSampler,
     PoissonFieldSampler,
     _chol_with_jitter,
     _gram_objects,
@@ -30,6 +29,7 @@ from idcascade.field import (
 from idcascade.levy import (
     AtomicJumps,
     TabulatedJumps,
+    ZeroJumps,
     build_model,
     levy_exponent,
     lognormal_model,
@@ -385,9 +385,9 @@ def test_make_sampler_shares_one_read_only_sampler():
     jux = make_sampler(g, model, n_intervals=3)
     assert make_sampler(g, model, 3) is jux
     assert filled(jux, [make_generator(1, 0, "t")]).shape == (1, 3, 16)
-    for arr in (dense.chol, dense.mean, circ.weights, atom.jumps.locations,
-                atom.jumps.cum, tab.jumps._x, tab.jumps._d, tab.jumps._pieces,
-                tab.jumps._cum, jux.chol, jux.mean):
+    for arr in (dense.chol, dense.mean, circ.weights, atom.nu._x,
+                atom.nu._cum, tab.nu._x, tab.nu._d, tab.nu.pieces,
+                tab.nu._cum, jux.chol, jux.mean):
         with pytest.raises(ValueError, match="read-only"):
             arr *= 1.0
     # juxtaposition has no hybrid sampler
@@ -658,6 +658,28 @@ def test_truncated_model_stays_normalized():
         truncated_model(build_model(0.0, AtomicJumps((-0.01,), (1.0,))), 0.1)
 
 
+def test_truncation_keeps_a_tabulated_measure_only_with_mass():
+    # every jump below the cutoff: the kept measure has no mass, so it is
+    # ZeroJumps, tail rates or not, and a pure-jump model loses all its
+    # randomness unless the dropped jumps are substituted
+    for rates in ((None, None), (2.0, 3.0)):
+        nu = TabulatedJumps((-0.5, 0.0, 0.4), (1.0, 2.0, 0.5), *rates)
+        model = build_model(0.0, nu)
+        sub = truncated_model(model, 0.6, substitute=True)
+        assert sub.nu == ZeroJumps()
+        assert sub.sigma2 == pytest.approx(nu.integrate_weighted(
+            lambda t: t * t if abs(t) < 0.6 else 0.0))
+        with pytest.raises(ValueError, match="removed all randomness"):
+            truncated_model(model, 0.6)
+        # a cutoff inside the grid keeps the big jumps and the tails
+        kept = truncated_model(model, 0.3).nu
+        assert isinstance(kept, TabulatedJumps)
+        assert (kept.left_rate, kept.right_rate) == rates
+        assert kept.grid_density[kept.grid_x.index(-0.3)] > 0
+    with pytest.raises(ValueError, match="zero total mass"):
+        TabulatedJumps((-1.0, 1.0), (0.0, 0.0), 2.0, 3.0)
+
+
 def test_hybrid_field_is_mean_one():
     model = single_atom_model(-math.log(2.0), 0.6, sigma2=0.3)
     g = GridSpec((0.0, 1.0), 5, 1, 0)
@@ -677,9 +699,8 @@ def test_hybrid_field_is_mean_one():
 
 def test_jump_sampler_tabulated_cdf():
     nu = TabulatedJumps((-1.0, 0.0, 0.5), (1.0, 2.0, 0.4), 2.0, 3.0)
-    js = JumpSampler(nu)
     rng = np.random.default_rng(31)
-    draws = js.from_uniforms(js.uniforms(rng, 60_000))
+    draws = nu.from_uniforms(nu.uniforms(rng, 60_000))
     total = nu.total_mass()
     for q in (-1.2, -0.5, 0.0, 0.3, 0.7):
         want = nu.integrate_weighted(lambda t, q=q: 1.0 if t <= q else 0.0)

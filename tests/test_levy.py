@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idcascade.field import JumpSampler
 from idcascade.levy import (
     AtomicJumps,
     MomentDomainError,
@@ -17,7 +16,6 @@ from idcascade.levy import (
     levy_exponent,
     lognormal_model,
     mean_slope,
-    moment_interval,
     nu_integral,
     single_atom_model,
     structure_derivatives,
@@ -113,7 +111,13 @@ def test_tabulated_total_mass_is_closed_form():
     assert nu.total_mass() == pytest.approx(want, rel=1e-12, abs=0)
     assert nu.total_mass() == pytest.approx(1.0 / 2 + 0.4 / 3 + 0.6 * 0.7
                                             + 0.3 * 1.1 + 0.5 * 1.2)
-    assert JumpSampler(nu).total == nu.total_mass()
+
+
+def test_atomic_total_mass_is_pinned():
+    # masses 0.1 ... 0.9: the total Poisson rate the jump draws use
+    nu = AtomicJumps((-1.2, -0.9, -0.6, -0.3, -0.1, 0.1, 0.3, 0.5, 0.8),
+                     (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
+    assert nu.total_mass().hex() == "0x1.2000000000000p+2"
 
 
 @pytest.mark.parametrize("model", [
@@ -127,11 +131,11 @@ def test_growth_constant_is_jump_drift(model):
 
 def test_moment_interval_tabulated_tails():
     nu = TabulatedJumps((-1.0, 1.0), (1.0, 1.0), 3.0, 5.0)
-    lo, hi = moment_interval(nu)
+    lo, hi = nu.moment_interval()
     assert lo == pytest.approx(-3.0)
     assert hi == pytest.approx(5.0)
     # compact support: all exponential moments finite
-    lo, hi = moment_interval(AtomicJumps((-0.2,), (1.0,)))
+    lo, hi = AtomicJumps((-0.2,), (1.0,)).moment_interval()
     assert lo == -math.inf and hi == math.inf
 
 

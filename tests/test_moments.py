@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from idcascade.levy import (MomentDomainError, levy_exponent, lognormal_model,
-                            single_atom_model)
+                            nu_integral, single_atom_model)
 from idcascade.moments import (covariance_report, estimate_moment,
                                exact_joint_moment, growth_ratio_probe,
                                hill_tail_report, juxtaposed_pair_moment,
                                ks_two_sample, moment_pair_exponent,
-                               moment_pair_exponent_jump_form,
-                               negative_moment_probe, scaling_exponent,
-                               scaling_fit)
+                               scaling_exponent, scaling_fit)
 
 LOGN = lognormal_model(0.5)
 ATOM = single_atom_model(-math.log(2.0), 1.0)
@@ -23,6 +21,19 @@ def test_pair_exponent_lognormal_is_flat_sigma2():
         assert moment_pair_exponent(LOGN, d, 0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         moment_pair_exponent(LOGN, 3, 3)
+
+
+def moment_pair_exponent_jump_form(model, j, k):
+    """The pair exponent along the jump route, for pure-jump models only:
+    integral exp((d-1) x) (1 - exp(x))^2 nu(dx)."""
+    if model.sigma2 != 0.0:
+        raise ValueError("jump-form route is only valid when sigma2 = 0")
+    d = abs(int(j) - int(k))
+    if d == 0:
+        raise ValueError("pair exponent needs two distinct ranks")
+    return nu_integral(
+        model.nu,
+        lambda x: math.exp((d - 1) * x) * (1.0 - math.exp(x)) ** 2)
 
 
 def test_pair_exponent_two_routes_agree_for_jumps():
@@ -179,13 +190,14 @@ def test_ks_two_sample_matches_scipy():
 def test_covariance_report_independent_columns():
     rng = np.random.default_rng(3)
     m = np.exp(rng.normal(-0.125, 0.5, size=(4000, 4)))
-    rep = covariance_report(LOGN, m, exact=False)
+    rep = covariance_report(LOGN, m)
     assert rep.gaps == (1, 2, 3)
     for est, err in zip(rep.estimate, rep.stderr):
         assert abs(est) < 4.0 * err
     for g, cl in zip(rep.gaps, rep.theory_claimed):
         assert cl == pytest.approx(2.0 * levy_exponent(LOGN, 2.0) / (3 * g))
-    assert all(math.isnan(v) for v in rep.theory_exact_quadrature)
+    assert rep.theory_exact_quadrature == tuple(
+        juxtaposed_pair_moment(LOGN, g)[0] for g in rep.gaps)
     with pytest.raises(ValueError):
         covariance_report(LOGN, m[:, :1])
 
@@ -207,16 +219,6 @@ def test_scaling_fit_on_exact_power_law():
     assert rep.max_abs_error == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         scaling_fit(LOGN, lams, m[:, :2], [1.0])
-
-
-def test_negative_moment_probe():
-    p = negative_moment_probe(np.full(100, 2.0), -1.0)
-    assert p.value == pytest.approx(0.5)
-    assert p.stable and p.drift == 0.0
-    with pytest.raises(ValueError):
-        negative_moment_probe([1.0, 2.0], 1.0)
-    with pytest.raises(ValueError):
-        negative_moment_probe([1.0, 0.0], -1.0)
 
 
 def test_growth_probe_quadrature_orders():
