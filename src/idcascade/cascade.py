@@ -62,35 +62,54 @@ class Realization:
 
 
 # Point values per block of a batch reduction: the exp of one block is
-# the reduction's largest temporary.
+# the reduction's one temporary.
 REDUCE_BLOCK_VALUES = 2 ** 16
 
 
-def _leaf_masses(grid, point_log):
-    w = np.exp(point_log)
-    leaf = w.reshape(w.shape[:-1] + (grid.n_cells, grid.oversample))
-    cell = leaf.mean(axis=-1) * (2.0 ** (-grid.levels))
-    return cell, cell.sum(axis=-1)
+def _leaf_masses(grid, w, cell, total):
+    """Leaf masses into cell and their sums into total, from w, the exp
+    of point values: each leaf's mean of its oversample values, times
+    2^-levels, with the bits of numpy's mean.  Below oversample 8 that
+    mean adds a leaf's values in order, and strided adds straight into
+    cell do the same without its temporaries (and several times faster
+    than its reduction over a short last axis)."""
+    m = grid.oversample
+    if 1 < m < 8:
+        np.add(w[..., 0::m], w[..., 1::m], out=cell)
+        for j in range(2, m):
+            cell += w[..., j::m]
+        cell /= m
+    else:
+        np.mean(w.reshape(w.shape[:-1] + (grid.n_cells, m)), axis=-1,
+                out=cell)
+    cell *= 2.0 ** (-grid.levels)
+    np.add.reduce(cell, axis=-1, out=total)
 
 
 def masses_from_point_log(grid, point_log, out=None):
     """Leaf masses and total from point noise values (any leading shape).
 
     A batch is reduced in blocks of about REDUCE_BLOCK_VALUES values along
-    its leading axis, each a slice of the caller's array.  The samplers'
-    batches are C-contiguous, and such a batch reduces each row to the
-    same bits on its own, so the blocks keep the bits of the whole batch
-    at once.  A batch's (cell, total) may be written into out.
+    its leading axis, each a slice of the caller's array: a block's exp
+    is written into one buffer that every block reuses, and its leaf
+    masses and totals straight into the output (_leaf_masses).  The
+    samplers' batches are C-contiguous, and such a batch reduces each row
+    to the same bits on its own, so the blocks keep the bits of the whole
+    batch at once.  A batch's (cell, total) may be written into out.
     """
     if point_log.ndim == 1:
-        return _leaf_masses(grid, point_log)
+        cell, total = np.empty(grid.n_cells), np.empty(())
+        _leaf_masses(grid, np.exp(point_log), cell, total)
+        return cell, total[()]
     cell, total = out if out is not None else (
         np.empty(point_log.shape[:-1] + (grid.n_cells,)),
         np.empty(point_log.shape[:-1]))
     step = max(1, REDUCE_BLOCK_VALUES // math.prod(point_log.shape[1:]))
+    buf = np.empty((min(step, len(point_log)),) + point_log.shape[1:])
     for a in range(0, len(point_log), step):
-        cell[a:a + step], total[a:a + step] = _leaf_masses(
-            grid, point_log[a:a + step])
+        rows = slice(a, a + step)
+        w = np.exp(point_log[rows], out=buf[:len(total[rows])])
+        _leaf_masses(grid, w, cell[rows], total[rows])
     return cell, total
 
 
@@ -145,18 +164,23 @@ class BatchSimulator:
         self.grid = grid
         self.stream_tag = stream_tag
         self.sampler = make_sampler(grid, model, n_intervals)
-        self._local = threading.local()  # per-thread generators to re-key
+        # per thread: the generators to re-key and the sampler's work arrays
+        self._local = threading.local()
 
     def _streams(self, seed, start, count):
         return streams(vars(self._local).setdefault("gens", []), seed, start,
                        count, self.stream_tag)
+
+    def _blocks(self, rngs, out=None):
+        return self.sampler.blocks(
+            rngs, out, vars(self._local).setdefault("work", {}))
 
     def point_log_chunk(self, seed, start, count):
         """(count, n_points) noise values for replicas start..start+count,
         (count, n_intervals, n_points) with n_intervals > 1: the sampler's
         blocks, written into one array."""
         out = np.empty((count,) + self.sampler.shape)
-        for _ in self.sampler.blocks(self._streams(seed, start, count), out):
+        for _ in self._blocks(self._streams(seed, start, count), out):
             pass
         return out
 
@@ -183,8 +207,7 @@ class BatchSimulator:
         for start, count in self._spans(replicas, chunk, progress):
             cells = np.empty((count, *lead, self.grid.n_cells))
             totals = np.empty((count, *lead))
-            for s, vals in self.sampler.blocks(
-                    self._streams(seed, start, count)):
+            for s, vals in self._blocks(self._streams(seed, start, count)):
                 rows = slice(s, s + len(vals))
                 masses_from_point_log(self.grid, vals,
                                       out=(cells[rows], totals[rows]))

@@ -29,8 +29,11 @@ Exact samplers cover the model classes:
   index range, so evaluation is a difference-array sweep.  The same
   sampler draws juxtaposed copies from one point set on the sampling
   domain of their hull.  A batch's point sets are drawn, mapped and summed
-  together (poisson_points, shadow_sums), with the bits of one replica at
-  a time.
+  together (poisson_points, shadow_sums), a sub-batch at a time in work
+  arrays that every sub-batch reuses, with the bits of one replica at a
+  time: each generator fills its uniforms in place, every point goes
+  through the heaviest strip's map and only the other strips' few points
+  through theirs, and the shadows are swept a grid copy at a time.
 * Hybrid: a model with a Gaussian part and jumps adds the two samplers.
 
 truncated_model drops the jumps smaller than a cutoff (the measure's own
@@ -43,11 +46,11 @@ make_sampler is the one place that turns a model, whose parts alone pick
 the kind, and a number of juxtaposed intervals into a sampler; single
 builds, batches, juxtaposition and the CLI all go through it.  Every
 sampler draws the point values of many replicas, one generator each, a
-block of replicas at a time with blocks(rngs, out=None) (_block_slots),
-and every one-interval sampler draws one field with sample(rng),
-consuming the generator in the same order: the
-Gaussian normals of the points first, then the Poisson points, and last
-the Gaussian normals of any carried cells.  So a (seed, replica, stream
+block of replicas at a time with blocks(rngs, out=None, work=None)
+(_block_slots), and every one-interval sampler draws one field with
+sample(rng), consuming the generator in the same order: the Gaussian
+normals of the points first, then the Poisson points, and last the
+Gaussian normals of any carried cells.  So a (seed, replica, stream
 tag) names one realization whichever path draws it.  Its point values do
 not depend on the grid's cell_levels below CIRCULANT_MIN_POINTS points;
 from there a points-only grid uses the circulant embedding, for a
@@ -65,9 +68,11 @@ models are frozen and hashable, and no sampler changes after its
 constructor: the arrays it shares (the Cholesky factor and mean, the
 embedding's spectral weights, the measure's jump tables) are read-only,
 so a caller that writes into one gets a ValueError instead of altering
-every later draw.  A fallback or jitter warning is raised when a sampler is
-built, not on later calls that reuse it; the sampler's health still
-records it.
+every later draw.  Work arrays never live on a sampler: blocks draws
+into the work dict of its caller, which keeps one per thread
+(BatchSimulator), or into its own.  A fallback or jitter warning is
+raised when a sampler is built, not on later calls that reuse it; the
+sampler's health still records it.
 """
 
 import functools
@@ -263,22 +268,40 @@ def _normal_columns(rngs, dim):
     return normals
 
 
-def _block_slots(count, rows, shape, out=None):
+def _scratch(work, key, size, shape=(), dtype=float):
+    """The first size rows of work[key], a (rows, *shape) array that one
+    caller reuses from call to call: allocated when first asked for, and
+    only when it holds fewer than size rows again, then with an eighth
+    more than asked, since what outgrows it once varies, as the points of
+    a batch do."""
+    buf = work.get(key)
+    if buf is None or len(buf) < size:
+        grow = 0 if buf is None else size // 8
+        buf = work[key] = np.empty((size + grow,) + shape, dtype)
+    return buf[:size]
+
+
+def _block_slots(count, rows, shape, out=None, work=None):
     """(start, destination) of each block of a batch of count replicas,
     rows at a time: out[start:start + b] of a (count, *shape) out, or,
     without out, the first b rows of one (rows, *shape) buffer reused
-    from block to block.
+    from block to block (work's, see _scratch, when given).
 
-    A sampler's blocks(rngs, out=None) yields (start, values) this way,
-    values holding the C-contiguous point values of rngs[start:start + b],
-    each of the sampler's shape: (n_points,), or (n_intervals, n_points)
-    for juxtaposed copies; a reused buffer is overwritten by the next
-    block.  BatchSimulator.point_log_chunk has the blocks fill one
-    output, and BatchSimulator.masses reduces each as it comes, so one
-    chunk's point values need never exist at once.
+    A sampler's blocks(rngs, out=None, work=None) yields (start, values)
+    this way, values holding the C-contiguous point values of
+    rngs[start:start + b], each of the sampler's shape: (n_points,), or
+    (n_intervals, n_points) for juxtaposed copies; a reused buffer is
+    overwritten by the next block.  work is a dict of work arrays that
+    one caller passes to every call, so that they are allocated once
+    (_scratch), or None for a call's own.  BatchSimulator.point_log_chunk
+    has the blocks fill one output, and BatchSimulator.masses reduces
+    each as it comes, so one chunk's point values need never exist at
+    once; both keep one work dict per thread.
     """
     rows = max(1, min(rows, count))
-    buf = np.empty((rows,) + shape) if out is None else None
+    if out is None:
+        buf = (np.empty((rows,) + shape) if work is None else
+               _scratch(work, "block", rows, shape))
     for s in range(0, count, rows):
         b = min(rows, count - s)
         yield s, (buf[:b] if out is None else out[s:s + b])
@@ -452,9 +475,10 @@ class GaussianFieldSampler:
         vals += self.mean[:k, None]
         return vals
 
-    def blocks(self, rngs, out=None):
+    def blocks(self, rngs, out=None, work=None):
         """One block, the whole batch: the matrix product's bits depend on
-        its width (see _block_slots for the protocol).
+        its width (see _block_slots for the protocol); a block per call
+        leaves nothing in work to reuse.
 
         Only the point normals are drawn, on one interval the first
         n_points of the ones sample() draws, so the carried cells cost
@@ -572,9 +596,11 @@ class CirculantGaussianSampler:
         spec[:, 1:self.size + 1] = normals
         return self._spectral_values(spec)[:, :self.grid.n_points] + self.mean
 
-    def blocks(self, rngs, out=None):
+    def blocks(self, rngs, out=None, work=None):
         """Blocks of CIRCULANT_BLOCK_VALUES normals (see _block_slots),
-        drawn and transformed in one spectrum and one transform buffer."""
+        drawn and transformed in one spectrum and one transform buffer of
+        this call, not work's: kept from call to call, the two took 2 MB
+        more peak memory at 4096 points, chunks of 500."""
         m, n = self.size, self.grid.n_points
         rows = max(1, CIRCULANT_BLOCK_VALUES // m)
         spec = np.zeros((min(rows, len(rngs)), m + 2))
@@ -597,16 +623,21 @@ class CirculantGaussianSampler:
 # ---------------------------------------------------------------------------
 
 
-def _shadow_index_range(x, y, lo, spacing, count):
-    """Evaluation-index range [k0, k1) of points inside cone shadows.
-
-    The shadow of a noise point (x, y) on the time axis is [x - y/2,
-    x + y/2); evaluation point t_k = lo + (k + 1/2) spacing belongs iff
-    k0 <= k < k1 with the half-open convention below.
-    """
-    k0 = np.ceil((x - 0.5 * y - lo) / spacing - 0.5).astype(np.int64)
-    k1 = np.ceil((x + 0.5 * y - lo) / spacing - 0.5).astype(np.int64)
-    return np.clip(k0, 0, count), np.clip(k1, 0, count)
+def _points_below(edge, lo, spacing, count, t=None, out=None):
+    """How many of the count evaluation points t_k = lo + (k + 1/2)
+    spacing lie below each edge: ceil((edge - lo) / spacing - 0.5) as
+    int64, clipped to [0, count].  The shadow [x - y/2, x + y/2) of a
+    noise point (x, y) holds the points k0 <= k < k1, k0 and k1 being
+    the points below its two ends.  The float work is done in t and the
+    counts written into out when given (shadow_sums reuses both)."""
+    t = np.subtract(edge, lo, out=t)
+    np.divide(t, spacing, out=t)
+    np.subtract(t, 0.5, out=t)
+    np.ceil(t, out=t)
+    out = np.empty(t.shape, np.int64) if out is None else out
+    np.copyto(out, t, casting="unsafe")
+    np.maximum(out, 0, out=out)
+    return np.minimum(out, count, out=out)
 
 
 def _covered_cell_range(x, y, lo, width, count):
@@ -616,71 +647,124 @@ def _covered_cell_range(x, y, lo, width, count):
     return np.clip(i0, 0, count), np.clip(i1, 0, count)
 
 
-def range_sums(i0, i1, values, count, rows=1, diff=None):
+def range_sums(ranges, values, count, rows=1, diff=None):
     """(rows, count) totals of values[m] over the index ranges [i0[m],
-    i1[m]), an index being row * (count + 1) + k.
+    i1[m]) of each pair (i0, i1) of ranges, an index being
+    row * (count + 1) + k.
 
-    A difference-array sweep: each range adds at its start and subtracts at
-    its end, and a cumulative sum spreads the values over the indices, in
-    place: the totals are a view of the (rows, count + 1) difference
-    array, which may be a caller's buffer to reuse (diff, overwritten).
+    A difference-array sweep: each range adds at its start and subtracts
+    at its end, a pair of index arrays at a time (so that a generator may
+    refill one pair of buffers), and a cumulative sum spreads the values
+    over the indices, in place: the totals are a view of the
+    (rows, count + 1) difference array, which may be a caller's buffer to
+    reuse (diff, overwritten).  A range ending at count ends in its last
+    column, which no total reads.
     """
     if diff is None:
         diff = np.zeros((rows, count + 1))
     else:
         diff.fill(0.0)
     flat = diff.reshape(-1)
-    np.add.at(flat, i0, values)
-    np.subtract.at(flat, i1, values)
+    for i0, i1 in ranges:
+        np.add.at(flat, i0, values)
+        np.subtract.at(flat, i1, values)
     sums = diff[:, :-1]
     return np.cumsum(sums, axis=1, out=sums)
 
 
-def shadow_sums(counts, x, y, jump, left, spacing, n, right, diff=None):
+def shadow_sums(counts, x, y, jump, left, spacing, n, right, work=None):
     """(len(counts) * copies, n) jump totals at the evaluation points of
-    each replica's grid copies, in one range_sums call (with its diff);
-    replica j owns the next counts[j] points.  left, spacing and right
-    are (copies, 1) columns; a copy drops the points covering it, which
-    lie in its interval cone."""
-    k0, k1 = _shadow_index_range(x, y, left, spacing, n)
-    off = (np.repeat(np.arange(len(counts)) * len(k0), counts)
-           + np.arange(len(k0))[:, None]) * (n + 1)
-    keep = ~((x - 0.5 * y <= left) & (right <= x + 0.5 * y))
-    k0 += off
-    k1 += off
-    return range_sums(k0[keep], k1[keep],
-                      np.broadcast_to(jump, k0.shape)[keep], n,
-                      rows=len(counts) * len(k0), diff=diff)
+    each replica's grid copies; replica j owns the next counts[j] points.
+    left, spacing and right are (copies, 1) columns; a copy drops the
+    points covering it, which lie in its interval cone.
+
+    One range_sums sweep over a difference array of every replica's
+    copies, whose shadow index ranges (_points_below) are filled a copy
+    at a time into one pair of buffers: a dropped point's range moves to
+    the row's last column, which no total reads.  So each index adds its
+    points in point order, then subtracts them, as a sweep of every
+    copy's kept ranges at once would.  Its arrays are work's (see
+    _scratch), or fresh without work.
+    """
+    work = {} if work is None else work
+    size, copies, stride = x.size, len(left), n + 1
+    start, end, t = (_scratch(work, key, size)
+                     for key in ("start", "end", "t"))
+    k0, k1, row = (_scratch(work, key, size, dtype=np.int64)
+                   for key in ("k0", "k1", "row"))
+    np.multiply(0.5, y, out=t)
+    np.subtract(x, t, out=start)
+    np.add(x, t, out=end)
+    o = 0
+    for j, c in enumerate(counts):  # each point's offset in copy 0's row
+        row[o:o + c] = j * copies * stride
+        o += c
+
+    def copy_ranges():
+        for lo, h, hi in zip(left[:, 0], spacing[:, 0], right[:, 0]):
+            _points_below(start, lo, h, n, t, k0)
+            _points_below(end, lo, h, n, t, k1)
+            drop = (start <= lo) & (end >= hi)
+            for k in (k0, k1):
+                np.copyto(k, n, where=drop)
+                k += row
+            yield k0, k1
+            np.add(row, stride, out=row)  # on to the next copy's rows
+
+    return range_sums(copy_ranges(), jump, n, diff=_scratch(
+        work, "diff", len(counts) * copies, (stride,)))
 
 
-def poisson_points(rngs, strips, nu):
+def poisson_points(rngs, strips, nu, work=None):
     """Poisson point sets with jumps of the measure nu on the union of
     strips, one per generator: (counts, x, y, jump), the sets concatenated
     in order.
 
-    Each generator draws its count, its points' strips (with more than one
-    strip), three uniforms per point, then its jump uniforms; the batch's
-    uniforms are mapped at once, with the bits of one set at a time.
+    Each generator draws its count, its points' strip uniforms (with more
+    than one strip), three uniforms per point, then its jump uniforms
+    (nu.uniform_rows rows), each filled in place into one batch array (of
+    work, see _scratch, or fresh).  A uniform v picks the strip that
+    searchsorted of the strips' cumulative mass shares would, and every
+    point is mapped by the heaviest strip, then the few points of the
+    other strips again by theirs; each point is mapped elementwise, with
+    the bits of one set at a time.
     """
+    work = {} if work is None else work
     mass = np.array([s.mass() for s in strips])
     total = float(mass.sum())
     counts = np.array([r.poisson(nu.total_mass() * total) for r in rngs])
-    which = (np.searchsorted(np.cumsum(mass) / total, np.concatenate(
-        [r.random(n) for r, n in zip(rngs, counts)]))
-             if len(strips) > 1 else np.zeros(counts.sum(), np.int64))
-    u = np.concatenate([r.random((n, 3)) for r, n in zip(rngs, counts)]).T
-    ju = np.concatenate([nu.uniforms(r, n) for r, n in zip(rngs, counts)],
-                        axis=1)
-    x, y = np.empty((2, u.shape[1]))
+    size = int(counts.sum())
+    pick = _scratch(work, "pick", size) if len(strips) > 1 else None
+    u = _scratch(work, "u", size, (3,))
+    ju = [_scratch(work, ("jump", k), size) for k in range(nu.uniform_rows)]
+    o = 0
+    for r, n in zip(rngs, counts.tolist()):
+        if pick is not None:
+            r.random(out=pick[o:o + n])
+        r.random(out=u[o:o + n])
+        for row in ju:
+            r.random(out=row[o:o + n])
+        o += n
+    heavy = int(np.argmax(mass))
+    x, y = strips[heavy].sample(*u.T)
+    cut = (np.cumsum(mass) / total)[:-1].tolist()
     for i, s in enumerate(strips):
-        sel = np.flatnonzero(which == i)  # indices: far faster than masks
-        x[sel], y[sel] = s.sample(*u.take(sel, axis=1))
+        if i != heavy:  # strip i's v: cut[i - 1] < v <= cut[i]
+            mask = pick > cut[i - 1] if i else pick <= cut[0]
+            if 0 < i < len(cut):
+                mask &= pick <= cut[i]
+            sel = np.flatnonzero(mask)
+            x[sel], y[sel] = s.sample(*u[sel].T)
     return counts, x, y, nu.from_uniforms(ju)
 
 
-# Evaluation slots plus expected points of one Poisson blocks
-# sub-batch.  Drawn whole, chunks at 4096 points ran 1.5x (one copy) to
-# 2.3x (4 copies) slower per replica; caps from 65536 to 131072 tied.
+# Evaluation slots plus expected points of one Poisson blocks sub-batch:
+# 12 replicas of the atom config's grid (4096 points), or 3 of its 4
+# juxtaposed copies.  Drawing and reducing 500 one-copy and 100 four-copy
+# replicas there in fresh processes took 0.170, 0.149, 0.138, 0.153 and
+# 0.152 s at 16384, 32768, 65536, 131072 and 262144 slots (medians of 8;
+# one BLAS thread, 2-vCPU x86 host): smaller sub-batches pay per call,
+# larger ones fault in larger work arrays and leave the caches.
 POISSON_BATCH_SLOTS = 65536
 
 
@@ -740,7 +824,7 @@ class PoissonFieldSampler:
             i0, i1 = _covered_cell_range(x, y, lo, g.length / count, count)
             ok = i0 < i1
             cell_log[lev] = self.drift * self._cell_area[lev] + range_sums(
-                i0[ok], i1[ok], jump[ok], count)[0]
+                [(i0[ok], i1[ok])], jump[ok], count)[0]
         return point_log, cell_log
 
     def sample(self, rng):
@@ -752,17 +836,18 @@ class PoissonFieldSampler:
         return FieldSample(self.grid, "poisson", point_log, cell_log,
                            points_x=x, points_y=y, points_jump=jump)
 
-    def blocks(self, rngs, out=None):
-        """Sub-batches of POISSON_BATCH_SLOTS (see _block_slots), summed
-        in one reused difference array."""
-        m, n = len(self._left), self.grid.n_points
-        diff = np.empty((min(self._batch, len(rngs)) * m, n + 1))
-        for s, dest in _block_slots(len(rngs), self._batch, self.shape, out):
+    def blocks(self, rngs, out=None, work=None):
+        """Sub-batches of POISSON_BATCH_SLOTS (see _block_slots), each
+        drawn and summed in the same work arrays (poisson_points,
+        shadow_sums)."""
+        n = self.grid.n_points
+        work = {} if work is None else work
+        for s, dest in _block_slots(len(rngs), self._batch, self.shape, out,
+                                    work):
             # the points die with the call, before the next block's draw
             sums = shadow_sums(*poisson_points(
-                rngs[s:s + len(dest)], self.strips, self.nu),
-                self._left, self._spacing, n, self._right,
-                diff=diff[:len(dest) * m])
+                rngs[s:s + len(dest)], self.strips, self.nu, work),
+                self._left, self._spacing, n, self._right, work)
             np.add(sums.reshape(dest.shape), self._base, out=dest)
             yield s, dest
 
@@ -828,7 +913,7 @@ class HybridFieldSampler:
             points_x=jumps.points_x, points_y=jumps.points_y,
             points_jump=jumps.points_jump)
 
-    def blocks(self, rngs, out=None):
+    def blocks(self, rngs, out=None, work=None):
         """The Gaussian part's blocks (see _block_slots), each with the
         jumps of its replicas added.
 
@@ -836,8 +921,10 @@ class HybridFieldSampler:
         points, as in sample(); the cell normals that sample() draws last
         are not needed, so a batch replays the single draws.
         """
+        work = {} if work is None else work  # the jumps' work arrays
         for s, vals in self.gauss.blocks(rngs, out):
-            for t, jumps in self.poisson.blocks(rngs[s:s + len(vals)]):
+            for t, jumps in self.poisson.blocks(rngs[s:s + len(vals)],
+                                                work=work):
                 vals[t:t + len(jumps)] += jumps
             yield s, vals
 

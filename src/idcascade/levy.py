@@ -79,19 +79,36 @@ class JumpMeasure:
     * truncated(cutoff): (the jumps |x| >= cutoff as a measure, the
       integral of x^2 over the dropped jumps |x| < cutoff);
     * total_mass(): nu(R), the Poisson rate of the jumps;
-    * uniforms(rng, size), from_uniforms(u): the (rows, size) uniforms of
-      size jumps, then the jumps, elementwise, so that many draws map at
-      once.  Their tables are built in __post_init__ and read-only.
+    * uniforms(rng, size), from_uniforms(u): the (uniform_rows, size)
+      uniforms of size jumps, then the jumps, elementwise, so that many
+      draws map at once (a batch fills each row in place, in the same
+      order).  Their tables are built in __post_init__ and read-only.
     """
 
+    uniform_rows = 0
+
     def uniforms(self, rng, size):
-        raise ValueError(f"{type(self).__name__} has no jumps to draw")
+        if not self.uniform_rows:
+            raise ValueError(f"{type(self).__name__} has no jumps to draw")
+        return rng.random((self.uniform_rows, size))
 
     def moment_interval(self):
         return (-math.inf, math.inf)
 
     def arithmetic(self):
         return False
+
+
+def _table_index(cum, u):
+    """np.searchsorted(cum, u) of uniforms u in a cumulative table of
+    shares, whose last entry is 1 up to rounding: the count of the inner
+    entries below each u, one comparison per entry of the small table.
+    A u above a last entry that rounds below 1 gets the last index, where
+    searchsorted would run off the table."""
+    index = np.zeros(u.shape, np.intp)
+    for c in cum[:-1]:
+        index += u > c
+    return index
 
 
 def _set(obj, **values):
@@ -128,6 +145,7 @@ class AtomicJumps(JumpMeasure):
 
     locations: Tuple[float, ...]
     masses: Tuple[float, ...]
+    uniform_rows = 1
 
     def __post_init__(self):
         # tuples of floats whatever sequence was passed, so that the
@@ -177,11 +195,8 @@ class AtomicJumps(JumpMeasure):
     def total_mass(self):
         return self._total
 
-    def uniforms(self, rng, size):
-        return rng.random((1, size))
-
     def from_uniforms(self, u):
-        return self._x[np.searchsorted(self._cum, u[0])]
+        return self._x[_table_index(self._cum, u[0])]
 
 
 @dataclass(frozen=True)
@@ -204,6 +219,7 @@ class TabulatedJumps(JumpMeasure):
     grid_density: Tuple[float, ...]
     left_rate: Optional[float] = None
     right_rate: Optional[float] = None
+    uniform_rows = 2
 
     def __post_init__(self):
         x = np.array(self.grid_x, float)
@@ -283,12 +299,9 @@ class TabulatedJumps(JumpMeasure):
     def total_mass(self):
         return self._total
 
-    def uniforms(self, rng, size):
-        return rng.random((2, size))
-
     def from_uniforms(self, u):
         x, d = self._x, self._d
-        piece, u = np.searchsorted(self._cum, u[0]), u[1]
+        piece, u = _table_index(self._cum, u[0]), u[1]
         out = np.empty(u.size)
         nb = x.size - 1
         for k in range(nb + 2):

@@ -283,6 +283,51 @@ def test_poisson_draws_keep_their_pinned_values():
              "0x1.63f81f40402d6p-2"]]
 
 
+def test_poisson_sub_batches_keep_their_pinned_values():
+    # the atom config's grid: 12 replicas per Poisson sub-batch and 3 per
+    # sub-batch of 4 copies, so chunks of 1, 7 and 40 replicas cut the
+    # sub-batches at different replicas, and every batch draws into work
+    # arrays that earlier sub-batches and chunks used; recorded with each
+    # sub-batch's arrays allocated afresh
+    grid = GridSpec((0.0, 1.0), 10, 4, 0)
+    want = [
+        "0x1.9123608f1b9f4p-1", "0x1.94ed46af583c8p-2", "0x1.661a5ed7ce994p-2",
+        "0x1.1da69de969d2cp+0", "0x1.4503f834c227fp-3", "0x1.0f6d8c45fe702p+1",
+        "0x1.165a5ef407730p+1", "0x1.dda6694a589c6p-4", "0x1.098128ba7a016p+1",
+        "0x1.08261f61fc10fp-1", "0x1.d48f63ac12effp+0", "0x1.20808e622611cp+0",
+        "0x1.c497f056928eap-3", "0x1.ec4df7910833cp-1", "0x1.8e9030fda4c22p-2",
+        "0x1.1a9f88c7a91bap+2", "0x1.7fa869aa89ec6p+0", "0x1.53d8ef4e87178p-1",
+        "0x1.b3fc6049ec69fp-2", "0x1.06484462e2924p+0", "0x1.7a8cf376abd88p-3",
+        "0x1.e61a7fe8c3ce3p-1", "0x1.772da6f8dc07cp-2", "0x1.b687e92d15cecp-2",
+        "0x1.5f08ac68d756dp+0", "0x1.c35a16ff4f1d2p+0", "0x1.645e8c8399fd4p-1",
+        "0x1.b30c55f953003p-2", "0x1.1f6ea6375ab7bp-1", "0x1.c58815db5ed23p-2",
+        "0x1.43c1241833968p-3", "0x1.1c5dbdf5c7fa8p-1", "0x1.c266933284834p-3",
+        "0x1.90ab8fbf9d606p-1", "0x1.02bfd9a244f42p-2", "0x1.944322c4337f2p-2",
+        "0x1.08d6a87b43d2ep+1", "0x1.0194597ff8ec4p-1", "0x1.b316eef1dcb0fp+0",
+        "0x1.868c7a15c6bf1p-2",
+    ]
+    for chunk in (1, 7, 40):
+        z = simulate_total_masses(ATOM, grid, 7, 40, chunk=chunk)
+        assert [v.hex() for v in z.tolist()] == want
+    j = juxtaposed_total_masses(ATOM, grid, 4, 7, 7, chunk=3)
+    assert [[v.hex() for v in row] for row in j.tolist()] == [
+        ["0x1.770de6c6b7d9cp-2", "0x1.3166e8fb3cef6p+0",
+         "0x1.f44cf6c8afdcfp-3", "0x1.8a4720dd06300p-1"],
+        ["0x1.a477fd024d8c8p-1", "0x1.d966ee75d311bp-1",
+         "0x1.a04264f74ab14p-2", "0x1.220f5f6584a92p-2"],
+        ["0x1.2c1561c383550p+0", "0x1.50091a4bdddfep+0",
+         "0x1.35fac20f69d82p+0", "0x1.084a41888f6e2p+1"],
+        ["0x1.9b898f47ea008p-1", "0x1.0e7cf7774aea2p+0",
+         "0x1.80b00f5e6b6f0p-3", "0x1.f9fdaacdf648cp-1"],
+        ["0x1.f1b8bf6b995a4p+0", "0x1.9765c799d6fe2p-2",
+         "0x1.de5761ad87c50p-1", "0x1.94663c4c1de69p+1"],
+        ["0x1.cde9719504b98p-1", "0x1.5fa56afce1fa3p+0",
+         "0x1.b116fe17499cap-3", "0x1.1d4fe43b2bbfep+0"],
+        ["0x1.8cd5384b06fa8p-1", "0x1.e878c8e185649p-1",
+         "0x1.5a555ef9ddca2p+0", "0x1.6c087d11d4180p+0"],
+    ]
+
+
 @pytest.mark.parametrize("model,totals,row", [
     (NINE_ATOMS,
      ["0x1.64025c82b84e6p+1", "0x1.6953fd438b076p+0", "0x1.aca64c297e268p-3"],
@@ -555,6 +600,37 @@ def test_csv_bytes_match_the_per_row_format(tmp_path):
             assert path.read_bytes() == per_row(r)
 
 
+def masses_by_definition(grid, point_log):
+    """The reduction's definition, on the whole input at once: each leaf
+    cell's mass is the mean of exp over its oversample points, times
+    2^-levels, and the total is the sum of the cells."""
+    w = np.exp(point_log)
+    leaf = w.reshape(w.shape[:-1] + (grid.n_cells, grid.oversample))
+    cell = leaf.mean(axis=-1) * 2.0 ** (-grid.levels)
+    return cell, cell.sum(axis=-1)
+
+
+@pytest.mark.parametrize("oversample", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
+def test_reduction_keeps_the_bits_of_its_definition(oversample,
+                                                    monkeypatch):
+    # strided adds below oversample 8 and numpy's mean from there must
+    # give the definition's bits, on one row, on a batch reduced in blocks
+    # of 1, 2 and all rows, and on a batch of juxtaposed copies
+    grid = GridSpec((0.0, 1.0), 5, oversample, 0)
+    rng = make_generator(9, oversample, "t")
+    batch = rng.standard_normal((5, grid.n_points))
+    copies = rng.standard_normal((4, 3, grid.n_points))
+    for point_log in (batch[2], batch, copies):
+        want = masses_by_definition(grid, point_log)
+        for rows in (1, 2, len(point_log)):
+            monkeypatch.setattr(cascade, "REDUCE_BLOCK_VALUES",
+                                rows * point_log[0].size)
+            got = masses_from_point_log(grid, point_log)
+            for a, b in zip(got, want):
+                assert np.shape(a) == np.shape(b)
+                np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize("rows", [1, 3])
 def test_block_reduction_keeps_the_one_shot_bits(rows, monkeypatch):
     grid = GridSpec((0.1, 0.4), 4, 3, 0)
@@ -572,7 +648,7 @@ def test_block_reduction_keeps_the_one_shot_bits(rows, monkeypatch):
         monkeypatch.setattr(cascade, "REDUCE_BLOCK_VALUES",
                             rows * point_log[0].size)
         got = masses_from_point_log(grid, point_log)
-        want = cascade._leaf_masses(grid, point_log)  # the whole at once
+        want = masses_by_definition(grid, point_log)  # the whole at once
         for a, b in zip(got, want):
             assert a.shape == b.shape
             np.testing.assert_array_equal(a, b)

@@ -19,7 +19,7 @@ from idcascade.field import (
     PoissonFieldSampler,
     _chol_with_jitter,
     _gram_objects,
-    _shadow_index_range,
+    _points_below,
     field_kind,
     footprint_areas,
     make_sampler,
@@ -708,16 +708,100 @@ def test_jump_sampler_tabulated_cdf():
         assert got == pytest.approx(want / total, abs=0.01)
 
 
+def shadow_index_range(x, y, lo, spacing, count):
+    """The evaluation points [k0, k1) under the shadows of (x, y)."""
+    return (_points_below(x - 0.5 * y, lo, spacing, count),
+            _points_below(x + 0.5 * y, lo, spacing, count))
+
+
 def test_shadow_index_range_half_open():
     # grid on [0,1), spacing 1/8, eval points at (k+.5)/8
     x = np.array([0.5])
     y = np.array([0.25])
-    k0, k1 = _shadow_index_range(x, y, 0.0, 0.125, 8)
+    k0, k1 = shadow_index_range(x, y, 0.0, 0.125, 8)
     # shadow [0.375, 0.625) holds t_3 = 0.4375 and t_4 = 0.5625
     assert (k0[0], k1[0]) == (3, 5)
     # a shadow boundary exactly on an eval point: left-closed, right-open
     x = np.array([0.3125])
     y = np.array([0.375])
-    k0, k1 = _shadow_index_range(x, y, 0.0, 0.125, 8)
+    k0, k1 = shadow_index_range(x, y, 0.0, 0.125, 8)
     # shadow [0.125, 0.5): t_1=0.1875, t_2, t_3=0.4375 in; t_4=0.5625 out
     assert (k0[0], k1[0]) == (1, 4)
+
+
+ATOM = single_atom_model(-math.log(2.0), 1.0)
+
+
+def replay_strip_map(rng, strips, nu):
+    """One generator's points, each mapped by its own strip's sample,
+    the strip picked by searchsorted: the reference for the batch map."""
+    mass = np.array([s.mass() for s in strips])
+    n = rng.poisson(nu.total_mass() * mass.sum())
+    which = (np.searchsorted(np.cumsum(mass) / mass.sum(), rng.random(n))
+             if len(strips) > 1 else np.zeros(n, np.int64))
+    u = rng.random((n, 3))
+    x, y = np.full((2, n), np.nan)
+    for i, s in enumerate(strips):
+        sel = which == i
+        x[sel], y[sel] = s.sample(*u[sel].T)
+    return which, u, x, y, nu.from_uniforms(nu.uniforms(rng, n))
+
+
+@pytest.mark.parametrize("strips", [
+    cones.sampling_domain((0.0, 1.0), 2.0 ** -6),     # fan heaviest
+    cones.sampling_domain((0.0, 1.0), 0.5),           # flank heaviest
+    cones.sampling_domain((0.1, 1.3), 0.3 * 2.0 ** -5),  # juxtaposed hull
+    [cones.refinement_strip((0.0, 1.0), 2.0 ** -4, 2.0 ** -6)],
+], ids=["levels-6", "levels-1", "hull", "refinement"])
+@pytest.mark.parametrize("nu", [ATOM.nu, TABULATED.nu],
+                         ids=["atom", "tabulated"])
+def test_batch_points_are_each_strips_own_map(strips, nu):
+    # every point goes through the heaviest strip's sample, then the
+    # other strips' points again through theirs: each point must end up
+    # with its own strip's (x, y), log-branch fan points included, in
+    # batches that reuse one set of work arrays
+    rngs = [make_generator(12, i, "strips") for i in range(30)]
+    work = {}
+    got = [field.poisson_points(rngs[s:s + 7], strips, nu, work)
+           for s in range(0, 30, 7)]
+    counts, x, y, jump = (np.concatenate(a) for a in zip(*got))
+    ref = [replay_strip_map(make_generator(12, i, "strips"), strips, nu)
+           for i in range(30)]
+    which, u, *want = (np.concatenate(a) for a in zip(*ref))
+    assert counts.tolist() == [len(r[0]) for r in ref]
+    for a, b in zip((x, y, jump), want):
+        np.testing.assert_array_equal(a, b)
+    # each strip drew points, and fan points on the log branch
+    assert set(which.tolist()) == set(range(len(strips)))
+    for i, s in enumerate(strips):
+        if s.kind == "fan":
+            m_log = math.log(s.y_hi / s.y_lo)
+            m_inv = s.interval[1] - s.interval[0]
+            m_inv = m_inv / s.y_lo - m_inv / s.y_hi
+            log_branch = u[which == i, 1] * (m_log + m_inv) < m_log
+            assert log_branch.sum() > 3
+
+
+@pytest.mark.parametrize("copies", [1, 4])
+def test_poisson_batch_memory_is_its_output_plus_one_sub_batch(copies):
+    grid = GridSpec((0.0, 1.0), 10, 4, 0)
+    sam = PoissonFieldSampler(grid, ATOM, copies)
+    rngs = [make_generator(2, i, "t") for i in range(60)]
+    points = sam._batch * ATOM.nu.total_mass() * sum(
+        s.mass() for s in sam.strips)
+    diff = sam._batch * copies * (grid.n_points + 1) * 8
+    tracemalloc.start()
+    try:
+        out = filled(sam, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rngs) > 4 * sam._batch
+    # one sub-batch's difference array, its points' work arrays (strip
+    # and jump uniforms, shadow ends, indices: 89 bytes a point, an eighth
+    # more once grown), what the map allocates (the points, jumps, table
+    # indices and strip-map temporaries: about 40 bytes a point) and
+    # 16 KiB of small objects, whatever the copies; with index arrays of
+    # every copy at once, gathered to the kept ranges, a sub-batch of 4
+    # copies peaked at about 230 bytes a point
+    assert peak < out.nbytes + diff + 170 * points + 16384

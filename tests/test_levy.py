@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idcascade import levy
 from idcascade.levy import (
     AtomicJumps,
     MomentDomainError,
@@ -252,3 +253,35 @@ def test_negative_atoms_keep_all_moments_finite(loc, mass):
     # growth constant gamma = mass * (1 - e^loc) > 0
     assert growth_constant(m) == pytest.approx(mass * (1 - math.exp(loc)),
                                                rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", [
+    AtomicJumps((-0.7,), (1.0,)),
+    AtomicJumps((-1.2, -0.9, -0.6, -0.3, -0.1, 0.1, 0.3, 0.5, 0.8),
+                (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
+    TabulatedJumps((-1.0, 0.0, 0.5), (1.0, 2.0, 0.4), 2.0, 3.0),
+], ids=["one-atom", "nine-atoms", "tabulated"])
+def test_jump_tables_pick_what_searchsorted_picks(nu):
+    # a jump draw looks its atom or piece up by counting comparisons with
+    # the small cumulative table; below the table's last entry, which is
+    # 1 up to rounding, that is np.searchsorted's index, ties included
+    cum = nu._cum
+    u = np.concatenate([np.random.default_rng(3).random(20_000),
+                        cum[:-1], np.nextafter(cum[:-1], 2.0), [0.0]])
+    u = u[u < cum[-1]]
+    np.testing.assert_array_equal(levy._table_index(cum, u),
+                                  np.searchsorted(cum, u))
+    # a uniform above a last entry that rounds below 1 picks the last
+    # entry instead of running off the table
+    short = np.array([0.25, 1.0 - 2.0 ** -52])
+    assert levy._table_index(short, np.array([1.0 - 2.0 ** -53])) == [1]
+    rows = nu.uniforms(np.random.default_rng(4), 50)
+    assert rows.shape == (nu.uniform_rows, 50)
+    if isinstance(nu, AtomicJumps):
+        np.testing.assert_array_equal(
+            nu.from_uniforms(rows), nu._x[np.searchsorted(cum, rows[0])])
+
+
+def test_zero_jumps_have_no_uniforms():
+    with pytest.raises(ValueError, match="no jumps to draw"):
+        ZeroJumps().uniforms(np.random.default_rng(0), 3)
