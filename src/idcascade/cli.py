@@ -6,11 +6,12 @@ comes from an INI-style file; the global flags --seed, --threads, --out and
 --format override it.  Exit codes: 0 success, 1 failed verification check,
 2 configuration error, 3 runtime/sampler error.
 
---threads sets the BLAS/OpenMP thread variables when main starts, and they
-take effect only if numpy is not loaded yet.  This module imports only the
-standard library, but importing it runs the package __init__, which loads
-numpy; so the console script, and any caller that imports idcascade first,
-gets the default pools.
+--threads N runs the batches of the circulant Gaussian sampler on N worker
+threads, at most the usable CPUs, for the duration of the command; without
+it they run on every usable CPU (cascade.batch_workers).  The other
+samplers draw on the calling thread, and the outputs are the same at any
+N.  The flag does not touch the BLAS or OpenMP thread counts, which are
+fixed once numpy loads.
 """
 
 import argparse
@@ -28,11 +29,11 @@ def _build_parser():
                     "scale-invariant log-infinitely divisible cascades")
     p.add_argument("--config", help="path to an INI-style run configuration")
     p.add_argument("--seed", type=int, help="override experiment.seed")
-    p.add_argument("--threads", type=int,
-                   help="set OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and "
-                        "MKL_NUM_THREADS; they take effect only before "
-                        "numpy loads, and the console script loads it "
-                        "first, so there they change nothing")
+    p.add_argument("--threads", type=int, metavar="N",
+                   help="draw circulant Gaussian batches on N worker "
+                        "threads, at most the usable CPUs (default: all "
+                        "of them); other samplers draw on one thread, and "
+                        "the outputs do not depend on N")
     p.add_argument("--out", help="override output.directory")
     p.add_argument("--format", choices=("csv", "json", "both"),
                    help="override output.formats")
@@ -46,14 +47,12 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(max(1, args.threads))
 
     from .config import ConfigError, RunConfig, load_config
 
     try:
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError("--threads", "must be at least 1")
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.seed is not None:
             if not 0 <= args.seed < 2 ** 64:
@@ -63,7 +62,9 @@ def main(argv=None):
             cfg.set("output", "directory", args.out)
         if args.format is not None:
             cfg.set("output", "formats", args.format)
-        return _dispatch(args.command, cfg)
+        from .cascade import batch_workers
+        with batch_workers(args.threads):
+            return _dispatch(args.command, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

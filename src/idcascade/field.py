@@ -297,6 +297,11 @@ def _block_slots(count, rows, shape, out=None, work=None):
     has the blocks fill one output, and BatchSimulator.masses reduces
     each as it comes, so one chunk's point values need never exist at
     once; both keep one work dict per thread.
+
+    A sampler's pooled attribute says whether BatchSimulator may split a
+    batch into runs that worker threads draw at once: True only where
+    each row keeps its bits in a run of any width and the draws release
+    the GIL for most of their time (the circulant embedding).
     """
     rows = max(1, min(rows, count))
     if out is None:
@@ -424,6 +429,7 @@ class GaussianFieldSampler:
     """
 
     name = "dense"
+    pooled = False
 
     def __init__(self, grid, sigma2, n_intervals=1):
         if sigma2 <= 0:
@@ -528,10 +534,15 @@ def _embedding_spectrum(row):
     return np.fft.rfft(np.concatenate([row, row[-2:0:-1]])).real
 
 
-# Normals per block of a circulant batch, 16 rows at 4096 points: a
-# batch written into its output holds about two blocks more.  64 rows
-# took 8 MB more peak RSS at 4096 points, chunks of 500; loop times tied.
-CIRCULANT_BLOCK_VALUES = 2 ** 17
+# Normals per block of a circulant batch, 4 rows at 4096 points: a batch
+# written into its output holds about two blocks more per worker, each in
+# the worker's own heap.  At 4096 points, chunks of 500, on a 2-vCPU x86
+# host, blocks of 2^14 to 2^17 normals tied on one thread (3292-3495
+# replicas/s, 79.5 MB peak RSS).  On two workers 2^15 and 2^16 tied at
+# 5681 replicas/s (medians of 12 paired runs), 2^14 was slower (5362
+# against 5796, 5 runs), and peak RSS read 81.2, 81.6, 82.6 and 84.7 MB
+# at 2^14, 2^15, 2^16 and 2^17.
+CIRCULANT_BLOCK_VALUES = 2 ** 15
 
 
 class CirculantGaussianSampler:
@@ -554,6 +565,7 @@ class CirculantGaussianSampler:
     """
 
     name = "circulant"
+    pooled = True
 
     def __init__(self, grid, sigma2):
         if sigma2 <= 0:
@@ -600,7 +612,9 @@ class CirculantGaussianSampler:
         """Blocks of CIRCULANT_BLOCK_VALUES normals (see _block_slots),
         drawn and transformed in one spectrum and one transform buffer of
         this call, not work's: kept from call to call, the two took 2 MB
-        more peak memory at 4096 points, chunks of 500."""
+        more peak memory on one thread at 4096 points, chunks of 500, and
+        left it unchanged on two workers (82.7-82.9 MB against 82.6-82.7
+        MB at blocks of 2^16 normals)."""
         m, n = self.size, self.grid.n_points
         rows = max(1, CIRCULANT_BLOCK_VALUES // m)
         spec = np.zeros((min(rows, len(rngs)), m + 2))
@@ -785,6 +799,7 @@ class PoissonFieldSampler:
     """
 
     name = "poisson"
+    pooled = False
     health = {}
 
     def __init__(self, grid, model, n_intervals=1):
@@ -883,6 +898,7 @@ class HybridFieldSampler:
     """
 
     name = "hybrid"
+    pooled = False
 
     def __init__(self, grid, model):
         if field_kind(model) != "hybrid":

@@ -1,5 +1,8 @@
 import math
 import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -171,7 +174,7 @@ def test_circulant_hybrid_batches_replay_single_builds_bitwise():
 
 
 BLOCKED = [  # model, grid, copies, replicas: each exceeds its block + 1
-    (LOGN, GridSpec((0.0, 1.0), 10, 2, 0), 1, 40),       # circulant, 32
+    (LOGN, GridSpec((0.0, 1.0), 10, 2, 0), 1, 40),       # circulant, 8
     (ATOM, GridSpec((0.0, 1.0), 10, 4, 0), 1, 20),       # Poisson, 12
     (ATOM, GridSpec((0.0, 1.0), 8, 4, 0), 2, 30),        # 2 copies, 25
     (ATOM, GridSpec((0.0, 1.0), 8, 4, 0), 4, 16),        # 4 copies, 12
@@ -240,6 +243,87 @@ def test_batch_masses_memory_is_below_one_chunk_of_point_values():
     # circulant's spectra and transforms: about 8 MB; drawn a chunk at a
     # time, the point values alone would be the bound, 16 MB
     assert peak < 512 * grid.n_points * 8
+
+
+CIRCULANT_GRID = GridSpec((0.0, 1.0), 10, 2, 0)  # 2048 points, 8-row blocks
+
+
+def pooled_draws(method, workers, chunk, monkeypatch):
+    """The arrays a 100-replica circulant batch's chunks() or masses()
+    yields, concatenated, drawn by the given number of workers."""
+    monkeypatch.setattr(cascade, "pool_size", lambda: workers)
+    sim = BatchSimulator(LOGN, CIRCULANT_GRID)
+    assert sim.sampler.pooled
+    parts = [item[1:] for item in getattr(sim, method)(8, 100, chunk)]
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100], ids=["1", "7", "whole"])
+@pytest.mark.parametrize("method", ["chunks", "masses"])
+def test_circulant_batches_keep_their_bytes_on_two_workers(
+        method, chunk, monkeypatch):
+    # a whole chunk's 8 runs hold 12 or 13 rows each, more than a block
+    one = pooled_draws(method, 1, chunk, monkeypatch)
+    two = pooled_draws(method, 2, chunk, monkeypatch)
+    assert [a.tobytes() for a in one] == [b.tobytes() for b in two]
+
+
+@pytest.mark.parametrize("model,grid,copies", [
+    (ATOM, GridSpec((0.0, 1.0), 6, 2, 0), 1),
+    (ATOM, GridSpec((0.0, 1.0), 6, 2, 0), 2),
+    (HYBRID, CIRCULANT_GRID, 1),
+    (LOGN, GridSpec((0.0, 1.0), 5, 2, None), 1),
+    (LOGN, GridSpec((0.0, 1.0), 5, 2, 0), 2),
+], ids=["poisson", "juxtaposed-poisson", "hybrid-circulant", "dense",
+        "juxtaposed-dense"])
+def test_unpooled_batches_start_no_worker(model, grid, copies, monkeypatch):
+    def refuse(size):
+        raise AssertionError("an unpooled batch asked for workers")
+    monkeypatch.setattr(cascade, "pool_size", lambda: 2)
+    monkeypatch.setattr(cascade, "_worker_pool", refuse)
+    sim = BatchSimulator(model, grid, n_intervals=copies)
+    assert not sim.sampler.pooled
+    list(sim.chunks(1, 12, 6))
+    list(sim.masses(1, 12, 6))
+
+
+def test_workers_above_the_usable_cpus_are_capped():
+    before = threading.active_count()
+    with cascade.batch_workers(10 ** 6):
+        assert cascade.pool_size() == len(cascade.usable_cpus())
+    assert threading.active_count() == before
+
+
+def test_import_starts_no_thread_and_no_futures():
+    pkg_root = os.path.dirname(os.path.dirname(cascade.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, threading, idcascade; "
+             "print('concurrent.futures' in sys.modules, "
+             "threading.active_count())")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "1"]
+
+
+def test_two_worker_circulant_chunk_memory_is_its_output_plus_a_block_each(
+        monkeypatch):
+    monkeypatch.setattr(cascade, "pool_size", lambda: 2)
+    sim = BatchSimulator(LOGN, GridSpec((0.0, 1.0), 10, 4, 0))
+    m = sim.sampler.size
+    rows = field.CIRCULANT_BLOCK_VALUES // m
+    block = rows * (m + 2) * 8 + rows * m * 8  # spectra and transforms
+    sim.point_log_chunk(2, 0, 500)  # the workers and their generators
+    tracemalloc.start()
+    try:
+        out = sim.point_log_chunk(2, 500, 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # per worker one block and the FFT's one-row work buffer, and 16 KiB
+    # of small objects each
+    assert peak < out.nbytes + 2 * (block + 8 * m + 16384)
 
 
 def test_deep_circulant_total_mass_has_mean_one():

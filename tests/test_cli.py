@@ -2,6 +2,7 @@ import configparser
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -122,6 +123,28 @@ def test_simulate_records_its_sampler(tmp_path):
     assert run("--config", path, "simulate") == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["sampler"] == "hybrid"
+
+
+def test_simulate_writes_the_same_bytes_on_one_thread(tmp_path):
+    # 2048 points: the circulant sampler, whose batches run on the workers
+    path = write_cfg(tmp_path / "deep.ini", tmp_path / "deep",
+                     experiment="chunk = 16\n")
+    path.write_text(path.read_text().replace("levels = 4", "levels = 10")
+                    .replace("replicas = 3", "replicas = 40"))
+    outputs = []
+    for threads in (["--threads", "1"], []):
+        assert run(*threads, "--config", path, "simulate") == 0
+        outputs.append({f.name: f.read_bytes()
+                        for f in (tmp_path / "deep").iterdir()})
+        shutil.rmtree(tmp_path / "deep")
+    assert len(outputs[0]) == 42 and outputs[0] == outputs[1]
+
+
+def test_threads_below_one_is_a_config_error(cfg_file, capsys):
+    for threads in ("0", "-2"):
+        assert run("--threads", threads, "--config", cfg_file,
+                   "theory") == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 def test_seed_flag_changes_rows(cfg_file, tmp_path):
