@@ -33,8 +33,9 @@ import numpy as np
 from . import cones
 from .levy import NoiseModel, ZeroJumps, jump_drift, mean_slope
 from .field import (FieldSample, GridSpec, PoissonFieldSampler,
-                    _chol_with_jitter, _gram_objects, footprint_areas,
-                    make_sampler, poisson_points, sample_field)
+                    _chol_with_jitter, _gram_objects, _scratch,
+                    footprint_areas, make_sampler, poisson_points,
+                    sample_field)
 from ._rng import make_generator, streams
 
 
@@ -224,12 +225,19 @@ class BatchSimulator:
     a block of CIRCULANT_BLOCK_VALUES normals, a Poisson sub-batch, or,
     on the dense paths, whose bits depend on the width, the whole chunk.
     masses() reduces each block as it is drawn and yields (start, cells,
-    totals): it holds one chunk's leaf masses and, per worker, one block
-    of point values (on the dense paths also the matrix product that
-    block is copied from, C-contiguous like every block).  chunks()
-    yields (start, point_log) for callers that need the point values: it
-    holds the chunk's point values, and the caller's previous chunk while
-    it draws the next.  Both yield the chunks in order.
+    totals): it holds one chunk's leaf masses, once its consumer drops
+    the previous one, and, per worker, one block of point values (on the
+    dense paths also the matrix product that block is copied from,
+    C-contiguous like every block).  total_masses() reduces each block's
+    leaf masses into one block-sized buffer of the drawing thread's work
+    arrays and keeps only the totals, with the bits of masses(): it
+    holds its output and, per worker, one leaf block and one block of
+    point values.  At levels 16, oversample 1 and chunks of 256, its
+    traced peak is 9.2 MB, where a chunk of leaf masses is 134 MB.
+    chunks() yields (start, point_log) for callers that need the point
+    values: it holds the chunk's point values, and the caller's previous
+    chunk while it draws the next.  masses() and chunks() yield the
+    chunks in order.
 
     A pooled sampler's chunk (only the circulant embedding's) is split
     into RUNS_PER_WORKER contiguous runs of replicas per worker
@@ -261,7 +269,9 @@ class BatchSimulator:
     def _draw_run(self, seed, start, lo, hi, out):
         """Replicas start + lo .. start + hi on this thread's generators
         and work arrays, into rows lo .. hi of out: a chunk's point values,
-        or its (cells, totals), which each block is reduced into."""
+        or its (cells, totals), which each block is reduced into.  With
+        cells None, a block's leaf masses go into one buffer of the work
+        arrays, which the next block overwrites."""
         local = vars(self._local)
         rngs = streams(local.setdefault("gens", []), seed, start + lo,
                        hi - lo, self.stream_tag)
@@ -270,10 +280,13 @@ class BatchSimulator:
             for _ in self.sampler.blocks(rngs, out[lo:hi], work):
                 pass
             return
+        cells, totals = out
+        shape = (*self.sampler.shape[:-1], self.grid.n_cells)
         for s, vals in self.sampler.blocks(rngs, None, work):
             rows = slice(lo + s, lo + s + len(vals))
-            masses_from_point_log(self.grid, vals,
-                                  out=(out[0][rows], out[1][rows]))
+            leaf = (cells[rows] if cells is not None else
+                    _scratch(work, "cells", len(vals), shape))
+            masses_from_point_log(self.grid, vals, out=(leaf, totals[rows]))
 
     def _draw(self, seed, start, count, out):
         """_draw_run over the chunk's count replicas: RUNS_PER_WORKER
@@ -316,19 +329,24 @@ class BatchSimulator:
 
     def masses(self, seed, replicas, chunk=512, progress=None):
         """(start, cells, totals) per chunk: masses_from_point_log of the
-        chunk's point values, reduced a sampler block at a time."""
+        chunk's point values, reduced a sampler block at a time.  A chunk
+        is dropped here before the next is drawn, so a consumer that
+        drops it too holds one chunk."""
         lead = self.sampler.shape[:-1]
         for start, count in self._spans(replicas, chunk, progress):
-            cells = np.empty((count, *lead, self.grid.n_cells))
-            totals = np.empty((count, *lead))
-            self._draw(seed, start, count, (cells, totals))
-            yield start, cells, totals
+            out = (np.empty((count, *lead, self.grid.n_cells)),
+                   np.empty((count, *lead)))
+            self._draw(seed, start, count, out)
+            yield (start, *out)
+            del out
 
     def total_masses(self, seed, replicas, chunk, progress=None):
-        """Total masses, (replicas,) or (replicas, n_intervals)."""
+        """Total masses, (replicas,) or (replicas, n_intervals): the
+        totals of masses(), each chunk's drawn straight into the output,
+        with no chunk of leaf masses."""
         out = np.empty((replicas, *self.sampler.shape[:-1]))
-        for start, _, totals in self.masses(seed, replicas, chunk, progress):
-            out[start:start + len(totals)] = totals
+        for start, count in self._spans(replicas, chunk, progress):
+            self._draw(seed, start, count, (None, out[start:start + count]))
         return out
 
 
@@ -346,9 +364,10 @@ def simulate_prefix_masses(model, grid, seed, replicas, fractions, *,
     sim = BatchSimulator(model, grid, stream_tag=stream_tag)
     out = np.empty((replicas, len(counts)))
     for start, cells, _ in sim.masses(seed, replicas, chunk, progress):
-        csum = np.cumsum(cells, axis=1)
+        np.cumsum(cells, axis=1, out=cells)  # prefix sums in place
         for i, k in enumerate(counts):
-            out[start:start + len(cells), i] = csum[:, k - 1] if k else 0.0
+            out[start:start + len(cells), i] = cells[:, k - 1] if k else 0.0
+        del cells  # before the next chunk is drawn
     return out
 
 

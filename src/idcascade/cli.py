@@ -197,6 +197,7 @@ def cmd_simulate(cfg):
             write_masses_binary(
                 os.path.join(outdir, f"realization_{replica:06d}.bin"),
                 grid, digest, cells[j])
+        del cells, totals  # before the next chunk is drawn
     progress.finish()
     _write_report(cfg, "summary", {
         "replicas": replicas,

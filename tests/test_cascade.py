@@ -200,6 +200,10 @@ def test_masses_are_the_reduced_chunks_bit_for_bit(model, grid, copies,
                 for start, pl in sim.chunks(3, replicas, chunk)]
         got = list(sim.masses(3, replicas, chunk))
         assert [g[0] for g in got] == [w[0] for w in want]
+        # total_masses reduces the same blocks without keeping their cells
+        totals = np.concatenate([g[2] for g in got])
+        z = sim.total_masses(3, replicas, chunk)
+        assert z.shape == totals.shape and z.tobytes() == totals.tobytes()
         for g, w in zip(got, want):
             for a, b in zip(g[1:], w[1:]):
                 assert a.shape == b.shape
@@ -266,6 +270,27 @@ def test_circulant_batches_keep_their_bytes_on_two_workers(
     one = pooled_draws(method, 1, chunk, monkeypatch)
     two = pooled_draws(method, 2, chunk, monkeypatch)
     assert [a.tobytes() for a in one] == [b.tobytes() for b in two]
+    if method == "masses":  # and so are total_masses', on two workers
+        z = BatchSimulator(LOGN, CIRCULANT_GRID).total_masses(8, 100, chunk)
+        assert z.tobytes() == one[1].tobytes()
+
+
+def test_circulant_totals_keep_their_pinned_values():
+    # numpy's FFT, unlike the dense path's matrix product, gives the same
+    # bits at any BLAS thread count, chunk width and worker count
+    assert make_sampler(CIRCULANT_GRID, LOGN).name == "circulant"
+    want = [
+        "0x1.8e6a4d3f0b5a1p-1", "0x1.444c635d67878p-1", "0x1.39b529105e7d2p-2",
+        "0x1.e668abf0ebaadp-4", "0x1.a1b567209a26ap+1", "0x1.fd4436b1c0a38p-1",
+        "0x1.d409e0373707ep-1", "0x1.c01f92adfec48p-1", "0x1.327a8f78eec68p+0",
+        "0x1.4d011eac44253p-4",
+    ]
+    for workers in (1, 2):
+        with cascade.batch_workers(workers):
+            for chunk in (1, 4, 10):
+                z = simulate_total_masses(LOGN, CIRCULANT_GRID, 5, 10,
+                                          chunk=chunk)
+                assert [v.hex() for v in z.tolist()] == want
 
 
 @pytest.mark.parametrize("model,grid,copies", [
@@ -324,6 +349,66 @@ def test_two_worker_circulant_chunk_memory_is_its_output_plus_a_block_each(
     # per worker one block and the FFT's one-row work buffer, and 16 KiB
     # of small objects each
     assert peak < out.nbytes + 2 * (block + 8 * m + 16384)
+
+
+@pytest.mark.parametrize("model,copies,replicas",
+                         [(LOGN, 1, 600), (ATOM, 1, 600), (ATOM, 4, 200)],
+                         ids=["circulant", "poisson", "juxtaposed-poisson-4"])
+def test_total_masses_hold_no_chunk_of_leaf_masses(model, copies, replicas):
+    grid = GridSpec((0.0, 1.0), 10, 4, 0)  # 4096 points, 1024 leaf cells
+    peaks = {}
+    with cascade.batch_workers(2):
+        for chunk in (2000, 16):
+            sim = BatchSimulator(model, grid, n_intervals=copies)
+            sim.total_masses(1, replicas, chunk)  # generators, work arrays
+            tracemalloc.start()
+            try:
+                out = sim.total_masses(2, replicas, chunk)
+                peaks[chunk] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        workers = cascade.pool_size() if sim.sampler.pooled else 1
+    rngs = [make_generator(3, i, "t") for i in range(64)]
+    rows = len(next(sim.sampler.blocks(rngs))[1])
+    # a block's point values, their exp and its leaf masses, and on the
+    # circulant path its spectra, its transforms and the FFT's one-row
+    # work buffer; a chunk of leaf masses is 8 KiB per replica and copy
+    block = 8 * rows * copies * (2 * grid.n_points + grid.n_cells)
+    if sim.sampler.name == "circulant":
+        m = sim.sampler.size
+        block += 8 * rows * (2 * m + 2) + 8 * m
+    work = sum(a.nbytes for a in vars(sim._local).get("work", {}).values())
+    # at chunk 16 each of two workers' 8 runs is half a block wide
+    assert abs(peaks[2000] - peaks[16]) < workers * block
+    # and the calling thread's work arrays, 16 KiB of small objects each
+    assert peaks[2000] < out.nbytes + workers * (block + 16384) + work
+
+
+def drop_each_chunk(grid, seed):
+    for _, cells, totals in BatchSimulator(ATOM, grid).masses(seed, 512,
+                                                              256):
+        del cells, totals
+
+
+def prefix_masses(grid, seed):
+    simulate_prefix_masses(ATOM, grid, seed, 512, [0.25, 0.5], chunk=256)
+
+
+@pytest.mark.parametrize("consume", [drop_each_chunk, prefix_masses],
+                         ids=["masses-loop", "prefix-masses"])
+def test_a_consumer_of_masses_holds_one_chunk(consume):
+    grid = GridSpec((0.0, 1.0), 13, 1, 0)  # 8192 points and leaf cells
+    chunk = 256 * grid.n_cells * 8  # 16.8 MB of leaf masses
+    tracemalloc.start()
+    try:
+        consume(grid, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the chunk, a fresh simulator's generators and Poisson work
+    # arrays (about 4 MB) and one sub-batch; the prefix sums are taken
+    # in place, and a second chunk would add 16.8 MB
+    assert chunk < peak < 1.5 * chunk
 
 
 def test_deep_circulant_total_mass_has_mean_one():

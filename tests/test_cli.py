@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,24 @@ def test_simulate_writes_the_same_bytes_on_one_thread(tmp_path):
                         for f in (tmp_path / "deep").iterdir()})
         shutil.rmtree(tmp_path / "deep")
     assert len(outputs[0]) == 42 and outputs[0] == outputs[1]
+
+
+def test_simulate_holds_one_chunk_of_leaf_masses(tmp_path):
+    import idcascade.cascade  # noqa: F401  (its import is not traced)
+    path = shipped_cfg("atom.ini", tmp_path,
+                       grid={"levels": "13", "oversample": "1"},
+                       experiment={"replicas": "512", "chunk": "256"})
+    chunk = 256 * 2 ** 13 * 8  # 16.8 MB of leaf masses
+    tracemalloc.start()
+    try:
+        assert run("--config", path, "simulate") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the chunk, the Poisson draw's generators and work arrays
+    # (about 4 MB); holding the last chunk while drawing the next would
+    # add 16.8 MB
+    assert chunk < peak < 1.5 * chunk
 
 
 def test_threads_below_one_is_a_config_error(cfg_file, capsys):
