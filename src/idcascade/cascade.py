@@ -90,7 +90,7 @@ def _leaf_masses(grid, w, cell, total):
     np.add.reduce(cell, axis=-1, out=total)
 
 
-def masses_from_point_log(grid, point_log, out=None):
+def masses_from_point_log(grid, point_log):
     """Leaf masses and total from point noise values (any leading shape).
 
     A batch is reduced in blocks of about REDUCE_BLOCK_VALUES values along
@@ -99,15 +99,14 @@ def masses_from_point_log(grid, point_log, out=None):
     masses and totals straight into the output (_leaf_masses).  The
     samplers' batches are C-contiguous, and such a batch reduces each row
     to the same bits on its own, so the blocks keep the bits of the whole
-    batch at once.  A batch's (cell, total) may be written into out.
+    batch at once.
     """
     if point_log.ndim == 1:
         cell, total = np.empty(grid.n_cells), np.empty(())
         _leaf_masses(grid, np.exp(point_log), cell, total)
         return cell, total[()]
-    cell, total = out if out is not None else (
-        np.empty(point_log.shape[:-1] + (grid.n_cells,)),
-        np.empty(point_log.shape[:-1]))
+    cell = np.empty(point_log.shape[:-1] + (grid.n_cells,))
+    total = np.empty(point_log.shape[:-1])
     step = max(1, REDUCE_BLOCK_VALUES // math.prod(point_log.shape[1:]))
     buf = np.empty((min(step, len(point_log)),) + point_log.shape[1:])
     for a in range(0, len(point_log), step):
@@ -269,9 +268,9 @@ class BatchSimulator:
     def _draw_run(self, seed, start, lo, hi, out):
         """Replicas start + lo .. start + hi on this thread's generators
         and work arrays, into rows lo .. hi of out: a chunk's point values,
-        or its (cells, totals), which each block is reduced into.  With
-        cells None, a block's leaf masses go into one buffer of the work
-        arrays, which the next block overwrites."""
+        or its (cells, totals), which each block, a sampler array that its
+        exp overwrites, is reduced into; with cells None, its leaf masses
+        go into one work array, which the next block overwrites."""
         local = vars(self._local)
         rngs = streams(local.setdefault("gens", []), seed, start + lo,
                        hi - lo, self.stream_tag)
@@ -286,7 +285,7 @@ class BatchSimulator:
             rows = slice(lo + s, lo + s + len(vals))
             leaf = (cells[rows] if cells is not None else
                     _scratch(work, "cells", len(vals), shape))
-            masses_from_point_log(self.grid, vals, out=(leaf, totals[rows]))
+            _leaf_masses(self.grid, np.exp(vals, out=vals), leaf, totals[rows])
 
     def _draw(self, seed, start, count, out):
         """_draw_run over the chunk's count replicas: RUNS_PER_WORKER

@@ -21,6 +21,8 @@ import os
 import sys
 import time
 
+from . import config
+
 
 def _build_parser():
     p = argparse.ArgumentParser(
@@ -35,7 +37,7 @@ def _build_parser():
                         "of them); other samplers draw on one thread, and "
                         "the outputs do not depend on N")
     p.add_argument("--out", help="override output.directory")
-    p.add_argument("--format", choices=("csv", "json", "both"),
+    p.add_argument("--format", choices=config.FORMATS,
                    help="override output.formats")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("theory", help="write the closed-form diagnostics report")
@@ -48,24 +50,24 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
 
-    from .config import ConfigError, RunConfig, load_config
-
     try:
         if args.threads is not None and args.threads < 1:
-            raise ConfigError("--threads", "must be at least 1")
-        cfg = load_config(args.config) if args.config else RunConfig()
+            raise config.ConfigError("--threads", "must be at least 1")
+        cfg = (config.load_config(args.config) if args.config
+               else config.RunConfig())
         if args.seed is not None:
             if not 0 <= args.seed < 2 ** 64:
-                raise ConfigError("--seed", "must be unsigned 64-bit")
+                raise config.ConfigError("--seed", "must be unsigned 64-bit")
             cfg.set("experiment", "seed", args.seed)
         if args.out is not None:
             cfg.set("output", "directory", args.out)
         if args.format is not None:
             cfg.set("output", "formats", args.format)
+        cfg.check()  # before anything is drawn or written
         from .cascade import batch_workers
         with batch_workers(args.threads):
-            return _dispatch(args.command, cfg)
-    except ConfigError as exc:
+            return globals()[f"cmd_{args.command}"](cfg)
+    except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
@@ -76,27 +78,19 @@ def main(argv=None):
         return 3
 
 
-def _dispatch(command, cfg):
-    if command == "theory":
-        return cmd_theory(cfg)
-    if command == "simulate":
-        return cmd_simulate(cfg)
-    if command == "verify":
-        return cmd_verify(cfg)
-    if command == "estimate":
-        return cmd_estimate(cfg)
-    raise AssertionError(command)
+def _experiment(cfg, *keys):
+    return tuple(cfg.value("experiment", key) for key in keys)
 
 
 def _outdir(cfg):
-    path = cfg.output_dir()
+    path = cfg.value("output", "directory")
     os.makedirs(path, exist_ok=True)
     return path
 
 
 def _stamp(cfg):
-    from .config import config_hash
-    return {"config_hash": config_hash(cfg), "seed": cfg.seed()}
+    return {"config_hash": config.config_hash(cfg),
+            "seed": cfg.value("experiment", "seed")}
 
 
 def _write_json(cfg, name, payload):
@@ -134,7 +128,7 @@ def _write_csv(cfg, name, columns, rows):
 def _write_report(cfg, stem, fields, columns, rows):
     """<stem>.json (fields and the stamp) and <stem>.csv, each if
     output.formats asks for it."""
-    fmt = cfg.output_formats()
+    fmt = cfg.value("output", "formats")
     if fmt in ("json", "both"):
         _write_json(cfg, f"{stem}.json", {**fields, **_stamp(cfg)})
     if fmt in ("csv", "both"):
@@ -182,10 +176,9 @@ def cmd_simulate(cfg):
     from .cascade import BatchSimulator, model_digest, write_masses_binary
     model = cfg.build_model()
     grid = cfg.build_grid()
-    seed = cfg.seed()
-    replicas, chunk = cfg.replicas(), cfg.chunk()
+    seed, replicas, chunk = _experiment(cfg, "seed", "replicas", "chunk")
     outdir = _outdir(cfg)
-    fmt = cfg.output_formats()
+    fmt = cfg.value("output", "formats")
     sim = BatchSimulator(model, grid)
     digest = model_digest(model)
     rows = []
@@ -218,15 +211,14 @@ def _check_normalization(cfg, model, grid, seed):
     v0 = levy_exponent(model, 0.0)
     v1 = levy_exponent(model, 1.0)
     metric = max(abs(v0), abs(v1))
-    tol = cfg.get_float("experiment", "normalization_tol", 1e-12)
+    tol = cfg.value("experiment", "normalization_tol")
     return metric <= tol, {"metric": metric, "tolerance": tol}
 
 
 def _check_areas(cfg, model, grid, seed):
     from . import cones
     from ._rng import make_generator
-    tol = cfg.get_float("experiment", "areas_tol", 1e-8)
-    count = cfg._count("areas_count", 60)
+    tol, count = _experiment(cfg, "areas_tol", "areas_count")
     rng = make_generator(seed, 0, "verify-areas")
     worst = 0.0
     for _ in range(count):
@@ -249,7 +241,7 @@ def _check_areas(cfg, model, grid, seed):
 
 def _check_star(cfg, model, grid, seed):
     from .cascade import build_realization, decompose_star
-    tol = cfg.get_float("experiment", "star_tol", 1e-10)
+    tol = cfg.value("experiment", "star_tol")
     worst = 0.0
     small = type(grid)(grid.interval, min(grid.levels, 6), grid.oversample)
     for replica in range(4):
@@ -265,8 +257,8 @@ def _check_star(cfg, model, grid, seed):
 def _check_scaling_ks(cfg, model, grid, seed):
     from .cascade import scaled_mass_samples, simulate_prefix_masses
     from .moments import KS_MIN_SAMPLES, ks_two_sample
-    p_min = cfg.get_float("experiment", "ks_p_min", 0.01)
-    replicas, chunk = max(cfg.replicas(), KS_MIN_SAMPLES), cfg.chunk()
+    p_min, replicas, chunk = _experiment(cfg, "ks_p_min", "replicas", "chunk")
+    replicas = max(replicas, KS_MIN_SAMPLES)
     lam = 0.5
     small = type(grid)(grid.interval, min(grid.levels, 8),
                        grid.oversample, 0)
@@ -279,34 +271,14 @@ def _check_scaling_ks(cfg, model, grid, seed):
                         "replicas": replicas}
 
 
-_CHECKS = {
-    "normalization": _check_normalization,
-    "areas": _check_areas,
-    "star": _check_star,
-    "scaling_ks": _check_scaling_ks,
-}
-
-_DEFAULT_CHECKS = ("normalization", "areas", "star", "scaling_ks")
-
-
 def cmd_verify(cfg):
-    from .config import ConfigError
-    raw = cfg.get("experiment", "checks", "default").strip()
-    if raw == "default":
-        names = list(_DEFAULT_CHECKS)
-    elif raw in ("none", ""):
-        names = []
-    else:
-        names = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    for name in names:
-        if name not in _CHECKS:
-            raise ConfigError("experiment.checks", f"unknown check {name!r}")
+    names = cfg.value("experiment", "checks")
     model = cfg.build_model() if names else None
     grid = cfg.build_grid() if names else None
-    seed = cfg.seed()
+    seed = cfg.value("experiment", "seed")
     results = []
     for name in names:
-        passed, detail = _CHECKS[name](cfg, model, grid, seed)
+        passed, detail = globals()[f"_check_{name}"](cfg, model, grid, seed)
         results.append({"check": name, "passed": bool(passed), **detail})
         status = "pass" if passed else "FAIL"
         print(f"{name}: {status}")
@@ -323,17 +295,8 @@ def cmd_verify(cfg):
 
 
 def cmd_estimate(cfg):
-    from .config import ConfigError
-    kind = cfg.get("experiment", "kind", "moments").strip().lower()
-    runner = {
-        "moments": _estimate_moments,
-        "tail": _estimate_tail,
-        "scaling": _estimate_scaling,
-        "covariance": _estimate_covariance,
-    }.get(kind)
-    if runner is None:
-        raise ConfigError("experiment.kind", f"unknown experiment {kind!r}")
-    return runner(cfg)
+    kind = cfg.value("experiment", "kind")
+    return globals()[f"_estimate_{kind}"](cfg)
 
 
 def _sampler_record(grid, model, n_intervals=1):
@@ -346,11 +309,10 @@ def _sampler_record(grid, model, n_intervals=1):
 
 def _simulate_totals(cfg, model, grid):
     from .cascade import simulate_total_masses
-    replicas = cfg.replicas()
+    seed, replicas, chunk = _experiment(cfg, "seed", "replicas", "chunk")
     progress = _Progress(replicas)
-    z = simulate_total_masses(
-        model, grid, cfg.seed(), replicas,
-        chunk=cfg.chunk(), progress=progress)
+    z = simulate_total_masses(model, grid, seed, replicas, chunk=chunk,
+                              progress=progress)
     progress.finish()
     return z
 
@@ -360,7 +322,8 @@ def _estimate_moments(cfg):
     from .moments import estimate_moment
     model = cfg.build_model()
     grid = cfg.build_grid()
-    qs = cfg.get_float_list("experiment", "q_values", (1.0, 2.0))
+    qs = cfg.value("experiment", "q_values")
+    qs = [1.0, 2.0] if qs is None else qs
     record = _sampler_record(grid, model)
     z = _simulate_totals(cfg, model, grid)
     zeta = diagnose(model).tail_index
@@ -382,15 +345,13 @@ def _estimate_moments(cfg):
 
 
 def _estimate_tail(cfg):
-    from .config import ConfigError
     from .levy import diagnose
     from .moments import TAIL_MIN_SAMPLES, hill_tail_report
     model = cfg.build_model()
     grid = cfg.build_grid()
-    cfg.chunk()  # a bad chunk is named first, as on every batch path
-    if cfg.replicas() < TAIL_MIN_SAMPLES:
-        raise ConfigError("experiment.replicas", "tail estimation needs at "
-                          f"least {TAIL_MIN_SAMPLES}")
+    if cfg.value("experiment", "replicas") < TAIL_MIN_SAMPLES:
+        raise config.ConfigError("experiment.replicas", "tail estimation "
+                                 f"needs at least {TAIL_MIN_SAMPLES}")
     record = _sampler_record(grid, model)
     z = _simulate_totals(cfg, model, grid)
     zeta = diagnose(model).tail_index
@@ -408,25 +369,24 @@ def _estimate_tail(cfg):
 
 def _estimate_scaling(cfg):
     from .cascade import simulate_prefix_masses
-    from .config import ConfigError
     from .moments import scaling_fit
     model = cfg.build_model()
     grid = cfg.build_grid()
-    lams = cfg.get_float_list("experiment", "scale_ratios",
-                              (0.5, 0.25, 0.125, 0.0625))
+    lams = cfg.value("experiment", "scale_ratios")
     for lam in lams:
         try:
             if grid.leaf_count(lam) == 0:
                 raise ValueError(f"{lam!r} gives an empty prefix")
         except ValueError as exc:
-            raise ConfigError("experiment.scale_ratios", str(exc)) from None
-    qs = cfg.get_float_list("experiment", "q_values", (0.5, 1.0, 1.5, 2.0))
+            raise config.ConfigError("experiment.scale_ratios",
+                                     str(exc)) from None
+    qs = cfg.value("experiment", "q_values")
+    qs = [0.5, 1.0, 1.5, 2.0] if qs is None else qs
     record = _sampler_record(grid, model)
-    replicas = cfg.replicas()
+    seed, replicas, chunk = _experiment(cfg, "seed", "replicas", "chunk")
     progress = _Progress(replicas)
-    m = simulate_prefix_masses(model, grid, cfg.seed(), replicas, lams,
-                               chunk=cfg.chunk(),
-                               progress=progress)
+    m = simulate_prefix_masses(model, grid, seed, replicas, lams,
+                               chunk=chunk, progress=progress)
     progress.finish()
     rep = scaling_fit(model, lams, m, qs)
     _write_report(cfg, "scaling", {
@@ -442,18 +402,15 @@ def _estimate_scaling(cfg):
 
 def _estimate_covariance(cfg):
     from .cascade import juxtaposed_total_masses
-    from .config import ConfigError
     from .moments import covariance_report
     model = cfg.build_model()
     grid = cfg.build_grid()
-    n_intervals = cfg.get_int("experiment", "n_intervals", 4)
-    if n_intervals < 2:
-        raise ConfigError("experiment.n_intervals", "must be >= 2")
-    replicas, chunk = cfg.replicas(), cfg.chunk()
+    n_intervals, seed, replicas, chunk = _experiment(
+        cfg, "n_intervals", "seed", "replicas", "chunk")
     record = _sampler_record(grid, model, n_intervals)
     progress = _Progress(replicas)
     masses = juxtaposed_total_masses(
-        model, grid, n_intervals, cfg.seed(), replicas,
+        model, grid, n_intervals, seed, replicas,
         chunk=chunk, progress=progress)
     progress.finish()
     rep = covariance_report(model, masses)

@@ -1,10 +1,11 @@
 """Run configuration: INI-style files with a canonical serialization.
 
 Four sections (model, grid, experiment, output) hold flat key = value
-pairs; an unknown section or key is an error.  Serialization is canonical
--- fixed section order, sorted keys, single-space separators -- so parse
--> serialize is a fixpoint on its own output and the config hash is stable
-across cosmetic reformatting.
+pairs; an unknown section or key is an error.  KEYS declares each key's
+parser, default and bound once (RunConfig.value, RunConfig.check).
+Serialization is canonical -- fixed section order, sorted keys,
+single-space separators -- so parse -> serialize is a fixpoint on its own
+output and the config hash is stable across cosmetic reformatting.
 """
 
 import configparser
@@ -17,22 +18,6 @@ from typing import Dict
 from .levy import AtomicJumps, TabulatedJumps, ZeroJumps, build_model
 from .field import GridSpec, truncated_model
 
-# The keys each section may hold, which are the keys the code reads; the
-# section order is the canonical serialization order.
-_KEYS = {
-    "model": ("sigma2", "jump_kind", "atom_locations", "atom_masses",
-              "tabulated_x", "tabulated_density", "left_rate", "right_rate",
-              "small_jump_cutoff", "substitute_small"),
-    "grid": ("levels", "oversample", "cell_levels", "interval_lo",
-             "interval_hi"),
-    "experiment": ("seed", "replicas", "kind", "chunk", "checks",
-                   "normalization_tol", "areas_tol", "areas_count",
-                   "star_tol", "ks_p_min", "q_values", "scale_ratios",
-                   "n_intervals"),
-    "output": ("directory", "formats"),
-}
-_SECTION_ORDER = tuple(_KEYS)
-
 
 class ConfigError(ValueError):
     """Invalid configuration; carries the offending section.key."""
@@ -42,11 +27,150 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
+# -- parsers: (section.key, raw string) -> value, else a ConfigError -------
+
+
+def _floats(name, raw, tokens, what):
+    """The tokens as finite floats, else a ConfigError naming the key."""
+    try:
+        values = [float(tok) for tok in tokens]
+    except ValueError:
+        raise ConfigError(name, f"not {what}: {raw!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(name, f"not finite: {raw!r}")
+    return values
+
+
+def _number(name, raw):
+    return _floats(name, raw, [raw], "a number")[0]
+
+
+def _numbers(name, raw):
+    return _floats(name, raw, [tok for tok in raw.split(",") if tok.strip()],
+                   "a comma list of numbers")
+
+
+def _integer(name, raw):
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(name, f"not an integer: {raw!r}") from None
+
+
+def _boolean(name, raw):
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(name, f"not a boolean: {raw!r}")
+
+
+def _string(name, raw):
+    return raw
+
+
+def _cell_levels(name, raw):
+    return None if raw == "all" else _integer(name, raw)
+
+
+def _bounded(parse, holds, message):
+    """parse, then a ConfigError with message unless holds(value)."""
+    def parse_bounded(name, raw):
+        value = parse(name, raw)
+        if not holds(value):
+            raise ConfigError(name, message)
+        return value
+    return parse_bounded
+
+
+def _at_least(low):
+    return _bounded(_integer, lambda n: n >= low, f"must be >= {low}")
+
+
+def _choice(noun, names):
+    def parse_choice(name, raw):
+        low = raw.strip().lower()
+        if low not in names:
+            raise ConfigError(name, f"unknown {noun} {low!r}")
+        return low
+    return parse_choice
+
+
+FORMATS = ("csv", "json", "both")
+# The estimate experiments and verify checks, each run by the function of
+# its name in cli (_estimate_<kind>, _check_<name>); "default" selects
+# every check, in this order, and "none" or nothing selects none.
+EXPERIMENTS = ("moments", "tail", "scaling", "covariance")
+CHECKS = ("normalization", "areas", "star", "scaling_ks")
+
+
+def _checks(name, raw):
+    raw = raw.strip()
+    if raw == "default":
+        return list(CHECKS)
+    names = ([] if raw == "none" else
+             [tok.strip() for tok in raw.split(",") if tok.strip()])
+    for check in names:
+        if check not in CHECKS:
+            raise ConfigError(name, f"unknown check {check!r}")
+    return names
+
+
+# Every key each section may hold: (parser, default as it would be
+# written in the file, or None for unset).  The section order is the
+# canonical serialization order.  Rules across keys (a jump kind's
+# parameters, the grid's shape, a cutoff's use) are build_model's and
+# build_grid's; q_values has no default here because its default depends
+# on experiment.kind.
+KEYS = {
+    "model": {
+        "sigma2": (_bounded(_number, lambda s: s >= 0, "must be nonnegative"),
+                   "0"),
+        "jump_kind": (_choice("kind", ("none", "zero", "atoms", "tabulated")),
+                      "none"),
+        "atom_locations": (_numbers, None),
+        "atom_masses": (_numbers, None),
+        "tabulated_x": (_numbers, None),
+        "tabulated_density": (_numbers, None),
+        "left_rate": (_number, None),
+        "right_rate": (_number, None),
+        "small_jump_cutoff": (_number, None),
+        "substitute_small": (_boolean, "false"),
+    },
+    "grid": {
+        "levels": (_integer, "8"),
+        "oversample": (_integer, "4"),
+        "cell_levels": (_cell_levels, "all"),
+        "interval_lo": (_number, "0"),
+        "interval_hi": (_number, "1"),
+    },
+    "experiment": {
+        "seed": (_bounded(_integer, lambda s: 0 <= s < 2 ** 64,
+                          "must be an unsigned 64-bit integer"), "0"),
+        "replicas": (_at_least(1), "1"),
+        "kind": (_choice("experiment", EXPERIMENTS), "moments"),
+        "chunk": (_at_least(1), "256"),
+        "checks": (_checks, "default"),
+        "normalization_tol": (_number, "1e-12"),
+        "areas_tol": (_number, "1e-8"),
+        "areas_count": (_at_least(1), "60"),
+        "star_tol": (_number, "1e-10"),
+        "ks_p_min": (_number, "0.01"),
+        "q_values": (_numbers, None),
+        "scale_ratios": (_numbers, "0.5, 0.25, 0.125, 0.0625"),
+        "n_intervals": (_at_least(2), "4"),
+    },
+    "output": {
+        "directory": (_string, "out"),
+        "formats": (_choice("format", FORMATS), "both"),
+    },
+}
+
+
 @dataclass
 class RunConfig:
     sections: Dict[str, Dict[str, str]] = dc_field(default_factory=dict)
-
-    # -- raw access ---------------------------------------------------------
 
     def get(self, section, key, default=None):
         return self.sections.get(section, {}).get(key, default)
@@ -54,112 +178,48 @@ class RunConfig:
     def set(self, section, key, value):
         self.sections.setdefault(section, {})[key] = str(value)
 
-    def get_float(self, section, key, default=None):
-        raw = self.get(section, key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"{section}.{key}", "missing required key")
-            return default
-        return self._floats(section, key, raw, [raw], "a number")[0]
+    def value(self, section, key):
+        """The key parsed by its KEYS parser, from its default when unset;
+        None when it is unset and has no default."""
+        parse, default = KEYS[section][key]
+        raw = self.get(section, key, default)
+        return None if raw is None else parse(f"{section}.{key}", raw)
 
-    def get_int(self, section, key, default=None):
-        raw = self.get(section, key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"{section}.{key}", "missing required key")
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key}",
-                              f"not an integer: {raw!r}") from None
-
-    def get_bool(self, section, key, default=False):
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{section}.{key}", f"not a boolean: {raw!r}")
-
-    def get_float_list(self, section, key, default=None):
-        raw = self.get(section, key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"{section}.{key}", "missing required key")
-            return list(default)
-        return self._floats(section, key, raw,
-                            [tok for tok in raw.split(",") if tok.strip()],
-                            "a comma list of numbers")
-
-    @staticmethod
-    def _floats(section, key, raw, tokens, what):
-        """The tokens as finite floats, else a ConfigError naming the key."""
-        try:
-            values = [float(tok) for tok in tokens]
-        except ValueError:
-            raise ConfigError(f"{section}.{key}",
-                              f"not {what}: {raw!r}") from None
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"{section}.{key}", f"not finite: {raw!r}")
-        return values
-
-    # -- typed views --------------------------------------------------------
-
-    def seed(self):
-        s = self.get_int("experiment", "seed", 0)
-        if not 0 <= s < 2 ** 64:
-            raise ConfigError("experiment.seed",
-                              "must be an unsigned 64-bit integer")
-        return s
-
-    def _count(self, key, default):
-        n = self.get_int("experiment", key, default)
-        if n < 1:
-            raise ConfigError(f"experiment.{key}", "must be >= 1")
-        return n
-
-    def replicas(self):
-        return self._count("replicas", 1)
-
-    def chunk(self):
-        """Replicas drawn and reduced together."""
-        return self._count("chunk", 256)
+    def check(self):
+        """Parse every key, set or default: a ConfigError names the first
+        bad one."""
+        for section, keys in KEYS.items():
+            for key in keys:
+                self.value(section, key)
 
     def build_model(self):
         """The model every subcommand draws and theorizes: the configured
         one, with its small jumps truncated when small_jump_cutoff is set."""
-        sigma2 = self.get_float("model", "sigma2", 0.0)
-        if sigma2 < 0:
-            raise ConfigError("model.sigma2", "must be nonnegative")
-        kind = self.get("model", "jump_kind", "none").strip().lower()
+        def required(key):
+            v = self.value("model", key)
+            if v is None:
+                raise ConfigError(f"model.{key}", "missing required key")
+            return tuple(v)
+
+        kind = self.value("model", "jump_kind")
         try:
             if kind in ("none", "zero"):
                 nu = ZeroJumps()
             elif kind == "atoms":
-                locs = self.get_float_list("model", "atom_locations")
-                masses = self.get_float_list("model", "atom_masses")
-                nu = AtomicJumps(tuple(locs), tuple(masses))
-            elif kind == "tabulated":
-                xs = self.get_float_list("model", "tabulated_x")
-                ds = self.get_float_list("model", "tabulated_density")
-                lr, rr = (None if self.get("model", k) is None
-                          else self.get_float("model", k)
-                          for k in ("left_rate", "right_rate"))
-                nu = TabulatedJumps(tuple(xs), tuple(ds), lr, rr)
+                nu = AtomicJumps(required("atom_locations"),
+                                 required("atom_masses"))
             else:
-                raise ConfigError("model.jump_kind",
-                                  f"unknown kind {kind!r}")
-            model = build_model(sigma2, nu)
+                nu = TabulatedJumps(required("tabulated_x"),
+                                    required("tabulated_density"),
+                                    self.value("model", "left_rate"),
+                                    self.value("model", "right_rate"))
+            model = build_model(self.value("model", "sigma2"), nu)
         except ConfigError:
             raise
         except ValueError as exc:
             raise ConfigError("model", str(exc)) from exc
-        substitute = self.get_bool("model", "substitute_small")
-        cutoff = self.small_jump_cutoff()
+        substitute = self.value("model", "substitute_small")
+        cutoff = self.value("model", "small_jump_cutoff")
         if cutoff is None and substitute:
             raise ConfigError("model.substitute_small",
                               "needs model.small_jump_cutoff")
@@ -171,30 +231,12 @@ class RunConfig:
             raise ConfigError("model.small_jump_cutoff", str(exc)) from exc
 
     def build_grid(self):
-        levels = self.get_int("grid", "levels", 8)
-        oversample = self.get_int("grid", "oversample", 4)
-        lo = self.get_float("grid", "interval_lo", 0.0)
-        hi = self.get_float("grid", "interval_hi", 1.0)
-        cl = (None if self.get("grid", "cell_levels") in (None, "all")
-              else self.get_int("grid", "cell_levels"))
+        v = {key: self.value("grid", key) for key in KEYS["grid"]}
         try:
-            return GridSpec((lo, hi), levels, oversample, cl)
+            return GridSpec((v["interval_lo"], v["interval_hi"]),
+                            v["levels"], v["oversample"], v["cell_levels"])
         except ValueError as exc:
             raise ConfigError("grid", str(exc)) from exc
-
-    def small_jump_cutoff(self):
-        if self.get("model", "small_jump_cutoff") is None:
-            return None
-        return self.get_float("model", "small_jump_cutoff")
-
-    def output_dir(self):
-        return self.get("output", "directory", "out")
-
-    def output_formats(self):
-        fmt = self.get("output", "formats", "both").strip().lower()
-        if fmt not in ("csv", "json", "both"):
-            raise ConfigError("output.formats", f"unknown format {fmt!r}")
-        return fmt
 
 
 def parse_config(text):
@@ -205,10 +247,10 @@ def parse_config(text):
         raise ConfigError("(file)", f"cannot parse: {exc}") from exc
     cfg = RunConfig()
     for section in parser.sections():
-        if section not in _SECTION_ORDER:
+        if section not in KEYS:
             raise ConfigError(section, "unknown section")
         for key, value in parser.items(section):
-            if key not in _KEYS[section]:
+            if key not in KEYS[section]:
                 raise ConfigError(f"{section}.{key}", "unknown key")
             cfg.set(section, key, value.strip())
     return cfg
@@ -223,7 +265,7 @@ def serialize_config(cfg):
     """Canonical text form: fixed section order, sorted keys."""
     out = io.StringIO()
     first = True
-    for section in _SECTION_ORDER:
+    for section in KEYS:
         if section not in cfg.sections or not cfg.sections[section]:
             continue
         if not first:

@@ -661,7 +661,7 @@ def _covered_cell_range(x, y, lo, width, count):
     return np.clip(i0, 0, count), np.clip(i1, 0, count)
 
 
-def range_sums(ranges, values, count, rows=1, diff=None):
+def range_sums(ranges, values, count, diff=None):
     """(rows, count) totals of values[m] over the index ranges [i0[m],
     i1[m]) of each pair (i0, i1) of ranges, an index being
     row * (count + 1) + k.
@@ -670,12 +670,12 @@ def range_sums(ranges, values, count, rows=1, diff=None):
     at its end, a pair of index arrays at a time (so that a generator may
     refill one pair of buffers), and a cumulative sum spreads the values
     over the indices, in place: the totals are a view of the
-    (rows, count + 1) difference array, which may be a caller's buffer to
-    reuse (diff, overwritten).  A range ending at count ends in its last
-    column, which no total reads.
+    (rows, count + 1) difference array, a caller's buffer to reuse (diff,
+    overwritten), or one row without it.  A range ending at count ends in
+    its last column, which no total reads.
     """
     if diff is None:
-        diff = np.zeros((rows, count + 1))
+        diff = np.zeros((1, count + 1))
     else:
         diff.fill(0.0)
     flat = diff.reshape(-1)

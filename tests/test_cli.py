@@ -12,6 +12,7 @@ import pytest
 
 import idcascade
 from idcascade.cli import main
+from idcascade.config import KEYS
 
 BASE = """
 [model]
@@ -315,6 +316,44 @@ def test_tail_estimate_needs_100_replicas(tmp_path, capsys):
     assert "experiment.replicas: tail estimation needs at least 100" in \
         capsys.readouterr().err
     assert not (tmp_path / "t").exists()
+
+
+# A malformed value of every key in the table but output.directory, which
+# takes any string.
+MALFORMED = {
+    "model.sigma2": "-0.5", "model.jump_kind": "bogus",
+    "model.atom_locations": "1, two", "model.atom_masses": "nan",
+    "model.tabulated_x": "x", "model.tabulated_density": "1, inf",
+    "model.left_rate": "abc", "model.right_rate": "-inf",
+    "model.small_jump_cutoff": "abc", "model.substitute_small": "maybe",
+    "grid.levels": "x", "grid.oversample": "2.5", "grid.cell_levels": "some",
+    "grid.interval_lo": "abc", "grid.interval_hi": "inf",
+    "experiment.seed": "-1", "experiment.replicas": "0",
+    "experiment.chunk": "x", "experiment.normalization_tol": "abc",
+    "experiment.areas_tol": "nan", "experiment.scale_ratios": "half",
+    "experiment.star_tol": "abc", "experiment.areas_count": "0",
+    "experiment.n_intervals": "x", "experiment.ks_p_min": "nan",
+    "experiment.kind": "bogus", "experiment.checks": "nosuch",
+    "experiment.q_values": "1, two", "output.formats": "xml",
+}
+
+
+def test_every_malformed_key_is_named(tmp_path, capsys):
+    assert set(MALFORMED) | {"output.directory"} == {
+        f"{section}.{key}" for section, keys in KEYS.items() for key in keys}
+    for name, value in MALFORMED.items():
+        section, key = name.split(".")
+        path = write_cfg(tmp_path / "k.ini", tmp_path / "k")
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read(path)
+        cp[section][key] = value
+        with open(path, "w") as fh:
+            cp.write(fh)
+        # caught before anything is drawn or written, on every subcommand
+        for command in ("theory", "simulate", "verify", "estimate"):
+            assert run("--config", path, command) == 2, (name, command)
+            assert f"config error: {name}: " in capsys.readouterr().err
+        assert not (tmp_path / "k").exists()
 
 
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys):

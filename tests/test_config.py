@@ -1,3 +1,4 @@
+import importlib.util
 import math
 
 import pytest
@@ -29,12 +30,12 @@ formats = json
 
 def test_parse_and_typed_accessors():
     cfg = parse_config(SAMPLE)
-    assert cfg.seed() == 123
-    assert cfg.replicas() == 50
-    assert cfg.get_float("model", "sigma2") == 0.5
+    assert cfg.value("experiment", "seed") == 123
+    assert cfg.value("experiment", "replicas") == 50
+    assert cfg.value("model", "sigma2") == 0.5
     assert cfg.get("model", "missing", "fallback") == "fallback"
-    assert cfg.output_dir() == "out"
-    assert cfg.output_formats() == "json"
+    assert cfg.value("output", "directory") == "out"
+    assert cfg.value("output", "formats") == "json"
     grid = cfg.build_grid()
     assert grid == GridSpec((0.0, 1.0), 9, 2, 0)
     model = cfg.build_model()
@@ -44,10 +45,10 @@ def test_parse_and_typed_accessors():
 
 def test_defaults_without_file():
     cfg = RunConfig()
-    assert cfg.seed() == 0
-    assert cfg.replicas() == 1
+    assert cfg.value("experiment", "seed") == 0
+    assert cfg.value("experiment", "replicas") == 1
     assert cfg.build_grid() == GridSpec((0.0, 1.0), 8, 4, None)
-    assert cfg.output_formats() == "both"
+    assert cfg.value("output", "formats") == "both"
 
 
 def test_serialize_round_trip_is_a_fixpoint():
@@ -89,11 +90,11 @@ def test_unknown_section_and_bad_values():
     cfg = parse_config(SAMPLE)
     cfg.set("experiment", "replicas", "0")
     with pytest.raises(ConfigError, match="replicas"):
-        cfg.replicas()
+        cfg.value("experiment", "replicas")
     for chunk in ("0", "-1"):
         cfg.set("experiment", "chunk", chunk)
         with pytest.raises(ConfigError, match="experiment.chunk"):
-            cfg.chunk()
+            cfg.value("experiment", "chunk")
     cfg = parse_config(SAMPLE)
     cfg.set("grid", "cell_levels", "x")
     with pytest.raises(ConfigError, match="grid.cell_levels"):
@@ -101,7 +102,7 @@ def test_unknown_section_and_bad_values():
     cfg = parse_config(SAMPLE)
     cfg.set("model", "small_jump_cutoff", "abc")
     with pytest.raises(ConfigError, match="model.small_jump_cutoff"):
-        cfg.small_jump_cutoff()
+        cfg.value("model", "small_jump_cutoff")
 
 
 def test_atom_model_from_config():
@@ -156,7 +157,33 @@ def test_shipped_configs_parse(pytestconfig):
         cfg = load_config(root / "configs" / name)
         cfg.build_model()
         cfg.build_grid()
-        assert cfg.replicas() >= 1
+        assert cfg.value("experiment", "replicas") >= 1
+
+
+def test_benchmark_and_shipped_configs_pass_the_table(pytestconfig,
+                                                     tmp_path, monkeypatch):
+    # the configs the benchmark's CLI workload writes, by its own function,
+    # load and check cleanly, so stricter loading cannot fail its runs
+    root = pytestconfig.rootpath
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", root / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.write_cli_config(tmp_path / "simulate.ini", 7,
+                           bench.CLI_SIMULATE_REPLICAS)
+    bench.write_cli_config(tmp_path / "estimate.ini", 7,
+                           bench.CLI_ESTIMATE_REPLICAS, "covariance")
+    for path in (tmp_path / "simulate.ini", tmp_path / "estimate.ini",
+                 root / "configs" / "atom.ini",
+                 root / "configs" / "lognormal.ini"):
+        cfg = load_config(path)
+        cfg.check()
+        cfg.build_model()
+        cfg.build_grid()
+    cfg = load_config(tmp_path / "estimate.ini")
+    assert cfg.value("experiment", "kind") == "covariance"
+    assert cfg.value("experiment", "ks_p_min") == bench.KS_P_MIN
 
 
 def test_load_config_missing_file(tmp_path):
