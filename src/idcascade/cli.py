@@ -295,37 +295,38 @@ def cmd_verify(cfg):
 
 
 def cmd_estimate(cfg):
+    """Run experiment.kind: _estimate_<kind>(cfg, model, grid) checks its
+    settings, draws through _draw and returns (fields, columns, rows) for
+    <kind>.json and <kind>.csv."""
     kind = cfg.value("experiment", "kind")
-    return globals()[f"_estimate_{kind}"](cfg)
+    fields, columns, rows = globals()[f"_estimate_{kind}"](
+        cfg, cfg.build_model(), cfg.build_grid())
+    _write_report(cfg, kind, fields, columns, rows)
+    return 0
 
 
-def _sampler_record(grid, model, n_intervals=1):
-    """The report fields naming the sampler a run draws from: built here,
-    before any draw, and reused from make_sampler's cache by the batch."""
+def _draw(cfg, model, grid, batch, **kw):
+    """The sampler's report fields and cascade.<batch>(model, grid, **kw)
+    at the configured seed, replicas and chunk, drawn with progress.
+    make_sampler builds the sampler before any draw, and the batch reuses
+    it from its cache."""
+    from . import cascade
     from .field import make_sampler
-    sampler = make_sampler(grid, model, n_intervals)
-    return {"sampler": sampler.name, "sampler_health": sampler.health}
-
-
-def _simulate_totals(cfg, model, grid):
-    from .cascade import simulate_total_masses
+    sampler = make_sampler(grid, model, kw.get("n_intervals", 1))
     seed, replicas, chunk = _experiment(cfg, "seed", "replicas", "chunk")
     progress = _Progress(replicas)
-    z = simulate_total_masses(model, grid, seed, replicas, chunk=chunk,
-                              progress=progress)
+    out = getattr(cascade, batch)(model, grid, seed=seed, replicas=replicas,
+                                  chunk=chunk, progress=progress, **kw)
     progress.finish()
-    return z
+    return {"sampler": sampler.name, "sampler_health": sampler.health}, out
 
 
-def _estimate_moments(cfg):
+def _estimate_moments(cfg, model, grid):
     from .levy import diagnose
     from .moments import estimate_moment
-    model = cfg.build_model()
-    grid = cfg.build_grid()
     qs = cfg.value("experiment", "q_values")
     qs = [1.0, 2.0] if qs is None else qs
-    record = _sampler_record(grid, model)
-    z = _simulate_totals(cfg, model, grid)
+    record, z = _draw(cfg, model, grid, "simulate_total_masses")
     zeta = diagnose(model).tail_index
     rows, estimates = [], []
     for q in qs:
@@ -338,40 +339,29 @@ def _estimate_moments(cfg):
         rows.append((q, e.mean, e.stderr,
                      math.nan if e.median_of_means is None
                      else e.median_of_means, "" if heavy is None else heavy))
-    _write_report(cfg, "moments", {"estimates": estimates, **record},
-                  ("q", "mean", "stderr", "median_of_means", "heavy_tail"),
-                  rows)
-    return 0
+    return ({"estimates": estimates, **record},
+            ("q", "mean", "stderr", "median_of_means", "heavy_tail"), rows)
 
 
-def _estimate_tail(cfg):
+def _estimate_tail(cfg, model, grid):
     from .levy import diagnose
     from .moments import TAIL_MIN_SAMPLES, hill_tail_report
-    model = cfg.build_model()
-    grid = cfg.build_grid()
     if cfg.value("experiment", "replicas") < TAIL_MIN_SAMPLES:
         raise config.ConfigError("experiment.replicas", "tail estimation "
                                  f"needs at least {TAIL_MIN_SAMPLES}")
-    record = _sampler_record(grid, model)
-    z = _simulate_totals(cfg, model, grid)
+    record, z = _draw(cfg, model, grid, "simulate_total_masses")
     zeta = diagnose(model).tail_index
     rep = hill_tail_report(z, tail_index_for_constant=zeta)
-    _write_report(cfg, "tail", {
-        "hill": {str(f): v for f, v in rep.hill.items()},
-        "hill_selected": rep.hill_selected,
-        "hill_stderr": rep.hill_stderr,
-        "tail_constant": rep.tail_constant,
-        "theory_tail_index": zeta,
-        **record,
-    }, ("fraction", "hill_estimate"), sorted(rep.hill.items()))
-    return 0
+    return ({"hill": {str(f): v for f, v in rep.hill.items()},
+             "hill_selected": rep.hill_selected,
+             "hill_stderr": rep.hill_stderr,
+             "tail_constant": rep.tail_constant,
+             "theory_tail_index": zeta, **record},
+            ("fraction", "hill_estimate"), sorted(rep.hill.items()))
 
 
-def _estimate_scaling(cfg):
-    from .cascade import simulate_prefix_masses
+def _estimate_scaling(cfg, model, grid):
     from .moments import scaling_fit
-    model = cfg.build_model()
-    grid = cfg.build_grid()
     lams = cfg.value("experiment", "scale_ratios")
     for lam in lams:
         try:
@@ -382,44 +372,28 @@ def _estimate_scaling(cfg):
                                      str(exc)) from None
     qs = cfg.value("experiment", "q_values")
     qs = [0.5, 1.0, 1.5, 2.0] if qs is None else qs
-    record = _sampler_record(grid, model)
-    seed, replicas, chunk = _experiment(cfg, "seed", "replicas", "chunk")
-    progress = _Progress(replicas)
-    m = simulate_prefix_masses(model, grid, seed, replicas, lams,
-                               chunk=chunk, progress=progress)
-    progress.finish()
+    record, m = _draw(cfg, model, grid, "simulate_prefix_masses",
+                      fractions=lams)
     rep = scaling_fit(model, lams, m, qs)
-    _write_report(cfg, "scaling", {
-        "q_values": list(rep.q_values),
-        "fitted_slopes": list(rep.slopes),
-        "theory_exponents": list(rep.theory),
-        "max_abs_error": rep.max_abs_error,
-        **record,
-    }, ("q", "fitted_slope", "theory"),
-        list(zip(rep.q_values, rep.slopes, rep.theory)))
-    return 0
+    return ({"q_values": list(rep.q_values),
+             "fitted_slopes": list(rep.slopes),
+             "theory_exponents": list(rep.theory),
+             "max_abs_error": rep.max_abs_error, **record},
+            ("q", "fitted_slope", "theory"),
+            list(zip(rep.q_values, rep.slopes, rep.theory)))
 
 
-def _estimate_covariance(cfg):
-    from .cascade import juxtaposed_total_masses
+def _estimate_covariance(cfg, model, grid):
     from .moments import covariance_report
-    model = cfg.build_model()
-    grid = cfg.build_grid()
-    n_intervals, seed, replicas, chunk = _experiment(
-        cfg, "n_intervals", "seed", "replicas", "chunk")
-    record = _sampler_record(grid, model, n_intervals)
-    progress = _Progress(replicas)
-    masses = juxtaposed_total_masses(
-        model, grid, n_intervals, seed, replicas,
-        chunk=chunk, progress=progress)
-    progress.finish()
+    record, masses = _draw(
+        cfg, model, grid, "juxtaposed_total_masses",
+        n_intervals=cfg.value("experiment", "n_intervals"))
     rep = covariance_report(model, masses)
     rows = [{"gap": g, "covariance": e, "stderr": s, "theory_claimed": tc,
              "theory_exact_quadrature": tq} for g, e, s, tc, tq in rep.rows()]
-    _write_report(cfg, "covariance", {"rows": rows, **record},
-                  ("gap", "covariance", "stderr", "theory_claimed",
-                   "theory_exact_quadrature"), rep.rows())
-    return 0
+    return ({"rows": rows, **record},
+            ("gap", "covariance", "stderr", "theory_claimed",
+             "theory_exact_quadrature"), rep.rows())
 
 
 if __name__ == "__main__":

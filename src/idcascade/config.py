@@ -99,8 +99,11 @@ def _choice(noun, names):
 
 FORMATS = ("csv", "json", "both")
 # The estimate experiments and verify checks, each run by the function of
-# its name in cli (_estimate_<kind>, _check_<name>); "default" selects
-# every check, in this order, and "none" or nothing selects none.
+# its name in cli: _estimate_<kind>(cfg, model, grid) returns the report's
+# (fields, columns, rows), which cmd_estimate writes to <kind>.json and
+# <kind>.csv; _check_<name>(cfg, model, grid, seed) returns (passed,
+# detail).  "default" selects every check, in this order, and "none" or
+# nothing selects none.
 EXPERIMENTS = ("moments", "tail", "scaling", "covariance")
 CHECKS = ("normalization", "areas", "star", "scaling_ks")
 

@@ -731,17 +731,16 @@ def shadow_sums(counts, x, y, jump, left, spacing, n, right, work=None):
 
 def poisson_points(rngs, strips, nu, work=None):
     """Poisson point sets with jumps of the measure nu on the union of
-    strips, one per generator: (counts, x, y, jump), the sets concatenated
-    in order.
+    one strip or two (a fan and its flank), one set per generator:
+    (counts, x, y, jump), the sets concatenated in order.
 
-    Each generator draws its count, its points' strip uniforms (with more
-    than one strip), three uniforms per point, then its jump uniforms
+    Each generator draws its count, its points' strip uniforms (with two
+    strips), three uniforms per point, then its jump uniforms
     (nu.uniform_rows rows), each filled in place into one batch array (of
-    work, see _scratch, or fresh).  A uniform v picks the strip that
-    searchsorted of the strips' cumulative mass shares would, and every
-    point is mapped by the heaviest strip, then the few points of the
-    other strips again by theirs; each point is mapped elementwise, with
-    the bits of one set at a time.
+    work, see _scratch, or fresh).  A uniform v <= mass[0] / total picks
+    strip 0, and every point is mapped by the heavier strip, then the
+    points of the other strip again by it; each point is mapped
+    elementwise, with the bits of one set at a time.
     """
     work = {} if work is None else work
     mass = np.array([s.mass() for s in strips])
@@ -761,14 +760,10 @@ def poisson_points(rngs, strips, nu, work=None):
         o += n
     heavy = int(np.argmax(mass))
     x, y = strips[heavy].sample(*u.T)
-    cut = (np.cumsum(mass) / total)[:-1].tolist()
-    for i, s in enumerate(strips):
-        if i != heavy:  # strip i's v: cut[i - 1] < v <= cut[i]
-            mask = pick > cut[i - 1] if i else pick <= cut[0]
-            if 0 < i < len(cut):
-                mask &= pick <= cut[i]
-            sel = np.flatnonzero(mask)
-            x[sel], y[sel] = s.sample(*u[sel].T)
+    if pick is not None:
+        first = pick <= mass[0] / total
+        sel = np.flatnonzero(first if heavy else ~first)
+        x[sel], y[sel] = strips[1 - heavy].sample(*u[sel].T)
     return counts, x, y, nu.from_uniforms(ju)
 
 

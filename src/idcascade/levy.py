@@ -173,15 +173,17 @@ class AtomicJumps(JumpMeasure):
         return all(x < 0 for x in self.locations)
 
     def arithmetic(self):
-        rel_tol = 1e-9
-        xs = [abs(x) for x in self.locations]
-        g = xs[0]
-        for x in xs[1:]:
-            a, b = max(g, x), min(g, x)
-            while b > rel_tol * xs[0]:
-                a, b = b, math.fmod(a, b)
-            g = a
-        return g > rel_tol * max(xs)
+        # every atom is m*h, 0 < |m| <= 10**6, to within 1e-9*h: the
+        # ratios to the first atom are fractions m/m0 with m0 <= 10**6
+        from fractions import Fraction  # imports decimal: not at start-up
+        x0 = self.locations[0]
+        ratios = [Fraction(x / x0).limit_denominator(10 ** 6)
+                  for x in self.locations]
+        m0 = math.lcm(*(r.denominator for r in ratios))
+        h = x0 / m0
+        return all(0 < abs(r * m0) <= 10 ** 6 and
+                   abs(x - float(r * m0) * h) <= 1e-9 * abs(h)
+                   for x, r in zip(self.locations, ratios))
 
     def digest_fields(self):
         return ["atoms", list(self.locations), list(self.masses)]

@@ -268,9 +268,10 @@ class MomentEstimate:
 def estimate_moment(samples, q, blocks=32, tail_index=None):
     """Empirical E X^q with a median-of-means companion.
 
-    heavy_tail flags orders q >= tail_index - 1, where the plain mean
-    converges too slowly to trust; median-of-means is the value to quote
-    there.  With no tail index supplied the flag is None.
+    heavy_tail flags orders q >= tail_index / 2: X^q then has the tail
+    index tail_index / q <= 2, so the plain mean has no finite variance and
+    its stderr no meaning; median-of-means is the value to quote there.
+    With no tail index supplied the flag is None.
     """
     x = np.asarray(samples, float)
     if x.ndim != 1 or x.size == 0:
@@ -285,7 +286,7 @@ def estimate_moment(samples, q, blocks=32, tail_index=None):
         mom = float(np.median(bm))
     heavy = None
     if tail_index is not None:
-        heavy = bool(q >= tail_index - 1.0)
+        heavy = bool(2.0 * q >= tail_index)
     return MomentEstimate(float(q), mean, stderr, mom,
                           blocks if mom is not None else 0, heavy)
 

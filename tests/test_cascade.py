@@ -434,6 +434,12 @@ def test_hybrid_point_values_do_not_depend_on_cell_levels():
                                atol=1e-12)
 
 
+def test_refine_rejects_a_hybrid_realization():
+    r = build_realization(HYBRID, GridSpec((0.0, 1.0), 4, 2), seed=11)
+    with pytest.raises(ValueError, match="refine not implemented"):
+        refine(r, 1, make_generator(11, 0, "refine"))
+
+
 def test_poisson_draws_keep_their_pinned_values():
     # Recorded with the scalar, point-by-point map from uniforms to points:
     # a seed must name the same realization on every version.

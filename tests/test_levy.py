@@ -209,6 +209,23 @@ def test_diagnose_atom_model_report():
     assert "growth_constant" in payload
 
 
+@pytest.mark.parametrize("locations, lattice", [
+    ((-math.log(2),), True),
+    ((-math.log(2), -2 * math.log(2)), True),
+    ((0.1, 0.3), True),
+    ((-math.log(2), -math.log(3)), False),
+    ((-1.0, -math.sqrt(2)), False),
+    ((1.0, 1e-12), False),
+    ((1e-12, 1.0), False),
+], ids=["one-atom", "log2-2log2", "tenths", "log2-log3", "1-sqrt2",
+        "1-1e-12", "1e-12-1"])
+def test_arithmetic_means_integer_multiples_of_one_spacing(locations,
+                                                           lattice):
+    # every atom m*h for one h and integers 0 < |m| <= 10**6, to 1e-9*h
+    nu = AtomicJumps(locations, (1.0,) * len(locations))
+    assert nu.arithmetic() is lattice
+
+
 def test_array_valued_measures_hash_and_diagnose():
     tab = TabulatedJumps(np.array([-1.0, 0.0, 0.5]), np.array([1.0, 2.0, 0.4]),
                          2.0, 3.0)
@@ -285,3 +302,16 @@ def test_jump_tables_pick_what_searchsorted_picks(nu):
 def test_zero_jumps_have_no_uniforms():
     with pytest.raises(ValueError, match="no jumps to draw"):
         ZeroJumps().uniforms(np.random.default_rng(0), 3)
+
+
+def test_tabulated_draws_are_uniform_on_a_flat_bin():
+    # mass 1 on the flat bin [-1, 0] and 1/4 on the bin [0, 0.5] where
+    # the density falls from 1 to 0: 4/5 of the draws land on the flat
+    # bin, uniformly, so with mean -1/2 there
+    nu = TabulatedJumps((-1.0, 0.0, 0.5), (1.0, 1.0, 0.0))
+    n = 20_000
+    x = nu.from_uniforms(nu.uniforms(np.random.default_rng(5), n))
+    flat = x[x <= 0.0]
+    assert x.min() >= -1.0 and x.max() <= 0.5
+    assert abs(flat.size / n - 0.8) < 4 * math.sqrt(0.8 * 0.2 / n)
+    assert abs(flat.mean() + 0.5) < 4 * math.sqrt(1 / 12 / flat.size)

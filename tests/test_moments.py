@@ -147,6 +147,14 @@ def test_estimate_moment_small_exact():
         estimate_moment([], 1.0)
 
 
+def test_heavy_tail_flags_orders_without_a_finite_variance():
+    # tail index 4 (lognormal sigma2 = 0.5): Z^2 has the tail index 2, so
+    # E Z^4 is infinite and the plain mean of Z^2 has no finite variance
+    z = [1.0, 2.0, 3.0, 4.0]
+    assert estimate_moment(z, 2.0, tail_index=4.0).heavy_tail is True
+    assert estimate_moment(z, 1.9, tail_index=4.0).heavy_tail is False
+
+
 def test_hill_recovers_pareto_index():
     rng = np.random.default_rng(5)
     x = (1.0 - rng.uniform(size=200_000)) ** -0.5   # survival x^-2
