@@ -20,7 +20,6 @@ from .levy import (  # noqa: F401
 from .field import (  # noqa: F401
     FieldSample,
     GridSpec,
-    sample_field,
     truncated_model,
 )
 from .cascade import (  # noqa: F401

@@ -30,12 +30,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from . import cones
+from . import cones, field
 from .levy import NoiseModel, ZeroJumps, jump_drift, mean_slope
 from .field import (FieldSample, GridSpec, PoissonFieldSampler,
                     _chol_with_jitter, _gram_objects, _scratch,
-                    footprint_areas, make_sampler, poisson_points,
-                    sample_field)
+                    footprint_areas, make_sampler, poisson_points)
 from ._rng import make_generator, streams
 
 
@@ -59,15 +58,6 @@ class Realization:
     field: Optional[FieldSample] = None
     seed: Optional[int] = None
     replica: Optional[int] = None
-
-    def mass_of_prefix(self, fraction):
-        """Mass of [lo, lo + fraction * length] (GridSpec.leaf_count)."""
-        return float(self.cell_masses[:self.grid.leaf_count(fraction)].sum())
-
-
-# Point values per block of a batch reduction: the exp of one block is
-# the reduction's one temporary.
-REDUCE_BLOCK_VALUES = 2 ** 16
 
 
 def _leaf_masses(grid, w, cell, total):
@@ -93,7 +83,7 @@ def _leaf_masses(grid, w, cell, total):
 def masses_from_point_log(grid, point_log):
     """Leaf masses and total from point noise values (any leading shape).
 
-    A batch is reduced in blocks of about REDUCE_BLOCK_VALUES values along
+    A batch is reduced in blocks of about field.BLOCK_VALUES values along
     its leading axis, each a slice of the caller's array: a block's exp
     is written into one buffer that every block reuses, and its leaf
     masses and totals straight into the output (_leaf_masses).  The
@@ -107,7 +97,7 @@ def masses_from_point_log(grid, point_log):
         return cell, total[()]
     cell = np.empty(point_log.shape[:-1] + (grid.n_cells,))
     total = np.empty(point_log.shape[:-1])
-    step = max(1, REDUCE_BLOCK_VALUES // math.prod(point_log.shape[1:]))
+    step = max(1, field.BLOCK_VALUES // math.prod(point_log.shape[1:]))
     buf = np.empty((min(step, len(point_log)),) + point_log.shape[1:])
     for a in range(0, len(point_log), step):
         rows = slice(a, a + step)
@@ -127,7 +117,7 @@ def build_realization(model, grid, rng=None, *, seed=None, replica=0,
                       "collapse", stacklevel=2)
     if rng is None:
         rng = make_generator(seed, replica, stream_tag)
-    f = sample_field(grid, model, rng)
+    f = make_sampler(grid, model).sample(rng)
     cell, total = masses_from_point_log(grid, f.point_log)
     weights = {lev: np.exp(v) for lev, v in f.cell_log.items()}
     return Realization(grid, model, f.kind, cell, weights, float(total),
@@ -401,7 +391,7 @@ def decompose_star(realization, level):
     of the point's local cone relative to the cell.
     """
     g = realization.grid
-    if not 1 <= level <= g.levels:
+    if not 1 <= level < g.levels:
         raise ValueError("level out of range")
     if level not in realization.weights:
         raise ValueError(f"realization does not carry level {level} weights")
@@ -537,22 +527,12 @@ def juxtaposed_total_masses(model, grid, n_intervals, seed, replicas, *,
 # ---------------------------------------------------------------------------
 
 
-def sample_area_log(model, area, rng, size=None):
-    """Draws of the noise of one fixed region of the given area.
-
-    The exponential of a draw has mean one for any normalized model; this
-    is the scalar building block of the scale-factor law and of the
-    single-region normalization checks.  With size=None returns a float.
-    """
-    val = sample_area_logs(model, area, [rng], 1 if size is None else size)[0]
-    return float(val[0]) if size is None else val
-
-
 def sample_area_logs(model, area, rngs, size=1):
-    """(len(rngs), size) draws of sample_area_log, row j from rngs[j].
-
-    Each generator makes sample_area_log's draws; the batch's jumps are
-    mapped and summed at once, so reduceat groups every sum alike."""
+    """(len(rngs), size) draws of the noise of one fixed region of the
+    given area, row j from rngs[j] with the bits of a batch of rngs[j]
+    alone: the building block of the scale-factor law, whose exp has mean
+    one for any normalized model.  The batch's jumps are mapped and
+    summed at once, so reduceat groups every sum alike."""
     if area < 0:
         raise ValueError("area must be nonnegative")
     val = np.zeros((len(rngs), size))
@@ -584,7 +564,7 @@ def sample_scale_log(model, lam, rng):
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("scale ratio must lie in (0, 1]")
-    return sample_area_log(model, math.log(1.0 / lam), rng)
+    return float(sample_area_logs(model, math.log(1.0 / lam), [rng])[0, 0])
 
 
 def scaled_mass_samples(model, grid, lam, seed, replicas, *, chunk=512,

@@ -67,10 +67,7 @@ def main(argv=None):
         from .cascade import batch_workers
         with batch_workers(args.threads):
             return globals()[f"cmd_{args.command}"](cfg)
-    except config.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (config.ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # sampler / runtime failures
@@ -243,7 +240,8 @@ def _check_star(cfg, model, grid, seed):
     from .cascade import build_realization, decompose_star
     tol = cfg.value("experiment", "star_tol")
     worst = 0.0
-    small = type(grid)(grid.interval, min(grid.levels, 6), grid.oversample)
+    small = type(grid)(grid.interval, max(3, min(grid.levels, 6)),
+                       grid.oversample)
     for replica in range(4):
         r = build_realization(model, small, seed=seed, replica=replica,
                               stream_tag="verify-star")
@@ -260,7 +258,7 @@ def _check_scaling_ks(cfg, model, grid, seed):
     p_min, replicas, chunk = _experiment(cfg, "ks_p_min", "replicas", "chunk")
     replicas = max(replicas, KS_MIN_SAMPLES)
     lam = 0.5
-    small = type(grid)(grid.interval, min(grid.levels, 8),
+    small = type(grid)(grid.interval, max(2, min(grid.levels, 8)),
                        grid.oversample, 0)
     a = simulate_prefix_masses(model, small, seed, replicas, [lam],
                                chunk=chunk, stream_tag="verify-ks-a")[:, 0]

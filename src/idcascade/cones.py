@@ -245,8 +245,7 @@ def region_area(region):
             cuts.add(b - a)
             cuts.add(2.0 * (b - a))
     lo = region.floor()
-    cuts = sorted(c for c in cuts if c > lo) + []
-    grid = [lo] + [c for c in cuts if c > lo]
+    grid = [lo] + sorted(c for c in cuts if c > lo)
     total = 0.0
     width = lambda y: _xsec_width(region.cross_section(y))
     for a, b in zip(grid[:-1], grid[1:]):

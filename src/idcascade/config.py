@@ -46,8 +46,10 @@ def _number(name, raw):
 
 
 def _numbers(name, raw):
-    return _floats(name, raw, [tok for tok in raw.split(",") if tok.strip()],
-                   "a comma list of numbers")
+    tokens = [tok for tok in raw.split(",") if tok.strip()]
+    if not tokens:
+        raise ConfigError(name, "needs at least one number")
+    return _floats(name, raw, tokens, "a comma list of numbers")
 
 
 def _integer(name, raw):

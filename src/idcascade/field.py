@@ -218,16 +218,26 @@ def _gram_objects(grid, levels=None):
             np.concatenate(cut))
 
 
-# Entries per block of rows of a footprint_areas matrix: the kernel's
-# temporaries (hull, cutoffs, masks, gathered branch values) are a few
-# blocks, not a few copies of the whole Gram.
-FOOTPRINT_BLOCK_VALUES = 2 ** 16
+# Values per block of every blocked loop but the circulant one, each
+# reading it here at call time:
+# * footprint_areas rows: the kernel's temporaries (hull, cutoffs, masks,
+#   gathered branch values) are a few blocks, not a few copies of the Gram;
+# * evaluation slots plus expected points of a Poisson sub-batch: 12
+#   replicas of the atom config's grid (4096 points), or 3 of its 4
+#   juxtaposed copies.  Drawing and reducing 500 one-copy and 100
+#   four-copy replicas there in fresh processes took 0.170, 0.149, 0.138,
+#   0.153 and 0.152 s at 2^14 to 2^18 (medians of 8; one BLAS thread,
+#   2-vCPU x86 host): smaller sub-batches pay per call, larger ones fault
+#   in larger work arrays and leave the caches;
+# * point values of a batch reduction (cascade.masses_from_point_log): the
+#   exp of one block is its one temporary.
+BLOCK_VALUES = 2 ** 16
 
 
 def _row_slices(out):
     """(rows, out[rows]) for successive slices of rows of a matrix,
-    FOOTPRINT_BLOCK_VALUES entries at a time."""
-    step = max(1, FOOTPRINT_BLOCK_VALUES // out.shape[1])
+    BLOCK_VALUES entries at a time."""
+    step = max(1, BLOCK_VALUES // out.shape[1])
     for a in range(0, len(out), step):
         yield slice(a, a + step), out[a:a + step]
 
@@ -602,12 +612,6 @@ class CirculantGaussianSampler:
         spec *= self.weights
         return np.fft.irfft(spec.view(np.complex128), n=self.size, out=out)
 
-    def draw_rows(self, normals):
-        """Map standard normals (rows, M) to point values (rows, n_points)."""
-        spec = np.zeros((len(normals), self.size + 2))
-        spec[:, 1:self.size + 1] = normals
-        return self._spectral_values(spec)[:, :self.grid.n_points] + self.mean
-
     def blocks(self, rngs, out=None, work=None):
         """Blocks of CIRCULANT_BLOCK_VALUES normals (see _block_slots),
         drawn and transformed in one spectrum and one transform buffer of
@@ -628,8 +632,9 @@ class CirculantGaussianSampler:
             yield s, dest
 
     def sample(self, rng):
-        point_log = self.draw_rows(rng.standard_normal((1, self.size)))[0]
-        return FieldSample(self.grid, "gaussian", point_log, {})
+        """One FieldSample: row 0 of a batch of one."""
+        (_, vals), = self.blocks([rng])
+        return FieldSample(self.grid, "gaussian", vals[0], {})
 
 
 # ---------------------------------------------------------------------------
@@ -767,20 +772,10 @@ def poisson_points(rngs, strips, nu, work=None):
     return counts, x, y, nu.from_uniforms(ju)
 
 
-# Evaluation slots plus expected points of one Poisson blocks sub-batch:
-# 12 replicas of the atom config's grid (4096 points), or 3 of its 4
-# juxtaposed copies.  Drawing and reducing 500 one-copy and 100 four-copy
-# replicas there in fresh processes took 0.170, 0.149, 0.138, 0.153 and
-# 0.152 s at 16384, 32768, 65536, 131072 and 262144 slots (medians of 8;
-# one BLAS thread, 2-vCPU x86 host): smaller sub-batches pay per call,
-# larger ones fault in larger work arrays and leave the caches.
-POISSON_BATCH_SLOTS = 65536
-
-
 def _batch_size(strips, nu, slots):
-    """Replicas per sub-batch, each with its slots and expected points."""
+    """Replicas per sub-batch of BLOCK_VALUES slots and expected points."""
     points = nu.total_mass() * sum(s.mass() for s in strips)
-    return max(1, int(POISSON_BATCH_SLOTS // (slots + points)))
+    return max(1, int(BLOCK_VALUES // (slots + points)))
 
 
 class PoissonFieldSampler:
@@ -847,7 +842,7 @@ class PoissonFieldSampler:
                            points_x=x, points_y=y, points_jump=jump)
 
     def blocks(self, rngs, out=None, work=None):
-        """Sub-batches of POISSON_BATCH_SLOTS (see _block_slots), each
+        """Sub-batches of BLOCK_VALUES slots (see _block_slots), each
         drawn and summed in the same work arrays (poisson_points,
         shadow_sums)."""
         n = self.grid.n_points
@@ -1010,8 +1005,3 @@ def _cached_sampler(grid, model, n_intervals):
 
 make_sampler.cache_clear = _cached_sampler.cache_clear
 make_sampler.cache_info = _cached_sampler.cache_info
-
-
-def sample_field(grid, model, rng):
-    """One field draw from make_sampler's (cached) sampler for the model."""
-    return make_sampler(grid, model).sample(rng)

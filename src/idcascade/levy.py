@@ -431,11 +431,6 @@ def mean_slope(model):
     return structure_derivatives(model, 1.0)[0]
 
 
-def growth_constant(model):
-    """integral (1 - exp(x)) nu(dx), the jump part's drift (jump_drift)."""
-    return jump_drift(model.nu)
-
-
 # The tail index search stops here: a root above it reads as none.
 TAIL_INDEX_CAP = 64.0
 
@@ -499,13 +494,13 @@ class DiagnosticsReport:
     gauge_correction_critical: float
     arithmetic_support: bool
 
-    def to_json(self, indent=2):
+    def to_json(self):
         payload = {k: getattr(self, k) for k in self.__dataclass_fields__}
         # json emits bare Infinity for floats; stringify to stay portable.
         for k, v in payload.items():
             if isinstance(v, float) and math.isinf(v):
                 payload[k] = ("inf" if v > 0 else "-inf")
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def diagnose(model):
@@ -523,7 +518,7 @@ def diagnose(model):
         sup = hi_q  # structure function stays negative up to the domain edge
 
     support_nonpos = model.nu.support_nonpositive()
-    gam = growth_constant(model)
+    gam = jump_drift(model.nu)
     all_finite = model.sigma2 == 0.0 and support_nonpos and gam <= 1.0
     if all_finite:
         sup = math.inf

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import cones
-from .levy import MomentDomainError, growth_constant, levy_exponent
+from .levy import MomentDomainError, jump_drift, levy_exponent
 
 # ---------------------------------------------------------------------------
 # pair exponents
@@ -84,11 +84,11 @@ def _expand_blocks(blocks):
 _JOINT_NODES = {2: (320, 220), 3: (150, 104), 4: (56, 40)}
 
 
-def exact_joint_moment(model, blocks, base=(0.0, 1.0)):
-    """E prod_j mass(I_j)^{p_j} for one cascade on the base interval.
+def exact_joint_moment(model, blocks):
+    """E prod_j mass(I_j)^{p_j} for one cascade on the unit interval.
 
     blocks is a sequence of (interval, power) pairs, sorted left to right,
-    each interval inside base, total degree at most 4.  Returns the value
+    each interval inside [0, 1], total degree at most 4.  Returns the value
     with a two-resolution error estimate.  Same-interval adjacent gaps
     require alpha(1) < 1, otherwise the moment diverges and this raises.
     """
@@ -96,13 +96,11 @@ def exact_joint_moment(model, blocks, base=(0.0, 1.0)):
     n = len(spans)
     if n < 1 or n > 4:
         raise ValueError("total degree must be between 1 and 4")
-    T = float(base[1]) - float(base[0])
-    if any(lo < base[0] - 1e-12 or hi > base[1] + 1e-12
-           for lo, hi in spans):
-        raise ValueError("all intervals must lie inside the base")
+    if any(lo < -1e-12 or hi > 1.0 + 1e-12 for lo, hi in spans):
+        raise ValueError("all intervals must lie inside [0, 1]")
     if n == 1:
         lo, hi = spans[0]
-        return JointMomentResult((hi - lo) / T, 0.0, 1)
+        return JointMomentResult(hi - lo, 0.0, 1)
 
     alphas = {d: moment_pair_exponent(model, d, 0) for d in range(1, n)}
     a1 = alphas[1]
@@ -113,16 +111,12 @@ def exact_joint_moment(model, blocks, base=(0.0, 1.0)):
             "moment diverges on vanishing same-interval gaps")
 
     M, M2 = _JOINT_NODES[n]
-    v1 = _ordered_quadrature(spans, alphas, T, M)
-    v2 = _ordered_quadrature(spans, alphas, T, M2)
+    v1 = _ordered_quadrature(spans, alphas, 1.0, M)
+    v2 = _ordered_quadrature(spans, alphas, 1.0, M2)
     scale = 1.0
     for _, power in blocks:
         scale *= math.factorial(int(power))
-    # measure normalization: each point carries 1/T
-    norm = T ** (-n) * T ** sum(alphas[j - i]
-                                for i in range(n) for j in range(i + 1, n))
-    return JointMomentResult(scale * norm * v1,
-                             abs(scale * norm * (v1 - v2)), n)
+    return JointMomentResult(scale * v1, abs(scale * (v1 - v2)), n)
 
 
 def _unit_gauss(n):
@@ -407,12 +401,10 @@ def covariance_report(model, masses, gaps=None):
     est, err, claimed, quad = [], [], [], []
     for g in gaps:
         pairs = [(i, i + g) for i in range(K - g)]
-        x = np.concatenate([m[:, i] for i, _ in pairs])
-        y = np.concatenate([m[:, j] for _, j in pairs])
         # jackknife over replicas (pairs from one replica are dependent)
         xr = np.stack([m[:, i] for i, _ in pairs], axis=1)
         yr = np.stack([m[:, j] for _, j in pairs], axis=1)
-        est.append(_pooled_cov(x, y))
+        est.append(_pooled_cov(xr.T.ravel(), yr.T.ravel()))
         err.append(_jackknife_cov(xr, yr))
         claimed.append(2.0 * psi2 / (3.0 * g))
         quad.append(juxtaposed_pair_moment(model, g)[0])
@@ -528,5 +520,5 @@ def growth_ratio_probe(model, orders, mc_samples=None):
         ratios.append(logs[-1] / (n * math.log(n)))
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
     return GrowthReport(tuple(orders), tuple(logs), tuple(ratios),
-                        bool(increasing), growth_constant(model),
+                        bool(increasing), jump_drift(model.nu),
                         tuple(sources))

@@ -15,7 +15,7 @@ import pytest
 from idcascade import cones
 from idcascade._rng import make_generator
 from idcascade.cascade import (build_realization, decompose_star,
-                               juxtaposed_total_masses, sample_area_log,
+                               juxtaposed_total_masses, sample_area_logs,
                                scaled_mass_samples, simulate_prefix_masses,
                                simulate_total_masses)
 from idcascade.cli import main as cli_main
@@ -118,7 +118,7 @@ def test_02_normalization_and_unit_mean():
         worst_psi = max(worst_psi, abs(levy_exponent(model, 0.0)),
                         abs(levy_exponent(model, 1.0)))
         draws = make_generator(2026, i, "acceptance-q")
-        q = np.exp(sample_area_log(model, LOG2, draws, size=100_000))
+        q = np.exp(sample_area_logs(model, LOG2, [draws], 100_000)[0])
         pull = abs(q.mean() - 1.0) / (q.std(ddof=1) / math.sqrt(q.size))
         worst_pull = max(worst_pull, pull)
     ok = worst_psi < 1e-12 and worst_pull < 3.0

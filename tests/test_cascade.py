@@ -21,7 +21,7 @@ from idcascade.cascade import (
     realization_to_binary,
     realization_to_csv,
     refine,
-    sample_area_log,
+    sample_area_logs,
     sample_scale_log,
     scaled_mass_samples,
     simulate_prefix_masses,
@@ -55,10 +55,9 @@ def test_build_realization_masses_consistent():
     r = build_realization(LOGN, g, seed=42, replica=3)
     assert r.cell_masses.size == 32
     assert r.total_mass == pytest.approx(r.cell_masses.sum())
-    assert r.mass_of_prefix(0.5) == pytest.approx(r.cell_masses[:16].sum())
-    assert r.mass_of_prefix(1.0) == pytest.approx(r.total_mass)
+    assert (g.leaf_count(0.5), g.leaf_count(1.0)) == (16, 32)
     with pytest.raises(ValueError):
-        r.mass_of_prefix(0.3)
+        g.leaf_count(0.3)
     # same (seed, replica) reproduces; different replica differs
     r2 = build_realization(LOGN, g, seed=42, replica=3)
     np.testing.assert_array_equal(r.cell_masses, r2.cell_masses)
@@ -82,7 +81,7 @@ def test_star_identity_is_exact(model, kind):
     for replica in range(5):
         r = build_realization(model, g, seed=7, replica=replica)
         assert r.kind == kind
-        for level in (1, 2, 3):
+        for level in (1, 2, 3, 4):  # each sub-cascade keeps a level
             star = decompose_star(r, level)
             recon = star.reconstruct_total()
             assert recon == pytest.approx(r.total_mass, rel=1e-12)
@@ -103,8 +102,9 @@ def test_star_requires_carried_level_and_field():
                   r2.total_mass, field=None)
     with pytest.raises(ValueError, match="field"):
         decompose_star(r2, 1)
-    with pytest.raises(ValueError, match="range"):
-        decompose_star(build_realization(LOGN, g2, seed=1), 9)
+    for level in (0, 5, 9):  # 5 would leave the sub-cascades no level
+        with pytest.raises(ValueError, match="level out of range"):
+            decompose_star(build_realization(LOGN, g2, seed=1), level)
 
 
 def test_star_subcascades_renormalize_weights():
@@ -643,7 +643,7 @@ def test_gaussian_refinement_memory_is_one_gram():
     finally:
         tracemalloc.stop()
     dim = 510 + 768
-    block = field.FOOTPRINT_BLOCK_VALUES * 8
+    block = field.BLOCK_VALUES * 8
     panel = 8 * dim * field.CHOLESKY_BLOCK
     assert peak < 8 * dim * dim + panel + 2 * block + 16384
 
@@ -694,14 +694,14 @@ def test_scaled_mass_samples_replay_single_scale_draws(model):
     np.testing.assert_array_equal(got, 0.25 * np.exp(w) * z)
 
 
-def test_sample_area_log_zero_area_and_mean_one():
+def test_sample_area_logs_zero_area_and_mean_one():
     rng = make_generator(1, 0, "area")
-    assert sample_area_log(ATOM, 0.0, rng) == 0.0
-    v = sample_area_log(ATOM, math.log(2.0), rng, size=50_000)
+    assert sample_area_logs(ATOM, 0.0, [rng]).tolist() == [[0.0]]
+    v = sample_area_logs(ATOM, math.log(2.0), [rng], 50_000)[0]
     q = np.exp(v)
     assert abs(q.mean() - 1.0) < 4.0 * q.std() / math.sqrt(q.size)
     with pytest.raises(ValueError):
-        sample_area_log(ATOM, -1.0, rng)
+        sample_area_logs(ATOM, -1.0, [rng])
 
 
 def test_model_digest_distinguishes_models():
@@ -798,7 +798,7 @@ def test_reduction_keeps_the_bits_of_its_definition(oversample,
     for point_log in (batch[2], batch, copies):
         want = masses_by_definition(grid, point_log)
         for rows in (1, 2, len(point_log)):
-            monkeypatch.setattr(cascade, "REDUCE_BLOCK_VALUES",
+            monkeypatch.setattr(field, "BLOCK_VALUES",
                                 rows * point_log[0].size)
             got = masses_from_point_log(grid, point_log)
             for a, b in zip(got, want):
@@ -820,7 +820,7 @@ def test_block_reduction_keeps_the_one_shot_bits(rows, monkeypatch):
     assert jux.shape == (40, 3, grid.n_points)
     assert jux.flags.c_contiguous
     for point_log in (batch[0], batch, jux):
-        monkeypatch.setattr(cascade, "REDUCE_BLOCK_VALUES",
+        monkeypatch.setattr(field, "BLOCK_VALUES",
                             rows * point_log[0].size)
         got = masses_from_point_log(grid, point_log)
         want = masses_by_definition(grid, point_log)  # the whole at once
@@ -833,7 +833,7 @@ def test_batch_reduction_memory_is_its_outputs_plus_one_block():
     grid = GridSpec((0.0, 1.0), 10, 4, 0)
     point_log = make_generator(2, 0, "t").standard_normal(
         (500, grid.n_points))
-    block = cascade.REDUCE_BLOCK_VALUES * 8
+    block = field.BLOCK_VALUES * 8
     tracemalloc.start()
     try:
         cell, total = masses_from_point_log(grid, point_log)

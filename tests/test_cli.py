@@ -195,6 +195,19 @@ def test_verify_pass_fail_and_unknown(cfg_file, tmp_path, capsys):
     assert run("--config", bad, "verify") == 2
 
 
+@pytest.mark.parametrize("levels", [1, 2])
+def test_verify_runs_on_one_and_two_level_grids(levels, tmp_path, capsys):
+    # star splits a grid of at least 3 levels at levels 1 and 2, and
+    # scaling_ks halves one of at least 2
+    path = write_cfg(tmp_path / "v.ini", tmp_path / "v")
+    path.write_text(path.read_text().replace("levels = 4",
+                                             f"levels = {levels}"))
+    assert run("--config", path, "verify") == 0
+    assert capsys.readouterr().out.split() == [
+        "normalization:", "pass", "areas:", "pass", "star:", "pass",
+        "scaling_ks:", "pass"]
+
+
 def test_estimate_moments_report(cfg_file, tmp_path):
     assert run("--config", cfg_file, "estimate") == 0
     payload = json.loads((tmp_path / "out" / "moments.json").read_text())
@@ -336,12 +349,17 @@ MALFORMED = {
     "experiment.kind": "bogus", "experiment.checks": "nosuch",
     "experiment.q_values": "1, two", "output.formats": "xml",
 }
+# Every comma-list key, holding no number.
+EMPTY_LISTS = [(name, ",") for name in (
+    "model.atom_locations", "model.atom_masses", "model.tabulated_x",
+    "model.tabulated_density", "experiment.q_values",
+    "experiment.scale_ratios")]
 
 
 def test_every_malformed_key_is_named(tmp_path, capsys):
     assert set(MALFORMED) | {"output.directory"} == {
         f"{section}.{key}" for section, keys in KEYS.items() for key in keys}
-    for name, value in MALFORMED.items():
+    for name, value in [*MALFORMED.items(), *EMPTY_LISTS]:
         section, key = name.split(".")
         path = write_cfg(tmp_path / "k.ini", tmp_path / "k")
         cp = configparser.ConfigParser(interpolation=None)

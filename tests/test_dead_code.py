@@ -1,0 +1,80 @@
+"""Every function, class and method defined in src/idcascade is used by
+name somewhere in the package or in the benchmark (perfbench/), so code
+that only the tests call shows up here.
+
+A name counts as used when it appears as a name, an attribute, an import
+or a string constant (the tracer wraps methods by their names as strings).
+The subcommand, estimate and check dispatch builds a name from a prefix
+and a key, as f"cmd_{command}", so a name that is two string constants
+joined, such as "cmd_" and "theory", counts as used too.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# module.name -> why it stays without a caller in src/ or perfbench/
+ALLOWED = {
+    "cones.cell_cone": "an oracle region: the region_area of a cell's "
+                       "shared ancestry, which area_cell's closed form is "
+                       "checked against",
+    "cones.strip_kernel": "the independent reference that the refinement "
+                          "law's test checks against, planned for strip "
+                          "draws (ROADMAP items 4 and 5)",
+}
+
+
+def _parse(path):
+    return path, ast.parse(path.read_text(), str(path))
+
+
+def _definitions(tree):
+    """Names of every function, class and method of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+
+
+def _references(tree):
+    """Names, attributes, imported names and string constants."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _strings(tree):
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def unused_definitions(root=ROOT):
+    """module.name of each definition in src/idcascade that nothing in
+    src/idcascade or perfbench/ refers to, dunders left out."""
+    sources = [_parse(p) for p in sorted(
+        (root / "src" / "idcascade").glob("*.py"))]
+    trees = sources + [_parse(p) for p in sorted(
+        (root / "perfbench").glob("*.py"))]
+    used = {name for _, tree in trees for name in _references(tree)}
+    strings = set().union(*(_strings(tree) for _, tree in trees))
+    unused = []
+    for path, tree in sources:
+        for name in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            joined = any(name[:i] in strings and name[i:] in strings
+                         for i in range(1, len(name)))
+            if name not in used and not joined:
+                unused.append(f"{path.stem}.{name}")
+    return sorted(unused)
+
+
+def test_every_definition_in_src_has_a_caller():
+    assert unused_definitions() == sorted(ALLOWED)

@@ -23,7 +23,6 @@ from idcascade.field import (
     field_kind,
     footprint_areas,
     make_sampler,
-    sample_field,
     truncated_model,
 )
 from idcascade.levy import (
@@ -44,6 +43,17 @@ def filled(sam, rngs):
     for _ in sam.blocks(rngs, out):
         pass
     return out
+
+
+class UnitNormals:
+    """A generator whose standard normals are the unit vector e_k."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def standard_normal(self, out):
+        out[...] = 0.0
+        out[self.k] = 1.0
 
 
 def test_grid_basic_properties():
@@ -144,8 +154,8 @@ def test_circulant_covariance_matches_dense_gram():
     g = GridSpec((0.0, 1.0), 6, 2, 0)
     sam = CirculantGaussianSampler(g, 0.7)
     assert g.n_points == 128 and sam.size == 256
-    # row k of the map applied to the identity is column k of the factor
-    factor = sam.draw_rows(np.eye(sam.size)) - sam.mean
+    # the values drawn from the unit normals e_k are column k of the factor
+    factor = filled(sam, [UnitNormals(k) for k in range(sam.size)]) - sam.mean
     cov = factor.T @ factor
     objs = _gram_objects(g)
     gram = 0.7 * footprint_areas(g.length, objs, objs)
@@ -200,7 +210,7 @@ def test_circulant_batch_memory_is_its_output_plus_two_blocks():
 
 def test_dense_build_memory_is_the_gram_plus_one_panel():
     grid = GridSpec((0.0, 1.0), 8, 2, None)
-    block = field.FOOTPRINT_BLOCK_VALUES * 8
+    block = field.BLOCK_VALUES * 8
     tracemalloc.start()
     try:
         sam = GaussianFieldSampler(grid, 0.5)
@@ -319,8 +329,8 @@ def test_footprint_blocks_leave_the_dense_bits_unchanged(rows, monkeypatch):
         want = arrays()
         # rows of the first Gram; the other matrices get other row counts
         dim = GaussianFieldSampler(grids[0], 0.5).dim
-        assert field.FOOTPRINT_BLOCK_VALUES >= dim * dim
-        monkeypatch.setattr(field, "FOOTPRINT_BLOCK_VALUES", rows * dim)
+        assert field.BLOCK_VALUES >= dim * dim
+        monkeypatch.setattr(field, "BLOCK_VALUES", rows * dim)
         field.make_sampler.cache_clear()
         got = arrays()
     finally:
@@ -473,7 +483,7 @@ def test_poisson_field_matches_bruteforce_points():
     model = single_atom_model(-math.log(2.0), 1.0)
     g = GridSpec((0.25, 1.75), 4, 3)
     rng = make_generator(99, 5, "field-test")
-    f = sample_field(g, model, rng)
+    f = make_sampler(g, model).sample(rng)
     x, y, jump = f.points_x, f.points_y, f.points_jump
     assert x.size > 0
     drift = -(math.exp(-math.log(2.0)) - 1.0)  # -(e^loc - 1) * mass
@@ -528,12 +538,12 @@ SPARSE = single_atom_model(-0.5, 0.02)
 def test_poisson_batches_replay_single_draws_bitwise(model, slots,
                                                      monkeypatch):
     # a batch maps all its replicas' uniforms at once, in sub-batches of
-    # POISSON_BATCH_SLOTS (600: a few replicas each); every replica keeps
+    # BLOCK_VALUES slots (600: a few replicas each); every replica keeps
     # the bits of its own sample(rng).  The hybrid's dense Gaussian part
     # moves in the last ulp with the batch width, so its Poisson part is
     # compared, drawn after the point normals as in the hybrid.
     if slots is not None:
-        monkeypatch.setattr(field, "POISSON_BATCH_SLOTS", slots)
+        monkeypatch.setattr(field, "BLOCK_VALUES", slots)
     grid = GridSpec((0.0, 1.0), 5, 2, 0)
     if field_kind(model) == "hybrid":
         sam, lead = HybridFieldSampler(grid, model).poisson, grid.n_points
@@ -558,7 +568,7 @@ def test_poisson_batches_replay_single_draws_bitwise(model, slots,
 @pytest.mark.parametrize("slots", [None, 2000], ids=["default", "small"])
 def test_juxtaposed_poisson_batches_are_width_invariant(slots, monkeypatch):
     if slots is not None:
-        monkeypatch.setattr(field, "POISSON_BATCH_SLOTS", slots)
+        monkeypatch.setattr(field, "BLOCK_VALUES", slots)
     sam = PoissonFieldSampler(GridSpec((0.1, 0.4), 5, 2, 0),
                               single_atom_model(-math.log(2.0), 1.0), 3)
     rngs = [make_generator(4, i, "jux") for i in range(40)]
@@ -628,14 +638,14 @@ def test_field_kind_dispatch():
     assert field_kind(single_atom_model(-0.7, 1.0, sigma2=0.2)) == "hybrid"
 
 
-def test_sample_field_auto_routes_and_is_reproducible():
+def test_single_draws_auto_route_and_are_reproducible():
     model = single_atom_model(-0.7, 1.0, sigma2=0.2)
     g = GridSpec((0.0, 1.0), 4, 2)
-    a = sample_field(g, model, make_generator(5, 0, "t"))
-    b = sample_field(g, model, make_generator(5, 0, "t"))
+    a = make_sampler(g, model).sample(make_generator(5, 0, "t"))
+    b = make_sampler(g, model).sample(make_generator(5, 0, "t"))
     assert a.kind == "gaussian+poisson"
     np.testing.assert_array_equal(a.point_log, b.point_log)
-    c = sample_field(g, model, make_generator(5, 1, "t"))
+    c = make_sampler(g, model).sample(make_generator(5, 1, "t"))
     assert not np.array_equal(a.point_log, c.point_log)
 
 
@@ -687,8 +697,9 @@ def test_hybrid_field_is_mean_one():
     n = 4000
     acc = np.zeros(g.n_points)
     acc2 = np.zeros(g.n_points)
+    sam = make_sampler(g, model)
     for _ in range(n):
-        f = sample_field(g, model, rng)
+        f = sam.sample(rng)
         w = np.exp(f.point_log)
         acc += w
         acc2 += w * w

@@ -12,7 +12,6 @@ from idcascade.levy import (
     ZeroJumps,
     build_model,
     diagnose,
-    growth_constant,
     jump_drift,
     levy_exponent,
     lognormal_model,
@@ -52,7 +51,7 @@ def test_single_atom_exponent_values():
         assert levy_exponent(m, q) == pytest.approx(2.0 ** -q - 1 + q / 2,
                                                     rel=1e-13)
     assert m.drift == pytest.approx(0.5 - math.log(2), abs=1e-14)
-    assert growth_constant(m) == pytest.approx(0.5, abs=1e-14)
+    assert jump_drift(m.nu) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_structure_function_and_tail_root():
@@ -127,7 +126,8 @@ def test_atomic_total_mass_is_pinned():
     build_model(0.1, TabulatedJumps((-2.0, -0.5, 0.5), (0.3, 1.0, 0.1),
                                     2.0, 4.0))])
 def test_growth_constant_is_jump_drift(model):
-    assert growth_constant(model).hex() == jump_drift(model.nu).hex()
+    assert diagnose(model).growth_constant.hex() == \
+        jump_drift(model.nu).hex()
 
 
 def test_moment_interval_tabulated_tails():
@@ -268,8 +268,8 @@ def test_negative_atoms_keep_all_moments_finite(loc, mass):
     assert hi == math.inf
     assert nu_integral(m.nu, lambda x: 1.0) == pytest.approx(mass)
     # growth constant gamma = mass * (1 - e^loc) > 0
-    assert growth_constant(m) == pytest.approx(mass * (1 - math.exp(loc)),
-                                               rel=1e-12)
+    assert jump_drift(m.nu) == pytest.approx(mass * (1 - math.exp(loc)),
+                                             rel=1e-12)
 
 
 @pytest.mark.parametrize("nu", [
