@@ -224,9 +224,10 @@ class BatchSimulator:
     point values.  At levels 16, oversample 1 and chunks of 256, its
     traced peak is 9.2 MB, where a chunk of leaf masses is 134 MB.
     chunks() yields (start, point_log) for callers that need the point
-    values: it holds the chunk's point values, and the caller's previous
-    chunk while it draws the next.  masses() and chunks() yield the
-    chunks in order.
+    values, each chunk drawn into one buffer that the next overwrites,
+    as the next block does a block: a consumer holds one chunk of point
+    values, not two (1.07 GB, not 2.14 GB, at levels 16, oversample 4
+    and chunks of 512).  masses() and chunks() yield the chunks in order.
 
     A pooled sampler's chunk (only the circulant embedding's) is split
     into RUNS_PER_WORKER contiguous runs of replicas per worker
@@ -292,11 +293,18 @@ class BatchSimulator:
                      for lo, hi in zip(bounds, bounds[1:])]:
             done.result()
 
-    def point_log_chunk(self, seed, start, count):
+    def point_log_chunk(self, seed, start, count, out=None):
         """(count, n_points) noise values for replicas start..start+count,
         (count, n_intervals, n_points) with n_intervals > 1: the sampler's
-        blocks, written into one array."""
-        out = np.empty((count,) + self.sampler.shape)
+        blocks, written into out, C-contiguous float64 like every block
+        (so that their masses keep their bits), or into a new array."""
+        shape = (count,) + self.sampler.shape
+        if out is None:
+            out = np.empty(shape)
+        elif (out.dtype != np.float64 or out.shape != shape
+              or not out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous float64 array "
+                             f"of shape {shape}")
         self._draw(seed, start, count, out)
         return out
 
@@ -311,10 +319,14 @@ class BatchSimulator:
                 progress(start + count)
 
     def chunks(self, seed, replicas, chunk=512, progress=None):
-        """(start, point_log) per chunk of replicas; progress(done) is
-        called after the caller is done with a chunk."""
+        """(start, point_log) per chunk of replicas, drawn into the leading
+        rows of one buffer that the next chunk overwrites; progress(done)
+        is called after the caller is done with a chunk."""
+        buf = None
         for start, count in self._spans(replicas, chunk, progress):
-            yield start, self.point_log_chunk(seed, start, count)
+            if buf is None:  # once _spans has checked the chunk
+                buf = np.empty((min(chunk, replicas),) + self.sampler.shape)
+            yield start, self.point_log_chunk(seed, start, count, buf[:count])
 
     def masses(self, seed, replicas, chunk=512, progress=None):
         """(start, cells, totals) per chunk: masses_from_point_log of the

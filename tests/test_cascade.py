@@ -121,9 +121,10 @@ def test_star_subcascades_renormalize_weights():
 def test_batch_chunking_is_invisible(model):
     g = GridSpec((0.0, 1.0), 4, 2, 0)
     sim = BatchSimulator(model, g)
-    a = np.vstack([pl for _, pl in sim.chunks(5, 13, chunk=3)])
-    b = np.vstack([pl for _, pl in sim.chunks(5, 13, chunk=16)])
-    c = np.vstack([pl for _, pl in sim.chunks(5, 13, chunk=3)])
+    # chunks() overwrites the array it yields with the next chunk
+    a = np.vstack([pl.copy() for _, pl in sim.chunks(5, 13, chunk=3)])
+    b = np.vstack([pl.copy() for _, pl in sim.chunks(5, 13, chunk=16)])
+    c = np.vstack([pl.copy() for _, pl in sim.chunks(5, 13, chunk=3)])
     # same chunking replays bit-identically; a different chunk size only
     # moves the BLAS accumulation order, so it agrees to the last ulp or so
     np.testing.assert_array_equal(a, c)
@@ -155,7 +156,7 @@ def test_circulant_batches_replay_single_builds_bitwise():
                                           replica=i).field.point_log
                         for i in range(40)])
     for chunk in (1, 3, 37):
-        batch = np.vstack([pl for _, pl in sim.chunks(5, 40, chunk)])
+        batch = np.vstack([pl.copy() for _, pl in sim.chunks(5, 40, chunk)])
         np.testing.assert_array_equal(batch, singles)
 
 
@@ -169,7 +170,7 @@ def test_circulant_hybrid_batches_replay_single_builds_bitwise():
                                           replica=i).field.point_log
                         for i in range(12)])
     for chunk in (1, 5, 12):
-        batch = np.vstack([pl for _, pl in sim.chunks(6, 12, chunk)])
+        batch = np.vstack([pl.copy() for _, pl in sim.chunks(6, 12, chunk)])
         np.testing.assert_array_equal(batch, singles)
 
 
@@ -254,11 +255,13 @@ CIRCULANT_GRID = GridSpec((0.0, 1.0), 10, 2, 0)  # 2048 points, 8-row blocks
 
 def pooled_draws(method, workers, chunk, monkeypatch):
     """The arrays a 100-replica circulant batch's chunks() or masses()
-    yields, concatenated, drawn by the given number of workers."""
+    yields, concatenated, drawn by the given number of workers; chunks()
+    overwrites the array it yields with the next chunk, so each is copied."""
     monkeypatch.setattr(cascade, "pool_size", lambda: workers)
     sim = BatchSimulator(LOGN, CIRCULANT_GRID)
     assert sim.sampler.pooled
-    parts = [item[1:] for item in getattr(sim, method)(8, 100, chunk)]
+    parts = [[a.copy() for a in item[1:]]
+             for item in getattr(sim, method)(8, 100, chunk)]
     return [np.concatenate(arrays) for arrays in zip(*parts)]
 
 
@@ -409,6 +412,43 @@ def test_a_consumer_of_masses_holds_one_chunk(consume):
     # arrays (about 4 MB) and one sub-batch; the prefix sums are taken
     # in place, and a second chunk would add 16.8 MB
     assert chunk < peak < 1.5 * chunk
+
+
+@pytest.mark.parametrize("model", [LOGN, ATOM], ids=["circulant", "poisson"])
+def test_a_chunks_consumer_holds_one_chunk_of_point_values(model):
+    grid = GridSpec((0.0, 1.0), 10, 4, 0)  # 4096 points, 1024 leaf cells
+    peaks = {}
+    with cascade.batch_workers(2):
+        sim = BatchSimulator(model, grid)
+        for _ in sim.chunks(1, 256, 256):  # generators, work arrays
+            pass
+        for chunk in (128, 256):
+            tracemalloc.start()
+            try:
+                # the benchmark's loop, keeping none of the masses
+                for _, pl in sim.chunks(2, 512, chunk):
+                    masses_from_point_log(grid, pl)
+                peaks[chunk] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    # one more chunk of point values, and of leaf masses while it is
+    # reduced: 1.25 times the 4.2 MB by which a chunk of point values
+    # grows; holding the previous chunk during a draw makes it twice that
+    step = 128 * grid.n_points * 8
+    assert step < peaks[256] - peaks[128] < 1.5 * step
+
+
+def test_point_log_chunk_rejects_an_out_it_cannot_fill_block_by_block():
+    sim = BatchSimulator(ATOM, GridSpec((0.0, 1.0), 4, 2, 0))
+    shape = (3,) + sim.sampler.shape
+    for out in (np.empty(shape, np.float32),      # not float64
+                np.empty(shape[::-1]).T,          # not C-contiguous
+                np.empty((4,) + shape[1:])):      # not the chunk's shape
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            sim.point_log_chunk(1, 0, 3, out)
+    out = np.empty(shape)
+    assert sim.point_log_chunk(1, 0, 3, out) is out
+    assert out.tobytes() == sim.point_log_chunk(1, 0, 3).tobytes()
 
 
 def test_deep_circulant_total_mass_has_mean_one():
