@@ -295,6 +295,10 @@ def test_failed_factorization_is_restored_from_the_upper_triangle(
     assert jitter == want
     assert _relative_error(chol, ref) <= 1e-13
     assert not np.triu(chol, 1).any()
+    assert [v.hex() for v in chol[np.tril_indices(8)][::5].tolist()] == [
+        "0x1.1c70a0cb6ccc4p+1", "0x1.60d964242e9c1p+1", "0x0.0p+0",
+        "0x0.0p+0", "0x1.3d30094815409p-22", "0x0.0p+0",
+        "0x1.a39ef068df3dcp-1", "0x1.b4f938349314dp+0"]
     # no jitter helps an indefinite matrix: the error reports the smallest
     # eigenvalue of the restored matrix
     cov[4:6, 4:6] = [[1.0, 2.0], [2.0, 1.0]]
@@ -464,6 +468,55 @@ def test_refinement_keeps_its_bits():
         "-0x1.61580878b9604p+0", "-0x1.f78317f97b19cp-3",
         "0x1.b372c50a52c90p-5", "-0x1.bbb0c1d919514p-3",
         "0x1.663b98a32c0a8p-1"]
+
+
+def test_dense_factors_keep_their_bits():
+    # a factor of 128 or more objects takes its bits from the BLAS thread
+    # count, so a fresh interpreter builds with one thread: gauss-single's
+    # cell-carrying grid (1022 objects), 3 juxtaposed copies of a
+    # non-dyadic grid (144 points) and a realization on the first grid
+    script = """if True:
+        import numpy as np
+        from idcascade import GridSpec, lognormal_model
+        from idcascade.cascade import build_realization
+        from idcascade.field import GaussianFieldSampler
+
+        def hexes(a, count):
+            return [v.hex() for v in a[::max(1, len(a) // count)].tolist()]
+
+        g = GridSpec((0.0, 1.0), 8, 2, None)
+        jux = GridSpec((0.1, 0.4), 4, 3, 2)
+        for sam in (GaussianFieldSampler(g, 0.5),
+                    GaussianFieldSampler(jux, 0.5, 3)):
+            print(sam.dim, *hexes(sam.chol[np.tril_indices(sam.dim)], 6),
+                  *hexes(sam.mean, 3))
+        r = build_realization(lognormal_model(0.5), g, seed=7, replica=0)
+        print(*hexes(r.field.point_log, 4), *hexes(r.field.cell_log[8], 2),
+              r.field.cell_log[1][0].hex(), r.total_mass.hex())
+    """
+    pkg_root = str(Path(field.__file__).resolve().parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["1022", "0x1.cf1c9343a8906p+0", "0x1.0e1c7152d175cp-3",
+         "-0x1.b5134b51ce1b5p-13", "0x1.89495aff1ecb7p-8",
+         "0x1.078925dac5de9p-12", "0x1.8c29f10a693e0p-27",
+         "-0x1.35e396c453400p-9", "-0x1.a2e42fefa39efp+0",
+         "-0x1.a2e42fefa39efp+0", "-0x1.3687a9f1af2b1p+0",
+         "-0x1.62e42fefa39efp+0"],
+        ["144", "0x1.5f98bc775adaap+0", "0x1.5459b4251c504p-5",
+         "0x1.49bca77ad60e5p-2", "0x1.25b5da6fe067ap-5",
+         "0x1.1630fd8c16672p-7", "0x1.69782c9aba7e0p-9",
+         "-0x1.e2e42fefa39efp-1", "-0x1.e2e42fefa39efp-1",
+         "-0x1.e2e42fefa39eep-1"],
+        ["0x1.3707e9ae8f60dp+0", "-0x1.59524004fd464p+1",
+         "-0x1.2041d36fbf2cdp+0", "0x1.e59017c0c168ap-1",
+         "0x1.5f5126d2c4a82p-1", "-0x1.a017c34eeaad4p-1",
+         "-0x1.371ed7452a239p-1", "0x1.1885ae81afb7ap-1"]]
 
 
 def test_dense_blocks_draw_only_the_point_normals():
