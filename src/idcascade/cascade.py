@@ -33,7 +33,7 @@ import numpy as np
 from . import cones, field
 from .levy import NoiseModel, ZeroJumps, jump_drift, mean_slope
 from .field import (FieldSample, GridSpec, PoissonFieldSampler,
-                    _chol_with_jitter, _gram_objects, _scratch,
+                    _chol_with_jitter, _gram_objects, _scratch, fill_gram,
                     footprint_areas, make_sampler, poisson_points)
 from ._rng import make_generator, streams
 
@@ -502,10 +502,10 @@ def _refine_gaussian(realization, fine, rng):
                   if lev not in g.carried_levels]
     objects = [np.concatenate(pair) for pair in
                zip(_gram_objects(g), _gram_objects(fine, new_levels))]
-    gram = footprint_areas(g.length, objects, objects)
-    gram *= sigma2
     mean = -0.5 * sigma2 * footprint_areas(g.length, objects)
-    chol, _ = _chol_with_jitter(gram)
+    chol, _ = _chol_with_jitter(
+        lambda out: fill_gram(out, sigma2, g.length, [(g.interval, objects)]),
+        mean.size)
     x_old = np.concatenate([old.point_log] +
                            [old.cell_log[lev] for lev in g.carried_levels])
     p = x_old.size

@@ -64,6 +64,7 @@ def main(argv=None):
         if args.format is not None:
             cfg.set("output", "formats", args.format)
         cfg.check()  # before anything is drawn or written
+        _check_outdir(cfg)
         from .cascade import batch_workers
         with batch_workers(args.threads):
             return globals()[f"cmd_{args.command}"](cfg)
@@ -83,6 +84,18 @@ def _outdir(cfg):
     path = cfg.value("output", "directory")
     os.makedirs(path, exist_ok=True)
     return path
+
+
+def _check_outdir(cfg):
+    """A ConfigError unless output.directory is a directory or could be
+    made one, its nearest existing ancestor being a directory.  Nothing
+    is made here, so a run whose own settings fail later writes nothing."""
+    path = os.path.abspath(cfg.value("output", "directory"))
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise config.ConfigError("output.directory",
+                                 f"{path} is not a directory")
 
 
 def _stamp(cfg):
@@ -382,7 +395,12 @@ def _estimate_scaling(cfg, model, grid):
 
 
 def _estimate_covariance(cfg, model, grid):
+    from .field import field_kind
     from .moments import covariance_report
+    if field_kind(model) == "hybrid":
+        raise config.ConfigError("experiment.kind", "covariance draws "
+                                 "juxtaposed copies of a gaussian or "
+                                 "poisson model, not a hybrid one")
     record, masses = _draw(
         cfg, model, grid, "juxtaposed_total_masses",
         n_intervals=cfg.value("experiment", "n_intervals"))

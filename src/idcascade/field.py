@@ -9,7 +9,10 @@ Exact samplers cover the model classes:
 
 * Gaussian, dense: the joint law of all point and cell values is a
   Gaussian vector whose covariance is sigma2 times the overlap kernel of
-  the regions, built densely and Cholesky-factored once per grid.  It
+  the regions, built densely and Cholesky-factored once per grid: its
+  lower triangle is filled once per attempt and factored in place, its
+  strict upper triangle never written, and a failed attempt refills it
+  before the next jitter (fill_gram, _chol_with_jitter).  It
   serves grids that carry cells, grids below CIRCULANT_MIN_POINTS points,
   refinement and juxtaposition: n_intervals adjacent copies of a grid
   driven by one noise, whose Gram holds the copies' points alone,
@@ -220,7 +223,7 @@ def _gram_objects(grid, levels=None):
 
 # Values per block of every blocked loop but the circulant one, each
 # reading it here at call time:
-# * footprint_areas rows: the kernel's temporaries (hull, cutoffs, masks,
+# * fill_gram rows: the kernel's temporaries (hull, cutoffs, masks,
 #   gathered branch values) are a few blocks, not a few copies of the Gram;
 # * evaluation slots plus expected points of a Poisson sub-batch: 12
 #   replicas of the atom config's grid (4096 points), or 3 of its 4
@@ -234,40 +237,63 @@ def _gram_objects(grid, levels=None):
 BLOCK_VALUES = 2 ** 16
 
 
-def _row_slices(out):
-    """(rows, out[rows]) for successive slices of rows of a matrix,
-    BLOCK_VALUES entries at a time."""
-    step = max(1, BLOCK_VALUES // out.shape[1])
-    for a in range(0, len(out), step):
-        yield slice(a, a + step), out[a:a + step]
-
-
 def footprint_areas(L, rows, cols=None, out=None):
     """Overlap areas of footprint triples (lo, hi, cut) on one base interval.
 
     With cols, the matrix whose (i, j) entry is cones.overlap_kernel of the
-    hull of footprints rows[i] and cols[j] above the larger cutoff: sigma2
-    times it is the covariance of the two noise values.  Without cols, the
-    area of each row footprint's own region, which fixes its mean.
-
-    The matrix, written into out when given, is filled a block of rows at
-    a time (_row_slices), elementwise, so its bits do not depend on the
-    block; callers scale it in place.  Building and factoring a dense Gram
-    of dim objects thus holds dim^2 doubles and a few blocks or one panel
-    of the factorization (_chol_with_jitter).
+    hull of footprints rows[i] and cols[j] above the larger cutoff, written
+    into out when given: sigma2 times it is the covariance of the two noise
+    values.  Without cols, the area of each row footprint's own region,
+    which fixes its mean.  Every entry is computed elementwise, so its bits
+    do not depend on the block of rows and columns it is computed in:
+    fill_gram fills a dense Gram's lower triangle a block at a time, once
+    per factorization attempt, never writes its strict upper triangle, and
+    refills it after a failed attempt (_chol_with_jitter).
     """
     lo, hi, cut = rows
     if cols is None:
         return cones.overlap_kernel(L, hi - lo, cut)
     c_lo, c_hi, c_cut = cols
-    if out is None:
-        out = np.empty((lo.size, c_lo.size))
-    for b, dest in _row_slices(out):
-        hull = (np.maximum(hi[b, None], c_hi[None, :]) -
-                np.minimum(lo[b, None], c_lo[None, :]))
-        cones.overlap_kernel(L, hull, np.maximum(cut[b, None], c_cut[None, :]),
-                             out=dest)
-    return out
+    hull = (np.maximum(hi[:, None], c_hi[None, :]) -
+            np.minimum(lo[:, None], c_lo[None, :]))
+    cut = np.maximum(cut[:, None], c_cut[None, :])
+    return cones.overlap_kernel(L, hull, cut, out=out)
+
+
+def fill_gram(out, sigma2, L, copies):
+    """Write sigma2 times the overlap Gram of the objects of adjacent grid
+    copies, each of length L, on and below the diagonal of a zeroed out.
+
+    copies lists (interval, footprint triple) per copy, every copy with as
+    many objects.  A block of rows of copy i is filled at a time: its
+    columns of each earlier copy j by cones.cross_kernel(I_i, I_j, ...),
+    which is bit for bit the transpose of cross_kernel(I_j, I_i, ...), so
+    each cross block is computed once, and its own copy's columns by
+    footprint_areas, the block's diagonal square through a small
+    temporary.  The strict upper triangle is never written, and the
+    entries are scaled as they are filled, so the Gram holds dim^2
+    doubles and a few blocks of temporaries at its peak.
+    """
+    n = copies[0][1][0].size
+    step = max(1, BLOCK_VALUES // len(out))
+    tri = np.tri(min(step, n), dtype=bool)
+    for i, (interval, feet) in enumerate(copies):
+        for a in range(0, n, step):
+            e = min(a + step, n)
+            rows = tuple(f[a:e] for f in feet)
+            dest = out[i * n + a:i * n + e]
+            for j, (other, cols) in enumerate(copies[:i]):
+                dest[:, j * n:(j + 1) * n] = cones.cross_kernel(
+                    interval, other, rows[0], rows[1], cols[0], cols[1],
+                    np.maximum(rows[2][:, None], cols[2][None, :]))
+            below = dest[:, :i * n + a]
+            footprint_areas(L, rows, tuple(f[:a] for f in feet),
+                            out=below[:, i * n:])
+            below *= sigma2
+            square = footprint_areas(L, rows, rows)
+            square *= sigma2
+            np.copyto(dest[:, i * n + a:i * n + e], square,
+                      where=tri[:e - a, :e - a])
 
 
 def _normal_columns(rngs, dim):
@@ -361,47 +387,35 @@ def _factor_lower(a):
     return True
 
 
-def _row_blocks(a):
-    """(rows, diagonal block, strict upper mask) of a square matrix,
-    CHOLESKY_BLOCK rows at a time."""
-    n, b = len(a), CHOLESKY_BLOCK
-    upper = ~np.tri(min(b, n), dtype=bool)
-    for r in range(0, n, b):
-        s = min(r + b, n)
-        yield slice(r, s), a[r:s, r:s], upper[:s - r, :s - r]
-
-
-def _chol_with_jitter(cov):
-    """(Cholesky factor, relative jitter) of a covariance matrix, factored
-    in place: the factor returned is cov itself, and the build's peak is
-    cov plus one panel of CHOLESKY_BLOCK columns.
+def _chol_with_jitter(fill, dim):
+    """(Cholesky factor, relative jitter) of the covariance matrix that
+    fill(out) writes on and below the diagonal of a zeroed (dim, dim) out
+    (fill_gram), factored in place: the factor returned is that array,
+    whose strict upper triangle is never written, and the build's peak is
+    the matrix plus one panel of CHOLESKY_BLOCK columns.
 
     The jitter, a multiple of the mean diagonal added to the diagonal, is
     0 when the plain factorization succeeds; any other value is warned
-    about, since it perturbs the law that is sampled.  Until a
-    factorization succeeds only the lower triangle is written, so a
-    failed one is undone from the strict upper triangle and a copy of the
-    diagonal; then the next jitter is tried.
+    about, since it perturbs the law that is sampled.  A failed attempt
+    leaves the lower triangle partly overwritten, so the next one refills
+    it and adds the next jitter to the diagonal.
     """
-    diag = np.diag(cov).copy()
+    cov = np.zeros((dim, dim))
+    fill(cov)
+    diag = cov.reshape(-1)[::dim + 1]
     scale = float(np.mean(diag)) or 1.0
     for jitter in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
         if jitter:
-            np.fill_diagonal(cov, diag + jitter * scale)
+            fill(cov)
+            diag += jitter * scale
         if _factor_lower(cov):
             break
-        for rows, blk, upper in _row_blocks(cov):
-            cov[rows, :rows.start] = cov[:rows.start, rows].T
-            np.copyto(blk, blk.T, where=upper.T)
-        np.fill_diagonal(cov, diag)
     else:
+        fill(cov)
         w = np.linalg.eigvalsh(cov)
         raise np.linalg.LinAlgError(
             f"covariance not positive definite (min eigenvalue {w[0]:.3e} "
             f"of scale {scale:.3e}) even with jitter 1e-8")
-    for rows, blk, upper in _row_blocks(cov):
-        cov[rows, rows.stop:] = 0.0
-        np.copyto(blk, 0.0, where=upper)
     if jitter:
         warnings.warn(f"covariance needed relative jitter {jitter:g} "
                       f"for its Cholesky factor", RuntimeWarning,
@@ -431,11 +445,11 @@ class GaussianFieldSampler:
 
     The Gram holds one copy's points and carried cells, or the copies'
     points alone: one copy's overlap kernel in the diagonal blocks, the
-    cross kernel of two copies' cones off them.  It is filled a block of
-    rows at a time (_row_slices), scaled and Cholesky-factored in place,
-    so the build's peak is dim^2 doubles and one panel of the
-    factorization (footprint_areas, _chol_with_jitter).  A replica's point
-    values are the first prod(shape) values.
+    cross kernel of two copies' cones below them.  Its lower triangle is
+    filled a block of rows at a time, scaled as it is filled, and
+    Cholesky-factored in place (fill_gram, _chol_with_jitter), so the
+    build's peak is dim^2 doubles and one panel of the factorization.  A
+    replica's point values are the first prod(shape) values.
     """
 
     name = "dense"
@@ -447,37 +461,22 @@ class GaussianFieldSampler:
         edges = _set_copies(self, grid, n_intervals)
         self.sigma2 = float(sigma2)
         L = grid.length
-        copies = [replace(grid, interval=iv) for iv in zip(edges, edges[1:])]
-        feet = [_gram_objects(g, levels=None if n_intervals == 1 else ())
-                for g in copies]
-        n = feet[0][0].size
-        self.dim = n_intervals * n
-        cov = np.empty((self.dim, self.dim))
-        for i, fi in enumerate(feet):
-            ri = slice(i * n, (i + 1) * n)
-            footprint_areas(L, fi, fi, out=cov[ri, ri])
-            for j, fj in enumerate(feet[i + 1:], i + 1):
-                rj = slice(j * n, (j + 1) * n)
-                for b, dest in _row_slices(cov[ri, rj]):
-                    dest[...] = cones.cross_kernel(
-                        copies[i].interval, copies[j].interval, fi[0][b],
-                        fi[1][b], fj[0], fj[1],
-                        np.maximum(fi[2][b, None], fj[2][None, :]))
-                    cov[rj, ri][:, b] = dest.T
-        cov *= sigma2
+        copies = [(iv, _gram_objects(replace(grid, interval=iv),
+                                     levels=None if n_intervals == 1 else ()))
+                  for iv in zip(edges, edges[1:])]
+        self.dim = n_intervals * copies[0][1][0].size
         # the mean and factor are shared, so read-only
         self.mean = -0.5 * sigma2 * np.concatenate(
-            [footprint_areas(L, f) for f in feet])
-        self.chol, jitter = _chol_with_jitter(cov)
+            [footprint_areas(L, f) for _, f in copies])
+        self.chol, jitter = _chol_with_jitter(
+            lambda out: fill_gram(out, sigma2, L, copies), self.dim)
         for a in (self.mean, self.chol):
             a.setflags(write=False)
         self.health = {"cholesky_jitter": jitter}
 
     def draw(self, rng, count=1):
         """(dim, count) matrix of field values, one replica per column."""
-        vals = self.chol @ rng.standard_normal((self.dim, count))
-        vals += self.mean[:, None]
-        return vals
+        return self.draw_columns(rng.standard_normal((self.dim, count)))
 
     def draw_columns(self, normals):
         """Map externally drawn standard normals (k, count) to the values of
@@ -522,7 +521,7 @@ class GaussianFieldSampler:
         """One copy's FieldSample."""
         if len(self.shape) > 1:
             raise ValueError("juxtaposed copies draw only with blocks()")
-        vals = self.draw(rng, 1)[:, 0]
+        vals = self.draw_columns(rng.standard_normal((self.dim, 1)))[:, 0]
         point_log, cell_log = self.split(vals)
         return FieldSample(self.grid, "gaussian", point_log, cell_log)
 

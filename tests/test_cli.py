@@ -313,12 +313,36 @@ def test_non_positive_chunk_is_a_config_error(tmp_path, capsys):
 
 
 def test_runtime_error_exits_3(tmp_path, capsys):
-    # juxtaposed copies of a hybrid model have no sampler
+    # a directory where the report file goes: no setting foretells it
+    path = shipped_cfg("atom.ini", tmp_path)
+    (tmp_path / "out" / "diagnostics.json").mkdir(parents=True)
+    assert run("--config", path, "theory") == 3
+    assert "runtime error: IsADirectoryError" in capsys.readouterr().err
+
+
+def test_hybrid_covariance_is_a_config_error(tmp_path, capsys):
+    # juxtaposed copies of a hybrid model have no sampler: named before
+    # anything is drawn or written
     path = shipped_cfg("atom.ini", tmp_path, model={"sigma2": "0.2"},
                        experiment={"kind": "covariance"})
-    assert run("--config", path, "estimate") == 3
-    assert "juxtaposition supports gaussian and poisson models" in \
-        capsys.readouterr().err
+    assert run("--config", path, "estimate") == 2
+    assert "config error: experiment.kind: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["theory", "estimate"])
+def test_a_bad_output_directory_is_a_config_error(command, tmp_path, capsys):
+    # an existing file, and a directory below one, caught before anything
+    # is drawn
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    for outdir in (blocker, blocker / "sub"):
+        path = write_cfg(tmp_path / "o.ini", outdir)
+        assert run("--config", path, command) == 2
+        err = capsys.readouterr().err
+        assert f"config error: output.directory: {blocker} is not a " \
+            "directory" in err
+    assert blocker.read_text() == "kept"
 
 
 def test_tail_estimate_needs_100_replicas(tmp_path, capsys):

@@ -243,10 +243,16 @@ def test_blocked_cholesky_matches_lapack(block, monkeypatch):
     grams = []
     real = field._chol_with_jitter
 
-    def spy(cov):
-        grams.append(cov.copy())
-        chol, jitter = real(cov)
-        assert chol is cov
+    def spy(fill, dim):
+        filled_into = []
+
+        def traced(cov):
+            fill(cov)
+            filled_into.append(cov)
+            grams.append(cov.copy())
+
+        chol, jitter = real(traced, dim)
+        assert chol is filled_into[-1]
         return chol, jitter
 
     monkeypatch.setattr(field, "_chol_with_jitter", spy)
@@ -266,8 +272,12 @@ def test_blocked_cholesky_matches_lapack(block, monkeypatch):
         assert not np.triu(sam.chol, 1).any()
 
 
-def test_failed_factorization_is_restored_from_the_upper_triangle(
-        monkeypatch):
+def lower_fill(cov):
+    """A fill for _chol_with_jitter: cov's lower triangle into out."""
+    return lambda out: np.copyto(out, cov, where=np.tri(len(cov), dtype=bool))
+
+
+def test_failed_factorization_is_refilled(monkeypatch):
     # positive definite in its first two block columns, then a rank-one
     # block decoupled from them, then a block coupled to the first ones:
     # the first attempt fails in block column 2, after blocks 0 and 1 have
@@ -291,7 +301,7 @@ def test_failed_factorization_is_restored_from_the_upper_triangle(
     assert want == 1e-14
     monkeypatch.setattr(field, "CHOLESKY_BLOCK", 2)
     with pytest.warns(RuntimeWarning, match="relative jitter 1e-14"):
-        chol, jitter = _chol_with_jitter(cov.copy())
+        chol, jitter = _chol_with_jitter(lower_fill(cov.copy()), 8)
     assert jitter == want
     assert _relative_error(chol, ref) <= 1e-13
     assert not np.triu(chol, 1).any()
@@ -300,11 +310,11 @@ def test_failed_factorization_is_restored_from_the_upper_triangle(
         "0x0.0p+0", "0x1.3d30094815409p-22", "0x0.0p+0",
         "0x1.a39ef068df3dcp-1", "0x1.b4f938349314dp+0"]
     # no jitter helps an indefinite matrix: the error reports the smallest
-    # eigenvalue of the restored matrix
+    # eigenvalue of the refilled matrix
     cov[4:6, 4:6] = [[1.0, 2.0], [2.0, 1.0]]
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"min eigenvalue -1\.000e\+00"):
-        _chol_with_jitter(cov)
+        _chol_with_jitter(lower_fill(cov), 8)
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -434,7 +444,7 @@ def test_array_valued_jump_model_gets_a_sampler():
 def test_cholesky_jitter_is_warned():
     v = np.arange(1.0, 5.0)[:, None]
     with pytest.warns(RuntimeWarning, match="relative jitter"):
-        chol, jitter = _chol_with_jitter(v @ v.T)
+        chol, jitter = _chol_with_jitter(lower_fill(v @ v.T), 4)
     assert jitter > 0
     assert np.abs(chol @ chol.T - v @ v.T).max() < 1e-6
 
