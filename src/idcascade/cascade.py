@@ -213,32 +213,28 @@ class BatchSimulator:
     A chunk is drawn a sampler block at a time (the sampler's blocks):
     a block of CIRCULANT_BLOCK_VALUES normals, a Poisson sub-batch, or,
     on the dense paths, whose bits depend on the width, the whole chunk.
-    masses() reduces each block as it is drawn and yields (start, cells,
-    totals): it holds one chunk's leaf masses, once its consumer drops
-    the previous one, and, per worker, one block of point values (on the
-    dense paths also the matrix product that block is copied from,
-    C-contiguous like every block).  total_masses() reduces each block's
-    leaf masses into one block-sized buffer of the drawing thread's work
-    arrays and keeps only the totals, with the bits of masses(): it
-    holds its output and, per worker, one leaf block and one block of
-    point values.  At levels 16, oversample 1 and chunks of 256, its
-    traced peak is 9.2 MB, where a chunk of leaf masses is 134 MB.
-    chunks() yields (start, point_log) for callers that need the point
-    values, each chunk drawn into one buffer that the next overwrites,
-    as the next block does a block: a consumer holds one chunk of point
-    values, not two (1.07 GB, not 2.14 GB, at levels 16, oversample 4
-    and chunks of 512).  masses() and chunks() yield the chunks in order.
+    total_masses() reduces each block's leaf masses into one block-sized
+    work array of the drawing thread, shows them to its each consumer
+    and keeps only the totals: at any depth and chunk it holds its
+    output and, per worker, one block of leaf masses and one of point
+    values (on the dense paths also the matrix product that block is
+    copied from, C-contiguous like every block); at levels 16,
+    oversample 1 and chunks of 256, 9.2 MB traced, where a chunk of leaf
+    masses is 134 MB.  chunks() yields (start, point_log) in order, each
+    chunk drawn into one buffer that the next overwrites: a consumer
+    holds one chunk of point values, not two (1.07 GB, not 2.14 GB, at
+    levels 16, oversample 4 and chunks of 512).
 
     A pooled sampler's chunk (only the circulant embedding's) is split
     into RUNS_PER_WORKER contiguous runs of replicas per worker
     (pool_size: every usable CPU unless batch_workers says fewer), which
     the workers take in turn; each worker draws a run with its own
     generators and work arrays and writes or reduces it into its rows of
-    the chunk's output.  numpy's FFT and the normal
-    fills release the GIL, and each row keeps its bits in any run, so
-    the outputs do not depend on the worker count.  Each worker holds a
-    block of spectra and one of transforms, 2^15 normals each: 0.5 MB at
-    4096 points.  At 4096 points, chunks of 500, two pinned workers on a
+    the chunk's output, calling each on its own blocks.  numpy's FFT and
+    the normal fills release the GIL, and each row keeps its bits in any
+    run, so the outputs do not depend on the worker count.  Each worker
+    holds a block of spectra and one of transforms, 2^15 normals each:
+    0.5 MB at 4096 points.  At 4096 points, chunks of 500, two pinned workers on a
     2-vCPU host drew 5582 replicas/s against 3438 on one thread (medians
     of 10 paired runs), for 2.4% more peak RSS (85.5 against 83.6 MB).
     The other samplers draw on the calling thread.  The Poisson draws
@@ -256,41 +252,42 @@ class BatchSimulator:
         # per thread: the generators to re-key and the sampler's work arrays
         self._local = threading.local()
 
-    def _draw_run(self, seed, start, lo, hi, out):
+    def _draw_run(self, seed, start, lo, hi, out, each):
         """Replicas start + lo .. start + hi on this thread's generators
-        and work arrays, into rows lo .. hi of out: a chunk's point values,
-        or its (cells, totals), which each block, a sampler array that its
-        exp overwrites, is reduced into; with cells None, its leaf masses
-        go into one work array, which the next block overwrites."""
+        and work arrays into rows lo .. hi of out: their point values, or
+        with each their totals, each(start + row, cells) seeing a block's
+        leaf masses before the next block overwrites their work array."""
         local = vars(self._local)
         rngs = streams(local.setdefault("gens", []), seed, start + lo,
                        hi - lo, self.stream_tag)
         work = local.setdefault("work", {})
-        if isinstance(out, np.ndarray):
+        if each is None:
             for _ in self.sampler.blocks(rngs, out[lo:hi], work):
                 pass
             return
-        cells, totals = out
         shape = (*self.sampler.shape[:-1], self.grid.n_cells)
         for s, vals in self.sampler.blocks(rngs, None, work):
-            rows = slice(lo + s, lo + s + len(vals))
-            leaf = (cells[rows] if cells is not None else
-                    _scratch(work, "cells", len(vals), shape))
-            _leaf_masses(self.grid, np.exp(vals, out=vals), leaf, totals[rows])
+            cells = _scratch(work, "cells", len(vals), shape)
+            _leaf_masses(self.grid, np.exp(vals, out=vals), cells,
+                         out[lo + s:lo + s + len(vals)])
+            each(start + lo + s, cells)
 
-    def _draw(self, seed, start, count, out):
+    def _draw(self, seed, start, count, out, each=None):
         """_draw_run over the chunk's count replicas: RUNS_PER_WORKER
-        contiguous runs per worker for a pooled sampler, waited for, else
-        one run on this thread."""
+        contiguous runs per worker for a pooled sampler, all waited for,
+        else one run on this thread."""
         size = pool_size() if self.sampler.pooled else 1
         runs = min(count, RUNS_PER_WORKER * size) if size > 1 else 1
         if runs <= 1:
-            self._draw_run(seed, start, 0, count, out)
+            self._draw_run(seed, start, 0, count, out, each)
             return
         bounds = [count * i // runs for i in range(runs + 1)]
         pool = _worker_pool(size)
-        for done in [pool.submit(self._draw_run, seed, start, lo, hi, out)
-                     for lo, hi in zip(bounds, bounds[1:])]:
+        futures = [pool.submit(self._draw_run, seed, start, lo, hi, out,
+                               each) for lo, hi in zip(bounds, bounds[1:])]
+        for done in futures:  # no run is left drawing when one raises
+            done.exception()
+        for done in futures:
             done.result()
 
     def point_log_chunk(self, seed, start, count, out=None):
@@ -328,26 +325,16 @@ class BatchSimulator:
                 buf = np.empty((min(chunk, replicas),) + self.sampler.shape)
             yield start, self.point_log_chunk(seed, start, count, buf[:count])
 
-    def masses(self, seed, replicas, chunk=512, progress=None):
-        """(start, cells, totals) per chunk: masses_from_point_log of the
-        chunk's point values, reduced a sampler block at a time.  A chunk
-        is dropped here before the next is drawn, so a consumer that
-        drops it too holds one chunk."""
-        lead = self.sampler.shape[:-1]
-        for start, count in self._spans(replicas, chunk, progress):
-            out = (np.empty((count, *lead, self.grid.n_cells)),
-                   np.empty((count, *lead)))
-            self._draw(seed, start, count, out)
-            yield (start, *out)
-            del out
-
-    def total_masses(self, seed, replicas, chunk, progress=None):
-        """Total masses, (replicas,) or (replicas, n_intervals): the
-        totals of masses(), each chunk's drawn straight into the output,
-        with no chunk of leaf masses."""
+    def total_masses(self, seed, replicas, chunk, progress=None,
+                     each=None):
+        """Total masses, (replicas,) or (replicas, n_intervals); each(start,
+        cells), if given, sees each block's leaf masses, (rows, n_cells) or
+        (rows, n_intervals, n_cells), on the thread that drew them (on a
+        pooled sampler's workers at once) before it draws its next block."""
         out = np.empty((replicas, *self.sampler.shape[:-1]))
+        each = each or (lambda start, cells: None)
         for start, count in self._spans(replicas, chunk, progress):
-            self._draw(seed, start, count, (None, out[start:start + count]))
+            self._draw(seed, start, count, out[start:start + count], each)
         return out
 
 
@@ -362,13 +349,14 @@ def simulate_prefix_masses(model, grid, seed, replicas, fractions, *,
                            chunk=512, stream_tag="cascade", progress=None):
     """Masses of [lo, lo + f*length] for each dyadic fraction f, per replica."""
     counts = [grid.leaf_count(f) for f in fractions]
-    sim = BatchSimulator(model, grid, stream_tag=stream_tag)
     out = np.empty((replicas, len(counts)))
-    for start, cells, _ in sim.masses(seed, replicas, chunk, progress):
+
+    def prefix(start, cells):
         np.cumsum(cells, axis=1, out=cells)  # prefix sums in place
         for i, k in enumerate(counts):
             out[start:start + len(cells), i] = cells[:, k - 1] if k else 0.0
-        del cells  # before the next chunk is drawn
+    BatchSimulator(model, grid, stream_tag=stream_tag).total_masses(
+        seed, replicas, chunk, progress, prefix)
     return out
 
 

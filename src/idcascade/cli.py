@@ -53,8 +53,11 @@ def main(argv=None):
     try:
         if args.threads is not None and args.threads < 1:
             raise config.ConfigError("--threads", "must be at least 1")
-        cfg = (config.load_config(args.config) if args.config
-               else config.RunConfig())
+        try:
+            cfg = (config.load_config(args.config) if args.config
+                   else config.RunConfig())
+        except FileNotFoundError as exc:
+            raise config.ConfigError("--config", exc) from None
         if args.seed is not None:
             if not 0 <= args.seed < 2 ** 64:
                 raise config.ConfigError("--seed", "must be unsigned 64-bit")
@@ -68,7 +71,7 @@ def main(argv=None):
         from .cascade import batch_workers
         with batch_workers(args.threads):
             return globals()[f"cmd_{args.command}"](cfg)
-    except (config.ConfigError, FileNotFoundError) as exc:
+    except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # sampler / runtime failures
@@ -182,7 +185,6 @@ def cmd_theory(cfg):
 
 
 def cmd_simulate(cfg):
-    import numpy as np
     from .cascade import BatchSimulator, model_digest, write_masses_binary
     model = cfg.build_model()
     grid = cfg.build_grid()
@@ -191,23 +193,21 @@ def cmd_simulate(cfg):
     fmt = cfg.value("output", "formats")
     sim = BatchSimulator(model, grid)
     digest = model_digest(model)
-    rows = []
-    progress = _Progress(replicas)
-    for start, cells, totals in sim.masses(seed, replicas, chunk, progress):
-        for j, z in enumerate(totals):
-            replica = start + j
-            rows.append((replica, float(z)))
+
+    def dump(start, cells):  # each block's leaf masses, as they are drawn
+        for j, c in enumerate(cells, start):
             write_masses_binary(
-                os.path.join(outdir, f"realization_{replica:06d}.bin"),
-                grid, digest, cells[j])
-        del cells, totals  # before the next chunk is drawn
+                os.path.join(outdir, f"realization_{j:06d}.bin"),
+                grid, digest, c)
+    progress = _Progress(replicas)
+    totals = sim.total_masses(seed, replicas, chunk, progress, dump)
     progress.finish()
     _write_report(cfg, "summary", {
         "replicas": replicas,
-        "mean_total_mass": float(np.mean([z for _, z in rows])),
+        "mean_total_mass": float(totals.mean()),
         "sampler": sim.sampler.name,
         "sampler_health": sim.sampler.health,
-    }, ("replica", "total_mass"), rows)
+    }, ("replica", "total_mass"), list(enumerate(totals.tolist())))
     print(os.path.join(outdir, "summary.csv" if fmt != "json"
                        else "summary.json"))
     return 0

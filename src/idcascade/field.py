@@ -72,10 +72,11 @@ constructor: the arrays it shares (the Cholesky factor and mean, the
 embedding's spectral weights, the measure's jump tables) are read-only,
 so a caller that writes into one gets a ValueError instead of altering
 every later draw.  Work arrays never live on a sampler: blocks draws
-into the work dict of its caller, which keeps one per thread
-(BatchSimulator), or into its own.  A fallback or jitter warning is
-raised when a sampler is built, not on later calls that reuse it; the
-sampler's health still records it.
+into the work dict of its caller, or into its own.  BatchSimulator
+keeps one per thread and reduces each block into one block of leaf
+masses there as it comes, so no batch holds a chunk of them.  A
+fallback or jitter warning is raised when a sampler is built, not on
+later calls that reuse it; the sampler's health still records it.
 """
 
 import functools
@@ -330,9 +331,10 @@ def _block_slots(count, rows, shape, out=None, work=None):
     overwritten by the next block.  work is a dict of work arrays that
     one caller passes to every call, so that they are allocated once
     (_scratch), or None for a call's own.  BatchSimulator.point_log_chunk
-    has the blocks fill one output, and BatchSimulator.masses reduces
-    each as it comes, so one chunk's point values need never exist at
-    once; both keep one work dict per thread.
+    has the blocks fill one output, and BatchSimulator.total_masses
+    reduces each as it comes into one block of leaf masses for its
+    consumer, so neither a chunk's point values nor its leaf masses need
+    ever exist at once; both keep one work dict per thread.
 
     A sampler's pooled attribute says whether BatchSimulator may split a
     batch into runs that worker threads draw at once: True only where

@@ -259,6 +259,17 @@ class MomentEstimate:
     heavy_tail: Optional[bool]
 
 
+def median(values):
+    """np.median's value without numpy.ma, which its first call imports:
+    the middle sorted value, or (a + b) / 2 of the middle two; NaN if any
+    value is NaN."""
+    x = np.sort(np.asarray(values, float), axis=None)  # NaN sorts last
+    if x.size == 0 or math.isnan(x[-1]):
+        return math.nan
+    a, b = x[(x.size - 1) // 2].item(), x[x.size // 2].item()
+    return a if x.size % 2 else (a + b) / 2
+
+
 def estimate_moment(samples, q, blocks=32, tail_index=None):
     """Empirical E X^q with a median-of-means companion.
 
@@ -277,7 +288,7 @@ def estimate_moment(samples, q, blocks=32, tail_index=None):
     if blocks and blocks > 1 and x.size >= 2 * blocks:
         cut = (x.size // blocks) * blocks
         bm = powered[:cut].reshape(blocks, -1).mean(axis=1)
-        mom = float(np.median(bm))
+        mom = median(bm)
     heavy = None
     if tail_index is not None:
         heavy = bool(2.0 * q >= tail_index)
@@ -319,7 +330,7 @@ def hill_tail_report(samples, fractions=(0.005, 0.01, 0.02, 0.05),
         logs = np.log(x[:k]) - math.log(x[k])
         hill[f] = 1.0 / float(logs.mean())
         ks[f] = k
-    selected = float(np.median(list(hill.values())))
+    selected = median(list(hill.values()))
     f_mid = sorted(fractions)[len(fractions) // 2]
     k = ks[f_mid]
     logs = np.log(x[:k]) - math.log(x[k])
@@ -332,8 +343,7 @@ def hill_tail_report(samples, fractions=(0.005, 0.01, 0.02, 0.05),
     if tail_index_for_constant is not None:
         k1 = max(2, int(0.01 * N))
         i = np.arange(1, k1 + 1)
-        tail_constant = float(np.median(
-            x[:k1] ** tail_index_for_constant * i / N))
+        tail_constant = median(x[:k1] ** tail_index_for_constant * i / N)
     return TailReport(tuple(fractions), hill, selected, hill_stderr,
                       tail_constant, ks)
 

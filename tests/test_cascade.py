@@ -185,6 +185,19 @@ BLOCKED = [  # model, grid, copies, replicas: each exceeds its block + 1
 ]
 
 
+def leaf_masses(sim, seed, replicas, chunk):
+    """(cells, totals, spans): total_masses' totals, the leaf masses its
+    each consumer saw, copied into one array, and the (start, rows) of
+    each block in the order they came."""
+    cells = np.empty((replicas, *sim.sampler.shape[:-1], sim.grid.n_cells))
+    spans = []
+
+    def each(start, block):
+        cells[start:start + len(block)] = block
+        spans.append((start, len(block)))
+    return cells, sim.total_masses(seed, replicas, chunk, each=each), spans
+
+
 @pytest.mark.parametrize("model,grid,copies,replicas", BLOCKED,
                          ids=["circulant", "poisson", "juxtaposed-poisson-2",
                               "juxtaposed-poisson-4", "hybrid-circulant",
@@ -199,16 +212,20 @@ def test_masses_are_the_reduced_chunks_bit_for_bit(model, grid, copies,
     for chunk in (1, 7, block - 1, block + 1, replicas + 5):
         want = [(start, *masses_from_point_log(grid, pl))
                 for start, pl in sim.chunks(3, replicas, chunk)]
-        got = list(sim.masses(3, replicas, chunk))
-        assert [g[0] for g in got] == [w[0] for w in want]
-        # total_masses reduces the same blocks without keeping their cells
-        totals = np.concatenate([g[2] for g in got])
-        z = sim.total_masses(3, replicas, chunk)
+        cells, z, spans = leaf_masses(sim, 3, replicas, chunk)
+        # each block is seen once (in any order on a pool's workers),
+        # none wider than a chunk
+        spans.sort()
+        assert [s for s, _ in spans] == list(np.cumsum(
+            [0] + [b for _, b in spans[:-1]]))
+        assert sum(b for _, b in spans) == replicas
+        assert max(b for _, b in spans) <= min(chunk, block)
+        # total_masses reduces the same blocks, and each sees their cells
+        totals = np.concatenate([w[2] for w in want])
         assert z.shape == totals.shape and z.tobytes() == totals.tobytes()
-        for g, w in zip(got, want):
-            for a, b in zip(g[1:], w[1:]):
-                assert a.shape == b.shape
-                np.testing.assert_array_equal(a, b)
+        whole = np.concatenate([w[1] for w in want])
+        assert cells.shape == whole.shape
+        np.testing.assert_array_equal(cells, whole)
         # a row's masses keep their bits in a block of any width, also
         # alone, on every path: each block is C-contiguous
         for (_, pl), w in zip(sim.chunks(3, replicas, chunk), want):
@@ -219,18 +236,18 @@ def test_masses_are_the_reduced_chunks_bit_for_bit(model, grid, copies,
         if not dense:
             # and the draws keep theirs, so the chunk width is invisible
             # too; the dense paths' matrix product sees the width
-            whole = list(sim.masses(3, replicas, replicas))[0]
-            for i in (1, 2):
-                np.testing.assert_array_equal(
-                    np.concatenate([g[i] for g in got]), whole[i])
+            one = leaf_masses(sim, 3, replicas, replicas)
+            for a, b in zip(one[:2], (cells, z)):
+                np.testing.assert_array_equal(a, b)
 
 
 def test_batch_rejects_a_non_positive_chunk():
     sim = BatchSimulator(ATOM, GridSpec((0.0, 1.0), 4, 2, 0))
     for chunk in (0, -1):
-        for draw in (sim.chunks, sim.masses):
-            with pytest.raises(ValueError, match="chunk must be >= 1"):
-                next(draw(1, 4, chunk))
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            next(sim.chunks(1, 4, chunk))
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            sim.total_masses(1, 4, chunk, each=lambda start, cells: None)
         with pytest.raises(ValueError, match="chunk must be >= 1"):
             simulate_total_masses(ATOM, sim.grid, 1, 4, chunk=chunk)
 
@@ -254,15 +271,18 @@ CIRCULANT_GRID = GridSpec((0.0, 1.0), 10, 2, 0)  # 2048 points, 8-row blocks
 
 
 def pooled_draws(method, workers, chunk, monkeypatch):
-    """The arrays a 100-replica circulant batch's chunks() or masses()
-    yields, concatenated, drawn by the given number of workers; chunks()
-    overwrites the array it yields with the next chunk, so each is copied."""
+    """The arrays of a 100-replica circulant batch drawn by the given
+    number of workers: chunks()' point values, concatenated (it
+    overwrites the array it yields with the next chunk, so each is
+    copied), or "masses", the leaf masses total_masses' each consumer
+    sees on the workers and its totals."""
     monkeypatch.setattr(cascade, "pool_size", lambda: workers)
     sim = BatchSimulator(LOGN, CIRCULANT_GRID)
     assert sim.sampler.pooled
-    parts = [[a.copy() for a in item[1:]]
-             for item in getattr(sim, method)(8, 100, chunk)]
-    return [np.concatenate(arrays) for arrays in zip(*parts)]
+    if method == "masses":
+        return leaf_masses(sim, 8, 100, chunk)[:2]
+    return [np.concatenate([pl.copy() for _, pl in sim.chunks(8, 100,
+                                                                 chunk)])]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 100], ids=["1", "7", "whole"])
@@ -296,6 +316,26 @@ def test_circulant_totals_keep_their_pinned_values():
                 assert [v.hex() for v in z.tolist()] == want
 
 
+@pytest.mark.parametrize("model,grid", [
+    (ATOM, GridSpec((0.0, 1.0), 8, 4, 0)), (LOGN, CIRCULANT_GRID)],
+    ids=["poisson", "circulant"])
+def test_prefix_masses_keep_their_bytes_at_any_chunk_and_worker_count(
+        model, grid, monkeypatch):
+    # the prefix sums of each block, on the circulant path taken on the
+    # workers, are those of the reduced point values of one whole chunk
+    fractions = [0.25, 0.5, 1.0]
+    cells = masses_from_point_log(grid, next(BatchSimulator(
+        model, grid).chunks(4, 30, 30))[1])[0]
+    want = np.cumsum(cells, axis=1)[
+        :, [grid.leaf_count(f) - 1 for f in fractions]]
+    for workers in (1, 2):
+        monkeypatch.setattr(cascade, "pool_size", lambda: workers)
+        for chunk in (1, 7, 30):
+            m = simulate_prefix_masses(model, grid, 4, 30, fractions,
+                                       chunk=chunk)
+            assert m.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("model,grid,copies", [
     (ATOM, GridSpec((0.0, 1.0), 6, 2, 0), 1),
     (ATOM, GridSpec((0.0, 1.0), 6, 2, 0), 2),
@@ -312,7 +352,7 @@ def test_unpooled_batches_start_no_worker(model, grid, copies, monkeypatch):
     sim = BatchSimulator(model, grid, n_intervals=copies)
     assert not sim.sampler.pooled
     list(sim.chunks(1, 12, 6))
-    list(sim.masses(1, 12, 6))
+    sim.total_masses(1, 12, 6, each=lambda start, cells: None)
 
 
 def test_workers_above_the_usable_cpus_are_capped():
@@ -387,31 +427,34 @@ def test_total_masses_hold_no_chunk_of_leaf_masses(model, copies, replicas):
     assert peaks[2000] < out.nbytes + workers * (block + 16384) + work
 
 
-def drop_each_chunk(grid, seed):
-    for _, cells, totals in BatchSimulator(ATOM, grid).masses(seed, 512,
-                                                              256):
-        del cells, totals
+def each_block(grid, seed, chunk):
+    BatchSimulator(ATOM, grid).total_masses(
+        seed, 512, chunk, each=lambda start, cells: None)
 
 
-def prefix_masses(grid, seed):
-    simulate_prefix_masses(ATOM, grid, seed, 512, [0.25, 0.5], chunk=256)
+def prefix_masses(grid, seed, chunk):
+    simulate_prefix_masses(ATOM, grid, seed, 512, [0.25, 0.5], chunk=chunk)
 
 
-@pytest.mark.parametrize("consume", [drop_each_chunk, prefix_masses],
-                         ids=["masses-loop", "prefix-masses"])
-def test_a_consumer_of_masses_holds_one_chunk(consume):
+@pytest.mark.parametrize("consume", [each_block, prefix_masses],
+                         ids=["each-block", "prefix-masses"])
+def test_a_consumer_of_leaf_masses_holds_no_chunk(consume):
     grid = GridSpec((0.0, 1.0), 13, 1, 0)  # 8192 points and leaf cells
-    chunk = 256 * grid.n_cells * 8  # 16.8 MB of leaf masses
-    tracemalloc.start()
-    try:
-        consume(grid, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # beyond the chunk, a fresh simulator's generators and Poisson work
-    # arrays (about 4 MB) and one sub-batch; the prefix sums are taken
-    # in place, and a second chunk would add 16.8 MB
-    assert chunk < peak < 1.5 * chunk
+    peaks = {}
+    for chunk in (256, 8):
+        tracemalloc.start()
+        try:
+            consume(grid, 2, chunk)
+            peaks[chunk] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    rngs = [make_generator(3, i, "t") for i in range(64)]
+    rows = len(next(make_sampler(grid, ATOM).blocks(rngs))[1])
+    # a fresh simulator's generators and Poisson work arrays (about 4
+    # MB) and one sub-batch's point values and leaf masses at either
+    # chunk, and 248 more generators at chunk 256; a chunk of leaf
+    # masses would add 16.8 MB
+    assert peaks[256] - peaks[8] < 8 * rows * (grid.n_points + grid.n_cells)
 
 
 @pytest.mark.parametrize("model", [LOGN, ATOM], ids=["circulant", "poisson"])

@@ -5,12 +5,14 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import idcascade
+from idcascade import config
 from idcascade.cli import main
 from idcascade.config import KEYS
 
@@ -142,22 +144,67 @@ def test_simulate_writes_the_same_bytes_on_one_thread(tmp_path):
     assert len(outputs[0]) == 42 and outputs[0] == outputs[1]
 
 
-def test_simulate_holds_one_chunk_of_leaf_masses(tmp_path):
+def test_simulate_holds_no_chunk_of_leaf_masses(tmp_path):
     import idcascade.cascade  # noqa: F401  (its import is not traced)
-    path = shipped_cfg("atom.ini", tmp_path,
-                       grid={"levels": "13", "oversample": "1"},
-                       experiment={"replicas": "512", "chunk": "256"})
-    chunk = 256 * 2 ** 13 * 8  # 16.8 MB of leaf masses
-    tracemalloc.start()
-    try:
-        assert run("--config", path, "simulate") == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # beyond the chunk, the Poisson draw's generators and work arrays
-    # (about 4 MB); holding the last chunk while drawing the next would
-    # add 16.8 MB
-    assert chunk < peak < 1.5 * chunk
+    from idcascade._rng import make_generator
+    from idcascade.field import make_sampler
+    peaks = {}
+    for chunk in ("256", "8"):
+        path = shipped_cfg("atom.ini", tmp_path, grid={"levels": "12"},
+                           experiment={"replicas": "256", "chunk": chunk})
+        tracemalloc.start()
+        try:
+            assert run("--config", path, "simulate") == 0
+            peaks[chunk] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    cfg = config.load_config(path)
+    grid = cfg.build_grid()  # 16384 points, 4096 leaf cells
+    rngs = [make_generator(3, i, "t") for i in range(64)]
+    rows = len(next(make_sampler(grid, cfg.build_model()).blocks(rngs))[1])
+    # the dumps are written a sampler block at a time: beyond one
+    # block's point values and leaf masses, chunk 256 adds only its 248
+    # more generators, where a chunk of leaf masses would add 8.4 MB
+    assert peaks["256"] - peaks["8"] < 8 * rows * (grid.n_points +
+                                                   grid.n_cells)
+
+
+@pytest.mark.parametrize("name", ["atom.ini", "lognormal.ini"])
+def test_simulate_files_keep_their_bytes_at_any_chunk_and_worker_count(
+        name, tmp_path, monkeypatch):
+    # at levels 9 the lognormal grid's 2048 points draw on the circulant
+    # sampler, whose workers write the dumps; the atom grid's Poisson
+    # sampler draws and writes on the calling thread
+    from idcascade import cascade
+    threads = set()
+    write = cascade.write_masses_binary
+
+    def recording(*args):
+        threads.add(threading.current_thread().name)
+        write(*args)
+    monkeypatch.setattr(cascade, "write_masses_binary", recording)
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(cascade, "pool_size", lambda: workers)
+        for chunk in ("1", "7", "12"):
+            threads.clear()
+            path = shipped_cfg(name, tmp_path, grid={"levels": "9"},
+                               experiment={"replicas": "12",
+                                           "chunk": chunk})
+            assert run("--config", path, "simulate") == 0
+            out = tmp_path / "out"
+            summary = json.loads((out / "summary.json").read_text())
+            del summary["config_hash"]  # the config names the chunk
+            outputs.append((
+                {f.name: f.read_bytes() for f in out.glob("*.bin")},
+                summary, (out / "summary.csv").read_text().split("\n")[1:]))
+            shutil.rmtree(out)
+            pooled = (summary["sampler"] == "circulant" and workers == 2
+                      and chunk != "1")  # one replica draws on one thread
+            assert all(t.startswith("idcascade-worker") == pooled
+                       for t in threads) and threads
+    assert len(outputs[0][0]) == 12
+    assert all(o == outputs[0] for o in outputs)
 
 
 def test_threads_below_one_is_a_config_error(cfg_file, capsys):
@@ -310,6 +357,22 @@ def test_non_positive_chunk_is_a_config_error(tmp_path, capsys):
         assert run("--config", path, "verify") == 2
         assert "experiment.chunk" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_missing_file_while_running_exits_3(tmp_path, capsys,
+                                             monkeypatch):
+    # the output directory removed under a running simulate: a runtime
+    # error, where only a missing --config file is a config error
+    from idcascade import cascade
+    write = cascade.write_masses_binary
+
+    def vanishing(path, *args):
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        write(path, *args)
+    monkeypatch.setattr(cascade, "write_masses_binary", vanishing)
+    path = shipped_cfg("atom.ini", tmp_path)
+    assert run("--config", path, "simulate") == 3
+    assert "runtime error: FileNotFoundError" in capsys.readouterr().err
 
 
 def test_runtime_error_exits_3(tmp_path, capsys):
@@ -474,15 +537,16 @@ def test_console_script_smoke(cfg_file, tmp_path):
     assert proc.stdout.strip().endswith("diagnostics.json")
 
 
-def _scipy_modules_after(launch, *argv):
+def _modules_after(launch, *argv, packages=("scipy",)):
     """Run launch in a fresh interpreter importing this idcascade package,
-    check that it succeeds, and return the list of scipy modules it loaded
-    as printed."""
+    check that it succeeds, and return the list of modules of the
+    packages (scipy, by default) that it loaded, as printed."""
     pkg_root = str(Path(idcascade.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
     report = ("import sys; print(sorted(m for m in sys.modules "
-              "if m.startswith('scipy')))")
+              f"for p in {tuple(packages)!r} "
+              "if m == p or m.startswith(p + '.')))")
     proc = subprocess.run(
         [sys.executable, "-c", f"{launch}\n{report}", *map(str, argv)],
         capture_output=True, text=True, timeout=120, env=env)
@@ -491,7 +555,7 @@ def _scipy_modules_after(launch, *argv):
 
 
 def test_import_loads_no_scipy():
-    assert _scipy_modules_after("import idcascade") == "[]"
+    assert _modules_after("import idcascade") == "[]"
 
 
 @pytest.mark.parametrize("name", ["atom.ini", "lognormal.ini"])
@@ -502,10 +566,25 @@ def test_simulate_loads_no_scipy(name, tmp_path):
     path = shipped_cfg(name, tmp_path)
     launch = ("import sys; from idcascade import cli\n"
               "assert cli.main(sys.argv[1:]) == 0")
-    assert _scipy_modules_after(launch, "--config", path, "theory") == "[]"
+    assert _modules_after(launch, "--config", path, "theory") == "[]"
     assert (tmp_path / "out" / "diagnostics.json").exists()
-    assert _scipy_modules_after(launch, "--config", path, "simulate") == "[]"
+    assert _modules_after(launch, "--config", path, "simulate") == "[]"
     assert len(list((tmp_path / "out").glob("realization_*.bin"))) == 4
-    assert _scipy_modules_after(launch, "--config", path, "verify") == "[]"
+    assert _modules_after(launch, "--config", path, "verify") == "[]"
     assert json.loads((tmp_path / "out" / "verify.json").read_text())[
         "all_passed"]
+
+
+@pytest.mark.parametrize("command,kind", [
+    ("simulate", "moments"), ("verify", "moments"), ("estimate", "moments"),
+    ("estimate", "covariance")])
+def test_drawing_commands_load_no_scipy_or_numpy_ma(command, kind,
+                                                    tmp_path):
+    # numpy.ma, which np.median imports on its first call, takes 8 MB;
+    # 100 replicas are enough for the moments' median of 32 block means
+    path = shipped_cfg("atom.ini", tmp_path,
+                       experiment={"replicas": "100", "kind": kind})
+    launch = ("import sys; from idcascade import cli\n"
+              "assert cli.main(sys.argv[1:]) == 0")
+    assert _modules_after(launch, "--config", path, command,
+                          packages=("scipy", "numpy.ma")) == "[]"

@@ -8,11 +8,30 @@ from idcascade.levy import (MomentDomainError, levy_exponent, lognormal_model,
 from idcascade.moments import (covariance_report, estimate_moment,
                                exact_joint_moment, growth_ratio_probe,
                                hill_tail_report, juxtaposed_pair_moment,
-                               ks_two_sample, moment_pair_exponent,
+                               ks_two_sample, median, moment_pair_exponent,
                                scaling_exponent, scaling_fit)
 
 LOGN = lognormal_model(0.5)
 ATOM = single_atom_model(-math.log(2.0), 1.0)
+
+
+_DRAWS = np.random.default_rng(11).standard_normal(9)
+
+
+@pytest.mark.parametrize("values", [
+    _DRAWS, _DRAWS[:8], [2.0, 1.0, 2.0, 1.0, 3.0], [3.0, 1.0, 3.0, 1.0],
+    [1.0, math.inf, -2.0], [math.inf, -math.inf], [-math.inf, -math.inf],
+    [math.inf, 5.0, -math.inf, 2.0], [1.0, math.nan, 2.0],
+    [math.nan, math.inf], [1.7e308, 1.6e308], [4.5]],
+    ids=["odd", "even", "odd-tied", "even-tied", "inf-odd", "inf-pair",
+         "inf-tied", "inf-even", "nan", "nan-inf", "overflow", "one"])
+def test_median_is_numpys_bit_for_bit(values):
+    # the middle two of an even count are averaged as numpy's mean does
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.median(values)
+    got = median(values)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_pair_exponent_lognormal_is_flat_sigma2():
