@@ -213,92 +213,29 @@ def cmd_simulate(cfg):
     return 0
 
 
-# -- verify checks ----------------------------------------------------------
-
-
-def _check_normalization(cfg, model, grid, seed):
-    from .levy import levy_exponent
-    v0 = levy_exponent(model, 0.0)
-    v1 = levy_exponent(model, 1.0)
-    metric = max(abs(v0), abs(v1))
-    tol = cfg.value("experiment", "normalization_tol")
-    return metric <= tol, {"metric": metric, "tolerance": tol}
-
-
-def _check_areas(cfg, model, grid, seed):
-    from . import cones
-    from ._rng import make_generator
-    tol, count = _experiment(cfg, "areas_tol", "areas_count")
-    rng = make_generator(seed, 0, "verify-areas")
-    worst = 0.0
-    for _ in range(count):
-        L = float(rng.uniform(0.5, 3.0))
-        lo = float(rng.uniform(-2.0, 2.0))
-        I = (lo, lo + L)
-        eps = L * 2.0 ** (-int(rng.integers(2, 9)))
-        t = float(rng.uniform(lo, lo + L))
-        closed = cones.area_local_cone(I, eps)
-        oracle = cones.region_area(cones.local_cone(I, t, eps))
-        worst = max(worst, abs(closed - oracle))
-        s = float(rng.uniform(lo, lo + L))
-        closed = cones.area_pair(I, s, t, eps)
-        region = (cones.PointCone(s, eps) & cones.PointCone(t, eps)) \
-            - cones.IntervalCone(*I)
-        worst = max(worst, abs(closed - cones.region_area(region)))
-    return worst <= tol, {"metric": worst, "tolerance": tol,
-                          "regions": 2 * count}
-
-
-def _check_star(cfg, model, grid, seed):
-    from .cascade import build_realization, decompose_star
-    tol = cfg.value("experiment", "star_tol")
-    worst = 0.0
-    small = type(grid)(grid.interval, max(3, min(grid.levels, 6)),
-                       grid.oversample)
-    for replica in range(4):
-        r = build_realization(model, small, seed=seed, replica=replica,
-                              stream_tag="verify-star")
-        for level in (1, 2):
-            recon = decompose_star(r, level).reconstruct_total()
-            worst = max(worst, abs(recon - r.total_mass) /
-                        max(r.total_mass, 1e-300))
-    return worst <= tol, {"metric": worst, "tolerance": tol}
-
-
-def _check_scaling_ks(cfg, model, grid, seed):
-    from .cascade import scaled_mass_samples, simulate_prefix_masses
-    from .moments import KS_MIN_SAMPLES, ks_two_sample
-    p_min, replicas, chunk = _experiment(cfg, "ks_p_min", "replicas", "chunk")
-    replicas = max(replicas, KS_MIN_SAMPLES)
-    lam = 0.5
-    small = type(grid)(grid.interval, max(2, min(grid.levels, 8)),
-                       grid.oversample, 0)
-    a = simulate_prefix_masses(model, small, seed, replicas, [lam],
-                               chunk=chunk, stream_tag="verify-ks-a")[:, 0]
-    b = scaled_mass_samples(model, small, lam, seed + 1, replicas,
-                            chunk=chunk, stream_tag="verify-ks-b")
-    stat, p = ks_two_sample(a, b)
-    return p >= p_min, {"metric": p, "tolerance": p_min, "statistic": stat,
-                        "replicas": replicas}
-
-
 def cmd_verify(cfg):
+    """Run each check of experiment.checks, an entry of checks.VERIFY."""
+    from .checks import VERIFY
     names = cfg.value("experiment", "checks")
     model = cfg.build_model() if names else None
     grid = cfg.build_grid() if names else None
-    seed = cfg.value("experiment", "seed")
+    seed, replicas, chunk = _experiment(cfg, "seed", "replicas", "chunk")
     results = []
     for name in names:
-        passed, detail = globals()[f"_check_{name}"](cfg, model, grid, seed)
-        results.append({"check": name, "passed": bool(passed), **detail})
-        status = "pass" if passed else "FAIL"
-        print(f"{name}: {status}")
+        statistic, bound, passes = VERIFY[name]
+        if isinstance(bound, str):
+            bound = cfg.value("experiment", bound)
+        metric, detail = statistic(model, grid, seed, replicas, chunk)
+        passed = bool(passes(metric, bound))
+        results.append({"check": name, "passed": passed, "metric": metric,
+                        "tolerance": bound, **detail})
+        print(f"{name}: {'pass' if passed else 'FAIL'}")
     all_passed = all(r["passed"] for r in results)
     _write_report(cfg, "verify", {"checks": results,
                                   "all_passed": all_passed},
                   ("check", "passed", "metric", "tolerance"),
-                  [(r["check"], int(r["passed"]), r.get("metric", ""),
-                    r.get("tolerance", "")) for r in results])
+                  [(r["check"], int(r["passed"]), r["metric"],
+                    r["tolerance"]) for r in results])
     return 0 if all_passed else 1
 
 

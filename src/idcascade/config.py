@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import Dict
 
+from .checks import VERIFY
 from .levy import AtomicJumps, TabulatedJumps, ZeroJumps, build_model
 from .field import GridSpec, truncated_model
 
@@ -100,24 +101,22 @@ def _choice(noun, names):
 
 
 FORMATS = ("csv", "json", "both")
-# The estimate experiments and verify checks, each run by the function of
-# its name in cli: _estimate_<kind>(cfg, model, grid) returns the report's
-# (fields, columns, rows), which cmd_estimate writes to <kind>.json and
-# <kind>.csv; _check_<name>(cfg, model, grid, seed) returns (passed,
-# detail).  "default" selects every check, in this order, and "none" or
-# nothing selects none.
+# The estimate experiments, each run by the function of its name in cli:
+# _estimate_<kind>(cfg, model, grid) returns the report's (fields,
+# columns, rows), which cmd_estimate writes to <kind>.json and
+# <kind>.csv.  The verify checks are checks.VERIFY's names: "default"
+# selects every check, in that order, and "none" or nothing selects none.
 EXPERIMENTS = ("moments", "tail", "scaling", "covariance")
-CHECKS = ("normalization", "areas", "star", "scaling_ks")
 
 
 def _checks(name, raw):
     raw = raw.strip()
     if raw == "default":
-        return list(CHECKS)
+        return list(VERIFY)
     names = ([] if raw == "none" else
              [tok.strip() for tok in raw.split(",") if tok.strip()])
     for check in names:
-        if check not in CHECKS:
+        if check not in VERIFY:
             raise ConfigError(name, f"unknown check {check!r}")
     return names
 
@@ -157,10 +156,6 @@ KEYS = {
         "kind": (_choice("experiment", EXPERIMENTS), "moments"),
         "chunk": (_at_least(1), "256"),
         "checks": (_checks, "default"),
-        "normalization_tol": (_number, "1e-12"),
-        "areas_tol": (_number, "1e-8"),
-        "areas_count": (_at_least(1), "60"),
-        "star_tol": (_number, "1e-10"),
         "ks_p_min": (_number, "0.01"),
         "q_values": (_numbers, None),
         "scale_ratios": (_numbers, "0.5, 0.25, 0.125, 0.0625"),

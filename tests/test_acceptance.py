@@ -14,10 +14,11 @@ import pytest
 
 from idcascade import cones
 from idcascade._rng import make_generator
-from idcascade.cascade import (build_realization, decompose_star,
-                               juxtaposed_total_masses, sample_area_logs,
+from idcascade.cascade import (juxtaposed_total_masses, sample_area_logs,
                                scaled_mass_samples, simulate_prefix_masses,
                                simulate_total_masses)
+from idcascade.checks import (area_defect, normalization_defect, scaling_ks,
+                              star_defect)
 from idcascade.cli import main as cli_main
 from idcascade.field import GridSpec
 from idcascade.levy import (AtomicJumps, TabulatedJumps, build_model,
@@ -43,40 +44,7 @@ def report(num, name, ok, detail):
 
 
 def test_01_cone_areas():
-    rng = make_generator(2026, 0, "acceptance-areas")
-    worst = 0.0
-    for _ in range(50):
-        L = float(rng.uniform(0.5, 3.0))
-        lo = float(rng.uniform(-2.0, 2.0))
-        I = (lo, lo + L)
-        eps = L * 2.0 ** (-int(rng.integers(2, 9)))
-        s = float(rng.uniform(*I))
-        t = float(rng.uniform(*I))
-
-        closed = cones.area_local_cone(I, eps)
-        worst = max(worst, abs(
-            closed - cones.region_area(cones.local_cone(I, t, eps))))
-
-        closed = cones.area_pair(I, s, t, eps)
-        region = (cones.PointCone(s, eps) & cones.PointCone(t, eps)) \
-            - cones.IntervalCone(*I)
-        worst = max(worst, abs(closed - cones.region_area(region)))
-
-        level = int(rng.integers(1, 6))
-        k = int(rng.integers(0, 2 ** level))
-        cell = (lo + L * k * 2.0 ** -level, lo + L * (k + 1) * 2.0 ** -level)
-        closed = cones.area_cell(I, cell)
-        worst = max(worst, abs(
-            closed - cones.region_area(cones.cell_cone(I, cell))))
-
-        gap = float(rng.uniform(0.05, 2.0)) * L
-        J = (I[1] + gap, I[1] + gap + L)
-        u = float(rng.uniform(*J))
-        closed = cones.area_cross(I, J, s, u, eps)
-        region = ((cones.PointCone(s, eps) & cones.PointCone(u, eps))
-                  - cones.IntervalCone(*I)) - cones.IntervalCone(*J)
-        worst = max(worst, abs(closed - cones.region_area(region)))
-
+    worst = area_defect(2026, 50, "acceptance-areas")
     anchor = cones.area_cell((0.0, 1.0), (0.0, 0.5))
     anchor_err = abs(anchor - LOG2)
     ok = worst < 1e-8 and anchor_err < 1e-12
@@ -115,8 +83,7 @@ def test_02_normalization_and_unit_mean():
     worst_pull = 0.0
     for i in range(20):
         model = _random_model(rng)
-        worst_psi = max(worst_psi, abs(levy_exponent(model, 0.0)),
-                        abs(levy_exponent(model, 1.0)))
+        worst_psi = max(worst_psi, normalization_defect(model))
         draws = make_generator(2026, i, "acceptance-q")
         q = np.exp(sample_area_logs(model, LOG2, [draws], 100_000)[0])
         pull = abs(q.mean() - 1.0) / (q.std(ddof=1) / math.sqrt(q.size))
@@ -133,14 +100,8 @@ def test_02_normalization_and_unit_mean():
 
 def test_03_star_identity():
     grid = GridSpec((0.0, 1.0), 6, 2)
-    worst = 0.0
-    for model in (M05, ATOM):
-        for replica in range(1000):
-            r = build_realization(model, grid, seed=3, replica=replica,
-                                  stream_tag="acceptance-star")
-            for level in (1, 2, 3):
-                recon = decompose_star(r, level).reconstruct_total()
-                worst = max(worst, abs(recon - r.total_mass) / r.total_mass)
+    worst = max(star_defect(model, grid, 3, 1000, (1, 2, 3),
+                            "acceptance-star") for model in (M05, ATOM))
     ok = worst < 1e-10
     report(3, "subdivision identity (2 samplers x 1000 replicas)", ok,
            f"worst relative defect = {worst:.3g}")
@@ -181,11 +142,10 @@ def test_05_critical_mixed_moment():
 
 def test_06_exact_scaling_ks():
     grid = GridSpec((0.0, 1.0), 10, 2, 0)
-    pref = simulate_prefix_masses(M05, grid, 1051, 5000, [0.25, 0.5])
-    ps = {}
-    for col, lam in ((1, 0.5), (0, 0.25)):
-        w = scaled_mass_samples(M05, grid, lam, 51, 5000)
-        ps[lam] = ks_two_sample(w, pref[:, col])[1]
+    lams = [0.25, 0.5]
+    ks = scaling_ks(M05, grid, lams, (1051, 51), 5000, 512,
+                    ("cascade", "scaling"))
+    ps = {lam: p for lam, (_, p) in zip(lams, ks)}
     wrong = simulate_prefix_masses(lognormal_model(0.8), grid, 2051, 5000,
                                    [0.5])[:, 0]
     w = scaled_mass_samples(M05, grid, 0.5, 51, 5000)

@@ -75,3 +75,29 @@ def test_benchmark_child_runs_on_the_package(tmp_path):
     checks = {row[0]: row for row in single["checks"]}
     for name in ("binary round trip", "csv round trip"):
         assert checks[name][1:2] == [True] and checks[name][3:] == [2, 0]
+
+
+VERIFY = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from idcascade.cli import main
+assert main(["--config", sys.argv[3], "verify"]) == 0
+print(tracing.layer_totals(tracer)["cones.cross_area_calls"])
+"""
+
+
+def test_verify_areas_counts_its_cross_areas(tmp_path):
+    # the tracer replaces cones.area_cross, and verify's areas check calls
+    # it once for each of its 30 draws
+    src = str(Path(idcascade.__file__).resolve().parents[1])
+    ini = tmp_path / "v.ini"
+    ini.write_text("[model]\nsigma2 = 0.5\n\n[experiment]\nchecks = areas\n\n"
+                   f"[output]\ndirectory = {tmp_path / 'out'}\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", VERIFY, str(ROOT / "perfbench"), src,
+         str(ini)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "30"

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import idcascade
-from idcascade import config
+from idcascade import config, cones
 from idcascade.cli import main
 from idcascade.config import KEYS
 
@@ -232,10 +232,11 @@ def test_verify_pass_fail_and_unknown(cfg_file, tmp_path, capsys):
     payload = json.loads((tmp_path / "v" / "verify.json").read_text())
     assert payload["all_passed"] is True
 
+    # any p-value <= 1 is below a bound of 2
     strict = write_cfg(tmp_path / "strict.ini", tmp_path / "v",
-                       experiment="checks = areas\nareas_tol = 0\n")
+                       experiment="checks = scaling_ks\nks_p_min = 2\n")
     assert run("--config", strict, "verify") == 1
-    assert "areas: FAIL" in capsys.readouterr().out
+    assert "scaling_ks: FAIL" in capsys.readouterr().out
 
     bad = write_cfg(tmp_path / "bad.ini", tmp_path / "v",
                     experiment="checks = nonsense\n")
@@ -429,9 +430,7 @@ MALFORMED = {
     "grid.levels": "x", "grid.oversample": "2.5", "grid.cell_levels": "some",
     "grid.interval_lo": "abc", "grid.interval_hi": "inf",
     "experiment.seed": "-1", "experiment.replicas": "0",
-    "experiment.chunk": "x", "experiment.normalization_tol": "abc",
-    "experiment.areas_tol": "nan", "experiment.scale_ratios": "half",
-    "experiment.star_tol": "abc", "experiment.areas_count": "0",
+    "experiment.chunk": "x", "experiment.scale_ratios": "half",
     "experiment.n_intervals": "x", "experiment.ks_p_min": "nan",
     "experiment.kind": "bogus", "experiment.checks": "nosuch",
     "experiment.q_values": "1, two", "output.formats": "xml",
@@ -469,19 +468,33 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys):
         for command in ("theory", "simulate", "verify", "estimate"):
             assert run("--config", path, command) == 2
             assert f"model.{key}: not finite" in capsys.readouterr().err
-    path = shipped_cfg("atom.ini", tmp_path,
-                       experiment={"normalization_tol": "nan"})
+    path = shipped_cfg("atom.ini", tmp_path, experiment={"ks_p_min": "nan"})
     assert run("--config", path, "verify") == 2
-    assert "experiment.normalization_tol" in capsys.readouterr().err
+    assert "experiment.ks_p_min: not finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-def test_areas_count_must_be_positive(tmp_path, capsys):
+def test_verify_tolerance_keys_are_unknown(tmp_path, capsys):
+    # verify's bounds and sizes are constants of checks.VERIFY, all but
+    # the KS level
+    for key in ("normalization_tol", "areas_tol", "areas_count", "star_tol"):
+        path = write_cfg(tmp_path / "a.ini", tmp_path / "a",
+                         experiment=f"checks = areas\n{key} = 1\n")
+        assert run("--config", path, "verify") == 2
+        assert f"config error: experiment.{key}: unknown key" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("name", ["area_cell", "area_cross"])
+def test_a_broken_closed_form_fails_areas(name, monkeypatch, tmp_path,
+                                          capsys):
+    closed = getattr(cones, name)
+    monkeypatch.setattr(cones, name, lambda *args: closed(*args) + 1e-6)
     path = write_cfg(tmp_path / "a.ini", tmp_path / "a",
-                     experiment="checks = areas\nareas_count = -5\n")
-    assert run("--config", path, "verify") == 2
-    assert "experiment.areas_count" in capsys.readouterr().err
-    assert not (tmp_path / "a").exists()
+                     experiment="checks = areas\n")
+    assert run("--config", path, "verify") == 1
+    assert capsys.readouterr().out == "areas: FAIL\n"
 
 
 def test_scale_ratios_off_the_grid_are_config_errors(tmp_path, capsys):

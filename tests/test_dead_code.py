@@ -4,9 +4,9 @@ that only the tests call shows up here.
 
 A name counts as used when it appears as a name, an attribute, an import
 or a string constant (the tracer wraps methods by their names as strings).
-The subcommand, estimate and check dispatch builds a name from a prefix
-and a key, as f"cmd_{command}", so a name that is two string constants
-joined, such as "cmd_" and "theory", counts as used too.
+The subcommand and estimate dispatch builds a name from a prefix and a
+key, as f"cmd_{command}", so a name that is two string constants joined,
+such as "cmd_" and "theory", counts as used too.
 """
 
 import ast
@@ -16,9 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # module.name -> why it stays without a caller in src/ or perfbench/
 ALLOWED = {
-    "cones.cell_cone": "an oracle region: the region_area of a cell's "
-                       "shared ancestry, which area_cell's closed form is "
-                       "checked against",
     "cones.strip_kernel": "the independent reference that the refinement "
                           "law's test checks against, planned for strip "
                           "draws (ROADMAP items 4 and 5)",
