@@ -25,7 +25,7 @@ import os
 import struct
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -208,7 +208,9 @@ class BatchSimulator:
     for bit on the circulant and Poisson paths, and to the last ulp on
     the dense Gaussian path, whose matrix product changes its BLAS kernel
     with the chunk width.  With n_intervals > 1 each replica is
-    n_intervals adjacent copies of the grid driven by one noise.
+    n_intervals adjacent copies of the grid driven by one noise.  A batch
+    reads leaf masses alone, so whatever cells the grid carries it draws
+    on the sampler of its points (make_sampler at cell_levels = 0).
 
     A chunk is drawn a sampler block at a time (the sampler's blocks):
     a block of CIRCULANT_BLOCK_VALUES normals, a Poisson sub-batch, or,
@@ -248,7 +250,8 @@ class BatchSimulator:
         self.model = model
         self.grid = grid
         self.stream_tag = stream_tag
-        self.sampler = make_sampler(grid, model, n_intervals)
+        self.sampler = make_sampler(replace(grid, cell_levels=0), model,
+                                    n_intervals)
         # per thread: the generators to re-key and the sampler's work arrays
         self._local = threading.local()
 
@@ -580,7 +583,7 @@ def scaled_mass_samples(model, grid, lam, seed, replicas, *, chunk=512,
     k = round(k)
     if k >= grid.levels:
         raise ValueError("scale ratio too small for the grid depth")
-    sub = GridSpec(grid.interval, grid.levels - k, grid.oversample, 0)
+    sub = GridSpec(grid.interval, grid.levels - k, grid.oversample)
     z = simulate_total_masses(model, sub, seed, replicas, chunk=chunk,
                               stream_tag=stream_tag + "-z")
     w = np.empty(replicas)

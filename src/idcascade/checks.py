@@ -87,7 +87,7 @@ def _star(model, grid, seed, replicas, chunk):
 def _scaling_ks(model, grid, seed, replicas, chunk):
     replicas = max(replicas, moments.KS_MIN_SAMPLES)
     small = type(grid)(grid.interval, max(2, min(grid.levels, 8)),
-                       grid.oversample, 0)
+                       grid.oversample)
     [(stat, p)] = scaling_ks(model, small, [0.5], (seed, seed + 1), replicas,
                              chunk, ("verify-ks-a", "verify-ks-b"))
     return p, {"statistic": stat, "replicas": replicas}

@@ -73,10 +73,6 @@ def _string(name, raw):
     return raw
 
 
-def _cell_levels(name, raw):
-    return None if raw == "all" else _integer(name, raw)
-
-
 def _bounded(parse, holds, message):
     """parse, then a ConfigError with message unless holds(value)."""
     def parse_bounded(name, raw):
@@ -131,8 +127,7 @@ KEYS = {
     "model": {
         "sigma2": (_bounded(_number, lambda s: s >= 0, "must be nonnegative"),
                    "0"),
-        "jump_kind": (_choice("kind", ("none", "zero", "atoms", "tabulated")),
-                      "none"),
+        "jump_kind": (_choice("kind", ("none", "atoms", "tabulated")), "none"),
         "atom_locations": (_numbers, None),
         "atom_masses": (_numbers, None),
         "tabulated_x": (_numbers, None),
@@ -145,7 +140,6 @@ KEYS = {
     "grid": {
         "levels": (_integer, "8"),
         "oversample": (_integer, "4"),
-        "cell_levels": (_cell_levels, "all"),
         "interval_lo": (_number, "0"),
         "interval_hi": (_number, "1"),
     },
@@ -203,7 +197,7 @@ class RunConfig:
 
         kind = self.value("model", "jump_kind")
         try:
-            if kind in ("none", "zero"):
+            if kind == "none":
                 nu = ZeroJumps()
             elif kind == "atoms":
                 nu = AtomicJumps(required("atom_locations"),
@@ -231,10 +225,11 @@ class RunConfig:
             raise ConfigError("model.small_jump_cutoff", str(exc)) from exc
 
     def build_grid(self):
+        """The grid's points alone, as every batch draws them."""
         v = {key: self.value("grid", key) for key in KEYS["grid"]}
         try:
             return GridSpec((v["interval_lo"], v["interval_hi"]),
-                            v["levels"], v["oversample"], v["cell_levels"])
+                            v["levels"], v["oversample"], 0)
         except ValueError as exc:
             raise ConfigError("grid", str(exc)) from exc
 

@@ -12,10 +12,10 @@ Exact samplers cover the model classes:
   the regions, built densely and Cholesky-factored once per grid: its
   lower triangle is filled once per attempt and factored in place, its
   strict upper triangle never written, and a failed attempt refills it
-  before the next jitter (fill_gram, _chol_with_jitter).  It
-  serves grids that carry cells, grids below CIRCULANT_MIN_POINTS points,
-  refinement and juxtaposition: n_intervals adjacent copies of a grid
-  driven by one noise, whose Gram holds the copies' points alone,
+  before the next jitter (fill_gram, _chol_with_jitter).  It serves
+  single builds that carry cells, grids below CIRCULANT_MIN_POINTS
+  points, refinement and juxtaposition: n_intervals adjacent copies of
+  a grid driven by one noise, whose Gram holds the copies' points alone,
   (n_intervals * n_points)^2 doubles.
 * Gaussian, circulant embedding: on a points-only grid (cell_levels = 0)
   the covariance depends only on the lag, so it is a Toeplitz matrix and
@@ -54,11 +54,11 @@ block of replicas at a time with blocks(rngs, out=None, work=None)
 sample(rng), consuming the generator in the same order: the Gaussian
 normals of the points first, then the Poisson points, and last the
 Gaussian normals of any carried cells.  So a (seed, replica, stream
-tag) names one realization whichever path draws it.  Its point values do
-not depend on the grid's cell_levels below CIRCULANT_MIN_POINTS points;
-from there a points-only grid uses the circulant embedding, for a
-Gaussian model and for the hybrid's Gaussian part, and a cell-carrying
-grid the dense factor, both exact in law but with different bits.  Every
+tag) names one realization whichever path draws it.  Batches carry no
+cells (cascade.BatchSimulator).  A single build's point values agree
+with a points-only build's to rounding below CIRCULANT_MIN_POINTS
+points; from there a cell-carrying one takes them from the dense factor,
+a points-only one from the circulant embedding, both exact in law.  Every
 sampler names itself (name) and reports its numerical health (health):
 the Cholesky jitter applied or the smallest embedding eigenvalue
 relative to the largest.
@@ -95,10 +95,10 @@ from .levy import ZeroJumps, build_model, jump_drift
 class GridSpec:
     """Simulation grid: base interval, dyadic depth, oversampling.
 
-    cell_levels limits how many cell-weight levels are carried (0 disables
-    cell values entirely, None carries every level 1..levels).  Carrying all
-    levels is the default but inflates the Gaussian Gram matrix; the large
-    batch experiments only need point values and set cell_levels = 0.
+    cell_levels limits how many cell-weight levels a single build carries
+    for its star decomposition and refinement (0: none, None: every level
+    1..levels); each carried level enlarges a dense Gaussian Gram.  Batches
+    draw the points alone whatever cell_levels says (BatchSimulator).
     """
 
     interval: Tuple[float, float] = (0.0, 1.0)
@@ -903,7 +903,7 @@ class HybridFieldSampler:
 
     def sample(self, rng):
         # The point normals, then the jumps, then the cell normals: so the
-        # point values do not depend on how many cell levels are carried.
+        # draws behind the point values do not depend on the carried cells.
         g, gauss = self.grid, self.gauss
         if isinstance(gauss, CirculantGaussianSampler):  # no cells
             point_log, cell_log = gauss.sample(rng).point_log, {}

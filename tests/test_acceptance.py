@@ -271,7 +271,7 @@ def test_12_determinism(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(
         "[model]\nsigma2 = 0.5\njump_kind = none\n\n"
-        "[grid]\nlevels = 4\noversample = 2\ncell_levels = 0\n\n"
+        "[grid]\nlevels = 4\noversample = 2\n\n"
         "[experiment]\nseed = 5\nreplicas = 3\n\n"
         "[output]\nformats = csv\n")
     outs = []

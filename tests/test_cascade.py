@@ -494,6 +494,19 @@ def test_point_log_chunk_rejects_an_out_it_cannot_fill_block_by_block():
     assert out.tobytes() == sim.point_log_chunk(1, 0, 3).tobytes()
 
 
+@pytest.mark.parametrize("model", [LOGN, HYBRID], ids=["gaussian", "hybrid"])
+def test_batches_on_a_cell_carrying_grid_draw_its_points_alone(model):
+    # 2048 points and every cell level: a batch reads leaf masses alone, so
+    # it draws on the circulant embedding, bit for bit as on the points
+    grid = GridSpec((0.0, 1.0), 9, 4)
+    sim = BatchSimulator(model, grid)
+    assert sim.grid is grid
+    assert getattr(sim.sampler, "gauss", sim.sampler).name == "circulant"
+    z = sim.total_masses(3, 40, 16)
+    points = BatchSimulator(model, GridSpec((0.0, 1.0), 9, 4, 0))
+    assert z.tobytes() == points.total_masses(3, 40, 16).tobytes()
+
+
 def test_deep_circulant_total_mass_has_mean_one():
     # 65,536 points: far past what a dense factor could hold
     z = simulate_total_masses(LOGN, GridSpec((0.0, 1.0), 16, 1, 0), 16,

@@ -24,7 +24,6 @@ jump_kind = none
 [grid]
 levels = 4
 oversample = 2
-cell_levels = 0
 
 [experiment]
 seed = 5
@@ -127,6 +126,20 @@ def test_simulate_records_its_sampler(tmp_path):
     assert run("--config", path, "simulate") == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["sampler"] == "hybrid"
+
+
+def test_simulate_draws_a_grid_of_levels_and_oversample_on_the_circulant(
+        tmp_path):
+    # a [grid] of two keys, 2048 points: the batch carries no cells
+    path = write_cfg(tmp_path / "deep.ini", tmp_path / "deep")
+    path.write_text(path.read_text().replace(
+        "levels = 4\noversample = 2", "levels = 9\noversample = 4"))
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(path)
+    assert dict(cp["grid"]) == {"levels": "9", "oversample": "4"}
+    assert run("--config", path, "simulate") == 0
+    summary = json.loads((tmp_path / "deep" / "summary.json").read_text())
+    assert summary["sampler"] == "circulant"
 
 
 def test_simulate_writes_the_same_bytes_on_one_thread(tmp_path):
@@ -293,14 +306,13 @@ def test_config_error_exits_2(tmp_path):
     assert run("--config", bad, "theory") == 2
     ok = write_cfg(tmp_path / "ok.ini", tmp_path / "out")
     assert run("--config", ok, "--seed", -1, "theory") == 2
-    for old, new in (("cell_levels = 0", "cell_levels = x"),
-                     ("jump_kind = none",
+    for old, new in (("jump_kind = none",
                       "jump_kind = none\nsmall_jump_cutoff = abc"),
                      ("jump_kind = none",
                       "jump_kind = none\nsmall_jump_cutoff = 1.5"),
                      ("jump_kind = none",
                       "jump_kind = none\nsubstitute_small = true"),
-                     ("cell_levels = 0", "cell_levels = 0\ninterval = 0, 2")):
+                     ("oversample = 2", "oversample = 2\ninterval = 0, 2")):
         bad.write_text(ok.read_text().replace(old, new))
         assert run("--config", bad, "simulate") == 2
     # a cutoff above the only atom leaves no randomness, on every path
@@ -427,7 +439,7 @@ MALFORMED = {
     "model.tabulated_x": "x", "model.tabulated_density": "1, inf",
     "model.left_rate": "abc", "model.right_rate": "-inf",
     "model.small_jump_cutoff": "abc", "model.substitute_small": "maybe",
-    "grid.levels": "x", "grid.oversample": "2.5", "grid.cell_levels": "some",
+    "grid.levels": "x", "grid.oversample": "2.5",
     "grid.interval_lo": "abc", "grid.interval_hi": "inf",
     "experiment.seed": "-1", "experiment.replicas": "0",
     "experiment.chunk": "x", "experiment.scale_ratios": "half",
@@ -476,12 +488,18 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys):
 
 def test_verify_tolerance_keys_are_unknown(tmp_path, capsys):
     # verify's bounds and sizes are constants of checks.VERIFY, all but
-    # the KS level
-    for key in ("normalization_tol", "areas_tol", "areas_count", "star_tol"):
+    # the KS level; and batches draw no cells, so the grid has no
+    # cell_levels
+    for name in ("experiment.normalization_tol", "experiment.areas_tol",
+                 "experiment.areas_count", "experiment.star_tol",
+                 "grid.cell_levels"):
+        section, key = name.split(".")
         path = write_cfg(tmp_path / "a.ini", tmp_path / "a",
-                         experiment=f"checks = areas\n{key} = 1\n")
+                         experiment="checks = areas\n")
+        path.write_text(path.read_text().replace(
+            f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
         assert run("--config", path, "verify") == 2
-        assert f"config error: experiment.{key}: unknown key" in \
+        assert f"config error: {name}: unknown key" in \
             capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 

@@ -16,7 +16,6 @@ jump_kind = none
 [grid]
 levels = 9
 oversample = 2
-cell_levels = 0
 
 [experiment]
 seed = 123
@@ -47,7 +46,7 @@ def test_defaults_without_file():
     cfg = RunConfig()
     assert cfg.value("experiment", "seed") == 0
     assert cfg.value("experiment", "replicas") == 1
-    assert cfg.build_grid() == GridSpec((0.0, 1.0), 8, 4, None)
+    assert cfg.build_grid() == GridSpec((0.0, 1.0), 8, 4, 0)
     assert cfg.value("output", "formats") == "both"
 
 
@@ -83,10 +82,11 @@ def test_unknown_section_and_bad_values():
     cfg.set("model", "sigma2", "not-a-number")
     with pytest.raises(ConfigError, match="sigma2"):
         cfg.build_model()
-    cfg = parse_config(SAMPLE)
-    cfg.set("model", "jump_kind", "martian")
-    with pytest.raises(ConfigError, match="jump_kind"):
-        cfg.build_model()
+    for kind in ("martian", "zero"):
+        cfg = parse_config(SAMPLE)
+        cfg.set("model", "jump_kind", kind)
+        with pytest.raises(ConfigError, match="model.jump_kind"):
+            cfg.build_model()
     cfg = parse_config(SAMPLE)
     cfg.set("experiment", "replicas", "0")
     with pytest.raises(ConfigError, match="replicas"):
@@ -95,10 +95,8 @@ def test_unknown_section_and_bad_values():
         cfg.set("experiment", "chunk", chunk)
         with pytest.raises(ConfigError, match="experiment.chunk"):
             cfg.value("experiment", "chunk")
-    cfg = parse_config(SAMPLE)
-    cfg.set("grid", "cell_levels", "x")
-    with pytest.raises(ConfigError, match="grid.cell_levels"):
-        cfg.build_grid()
+    with pytest.raises(ConfigError, match="grid.cell_levels: unknown key"):
+        parse_config(SAMPLE.replace("[grid]\n", "[grid]\ncell_levels = 0\n"))
     cfg = parse_config(SAMPLE)
     cfg.set("model", "small_jump_cutoff", "abc")
     with pytest.raises(ConfigError, match="model.small_jump_cutoff"):

@@ -401,7 +401,9 @@ def test_make_sampler_shares_one_read_only_sampler():
     model = lognormal_model(0.5)
     dense = make_sampler(g, model)
     assert make_sampler(GridSpec([0, 1], 3, 2), lognormal_model(0.5)) is dense
-    assert BatchSimulator(model, g).sampler is make_sampler(g, model)
+    # a batch draws on the cached sampler of the grid's points alone
+    points = GridSpec((0.0, 1.0), 3, 2, 0)
+    assert BatchSimulator(model, g).sampler is make_sampler(points, model)
     circ = make_sampler(GridSpec((0.0, 1.0), 10, 2, 0), model)
     atom = make_sampler(g, single_atom_model(-0.5, 1.0))
     tab = make_sampler(g, build_model(0.0, TabulatedJumps(
