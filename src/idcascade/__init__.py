@@ -42,10 +42,12 @@ from .moments import (  # noqa: F401
     exact_joint_moment,
     growth_ratio_probe,
     hill_tail_report,
+    juxtaposed_covariance_series,
     ks_two_sample,
     moment_pair_exponent,
     scaling_exponent,
     scaling_fit,
+    selberg_moment,
 )
 from .config import (  # noqa: F401
     ConfigError,

@@ -15,7 +15,6 @@ the structural facts the engine exists to verify:
   matched relative truncation.
 """
 
-import contextlib
 import functools
 import hashlib
 import itertools
@@ -131,10 +130,12 @@ def build_realization(model, grid, rng=None, *, seed=None, replica=0,
 
 # The pool that pooled batches draw on (BatchSimulator), as (size,
 # executor): started by the first batch that needs a second worker, and
-# again at another size.  _workers is batch_workers' count; None means
-# every usable CPU.
+# again at another size.
 _pool = None
-_workers = None
+
+# Replicas per chunk of the command line's batches, verify's among them.
+# Only the dense paths' bits depend on it, through the product's width.
+RUN_CHUNK = 256
 
 
 # Runs per worker that a pooled chunk is split into, taken by the workers
@@ -155,26 +156,9 @@ def usable_cpus():
 
 
 def pool_size():
-    """Workers of a pooled batch: batch_workers' count, capped at the
-    usable CPUs, or every usable CPU."""
-    cpus = len(usable_cpus())
-    return cpus if _workers is None else min(_workers, cpus)
-
-
-@contextlib.contextmanager
-def batch_workers(n):
-    """Pooled batches in the block draw on n workers, at most the usable
-    CPUs (pool_size); n = None leaves the setting as it is.  Starts no
-    thread: the pool starts with the first batch that needs it."""
-    global _workers
-    if n is not None and n < 1:
-        raise ValueError(f"workers must be >= 1, got {n}")
-    previous = _workers
-    _workers = previous if n is None else n
-    try:
-        yield
-    finally:
-        _workers = previous
+    """Workers of a pooled batch: every usable CPU.  Restrict the CPUs
+    through the process's affinity (taskset, say) to use fewer."""
+    return len(usable_cpus())
 
 
 def _pin(cpus, counter):
@@ -229,7 +213,7 @@ class BatchSimulator:
 
     A pooled sampler's chunk (only the circulant embedding's) is split
     into RUNS_PER_WORKER contiguous runs of replicas per worker
-    (pool_size: every usable CPU unless batch_workers says fewer), which
+    (pool_size: every usable CPU of the process's affinity), which
     the workers take in turn; each worker draws a run with its own
     generators and work arrays and writes or reduces it into its rows of
     the chunk's output, calling each on its own blocks.  numpy's FFT and
@@ -240,8 +224,10 @@ class BatchSimulator:
     2-vCPU host drew 5582 replicas/s against 3438 on one thread (medians
     of 10 paired runs), for 2.4% more peak RSS (85.5 against 83.6 MB).
     The other samplers draw on the calling thread.  The Poisson draws
-    hold the GIL in many small numpy calls: 2000 replicas at 4096 points
-    took 0.284 s on two workers against 0.286 s on one (medians of 6).
+    hold the GIL in many small numpy calls: on the same host, in chunks
+    of 256, verify's scaling_ks draws at 1024 points took 0.67 s on two
+    workers against 0.46 s on one, and 2000 replicas at 4096 points
+    0.289 s against 0.319 s (medians of 12 and 20 alternating runs).
     The dense product's bits depend on its width, and BLAS may run
     threads of its own.
     """

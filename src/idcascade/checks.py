@@ -70,32 +70,32 @@ def scaling_ks(model, grid, fractions, seeds, replicas, chunk, tags):
         for col, lam in enumerate(fractions)]
 
 
-def _normalization(model, grid, seed, replicas, chunk):
+def _normalization(model, grid, seed, replicas):
     return normalization_defect(model), {}
 
 
-def _areas(model, grid, seed, replicas, chunk):
+def _areas(model, grid, seed, replicas):
     return area_defect(seed, 30, "verify-areas"), {"regions": 120}
 
 
-def _star(model, grid, seed, replicas, chunk):
+def _star(model, grid, seed, replicas):
     small = type(grid)(grid.interval, max(3, min(grid.levels, 6)),
                        grid.oversample)
     return star_defect(model, small, seed, 4, (1, 2), "verify-star"), {}
 
 
-def _scaling_ks(model, grid, seed, replicas, chunk):
+def _scaling_ks(model, grid, seed, replicas):
     replicas = max(replicas, moments.KS_MIN_SAMPLES)
     small = type(grid)(grid.interval, max(2, min(grid.levels, 8)),
                        grid.oversample)
     [(stat, p)] = scaling_ks(model, small, [0.5], (seed, seed + 1), replicas,
-                             chunk, ("verify-ks-a", "verify-ks-b"))
+                             cascade.RUN_CHUNK, ("verify-ks-a", "verify-ks-b"))
     return p, {"statistic": stat, "replicas": replicas}
 
 
 # verify's checks in the order "default" runs them: name -> (statistic,
-# bound, passes).  statistic(model, grid, seed, replicas, chunk) returns
-# the metric at verify's sizes and the report's other fields; the check
+# bound, passes).  statistic(model, grid, seed, replicas) returns the
+# metric at verify's sizes and the report's other fields; the check
 # passes when passes(metric, bound).  A string bound names the experiment
 # key that holds it.
 VERIFY = {

@@ -2,16 +2,10 @@
 
 Subcommands: theory (closed-form diagnostics), simulate (replica files),
 verify (invariant suite), estimate (statistical reports).  Configuration
-comes from an INI-style file; the global flags --seed, --threads, --out and
---format override it.  Exit codes: 0 success, 1 failed verification check,
-2 configuration error, 3 runtime/sampler error.
-
---threads N runs the batches of the circulant Gaussian sampler on N worker
-threads, at most the usable CPUs, for the duration of the command; without
-it they run on every usable CPU (cascade.batch_workers).  The other
-samplers draw on the calling thread, and the outputs are the same at any
-N.  The flag does not touch the BLAS or OpenMP thread counts, which are
-fixed once numpy loads.
+comes from an INI-style file; the global flags --seed, --out and --format
+override it.  Exit codes: 0 success, 1 failed verification check, 2
+configuration error, 3 runtime/sampler error.  Every batch draws
+cascade.RUN_CHUNK replicas at a time (cascade.pool_size: its workers).
 """
 
 import argparse
@@ -31,11 +25,6 @@ def _build_parser():
                     "scale-invariant log-infinitely divisible cascades")
     p.add_argument("--config", help="path to an INI-style run configuration")
     p.add_argument("--seed", type=int, help="override experiment.seed")
-    p.add_argument("--threads", type=int, metavar="N",
-                   help="draw circulant Gaussian batches on N worker "
-                        "threads, at most the usable CPUs (default: all "
-                        "of them); other samplers draw on one thread, and "
-                        "the outputs do not depend on N")
     p.add_argument("--out", help="override output.directory")
     p.add_argument("--format", choices=config.FORMATS,
                    help="override output.formats")
@@ -48,11 +37,17 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    # argparse would name the value after an unknown option as a bad command
+    options = [o for action in parser._actions for o in action.option_strings]
+    unknown = [a for a in (sys.argv[1:] if argv is None else argv)
+               if a.startswith("--")
+               and not any(o.startswith(a.split("=")[0]) for o in options)]
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = parser.parse_args(argv)
 
     try:
-        if args.threads is not None and args.threads < 1:
-            raise config.ConfigError("--threads", "must be at least 1")
         try:
             cfg = (config.load_config(args.config) if args.config
                    else config.RunConfig())
@@ -68,9 +63,7 @@ def main(argv=None):
             cfg.set("output", "formats", args.format)
         cfg.check()  # before anything is drawn or written
         _check_outdir(cfg)
-        from .cascade import batch_workers
-        with batch_workers(args.threads):
-            return globals()[f"cmd_{args.command}"](cfg)
+        return globals()[f"cmd_{args.command}"](cfg)
     except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -185,10 +178,11 @@ def cmd_theory(cfg):
 
 
 def cmd_simulate(cfg):
-    from .cascade import BatchSimulator, model_digest, write_masses_binary
+    from .cascade import (RUN_CHUNK, BatchSimulator, model_digest,
+                          write_masses_binary)
     model = cfg.build_model()
     grid = cfg.build_grid()
-    seed, replicas, chunk = _experiment(cfg, "seed", "replicas", "chunk")
+    seed, replicas = _experiment(cfg, "seed", "replicas")
     outdir = _outdir(cfg)
     fmt = cfg.value("output", "formats")
     sim = BatchSimulator(model, grid)
@@ -200,7 +194,7 @@ def cmd_simulate(cfg):
                 os.path.join(outdir, f"realization_{j:06d}.bin"),
                 grid, digest, c)
     progress = _Progress(replicas)
-    totals = sim.total_masses(seed, replicas, chunk, progress, dump)
+    totals = sim.total_masses(seed, replicas, RUN_CHUNK, progress, dump)
     progress.finish()
     _write_report(cfg, "summary", {
         "replicas": replicas,
@@ -219,13 +213,13 @@ def cmd_verify(cfg):
     names = cfg.value("experiment", "checks")
     model = cfg.build_model() if names else None
     grid = cfg.build_grid() if names else None
-    seed, replicas, chunk = _experiment(cfg, "seed", "replicas", "chunk")
+    seed, replicas = _experiment(cfg, "seed", "replicas")
     results = []
     for name in names:
         statistic, bound, passes = VERIFY[name]
         if isinstance(bound, str):
             bound = cfg.value("experiment", bound)
-        metric, detail = statistic(model, grid, seed, replicas, chunk)
+        metric, detail = statistic(model, grid, seed, replicas)
         passed = bool(passes(metric, bound))
         results.append({"check": name, "passed": passed, "metric": metric,
                         "tolerance": bound, **detail})
@@ -255,16 +249,17 @@ def cmd_estimate(cfg):
 
 def _draw(cfg, model, grid, batch, **kw):
     """The sampler's report fields and cascade.<batch>(model, grid, **kw)
-    at the configured seed, replicas and chunk, drawn with progress.
+    at the configured seed and replicas, drawn with progress.
     make_sampler builds the sampler before any draw, and the batch reuses
     it from its cache."""
     from . import cascade
     from .field import make_sampler
     sampler = make_sampler(grid, model, kw.get("n_intervals", 1))
-    seed, replicas, chunk = _experiment(cfg, "seed", "replicas", "chunk")
+    seed, replicas = _experiment(cfg, "seed", "replicas")
     progress = _Progress(replicas)
     out = getattr(cascade, batch)(model, grid, seed=seed, replicas=replicas,
-                                  chunk=chunk, progress=progress, **kw)
+                                  chunk=cascade.RUN_CHUNK, progress=progress,
+                                  **kw)
     progress.finish()
     return {"sampler": sampler.name, "sampler_health": sampler.health}, out
 

@@ -148,7 +148,6 @@ KEYS = {
                           "must be an unsigned 64-bit integer"), "0"),
         "replicas": (_at_least(1), "1"),
         "kind": (_choice("experiment", EXPERIMENTS), "moments"),
-        "chunk": (_at_least(1), "256"),
         "checks": (_checks, "default"),
         "ks_p_min": (_number, "0.01"),
         "q_values": (_numbers, None),

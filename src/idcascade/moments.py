@@ -119,6 +119,28 @@ def exact_joint_moment(model, blocks):
     return JointMomentResult(scale * v1, abs(scale * (v1 - v2)), n)
 
 
+def selberg_moment(sigma2, n):
+    """E Z^n of the lognormal cascade's total mass on its integral scale,
+    in closed form by Selberg's integral (Forrester & Warnaar, Bull. AMS
+    2008): Z is Gaussian multiplicative chaos on the unit interval, and
+
+        E Z^n = prod_{j<n} G(1 - ja)^2 G(1 - (j+1)a)
+                           / [G(2 - (n+j-1)a) G(1 - a)],   a = sigma2 / 2,
+
+    with G the gamma function.  Raises MomentDomainError for n >= 2 /
+    sigma2, the tail index, where the moment is infinite."""
+    n, a = int(n), float(sigma2) / 2.0
+    if n < 0 or a < 0.0:
+        raise ValueError("needs n >= 0 and sigma2 >= 0")
+    if n * a >= 1.0:
+        raise MomentDomainError(f"E Z^{n} is infinite: n >= 2 / sigma2 = "
+                                f"{1.0 / a:.6g}")
+    g = math.lgamma
+    return math.exp(sum(2.0 * g(1.0 - j * a) + g(1.0 - (j + 1) * a)
+                        - g(2.0 - (n + j - 1) * a) - g(1.0 - a)
+                        for j in range(n)))
+
+
 def _unit_gauss(n):
     """Gauss-Legendre nodes and weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
@@ -242,6 +264,20 @@ def juxtaposed_pair_moment(model, gap):
     area = cones.cross_kernel(I, J, s, t, point, point, _CROSS_CUT)[:, 0]
     cov = float(weights.ravel() @ np.expm1(psi2 * area))
     return cov, cov + 1.0
+
+
+def juxtaposed_covariance_series(model, gap):
+    """The first three terms of juxtaposed_pair_moment's covariance in
+    1/gap: with p = psi(2), the kernel's area is s (1 - v) / gap^2 +
+    O(gap^-3) for s in [0, 1] and t = gap + v, and term by term
+
+        Cov(gap) = p / (4 gap^2) - p / (6 gap^3)
+                   + (p / 6 + p^2 / 18) / gap^4 + O(gap^-5),
+
+    so gap * Cov has no nonzero limit."""
+    p, g = levy_exponent(model, 2.0), float(gap)
+    return p / (4.0 * g ** 2) - p / (6.0 * g ** 3) + (
+        p / 6.0 + p * p / 18.0) / g ** 4
 
 
 # ---------------------------------------------------------------------------

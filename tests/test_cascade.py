@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -298,7 +297,7 @@ def test_circulant_batches_keep_their_bytes_on_two_workers(
         assert z.tobytes() == one[1].tobytes()
 
 
-def test_circulant_totals_keep_their_pinned_values():
+def test_circulant_totals_keep_their_pinned_values(monkeypatch):
     # numpy's FFT, unlike the dense path's matrix product, gives the same
     # bits at any BLAS thread count, chunk width and worker count
     assert make_sampler(CIRCULANT_GRID, LOGN).name == "circulant"
@@ -309,11 +308,11 @@ def test_circulant_totals_keep_their_pinned_values():
         "0x1.4d011eac44253p-4",
     ]
     for workers in (1, 2):
-        with cascade.batch_workers(workers):
-            for chunk in (1, 4, 10):
-                z = simulate_total_masses(LOGN, CIRCULANT_GRID, 5, 10,
-                                          chunk=chunk)
-                assert [v.hex() for v in z.tolist()] == want
+        monkeypatch.setattr(cascade, "pool_size", lambda: workers)
+        for chunk in (1, 4, 10):
+            z = simulate_total_masses(LOGN, CIRCULANT_GRID, 5, 10,
+                                      chunk=chunk)
+            assert [v.hex() for v in z.tolist()] == want
 
 
 @pytest.mark.parametrize("model,grid", [
@@ -355,13 +354,6 @@ def test_unpooled_batches_start_no_worker(model, grid, copies, monkeypatch):
     sim.total_masses(1, 12, 6, each=lambda start, cells: None)
 
 
-def test_workers_above_the_usable_cpus_are_capped():
-    before = threading.active_count()
-    with cascade.batch_workers(10 ** 6):
-        assert cascade.pool_size() == len(cascade.usable_cpus())
-    assert threading.active_count() == before
-
-
 def test_import_starts_no_thread_and_no_futures():
     pkg_root = os.path.dirname(os.path.dirname(cascade.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -397,20 +389,21 @@ def test_two_worker_circulant_chunk_memory_is_its_output_plus_a_block_each(
 @pytest.mark.parametrize("model,copies,replicas",
                          [(LOGN, 1, 600), (ATOM, 1, 600), (ATOM, 4, 200)],
                          ids=["circulant", "poisson", "juxtaposed-poisson-4"])
-def test_total_masses_hold_no_chunk_of_leaf_masses(model, copies, replicas):
+def test_total_masses_hold_no_chunk_of_leaf_masses(model, copies, replicas,
+                                                    monkeypatch):
     grid = GridSpec((0.0, 1.0), 10, 4, 0)  # 4096 points, 1024 leaf cells
     peaks = {}
-    with cascade.batch_workers(2):
-        for chunk in (2000, 16):
-            sim = BatchSimulator(model, grid, n_intervals=copies)
-            sim.total_masses(1, replicas, chunk)  # generators, work arrays
-            tracemalloc.start()
-            try:
-                out = sim.total_masses(2, replicas, chunk)
-                peaks[chunk] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        workers = cascade.pool_size() if sim.sampler.pooled else 1
+    monkeypatch.setattr(cascade, "pool_size", lambda: 2)
+    for chunk in (2000, 16):
+        sim = BatchSimulator(model, grid, n_intervals=copies)
+        sim.total_masses(1, replicas, chunk)  # generators, work arrays
+        tracemalloc.start()
+        try:
+            out = sim.total_masses(2, replicas, chunk)
+            peaks[chunk] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    workers = cascade.pool_size() if sim.sampler.pooled else 1
     rngs = [make_generator(3, i, "t") for i in range(64)]
     rows = len(next(sim.sampler.blocks(rngs))[1])
     # a block's point values, their exp and its leaf masses, and on the
@@ -458,22 +451,23 @@ def test_a_consumer_of_leaf_masses_holds_no_chunk(consume):
 
 
 @pytest.mark.parametrize("model", [LOGN, ATOM], ids=["circulant", "poisson"])
-def test_a_chunks_consumer_holds_one_chunk_of_point_values(model):
+def test_a_chunks_consumer_holds_one_chunk_of_point_values(model,
+                                                           monkeypatch):
     grid = GridSpec((0.0, 1.0), 10, 4, 0)  # 4096 points, 1024 leaf cells
     peaks = {}
-    with cascade.batch_workers(2):
-        sim = BatchSimulator(model, grid)
-        for _ in sim.chunks(1, 256, 256):  # generators, work arrays
-            pass
-        for chunk in (128, 256):
-            tracemalloc.start()
-            try:
-                # the benchmark's loop, keeping none of the masses
-                for _, pl in sim.chunks(2, 512, chunk):
-                    masses_from_point_log(grid, pl)
-                peaks[chunk] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    monkeypatch.setattr(cascade, "pool_size", lambda: 2)
+    sim = BatchSimulator(model, grid)
+    for _ in sim.chunks(1, 256, 256):  # generators, work arrays
+        pass
+    for chunk in (128, 256):
+        tracemalloc.start()
+        try:
+            # the benchmark's loop, keeping none of the masses
+            for _, pl in sim.chunks(2, 512, chunk):
+                masses_from_point_log(grid, pl)
+            peaks[chunk] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     # one more chunk of point values, and of leaf masses while it is
     # reduced: 1.25 times the 4.2 MB by which a chunk of point values
     # grows; holding the previous chunk during a draw makes it twice that

@@ -98,9 +98,10 @@ def test_simulate_outputs_and_reruns_identically(cfg_file, tmp_path):
     assert second.decode().splitlines()[2:] == first.decode().splitlines()[2:]
 
 
-def test_progress_reports_count_and_rate(tmp_path, capsys):
-    path = write_cfg(tmp_path / "p.ini", tmp_path / "p",
-                     experiment="chunk = 2\n")
+def test_progress_reports_count_and_rate(tmp_path, capsys, monkeypatch):
+    from idcascade import cascade
+    monkeypatch.setattr(cascade, "RUN_CHUNK", 2)
+    path = write_cfg(tmp_path / "p.ini", tmp_path / "p")
     assert run("--config", path, "simulate") == 0
     err = capsys.readouterr().err
     # a tick per chunk of 2 and the closing line, each rewriting one line
@@ -142,29 +143,33 @@ def test_simulate_draws_a_grid_of_levels_and_oversample_on_the_circulant(
     assert summary["sampler"] == "circulant"
 
 
-def test_simulate_writes_the_same_bytes_on_one_thread(tmp_path):
+def test_simulate_writes_the_same_bytes_on_one_thread(tmp_path,
+                                                      monkeypatch):
     # 2048 points: the circulant sampler, whose batches run on the workers
-    path = write_cfg(tmp_path / "deep.ini", tmp_path / "deep",
-                     experiment="chunk = 16\n")
+    from idcascade import cascade
+    monkeypatch.setattr(cascade, "RUN_CHUNK", 16)
+    path = write_cfg(tmp_path / "deep.ini", tmp_path / "deep")
     path.write_text(path.read_text().replace("levels = 4", "levels = 10")
                     .replace("replicas = 3", "replicas = 40"))
     outputs = []
-    for threads in (["--threads", "1"], []):
-        assert run(*threads, "--config", path, "simulate") == 0
+    for workers in (lambda: 1, cascade.pool_size):
+        monkeypatch.setattr(cascade, "pool_size", workers)
+        assert run("--config", path, "simulate") == 0
         outputs.append({f.name: f.read_bytes()
                         for f in (tmp_path / "deep").iterdir()})
         shutil.rmtree(tmp_path / "deep")
     assert len(outputs[0]) == 42 and outputs[0] == outputs[1]
 
 
-def test_simulate_holds_no_chunk_of_leaf_masses(tmp_path):
-    import idcascade.cascade  # noqa: F401  (its import is not traced)
+def test_simulate_holds_no_chunk_of_leaf_masses(tmp_path, monkeypatch):
+    from idcascade import cascade  # its import is not traced
     from idcascade._rng import make_generator
     from idcascade.field import make_sampler
     peaks = {}
-    for chunk in ("256", "8"):
+    for chunk in (256, 8):
+        monkeypatch.setattr(cascade, "RUN_CHUNK", chunk)
         path = shipped_cfg("atom.ini", tmp_path, grid={"levels": "12"},
-                           experiment={"replicas": "256", "chunk": chunk})
+                           experiment={"replicas": "256"})
         tracemalloc.start()
         try:
             assert run("--config", path, "simulate") == 0
@@ -178,7 +183,7 @@ def test_simulate_holds_no_chunk_of_leaf_masses(tmp_path):
     # the dumps are written a sampler block at a time: beyond one
     # block's point values and leaf masses, chunk 256 adds only its 248
     # more generators, where a chunk of leaf masses would add 8.4 MB
-    assert peaks["256"] - peaks["8"] < 8 * rows * (grid.n_points +
+    assert peaks[256] - peaks[8] < 8 * rows * (grid.n_points +
                                                    grid.n_cells)
 
 
@@ -199,32 +204,35 @@ def test_simulate_files_keep_their_bytes_at_any_chunk_and_worker_count(
     outputs = []
     for workers in (1, 2):
         monkeypatch.setattr(cascade, "pool_size", lambda: workers)
-        for chunk in ("1", "7", "12"):
+        for chunk in (1, 7, 12):
+            monkeypatch.setattr(cascade, "RUN_CHUNK", chunk)
             threads.clear()
             path = shipped_cfg(name, tmp_path, grid={"levels": "9"},
-                               experiment={"replicas": "12",
-                                           "chunk": chunk})
+                               experiment={"replicas": "12"})
             assert run("--config", path, "simulate") == 0
             out = tmp_path / "out"
             summary = json.loads((out / "summary.json").read_text())
-            del summary["config_hash"]  # the config names the chunk
             outputs.append((
                 {f.name: f.read_bytes() for f in out.glob("*.bin")},
                 summary, (out / "summary.csv").read_text().split("\n")[1:]))
             shutil.rmtree(out)
             pooled = (summary["sampler"] == "circulant" and workers == 2
-                      and chunk != "1")  # one replica draws on one thread
+                      and chunk != 1)  # one replica draws on one thread
             assert all(t.startswith("idcascade-worker") == pooled
                        for t in threads) and threads
     assert len(outputs[0][0]) == 12
     assert all(o == outputs[0] for o in outputs)
 
 
-def test_threads_below_one_is_a_config_error(cfg_file, capsys):
-    for threads in ("0", "-2"):
-        assert run("--threads", threads, "--config", cfg_file,
-                   "theory") == 2
-        assert "--threads" in capsys.readouterr().err
+def test_threads_is_a_usage_error(cfg_file, tmp_path, capsys):
+    # the process's CPU affinity sets the workers: the flag is named and
+    # rejected before anything is written
+    for threads in ("1", "0"):
+        with pytest.raises(SystemExit) as exc:
+            run("--config", cfg_file, "--threads", threads, "theory")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_flag_changes_rows(cfg_file, tmp_path):
@@ -355,20 +363,23 @@ def test_substitute_without_cutoff_is_a_config_error(tmp_path, capsys):
     assert "model.substitute_small" in capsys.readouterr().err
 
 
-def test_non_positive_chunk_is_a_config_error(tmp_path, capsys):
-    # caught before any replica is drawn or written, on every batch path
-    for chunk in ("0", "-1"):
+def test_chunk_is_an_unknown_key(tmp_path, capsys):
+    # every batch draws cascade.RUN_CHUNK replicas at a time: caught
+    # before any replica is drawn or written, on every subcommand
+    for chunk in ("8", "0"):
         for kind in ("moments", "tail", "scaling", "covariance"):
             path = shipped_cfg("atom.ini", tmp_path,
                                experiment={"chunk": chunk, "kind": kind})
-            for command in ("simulate", "estimate"):
+            for command in ("theory", "simulate", "estimate"):
                 assert run("--config", path, command) == 2
-                assert "experiment.chunk" in capsys.readouterr().err
+                assert "config error: experiment.chunk: unknown key" in \
+                    capsys.readouterr().err
         # verify's scaling check draws batches too
         path = shipped_cfg("atom.ini", tmp_path, experiment={
             "chunk": chunk, "checks": "scaling_ks"})
         assert run("--config", path, "verify") == 2
-        assert "experiment.chunk" in capsys.readouterr().err
+        assert "config error: experiment.chunk: unknown key" in \
+            capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -442,7 +453,7 @@ MALFORMED = {
     "grid.levels": "x", "grid.oversample": "2.5",
     "grid.interval_lo": "abc", "grid.interval_hi": "inf",
     "experiment.seed": "-1", "experiment.replicas": "0",
-    "experiment.chunk": "x", "experiment.scale_ratios": "half",
+    "experiment.scale_ratios": "half",
     "experiment.n_intervals": "x", "experiment.ks_p_min": "nan",
     "experiment.kind": "bogus", "experiment.checks": "nosuch",
     "experiment.q_values": "1, two", "output.formats": "xml",
@@ -559,10 +570,14 @@ def test_console_script_smoke(cfg_file, tmp_path):
     pkg_root = str(Path(idcascade.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
-    launch = f"import sys; from {module} import {func}; sys.exit({func}())"
+    # on one CPU, as taskset would run it: the affinity sets the workers
+    one_cpu = ("import os\nif hasattr(os, 'sched_setaffinity'): "
+               "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n")
+    launch = (f"{one_cpu}import sys; from {module} import {func}; "
+              f"sys.exit({func}())")
     proc = subprocess.run(
         [sys.executable, "-c", launch,
-         "--config", str(cfg_file), "--threads", "1", "theory"],
+         "--config", str(cfg_file), "theory"],
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().endswith("diagnostics.json")

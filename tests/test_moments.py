@@ -7,9 +7,11 @@ from idcascade.levy import (MomentDomainError, levy_exponent, lognormal_model,
                             nu_integral, single_atom_model)
 from idcascade.moments import (covariance_report, estimate_moment,
                                exact_joint_moment, growth_ratio_probe,
-                               hill_tail_report, juxtaposed_pair_moment,
-                               ks_two_sample, median, moment_pair_exponent,
-                               scaling_exponent, scaling_fit)
+                               hill_tail_report,
+                               juxtaposed_covariance_series,
+                               juxtaposed_pair_moment, ks_two_sample, median,
+                               moment_pair_exponent, scaling_exponent,
+                               scaling_fit, selberg_moment)
 
 LOGN = lognormal_model(0.5)
 ATOM = single_atom_model(-math.log(2.0), 1.0)
@@ -99,6 +101,42 @@ def test_exact_joint_moment_domain_and_validation():
         exact_joint_moment(LOGN, [((0.0, 0.5), 1.5)])
     with pytest.raises(ValueError):
         exact_joint_moment(LOGN, [((0.0, 2.0), 1)])
+
+
+def test_selberg_moment_closed_values():
+    # sigma2 = 0.5: E Z^2 = 8/3 and E Z^3 = 8 pi; E Z^0 = E Z^1 = 1
+    assert selberg_moment(0.5, 2) == pytest.approx(8.0 / 3.0, rel=1e-14)
+    assert selberg_moment(0.5, 3) == pytest.approx(8.0 * math.pi, rel=1e-14)
+    for sigma2 in (0.0, 0.3, 1.5):
+        assert selberg_moment(sigma2, 0) == 1.0
+        assert selberg_moment(sigma2, 1) == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("sigma2,n", [(0.1, 2), (0.2, 2), (0.3, 2),
+                                      (0.5, 2), (0.5, 3)])
+def test_selberg_moment_matches_exact_joint_moment(sigma2, n):
+    # within the quadrature's own two-resolution error estimate
+    r = exact_joint_moment(lognormal_model(sigma2), [((0.0, 1.0), n)])
+    assert abs(selberg_moment(sigma2, n) - r.value) <= r.error
+
+
+def test_selberg_moment_domain():
+    # the tail index is 2 / sigma2: 4 at sigma2 = 0.5, 2 at sigma2 = 1
+    for sigma2, n in ((0.5, 4), (0.5, 5), (1.0, 2)):
+        with pytest.raises(MomentDomainError):
+            selberg_moment(sigma2, n)
+    assert selberg_moment(1.0, 1) == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(ValueError):
+        selberg_moment(0.5, -1)
+
+
+@pytest.mark.parametrize("model", [ATOM, LOGN], ids=["atom", "lognormal"])
+def test_juxtaposed_covariance_series_pins_the_pair_moment(model):
+    # three terms in 1/gap leave a relative remainder of about 0.6 / gap^3
+    for gap in (8, 16, 32, 64):
+        cov = juxtaposed_pair_moment(model, gap)[0]
+        assert juxtaposed_covariance_series(model, gap) == pytest.approx(
+            cov, rel=gap ** -3.0)
 
 
 def test_juxtaposed_pair_moment_frozen_oracle():
