@@ -42,6 +42,7 @@ from .moments import (  # noqa: F401
     exact_joint_moment,
     growth_ratio_probe,
     hill_tail_report,
+    implicit_renewal_constant,
     juxtaposed_covariance_series,
     ks_two_sample,
     moment_pair_exponent,

@@ -481,7 +481,7 @@ def _refine_gaussian(realization, fine, rng):
                zip(_gram_objects(g), _gram_objects(fine, new_levels))]
     mean = -0.5 * sigma2 * footprint_areas(g.length, objects)
     chol, _ = _chol_with_jitter(
-        lambda out: fill_gram(out, sigma2, g.length, [(g.interval, objects)]),
+        lambda out: fill_gram(out, sigma2, g.length, objects),
         mean.size)
     x_old = np.concatenate([old.point_log] +
                            [old.cell_log[lev] for lev in g.carried_levels])

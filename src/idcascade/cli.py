@@ -327,21 +327,15 @@ def _estimate_scaling(cfg, model, grid):
 
 
 def _estimate_covariance(cfg, model, grid):
-    from .field import field_kind
     from .moments import covariance_report
-    if field_kind(model) == "hybrid":
-        raise config.ConfigError("experiment.kind", "covariance draws "
-                                 "juxtaposed copies of a gaussian or "
-                                 "poisson model, not a hybrid one")
     record, masses = _draw(
         cfg, model, grid, "juxtaposed_total_masses",
         n_intervals=cfg.value("experiment", "n_intervals"))
     rep = covariance_report(model, masses)
-    rows = [{"gap": g, "covariance": e, "stderr": s, "theory_claimed": tc,
-             "theory_exact_quadrature": tq} for g, e, s, tc, tq in rep.rows()]
-    return ({"rows": rows, **record},
-            ("gap", "covariance", "stderr", "theory_claimed",
-             "theory_exact_quadrature"), rep.rows())
+    columns = ("gap", "covariance", "stderr", "theory_claimed",
+               "theory_exact_quadrature", "theory_series")
+    return ({"rows": [dict(zip(columns, row)) for row in rep.rows()],
+             **record}, columns, rep.rows())
 
 
 if __name__ == "__main__":

@@ -356,39 +356,25 @@ def overlap_kernel(L, h, c, out=None):
 def area_cross(I, J, s, t, eps):
     """Area of cone(s) & cone(t) above eps, outside cone_of(I) | cone_of(J).
 
-    s lies in I, t in J, with I and J disjoint and in either order.  This is
-    cross_kernel for the two point footprints, as a float.
+    s lies in I, t in J, with I and J disjoint and in either order; s and
+    t are floats, or arrays broadcast together for an array of areas.  On
+    the hull H of I and J, cone_of(I) & cone_of(J) = cone_of(H), and the
+    pair's region meets cone_of(I) in the cone of the hull of I and t, and
+    cone_of(J) in that of s and J: the area is the pair's overlap_kernel
+    on base length |H| less those two.
     """
     if J[1] <= I[0]:
-        I, J = J, I
-        s, t = t, s
+        I, J, s, t = J, I, t, s
     if I[1] > J[0]:
         raise ValueError("intervals must be disjoint")
-    if not (I[0] <= s <= I[1] and J[0] <= t <= J[1]):
+    s, t = np.asarray(s, float), np.asarray(t, float)
+    if not (np.all((I[0] <= s) & (s <= I[1]))
+            and np.all((J[0] <= t) & (t <= J[1]))):
         raise ValueError("anchors must lie in their intervals")
-    a, b = np.array([s], float), np.array([t], float)
-    return float(cross_kernel(I, J, a, a, b, b, eps)[0, 0])
-
-
-def cross_kernel(I, J, alo, ahi, blo, bhi, cut):
-    """Overlap areas between footprints in interval I and in interval J.
-
-    Inclusion-exclusion over the two interval cones; every term is the area
-    of a hull cone above the cutoff, f(r) = log(max(c, r)) + r / max(c, r),
-    and the alternating combination is finite.  Rows are the footprints
-    [alo, ahi] in I, columns the footprints [blo, bhi] in J.
-    """
-    def f(r):
-        c = np.maximum(cut, r)
-        return np.log(c) + r / c
-
-    hi = np.maximum(ahi[:, None], bhi[None, :])
-    lo = np.minimum(alo[:, None], blo[None, :])
-    tau1 = hi - lo
-    tau2 = np.maximum(hi, I[1]) - np.minimum(lo, I[0])
-    tau3 = np.maximum(hi, J[1]) - np.minimum(lo, J[0])
-    tau4 = (max(I[1], J[1]) - min(I[0], J[0])) * np.ones_like(tau1)
-    return f(tau2) + f(tau3) - f(tau1) - f(tau4)
+    H = J[1] - I[0]
+    area = (overlap_kernel(H, t - s, eps) - overlap_kernel(H, J[1] - s, eps)
+            - overlap_kernel(H, t - I[0], eps))
+    return area if area.ndim else float(area)
 
 
 def strip_kernel(h, lo, hi):

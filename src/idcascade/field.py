@@ -15,8 +15,8 @@ Exact samplers cover the model classes:
   before the next jitter (fill_gram, _chol_with_jitter).  It serves
   single builds that carry cells, grids below CIRCULANT_MIN_POINTS
   points, refinement and juxtaposition: n_intervals adjacent copies of
-  a grid driven by one noise, whose Gram holds the copies' points alone,
-  (n_intervals * n_points)^2 doubles.
+  a grid driven by one noise, whose Gram holds the copies' points and
+  their cells of the hull, (n_intervals * (n_points + 1))^2 doubles.
 * Gaussian, circulant embedding: on a points-only grid (cell_levels = 0)
   the covariance depends only on the lag, so it is a Toeplitz matrix and
   its circulant embedding of size M = 2N samples it exactly with one
@@ -29,15 +29,21 @@ Exact samplers cover the model classes:
   union of all local cones, its jumps drawn by the jump measure itself
   (uniforms, from_uniforms); each sampled point adds its jump to exactly
   the evaluation points whose cone contains it, which is a contiguous
-  index range, so evaluation is a difference-array sweep.  The same
-  sampler draws juxtaposed copies from one point set on the sampling
-  domain of their hull.  A batch's point sets are drawn, mapped and summed
-  together (poisson_points, shadow_sums), a sub-batch at a time in work
-  arrays that every sub-batch reuses, with the bits of one replica at a
-  time: each generator fills its uniforms in place, every point goes
-  through the heaviest strip's map and only the other strips' few points
-  through theirs, and the shadows are swept a grid copy at a time.
+  index range, so evaluation is a difference-array sweep.  A batch's
+  point sets are drawn, mapped and summed together (poisson_points,
+  shadow_sums), a sub-batch at a time in work arrays that every
+  sub-batch reuses, with the bits of one replica at a time: each
+  generator fills its uniforms in place, and every point goes through
+  the heaviest strip's map and only the other strips' few points
+  through theirs.
 * Hybrid: a model with a Gaussian part and jumps adds the two samplers.
+
+Every kind draws n_intervals adjacent copies of a grid under one noise
+as the star decomposition splits a cascade (cascade.decompose_star): as
+the points of their hull H less each copy's cell of it.  For t in copy
+I, cone_of(H) lies in cone_of(I), which lies in cone(t), so t's value
+relative to I is its value relative to H less the noise of
+cones.cell_cone(H, I), whose area is log n_intervals.
 
 truncated_model drops the jumps smaller than a cutoff (the measure's own
 truncated) and re-normalizes the drift, so the result is again an exactly
@@ -261,40 +267,28 @@ def footprint_areas(L, rows, cols=None, out=None):
     return cones.overlap_kernel(L, hull, cut, out=out)
 
 
-def fill_gram(out, sigma2, L, copies):
-    """Write sigma2 times the overlap Gram of the objects of adjacent grid
-    copies, each of length L, on and below the diagonal of a zeroed out.
+def fill_gram(out, sigma2, L, feet):
+    """Write sigma2 times the overlap Gram of the footprint triple feet on
+    base length L (footprint_areas) on and below the diagonal of a zeroed
+    out.
 
-    copies lists (interval, footprint triple) per copy, every copy with as
-    many objects.  A block of rows of copy i is filled at a time: its
-    columns of each earlier copy j by cones.cross_kernel(I_i, I_j, ...),
-    which is bit for bit the transpose of cross_kernel(I_j, I_i, ...), so
-    each cross block is computed once, and its own copy's columns by
-    footprint_areas, the block's diagonal square through a small
-    temporary.  The strict upper triangle is never written, and the
+    A block of rows is filled at a time, its diagonal square through a
+    small temporary.  The strict upper triangle is never written, and the
     entries are scaled as they are filled, so the Gram holds dim^2
     doubles and a few blocks of temporaries at its peak.
     """
-    n = copies[0][1][0].size
-    step = max(1, BLOCK_VALUES // len(out))
+    n = feet[0].size
+    step = max(1, BLOCK_VALUES // n)
     tri = np.tri(min(step, n), dtype=bool)
-    for i, (interval, feet) in enumerate(copies):
-        for a in range(0, n, step):
-            e = min(a + step, n)
-            rows = tuple(f[a:e] for f in feet)
-            dest = out[i * n + a:i * n + e]
-            for j, (other, cols) in enumerate(copies[:i]):
-                dest[:, j * n:(j + 1) * n] = cones.cross_kernel(
-                    interval, other, rows[0], rows[1], cols[0], cols[1],
-                    np.maximum(rows[2][:, None], cols[2][None, :]))
-            below = dest[:, :i * n + a]
-            footprint_areas(L, rows, tuple(f[:a] for f in feet),
-                            out=below[:, i * n:])
-            below *= sigma2
-            square = footprint_areas(L, rows, rows)
-            square *= sigma2
-            np.copyto(dest[:, i * n + a:i * n + e], square,
-                      where=tri[:e - a, :e - a])
+    for a in range(0, n, step):
+        e = min(a + step, n)
+        rows = tuple(f[a:e] for f in feet)
+        below = out[a:e, :a]
+        footprint_areas(L, rows, tuple(f[:a] for f in feet), out=below)
+        below *= sigma2
+        square = footprint_areas(L, rows, rows)
+        square *= sigma2
+        np.copyto(out[a:e, a:e], square, where=tri[:e - a, :e - a])
 
 
 def _normal_columns(rngs, dim):
@@ -446,12 +440,12 @@ class GaussianFieldSampler:
     for the point values of n_intervals adjacent copies of it.
 
     The Gram holds one copy's points and carried cells, or the copies'
-    points alone: one copy's overlap kernel in the diagonal blocks, the
-    cross kernel of two copies' cones below them.  Its lower triangle is
-    filled a block of rows at a time, scaled as it is filled, and
-    Cholesky-factored in place (fill_gram, _chol_with_jitter), so the
+    points (cut at eps) and footprints (cut 0) on their hull.  Its lower
+    triangle is filled a block of rows at a time, scaled as it is filled,
+    and Cholesky-factored in place (fill_gram, _chol_with_jitter), so the
     build's peak is dim^2 doubles and one panel of the factorization.  A
-    replica's point values are the first prod(shape) values.
+    replica's point values are the first prod(shape) values, less their
+    copy's value for juxtaposed copies.
     """
 
     name = "dense"
@@ -462,16 +456,20 @@ class GaussianFieldSampler:
             raise ValueError("Gaussian sampler needs sigma2 > 0")
         edges = _set_copies(self, grid, n_intervals)
         self.sigma2 = float(sigma2)
-        L = grid.length
-        copies = [(iv, _gram_objects(replace(grid, interval=iv),
-                                     levels=None if n_intervals == 1 else ()))
-                  for iv in zip(edges, edges[1:])]
-        self.dim = n_intervals * copies[0][1][0].size
+        L = edges[-1] - edges[0]  # the hull's length
+        if n_intervals == 1:
+            feet = _gram_objects(grid)
+        else:  # the copies' points, spaced on their hull, then the copies
+            t = replace(grid, interval=(edges[0], edges[-1]),
+                        oversample=n_intervals * grid.oversample).eval_points()
+            feet = [np.concatenate(f) for f in zip(
+                (t, t, np.full(t.size, grid.eps)),
+                (edges[:-1], edges[1:], np.zeros(n_intervals)))]
+        self.dim = feet[0].size
         # the mean and factor are shared, so read-only
-        self.mean = -0.5 * sigma2 * np.concatenate(
-            [footprint_areas(L, f) for _, f in copies])
+        self.mean = -0.5 * sigma2 * footprint_areas(L, feet)
         self.chol, jitter = _chol_with_jitter(
-            lambda out: fill_gram(out, sigma2, L, copies), self.dim)
+            lambda out: fill_gram(out, sigma2, L, feet), self.dim)
         for a in (self.mean, self.chol):
             a.setflags(write=False)
         self.health = {"cholesky_jitter": jitter}
@@ -497,15 +495,19 @@ class GaussianFieldSampler:
         its width (see _block_slots for the protocol); a block per call
         leaves nothing in work to reuse.
 
-        Only the point normals are drawn, on one interval the first
+        On one interval only the point normals are drawn, the first
         n_points of the ones sample() draws, so the carried cells cost
-        nothing here.
+        nothing here.  Juxtaposed copies draw every normal and subtract
+        each copy's cell value from its points' values.
         """
-        vals = self.draw_columns(
-            _normal_columns(rngs, math.prod(self.shape)))
+        n = math.prod(self.shape)
+        vals = self.draw_columns(_normal_columns(
+            rngs, n if len(self.shape) == 1 else self.dim))
         if out is None:
             out = np.empty((len(rngs),) + self.shape)
-        out[...] = vals.T.reshape(out.shape)
+        out[...] = vals[:n].T.reshape(out.shape)
+        if len(vals) > n:
+            out -= vals[n:].T[:, :, None]
         yield 0, out
 
     def split(self, values):
@@ -660,79 +662,75 @@ def _points_below(edge, lo, spacing, count, t=None, out=None):
     return np.minimum(out, count, out=out)
 
 
-def _covered_cell_range(x, y, lo, width, count):
-    """Index range [i0, i1) of level cells fully covered by the shadows."""
-    i0 = np.ceil((x - lo - 0.5 * y) / width - 1e-12).astype(np.int64)
-    i1 = np.floor((x - lo + 0.5 * y) / width + 1e-12).astype(np.int64)
-    return np.clip(i0, 0, count), np.clip(i1, 0, count)
-
-
-def range_sums(ranges, values, count, diff=None):
+def range_sums(i0, i1, values, count, diff=None):
     """(rows, count) totals of values[m] over the index ranges [i0[m],
-    i1[m]) of each pair (i0, i1) of ranges, an index being
-    row * (count + 1) + k.
+    i1[m]), an index being row * (count + 1) + k.
 
     A difference-array sweep: each range adds at its start and subtracts
-    at its end, a pair of index arrays at a time (so that a generator may
-    refill one pair of buffers), and a cumulative sum spreads the values
-    over the indices, in place: the totals are a view of the
-    (rows, count + 1) difference array, a caller's buffer to reuse (diff,
-    overwritten), or one row without it.  A range ending at count ends in
-    its last column, which no total reads.
+    at its end, and a cumulative sum spreads the values over the indices,
+    in place: the totals are a view of the (rows, count + 1) difference
+    array, a caller's buffer to reuse (diff, overwritten), or one row
+    without it.  A range ending at count ends in its last column, which
+    no total reads.
     """
     if diff is None:
         diff = np.zeros((1, count + 1))
     else:
         diff.fill(0.0)
     flat = diff.reshape(-1)
-    for i0, i1 in ranges:
-        np.add.at(flat, i0, values)
-        np.subtract.at(flat, i1, values)
+    np.add.at(flat, i0, values)
+    np.subtract.at(flat, i1, values)
     sums = diff[:, :-1]
     return np.cumsum(sums, axis=1, out=sums)
 
 
-def shadow_sums(counts, x, y, jump, left, spacing, n, right, work=None):
-    """(len(counts) * copies, n) jump totals at the evaluation points of
-    each replica's grid copies; replica j owns the next counts[j] points.
-    left, spacing and right are (copies, 1) columns; a copy drops the
-    points covering it, which lie in its interval cone.
+def shadow_sums(counts, x, y, jump, lo, spacing, n, work=None):
+    """(len(counts), n) jump totals at the evaluation points lo + (k +
+    1/2) spacing, k < n, of each replica; replica j owns the next
+    counts[j] points.
 
-    One range_sums sweep over a difference array of every replica's
-    copies, whose shadow index ranges (_points_below) are filled a copy
-    at a time into one pair of buffers: a dropped point's range moves to
-    the row's last column, which no total reads.  So each index adds its
-    points in point order, then subtracts them, as a sweep of every
-    copy's kept ranges at once would.  Its arrays are work's (see
-    _scratch), or fresh without work.
+    One range_sums sweep over a difference array of every replica, whose
+    shadow index ranges (_points_below) are moved into their replica's
+    row in place.  Its arrays are work's (see _scratch), or fresh
+    without work.
     """
     work = {} if work is None else work
-    size, copies, stride = x.size, len(left), n + 1
-    start, end, t = (_scratch(work, key, size)
+    start, end, t = (_scratch(work, key, x.size)
                      for key in ("start", "end", "t"))
-    k0, k1, row = (_scratch(work, key, size, dtype=np.int64)
-                   for key in ("k0", "k1", "row"))
+    k0, k1 = (_scratch(work, key, x.size, dtype=np.int64)
+              for key in ("k0", "k1"))
     np.multiply(0.5, y, out=t)
     np.subtract(x, t, out=start)
     np.add(x, t, out=end)
+    _points_below(start, lo, spacing, n, t, k0)
+    _points_below(end, lo, spacing, n, t, k1)
     o = 0
-    for j, c in enumerate(counts):  # each point's offset in copy 0's row
-        row[o:o + c] = j * copies * stride
+    for j, c in enumerate(counts):
+        k0[o:o + c] += j * (n + 1)
+        k1[o:o + c] += j * (n + 1)
         o += c
+    return range_sums(k0, k1, jump, n, diff=_scratch(
+        work, "diff", len(counts), (n + 1,)))
 
-    def copy_ranges():
-        for lo, h, hi in zip(left[:, 0], spacing[:, 0], right[:, 0]):
-            _points_below(start, lo, h, n, t, k0)
-            _points_below(end, lo, h, n, t, k1)
-            drop = (start <= lo) & (end >= hi)
-            for k in (k0, k1):
-                np.copyto(k, n, where=drop)
-                k += row
-            yield k0, k1
-            np.add(row, stride, out=row)  # on to the next copy's rows
 
-    return range_sums(copy_ranges(), jump, n, diff=_scratch(
-        work, "diff", len(counts) * copies, (stride,)))
+def covered_sums(counts, x, y, jump, lo, width, count):
+    """(len(counts), count) jump totals over the count cells lo + [i, i +
+    1) width of the noise points whose shadow covers the cell whole, its
+    range ceil((x - y/2 - lo) / width) <= i < floor((x + y/2 - lo) /
+    width) with 1e-12 cells to spare; replica j owns the next counts[j]
+    points.  Only the few points at least a cell high can cover one, so
+    only they are gathered."""
+    tall = np.flatnonzero(y >= width)
+    x, y = x[tall], y[tall]
+    i0 = np.ceil((x - lo - 0.5 * y) / width - 1e-12).astype(np.int64)
+    i1 = np.floor((x - lo + 0.5 * y) / width + 1e-12).astype(np.int64)
+    np.clip(i0, 0, count, out=i0)
+    np.clip(i1, 0, count, out=i1)
+    ok = i0 < i1
+    row = np.searchsorted(np.cumsum(counts), tall[ok], side="right")
+    row *= count + 1
+    return range_sums(i0[ok] + row, i1[ok] + row, jump[tall[ok]], count,
+                      diff=np.zeros((len(counts), count + 1)))
 
 
 def poisson_points(rngs, strips, nu, work=None):
@@ -783,10 +781,10 @@ class PoissonFieldSampler:
     """Exact sampler for pure-jump models with finite jump-measure mass, on
     a grid or on n_intervals adjacent copies of it under one noise.
 
-    The copies' local cones fill the sampling domain of their hull, so one
-    point set serves every copy: a point adds its jump to the copy's points
-    under its shadow unless it lies in that copy's own interval cone
-    (shadow_sums; one copy's sampling domain holds no such point).
+    One point set on the sampling domain of the copies' hull gives their
+    points' values on the hull (shadow_sums), less each copy's: the drift
+    times log n_intervals plus the jumps of the points whose shadow covers
+    the copy (covered_sums).
     """
 
     name = "poisson"
@@ -799,17 +797,15 @@ class PoissonFieldSampler:
         edges = _set_copies(self, grid, n_intervals)
         self.model = model
         self.nu, self.drift = model.nu, jump_drift(model.nu)
-        self.strips = cones.sampling_domain((edges[0], edges[-1]), grid.eps)
-        self._base = self.drift * cones.area_local_cone(edges[:2], grid.eps)
+        hull = (edges[0], edges[-1])
+        self.strips = cones.sampling_domain(hull, grid.eps)
+        self._base = self.drift * cones.area_local_cone(hull, grid.eps)
+        self._copy_base = self.drift * cones.area_cell(hull, edges[:2])
+        self._spacing = (hull[1] - hull[0]) / math.prod(self.shape)
         self._cell_area = {
             lev: cones.area_cell((0.0, grid.length),
                                  (0.0, grid.length * 2.0 ** (-lev)))
             for lev in grid.carried_levels}
-        # one row per copy, each with its own edges and spacing: for a
-        # non-dyadic L the lengths (lo + (i+1)L) - (lo + iL) need not equal L
-        edges = np.array(edges)
-        self._left, self._right = edges[:-1, None], edges[1:, None]
-        self._spacing = (self._right - self._left) / grid.n_points
         self._batch = _batch_size(self.strips, self.nu,
                                   n_intervals * (grid.n_points + 1))
 
@@ -819,18 +815,15 @@ class PoissonFieldSampler:
 
     def evaluate(self, x, y, jump):
         """One copy's field values (point_log, cell_log) of one point set."""
-        g = self.grid
+        g, one = self.grid, [x.size]
         lo = g.interval[0]
         point_log = self._base + shadow_sums(
-            [x.size], x, y, jump, self._left, self._spacing, g.n_points,
-            self._right)[0]
+            one, x, y, jump, lo, self._spacing, g.n_points)[0]
         cell_log = {}
         for lev in g.carried_levels:
             count = 2 ** lev
-            i0, i1 = _covered_cell_range(x, y, lo, g.length / count, count)
-            ok = i0 < i1
-            cell_log[lev] = self.drift * self._cell_area[lev] + range_sums(
-                [(i0[ok], i1[ok])], jump[ok], count)[0]
+            cell_log[lev] = self.drift * self._cell_area[lev] + covered_sums(
+                one, x, y, jump, lo, g.length / count, count)[0]
         return point_log, cell_log
 
     def sample(self, rng):
@@ -846,15 +839,22 @@ class PoissonFieldSampler:
         """Sub-batches of BLOCK_VALUES slots (see _block_slots), each
         drawn and summed in the same work arrays (poisson_points,
         shadow_sums)."""
-        n = self.grid.n_points
         work = {} if work is None else work
+        lo, n = self.grid.interval[0], math.prod(self.shape)
         for s, dest in _block_slots(len(rngs), self._batch, self.shape, out,
                                     work):
-            # the points die with the call, before the next block's draw
-            sums = shadow_sums(*poisson_points(
-                rngs[s:s + len(dest)], self.strips, self.nu, work),
-                self._left, self._spacing, n, self._right, work)
-            np.add(sums.reshape(dest.shape), self._base, out=dest)
+            counts, x, y, jump = poisson_points(
+                rngs[s:s + len(dest)], self.strips, self.nu, work)
+            np.add(shadow_sums(counts, x, y, jump, lo, self._spacing, n,
+                               work).reshape(dest.shape),
+                   self._base, out=dest)
+            if len(self.shape) > 1:
+                cells = covered_sums(counts, x, y, jump, lo,
+                                     self.grid.length, self.shape[0])
+                cells += self._copy_base
+                dest -= cells[:, :, None]
+            # the points die before the next block's draw
+            del x, y, jump
             yield s, dest
 
 
@@ -881,7 +881,7 @@ def truncated_model(model, cutoff, substitute=False):
 
 class HybridFieldSampler:
     """Gaussian part plus jumps of a model with both, each exactly
-    normalized.
+    normalized, on a grid or on n_intervals adjacent copies of it.
 
     The Gaussian part is a Gaussian model's sampler (gaussian_sampler);
     the dense factor is lower triangular, so sample() can draw the cell
@@ -891,15 +891,15 @@ class HybridFieldSampler:
     name = "hybrid"
     pooled = False
 
-    def __init__(self, grid, model):
+    def __init__(self, grid, model, n_intervals=1):
         if field_kind(model) != "hybrid":
             raise ValueError("hybrid sampler needs a Gaussian part and jumps")
         self.model = model
-        self.grid = grid
-        self.gauss = gaussian_sampler(grid, model.sigma2)
-        self.poisson = PoissonFieldSampler(grid, build_model(0.0, model.nu))
+        self.gauss = gaussian_sampler(grid, model.sigma2, n_intervals)
+        self.poisson = PoissonFieldSampler(grid, build_model(0.0, model.nu),
+                                           n_intervals)
+        _set_copies(self, grid, n_intervals)
         self.health = self.gauss.health
-        self.shape = self.gauss.shape
 
     def sample(self, rng):
         # The point normals, then the jumps, then the cell normals: so the
@@ -974,8 +974,9 @@ def make_sampler(grid, model, n_intervals=1):
 
     With n_intervals > 1 it draws that many adjacent copies of the grid
     under one noise, of shape (n_intervals, n_points), from the same
-    classes: GaussianFieldSampler, whose Gram then holds the points alone
-    whatever the cell_levels, or PoissonFieldSampler; no hybrid.
+    classes: GaussianFieldSampler, whose Gram then holds the copies'
+    points and cells of their hull whatever the cell_levels,
+    PoissonFieldSampler or HybridFieldSampler.
 
     The most recent sampler is kept and returned again to the next call
     with equal arguments, however they are spelled: by keyword or by
@@ -999,9 +1000,7 @@ def _cached_sampler(grid, model, n_intervals):
         return gaussian_sampler(grid, model.sigma2, n_intervals)
     if kind == "poisson":
         return PoissonFieldSampler(grid, model, n_intervals)
-    if n_intervals > 1:
-        raise ValueError("juxtaposition supports gaussian and poisson models")
-    return HybridFieldSampler(grid, model)
+    return HybridFieldSampler(grid, model, n_intervals)
 
 
 make_sampler.cache_clear = _cached_sampler.cache_clear

@@ -25,7 +25,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import cones
-from .levy import MomentDomainError, jump_drift, levy_exponent
+from .levy import (MomentDomainError, jump_drift, levy_exponent,
+                   structure_derivatives, tail_index_root)
 
 # ---------------------------------------------------------------------------
 # pair exponents
@@ -141,6 +142,35 @@ def selberg_moment(sigma2, n):
                         for j in range(n)))
 
 
+def implicit_renewal_constant(model):
+    """(d, error) of the total mass's tail P(Z > x) ~ d x^-zeta at an
+    integer tail index zeta in {2, 3, 4}, by the implicit renewal theorem
+    (Goldie, Ann. Appl. Probab. 1991) for the random difference equation
+    Z = a + b that halves the unit interval, a and b the masses of
+    [0, 1/2] and [1/2, 1]:
+
+        d = sum_{k=1}^{zeta-1} C(zeta, k) E[a^k b^(zeta-k)]
+            / (zeta s'(zeta) log 2),
+
+    s the structure function, each mixed moment by exact_joint_moment and
+    the error the same combination of theirs.  Raises ValueError unless
+    zeta lies within 1e-8 of 2, 3 or 4.
+    """
+    zeta = tail_index_root(model)
+    order = None if zeta is None else round(zeta)
+    if order not in (2, 3, 4) or abs(zeta - order) > 1e-8:
+        raise ValueError(f"tail index {zeta} is not within 1e-8 of 2, 3 "
+                         "or 4")
+    total = error = 0.0
+    for k in range(1, order):
+        m = exact_joint_moment(model, [((0.0, 0.5), k),
+                                       ((0.5, 1.0), order - k)])
+        total += math.comb(order, k) * m.value
+        error += math.comb(order, k) * m.error
+    scale = order * structure_derivatives(model, zeta)[0] * math.log(2.0)
+    return total / scale, error / abs(scale)
+
+
 def _unit_gauss(n):
     """Gauss-Legendre nodes and weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
@@ -212,7 +242,9 @@ def juxtaposed_pair_moment(model, gap):
     """E mass_0 * mass_gap for unit cascades sharing one noise field.
 
     Different construction from exact_joint_moment: each interval subtracts
-    its own interval cone, so the kernel is the cross-interval overlap area.
+    its own interval cone, so the kernel is the cross-interval overlap area
+    (cones.area_cross, three overlap kernels on the hull of the two
+    intervals).
     The covariance is the integral of expm1(psi(2) * area) over the anchor
     pairs (s, t) in [0, 1] x [gap, gap + 1], the area cut below at 1e-12.
     Returns (covariance, product-moment); the mean of each mass is 1.
@@ -255,13 +287,7 @@ def juxtaposed_pair_moment(model, gap):
         weights = np.concatenate([np.outer(r * dr, w).ravel(),
                                   np.outer(x * w, w).ravel()])
         s, t = I[1] - u, J[0] + v
-    s, t = s.ravel(), t.ravel()
-    # cross_kernel sees a row and a column footprint only through their
-    # hull; the row [s, t] against the point J[0], which lies between s and
-    # t, has the hull of the anchor pair, so its one column is the area of
-    # every pair (s, t)
-    point = np.array([J[0]])
-    area = cones.cross_kernel(I, J, s, t, point, point, _CROSS_CUT)[:, 0]
+    area = cones.area_cross(I, J, s.ravel(), t.ravel(), _CROSS_CUT)
     cov = float(weights.ravel() @ np.expm1(psi2 * area))
     return cov, cov + 1.0
 
@@ -424,10 +450,12 @@ class CovarianceReport:
     stderr: Tuple[float, ...]
     theory_claimed: Tuple[float, ...]          # 2 psi(-i2) / (3 gap)
     theory_exact_quadrature: Tuple[float, ...]  # cross-kernel integral
+    theory_series: Tuple[float, ...]  # its first terms in 1 / gap
 
     def rows(self):
         return list(zip(self.gaps, self.estimate, self.stderr,
-                        self.theory_claimed, self.theory_exact_quadrature))
+                        self.theory_claimed, self.theory_exact_quadrature,
+                        self.theory_series))
 
 
 def covariance_report(model, masses, gaps=None):
@@ -435,7 +463,8 @@ def covariance_report(model, masses, gaps=None):
 
     masses has shape (replicas, intervals); gap g pools every pair of
     columns at distance g.  Both theory columns are attached: the claimed
-    1/gap asymptotic and the exact cross-kernel quadrature.
+    1/gap asymptotic and the exact cross-kernel quadrature, with the
+    quadrature's first three terms in 1/gap (juxtaposed_covariance_series).
     """
     m = np.asarray(masses, float)
     if m.ndim != 2 or m.shape[1] < 2:
@@ -454,8 +483,9 @@ def covariance_report(model, masses, gaps=None):
         err.append(_jackknife_cov(xr, yr))
         claimed.append(2.0 * psi2 / (3.0 * g))
         quad.append(juxtaposed_pair_moment(model, g)[0])
-    return CovarianceReport(tuple(gaps), tuple(est), tuple(err),
-                            tuple(claimed), tuple(quad))
+    return CovarianceReport(
+        tuple(gaps), tuple(est), tuple(err), tuple(claimed), tuple(quad),
+        tuple(juxtaposed_covariance_series(model, g) for g in gaps))
 
 
 def _pooled_cov(x, y):

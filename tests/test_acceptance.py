@@ -221,9 +221,10 @@ def juxtaposed_cov():
     return covariance_report(ATOM, masses, gaps=(2, 4, 8))
 
 
-@pytest.mark.xfail(reason="the claimed 1/gap constant does not match the "
-                          "construction; the exact-kernel quadrature below "
-                          "does", strict=True)
+@pytest.mark.xfail(reason="the covariance falls like psi(2) / (4 gap^2), "
+                          "not like the claimed 2 psi(2) / (3 gap); the "
+                          "exact-kernel quadrature below matches it",
+                   strict=True)
 def test_10_covariance_decay_claimed_constant(juxtaposed_cov):
     rep = juxtaposed_cov
     target = 2.0 * levy_exponent(ATOM, 2.0) / 3.0

@@ -530,22 +530,35 @@ def test_refine_rejects_a_hybrid_realization():
         refine(r, 1, make_generator(11, 0, "refine"))
 
 
+def assert_near_hexes(values, hexes):
+    """values within 1e-12 relative of hexes recorded when each juxtaposed
+    copy dropped the points in its own interval cone: a point that had
+    flipped from one side to the other would move a value by a whole
+    jump."""
+    np.testing.assert_allclose(values, np.vectorize(float.fromhex)(hexes),
+                               rtol=1e-12, atol=0)
+
+
 def test_poisson_draws_keep_their_pinned_values():
     # Recorded with the scalar, point-by-point map from uniforms to points:
     # a seed must name the same realization on every version.
     z = simulate_total_masses(ATOM, GridSpec((0.0, 1.0), 8, 2, 0), 11, 3)
     assert [v.hex() for v in z.tolist()] == [
         "0x1.7dd216d965d8ap-2", "0x1.75753984f0249p-1", "0x1.f05ea86fc9337p-2"]
-    # a non-dyadic base interval, so each interval keeps its own spacing;
-    # every chunk width replays the same bits
+    # a non-dyadic base interval; every chunk width replays the same bits
     for chunk in (256, 1, 2):
         j = juxtaposed_total_masses(ATOM, GridSpec((0.1, 0.4), 6, 2, 0), 3,
                                     11, 2, chunk=chunk)
         assert [[v.hex() for v in row] for row in j.tolist()] == [
-            ["0x1.307f8aab7496bp-1", "0x1.02efa9bd968b0p+0",
-             "0x1.d1a9248bb4082p+0"],
-            ["0x1.0087dd9b88fd6p+1", "0x1.39768fcac0cbep+0",
-             "0x1.63f81f40402d6p-2"]]
+            ["0x1.307f8aab7496bp-1", "0x1.02efa9bd968a8p+0",
+             "0x1.d1a9248bb4074p+0"],
+            ["0x1.0087dd9b88fd9p+1", "0x1.39768fcac0cb0p+0",
+             "0x1.63f81f40402cbp-2"]]
+    assert_near_hexes(j, [
+        ["0x1.307f8aab7496bp-1", "0x1.02efa9bd968b0p+0",
+         "0x1.d1a9248bb4082p+0"],
+        ["0x1.0087dd9b88fd6p+1", "0x1.39768fcac0cbep+0",
+         "0x1.63f81f40402d6p-2"]])
 
 
 def test_poisson_sub_batches_keep_their_pinned_values():
@@ -576,6 +589,22 @@ def test_poisson_sub_batches_keep_their_pinned_values():
         assert [v.hex() for v in z.tolist()] == want
     j = juxtaposed_total_masses(ATOM, grid, 4, 7, 7, chunk=3)
     assert [[v.hex() for v in row] for row in j.tolist()] == [
+        ["0x1.770de6c6b7d98p-2", "0x1.3166e8fb3ce03p+0",
+         "0x1.f44cf6c8afc44p-3", "0x1.8a4720dd067f2p-1"],
+        ["0x1.a477fd024d8c4p-1", "0x1.d966ee75d2fa5p-1",
+         "0x1.a04264f74a9cbp-2", "0x1.220f5f6584e36p-2"],
+        ["0x1.2c1561c38354fp+0", "0x1.50091a4bddceap+0",
+         "0x1.35fac20f69c82p+0", "0x1.084a41888fa2cp+1"],
+        ["0x1.9b898f47ea005p-1", "0x1.0e7cf7774adbcp+0",
+         "0x1.80b00f5e6b5b4p-3", "0x1.f9fdaacdf6ad5p-1"],
+        ["0x1.f1b8bf6b995a1p+0", "0x1.9765c799d6ea0p-2",
+         "0x1.de5761ad87ad6p-1", "0x1.94663c4c1e37bp+1"],
+        ["0x1.cde9719504b91p-1", "0x1.5fa56afce1e8ep+0",
+         "0x1.b116fe1749875p-3", "0x1.1d4fe43b2bf92p+0"],
+        ["0x1.8cd5384b06fa3p-1", "0x1.e878c8e1854c5p-1",
+         "0x1.5a555ef9ddb8fp+0", "0x1.6c087d11d4611p+0"],
+    ]
+    assert_near_hexes(j, [
         ["0x1.770de6c6b7d9cp-2", "0x1.3166e8fb3cef6p+0",
          "0x1.f44cf6c8afdcfp-3", "0x1.8a4720dd06300p-1"],
         ["0x1.a477fd024d8c8p-1", "0x1.d966ee75d311bp-1",
@@ -590,18 +619,21 @@ def test_poisson_sub_batches_keep_their_pinned_values():
          "0x1.b116fe17499cap-3", "0x1.1d4fe43b2bbfep+0"],
         ["0x1.8cd5384b06fa8p-1", "0x1.e878c8e185649p-1",
          "0x1.5a555ef9ddca2p+0", "0x1.6c087d11d4180p+0"],
-    ]
+    ])
 
 
-@pytest.mark.parametrize("model,totals,row", [
+@pytest.mark.parametrize("model,totals,row,parent_row", [
     (NINE_ATOMS,
      ["0x1.64025c82b84e6p+1", "0x1.6953fd438b076p+0", "0x1.aca64c297e268p-3"],
+     ["0x1.e17992d416ffap-4", "0x1.a06d9fec704e8p-8", "0x1.079c52a7aa537p-2"],
      ["0x1.e17992d416ff9p-4", "0x1.a06d9fec7048cp-8", "0x1.079c52a7aa543p-2"]),
     (TABULATED,
      ["0x1.648f3bcdecb4fp-4", "0x1.3cb82f35aebfap-1", "0x1.9004ee6bfc9fap+0"],
+     ["0x1.9325175390fc4p-1", "0x1.c6fa248d19fa2p-2", "0x1.f7debf8d7281cp-4"],
      ["0x1.9325175390fc8p-1", "0x1.c6fa248d19e48p-2", "0x1.f7debf8d72bd4p-4"]),
 ], ids=["nine-atoms", "tabulated"])
-def test_jump_measure_draws_keep_their_pinned_values(model, totals, row):
+def test_jump_measure_draws_keep_their_pinned_values(model, totals, row,
+                                                     parent_row):
     # the jump draws of a many-atom and of a tabulated measure, pinned so
     # that the measure's own tables replay the bits they had when a
     # separate sampler object held them
@@ -610,6 +642,7 @@ def test_jump_measure_draws_keep_their_pinned_values(model, totals, row):
     j = juxtaposed_total_masses(model, GridSpec((0.1, 0.4), 5, 2, 0), 3,
                                 11, 1)
     assert [v.hex() for v in j[0].tolist()] == row
+    assert_near_hexes(j[0], parent_row)
 
 
 def test_prefix_masses_columns_are_nested():
@@ -738,7 +771,23 @@ def test_gaussian_refinement_memory_is_one_gram():
     assert peak < 8 * dim * dim + panel + 2 * block + 16384
 
 
-@pytest.mark.parametrize("model", [LOGN, ATOM])
+@pytest.mark.parametrize("copies", [2, 4, 8])
+def test_juxtaposed_copies_are_the_star_split_of_their_hull(copies):
+    # the paper's random difference equation Z = 2^-k sum_i e^W_i Z_i: the
+    # sub-cascades of a star split of [0, n] at level k = log2 n are n
+    # cascades on juxtaposed unit intervals driven by one noise
+    k = copies.bit_length() - 1
+    hull = GridSpec((0.0, float(copies)), 6 + k, 2, k)
+    j = juxtaposed_total_masses(ATOM, GridSpec((0.0, 1.0), 6, 2, 0), copies,
+                                5, 50, stream_tag="star")
+    for replica in range(50):
+        r = build_realization(ATOM, hull, seed=5, replica=replica,
+                              stream_tag="star")
+        subs = [sub.total_mass for sub in decompose_star(r, k).subs]
+        np.testing.assert_allclose(subs, j[replica], rtol=1e-12)
+
+
+@pytest.mark.parametrize("model", [LOGN, ATOM, HYBRID])
 def test_juxtaposed_covariance_matches_quadrature(model):
     g = GridSpec((0.0, 1.0), 6, 2, 0)
     reps = 6000

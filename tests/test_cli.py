@@ -293,6 +293,14 @@ def test_estimate_moments_report(cfg_file, tmp_path):
     assert [row["gap"] for row in payload["rows"]] == [1, 2]
     assert payload["sampler"] == "juxtaposed-dense"
     assert payload["sampler_health"] == {"cholesky_jitter": 0.0}
+    # the first terms of the exact covariance in 1 / gap, a column of both
+    # reports
+    series = [idcascade.juxtaposed_covariance_series(
+        idcascade.lognormal_model(0.5), g) for g in (1, 2)]
+    assert [row["theory_series"] for row in payload["rows"]] == series
+    lines = (tmp_path / "cov" / "covariance.csv").read_text().splitlines()[1:]
+    assert lines[0].split(",")[-1] == "theory_series"
+    assert [float(line.split(",")[-1]) for line in lines[1:]] == series
 
 
 def test_estimate_reports_record_their_sampler(tmp_path):
@@ -407,14 +415,17 @@ def test_runtime_error_exits_3(tmp_path, capsys):
     assert "runtime error: IsADirectoryError" in capsys.readouterr().err
 
 
-def test_hybrid_covariance_is_a_config_error(tmp_path, capsys):
-    # juxtaposed copies of a hybrid model have no sampler: named before
-    # anything is drawn or written
+def test_hybrid_covariance_draws_juxtaposed_hybrid_copies(tmp_path):
+    # the atom config with a Gaussian part, on a 256-point grid: its 4
+    # copies' dense Gram has 1028 objects
     path = shipped_cfg("atom.ini", tmp_path, model={"sigma2": "0.2"},
+                       grid={"levels": "6"},
                        experiment={"kind": "covariance"})
-    assert run("--config", path, "estimate") == 2
-    assert "config error: experiment.kind: " in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert run("--config", path, "estimate") == 0
+    payload = json.loads((tmp_path / "out" / "covariance.json").read_text())
+    assert payload["sampler"] == "juxtaposed-hybrid"
+    assert payload["sampler_health"] == {"cholesky_jitter": 0.0}
+    assert [row["gap"] for row in payload["rows"]] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("command", ["theory", "estimate"])

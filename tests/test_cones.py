@@ -16,7 +16,6 @@ from idcascade.cones import (
     area_local_cone,
     area_pair,
     cell_cone,
-    cross_kernel,
     local_cone,
     overlap_kernel,
     refinement_strip,
@@ -117,11 +116,10 @@ def test_cross_interval_area_against_oracle():
         region = (PointCone(s, eps) & PointCone(t, eps)) \
             - (IntervalCone(*I) | IntervalCone(*J))
         assert closed == pytest.approx(region_area(region), abs=1e-9)
-        # the array kernel the juxtaposed sampler runs, on point footprints
-        a, b = np.array([s]), np.array([t])
-        kernel = cross_kernel(I, J, a, a, b, b, eps)
-        assert kernel.shape == (1, 1)
-        assert kernel[0, 0] == pytest.approx(region_area(region), abs=1e-9)
+        # the array form juxtaposed_pair_moment runs
+        kernel = area_cross(I, J, np.array([s, s]), np.array([t]), eps)
+        assert kernel.shape == (2,)
+        assert kernel.tolist() == [closed, closed]
 
 
 def test_cross_interval_swaps_and_validates():

@@ -1,12 +1,14 @@
-"""README's reference tables name what the program accepts, no more and no
-less: the config table's keys are config.KEYS, and the global-flags
-paragraph names the options of the command-line parser."""
+"""README's reference tables name what the program accepts and reports, no
+more and no less: the config table's keys are config.KEYS, the global-flags
+paragraph names the options of the command-line parser, and the list of
+sampler names those the samplers report."""
 
 import re
 from pathlib import Path
 
-from idcascade import cli
+from idcascade import GridSpec, cli, lognormal_model, single_atom_model
 from idcascade.config import KEYS
+from idcascade.field import make_sampler
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -42,3 +44,20 @@ def test_global_flags_paragraph_names_every_option():
                if action.dest != "help" for opt in action.option_strings}
     assert set(re.findall(r"--[a-z][a-z-]*", _global_flags_paragraph())) \
         == options
+
+
+def test_sampler_list_names_every_sampler_once():
+    [paragraph] = [p for p in README.split("\n\n")
+                   if "record which sampler ran" in p]
+    listed = re.findall(r"`([\w-]+)`", paragraph.split(
+        "(`sampler`:", 1)[1].split(")", 1)[0])
+    # each model kind on one copy and on three, and a Gaussian grid of
+    # 2048 points, the circulant embedding's
+    names = {make_sampler(GridSpec((0.0, 1.0), 3, 2), model, copies).name
+             for model in (lognormal_model(0.5), single_atom_model(-0.5, 1.0),
+                           single_atom_model(-0.4, 0.8, sigma2=0.2))
+             for copies in (1, 3)}
+    names.add(make_sampler(GridSpec((0.0, 1.0), 10, 2, 0),
+                           lognormal_model(0.5)).name)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == names

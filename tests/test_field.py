@@ -51,9 +51,11 @@ class UnitNormals:
     def __init__(self, k):
         self.k = k
 
-    def standard_normal(self, out):
+    def standard_normal(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
         out[...] = 0.0
         out[self.k] = 1.0
+        return out
 
 
 def test_grid_basic_properties():
@@ -161,6 +163,38 @@ def test_circulant_covariance_matches_dense_gram():
     gram = 0.7 * footprint_areas(g.length, objs, objs)
     assert np.abs(cov - gram).max() <= 1e-13 * gram.max()
     assert 0.0 < sam.health["min_eigenvalue_ratio"] < 1.0
+
+
+@pytest.mark.parametrize("copies", [2, 3, 4])
+@pytest.mark.parametrize("grid", [GridSpec((0.0, 1.0), 4, 2, 0),
+                                  GridSpec((0.1, 0.4), 4, 3, 0)],
+                         ids=["dyadic", "non-dyadic"])
+def test_juxtaposed_dense_law_is_each_copys_own(grid, copies):
+    # drawn as the hull less each copy's cell of it, the copies' points
+    # have the law of each copy's own local cones: the overlap of two
+    # points' cones outside their copies' interval cones
+    sam = GaussianFieldSampler(grid, 0.7, copies)
+    n, eps = grid.n_points, grid.eps
+    edges = [grid.interval[0] + i * grid.length for i in range(copies + 1)]
+    t = (edges[0] + (np.arange(copies * n) + 0.5)
+         * ((edges[-1] - edges[0]) / (copies * n))).reshape(copies, n)
+    copy = list(zip(edges, edges[1:]))
+    mean = sam.mean[:copies * n].reshape(copies, n) \
+        - sam.mean[copies * n:, None]
+    want = [-0.35 * cones.area_local_cone(iv, eps) for iv in copy]
+    np.testing.assert_allclose(mean, np.repeat([want], n, 0).T, rtol=1e-13)
+    # the values drawn from the unit normals e_k, less the mean, are
+    # column k of the implied factor
+    factor = (filled(sam, [UnitNormals(k) for k in range(sam.dim)])
+              - mean).reshape(sam.dim, -1)
+    cov = factor.T @ factor
+    gram = np.block([[
+        np.array([[cones.area_pair(a, s, u, eps) for u in t[j]]
+                  for s in t[i]]) if i == j else
+        cones.area_cross(a, b, t[i][:, None], t[j][None, :], eps)
+        for j, b in enumerate(copy)] for i, a in enumerate(copy)])
+    gram *= 0.7
+    assert np.abs(cov - gram).max() <= 1e-13 * gram.max()
 
 
 def test_circulant_mean_matches_dense_mean():
@@ -416,10 +450,11 @@ def test_make_sampler_shares_one_read_only_sampler():
                 tab.nu._cum, jux.chol, jux.mean):
         with pytest.raises(ValueError, match="read-only"):
             arr *= 1.0
-    # juxtaposition has no hybrid sampler
-    with pytest.raises(ValueError, match="juxtaposition"):
-        make_sampler(g, single_atom_model(-0.4, 0.8, sigma2=0.2),
-                     n_intervals=3)
+    # juxtaposed hybrid copies add their two parts' copies
+    hyb = make_sampler(g, single_atom_model(-0.4, 0.8, sigma2=0.2),
+                       n_intervals=3)
+    assert hyb.name == "juxtaposed-hybrid" and hyb.shape == (3, 16)
+    assert (hyb.gauss.shape, hyb.poisson.shape) == ((3, 16), (3, 16))
 
 
 def test_make_sampler_key_ignores_argument_spelling():
@@ -486,7 +521,8 @@ def test_dense_factors_keep_their_bits():
     # a factor of 128 or more objects takes its bits from the BLAS thread
     # count, so a fresh interpreter builds with one thread: gauss-single's
     # cell-carrying grid (1022 objects), 3 juxtaposed copies of a
-    # non-dyadic grid (144 points) and a realization on the first grid
+    # non-dyadic grid (144 points on their hull and the copies' 3 cells of
+    # it) and a realization on the first grid
     script = """if True:
         import numpy as np
         from idcascade import GridSpec, lognormal_model
@@ -520,11 +556,11 @@ def test_dense_factors_keep_their_bits():
          "-0x1.35e396c453400p-9", "-0x1.a2e42fefa39efp+0",
          "-0x1.a2e42fefa39efp+0", "-0x1.3687a9f1af2b1p+0",
          "-0x1.62e42fefa39efp+0"],
-        ["144", "0x1.5f98bc775adaap+0", "0x1.5459b4251c504p-5",
-         "0x1.49bca77ad60e5p-2", "0x1.25b5da6fe067ap-5",
-         "0x1.1630fd8c16672p-7", "0x1.69782c9aba7e0p-9",
-         "-0x1.e2e42fefa39efp-1", "-0x1.e2e42fefa39efp-1",
-         "-0x1.e2e42fefa39eep-1"],
+        ["147", "0x1.8f862c180385ep+0", "0x1.56e73cdd7071fp-3",
+         "0x1.d57db65681ca0p-4", "0x1.2853ed9c08e6ep-3",
+         "0x1.1c498ce24f448p-2", "0x1.5fb0606aa9006p-6",
+         "-0x1.37c1c1e285dbap+0", "-0x1.37c1c1e285dbap+0",
+         "-0x1.37c1c1e285dbap+0"],
         ["0x1.3707e9ae8f60dp+0", "-0x1.59524004fd464p+1",
          "-0x1.2041d36fbf2cdp+0", "0x1.e59017c0c168ap-1",
          "0x1.5f5126d2c4a82p-1", "-0x1.a017c34eeaad4p-1",
@@ -653,6 +689,7 @@ SAMPLERS = [  # name, model, grid, copies: each sampler make_sampler gives
     ("poisson", TWO_ATOMS, GridSpec((0.1, 0.4), 4, 2), 1),
     ("juxtaposed-poisson", TWO_ATOMS, GridSpec((0.1, 0.4), 4, 2, 0), 3),
     ("hybrid", HYBRID, GridSpec((0.1, 0.4), 4, 2), 1),
+    ("juxtaposed-hybrid", HYBRID, GridSpec((0.1, 0.4), 4, 2, 0), 3),
 ]
 
 

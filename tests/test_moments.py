@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from idcascade.levy import (MomentDomainError, levy_exponent, lognormal_model,
-                            nu_integral, single_atom_model)
+from idcascade.levy import (MomentDomainError, diagnose, levy_exponent,
+                            lognormal_model, nu_integral, single_atom_model)
 from idcascade.moments import (covariance_report, estimate_moment,
                                exact_joint_moment, growth_ratio_probe,
-                               hill_tail_report,
+                               hill_tail_report, implicit_renewal_constant,
                                juxtaposed_covariance_series,
                                juxtaposed_pair_moment, ks_two_sample, median,
                                moment_pair_exponent, scaling_exponent,
@@ -263,6 +263,9 @@ def test_covariance_report_independent_columns():
         assert cl == pytest.approx(2.0 * levy_exponent(LOGN, 2.0) / (3 * g))
     assert rep.theory_exact_quadrature == tuple(
         juxtaposed_pair_moment(LOGN, g)[0] for g in rep.gaps)
+    assert rep.theory_series == tuple(
+        juxtaposed_covariance_series(LOGN, g) for g in rep.gaps)
+    assert [row[5] for row in rep.rows()] == list(rep.theory_series)
     with pytest.raises(ValueError):
         covariance_report(LOGN, m[:, :1])
 
@@ -273,6 +276,28 @@ def test_covariance_report_exact_column_matches_quadrature():
     rep = covariance_report(ATOM, m, gaps=(2,))
     assert rep.theory_exact_quadrature[0] == pytest.approx(
         juxtaposed_pair_moment(ATOM, 2)[0], rel=1e-10)
+
+
+@pytest.mark.parametrize("sigma2,value,error", [
+    (1.0, 1.9999911, 9.9e-6), (2.0 / 3.0, 15.899426, 3.5e-4),
+    (0.5, 109.97817, 0.023)], ids=["zeta-2", "zeta-3", "zeta-4"])
+def test_implicit_renewal_constant_of_the_lognormal_cascade(sigma2, value,
+                                                            error):
+    model = lognormal_model(sigma2)
+    d, err = implicit_renewal_constant(model)
+    assert d == pytest.approx(value, abs=1e-6 * value)
+    assert err == pytest.approx(error, rel=0.02)
+    if sigma2 == 1.0:
+        # at zeta = 2 the one mixed moment is E ab = log 2, and d is the
+        # closed form 1 / s'(2)
+        assert abs(d - diagnose(model).tail_constant_at_two) < 9e-6
+
+
+def test_implicit_renewal_constant_needs_an_integer_tail_index():
+    for model in (lognormal_model(0.6), lognormal_model(0.25),
+                  lognormal_model(2.5), ATOM):
+        with pytest.raises(ValueError, match="not within 1e-8 of 2, 3 or 4"):
+            implicit_renewal_constant(model)
 
 
 def test_scaling_fit_on_exact_power_law():
