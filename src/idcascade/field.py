@@ -718,9 +718,9 @@ def covered_sums(counts, x, y, jump, lo, width, count):
     1) width of the noise points whose shadow covers the cell whole, its
     range ceil((x - y/2 - lo) / width) <= i < floor((x + y/2 - lo) /
     width) with 1e-12 cells to spare; replica j owns the next counts[j]
-    points.  Only the few points at least a cell high can cover one, so
-    only they are gathered."""
-    tall = np.flatnonzero(y >= width)
+    points.  Only the few points about a cell high or higher can cover
+    one, so only they are gathered."""
+    tall = np.flatnonzero(y >= (1.0 - 4e-12) * width)
     x, y = x[tall], y[tall]
     i0 = np.ceil((x - lo - 0.5 * y) / width - 1e-12).astype(np.int64)
     i1 = np.floor((x - lo + 0.5 * y) / width + 1e-12).astype(np.int64)

@@ -462,9 +462,9 @@ def covariance_report(model, masses, gaps=None):
     """Stationary covariance across interval gaps with jackknife errors.
 
     masses has shape (replicas, intervals); gap g pools every pair of
-    columns at distance g.  Both theory columns are attached: the claimed
-    1/gap asymptotic and the exact cross-kernel quadrature, with the
-    quadrature's first three terms in 1/gap (juxtaposed_covariance_series).
+    columns at distance g.  The theory columns are attached: the claimed
+    1/gap asymptotic, the exact cross-kernel quadrature and its first
+    three terms in 1/gap (juxtaposed_covariance_series).
     """
     m = np.asarray(masses, float)
     if m.ndim != 2 or m.shape[1] < 2:

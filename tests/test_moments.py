@@ -151,7 +151,7 @@ def test_juxtaposed_pair_moment_frozen_oracle():
 
 def _dblquad_pair_moment(model, gap):
     # reference rule: adaptive dblquad of the scalar cross-overlap area, cut
-    # below at 1e-12, independent of cones.cross_kernel
+    # below at 1e-12, independent of cones.area_cross
     from scipy import integrate
 
     psi2 = levy_exponent(model, 2.0)
