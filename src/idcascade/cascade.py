@@ -133,8 +133,9 @@ def build_realization(model, grid, rng=None, *, seed=None, replica=0,
 # again at another size.
 _pool = None
 
-# Replicas per chunk of the command line's batches, verify's among them.
-# Only the dense paths' bits depend on it, through the product's width.
+# Replicas per chunk of every mass batch (total_masses and the functions
+# on it).  Only the dense paths' bits depend on it, through the product's
+# width.
 RUN_CHUNK = 256
 
 
@@ -191,10 +192,13 @@ class BatchSimulator:
     not depend on how the work is chunked or which thread draws it: bit
     for bit on the circulant and Poisson paths, and to the last ulp on
     the dense Gaussian path, whose matrix product changes its BLAS kernel
-    with the chunk width.  With n_intervals > 1 each replica is
-    n_intervals adjacent copies of the grid driven by one noise.  A batch
-    reads leaf masses alone, so whatever cells the grid carries it draws
-    on the sampler of its points (make_sampler at cell_levels = 0).
+    with the chunk width.  total_masses() draws RUN_CHUNK replicas at a
+    time, so a dense-path replica has the bits of a chunk of RUN_CHUNK, or
+    of the batch's last, shorter chunk; chunks() takes its width.  With
+    n_intervals > 1 each replica is n_intervals adjacent copies of the
+    grid driven by one noise.  A batch reads leaf masses alone, so
+    whatever cells the grid carries it draws on the sampler of its points
+    (make_sampler at cell_levels = 0).
 
     A chunk is drawn a sampler block at a time (the sampler's blocks):
     a block of CIRCULANT_BLOCK_VALUES normals, a Poisson sub-batch, or,
@@ -314,28 +318,28 @@ class BatchSimulator:
                 buf = np.empty((min(chunk, replicas),) + self.sampler.shape)
             yield start, self.point_log_chunk(seed, start, count, buf[:count])
 
-    def total_masses(self, seed, replicas, chunk, progress=None,
-                     each=None):
-        """Total masses, (replicas,) or (replicas, n_intervals); each(start,
-        cells), if given, sees each block's leaf masses, (rows, n_cells) or
-        (rows, n_intervals, n_cells), on the thread that drew them (on a
-        pooled sampler's workers at once) before it draws its next block."""
+    def total_masses(self, seed, replicas, progress=None, each=None):
+        """Total masses, (replicas,) or (replicas, n_intervals), drawn
+        RUN_CHUNK replicas at a time; each(start, cells), if given, sees
+        each block's leaf masses, (rows, n_cells) or (rows, n_intervals,
+        n_cells), on the thread that drew them (on a pooled sampler's
+        workers at once) before it draws its next block."""
         out = np.empty((replicas, *self.sampler.shape[:-1]))
         each = each or (lambda start, cells: None)
-        for start, count in self._spans(replicas, chunk, progress):
+        for start, count in self._spans(replicas, RUN_CHUNK, progress):
             self._draw(seed, start, count, out[start:start + count], each)
         return out
 
 
-def simulate_total_masses(model, grid, seed, replicas, *, chunk=512,
+def simulate_total_masses(model, grid, seed, replicas, *,
                           stream_tag="cascade", progress=None):
     """Total masses of independent replicas, one counter stream each."""
     return BatchSimulator(model, grid, stream_tag=stream_tag).total_masses(
-        seed, replicas, chunk, progress)
+        seed, replicas, progress)
 
 
 def simulate_prefix_masses(model, grid, seed, replicas, fractions, *,
-                           chunk=512, stream_tag="cascade", progress=None):
+                           stream_tag="cascade", progress=None):
     """Masses of [lo, lo + f*length] for each dyadic fraction f, per replica."""
     counts = [grid.leaf_count(f) for f in fractions]
     out = np.empty((replicas, len(counts)))
@@ -345,7 +349,7 @@ def simulate_prefix_masses(model, grid, seed, replicas, fractions, *,
         for i, k in enumerate(counts):
             out[start:start + len(cells), i] = cells[:, k - 1] if k else 0.0
     BatchSimulator(model, grid, stream_tag=stream_tag).total_masses(
-        seed, replicas, chunk, progress, prefix)
+        seed, replicas, progress, prefix)
     return out
 
 
@@ -503,12 +507,12 @@ def _refine_gaussian(realization, fine, rng):
 
 
 def juxtaposed_total_masses(model, grid, n_intervals, seed, replicas, *,
-                            chunk=256, stream_tag="juxtapose", progress=None):
+                            stream_tag="juxtapose", progress=None):
     """(replicas, n_intervals) total masses of adjacent copies of grid
     sharing one noise."""
     return BatchSimulator(model, grid, stream_tag=stream_tag,
                           n_intervals=n_intervals).total_masses(
-        seed, replicas, chunk, progress)
+        seed, replicas, progress)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +560,7 @@ def sample_scale_log(model, lam, rng):
     return float(sample_area_logs(model, math.log(1.0 / lam), [rng])[0, 0])
 
 
-def scaled_mass_samples(model, grid, lam, seed, replicas, *, chunk=512,
+def scaled_mass_samples(model, grid, lam, seed, replicas, *,
                         stream_tag="scaling"):
     """Independent draws of lam * exp(W) * Z' at matched truncation.
 
@@ -570,14 +574,13 @@ def scaled_mass_samples(model, grid, lam, seed, replicas, *, chunk=512,
     if k >= grid.levels:
         raise ValueError("scale ratio too small for the grid depth")
     sub = GridSpec(grid.interval, grid.levels - k, grid.oversample)
-    z = simulate_total_masses(model, sub, seed, replicas, chunk=chunk,
+    z = simulate_total_masses(model, sub, seed, replicas,
                               stream_tag=stream_tag + "-z")
     w = np.empty(replicas)
     gens = []
-    for start in range(0, replicas, chunk):
-        rngs = streams(gens, seed, start, min(chunk, replicas - start),
-                       stream_tag + "-w")
-        w[start:start + chunk] = sample_area_logs(
+    for start, count in BatchSimulator._spans(replicas, RUN_CHUNK, None):
+        rngs = streams(gens, seed, start, count, stream_tag + "-w")
+        w[start:start + count] = sample_area_logs(
             model, math.log(1.0 / lam), rngs)[:, 0]
     return lam * np.exp(w) * z
 
@@ -629,6 +632,8 @@ def read_binary_masses(path):
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ValueError("not a cascade dump")
+    if len(blob) < 32:
+        raise ValueError("cascade dump header cut short")
     version, levels, oversample = struct.unpack("<III", blob[4:16])
     if version != 1:
         raise ValueError(f"unsupported dump version {version}")

@@ -58,15 +58,14 @@ def star_defect(model, grid, seed, replicas, levels, tag):
     return worst
 
 
-def scaling_ks(model, grid, fractions, seeds, replicas, chunk, tags):
+def scaling_ks(model, grid, fractions, seeds, replicas, tags):
     """Exact scaling: for each lam in fractions, the KS (statistic,
     p-value) of the mass of the interval's first lam against lam exp(W) Z'.
     seeds and tags are the prefix masses' and the rescaled copies'."""
     prefix = cascade.simulate_prefix_masses(
-        model, grid, seeds[0], replicas, fractions, chunk=chunk,
-        stream_tag=tags[0])
+        model, grid, seeds[0], replicas, fractions, stream_tag=tags[0])
     return [moments.ks_two_sample(prefix[:, col], cascade.scaled_mass_samples(
-        model, grid, lam, seeds[1], replicas, chunk=chunk, stream_tag=tags[1]))
+        model, grid, lam, seeds[1], replicas, stream_tag=tags[1]))
         for col, lam in enumerate(fractions)]
 
 
@@ -89,7 +88,7 @@ def _scaling_ks(model, grid, seed, replicas):
     small = type(grid)(grid.interval, max(2, min(grid.levels, 8)),
                        grid.oversample)
     [(stat, p)] = scaling_ks(model, small, [0.5], (seed, seed + 1), replicas,
-                             cascade.RUN_CHUNK, ("verify-ks-a", "verify-ks-b"))
+                             ("verify-ks-a", "verify-ks-b"))
     return p, {"statistic": stat, "replicas": replicas}
 
 

@@ -178,8 +178,7 @@ def cmd_theory(cfg):
 
 
 def cmd_simulate(cfg):
-    from .cascade import (RUN_CHUNK, BatchSimulator, model_digest,
-                          write_masses_binary)
+    from .cascade import BatchSimulator, model_digest, write_masses_binary
     model = cfg.build_model()
     grid = cfg.build_grid()
     seed, replicas = _experiment(cfg, "seed", "replicas")
@@ -194,7 +193,7 @@ def cmd_simulate(cfg):
                 os.path.join(outdir, f"realization_{j:06d}.bin"),
                 grid, digest, c)
     progress = _Progress(replicas)
-    totals = sim.total_masses(seed, replicas, RUN_CHUNK, progress, dump)
+    totals = sim.total_masses(seed, replicas, progress, dump)
     progress.finish()
     _write_report(cfg, "summary", {
         "replicas": replicas,
@@ -258,8 +257,7 @@ def _draw(cfg, model, grid, batch, **kw):
     seed, replicas = _experiment(cfg, "seed", "replicas")
     progress = _Progress(replicas)
     out = getattr(cascade, batch)(model, grid, seed=seed, replicas=replicas,
-                                  chunk=cascade.RUN_CHUNK, progress=progress,
-                                  **kw)
+                                  progress=progress, **kw)
     progress.finish()
     return {"sampler": sampler.name, "sampler_health": sampler.health}, out
 

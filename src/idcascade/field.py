@@ -662,21 +662,17 @@ def _points_below(edge, lo, spacing, count, t=None, out=None):
     return np.minimum(out, count, out=out)
 
 
-def range_sums(i0, i1, values, count, diff=None):
+def range_sums(i0, i1, values, diff):
     """(rows, count) totals of values[m] over the index ranges [i0[m],
     i1[m]), an index being row * (count + 1) + k.
 
     A difference-array sweep: each range adds at its start and subtracts
     at its end, and a cumulative sum spreads the values over the indices,
-    in place: the totals are a view of the (rows, count + 1) difference
-    array, a caller's buffer to reuse (diff, overwritten), or one row
-    without it.  A range ending at count ends in its last column, which
-    no total reads.
+    in place: the totals are a view of diff, the caller's (rows, count +
+    1) buffer to reuse, overwritten.  A range ending at count ends in its
+    last column, which no total reads.
     """
-    if diff is None:
-        diff = np.zeros((1, count + 1))
-    else:
-        diff.fill(0.0)
+    diff.fill(0.0)
     flat = diff.reshape(-1)
     np.add.at(flat, i0, values)
     np.subtract.at(flat, i1, values)
@@ -709,8 +705,8 @@ def shadow_sums(counts, x, y, jump, lo, spacing, n, work=None):
         k0[o:o + c] += j * (n + 1)
         k1[o:o + c] += j * (n + 1)
         o += c
-    return range_sums(k0, k1, jump, n, diff=_scratch(
-        work, "diff", len(counts), (n + 1,)))
+    return range_sums(k0, k1, jump, _scratch(work, "diff", len(counts),
+                                             (n + 1,)))
 
 
 def covered_sums(counts, x, y, jump, lo, width, count):
@@ -729,8 +725,8 @@ def covered_sums(counts, x, y, jump, lo, width, count):
     ok = i0 < i1
     row = np.searchsorted(np.cumsum(counts), tall[ok], side="right")
     row *= count + 1
-    return range_sums(i0[ok] + row, i1[ok] + row, jump[tall[ok]], count,
-                      diff=np.zeros((len(counts), count + 1)))
+    return range_sums(i0[ok] + row, i1[ok] + row, jump[tall[ok]],
+                      np.empty((len(counts), count + 1)))
 
 
 def poisson_points(rngs, strips, nu, work=None):

@@ -113,7 +113,7 @@ def test_03_star_identity():
 
 def test_04_second_moment():
     z = simulate_total_masses(M05, GridSpec((0.0, 1.0), 10, 4, 0), 7,
-                              10_000, chunk=2000)
+                              10_000)
     m2 = float(np.mean(z ** 2))
     rel = abs(m2 - 8.0 / 3.0) / (8.0 / 3.0)
     ok = rel < 0.05
@@ -127,7 +127,7 @@ def test_04_second_moment():
 
 def test_05_critical_mixed_moment():
     mm = simulate_prefix_masses(M10, GridSpec((0.0, 1.0), 8, 2, 0), 12,
-                                100_000, [0.5, 1.0], chunk=4000)
+                                100_000, [0.5, 1.0])
     prod = mm[:, 0] * (mm[:, 1] - mm[:, 0])
     mom = estimate_moment(prod, 1.0, blocks=4).median_of_means
     rel = abs(mom - LOG2) / LOG2
@@ -143,7 +143,7 @@ def test_05_critical_mixed_moment():
 def test_06_exact_scaling_ks():
     grid = GridSpec((0.0, 1.0), 10, 2, 0)
     lams = [0.25, 0.5]
-    ks = scaling_ks(M05, grid, lams, (1051, 51), 5000, 512,
+    ks = scaling_ks(M05, grid, lams, (1051, 51), 5000,
                     ("cascade", "scaling"))
     ps = {lam: p for lam, (_, p) in zip(lams, ks)}
     wrong = simulate_prefix_masses(lognormal_model(0.8), grid, 2051, 5000,
@@ -162,7 +162,7 @@ def test_06_exact_scaling_ks():
 def test_07_scaling_exponents():
     lams = [0.5, 0.25, 0.125]
     mm = simulate_prefix_masses(M05, GridSpec((0.0, 1.0), 10, 1, 0), 71,
-                                600_000, lams, chunk=8000)
+                                600_000, lams)
     rep = scaling_fit(M05, lams, mm, [0.5, 1.0, 1.5, 2.0])
     ok = rep.max_abs_error < 0.05
     report(7, "scaling exponents (q up to 2)", ok,
@@ -175,7 +175,7 @@ def test_07_scaling_exponents():
 
 def test_08_tail_index_plateau():
     z = simulate_total_masses(M10, GridSpec((0.0, 1.0), 12, 1, 0), 32,
-                              100_000, chunk=2000)
+                              100_000)
     rep = hill_tail_report(z, fractions=(0.002, 0.005, 0.01),
                            tail_index_for_constant=2.0)
     ok = 1.7 <= rep.hill_selected <= 2.3 and 1.0 <= rep.tail_constant <= 4.0
@@ -190,7 +190,7 @@ def test_08_tail_index_plateau():
 
 def test_09_degeneracy_boundary():
     z = simulate_total_masses(M05, GridSpec((0.0, 1.0), 10, 2, 0), 23,
-                              20_000, chunk=4000)
+                              20_000)
     e = estimate_moment(z, 1.0)
     pull = abs(e.mean - 1.0) / e.stderr
 
@@ -251,7 +251,7 @@ def test_10_covariance_decay_exact_kernel(juxtaposed_cov):
 
 def test_11_moment_growth():
     z = simulate_total_masses(ATOM, GridSpec((0.0, 1.0), 10, 2, 0), 97,
-                              30_000, chunk=2000)
+                              30_000)
     rels = []
     for n in (2, 3):
         quad = exact_joint_moment(ATOM, [((0.0, 1.0), n)]).value

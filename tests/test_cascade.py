@@ -140,7 +140,7 @@ def test_simulate_total_masses_matches_single_builds(model, cell_levels):
                for i in range(4)]
     # the batch on a points-only grid and on the single builds' grid
     for batch_grid in (GridSpec((0.0, 1.0), 4, 2, 0), grid):
-        z = simulate_total_masses(model, batch_grid, 11, 4, chunk=2)
+        z = simulate_total_masses(model, batch_grid, 11, 4)
         for i in range(4):
             assert z[i] == pytest.approx(singles[i], rel=1e-12)
 
@@ -184,7 +184,7 @@ BLOCKED = [  # model, grid, copies, replicas: each exceeds its block + 1
 ]
 
 
-def leaf_masses(sim, seed, replicas, chunk):
+def leaf_masses(sim, seed, replicas):
     """(cells, totals, spans): total_masses' totals, the leaf masses its
     each consumer saw, copied into one array, and the (start, rows) of
     each block in the order they came."""
@@ -194,7 +194,7 @@ def leaf_masses(sim, seed, replicas, chunk):
     def each(start, block):
         cells[start:start + len(block)] = block
         spans.append((start, len(block)))
-    return cells, sim.total_masses(seed, replicas, chunk, each=each), spans
+    return cells, sim.total_masses(seed, replicas, each=each), spans
 
 
 @pytest.mark.parametrize("model,grid,copies,replicas", BLOCKED,
@@ -202,7 +202,7 @@ def leaf_masses(sim, seed, replicas, chunk):
                               "juxtaposed-poisson-4", "hybrid-circulant",
                               "dense", "juxtaposed-dense"])
 def test_masses_are_the_reduced_chunks_bit_for_bit(model, grid, copies,
-                                                   replicas):
+                                                   replicas, monkeypatch):
     sim = BatchSimulator(model, grid, n_intervals=copies)
     rngs = [make_generator(3, i, "t") for i in range(replicas)]
     block = len(next(sim.sampler.blocks(rngs))[1])
@@ -211,7 +211,8 @@ def test_masses_are_the_reduced_chunks_bit_for_bit(model, grid, copies,
     for chunk in (1, 7, block - 1, block + 1, replicas + 5):
         want = [(start, *masses_from_point_log(grid, pl))
                 for start, pl in sim.chunks(3, replicas, chunk)]
-        cells, z, spans = leaf_masses(sim, 3, replicas, chunk)
+        monkeypatch.setattr(cascade, "RUN_CHUNK", chunk)
+        cells, z, spans = leaf_masses(sim, 3, replicas)
         # each block is seen once (in any order on a pool's workers),
         # none wider than a chunk
         spans.sort()
@@ -235,28 +236,54 @@ def test_masses_are_the_reduced_chunks_bit_for_bit(model, grid, copies,
         if not dense:
             # and the draws keep theirs, so the chunk width is invisible
             # too; the dense paths' matrix product sees the width
-            one = leaf_masses(sim, 3, replicas, replicas)
+            monkeypatch.setattr(cascade, "RUN_CHUNK", replicas)
+            one = leaf_masses(sim, 3, replicas)
             for a, b in zip(one[:2], (cells, z)):
                 np.testing.assert_array_equal(a, b)
 
 
-def test_batch_rejects_a_non_positive_chunk():
+def test_batch_rejects_a_non_positive_chunk(monkeypatch):
     sim = BatchSimulator(ATOM, GridSpec((0.0, 1.0), 4, 2, 0))
     for chunk in (0, -1):
         with pytest.raises(ValueError, match="chunk must be >= 1"):
             next(sim.chunks(1, 4, chunk))
+        monkeypatch.setattr(cascade, "RUN_CHUNK", chunk)
         with pytest.raises(ValueError, match="chunk must be >= 1"):
-            sim.total_masses(1, 4, chunk, each=lambda start, cells: None)
+            sim.total_masses(1, 4, each=lambda start, cells: None)
         with pytest.raises(ValueError, match="chunk must be >= 1"):
-            simulate_total_masses(ATOM, sim.grid, 1, 4, chunk=chunk)
+            simulate_total_masses(ATOM, sim.grid, 1, 4)
 
 
-def test_batch_masses_memory_is_below_one_chunk_of_point_values():
+PROGRESS_GRID = GridSpec((0.0, 1.0), 4, 2, 0)
+
+
+@pytest.mark.parametrize("batch", [
+    lambda progress: simulate_total_masses(
+        ATOM, PROGRESS_GRID, 1, 10, progress=progress),
+    lambda progress: simulate_prefix_masses(
+        ATOM, PROGRESS_GRID, 1, 10, [0.5], progress=progress),
+    lambda progress: juxtaposed_total_masses(
+        ATOM, PROGRESS_GRID, 2, 1, 10, progress=progress),
+    lambda progress: BatchSimulator(ATOM, PROGRESS_GRID).total_masses(
+        1, 10, progress),
+], ids=["total", "prefix", "juxtaposed", "simulator"])
+def test_mass_batches_report_progress_after_each_run_chunk(batch,
+                                                           monkeypatch):
+    # every mass batch draws cascade.RUN_CHUNK replicas at a time
+    monkeypatch.setattr(cascade, "RUN_CHUNK", 3)
+    done = []
+    batch(done.append)
+    assert done == [3, 6, 9, 10]
+
+
+def test_batch_masses_memory_is_below_one_chunk_of_point_values(
+        monkeypatch):
     grid = GridSpec((0.0, 1.0), 10, 4, 0)
     assert make_sampler(grid, LOGN).name == "circulant"
+    monkeypatch.setattr(cascade, "RUN_CHUNK", 512)
     tracemalloc.start()
     try:
-        simulate_total_masses(LOGN, grid, 4, 520, chunk=512)
+        simulate_total_masses(LOGN, grid, 4, 520)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -279,7 +306,8 @@ def pooled_draws(method, workers, chunk, monkeypatch):
     sim = BatchSimulator(LOGN, CIRCULANT_GRID)
     assert sim.sampler.pooled
     if method == "masses":
-        return leaf_masses(sim, 8, 100, chunk)[:2]
+        monkeypatch.setattr(cascade, "RUN_CHUNK", chunk)
+        return leaf_masses(sim, 8, 100)[:2]
     return [np.concatenate([pl.copy() for _, pl in sim.chunks(8, 100,
                                                                  chunk)])]
 
@@ -293,7 +321,7 @@ def test_circulant_batches_keep_their_bytes_on_two_workers(
     two = pooled_draws(method, 2, chunk, monkeypatch)
     assert [a.tobytes() for a in one] == [b.tobytes() for b in two]
     if method == "masses":  # and so are total_masses', on two workers
-        z = BatchSimulator(LOGN, CIRCULANT_GRID).total_masses(8, 100, chunk)
+        z = BatchSimulator(LOGN, CIRCULANT_GRID).total_masses(8, 100)
         assert z.tobytes() == one[1].tobytes()
 
 
@@ -310,8 +338,8 @@ def test_circulant_totals_keep_their_pinned_values(monkeypatch):
     for workers in (1, 2):
         monkeypatch.setattr(cascade, "pool_size", lambda: workers)
         for chunk in (1, 4, 10):
-            z = simulate_total_masses(LOGN, CIRCULANT_GRID, 5, 10,
-                                      chunk=chunk)
+            monkeypatch.setattr(cascade, "RUN_CHUNK", chunk)
+            z = simulate_total_masses(LOGN, CIRCULANT_GRID, 5, 10)
             assert [v.hex() for v in z.tolist()] == want
 
 
@@ -330,8 +358,8 @@ def test_prefix_masses_keep_their_bytes_at_any_chunk_and_worker_count(
     for workers in (1, 2):
         monkeypatch.setattr(cascade, "pool_size", lambda: workers)
         for chunk in (1, 7, 30):
-            m = simulate_prefix_masses(model, grid, 4, 30, fractions,
-                                       chunk=chunk)
+            monkeypatch.setattr(cascade, "RUN_CHUNK", chunk)
+            m = simulate_prefix_masses(model, grid, 4, 30, fractions)
             assert m.tobytes() == want.tobytes()
 
 
@@ -351,7 +379,8 @@ def test_unpooled_batches_start_no_worker(model, grid, copies, monkeypatch):
     sim = BatchSimulator(model, grid, n_intervals=copies)
     assert not sim.sampler.pooled
     list(sim.chunks(1, 12, 6))
-    sim.total_masses(1, 12, 6, each=lambda start, cells: None)
+    monkeypatch.setattr(cascade, "RUN_CHUNK", 6)
+    sim.total_masses(1, 12, each=lambda start, cells: None)
 
 
 def test_import_starts_no_thread_and_no_futures():
@@ -395,11 +424,12 @@ def test_total_masses_hold_no_chunk_of_leaf_masses(model, copies, replicas,
     peaks = {}
     monkeypatch.setattr(cascade, "pool_size", lambda: 2)
     for chunk in (2000, 16):
+        monkeypatch.setattr(cascade, "RUN_CHUNK", chunk)
         sim = BatchSimulator(model, grid, n_intervals=copies)
-        sim.total_masses(1, replicas, chunk)  # generators, work arrays
+        sim.total_masses(1, replicas)  # generators, work arrays
         tracemalloc.start()
         try:
-            out = sim.total_masses(2, replicas, chunk)
+            out = sim.total_masses(2, replicas)
             peaks[chunk] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -420,24 +450,25 @@ def test_total_masses_hold_no_chunk_of_leaf_masses(model, copies, replicas,
     assert peaks[2000] < out.nbytes + workers * (block + 16384) + work
 
 
-def each_block(grid, seed, chunk):
+def each_block(grid, seed):
     BatchSimulator(ATOM, grid).total_masses(
-        seed, 512, chunk, each=lambda start, cells: None)
+        seed, 512, each=lambda start, cells: None)
 
 
-def prefix_masses(grid, seed, chunk):
-    simulate_prefix_masses(ATOM, grid, seed, 512, [0.25, 0.5], chunk=chunk)
+def prefix_masses(grid, seed):
+    simulate_prefix_masses(ATOM, grid, seed, 512, [0.25, 0.5])
 
 
 @pytest.mark.parametrize("consume", [each_block, prefix_masses],
                          ids=["each-block", "prefix-masses"])
-def test_a_consumer_of_leaf_masses_holds_no_chunk(consume):
+def test_a_consumer_of_leaf_masses_holds_no_chunk(consume, monkeypatch):
     grid = GridSpec((0.0, 1.0), 13, 1, 0)  # 8192 points and leaf cells
     peaks = {}
     for chunk in (256, 8):
+        monkeypatch.setattr(cascade, "RUN_CHUNK", chunk)
         tracemalloc.start()
         try:
-            consume(grid, 2, chunk)
+            consume(grid, 2)
             peaks[chunk] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -496,15 +527,15 @@ def test_batches_on_a_cell_carrying_grid_draw_its_points_alone(model):
     sim = BatchSimulator(model, grid)
     assert sim.grid is grid
     assert getattr(sim.sampler, "gauss", sim.sampler).name == "circulant"
-    z = sim.total_masses(3, 40, 16)
+    z = sim.total_masses(3, 40)
     points = BatchSimulator(model, GridSpec((0.0, 1.0), 9, 4, 0))
-    assert z.tobytes() == points.total_masses(3, 40, 16).tobytes()
+    assert z.tobytes() == points.total_masses(3, 40).tobytes()
 
 
 def test_deep_circulant_total_mass_has_mean_one():
     # 65,536 points: far past what a dense factor could hold
     z = simulate_total_masses(LOGN, GridSpec((0.0, 1.0), 16, 1, 0), 16,
-                              300, chunk=25)
+                              300)
     pull = abs(z.mean() - 1.0) / (z.std(ddof=1) / math.sqrt(z.size))
     assert pull < 3.0
 
@@ -539,7 +570,7 @@ def assert_near_hexes(values, hexes):
                                rtol=1e-12, atol=0)
 
 
-def test_poisson_draws_keep_their_pinned_values():
+def test_poisson_draws_keep_their_pinned_values(monkeypatch):
     # Recorded with the scalar, point-by-point map from uniforms to points:
     # a seed must name the same realization on every version.
     z = simulate_total_masses(ATOM, GridSpec((0.0, 1.0), 8, 2, 0), 11, 3)
@@ -547,8 +578,9 @@ def test_poisson_draws_keep_their_pinned_values():
         "0x1.7dd216d965d8ap-2", "0x1.75753984f0249p-1", "0x1.f05ea86fc9337p-2"]
     # a non-dyadic base interval; every chunk width replays the same bits
     for chunk in (256, 1, 2):
+        monkeypatch.setattr(cascade, "RUN_CHUNK", chunk)
         j = juxtaposed_total_masses(ATOM, GridSpec((0.1, 0.4), 6, 2, 0), 3,
-                                    11, 2, chunk=chunk)
+                                    11, 2)
         assert [[v.hex() for v in row] for row in j.tolist()] == [
             ["0x1.307f8aab7496bp-1", "0x1.02efa9bd968a8p+0",
              "0x1.d1a9248bb4074p+0"],
@@ -561,7 +593,7 @@ def test_poisson_draws_keep_their_pinned_values():
          "0x1.63f81f40402d6p-2"]])
 
 
-def test_poisson_sub_batches_keep_their_pinned_values():
+def test_poisson_sub_batches_keep_their_pinned_values(monkeypatch):
     # the atom config's grid: 12 replicas per Poisson sub-batch and 3 per
     # sub-batch of 4 copies, so chunks of 1, 7 and 40 replicas cut the
     # sub-batches at different replicas, and every batch draws into work
@@ -585,9 +617,11 @@ def test_poisson_sub_batches_keep_their_pinned_values():
         "0x1.868c7a15c6bf1p-2",
     ]
     for chunk in (1, 7, 40):
-        z = simulate_total_masses(ATOM, grid, 7, 40, chunk=chunk)
+        monkeypatch.setattr(cascade, "RUN_CHUNK", chunk)
+        z = simulate_total_masses(ATOM, grid, 7, 40)
         assert [v.hex() for v in z.tolist()] == want
-    j = juxtaposed_total_masses(ATOM, grid, 4, 7, 7, chunk=3)
+    monkeypatch.setattr(cascade, "RUN_CHUNK", 3)
+    j = juxtaposed_total_masses(ATOM, grid, 4, 7, 7)
     assert [[v.hex() for v in row] for row in j.tolist()] == [
         ["0x1.770de6c6b7d98p-2", "0x1.3166e8fb3ce03p+0",
          "0x1.f44cf6c8afc44p-3", "0x1.8a4720dd067f2p-1"],
@@ -820,13 +854,14 @@ def test_scaled_mass_samples_validation():
     ATOM, HYBRID, LOGN, build_model(0.0, TabulatedJumps(
         (-1.0, 0.0, 0.5), (1.0, 2.0, 0.4), 2.0, 3.0))],
     ids=["atom", "hybrid", "lognormal", "tabulated"])
-def test_scaled_mass_samples_replay_single_scale_draws(model):
+def test_scaled_mass_samples_replay_single_scale_draws(model, monkeypatch):
     # the scale factors are drawn and summed a chunk at a time, with the
     # bits of one sample_scale_log per replica
+    monkeypatch.setattr(cascade, "RUN_CHUNK", 16)
     grid = GridSpec((0.0, 1.0), 5, 2, 0)
-    got = scaled_mass_samples(model, grid, 0.25, 4, 50, chunk=16)
+    got = scaled_mass_samples(model, grid, 0.25, 4, 50)
     z = simulate_total_masses(model, GridSpec((0.0, 1.0), 3, 2, 0), 4, 50,
-                              chunk=16, stream_tag="scaling-z")
+                              stream_tag="scaling-z")
     w = np.array([sample_scale_log(model, 0.25,
                                    make_generator(4, r, "scaling-w"))
                   for r in range(50)])
@@ -883,6 +918,10 @@ def test_binary_roundtrip(tmp_path):
         short.write_bytes(fh.read()[:-8])
     with pytest.raises(ValueError, match="length"):
         read_binary_masses(short)
+    cut = tmp_path / "cut.bin"  # cut inside the header
+    cut.write_bytes(b"IDCZ\x01\x00")
+    with pytest.raises(ValueError, match="header cut short"):
+        read_binary_masses(cut)
 
 
 def test_csv_export(tmp_path):
