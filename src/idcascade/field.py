@@ -240,7 +240,12 @@ def _gram_objects(grid, levels=None):
 #   2-vCPU x86 host): smaller sub-batches pay per call, larger ones fault
 #   in larger work arrays and leave the caches;
 # * point values of a batch reduction (cascade.masses_from_point_log): the
-#   exp of one block is its one temporary.
+#   exp of one block is its one temporary;
+# * grid values of an exact_joint_moment quadrature
+#   (moments._ordered_quadrature), chunked along the outer axis, or one
+#   outer node's grid where that is larger: 56^3 at degree 4.  The whole
+#   grid held a traced peak of 129 MiB at degree 3 and 186 MiB at degree 4,
+#   the chunks 2.5 and 8.1 MiB.
 BLOCK_VALUES = 2 ** 16
 
 

@@ -18,13 +18,14 @@ constant, jackknifed covariances of juxtaposed masses, scaling-exponent
 fits, and the growth-ratio sequence of log E Z^n / (n log n).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from . import cones
+from . import cones, field
 from .levy import (MomentDomainError, jump_drift, levy_exponent,
                    structure_derivatives, tail_index_root)
 
@@ -171,10 +172,40 @@ def implicit_renewal_constant(model):
     return total / scale, error / abs(scale)
 
 
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1, n * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+
+
+@functools.lru_cache(maxsize=None)
 def _unit_gauss(n):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """Gauss-Legendre nodes and weights on [0, 1], read-only and cached.
+
+    Newton iteration on the recurrence from the cosine guesses finds the
+    nonnegative roots of P_n, which are mirrored; the weights are
+    2 / ((1 - x)(1 + x) P_n'(x)^2).  O(n) memory, where the companion
+    eigenproblem of numpy.polynomial.legendre.leggauss is n x n (Hale and
+    Townsend, SIAM J. Sci. Comput. 35, 2013).
+    """
+    x = np.cos(math.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
+    if n % 2:
+        x = np.append(x, 0.0)  # the middle root of odd n is exact
+    for _ in range(100):
+        dx = np.divide(*_legendre(n, x))
+        x -= dx
+        if np.max(np.abs(dx)) < 1e-12:  # the next step is below rounding
+            break
+    d = _legendre(n, x)[1]
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * d * d)
+    x = np.concatenate([-x, x[::-1][n % 2:]])
+    w = np.concatenate([w, w[::-1][n % 2:]])
+    u, wu = 0.5 * (x + 1.0), 0.5 * w
+    u.setflags(write=False)
+    wu.setflags(write=False)
+    return u, wu
 
 
 def _ordered_quadrature(spans, alphas, T, M):
@@ -191,8 +222,9 @@ def _ordered_quadrature(spans, alphas, T, M):
     p = 1.0 / (1.0 - a1) if a1 < 1.0 else None
 
     total = 0.0
-    # chunk the outermost axis to bound memory for n = 4
-    chunk = M if n < 4 else max(1, (2 ** 22) // (M ** (n - 1)))
+    # chunks of the outermost axis: a chunk's grid holds at most
+    # field.BLOCK_VALUES values, or one outer node's grid where that is more
+    chunk = max(1, field.BLOCK_VALUES // M ** (n - 1))
     for c0 in range(0, M, chunk):
         sl = slice(c0, min(M, c0 + chunk))
         ts = [None] * n
@@ -535,15 +567,21 @@ def scaling_fit(model, lams, prefix_masses, q_values):
     """
     m = np.asarray(prefix_masses, float)
     lams = np.asarray(lams, float)
-    if m.shape[1] != lams.size:
-        raise ValueError("prefix_masses columns must match lams")
+    if lams.ndim != 1 or lams.size < 2:
+        raise ValueError("need at least two lams")
+    if m.ndim != 2 or m.shape[1] != lams.size:
+        raise ValueError(f"prefix_masses must have shape (replicas, "
+                         f"len(lams)) = (replicas, {lams.size}), got "
+                         f"{m.shape}")
     slopes = []
     theory = []
-    lx = np.log(lams)
+    dx = np.log(lams)
+    dx -= dx.mean()
     for q in q_values:
-        ly = [math.log(float((m[:, j] ** q).mean()))
-              for j in range(lams.size)]
-        slope = float(np.polyfit(lx, ly, 1)[0])
+        ly = np.array([math.log(float((m[:, j] ** q).mean()))
+                       for j in range(lams.size)])
+        # the least-squares line's slope in closed form
+        slope = float(dx @ (ly - ly.mean()) / (dx @ dx))
         slopes.append(slope)
         theory.append(scaling_exponent(model, q))
     errs = [abs(s - t) for s, t in zip(slopes, theory)]

@@ -638,10 +638,12 @@ def test_simulate_loads_no_scipy(name, tmp_path):
 def test_drawing_commands_load_no_scipy_or_numpy_ma(command, kind,
                                                     tmp_path):
     # numpy.ma, which np.median imports on its first call, takes 8 MB;
-    # 100 replicas are enough for the moments' median of 32 block means
+    # the Gauss-Legendre rules need no numpy.polynomial; 100 replicas are
+    # enough for the moments' median of 32 block means
     path = shipped_cfg("atom.ini", tmp_path,
                        experiment={"replicas": "100", "kind": kind})
     launch = ("import sys; from idcascade import cli\n"
               "assert cli.main(sys.argv[1:]) == 0")
     assert _modules_after(launch, "--config", path, command,
-                          packages=("scipy", "numpy.ma")) == "[]"
+                          packages=("scipy", "numpy.ma",
+                                    "numpy.polynomial")) == "[]"

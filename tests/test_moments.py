@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
+from idcascade import moments
 from idcascade.levy import (MomentDomainError, diagnose, levy_exponent,
                             lognormal_model, nu_integral, single_atom_model)
 from idcascade.moments import (covariance_report, estimate_moment,
@@ -103,6 +106,40 @@ def test_exact_joint_moment_domain_and_validation():
         exact_joint_moment(LOGN, [((0.0, 2.0), 1)])
 
 
+@pytest.mark.parametrize("blocks", [[((0.0, 1.0), 3)],
+                                    [((0.0, 0.5), 2), ((0.5, 1.0), 2)]],
+                         ids=["degree-3", "degree-4"])
+def test_exact_joint_moment_memory_is_bounded(blocks):
+    tracemalloc.start()
+    try:
+        exact_joint_moment(LOGN, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a chunk's grid holds at most field.BLOCK_VALUES values, or one outer
+    # node's 56^3 at degree 4, and a few temporaries of it: about 2.5 and
+    # 8 MB, where the whole grid held 129 and 186 MB
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", [320, 220, 150, 104, 56, 40, 20, 8])
+def test_gauss_legendre_rule_matches_leggauss(n):
+    # every node count of exact_joint_moment and juxtaposed_pair_moment
+    u, w = moments._unit_gauss(n)
+    x, wx = leggauss(n)
+    assert np.max(np.abs(u - 0.5 * (x + 1.0))) <= 1e-15
+    # leggauss's own weights are off by up to 2e-10 at n = 320
+    assert np.max(np.abs(w / (0.5 * wx) - 1.0)) <= 1e-9
+    if n <= 56:
+        for k in range(2 * n):
+            assert w @ u ** k == pytest.approx(1.0 / (k + 1), rel=1e-13)
+    assert moments._unit_gauss(n)[0] is u
+    with pytest.raises(ValueError):
+        u[0] = 0.5
+    with pytest.raises(ValueError):
+        w[0] = 0.5
+
+
 def test_selberg_moment_closed_values():
     # sigma2 = 0.5: E Z^2 = 8/3 and E Z^3 = 8 pi; E Z^0 = E Z^1 = 1
     assert selberg_moment(0.5, 2) == pytest.approx(8.0 / 3.0, rel=1e-14)
@@ -113,7 +150,8 @@ def test_selberg_moment_closed_values():
 
 
 @pytest.mark.parametrize("sigma2,n", [(0.1, 2), (0.2, 2), (0.3, 2),
-                                      (0.5, 2), (0.5, 3)])
+                                      (0.5, 2), (0.5, 3), (0.1, 4),
+                                      (0.2, 4), (0.3, 4)])
 def test_selberg_moment_matches_exact_joint_moment(sigma2, n):
     # within the quadrature's own two-resolution error estimate
     r = exact_joint_moment(lognormal_model(sigma2), [((0.0, 1.0), n)])
@@ -309,6 +347,10 @@ def test_scaling_fit_on_exact_power_law():
     assert rep.max_abs_error == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         scaling_fit(LOGN, lams, m[:, :2], [1.0])
+    with pytest.raises(ValueError, match=r"\(replicas, len\(lams\)\)"):
+        scaling_fit(LOGN, lams, m[0], [1.0])
+    with pytest.raises(ValueError, match="at least two lams"):
+        scaling_fit(LOGN, lams[:1], m[:, :1], [1.0])
 
 
 def test_growth_probe_quadrature_orders():
