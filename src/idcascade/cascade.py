@@ -1,8 +1,8 @@
 """Cascade realizations and their structural operations.
 
-A realization turns one field sample into the measure it induces: leaf-cell
-masses, per-level cell weights, and the total mass.  The operations here are
-the structural facts the engine exists to verify:
+A realization is one field sample and the measure it induces: leaf-cell
+masses and the total mass (a cell's weight is the exp of its cell noise).
+The operations here are the structural facts the engine exists to verify:
 
 * star decomposition: the measure restricted to a level-k cell factors into
   the cell weight times an independent rescaled copy of the whole cascade;
@@ -25,15 +25,15 @@ import struct
 import threading
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from . import cones, field
 from .levy import NoiseModel, ZeroJumps, jump_drift, mean_slope
 from .field import (FieldSample, GridSpec, PoissonFieldSampler,
-                    _chol_with_jitter, _gram_objects, _scratch, fill_gram,
-                    footprint_areas, make_sampler, poisson_points)
+                    _chol_with_jitter, _gram_objects, _scratch, field_kind,
+                    fill_gram, footprint_areas, make_sampler, poisson_points)
 from ._rng import make_generator, streams
 
 
@@ -46,17 +46,19 @@ def model_digest(model):
 
 @dataclass
 class Realization:
-    """One cascade sample on a grid: masses, weights, provenance."""
+    """One cascade sample: its field draw, the masses it induces and its
+    provenance.  Its kind is field_kind(model)."""
 
-    grid: GridSpec
     model: NoiseModel
-    kind: str
+    field: FieldSample
     cell_masses: np.ndarray            # leaf-level masses, length 2^levels
-    weights: Dict[int, np.ndarray]     # level -> exp(cell noise)
     total_mass: float
-    field: Optional[FieldSample] = None
     seed: Optional[int] = None
     replica: Optional[int] = None
+
+    @property
+    def grid(self):
+        return self.field.grid
 
 
 def _leaf_masses(grid, w, cell, total):
@@ -105,22 +107,22 @@ def masses_from_point_log(grid, point_log):
     return cell, total
 
 
-def build_realization(model, grid, rng=None, *, seed=None, replica=0,
-                      stream_tag="cascade"):
-    """Simulate one realization; pass either an rng or a (seed, replica)."""
-    if (rng is None) == (seed is None):
-        raise ValueError("pass exactly one of rng or seed")
+def _realization(model, sample, seed=None, replica=None):
+    """The Realization of a field sample, its masses from
+    masses_from_point_log."""
+    cell, total = masses_from_point_log(sample.grid, sample.point_log)
+    return Realization(model, sample, cell, float(total), seed, replica)
+
+
+def build_realization(model, grid, *, seed, replica=0, stream_tag="cascade"):
+    """Simulate one realization from the stream of (seed, replica)."""
     if mean_slope(model) >= 0:
         warnings.warn("structure-function slope at 1 is nonnegative: the "
                       "cascade limit is degenerate; fine-level masses will "
                       "collapse", stacklevel=2)
-    if rng is None:
-        rng = make_generator(seed, replica, stream_tag)
-    f = make_sampler(grid, model).sample(rng)
-    cell, total = masses_from_point_log(grid, f.point_log)
-    weights = {lev: np.exp(v) for lev, v in f.cell_log.items()}
-    return Realization(grid, model, f.kind, cell, weights, float(total),
-                       field=f, seed=seed, replica=replica)
+    rng = make_generator(seed, replica, stream_tag)
+    return _realization(model, make_sampler(grid, model).sample(rng), seed,
+                        replica)
 
 
 # ---------------------------------------------------------------------------
@@ -379,39 +381,27 @@ class StarDecomposition:
 def decompose_star(realization, level):
     """Split a realization at dyadic level k into weights and sub-cascades.
 
-    The sub-cascade point noise is the pathwise difference between each
-    point's value and its ancestor cell's value, which is exactly the noise
-    of the point's local cone relative to the cell.
+    The sub-cascade noise is the pathwise difference between each point's
+    or descendant cell's value and its ancestor cell's value, which is
+    exactly the noise of the point's local cone (or the cell's region)
+    relative to the cell.
     """
     g = realization.grid
     if not 1 <= level < g.levels:
         raise ValueError("level out of range")
-    if level not in realization.weights:
+    f = realization.field
+    if level not in f.cell_log:
         raise ValueError(f"realization does not carry level {level} weights")
-    if realization.field is None:
-        raise ValueError("realization was built without its field")
-    cell_vals = np.log(realization.weights[level])
-    point_log = realization.field.point_log
-    per_cell = point_log.reshape(2 ** level, -1)
+    cell_vals = f.cell_log[level]
+    per_cell = f.point_log.reshape(2 ** level, -1)
     subs = []
-    bounds = g.cell_bounds(level)
-    for i, (clo, chi) in enumerate(bounds):
-        sub_grid = g.rescaled((clo, chi), level_drop=level)
-        sub_points = per_cell[i] - cell_vals[i]
-        cells, total = masses_from_point_log(sub_grid, sub_points)
-        sub_weights = {}
-        for lev in sub_grid.carried_levels:
-            parent = lev + level
-            if parent in realization.weights:
-                block = realization.weights[parent].reshape(2 ** level, -1)[i]
-                sub_weights[lev] = block / realization.weights[level][i]
-        sub_field = FieldSample(sub_grid, realization.kind, sub_points,
-                                {lev: np.log(w)
-                                 for lev, w in sub_weights.items()})
-        subs.append(Realization(sub_grid, realization.model,
-                                realization.kind, cells, sub_weights,
-                                float(total), field=sub_field))
-    return StarDecomposition(level, realization.weights[level].copy(), subs)
+    for i, bounds in enumerate(g.cell_bounds(level)):
+        sub_grid = g.rescaled(bounds, level_drop=level)
+        sub_cells = {lev: f.cell_log[lev + level].reshape(2 ** level, -1)[i]
+                     - cell_vals[i] for lev in sub_grid.carried_levels}
+        subs.append(_realization(realization.model, FieldSample(
+            sub_grid, per_cell[i] - cell_vals[i], sub_cells)))
+    return StarDecomposition(level, np.exp(cell_vals), subs)
 
 
 # ---------------------------------------------------------------------------
@@ -434,25 +424,20 @@ def refine(realization, extra_levels, rng):
         raise ValueError("extra_levels must be >= 0")
     if extra_levels == 0:
         return realization
-    if realization.field is None:
-        raise ValueError("realization was built without its field")
     g = realization.grid
     fine = GridSpec(g.interval, g.levels + extra_levels, g.oversample,
                     None if g.cell_levels is None else
                     (g.cell_levels + extra_levels if g.cell_levels == g.levels
                      else g.cell_levels))
-    if realization.kind == "poisson":
+    kind = field_kind(realization.model)
+    if kind == "poisson":
         f = _refine_poisson(realization, fine, rng)
-    elif realization.kind == "gaussian":
+    elif kind == "gaussian":
         f = _refine_gaussian(realization, fine, rng)
     else:
-        raise ValueError(f"refine not implemented for kind "
-                         f"{realization.kind!r}")
-    cells, total = masses_from_point_log(fine, f.point_log)
-    weights = {lev: np.exp(v) for lev, v in f.cell_log.items()}
-    return Realization(fine, realization.model, realization.kind, cells,
-                       weights, float(total), field=f,
-                       seed=realization.seed, replica=realization.replica)
+        raise ValueError(f"refine not implemented for kind {kind!r}")
+    return _realization(realization.model, f, realization.seed,
+                        realization.replica)
 
 
 def _refine_poisson(realization, fine, rng):
@@ -465,7 +450,7 @@ def _refine_poisson(realization, fine, rng):
     y = np.concatenate([old.points_y, ys])
     jump = np.concatenate([old.points_jump, jumps])
     point_log, cell_log = sampler.evaluate(x, y, jump)
-    return FieldSample(fine, "poisson", point_log, cell_log,
+    return FieldSample(fine, point_log, cell_log,
                        points_x=x, points_y=y, points_jump=jump)
 
 
@@ -497,7 +482,7 @@ def _refine_gaussian(realization, fine, rng):
     point_log, *cells = np.split(vals, np.cumsum(
         [fine.n_points] + [2 ** lev for lev in new_levels[:-1]]))
     cell_log = {lev: old.cell_log[lev].copy() for lev in g.carried_levels}
-    return FieldSample(fine, "gaussian", point_log,
+    return FieldSample(fine, point_log,
                        {**cell_log, **dict(zip(new_levels, cells))})
 
 

@@ -263,12 +263,12 @@ def _draw(cfg, model, grid, batch, **kw):
 
 
 def _estimate_moments(cfg, model, grid):
-    from .levy import diagnose
+    from .levy import tail_index_root
     from .moments import estimate_moment
     qs = cfg.value("experiment", "q_values")
     qs = [1.0, 2.0] if qs is None else qs
     record, z = _draw(cfg, model, grid, "simulate_total_masses")
-    zeta = diagnose(model).tail_index
+    zeta = tail_index_root(model)
     rows, estimates = [], []
     for q in qs:
         e = estimate_moment(z, q, tail_index=zeta)
@@ -285,13 +285,13 @@ def _estimate_moments(cfg, model, grid):
 
 
 def _estimate_tail(cfg, model, grid):
-    from .levy import diagnose
+    from .levy import tail_index_root
     from .moments import TAIL_MIN_SAMPLES, hill_tail_report
     if cfg.value("experiment", "replicas") < TAIL_MIN_SAMPLES:
         raise config.ConfigError("experiment.replicas", "tail estimation "
                                  f"needs at least {TAIL_MIN_SAMPLES}")
     record, z = _draw(cfg, model, grid, "simulate_total_masses")
-    zeta = diagnose(model).tail_index
+    zeta = tail_index_root(model)
     rep = hill_tail_report(z, tail_index_for_constant=zeta)
     return ({"hill": {str(f): v for f, v in rep.hill.items()},
              "hill_selected": rep.hill_selected,

@@ -194,7 +194,6 @@ class FieldSample:
     """
 
     grid: GridSpec
-    kind: str
     point_log: np.ndarray
     cell_log: Dict[int, np.ndarray]
     points_x: Optional[np.ndarray] = None
@@ -532,7 +531,7 @@ class GaussianFieldSampler:
             raise ValueError("juxtaposed copies draw only with blocks()")
         vals = self.draw_columns(rng.standard_normal((self.dim, 1)))[:, 0]
         point_log, cell_log = self.split(vals)
-        return FieldSample(self.grid, "gaussian", point_log, cell_log)
+        return FieldSample(self.grid, point_log, cell_log)
 
 
 # Points-only Gaussian grids with at least this many points use the
@@ -642,7 +641,7 @@ class CirculantGaussianSampler:
     def sample(self, rng):
         """One FieldSample: row 0 of a batch of one."""
         (_, vals), = self.blocks([rng])
-        return FieldSample(self.grid, "gaussian", vals[0], {})
+        return FieldSample(self.grid, vals[0], {})
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +832,7 @@ class PoissonFieldSampler:
             raise ValueError("juxtaposed copies draw only with blocks()")
         x, y, jump = self.draw_points(rng)
         point_log, cell_log = self.evaluate(x, y, jump)
-        return FieldSample(self.grid, "poisson", point_log, cell_log,
+        return FieldSample(self.grid, point_log, cell_log,
                            points_x=x, points_y=y, points_jump=jump)
 
     def blocks(self, rngs, out=None, work=None):
@@ -916,7 +915,7 @@ class HybridFieldSampler:
             point_log, cell_log = gauss.split(
                 gauss.draw_columns(np.concatenate([z_points, z_cells]))[:, 0])
         return FieldSample(
-            g, "gaussian+poisson", point_log + jumps.point_log,
+            g, point_log + jumps.point_log,
             {lev: v + jumps.cell_log[lev] for lev, v in cell_log.items()},
             points_x=jumps.points_x, points_y=jumps.points_y,
             points_jump=jumps.points_jump)
@@ -952,7 +951,8 @@ def gaussian_sampler(grid, sigma2, n_intervals=1):
 
 
 def field_kind(model):
-    """Natural sampler for a model: gaussian, poisson or hybrid."""
+    """Natural sampler for a model, and its realizations' kind: gaussian,
+    poisson or hybrid."""
     if isinstance(model.nu, ZeroJumps):
         return "gaussian"
     if model.sigma2 == 0.0:

@@ -438,9 +438,14 @@ TAIL_INDEX_CAP = 64.0
 def tail_index_root(model):
     """Root of the structure function in (1, TAIL_INDEX_CAP), or None.
 
-    Scans q = 1 + 2^k for a sign change, then brentq.  The structure function
+    Scans q = 1 + 2^k for the first q where the structure function is
+    positive, then takes Newton steps from there.  The structure function
     is convex with value 0 and negative slope at 1 (nondegenerate case), so
-    any root above 1 is unique.  A pure Gaussian model has
+    any root above 1 is unique, and from above each tangent's zero stays
+    at or above it.  The steps stop when one is at most 1e-15 q, or when
+    the structure function reads <= 0 after one: q is then at the root to
+    its rounding, which near q = 1 can exceed 1e-15 q.  After 100 steps a
+    RuntimeError is raised.  A pure Gaussian model has
     zeta(q) = (q - 1)(sigma2 q / 2 - 1), whose root is 2 / sigma2.
     """
     if mean_slope(model) >= 0:
@@ -448,26 +453,27 @@ def tail_index_root(model):
     if isinstance(model.nu, ZeroJumps):
         return (2.0 / model.sigma2 if model.sigma2 * TAIL_INDEX_CAP > 2.0
                 else None)
-    lo_q, hi_q = model.moment_q_range
+    hi_q = model.moment_q_range[1]
     margin = 1e-9 + 1e-6 * min(abs(hi_q), 1.0) if math.isfinite(hi_q) else 0.0
     q_cap = (min(TAIL_INDEX_CAP, hi_q - margin) if math.isfinite(hi_q)
              else TAIL_INDEX_CAP)
-    prev = 1.0
     k = -10
     while True:
-        q = 1.0 + 2.0 ** k
-        if q >= q_cap:
-            q = q_cap
+        q = min(1.0 + 2.0 ** k, q_cap)
         val = structure_function(model, q)
         if val > 0.0:
-            from scipy.optimize import brentq
-            return float(brentq(
-                lambda t: structure_function(model, t), prev, q,
-                xtol=1e-13, rtol=1e-12))
+            break
         if q >= q_cap:
             return None
-        prev = q
         k += 1
+    for _ in range(100):
+        step = val / structure_derivatives(model, q)[0]
+        q -= step
+        val = structure_function(model, q)
+        if abs(step) <= 1e-15 * q or val <= 0.0:
+            return q
+    raise RuntimeError(f"tail index: 100 Newton steps left a step of "
+                       f"{step:.3g} at q = {q!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -41,14 +41,6 @@ TABULATED = build_model(0.0, TabulatedJumps((-1.0, 0.0, 0.5), (1.0, 2.0, 0.4),
                                             2.0, 3.0))
 
 
-def test_build_realization_seed_rng_exclusive():
-    g = GridSpec((0.0, 1.0), 4, 2)
-    with pytest.raises(ValueError):
-        build_realization(LOGN, g)
-    with pytest.raises(ValueError):
-        build_realization(LOGN, g, np.random.default_rng(0), seed=1)
-
-
 def test_build_realization_masses_consistent():
     g = GridSpec((0.0, 1.0), 5, 2)
     r = build_realization(LOGN, g, seed=42, replica=3)
@@ -74,12 +66,13 @@ def test_degenerate_model_warns():
                               replica=replica)
 
 
-@pytest.mark.parametrize("model,kind", [(LOGN, "gaussian"), (ATOM, "poisson")])
+@pytest.mark.parametrize("model,kind", [(LOGN, "gaussian"), (ATOM, "poisson"),
+                                        (HYBRID, "hybrid")])
 def test_star_identity_is_exact(model, kind):
     g = GridSpec((0.0, 1.0), 5, 2)
+    assert field.field_kind(model) == kind
     for replica in range(5):
         r = build_realization(model, g, seed=7, replica=replica)
-        assert r.kind == kind
         for level in (1, 2, 3, 4):  # each sub-cascade keeps a level
             star = decompose_star(r, level)
             recon = star.reconstruct_total()
@@ -96,11 +89,6 @@ def test_star_requires_carried_level_and_field():
     with pytest.raises(ValueError, match="carry"):
         decompose_star(r, 1)
     g2 = GridSpec((0.0, 1.0), 5, 2)
-    r2 = build_realization(LOGN, g2, seed=1)
-    r2 = type(r2)(r2.grid, r2.model, r2.kind, r2.cell_masses, r2.weights,
-                  r2.total_mass, field=None)
-    with pytest.raises(ValueError, match="field"):
-        decompose_star(r2, 1)
     for level in (0, 5, 9):  # 5 would leave the sub-cascades no level
         with pytest.raises(ValueError, match="level out of range"):
             decompose_star(build_realization(LOGN, g2, seed=1), level)
@@ -110,10 +98,31 @@ def test_star_subcascades_renormalize_weights():
     r = build_realization(ATOM, GridSpec((0.0, 1.0), 4, 2), seed=9)
     star = decompose_star(r, 1)
     # child cell weights divided by the parent weight
+    weights = {lev: np.exp(v) for lev, v in r.field.cell_log.items()}
     for i, sub in enumerate(star.subs):
-        block = r.weights[2].reshape(2, -1)[i]
-        np.testing.assert_allclose(sub.weights[1],
-                                   block / r.weights[1][i], rtol=1e-13)
+        block = weights[2].reshape(2, -1)[i]
+        np.testing.assert_allclose(np.exp(sub.field.cell_log[1]),
+                                   block / weights[1][i], rtol=1e-13)
+
+
+@pytest.mark.parametrize("model", [LOGN, ATOM, HYBRID],
+                         ids=["LOGN", "ATOM", "HYBRID"])
+def test_star_split_subtracts_the_cell_noise_exactly(model):
+    r = build_realization(model, GridSpec((0.0, 1.0), 5, 2), seed=13,
+                          replica=2)
+    cell_log = r.field.cell_log
+    for k in (1, 2):
+        star = decompose_star(r, k)
+        np.testing.assert_array_equal(star.weights, np.exp(cell_log[k]))
+        points = r.field.point_log.reshape(2 ** k, -1)
+        for i, sub in enumerate(star.subs):
+            np.testing.assert_array_equal(sub.field.point_log,
+                                          points[i] - cell_log[k][i])
+            assert set(sub.field.cell_log) == set(range(1, 6 - k))
+            for lev, vals in sub.field.cell_log.items():
+                np.testing.assert_array_equal(
+                    vals, cell_log[lev + k].reshape(2 ** k, -1)[i]
+                    - cell_log[k][i])
 
 
 @pytest.mark.parametrize("model", [LOGN, ATOM, single_atom_model(-0.4, 0.8, sigma2=0.2)])

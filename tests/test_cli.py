@@ -647,3 +647,20 @@ def test_drawing_commands_load_no_scipy_or_numpy_ma(command, kind,
     assert _modules_after(launch, "--config", path, command,
                           packages=("scipy", "numpy.ma",
                                     "numpy.polynomial")) == "[]"
+
+
+@pytest.mark.parametrize("command,kind", [("theory", "moments"),
+                                          ("estimate", "tail")])
+def test_a_finite_tail_index_loads_no_scipy(command, kind, tmp_path):
+    # with sigma2 = 0.2 the atom model has a tail index (about 5.97),
+    # which theory reports and the tail estimate takes; 100 replicas are
+    # the fewest the Hill estimates accept
+    path = shipped_cfg("atom.ini", tmp_path, model={"sigma2": "0.2"},
+                       experiment={"replicas": "100", "kind": kind})
+    launch = ("import sys; from idcascade import cli\n"
+              "assert cli.main(sys.argv[1:]) == 0")
+    assert _modules_after(launch, "--config", path, command) == "[]"
+    if command == "theory":
+        report = json.loads((tmp_path / "out" / "diagnostics.json")
+                            .read_text())
+        assert report["tail_index"] == pytest.approx(5.97, abs=0.01)

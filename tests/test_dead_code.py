@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "cones.strip_kernel": "the independent reference that the refinement "
                           "law's test checks against, planned for strip "
-                          "draws (ROADMAP items 4 and 5)",
+                          "draws (ROADMAP item 7)",
     "cascade.refine": "ROADMAP item 12 weighs it after item 7",
     "moments.selberg_moment": "ROADMAP item 4 gives it callers",
     "moments.implicit_renewal_constant": "ROADMAP item 4 gives it callers",

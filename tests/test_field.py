@@ -84,7 +84,8 @@ def test_grid_interval_is_a_float_tuple():
     b = build_realization(model, ref, seed=3, replica=1)
     np.testing.assert_array_equal(a.cell_masses, b.cell_masses)
     for lev in ref.carried_levels:
-        np.testing.assert_array_equal(a.weights[lev], b.weights[lev])
+        np.testing.assert_array_equal(np.exp(a.field.cell_log[lev]),
+                                      np.exp(b.field.cell_log[lev]))
 
 
 def test_grid_validation():
@@ -745,7 +746,6 @@ def test_single_draws_auto_route_and_are_reproducible():
     g = GridSpec((0.0, 1.0), 4, 2)
     a = make_sampler(g, model).sample(make_generator(5, 0, "t"))
     b = make_sampler(g, model).sample(make_generator(5, 0, "t"))
-    assert a.kind == "gaussian+poisson"
     np.testing.assert_array_equal(a.point_log, b.point_log)
     c = make_sampler(g, model).sample(make_generator(5, 1, "t"))
     assert not np.array_equal(a.point_log, c.point_log)

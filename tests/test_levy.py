@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idcascade import levy
+from idcascade._rng import make_generator
 from idcascade.checks import normalization_defect
 from idcascade.levy import (
     AtomicJumps,
@@ -62,6 +63,58 @@ def test_structure_function_and_tail_root():
     # sigma2 = 0.5: root at 4
     assert tail_index_root(lognormal_model(0.5)) == pytest.approx(4.0,
                                                                   abs=1e-10)
+
+
+def _brentq_tail_index(model):
+    """The tail index by bracketing: the scan of tail_index_root, then
+    scipy's brentq between its last two points."""
+    from scipy.optimize import brentq
+    if mean_slope(model) >= 0:
+        return None
+    hi_q = model.moment_q_range[1]
+    q_cap = (min(levy.TAIL_INDEX_CAP, hi_q - 1e-9 - 1e-6 * min(hi_q, 1.0))
+             if math.isfinite(hi_q) else levy.TAIL_INDEX_CAP)
+    prev, k = 1.0, -10
+    while True:
+        q = min(1.0 + 2.0 ** k, q_cap)
+        if structure_function(model, q) > 0.0:
+            return brentq(lambda t: structure_function(model, t), prev, q,
+                          xtol=1e-14, rtol=1e-14)
+        if q >= q_cap:
+            return None
+        prev, k = q, k + 1
+
+
+def _random_jump_model(rng):
+    """An atom, tabulated or hybrid (atoms and a Gaussian part) model."""
+    style = int(rng.integers(0, 3))
+    sigma2 = float(rng.uniform(0.01, 0.8)) if style == 2 else 0.0
+    if style != 1:
+        k = int(rng.integers(1, 4))
+        locs = tuple(float(x) if abs(x) > 1e-3 else -0.5
+                     for x in rng.uniform(-2.0, 0.8, size=k))
+        masses = tuple(float(m) for m in rng.uniform(0.1, 1.5, size=k))
+        return build_model(sigma2, AtomicJumps(locs, masses))
+    x = np.linspace(float(rng.uniform(-2.5, -1.0)),
+                    float(rng.uniform(0.3, 0.9)), 6)
+    dens = tuple(float(d) for d in rng.uniform(0.1, 1.0, size=6))
+    return build_model(float(rng.uniform(0.0, 0.5)), TabulatedJumps(
+        tuple(float(v) for v in x), dens,
+        left_rate=float(rng.uniform(0.8, 2.5)),
+        right_rate=float(rng.uniform(1.02, 4.0))))
+
+
+def test_tail_index_newton_steps_match_brentq():
+    rng = make_generator(2026, 0, "tail-index-models")
+    roots = 0
+    for _ in range(60):
+        model = _random_jump_model(rng)
+        got, want = tail_index_root(model), _brentq_tail_index(model)
+        assert (got is None) == (want is None), model
+        if got is not None:
+            roots += 1
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), model
+    assert roots >= 20
 
 
 def test_mean_slope_sign_decides_degeneracy():
