@@ -704,11 +704,9 @@ def shadow_sums(counts, x, y, jump, lo, spacing, n, work=None):
     np.add(x, t, out=end)
     _points_below(start, lo, spacing, n, t, k0)
     _points_below(end, lo, spacing, n, t, k1)
-    o = 0
-    for j, c in enumerate(counts):
-        k0[o:o + c] += j * (n + 1)
-        k1[o:o + c] += j * (n + 1)
-        o += c
+    row = np.repeat(np.arange(len(counts)) * (n + 1), counts)
+    k0 += row
+    k1 += row
     return range_sums(k0, k1, jump, _scratch(work, "diff", len(counts),
                                              (n + 1,)))
 

@@ -23,36 +23,63 @@ is the tail index of the total-mass distribution.
 """
 
 import functools
+import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
+# Tabulated integrals: Gauss-Legendre rules of _RULE_NODES nodes on pieces
+# no wider than _PIECE_WIDTH; a gap over _RULE_RTOL of |f|'s integral warns
+_RULE_NODES, _PIECE_WIDTH, _RULE_RTOL = (16, 24), 0.5, 1e-8
+
+
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1, n * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_gauss(n):
+    """Gauss-Legendre nodes and weights on [0, 1], read-only and cached.
+
+    Newton iteration on the recurrence from the cosine guesses finds the
+    nonnegative roots of P_n, which are mirrored; the weights are
+    2 / ((1 - x)(1 + x) P_n'(x)^2).  O(n) memory, where the companion
+    eigenproblem of numpy.polynomial.legendre.leggauss is n x n (Hale and
+    Townsend, SIAM J. Sci. Comput. 35, 2013).
+    """
+    x = np.cos(math.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
+    if n % 2:
+        x = np.append(x, 0.0)  # the middle root of odd n is exact
+    for _ in range(100):
+        dx = np.divide(*_legendre(n, x))
+        x -= dx
+        if np.max(np.abs(dx)) < 1e-12:  # the next step is below rounding
+            break
+    d = _legendre(n, x)[1]
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * d * d)
+    x = np.concatenate([-x, x[::-1][n % 2:]])
+    w = np.concatenate([w, w[::-1][n % 2:]])
+    u, wu = 0.5 * (x + 1.0), 0.5 * w
+    u.setflags(write=False)
+    wu.setflags(write=False)
+    return u, wu
 
 
 def _damped(f, t, scale, log_damp):
-    if log_damp < -745.0:          # damping alone underflows float64
-        return 0.0
+    """f(t) * scale * exp(log_damp) at a piece's nodes t; nan if f blows up."""
     try:
-        v = f(t) * scale * math.exp(log_damp)
+        v = np.array([f(s) for s in t.tolist()]) * (scale * np.exp(log_damp))
     except OverflowError:
-        return 0.0
-    # f blows up (raising, or to inf) only far out in a tail; whenever the
-    # weighted tail integral converges at all, the damping has already
-    # crushed the product to zero at machine precision by that point
-    return v if math.isfinite(v) else 0.0
-
-
-def _split_quad(g, a, b):
-    """quad of g over [a, b], split where the compensator [|x| <= 1] of
-    the exponent's integrands jumps."""
-    from scipy import integrate
-    edges = [a, *(k for k in (-1.0, 1.0) if a < k < b), b]
-    return sum(integrate.quad(g, lo, hi, **_QUAD_KW)[0]
-               for lo, hi in zip(edges, edges[1:]))
+        return t * math.nan
+    return v if np.isfinite(v).all() else v * math.nan
 
 
 class MomentDomainError(ValueError):
@@ -70,7 +97,7 @@ class JumpMeasure:
     Each variant is a frozen, hashable dataclass (make_sampler and
     jump_drift cache per measure) with these methods:
 
-    * integrate_weighted(f): integral f(x) nu(dx), through nu_integral;
+    * integrate_weighted(f): integral f(x) nu(dx), f smooth off x = -1, 1;
     * moment_interval(): the open-ended (lo, hi) of q with integral
       exp(q*x) nu(dx) finite on |x| >= 1, which holds [0, 1];
     * support_nonpositive(): nu charges no x > 0;
@@ -251,31 +278,43 @@ class TabulatedJumps(JumpMeasure):
              _cum=np.cumsum(pieces) / total)
 
     def integrate_weighted(self, f):
-        """integral f(x) nu(dx) with the tail pieces folded into quad.
+        """integral f(x) nu(dx) with cuts at x = -1, 1, where compensated
+        integrands jump; f must be smooth between cuts and grid nodes."""
+        return self._integrate(f, (-1.0, 1.0))
 
-        quad's breakpoints are the grid nodes (up to 50) and the kinks of
-        the compensated integrands at x = -1 and x = 1 (_split_quad).
-        """
-        from scipy import integrate
+    def _integrate(self, f, cuts):
+        """integral f(x) nu(dx) on the finer of the _RULE_NODES rules, over
+        equal pieces of the spans between grid nodes, cuts and -inf, inf.
+        An infinite span steps outward until a piece adds exactly 0 or f
+        blows up, which cuts a tail short near the moment interval's edge."""
         x, d = self._x, self._d
-        kinks = {k for k in (-1.0, 1.0) if x[0] < k < x[-1]}
-        points = sorted(kinks.union(x.tolist()) if x.size <= 50 else kinks)
-        total, _ = integrate.quad(
-            lambda t: f(t) * np.interp(t, x, d), x[0], x[-1],
-            points=points or None, **_QUAD_KW)
-        b, r = self.left_rate, self.right_rate
-        if self.pieces[0] > 0:
-            total += _split_quad(lambda t: _damped(
-                f, t, d[0], b * (t - x[0])), -np.inf, x[0])
-        if self.pieces[-1] > 0:
-            total += _split_quad(lambda t: _damped(
-                f, t, d[-1], -r * (t - x[-1])), x[-1], np.inf)
-        return total
+        b, r = self.left_rate or 0.0, self.right_rate or 0.0
+        ends = (d[0] if b else 0.0, d[-1] if r else 0.0)   # tail densities
+        (u0, w0), (u1, w1) = map(_unit_gauss, _RULE_NODES)
+        u, n0 = np.concatenate([u0, u1]), u0.size
+        edges = sorted({-math.inf, math.inf, *x.tolist(), *cuts})
+        sums = np.zeros(3)   # coarse, fine, and fine of |f|
+        for a, z in [(edges[1], -math.inf), *zip(edges[1:], edges[2:])]:
+            n = math.ceil(abs(z - a) / _PIECE_WIDTH) if math.isfinite(z) else 0
+            h = (z - a) / n if n else math.copysign(_PIECE_WIDTH, z - a)
+            for k in range(n) if n else itertools.count():
+                p, q = a + k * h, z if k + 1 == n else a + (k + 1) * h
+                t = p + (q - p) * u
+                v = abs(q - p) * _damped(f, t, np.interp(t, x, d, *ends),
+                                         np.minimum(b * (t - x[0]), 0.0)
+                                         + np.minimum(r * (x[-1] - t), 0.0))
+                add = np.array([w0 @ v[:n0], w1 @ v[n0:], w1 @ abs(v[n0:])])
+                if not n and (math.isnan(add[1])
+                              or sums[1] + add[1] == sums[1]):
+                    break
+                sums += add
+        if abs(sums[1] - sums[0]) > _RULE_RTOL * sums[2]:
+            warnings.warn(f"tabulated jump integral: the rules of "
+                          f"{_RULE_NODES} nodes disagree", RuntimeWarning)
+        return float(sums[1])
 
     def moment_interval(self):
-        lo = -math.inf if self.left_rate is None else -self.left_rate
-        hi = math.inf if self.right_rate is None else self.right_rate
-        return (lo, hi)
+        return (-(self.left_rate or math.inf), self.right_rate or math.inf)
 
     def support_nonpositive(self):
         return self.right_rate is None and bool(
@@ -286,8 +325,8 @@ class TabulatedJumps(JumpMeasure):
                 self.left_rate, self.right_rate]
 
     def truncated(self, cutoff):
-        var_small = self.integrate_weighted(
-            lambda t: t * t if abs(t) < cutoff else 0.0)
+        var_small = self._integrate(
+            lambda t: t * t if abs(t) < cutoff else 0.0, (-cutoff, cutoff))
         x, d = self._x, self._d
         pts = [p for p in sorted({*x.tolist(), -cutoff, cutoff})
                if x[0] <= p <= x[-1]]

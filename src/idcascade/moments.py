@@ -18,7 +18,6 @@ constant, jackknifed covariances of juxtaposed masses, scaling-exponent
 fits, and the growth-ratio sequence of log E Z^n / (n log n).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -26,8 +25,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import cones, field
-from .levy import (MomentDomainError, jump_drift, levy_exponent,
-                   structure_derivatives, tail_index_root)
+from .levy import (MomentDomainError, _unit_gauss, jump_drift,
+                   levy_exponent, structure_derivatives, tail_index_root)
 
 # ---------------------------------------------------------------------------
 # pair exponents
@@ -170,42 +169,6 @@ def implicit_renewal_constant(model):
         error += math.comb(order, k) * m.error
     scale = order * structure_derivatives(model, zeta)[0] * math.log(2.0)
     return total / scale, error / abs(scale)
-
-
-def _legendre(n, x):
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
-    p0, p1 = np.ones_like(x), x
-    for j in range(1, n):
-        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
-    return p1, n * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
-
-
-@functools.lru_cache(maxsize=None)
-def _unit_gauss(n):
-    """Gauss-Legendre nodes and weights on [0, 1], read-only and cached.
-
-    Newton iteration on the recurrence from the cosine guesses finds the
-    nonnegative roots of P_n, which are mirrored; the weights are
-    2 / ((1 - x)(1 + x) P_n'(x)^2).  O(n) memory, where the companion
-    eigenproblem of numpy.polynomial.legendre.leggauss is n x n (Hale and
-    Townsend, SIAM J. Sci. Comput. 35, 2013).
-    """
-    x = np.cos(math.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
-    if n % 2:
-        x = np.append(x, 0.0)  # the middle root of odd n is exact
-    for _ in range(100):
-        dx = np.divide(*_legendre(n, x))
-        x -= dx
-        if np.max(np.abs(dx)) < 1e-12:  # the next step is below rounding
-            break
-    d = _legendre(n, x)[1]
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * d * d)
-    x = np.concatenate([-x, x[::-1][n % 2:]])
-    w = np.concatenate([w, w[::-1][n % 2:]])
-    u, wu = 0.5 * (x + 1.0), 0.5 * w
-    u.setflags(write=False)
-    wu.setflags(write=False)
-    return u, wu
 
 
 def _ordered_quadrature(spans, alphas, T, M):

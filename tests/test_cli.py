@@ -617,9 +617,9 @@ def test_import_loads_no_scipy():
 
 @pytest.mark.parametrize("name", ["atom.ini", "lognormal.ini"])
 def test_simulate_loads_no_scipy(name, tmp_path):
-    # scipy serves the theory side only, and theory needs none on the
-    # shipped configs (the lognormal tail index is 2 / sigma2); drawing
-    # replicas and the KS test of verify's scaling_ks check need numpy alone
+    # no subcommand loads scipy, which only the tests use: theory's tail
+    # index is 2 / sigma2 for the lognormal config, and drawing replicas
+    # and the KS test of verify's scaling_ks check need numpy alone
     path = shipped_cfg(name, tmp_path)
     launch = ("import sys; from idcascade import cli\n"
               "assert cli.main(sys.argv[1:]) == 0")
@@ -647,6 +647,21 @@ def test_drawing_commands_load_no_scipy_or_numpy_ma(command, kind,
     assert _modules_after(launch, "--config", path, command,
                           packages=("scipy", "numpy.ma",
                                     "numpy.polynomial")) == "[]"
+
+
+@pytest.mark.parametrize("command,replicas", [
+    ("theory", "4"), ("verify", "4"), ("estimate", "100")])
+def test_a_tabulated_model_loads_no_scipy(command, replicas, tmp_path):
+    # a tabulated jump measure's integrals sum fixed Gauss-Legendre rules;
+    # 100 replicas are enough for the moments' median of 32 block means
+    path = shipped_cfg("atom.ini", tmp_path, model={
+        "sigma2": "0.1", "jump_kind": "tabulated",
+        "tabulated_x": "-1.5, -0.2, 0.5", "tabulated_density": "0.4, 1, 0",
+        "left_rate": "2", "right_rate": "3"},
+        experiment={"replicas": replicas, "kind": "moments"})
+    launch = ("import sys; from idcascade import cli\n"
+              "assert cli.main(sys.argv[1:]) == 0")
+    assert _modules_after(launch, "--config", path, command) == "[]"
 
 
 @pytest.mark.parametrize("command,kind", [("theory", "moments"),

@@ -1,7 +1,8 @@
 """README's reference tables name what the program accepts and reports, no
 more and no less: the config table's keys are config.KEYS, the global-flags
-paragraph names the options of the command-line parser, and the list of
-sampler names those the samplers report."""
+paragraph names the options of the command-line parser, the list of
+sampler names those the samplers report, and the Install paragraph the
+dependencies pyproject.toml declares."""
 
 import re
 from pathlib import Path
@@ -10,7 +11,9 @@ from idcascade import GridSpec, cli, lognormal_model, single_atom_model
 from idcascade.config import KEYS
 from idcascade.field import make_sampler
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
+PYPROJECT = (ROOT / "pyproject.toml").read_text()
 
 
 def _config_table_keys():
@@ -61,3 +64,23 @@ def test_sampler_list_names_every_sampler_once():
                            lognormal_model(0.5)).name)
     assert len(listed) == len(set(listed))
     assert set(listed) == names
+
+
+def _requirements(key):
+    """The package names of pyproject.toml's `key = [...]` list."""
+    [block] = re.findall(rf"^{key} = \[(.*?)\]", PYPROJECT, re.M | re.S)
+    return set(re.findall(r'"([A-Za-z0-9_-]+)', block))
+
+
+def test_install_paragraph_names_the_runtime_dependencies():
+    # "Requires Python 3.10+ and <runtime>; the tests use <test extra>."
+    [paragraph] = [" ".join(p.split()) for p in README.split("\n\n")
+                   if p.startswith("Requires Python")]
+    runtime, tests = paragraph.split("; the tests use ", 1)
+    tests = tests.split(".", 1)[0]
+    packages = _requirements("dependencies") | _requirements("test")
+
+    def named(text):
+        return {p for p in packages if re.search(rf"\b{p}\b", text)}
+    assert named(runtime) == _requirements("dependencies")
+    assert named(tests) == _requirements("test")

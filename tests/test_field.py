@@ -772,14 +772,19 @@ def test_truncated_model_stays_normalized():
 def test_truncation_keeps_a_tabulated_measure_only_with_mass():
     # every jump below the cutoff: the kept measure has no mass, so it is
     # ZeroJumps, tail rates or not, and a pure-jump model loses all its
-    # randomness unless the dropped jumps are substituted
-    for rates in ((None, None), (2.0, 3.0)):
+    # randomness unless the dropped jumps are substituted.  The dropped
+    # variance in closed form: the cubics t^2 * density on the grid, and
+    # e^(a t) (t^2/a - 2t/a^2 + 2/a^3) on each tail up to the cutoff
+    grid = 5 / 96 + 7 / 375
+    tails = (0.625 - 0.73 * math.exp(-0.2)
+             + 0.5 * (0.16 / 3 + 0.8 / 9 + 2 / 27
+                      - math.exp(-0.6) * (0.12 + 1.2 / 9 + 2 / 27)))
+    for rates, dropped in (((None, None), grid), ((2.0, 3.0), grid + tails)):
         nu = TabulatedJumps((-0.5, 0.0, 0.4), (1.0, 2.0, 0.5), *rates)
         model = build_model(0.0, nu)
         sub = truncated_model(model, 0.6, substitute=True)
         assert sub.nu == ZeroJumps()
-        assert sub.sigma2 == pytest.approx(nu.integrate_weighted(
-            lambda t: t * t if abs(t) < 0.6 else 0.0))
+        assert sub.sigma2 == pytest.approx(dropped, rel=1e-13)
         with pytest.raises(ValueError, match="removed all randomness"):
             truncated_model(model, 0.6)
         # a cutoff inside the grid keeps the big jumps and the tails
@@ -810,12 +815,17 @@ def test_hybrid_field_is_mean_one():
 
 
 def test_jump_sampler_tabulated_cdf():
+    # nu((-inf, q]) in closed form: the left tail (1/2) e^(2 (q + 1)),
+    # then trapezoids of the linear density, then the right tail's mass
+    # (0.4 / 3) e^(-3 (q - 0.5)) short of the total
     nu = TabulatedJumps((-1.0, 0.0, 0.5), (1.0, 2.0, 0.4), 2.0, 3.0)
     rng = np.random.default_rng(31)
     draws = nu.from_uniforms(nu.uniforms(rng, 60_000))
     total = nu.total_mass()
-    for q in (-1.2, -0.5, 0.0, 0.3, 0.7):
-        want = nu.integrate_weighted(lambda t, q=q: 1.0 if t <= q else 0.0)
+    cdf = {-1.2: 0.5 * math.exp(-0.4), -0.5: 0.5 + 0.5 * (1.0 + 1.5) / 2,
+           0.0: 2.0, 0.3: 2.0 + 0.3 * (2.0 + 1.04) / 2,
+           0.7: total - 0.4 / 3.0 * math.exp(-0.6)}
+    for q, want in cdf.items():
         got = float(np.mean(draws <= q))
         assert got == pytest.approx(want / total, abs=0.01)
 
