@@ -23,7 +23,6 @@ is the tail index of the total-mass distribution.
 """
 
 import functools
-import itertools
 import json
 import math
 import warnings
@@ -32,8 +31,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-# Tabulated integrals: Gauss-Legendre rules of _RULE_NODES nodes on pieces
-# no wider than _PIECE_WIDTH; a gap over _RULE_RTOL of |f|'s integral warns
+# Tabulated integrals: Gauss-Legendre rules of _RULE_NODES nodes on finite
+# pieces no wider than _PIECE_WIDTH; a gap over _RULE_RTOL of |v|'s warns
 _RULE_NODES, _PIECE_WIDTH, _RULE_RTOL = (16, 24), 0.5, 1e-8
 
 
@@ -73,15 +72,6 @@ def _unit_gauss(n):
     return u, wu
 
 
-def _damped(f, t, scale, log_damp):
-    """f(t) * scale * exp(log_damp) at a piece's nodes t; nan if f blows up."""
-    try:
-        v = np.array([f(s) for s in t.tolist()]) * (scale * np.exp(log_damp))
-    except OverflowError:
-        return t * math.nan
-    return v if np.isfinite(v).all() else v * math.nan
-
-
 class MomentDomainError(ValueError):
     """Raised when an exponential moment of the jump measure diverges."""
 
@@ -97,7 +87,11 @@ class JumpMeasure:
     Each variant is a frozen, hashable dataclass (make_sampler and
     jump_drift cache per measure) with these methods:
 
-    * integrate_weighted(f): integral f(x) nu(dx), f smooth off x = -1, 1;
+    * integral(k, q), q in the moment interval: at k = 0 the jump part of
+      exponent(q), I_0(q) = integral(exp(q*x) - 1 - q*x*[|x| <= 1], nu(dx)),
+      and at k = 1, 2 its derivatives I_1(q) = integral(x*exp(q*x) -
+      x*[|x| <= 1], nu(dx)) and I_2(q) = integral(x^2*exp(q*x), nu(dx));
+    * jump_drift(): integral(1 - exp(x), nu(dx));
     * moment_interval(): the open-ended (lo, hi) of q with integral
       exp(q*x) nu(dx) finite on |x| >= 1, which holds [0, 1];
     * support_nonpositive(): nu charges no x > 0;
@@ -125,6 +119,9 @@ class JumpMeasure:
     def arithmetic(self):
         return False
 
+    def total_mass(self):
+        return self._total
+
 
 def _table_index(cum, u):
     """np.searchsorted(cum, u) of uniforms u in a cumulative table of
@@ -146,11 +143,25 @@ def _set(obj, **values):
         object.__setattr__(obj, name, v)
 
 
+def _rule_sum(v, w, tails=0.0):
+    """The finer rule's sum (math.fsum) of values v at the nodes of _rules,
+    weights w, plus the tails' closed forms; a gap between the rules warns."""
+    coarse, fine = (math.fsum(row) for row in w * v)
+    if abs(fine - coarse) > _RULE_RTOL * (w[1] @ np.abs(v) + abs(tails)):
+        warnings.warn(f"tabulated jump integral: the rules of "
+                      f"{_RULE_NODES} nodes disagree", RuntimeWarning)
+    return float(fine + tails)
+
+
 @dataclass(frozen=True)
 class ZeroJumps(JumpMeasure):
     """No jump component (purely Gaussian noise)."""
+    _total = 0.0
 
-    def integrate_weighted(self, f):
+    def integral(self, k, q):
+        return 0.0
+
+    def jump_drift(self):
         return 0.0
 
     def support_nonpositive(self):
@@ -161,9 +172,6 @@ class ZeroJumps(JumpMeasure):
 
     def truncated(self, cutoff):
         return self, 0.0
-
-    def total_mass(self):
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -192,9 +200,16 @@ class AtomicJumps(JumpMeasure):
         _set(self, _total=total, _x=np.asarray(self.locations),
              _cum=np.cumsum(masses) / total)
 
-    def integrate_weighted(self, f):
-        return float(sum(m * f(x) for x, m in zip(self.locations,
-                                                  self.masses)))
+    def integral(self, k, q):
+        terms = []  # the integrand of I_k at each atom
+        for x in self.locations:
+            e, x_in = math.exp(q * x), (x if abs(x) <= 1.0 else 0.0)
+            terms.append((e - 1.0 - q * x_in, x * e - x_in, x * x * e)[k])
+        return float(sum(m * v for m, v in zip(self.masses, terms)))
+
+    def jump_drift(self):
+        return float(sum(m * (1.0 - math.exp(x))
+                         for x, m in zip(self.locations, self.masses)))
 
     def support_nonpositive(self):
         return all(x < 0 for x in self.locations)
@@ -221,9 +236,6 @@ class AtomicJumps(JumpMeasure):
         var_small = sum(m * x * x for x, m in atoms if abs(x) < cutoff)
         return (AtomicJumps(*zip(*kept)) if kept else ZeroJumps()), var_small
 
-    def total_mass(self):
-        return self._total
-
     def from_uniforms(self, u):
         return self._x[_table_index(self._cum, u[0])]
 
@@ -237,7 +249,8 @@ class TabulatedJumps(JumpMeasure):
     density(grid_x[0]) * exp(b*(x - grid_x[0])) for x below the grid, and with
     right_rate = r > 0 it continues as density(grid_x[-1]) * exp(-r*(x -
     grid_x[-1])) above it.  Tail rates keep every integral here computable in
-    closed form on the tail pieces.  The total mass must be positive.
+    closed form on the tail pieces (_tails), with Gauss-Legendre rules on the
+    finite ones (_rules).  The total mass must be positive.
 
     pieces holds the closed-form masses of the left tail, the trapezoid
     bins and the right tail; a jump draw picks a piece by its mass, then
@@ -277,41 +290,53 @@ class TabulatedJumps(JumpMeasure):
         _set(self, _total=total, _x=x, _d=d, pieces=pieces,
              _cum=np.cumsum(pieces) / total)
 
-    def integrate_weighted(self, f):
-        """integral f(x) nu(dx) with cuts at x = -1, 1, where compensated
-        integrands jump; f must be smooth between cuts and grid nodes."""
-        return self._integrate(f, (-1.0, 1.0))
+    def integral(self, k, q):
+        t, w = self._rules((-1.0, 1.0))
+        e, em1, inner = np.exp(q * t), np.expm1(q * t), np.abs(t) <= 1.0
+        v = (em1 - q * t * inner, t * np.where(inner, em1, e), t * t * e)[k]
+        return _rule_sum(v, w, self._tails(k, q))
 
-    def _integrate(self, f, cuts):
-        """integral f(x) nu(dx) on the finer of the _RULE_NODES rules, over
-        equal pieces of the spans between grid nodes, cuts and -inf, inf.
-        An infinite span steps outward until a piece adds exactly 0 or f
-        blows up, which cuts a tail short near the moment interval's edge."""
+    def jump_drift(self):
+        t, w = self._rules((-1.0, 1.0))
+        return -_rule_sum(np.expm1(t), w, self._tails(0, 1.0))
+
+    def _rules(self, cuts):
+        """Nodes t of both _RULE_NODES rules on pieces at most _PIECE_WIDTH
+        wide between the grid nodes and the cuts (a cut past an end with no
+        tail left out), and weights (2, t.size): each rule's times the
+        density, 0 at the other rule's nodes."""
         x, d = self._x, self._d
         b, r = self.left_rate or 0.0, self.right_rate or 0.0
-        ends = (d[0] if b else 0.0, d[-1] if r else 0.0)   # tail densities
+        edges = np.unique([*x, *(c for c in cuts if (b or c > x[0])
+                                 and (r or c < x[-1]))])
+        ends = np.append(np.concatenate([  # the ends of the pieces
+            np.linspace(p, z, math.ceil((z - p) / _PIECE_WIDTH), False)
+            for p, z in zip(edges, edges[1:])]), edges[-1])
         (u0, w0), (u1, w1) = map(_unit_gauss, _RULE_NODES)
-        u, n0 = np.concatenate([u0, u1]), u0.size
-        edges = sorted({-math.inf, math.inf, *x.tolist(), *cuts})
-        sums = np.zeros(3)   # coarse, fine, and fine of |f|
-        for a, z in [(edges[1], -math.inf), *zip(edges[1:], edges[2:])]:
-            n = math.ceil(abs(z - a) / _PIECE_WIDTH) if math.isfinite(z) else 0
-            h = (z - a) / n if n else math.copysign(_PIECE_WIDTH, z - a)
-            for k in range(n) if n else itertools.count():
-                p, q = a + k * h, z if k + 1 == n else a + (k + 1) * h
-                t = p + (q - p) * u
-                v = abs(q - p) * _damped(f, t, np.interp(t, x, d, *ends),
-                                         np.minimum(b * (t - x[0]), 0.0)
-                                         + np.minimum(r * (x[-1] - t), 0.0))
-                add = np.array([w0 @ v[:n0], w1 @ v[n0:], w1 @ abs(v[n0:])])
-                if not n and (math.isnan(add[1])
-                              or sums[1] + add[1] == sums[1]):
-                    break
-                sums += add
-        if abs(sums[1] - sums[0]) > _RULE_RTOL * sums[2]:
-            warnings.warn(f"tabulated jump integral: the rules of "
-                          f"{_RULE_NODES} nodes disagree", RuntimeWarning)
-        return float(sums[1])
+        h = np.diff(ends)[:, None]
+        t = (ends[:-1, None] + h * np.concatenate([u0, u1])).ravel()
+        w = h * np.array([np.r_[w0, 0 * w1], np.r_[0 * w0, w1]])[:, None]
+        dens = np.interp(t, x, d) * np.exp(b * np.minimum(t - x[0], 0.0)
+                                           + r * np.minimum(x[-1] - t, 0.0))
+        return t, w.reshape(2, -1) * dens
+
+    def _tails(self, k, q):
+        """The integral of x^k e^(qx), less 1 at k = 0, over each tail past
+        the grid and x = -1, 1 from its start s0: c e^(q s0) sum_{j<=k} C(k,
+        j) s0^(k-j) j! h^j / g, with g = rate -+ q, h = +-1 / g (upper signs
+        on the right) and c the density at s0; that is c e^(q s0) / g times
+        s0 + h at k = 1 and (s0 + h)^2 + h^2 at k = 2, terms of one sign, and
+        c (expm1(q s0) +- q / rate) / g at k = 0, precise at small q."""
+        x, d, total = self._x, self._d, 0.0
+        for rate, x_e, d_e, sign in ((self.left_rate, x[0], d[0], -1.0),
+                                     (self.right_rate, x[-1], d[-1], 1.0)):
+            if rate:
+                s0, g = sign * max(sign * x_e, 1.0), rate - sign * q
+                c = d_e * math.exp(-rate * abs(s0 - x_e))
+                h, e = sign / g, math.exp(q * s0)
+                total += c / g * (math.expm1(q * s0) + sign * q / rate,
+                                  e * (s0 + h), e * ((s0 + h) ** 2 + h * h))[k]
+        return total
 
     def moment_interval(self):
         return (-(self.left_rate or math.inf), self.right_rate or math.inf)
@@ -325,8 +350,8 @@ class TabulatedJumps(JumpMeasure):
                 self.left_rate, self.right_rate]
 
     def truncated(self, cutoff):
-        var_small = self._integrate(
-            lambda t: t * t if abs(t) < cutoff else 0.0, (-cutoff, cutoff))
+        t, w = self._rules((-cutoff, cutoff))
+        var_small = _rule_sum(t * t * (np.abs(t) < cutoff), w)
         x, d = self._x, self._d
         pts = [p for p in sorted({*x.tolist(), -cutoff, cutoff})
                if x[0] <= p <= x[-1]]
@@ -336,9 +361,6 @@ class TabulatedJumps(JumpMeasure):
             return ZeroJumps(), var_small
         return TabulatedJumps(tuple(pts), tuple(dens), self.left_rate,
                               self.right_rate), var_small
-
-    def total_mass(self):
-        return self._total
 
     def from_uniforms(self, u):
         x, d = self._x, self._d
@@ -367,10 +389,9 @@ class TabulatedJumps(JumpMeasure):
         return out
 
 
-def nu_integral(nu, f):
-    """integral f(x) nu(dx) for any jump measure: every nu integral goes
-    through here to the measure's integrate_weighted."""
-    return nu.integrate_weighted(f)
+def nu_integral(nu, k, q):
+    """I_k(q) of nu (JumpMeasure.integral), the exponent's one way in."""
+    return nu.integral(k, q)
 
 
 def _checked_q(nu, q):
@@ -389,9 +410,7 @@ def normalize_drift(sigma2, nu):
     if not 0 <= sigma2 < math.inf:
         raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
     _checked_q(nu, 1.0)  # the mean-one normalization needs exp(x) moments
-    compensated = nu_integral(
-        nu, lambda x: math.exp(x) - 1.0 - (x if abs(x) <= 1.0 else 0.0))
-    return -0.5 * sigma2 - compensated
+    return -0.5 * sigma2 - nu_integral(nu, 0, 1.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -403,7 +422,7 @@ def jump_drift(nu):
     whenever nu has finite total mass.  Cached per measure: a tabulated
     measure's quadrature runs once for all its samplers and area draws.
     """
-    return nu_integral(nu, lambda x: 1.0 - math.exp(x))
+    return nu.jump_drift()
 
 
 @dataclass(frozen=True)
@@ -440,10 +459,8 @@ def build_model(sigma2, nu=None):
 def levy_exponent(model, q):
     """Real moment exponent: log E exp(q * noise) per unit area."""
     q = _checked_q(model.nu, q)
-    jumps = nu_integral(
-        model.nu,
-        lambda x: math.exp(q * x) - 1.0 - (q * x if abs(x) <= 1.0 else 0.0))
-    return model.drift * q + 0.5 * model.sigma2 * q * q + jumps
+    return (model.drift * q + 0.5 * model.sigma2 * q * q
+            + nu_integral(model.nu, 0, q))
 
 
 def structure_function(model, q):
@@ -459,9 +476,7 @@ def structure_derivatives(model, q):
     exponent''(q) = sigma2 + integral x^2*exp(q*x) nu(dx).
     """
     q = _checked_q(model.nu, q)
-    d1 = nu_integral(model.nu, lambda x: x * math.exp(q * x) - (
-        x if abs(x) <= 1.0 else 0.0))
-    d2 = nu_integral(model.nu, lambda x: x * x * math.exp(q * x))
+    d1, d2 = nu_integral(model.nu, 1, q), nu_integral(model.nu, 2, q)
     return model.drift + model.sigma2 * q + d1 - 1.0, model.sigma2 + d2
 
 
@@ -492,10 +507,8 @@ def tail_index_root(model):
     if isinstance(model.nu, ZeroJumps):
         return (2.0 / model.sigma2 if model.sigma2 * TAIL_INDEX_CAP > 2.0
                 else None)
-    hi_q = model.moment_q_range[1]
-    margin = 1e-9 + 1e-6 * min(abs(hi_q), 1.0) if math.isfinite(hi_q) else 0.0
-    q_cap = (min(TAIL_INDEX_CAP, hi_q - margin) if math.isfinite(hi_q)
-             else TAIL_INDEX_CAP)
+    hi_q = model.moment_q_range[1]  # less a margin, where it is finite
+    q_cap = min(TAIL_INDEX_CAP, hi_q - (1e-9 + 1e-6 * min(abs(hi_q), 1.0)))
     k = -10
     while True:
         q = min(1.0 + 2.0 ** k, q_cap)
@@ -535,8 +548,6 @@ class DiagnosticsReport:
     tail_slope: Optional[float]
     tail_constant_at_two: Optional[float]
     neg_moment_bound: float
-    local_dimension: float
-    gauge_correction_critical: float
     arithmetic_support: bool
 
     def to_json(self):
@@ -550,33 +561,24 @@ class DiagnosticsReport:
 
 def diagnose(model):
     """Assemble the report of every closed-form quantity for a model."""
-    slope, curvature = structure_derivatives(model, 1.0)
+    slope = mean_slope(model)
     nondeg = slope < 0.0
     root = tail_index_root(model) if nondeg else None
     lo_q, hi_q = model.moment_q_range
-
-    if not nondeg:
-        sup = 1.0
-    elif root is not None:
-        sup = root
-    else:
-        sup = hi_q  # structure function stays negative up to the domain edge
-
-    support_nonpos = model.nu.support_nonpositive()
+    # the root, else the domain edge (the structure function stays negative)
+    sup = (hi_q if root is None else root) if nondeg else 1.0
     gam = jump_drift(model.nu)
-    all_finite = model.sigma2 == 0.0 and support_nonpos and gam <= 1.0
+    all_finite = (model.sigma2 == 0.0 and model.nu.support_nonpositive()
+                  and gam <= 1.0)
     if all_finite:
         sup = math.inf
 
-    tail_slope = None
-    tail_const = None
+    tail_slope = tail_const = None
     if root is not None:
         tail_slope = structure_derivatives(model, root)[0]
         if abs(root - 2.0) < 1e-8:
             d2_slope = structure_derivatives(model, 2.0)[0]
             tail_const = 1.0 / d2_slope if d2_slope != 0 else None
-
-    arithmetic = model.sigma2 == 0.0 and model.nu.arithmetic()
 
     return DiagnosticsReport(
         sigma2=model.sigma2,
@@ -590,9 +592,7 @@ def diagnose(model):
         tail_slope=tail_slope,
         tail_constant_at_two=tail_const,
         neg_moment_bound=float(lo_q),
-        local_dimension=-slope,
-        gauge_correction_critical=math.sqrt(2.0 * curvature),
-        arithmetic_support=bool(arithmetic),
+        arithmetic_support=model.sigma2 == 0.0 and model.nu.arithmetic(),
     )
 
 

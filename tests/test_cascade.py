@@ -671,8 +671,8 @@ def test_poisson_sub_batches_keep_their_pinned_values(monkeypatch):
      ["0x1.e17992d416ffap-4", "0x1.a06d9fec704e8p-8", "0x1.079c52a7aa537p-2"],
      ["0x1.e17992d416ff9p-4", "0x1.a06d9fec7048cp-8", "0x1.079c52a7aa543p-2"]),
     (TABULATED,
-     ["0x1.648f3bcdecb41p-4", "0x1.3cb82f35aebeep-1", "0x1.9004ee6bfc9eap+0"],
-     ["0x1.9325175390fb4p-1", "0x1.c6fa248d19f91p-2", "0x1.f7debf8d72807p-4"],
+     ["0x1.648f3bcdecb4fp-4", "0x1.3cb82f35aebfap-1", "0x1.9004ee6bfc9fap+0"],
+     ["0x1.9325175390fc4p-1", "0x1.c6fa248d19fa2p-2", "0x1.f7debf8d7281cp-4"],
      ["0x1.9325175390fc8p-1", "0x1.c6fa248d19e48p-2", "0x1.f7debf8d72bd4p-4"]),
 ], ids=["nine-atoms", "tabulated"])
 def test_jump_measure_draws_keep_their_pinned_values(model, totals, row,

@@ -20,10 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "cones.strip_kernel": "the independent reference that the refinement "
                           "law's test checks against, planned for strip "
-                          "draws (ROADMAP item 7)",
-    "cascade.refine": "ROADMAP item 12 weighs it after item 7",
-    "moments.selberg_moment": "ROADMAP item 4 gives it callers",
-    "moments.implicit_renewal_constant": "ROADMAP item 4 gives it callers",
+                          "draws (ROADMAP item 10)",
+    "cascade.refine": "ROADMAP item 14 weighs it after item 10",
+    "moments.selberg_moment": "ROADMAP item 9 gives it callers",
+    "moments.implicit_renewal_constant": "ROADMAP item 9 gives it callers",
     "moments.growth_ratio_probe": "test_11's acceptance line",
     "levy.single_atom_model": "the tests' constructor of atom models",
 }

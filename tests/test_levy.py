@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,13 +205,16 @@ def test_levy_exponent_outside_domain_raises():
 
 def test_tabulated_integral_against_closed_form():
     # density 1 on [-1, 1] with exp tails of rate 2 (left) and 3 (right):
-    # integral of e^x nu(dx) has three closed-form pieces
+    # integral of e^x nu(dx) has three closed-form pieces; I_0(1) is it
+    # less the total mass and the integral of x over [-1, 1], which is 0
     nu = TabulatedJumps((-1.0, 1.0), (1.0, 1.0), 2.0, 3.0)
-    got = nu.integrate_weighted(math.exp)
+    got = nu.integral(0, 1.0)
     middle = math.e - math.exp(-1)
     left = math.exp(-1) / 3.0         # int_{-inf}^{-1} e^x e^{2(x+1)} dx
     right = math.e / 2.0              # int_1^inf e^x e^{-3(x-1)} dx
-    assert got == pytest.approx(middle + left + right, rel=1e-13)
+    assert nu.total_mass() == pytest.approx(2.0 + 1 / 2 + 1 / 3, rel=1e-15)
+    assert got == pytest.approx(middle + left + right - nu.total_mass(),
+                                rel=1e-13)
 
 
 def _exponential_moment(nu, q):
@@ -227,29 +231,46 @@ def _exponential_moment(nu, q):
     return total
 
 
+def _inner_first_moment(nu):
+    """integral over [-1, 1] of x nu(dx) in closed form, for a grid inside
+    [-1, 1] whose tails run past it: (c^2 - a^2)(d - s a) / 2 + s (c^3 -
+    a^3) / 3 on each bin, and -d e^(-rate |t - y|) (t / rate -+ 1 /
+    rate^2) between a tail's end y and its cut t."""
+    x, d = np.array(nu.grid_x), np.array(nu.grid_density)
+    total = 0.0
+    for a, c, da, dc in zip(x, x[1:], d, d[1:]):
+        s = (dc - da) / (c - a)
+        total += (c * c - a * a) * (da - s * a) / 2 + s * (c ** 3 - a ** 3) / 3
+    for rate, y, dy, t, sign in ((nu.left_rate, x[0], d[0], -1.0, -1.0),
+                                 (nu.right_rate, x[-1], d[-1], 1.0, 1.0)):
+        def f(z):  # the antiderivative of x d e^(-rate |x - y|) at z
+            return -sign * dy * math.exp(-rate * abs(z - y)) * (
+                z / rate + sign / rate ** 2)
+        total += sign * (f(t) - f(y))
+    return total
+
+
 @pytest.mark.parametrize("q", [-1.5, 0.5, 2.5])
 def test_tabulated_exponential_moments_against_closed_form(q):
     # the linear bins rise and fall, the tails decay at rates 2 and 3,
-    # so at q = -1.5 and 2.5 a tail's net decay is 1/2
+    # so at q = -1.5 and 2.5 a tail's net decay is 1/2; I_0(q) is the
+    # exponential moment less the total mass and q times the integral of
+    # x over [-1, 1]
     nu = TabulatedJumps((-1.0, 0.0, 0.5), (1.0, 2.0, 0.4), 2.0, 3.0)
-    assert nu.integrate_weighted(lambda x: math.exp(q * x)) == \
-        pytest.approx(_exponential_moment(nu, q), rel=1e-13, abs=0)
+    want = (_exponential_moment(nu, q) - nu.total_mass()
+            - q * _inner_first_moment(nu))
+    assert nu.integral(0, q) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_a_too_coarse_tabulated_rule_warns(monkeypatch):
     # two and three Gauss-Legendre nodes per piece disagree far above the
-    # bound on e^(2.5 x); the default rules meet it (the test above)
+    # bound on I_0(2.5); the default rules meet it (the test above)
     nu = TabulatedJumps((-1.0, 0.0, 0.5), (1.0, 2.0, 0.4), 2.0, 3.0)
     monkeypatch.setattr(levy, "_RULE_NODES", (2, 3))
     with pytest.warns(RuntimeWarning, match="tabulated jump integral"):
-        nu.integrate_weighted(lambda x: math.exp(2.5 * x))
+        nu.integral(0, 2.5)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "near-edge tail truncation: math.exp(x) overflows at x ~ 709, where "
-    "the right tail's net decay e^(-0.02 s) still leaves 7e-7 of the "
-    "integral; a fix needs each integrand's growth rate, the fixed-rule "
-    "work of ROADMAP items 4 and 10"))
 def test_near_edge_tail_drift_matches_closed_form():
     # density 1 on [-1, 1], tails of rates 2 and 1.02: the compensated
     # integral of e^x - 1 - x [|x| <= 1] is (2 sinh 1 - 2) on the grid,
@@ -258,7 +279,82 @@ def test_near_edge_tail_drift_matches_closed_form():
     want = -((2 * math.sinh(1.0) - 2.0) + (math.exp(-1.0) / 3 - 0.5)
              + (math.e / 0.02 - 1 / 1.02))
     assert want == pytest.approx(-134.90672813376761, rel=1e-15)
-    assert normalize_drift(0.0, nu) == pytest.approx(want, rel=1e-12)
+    assert normalize_drift(0.0, nu) == pytest.approx(want, rel=1e-14)
+
+
+def _mp_integral(nu, k, q):
+    """I_k(q) of a tabulated measure to 30 digits: mpmath quadrature of the
+    integrand on the bins and on tail pieces inside x = -1, 1, and on each
+    tail beyond them in y = g |x - s0| (g its net decay, s0 its start),
+    where the density times e^(qx) is a constant times e^(-y)."""
+    mpf, exp, quad = mpmath.mpf, mpmath.exp, mpmath.quad
+    q, x, d = mpf(q), [mpf(v) for v in nu.grid_x], nu.grid_density
+    rates = ((nu.left_rate, x[0], d[0], -1), (nu.right_rate, x[-1], d[-1], 1))
+
+    def density(t):
+        for rate, end, d_e, sign in rates:
+            if sign * (t - end) > 0:
+                return d_e * exp(-rate * abs(t - end))
+        return next(da + (dc - da) * (t - a) / (c - a) for a, c, da, dc
+                    in zip(x, x[1:], d, d[1:]) if a <= t <= c)
+
+    def integrand(t):
+        e, inner = exp(q * t), abs(t) <= 1
+        return density(t) * (e - 1 - q * t * inner, t * (e - inner),
+                             t * t * e)[k]
+
+    lo = min(x[0], -1) if nu.left_rate else x[0]
+    hi = max(x[-1], 1) if nu.right_rate else x[-1]
+    edges = sorted({min(max(p, lo), hi) for p in x + [mpf(-1), mpf(1)]})
+    with mpmath.workdps(30):
+        total = sum(quad(integrand, [a, c]) for a, c in zip(edges, edges[1:]))
+        for rate, end, d_e, sign in rates:
+            if rate:
+                s0, g = (lo, rate + q) if sign < 0 else (hi, rate - q)
+                c = d_e * exp(-rate * abs(s0 - end))
+                total += c * exp(q * s0) / g * quad(
+                    lambda y: (s0 + sign * y / g) ** k * exp(-y),
+                    [0, mpmath.inf])
+                total -= c / rate if k == 0 else 0
+        return total
+
+
+# A left tail only (its piece [-1, -0.8] inside the cut, and the grid
+# across x = 1), a right tail only (its piece [0.5, 1] inside the cut) and
+# two tails that start past the cuts
+TAILED = {
+    "left": TabulatedJumps((-0.8, 0.3, 1.4), (0.6, 1.0, 0.5), 2.0, None),
+    "right": TabulatedJumps((-1.5, -0.2, 0.5), (0.4, 1.0, 0.3), None, 3.0),
+    "both": TabulatedJumps((-1.2, 0.0, 1.3), (0.5, 1.0, 0.2), 1.5, 2.5),
+}
+# relative tolerance of I_0, I_1 and I_2 at each q, each below the worst
+# error of the three measures' integrals there when the tails were stepped
+# outward and I_0 took exp(qx) - 1 (1e-6 and 1e-3 inside a finite rate:
+# 0.6 to 1; at q = -1e-6, 1e-6: 1.2e-10, 2.8e-11; -1e-3, 1e-3: 3.9e-13,
+# 2.2e-13; at -1, 0.5, 1, 2: 4.7e-16, 6.6e-15, 1.1e-15, 6.0e-16).  At small
+# q the left-tailed measure's integrals of x beyond the cuts nearly cancel,
+# which costs it a digit
+TOLERANCE = {"edge": 4e-16, -1.0: 4e-16, -1e-3: 1e-14, -1e-6: 1e-14,
+             1e-6: 1e-14, 1e-3: 1e-15, 0.5: 1e-15, 1.0: 1e-15, 2.0: 4e-16}
+
+
+def _tailed_cases():
+    for name, nu in TAILED.items():
+        lo, hi = nu.moment_interval()
+        edge = [lo + 1e-6, lo + 1e-3] if math.isfinite(lo) else []
+        edge += [hi - 1e-3, hi - 1e-6] if math.isfinite(hi) else []
+        yield from ((name, q, TOLERANCE["edge"]) for q in edge)
+        yield from ((name, q, tol) for q, tol in TOLERANCE.items()
+                    if q != "edge" and lo < q < hi)
+
+
+@pytest.mark.parametrize("name,q,tol", list(_tailed_cases()))
+def test_tabulated_integrals_against_mpmath(name, q, tol):
+    nu = TAILED[name]
+    for k in range(3):
+        want = _mp_integral(nu, k, q)
+        got = nu_integral(nu, k, q)
+        assert abs((got - want) / want) <= tol, (k, got, want)
 
 
 def test_tabulated_tail_survives_fast_growing_weight():
@@ -368,7 +464,7 @@ def test_negative_atoms_keep_all_moments_finite(loc, mass):
     m = single_atom_model(loc, mass)
     lo, hi = m.moment_q_range
     assert hi == math.inf
-    assert nu_integral(m.nu, lambda x: 1.0) == pytest.approx(mass)
+    assert m.nu.total_mass() == pytest.approx(mass)
     # growth constant gamma = mass * (1 - e^loc) > 0
     assert jump_drift(m.nu) == pytest.approx(mass * (1 - math.exp(loc)),
                                              rel=1e-12)
