@@ -32,8 +32,9 @@ import numpy as np
 from . import cones, field
 from .levy import NoiseModel, ZeroJumps, jump_drift, mean_slope
 from .field import (FieldSample, GridSpec, PoissonFieldSampler,
-                    _chol_with_jitter, _gram_objects, _scratch, field_kind,
-                    fill_gram, footprint_areas, make_sampler, poisson_points)
+                    _chol_with_jitter, _gram_objects, _lower_product,
+                    _scratch, _spans, field_kind, fill_gram, footprint_areas,
+                    make_sampler, poisson_points)
 from ._rng import make_generator, streams
 
 
@@ -459,8 +460,9 @@ def _refine_gaussian(realization, fine, rng):
     # cells) and the new ones (fine points cut at the new eps, new cell
     # levels): footprint_areas cuts each pair at the larger cutoff, so it
     # holds the noise above the old height and the band below it.  With
-    # its factor [[A, 0], [B, C]], the old values fix z = A^-1 (x - mean)
-    # and the new values are mean + B z + C times fresh normals.
+    # its factor [[A, 0], [B, C]], the old values fix z = A^-1 (x - mean),
+    # solved forward a panel's diagonal block at a time, and the new
+    # values are mean + [B C] times z and fresh normals.
     g = realization.grid
     sigma2 = realization.model.sigma2
     old = realization.field
@@ -469,15 +471,21 @@ def _refine_gaussian(realization, fine, rng):
     objects = [np.concatenate(pair) for pair in
                zip(_gram_objects(g), _gram_objects(fine, new_levels))]
     mean = -0.5 * sigma2 * footprint_areas(g.length, objects)
-    chol, _ = _chol_with_jitter(
-        lambda out: fill_gram(out, sigma2, g.length, objects),
-        mean.size)
+    panels, _ = _chol_with_jitter(
+        lambda out: fill_gram(out, sigma2, g.length, objects), mean.size)
     x_old = np.concatenate([old.point_log] +
                            [old.cell_log[lev] for lev in g.carried_levels])
     p = x_old.size
-    z = np.linalg.solve(chol[:p, :p], x_old - mean[:p])
-    vals = mean[p:] + chol[p:, :p] @ z + chol[p:, p:] @ rng.standard_normal(
-        len(chol) - p)
+    z = x_old - mean[:p]
+    for a, e, panel in _spans(panels):
+        if a >= p:
+            break
+        r = min(e, p)
+        z[a:r] -= panel[:r - a, :a] @ z[:a]
+        z[a:r] = np.linalg.solve(panel[:r - a, a:r], z[a:r])
+    vals = mean[p:] + _lower_product(
+        panels, np.concatenate([z, rng.standard_normal(mean.size - p)]),
+        p, mean.size)
     # the fine grid carries every old level, whose cells keep their values
     point_log, *cells = np.split(vals, np.cumsum(
         [fine.n_points] + [2 ** lev for lev in new_levels[:-1]]))

@@ -10,13 +10,15 @@ Exact samplers cover the model classes:
 * Gaussian, dense: the joint law of all point and cell values is a
   Gaussian vector whose covariance is sigma2 times the overlap kernel of
   the regions, built densely and Cholesky-factored once per grid: its
-  lower triangle is filled once per attempt and factored in place, its
-  strict upper triangle never written, and a failed attempt refills it
-  before the next jitter (fill_gram, _chol_with_jitter).  It serves
-  single builds that carry cells, grids below CIRCULANT_MIN_POINTS
-  points, refinement and juxtaposition: n_intervals adjacent copies of
-  a grid driven by one noise, whose Gram holds the copies' points and
-  their cells of the hull, (n_intervals * (n_points + 1))^2 doubles.
+  lower triangle is stored as row panels of CHOLESKY_BLOCK rows, each
+  cut after its diagonal block, filled once per attempt and factored in
+  place, and a failed attempt refills it before the next jitter
+  (fill_gram, _chol_with_jitter).  It serves single builds that
+  carry cells, grids below CIRCULANT_MIN_POINTS points, refinement and
+  juxtaposition: n_intervals adjacent copies of a grid driven by one
+  noise, whose Gram holds the copies' points and their cells of the
+  hull, dim = n_intervals * (n_points + 1) objects in about
+  dim (dim + CHOLESKY_BLOCK) / 2 doubles.
 * Gaussian, circulant embedding: on a points-only grid (cell_levels = 0)
   the covariance depends only on the lag, so it is a Toeplitz matrix and
   its circulant embedding of size M = 2N samples it exactly with one
@@ -74,7 +76,7 @@ next call with the same (grid, model, n_intervals), so repeated single
 builds on one grid, as in the star checks, share one Gram and Cholesky
 factorization; a call with other arguments replaces it.  Grids and
 models are frozen and hashable, and no sampler changes after its
-constructor: the arrays it shares (the Cholesky factor and mean, the
+constructor: the arrays it shares (the Cholesky panels and mean, the
 embedding's spectral weights, the measure's jump tables) are read-only,
 so a caller that writes into one gets a ValueError instead of altering
 every later draw.  Work arrays never live on a sampler: blocks draws
@@ -257,9 +259,9 @@ def footprint_areas(L, rows, cols=None, out=None):
     values.  Without cols, the area of each row footprint's own region,
     which fixes its mean.  Every entry is computed elementwise, so its bits
     do not depend on the block of rows and columns it is computed in:
-    fill_gram fills a dense Gram's lower triangle a block at a time, once
-    per factorization attempt, never writes its strict upper triangle, and
-    refills it after a failed attempt (_chol_with_jitter).
+    fill_gram fills a dense Gram's row panels a block of rows at a time,
+    once per factorization attempt, and refills them after a failed
+    attempt (_chol_with_jitter).
     """
     lo, hi, cut = rows
     if cols is None:
@@ -271,28 +273,39 @@ def footprint_areas(L, rows, cols=None, out=None):
     return cones.overlap_kernel(L, hull, cut, out=out)
 
 
-def fill_gram(out, sigma2, L, feet):
-    """Write sigma2 times the overlap Gram of the footprint triple feet on
-    base length L (footprint_areas) on and below the diagonal of a zeroed
-    out.
+def _spans(panels):
+    """(a, e, panel) of each row panel of a lower factor: the panel holds
+    rows a..e-1 and columns 0..e-1, so its last e - a columns are its
+    diagonal block, zero above the diagonal (_chol_with_jitter)."""
+    for p in panels:
+        yield p.shape[1] - len(p), p.shape[1], p
 
-    A block of rows is filled at a time, its diagonal square through a
-    small temporary.  The strict upper triangle is never written, and the
-    entries are scaled as they are filled, so the Gram holds dim^2
-    doubles and a few blocks of temporaries at its peak.
+
+def fill_gram(panels, sigma2, L, feet):
+    """Write sigma2 times the overlap Gram of the footprint triple feet on
+    base length L (footprint_areas) on and below the diagonal of zeroed
+    row panels (_spans).
+
+    A block of rows of a panel is filled at a time, its diagonal square
+    through a small temporary.  Nothing above the diagonal is written,
+    and the entries are scaled as they are filled, so the Gram holds its
+    panels, about dim (dim + CHOLESKY_BLOCK) / 2 doubles, and a few blocks
+    of temporaries at its peak.
     """
     n = feet[0].size
     step = max(1, BLOCK_VALUES // n)
     tri = np.tri(min(step, n), dtype=bool)
-    for a in range(0, n, step):
-        e = min(a + step, n)
-        rows = tuple(f[a:e] for f in feet)
-        below = out[a:e, :a]
-        footprint_areas(L, rows, tuple(f[:a] for f in feet), out=below)
-        below *= sigma2
-        square = footprint_areas(L, rows, rows)
-        square *= sigma2
-        np.copyto(out[a:e, a:e], square, where=tri[:e - a, :e - a])
+    for a0, e0, p in _spans(panels):
+        for a in range(a0, e0, step):
+            e = min(a + step, e0)
+            rows = tuple(f[a:e] for f in feet)
+            below = p[a - a0:e - a0, :a]
+            footprint_areas(L, rows, tuple(f[:a] for f in feet), out=below)
+            below *= sigma2
+            square = footprint_areas(L, rows, rows)
+            square *= sigma2
+            np.copyto(p[a - a0:e - a0, a:e], square,
+                      where=tri[:e - a, :e - a])
 
 
 def _normal_columns(rngs, dim):
@@ -348,70 +361,98 @@ def _block_slots(count, rows, shape, out=None, work=None):
         yield s, (buf[:b] if out is None else out[s:s + b])
 
 
-# Columns per block of the in-place Cholesky factorization.  Of 64, 128
-# and 256, 128 was the fastest at dims 1022, 2047 and 4096 on a 2-vCPU
-# x86 host, one BLAS thread: 0.034, 0.16 and 0.99 s, against 0.11, 0.23
-# and 1.24 s for np.linalg.cholesky with its copies.
+# Rows per panel of a dense lower factor (the last panel also takes the
+# rows left over), and columns per block of its in-place Cholesky
+# factorization.  Of 64, 128 and 256, 128 was the fastest at dims 1022,
+# 2047 and 4096 on a 2-vCPU x86 host, one BLAS thread: 0.034, 0.16 and
+# 0.99 s, against 0.11, 0.23 and 1.24 s for np.linalg.cholesky with its
+# copies.
 CHOLESKY_BLOCK = 128
 
 
-def _factor_lower(a):
-    """Left-looking blocked Cholesky factorization of a's lower triangle,
-    in place (Golub & Van Loan, Matrix Computations, 4.2), CHOLESKY_BLOCK
-    columns at a time: each block column is updated by one matrix product
-    with the columns already factored, its diagonal block factored by
-    LAPACK and the panel below solved against that factor.
+def _factor_lower(panels):
+    """Left-looking blocked Cholesky factorization of the lower row panels
+    (_spans) of a matrix, in place (Golub & Van Loan, Matrix Computations,
+    4.2), CHOLESKY_BLOCK columns at a time: each block column is updated
+    with the columns already factored by one matrix product per panel,
+    its diagonal block factored by LAPACK and the rows below solved
+    against that factor, a panel at a time.
 
-    The strict upper triangle is neither read nor written.  False, with
-    the lower triangle partly overwritten, if a diagonal block is not
-    positive definite.
+    Nothing above the diagonal is read or written.  False, with the
+    panels partly overwritten, if a diagonal block is not positive
+    definite.
     """
-    n, b = len(a), CHOLESKY_BLOCK
-    tri = np.tri(min(b, n), dtype=bool)
-    for k in range(0, n, b):
-        e = min(k + b, n)
-        d, lower = a[k:e, k:e], tri[:e - k, :e - k]
-        if k:
-            upd = a[k:, :k] @ a[k:e, :k].T
-            # np.linalg.cholesky reads the lower triangle alone
-            np.subtract(d, upd[:e - k], out=d, where=lower)
-            a[e:, k:e] -= upd[e - k:]
-            del upd
-        try:
-            lkk = np.linalg.cholesky(d)
-        except np.linalg.LinAlgError:
-            return False
-        np.copyto(d, lkk, where=lower)
-        if e < n:
-            a[e:, k:e] = np.linalg.solve(lkk, a[e:, k:e].T).T
+    b = CHOLESKY_BLOCK
+    tri = np.tri(min(b, panels[-1].shape[1]), dtype=bool)
+    for i, (a, n, p) in enumerate(_spans(panels)):
+        for k in range(a, n, b):
+            e = min(k + b, n)
+            rows = p[k - a:]
+            d, lower = rows[:e - k, k:e], tri[:e - k, :e - k]
+            # the block column's rows below its diagonal block: the rest
+            # of this panel, then every later panel
+            below = [q[:, k:e] for q in (rows[e - k:], *panels[i + 1:])]
+            if k:
+                top = rows[:e - k, :k].T
+                upd = rows[:, :k] @ top
+                # np.linalg.cholesky reads the lower triangle alone
+                np.subtract(d, upd[:e - k], out=d, where=lower)
+                below[0] -= upd[e - k:]
+                del upd
+                for q, col in zip(panels[i + 1:], below[1:]):
+                    col -= q[:, :k] @ top
+            try:
+                lkk = np.linalg.cholesky(d)
+            except np.linalg.LinAlgError:
+                return False
+            np.copyto(d, lkk, where=lower)
+            for col in below:
+                if len(col):
+                    col[...] = np.linalg.solve(lkk, col.T).T
     return True
 
 
 def _chol_with_jitter(fill, dim):
-    """(Cholesky factor, relative jitter) of the covariance matrix that
-    fill(out) writes on and below the diagonal of a zeroed (dim, dim) out
-    (fill_gram), factored in place: the factor returned is that array,
-    whose strict upper triangle is never written, and the build's peak is
-    the matrix plus one panel of CHOLESKY_BLOCK columns.
+    """(Cholesky factor, relative jitter) of the dim x dim covariance
+    matrix that fill(panels) writes on and below the diagonal of zeroed
+    row panels (fill_gram, _spans), factored in place: the factor
+    returned is that tuple of panels.  Each panel holds CHOLESKY_BLOCK
+    rows, the last one also the dim % CHOLESKY_BLOCK rows left over, up
+    to the end of its diagonal block: about dim (dim + CHOLESKY_BLOCK) / 2
+    doubles, half the square matrix, and the build's peak but for a few
+    blocks of temporaries.  The factor's bits are those of the square
+    blocked factorization: each product and solve is one the square one
+    made, or the same rows of it.
 
     The jitter, a multiple of the mean diagonal added to the diagonal, is
     0 when the plain factorization succeeds; any other value is warned
     about, since it perturbs the law that is sampled.  A failed attempt
-    leaves the lower triangle partly overwritten, so the next one refills
-    it and adds the next jitter to the diagonal.
+    leaves the panels partly overwritten, so the next one refills them
+    and adds the next jitter to the diagonal.
     """
-    cov = np.zeros((dim, dim))
-    fill(cov)
-    diag = cov.reshape(-1)[::dim + 1]
-    scale = float(np.mean(diag)) or 1.0
+    b = CHOLESKY_BLOCK
+    # the last panel also takes the dim % b rows left over.  OpenBLAS 0.3
+    # on a 2-vCPU AVX-512 x86 host, one thread, gave a product of 9 rows
+    # or fewer other bits than the same rows of a taller product, so a
+    # panel that short would move the last bits of 4 juxtaposed copies'
+    # factor (dim % b = 4) off the square factorization's
+    edges = (*range(0, max(dim - b, 0) + 1, b), dim)
+    panels = tuple(np.zeros((e - a, e)) for a, e in zip(edges, edges[1:]))
+    fill(panels)
+    diag = [p.reshape(-1)[a::e + 1] for a, e, p in _spans(panels)]
+    scale = float(np.mean(np.concatenate(diag))) or 1.0
     for jitter in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
         if jitter:
-            fill(cov)
-            diag += jitter * scale
-        if _factor_lower(cov):
+            fill(panels)
+            for d in diag:
+                d += jitter * scale
+        if _factor_lower(panels):
             break
     else:
-        fill(cov)
+        fill(panels)
+        cov = np.zeros((dim, dim))
+        for a, e, p in _spans(panels):
+            cov[a:e, :e] = p
         w = np.linalg.eigvalsh(cov)
         raise np.linalg.LinAlgError(
             f"covariance not positive definite (min eigenvalue {w[0]:.3e} "
@@ -420,7 +461,20 @@ def _chol_with_jitter(fill, dim):
         warnings.warn(f"covariance needed relative jitter {jitter:g} "
                       f"for its Cholesky factor", RuntimeWarning,
                       stacklevel=2)
-    return cov, jitter
+    return panels, jitter
+
+
+def _lower_product(panels, x, lo, hi):
+    """Rows lo..hi-1 of the lower factor whose row panels are panels
+    (_spans) times x[:hi], one matrix product per panel: a row's product
+    stops at its panel's last column, so of the zeros above the diagonal
+    it reads only its diagonal block's."""
+    out = np.empty((hi - lo,) + x.shape[1:])
+    for a, e, p in _spans(panels):
+        r0, r1 = max(a, lo), min(e, hi)
+        if r0 < r1:
+            np.matmul(p[r0 - a:r1 - a, :r1], x[:r1], out=out[r0 - lo:r1 - lo])
+    return out
 
 
 def _set_copies(sampler, grid, n_intervals):
@@ -445,9 +499,11 @@ class GaussianFieldSampler:
 
     The Gram holds one copy's points and carried cells, or the copies'
     points (cut at eps) and footprints (cut 0) on their hull.  Its lower
-    triangle is filled a block of rows at a time, scaled as it is filled,
-    and Cholesky-factored in place (fill_gram, _chol_with_jitter), so the
-    build's peak is dim^2 doubles and one panel of the factorization.  A
+    triangle lives in row panels of CHOLESKY_BLOCK rows, each cut after
+    its diagonal block (panels), filled a block of rows at a time, scaled
+    as it is filled, and Cholesky-factored in place (fill_gram,
+    _chol_with_jitter), so the factor and the build's peak are about
+    dim (dim + CHOLESKY_BLOCK) / 2 doubles, half a square Gram.  A
     replica's point values are the first prod(shape) values, less their
     copy's value for juxtaposed copies.
     """
@@ -472,9 +528,9 @@ class GaussianFieldSampler:
         self.dim = feet[0].size
         # the mean and factor are shared, so read-only
         self.mean = -0.5 * sigma2 * footprint_areas(L, feet)
-        self.chol, jitter = _chol_with_jitter(
-            lambda out: fill_gram(out, sigma2, L, feet), self.dim)
-        for a in (self.mean, self.chol):
+        self.panels, jitter = _chol_with_jitter(
+            lambda panels: fill_gram(panels, sigma2, L, feet), self.dim)
+        for a in (self.mean, *self.panels):
             a.setflags(write=False)
         self.health = {"cholesky_jitter": jitter}
 
@@ -487,10 +543,11 @@ class GaussianFieldSampler:
         the first k objects (k = dim for all of them).
 
         The factor is lower triangular, so the leading values need only the
-        leading normals: with k = n_points, the point values alone.
+        leading normals: with k = n_points, the point values alone.  Each
+        row panel gives its rows in one product (_lower_product).
         """
         k = normals.shape[0]
-        vals = self.chol[:k, :k] @ normals
+        vals = _lower_product(self.panels, normals, 0, k)
         vals += self.mean[:k, None]
         return vals
 
@@ -988,10 +1045,11 @@ def make_sampler(grid, model, n_intervals=1):
 
 
 # One slot: every repeated caller (build_realization in a loop, the star
-# check) reuses a single key, and a dense factor can be large (about 300 MB
-# for 4096 points at oversample 4 carrying all 2046 cells), so no earlier
-# sampler is kept alive once another is built.  make_sampler resolves the
-# arguments to positions first, so that each key has one spelling.
+# check) reuses a single key, and a dense factor can be large (154 MB of
+# panels for 4096 points at oversample 4 carrying all 2046 cells), so no
+# earlier sampler is kept alive once another is built.  make_sampler
+# resolves the arguments to positions first, so that each key has one
+# spelling.
 @functools.lru_cache(maxsize=1)
 def _cached_sampler(grid, model, n_intervals):
     kind = field_kind(model)

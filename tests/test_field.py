@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -43,6 +44,32 @@ def filled(sam, rngs):
     for _ in sam.blocks(rngs, out):
         pass
     return out
+
+
+def lower_factor(panels):
+    """The square lower factor whose row panels are panels: panel rows
+    a..e-1 hold columns 0..e-1, a diagonal block's zeros above its
+    diagonal included, and the rest above the diagonal is zero."""
+    dim = panels[-1].shape[1]
+    out = np.zeros((dim, dim))
+    for p in panels:
+        e = p.shape[1]
+        out[e - len(p):e, :e] = p
+    return out
+
+
+def run_one_blas_thread(script):
+    """The finished process of script run by a fresh interpreter with one
+    BLAS thread, checked to have exited 0: a factor of 128 or more
+    objects takes its bits from the BLAS thread count."""
+    pkg_root = str(Path(field.__file__).resolve().parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 class UnitNormals:
@@ -112,7 +139,8 @@ def test_leaf_count_takes_whole_cells_of_the_grid(fraction, count):
 def test_gaussian_gram_matches_region_oracle():
     g = GridSpec((0.0, 1.0), 3, 2, 2)
     sam = GaussianFieldSampler(g, 0.7)
-    cov = sam.chol @ sam.chol.T
+    chol = lower_factor(sam.panels)
+    cov = chol @ chol.T
     pts = g.eval_points()
 
     # point-point entries are pair areas
@@ -243,7 +271,7 @@ def test_circulant_batch_memory_is_its_output_plus_two_blocks():
     assert peak < out.nbytes + 2 * block + 8 * sam.size + 16384
 
 
-def test_dense_build_memory_is_the_gram_plus_one_panel():
+def test_dense_build_memory_is_the_lower_panels_plus_one_panel():
     grid = GridSpec((0.0, 1.0), 8, 2, None)
     block = field.BLOCK_VALUES * 8
     tracemalloc.start()
@@ -252,15 +280,21 @@ def test_dense_build_memory_is_the_gram_plus_one_panel():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    dim = sam.dim
+    dim, b = sam.dim, field.CHOLESKY_BLOCK
     assert dim == 512 + 510
-    panel = 8 * dim * field.CHOLESKY_BLOCK
-    # the Gram, factored in place, and either a panel of the factorization
-    # or a block's kernel temporaries, and 16 KiB of small objects.  The
-    # Gram and a separate factor, as np.linalg.cholesky returns, traced
-    # about 2 dim^2 doubles; its LAPACK work copy is malloc'd outside
-    # Python's allocators, so tracemalloc does not see it
-    assert peak < 8 * dim * dim + panel + 2 * block + 16384
+    # the lower triangle in row panels of b rows, each holding its
+    # diagonal block whole, the last one also the dim % b rows left over
+    # with the b x (dim % b) zeros above them
+    lower = 8 * (dim * (dim + 1) // 2 + dim * b // 2 + b * (dim % b))
+    assert sum(p.nbytes for p in sam.panels) <= lower
+    panel = 8 * dim * b
+    # the Gram's panels, factored in place, and either a panel of the
+    # factorization or a block's kernel temporaries, and 16 KiB of small
+    # objects.  The square Gram held 8 dim^2 bytes, 8.4 MB against these
+    # panels' 4.8 MB; a separate factor, as np.linalg.cholesky returns,
+    # traced about 2 dim^2 doubles, and its LAPACK work copy is malloc'd
+    # outside Python's allocators, so tracemalloc does not see it
+    assert peak < lower + panel + 2 * block + 16384
 
 
 def _relative_error(a, b):
@@ -281,10 +315,10 @@ def test_blocked_cholesky_matches_lapack(block, monkeypatch):
     def spy(fill, dim):
         filled_into = []
 
-        def traced(cov):
-            fill(cov)
-            filled_into.append(cov)
-            grams.append(cov.copy())
+        def traced(panels):
+            fill(panels)
+            filled_into.append(panels)
+            grams.append(lower_factor(panels))
 
         chol, jitter = real(traced, dim)
         assert chol is filled_into[-1]
@@ -303,13 +337,20 @@ def test_blocked_cholesky_matches_lapack(block, monkeypatch):
     assert max(len(g) for g in grams) < 4096
     for sam, gram in zip(samplers, grams):
         assert sam.health == {"cholesky_jitter": 0.0}
-        assert _relative_error(sam.chol, np.linalg.cholesky(gram)) <= 1e-13
-        assert not np.triu(sam.chol, 1).any()
+        chol = lower_factor(sam.panels)
+        assert _relative_error(chol, np.linalg.cholesky(gram)) <= 1e-13
+        assert not np.triu(chol, 1).any()
 
 
 def lower_fill(cov):
-    """A fill for _chol_with_jitter: cov's lower triangle into out."""
-    return lambda out: np.copyto(out, cov, where=np.tri(len(cov), dtype=bool))
+    """A fill for _chol_with_jitter: cov's lower triangle into its row
+    panels, whose assembled square (lower_factor) is then np.tril(cov)."""
+    def fill(panels):
+        for p in panels:
+            e = p.shape[1]
+            np.copyto(p, cov[e - len(p):e, :e], where=np.tri(
+                len(p), e, e - len(p), dtype=bool))
+    return fill
 
 
 def test_failed_factorization_is_refilled(monkeypatch):
@@ -336,7 +377,8 @@ def test_failed_factorization_is_refilled(monkeypatch):
     assert want == 1e-14
     monkeypatch.setattr(field, "CHOLESKY_BLOCK", 2)
     with pytest.warns(RuntimeWarning, match="relative jitter 1e-14"):
-        chol, jitter = _chol_with_jitter(lower_fill(cov.copy()), 8)
+        panels, jitter = _chol_with_jitter(lower_fill(cov.copy()), 8)
+    chol = lower_factor(panels)
     assert jitter == want
     assert _relative_error(chol, ref) <= 1e-13
     assert not np.triu(chol, 1).any()
@@ -364,12 +406,12 @@ def test_footprint_blocks_leave_the_dense_bits_unchanged(rows, monkeypatch):
         out = []
         for g in grids:
             sam = GaussianFieldSampler(g, 0.5)
-            out += [sam.chol, sam.mean]
+            out += [lower_factor(sam.panels), sam.mean]
         r = build_realization(model, grids[1], seed=3, replica=1)
         fine = refine(r, 2, make_generator(3, 1, "refine"))
         jux = GaussianFieldSampler(grids[1], 0.5, 3)
         return out + [fine.field.point_log, *fine.field.cell_log.values(),
-                      jux.chol, jux.mean]
+                      lower_factor(jux.panels), jux.mean]
 
     # a cached sampler for this key would skip the build, and one built
     # under the patch must not outlive it
@@ -446,9 +488,9 @@ def test_make_sampler_shares_one_read_only_sampler():
     jux = make_sampler(g, model, n_intervals=3)
     assert make_sampler(g, model, 3) is jux
     assert filled(jux, [make_generator(1, 0, "t")]).shape == (1, 3, 16)
-    for arr in (dense.chol, dense.mean, circ.weights, atom.nu._x,
+    for arr in (*dense.panels, dense.mean, circ.weights, atom.nu._x,
                 atom.nu._cum, tab.nu._x, tab.nu._d, tab.nu.pieces,
-                tab.nu._cum, jux.chol, jux.mean):
+                tab.nu._cum, *jux.panels, jux.mean):
         with pytest.raises(ValueError, match="read-only"):
             arr *= 1.0
     # juxtaposed hybrid copies add their two parts' copies
@@ -482,7 +524,8 @@ def test_array_valued_jump_model_gets_a_sampler():
 def test_cholesky_jitter_is_warned():
     v = np.arange(1.0, 5.0)[:, None]
     with pytest.warns(RuntimeWarning, match="relative jitter"):
-        chol, jitter = _chol_with_jitter(lower_fill(v @ v.T), 4)
+        panels, jitter = _chol_with_jitter(lower_fill(v @ v.T), 4)
+    chol = lower_factor(panels)
     assert jitter > 0
     assert np.abs(chol @ chol.T - v @ v.T).max() < 1e-6
 
@@ -504,17 +547,11 @@ def test_refinement_keeps_its_bits():
         print(*[v.hex() for v in fine.field.point_log[::19].tolist()],
               fine.total_mass.hex())
     """
-    pkg_root = str(Path(field.__file__).resolve().parents[1])
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-                   filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = run_one_blas_thread(script)
     assert proc.stdout.split() == [
         "-0x1.a6252be5b1900p-1", "-0x1.af254849ed288p+0",
-        "-0x1.61580878b9604p+0", "-0x1.f78317f97b19cp-3",
-        "0x1.b372c50a52c90p-5", "-0x1.bbb0c1d919514p-3",
+        "-0x1.61580878b9604p+0", "-0x1.f78317f97b1acp-3",
+        "0x1.b372c50a52c80p-5", "-0x1.bbb0c1d919528p-3",
         "0x1.663b98a32c0a8p-1"]
 
 
@@ -524,7 +561,7 @@ def test_dense_factors_keep_their_bits():
     # cell-carrying grid (1022 objects), 3 juxtaposed copies of a
     # non-dyadic grid (144 points on their hull and the copies' 3 cells of
     # it) and a realization on the first grid
-    script = """if True:
+    script = inspect.getsource(lower_factor) + """if True:
         import numpy as np
         from idcascade import GridSpec, lognormal_model
         from idcascade.cascade import build_realization
@@ -537,19 +574,14 @@ def test_dense_factors_keep_their_bits():
         jux = GridSpec((0.1, 0.4), 4, 3, 2)
         for sam in (GaussianFieldSampler(g, 0.5),
                     GaussianFieldSampler(jux, 0.5, 3)):
-            print(sam.dim, *hexes(sam.chol[np.tril_indices(sam.dim)], 6),
+            chol = lower_factor(sam.panels)
+            print(sam.dim, *hexes(chol[np.tril_indices(sam.dim)], 6),
                   *hexes(sam.mean, 3))
         r = build_realization(lognormal_model(0.5), g, seed=7, replica=0)
         print(*hexes(r.field.point_log, 4), *hexes(r.field.cell_log[8], 2),
               r.field.cell_log[1][0].hex(), r.total_mass.hex())
     """
-    pkg_root = str(Path(field.__file__).resolve().parents[1])
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-                   filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = run_one_blas_thread(script)
     assert [line.split() for line in proc.stdout.splitlines()] == [
         ["1022", "0x1.cf1c9343a8906p+0", "0x1.0e1c7152d175cp-3",
          "-0x1.b5134b51ce1b5p-13", "0x1.89495aff1ecb7p-8",
@@ -566,6 +598,98 @@ def test_dense_factors_keep_their_bits():
          "-0x1.2041d36fbf2cdp+0", "0x1.e59017c0c168ap-1",
          "0x1.5f5126d2c4a82p-1", "-0x1.a017c34eeaad4p-1",
          "-0x1.371ed7452a239p-1", "0x1.1885ae81afb7ap-1"]]
+
+
+def square_factor_lower(a):
+    """The square left-looking blocked Cholesky factorization of a's
+    lower triangle in place, CHOLESKY_BLOCK columns at a time, that the
+    row panels replaced: the reference for their bits."""
+    from idcascade.field import CHOLESKY_BLOCK as b
+    n = len(a)
+    tri = np.tri(min(b, n), dtype=bool)
+    for k in range(0, n, b):
+        e = min(k + b, n)
+        d, lower = a[k:e, k:e], tri[:e - k, :e - k]
+        if k:
+            upd = a[k:, :k] @ a[k:e, :k].T
+            np.subtract(d, upd[:e - k], out=d, where=lower)
+            a[e:, k:e] -= upd[e - k:]
+        lkk = np.linalg.cholesky(d)
+        np.copyto(d, lkk, where=lower)
+        if e < n:
+            a[e:, k:e] = np.linalg.solve(lkk, a[e:, k:e].T).T
+    return a
+
+
+def test_panel_factors_have_the_square_factors_bits():
+    # one panel (62 objects), exactly one (128), a last panel that takes
+    # 19, 4 and 6 rows left over (3 and 4 juxtaposed copies, two carried
+    # cell levels) and gauss-single's 1022 objects.  BLAS bits depend on
+    # the thread count, so a fresh interpreter factors with one thread
+    script = (inspect.getsource(lower_factor)
+              + inspect.getsource(square_factor_lower) + """if True:
+        import numpy as np
+        from idcascade import field
+        from idcascade.field import GaussianFieldSampler, GridSpec
+
+        grams = []
+        real = field._chol_with_jitter
+
+        def spy(fill, dim):
+            def traced(panels):
+                fill(panels)
+                grams.append(lower_factor(panels))
+            return real(traced, dim)
+
+        field._chol_with_jitter = spy
+        for grid, copies in ((GridSpec((0.0, 1.0), 4, 2, None), 1),
+                             (GridSpec((0.0, 1.0), 6, 2, 0), 1),
+                             (GridSpec((0.1, 0.4), 4, 3, 2), 3),
+                             (GridSpec((0.0, 1.0), 5, 1, 0), 4),
+                             (GridSpec((0.0, 1.0), 8, 2, 2), 1),
+                             (GridSpec((0.0, 1.0), 8, 2, None), 1)):
+            sam = GaussianFieldSampler(grid, 0.5, copies)
+            want = square_factor_lower(grams[-1])
+            assert np.array_equal(lower_factor(sam.panels), want), sam.dim
+            print(sam.dim, len(sam.panels[-1]))
+    """)
+    proc = run_one_blas_thread(script)
+    assert proc.stdout.split() == ["62", "62", "128", "128", "147", "147",
+                                   "132", "132", "518", "134", "1022", "254"]
+
+
+def test_panel_draws_match_the_square_factor():
+    # one panel of 62 objects, exactly one of 128, and gauss-single's 1022
+    # objects (7 panels, the last one of 254 rows): a one-column draw, of
+    # every object or of the points alone, has the bits of the square
+    # lower factor's product, and a 256-column one its value to rounding.
+    # BLAS bits depend on the thread count, so a fresh interpreter draws
+    # with one thread
+    script = inspect.getsource(lower_factor) + """if True:
+        import numpy as np
+        from idcascade import GridSpec
+        from idcascade._rng import make_generator
+        from idcascade.field import GaussianFieldSampler
+
+        for grid in (GridSpec((0.0, 1.0), 4, 2, None),
+                     GridSpec((0.0, 1.0), 6, 2, 0),
+                     GridSpec((0.0, 1.0), 8, 2, None)):
+            sam = GaussianFieldSampler(grid, 0.5)
+            chol = np.tril(lower_factor(sam.panels))
+            rng = make_generator(2, sam.dim, "panels")
+            z = rng.standard_normal((sam.dim, 1))
+            for k in (sam.dim, grid.n_points):
+                want = chol[:k, :k] @ z[:k]
+                want += sam.mean[:k, None]
+                assert np.array_equal(sam.draw_columns(z[:k]), want), k
+            z = rng.standard_normal((sam.dim, 256))
+            want = chol @ z + sam.mean[:, None]
+            err = np.abs(sam.draw_columns(z) - want).max()
+            assert err <= 1e-13 * np.abs(want).max(), err
+            print(sam.dim, len(sam.panels))
+    """
+    proc = run_one_blas_thread(script)
+    assert proc.stdout.split() == ["62", "1", "128", "1", "1022", "7"]
 
 
 def test_dense_blocks_draw_only_the_point_normals():
