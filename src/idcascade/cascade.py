@@ -6,8 +6,8 @@ The operations here are the structural facts the engine exists to verify:
 
 * star decomposition: the measure restricted to a level-k cell factors into
   the cell weight times an independent rescaled copy of the whole cascade;
-* refinement: a realization can be extended downward in scale without
-  touching the noise already drawn;
+* refinement: field.py extends a realization's field downward in scale
+  without touching the noise already drawn;
 * juxtaposition: cascades on adjacent unit intervals driven by one shared
   noise field, giving a stationary dependent sequence of masses;
 * exact scaling: the mass of [0, lam] equals in law lam * exp(W) * Z' with
@@ -29,12 +29,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import cones, field
+from . import field
 from .levy import NoiseModel, ZeroJumps, jump_drift, mean_slope
-from .field import (FieldSample, GridSpec, PoissonFieldSampler,
-                    _chol_with_jitter, _gram_objects, _lower_product,
-                    _scratch, _spans, field_kind, fill_gram, footprint_areas,
-                    make_sampler, poisson_points)
+from .field import FieldSample, GridSpec, _scratch, make_sampler
 from ._rng import make_generator, streams
 
 
@@ -48,7 +45,7 @@ def model_digest(model):
 @dataclass
 class Realization:
     """One cascade sample: its field draw, the masses it induces and its
-    provenance.  Its kind is field_kind(model)."""
+    provenance.  Its kind is field.field_kind(model)."""
 
     model: NoiseModel
     field: FieldSample
@@ -414,12 +411,9 @@ def refine(realization, extra_levels, rng):
     """Extend a realization by extra dyadic levels, reusing its noise.
 
     The already-drawn noise (heights >= eps) is kept; only the band between
-    the new and old truncation heights is fresh.  Atomic fields keep their
-    points and add a Poisson draw on the new band.  Gaussian fields draw the
-    fine-grid values from their exact law given every old value, from one
-    Cholesky factor of the old and new values' joint Gram, whose entries
-    hold the noise above the old height and the band below it alike.  With
-    extra_levels = 0 the realization is returned as is.
+    the new and old truncation heights is fresh, and the refined field is
+    drawn in field.py (field.refine_field).  With extra_levels = 0 the
+    realization is returned as is.
     """
     if extra_levels < 0:
         raise ValueError("extra_levels must be >= 0")
@@ -430,68 +424,9 @@ def refine(realization, extra_levels, rng):
                     None if g.cell_levels is None else
                     (g.cell_levels + extra_levels if g.cell_levels == g.levels
                      else g.cell_levels))
-    kind = field_kind(realization.model)
-    if kind == "poisson":
-        f = _refine_poisson(realization, fine, rng)
-    elif kind == "gaussian":
-        f = _refine_gaussian(realization, fine, rng)
-    else:
-        raise ValueError(f"refine not implemented for kind {kind!r}")
+    f = field.refine_field(realization.model, realization.field, fine, rng)
     return _realization(realization.model, f, realization.seed,
                         realization.replica)
-
-
-def _refine_poisson(realization, fine, rng):
-    g = realization.grid
-    old = realization.field
-    strip = cones.refinement_strip(g.interval, g.eps, fine.eps)
-    sampler = PoissonFieldSampler(fine, realization.model)
-    _, xs, ys, jumps = poisson_points([rng], [strip], sampler.nu)
-    x = np.concatenate([old.points_x, xs])
-    y = np.concatenate([old.points_y, ys])
-    jump = np.concatenate([old.points_jump, jumps])
-    point_log, cell_log = sampler.evaluate(x, y, jump)
-    return FieldSample(fine, point_log, cell_log,
-                       points_x=x, points_y=y, points_jump=jump)
-
-
-def _refine_gaussian(realization, fine, rng):
-    # One Gram of the old objects (points cut at the old eps, carried
-    # cells) and the new ones (fine points cut at the new eps, new cell
-    # levels): footprint_areas cuts each pair at the larger cutoff, so it
-    # holds the noise above the old height and the band below it.  With
-    # its factor [[A, 0], [B, C]], the old values fix z = A^-1 (x - mean),
-    # solved forward a panel's diagonal block at a time, and the new
-    # values are mean + [B C] times z and fresh normals.
-    g = realization.grid
-    sigma2 = realization.model.sigma2
-    old = realization.field
-    new_levels = [lev for lev in fine.carried_levels
-                  if lev not in g.carried_levels]
-    objects = [np.concatenate(pair) for pair in
-               zip(_gram_objects(g), _gram_objects(fine, new_levels))]
-    mean = -0.5 * sigma2 * footprint_areas(g.length, objects)
-    panels, _ = _chol_with_jitter(
-        lambda out: fill_gram(out, sigma2, g.length, objects), mean.size)
-    x_old = np.concatenate([old.point_log] +
-                           [old.cell_log[lev] for lev in g.carried_levels])
-    p = x_old.size
-    z = x_old - mean[:p]
-    for a, e, panel in _spans(panels):
-        if a >= p:
-            break
-        r = min(e, p)
-        z[a:r] -= panel[:r - a, :a] @ z[:a]
-        z[a:r] = np.linalg.solve(panel[:r - a, a:r], z[a:r])
-    vals = mean[p:] + _lower_product(
-        panels, np.concatenate([z, rng.standard_normal(mean.size - p)]),
-        p, mean.size)
-    # the fine grid carries every old level, whose cells keep their values
-    point_log, *cells = np.split(vals, np.cumsum(
-        [fine.n_points] + [2 ** lev for lev in new_levels[:-1]]))
-    cell_log = {lev: old.cell_log[lev].copy() for lev in g.carried_levels}
-    return FieldSample(fine, point_log,
-                       {**cell_log, **dict(zip(new_levels, cells))})
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +437,9 @@ def _refine_gaussian(realization, fine, rng):
 def juxtaposed_total_masses(model, grid, n_intervals, seed, replicas, *,
                             stream_tag="juxtapose", progress=None):
     """(replicas, n_intervals) total masses of adjacent copies of grid
-    sharing one noise."""
+    sharing one noise, n_intervals >= 2."""
+    if n_intervals < 2:
+        raise ValueError("n_intervals must be >= 2")
     return BatchSimulator(model, grid, stream_tag=stream_tag,
                           n_intervals=n_intervals).total_masses(
         seed, replicas, progress)

@@ -151,7 +151,9 @@ KEYS = {
         "checks": (_checks, "default"),
         "ks_p_min": (_number, "0.01"),
         "q_values": (_numbers, None),
-        "scale_ratios": (_numbers, "0.5, 0.25, 0.125, 0.0625"),
+        "scale_ratios": (_bounded(_numbers, lambda v: len(set(v)) >= 2,
+                                  "needs at least two distinct ratios"),
+                         "0.5, 0.25, 0.125, 0.0625"),
         "n_intervals": (_at_least(2), "4"),
     },
     "output": {

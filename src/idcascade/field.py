@@ -13,12 +13,12 @@ Exact samplers cover the model classes:
   lower triangle is stored as row panels of CHOLESKY_BLOCK rows, each
   cut after its diagonal block, filled once per attempt and factored in
   place, and a failed attempt refills it before the next jitter
-  (fill_gram, _chol_with_jitter).  It serves single builds that
-  carry cells, grids below CIRCULANT_MIN_POINTS points, refinement and
-  juxtaposition: n_intervals adjacent copies of a grid driven by one
-  noise, whose Gram holds the copies' points and their cells of the
-  hull, dim = n_intervals * (n_points + 1) objects in about
-  dim (dim + CHOLESKY_BLOCK) / 2 doubles.
+  (_dense_law builds every such law).  It serves single builds that
+  carry cells, grids below CIRCULANT_MIN_POINTS points, refinement
+  (refine_field, every kind's refinement) and juxtaposition: n_intervals
+  adjacent copies of a grid driven by one noise, whose Gram holds the
+  copies' points and their cells of the hull, dim = n_intervals *
+  (n_points + 1) objects in about dim (dim + CHOLESKY_BLOCK) / 2 doubles.
 * Gaussian, circulant embedding: on a points-only grid (cell_levels = 0)
   the covariance depends only on the lag, so it is a Toeplitz matrix and
   its circulant embedding of size M = 2N samples it exactly with one
@@ -183,6 +183,16 @@ class GridSpec:
                        levels=self.levels - level_drop,
                        cell_levels=(None if self.cell_levels is None else
                                     max(0, self.cell_levels - level_drop)))
+
+    def split(self, values, levels=None):
+        """(point_log, cell_log): slices of values stacked as _gram_objects
+        stacks the points, then the cells of levels (default: carried)."""
+        cell_log = {}
+        off = self.n_points
+        for lev in self.carried_levels if levels is None else levels:
+            cell_log[lev] = values[off:off + 2 ** lev]
+            off += 2 ** lev
+        return values[:self.n_points], cell_log
 
 
 @dataclass
@@ -464,6 +474,17 @@ def _chol_with_jitter(fill, dim):
     return panels, jitter
 
 
+def _dense_law(sigma2, L, feet):
+    """Read-only (mean, Cholesky panels, jitter) of the values of the
+    footprints feet on base length L (fill_gram, _chol_with_jitter)."""
+    mean = -0.5 * sigma2 * footprint_areas(L, feet)
+    panels, jitter = _chol_with_jitter(
+        lambda out: fill_gram(out, sigma2, L, feet), mean.size)
+    for a in (mean, *panels):
+        a.setflags(write=False)
+    return mean, panels, jitter
+
+
 def _lower_product(panels, x, lo, hi):
     """Rows lo..hi-1 of the lower factor whose row panels are panels
     (_spans) times x[:hi], one matrix product per panel: a row's product
@@ -501,9 +522,9 @@ class GaussianFieldSampler:
     points (cut at eps) and footprints (cut 0) on their hull.  Its lower
     triangle lives in row panels of CHOLESKY_BLOCK rows, each cut after
     its diagonal block (panels), filled a block of rows at a time, scaled
-    as it is filled, and Cholesky-factored in place (fill_gram,
-    _chol_with_jitter), so the factor and the build's peak are about
-    dim (dim + CHOLESKY_BLOCK) / 2 doubles, half a square Gram.  A
+    as it is filled, and Cholesky-factored in place (_dense_law), so the
+    factor and the build's peak are about dim (dim + CHOLESKY_BLOCK) / 2
+    doubles, half a square Gram.  A
     replica's point values are the first prod(shape) values, less their
     copy's value for juxtaposed copies.
     """
@@ -526,12 +547,7 @@ class GaussianFieldSampler:
                 (t, t, np.full(t.size, grid.eps)),
                 (edges[:-1], edges[1:], np.zeros(n_intervals)))]
         self.dim = feet[0].size
-        # the mean and factor are shared, so read-only
-        self.mean = -0.5 * sigma2 * footprint_areas(L, feet)
-        self.panels, jitter = _chol_with_jitter(
-            lambda panels: fill_gram(panels, sigma2, L, feet), self.dim)
-        for a in (self.mean, *self.panels):
-            a.setflags(write=False)
+        self.mean, self.panels, jitter = _dense_law(sigma2, L, feet)
         self.health = {"cholesky_jitter": jitter}
 
     def draw(self, rng, count=1):
@@ -571,23 +587,12 @@ class GaussianFieldSampler:
             out -= vals[n:].T[:, :, None]
         yield 0, out
 
-    def split(self, values):
-        """Slice a stacked value vector into (point_log, cell_log dict)."""
-        g = self.grid
-        point_log = values[:g.n_points]
-        cell_log = {}
-        off = g.n_points
-        for lev in g.carried_levels:
-            cell_log[lev] = values[off:off + 2 ** lev]
-            off += 2 ** lev
-        return point_log, cell_log
-
     def sample(self, rng):
         """One copy's FieldSample."""
         if len(self.shape) > 1:
             raise ValueError("juxtaposed copies draw only with blocks()")
         vals = self.draw_columns(rng.standard_normal((self.dim, 1)))[:, 0]
-        point_log, cell_log = self.split(vals)
+        point_log, cell_log = self.grid.split(vals)
         return FieldSample(self.grid, point_log, cell_log)
 
 
@@ -967,7 +972,7 @@ class HybridFieldSampler:
             z_points = rng.standard_normal((g.n_points, 1))
             jumps = self.poisson.sample(rng)
             z_cells = rng.standard_normal((gauss.dim - g.n_points, 1))
-            point_log, cell_log = gauss.split(
+            point_log, cell_log = g.split(
                 gauss.draw_columns(np.concatenate([z_points, z_cells]))[:, 0])
         return FieldSample(
             g, point_log + jumps.point_log,
@@ -1062,3 +1067,64 @@ def _cached_sampler(grid, model, n_intervals):
 
 make_sampler.cache_clear = _cached_sampler.cache_clear
 make_sampler.cache_info = _cached_sampler.cache_info
+
+
+# ---------------------------------------------------------------------------
+# refinement
+# ---------------------------------------------------------------------------
+
+
+def refine_field(model, sample, fine, rng):
+    """The FieldSample of model on fine, a finer grid of sample's interval,
+    that keeps every value of sample: atomic fields keep their points and
+    add a Poisson draw on the band between the two truncation heights,
+    Gaussian ones draw the new values from their law given the old."""
+    kind = field_kind(model)
+    if kind == "gaussian":
+        return _refine_gaussian(model, sample, fine, rng)
+    if kind != "poisson":
+        raise ValueError(f"refine not implemented for kind {kind!r}")
+    if sample.points_x is None:
+        raise ValueError("the field sample carries no Poisson points")
+    g = sample.grid
+    strip = cones.refinement_strip(g.interval, g.eps, fine.eps)
+    sampler = PoissonFieldSampler(fine, model)
+    x, y, jump = (np.concatenate(pair) for pair in zip(
+        (sample.points_x, sample.points_y, sample.points_jump),
+        poisson_points([rng], [strip], sampler.nu)[1:]))
+    point_log, cell_log = sampler.evaluate(x, y, jump)
+    return FieldSample(fine, point_log, cell_log,
+                       points_x=x, points_y=y, points_jump=jump)
+
+
+def _refine_gaussian(model, old, fine, rng):
+    # One Gram of the old objects (points cut at the old eps, carried
+    # cells) and the new ones (fine points cut at the new eps, new cell
+    # levels): footprint_areas cuts each pair at the larger cutoff, so it
+    # holds the noise above the old height and the band below it.  With
+    # its factor [[A, 0], [B, C]], the old values fix z = A^-1 (x - mean),
+    # solved forward a panel's diagonal block at a time, and the new
+    # values are mean + [B C] times z and fresh normals.
+    g = old.grid
+    new_levels = [lev for lev in fine.carried_levels
+                  if lev not in g.carried_levels]
+    feet = [np.concatenate(pair) for pair in
+            zip(_gram_objects(g), _gram_objects(fine, new_levels))]
+    mean, panels, _ = _dense_law(model.sigma2, g.length, feet)
+    x_old = np.concatenate([old.point_log] +
+                           [old.cell_log[lev] for lev in g.carried_levels])
+    p = x_old.size
+    z = x_old - mean[:p]
+    for a, e, panel in _spans(panels):
+        if a >= p:
+            break
+        r = min(e, p)
+        z[a:r] -= panel[:r - a, :a] @ z[:a]
+        z[a:r] = np.linalg.solve(panel[:r - a, a:r], z[a:r])
+    vals = mean[p:] + _lower_product(
+        panels, np.concatenate([z, rng.standard_normal(mean.size - p)]),
+        p, mean.size)
+    # the fine grid carries every old level, whose cells keep their values
+    point_log, cells = fine.split(vals, new_levels)
+    cell_log = {lev: old.cell_log[lev].copy() for lev in g.carried_levels}
+    return FieldSample(fine, point_log, {**cell_log, **cells})

@@ -374,6 +374,7 @@ def hill_tail_report(samples, fractions=(0.005, 0.01, 0.02, 0.05),
     jackknife over the exceedances at the middle fraction.  When a tail
     index is supplied, the constant is the median of x_(i)^zeta * i / N
     over the top 1% order statistics (the plateau of the rescaled tail).
+    Each fraction f lies in (0, 1), its top count max(2, int(f N)) below N.
     """
     x = np.sort(np.asarray(samples, float))[::-1]
     N = x.size
@@ -384,6 +385,9 @@ def hill_tail_report(samples, fractions=(0.005, 0.01, 0.02, 0.05),
     ks = {}
     for f in fractions:
         k = max(2, int(f * N))
+        if not 0 < f < 1 or k >= N:
+            raise ValueError(f"fraction {f!r} must lie in (0, 1) with its "
+                             f"top count {k} below the {N} samples")
         logs = np.log(x[:k]) - math.log(x[k])
         hill[f] = 1.0 / float(logs.mean())
         ks[f] = k
@@ -530,8 +534,8 @@ def scaling_fit(model, lams, prefix_masses, q_values):
     """
     m = np.asarray(prefix_masses, float)
     lams = np.asarray(lams, float)
-    if lams.ndim != 1 or lams.size < 2:
-        raise ValueError("need at least two lams")
+    if lams.ndim != 1 or np.unique(lams).size < 2:
+        raise ValueError("need at least two lams of distinct values")
     if m.ndim != 2 or m.shape[1] != lams.size:
         raise ValueError(f"prefix_masses must have shape (replicas, "
                          f"len(lams)) = (replicas, {lams.size}), got "

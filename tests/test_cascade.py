@@ -570,6 +570,30 @@ def test_refine_rejects_a_hybrid_realization():
         refine(r, 1, make_generator(11, 0, "refine"))
 
 
+def test_refine_of_a_star_sub_cascade():
+    # a star split's sub-cascades carry their field values, not the
+    # Poisson points they came from, so a Poisson one cannot be refined;
+    # a Gaussian one keeps every value it carries
+    g = GridSpec((0.0, 1.0), 4, 2)
+    sub = decompose_star(build_realization(ATOM, g, seed=3), 1).subs[0]
+    with pytest.raises(ValueError, match="carries no Poisson points"):
+        refine(sub, 1, make_generator(3, 0, "refine"))
+    sub = decompose_star(build_realization(LOGN, g, seed=3), 1).subs[0]
+    fine = refine(sub, 1, make_generator(3, 0, "refine"))
+    assert fine.grid == GridSpec((0.0, 0.5), 4, 2)
+    assert list(fine.field.cell_log) == [1, 2, 3, 4]
+    for lev, cells in sub.field.cell_log.items():
+        np.testing.assert_array_equal(fine.field.cell_log[lev], cells)
+    assert np.isfinite(fine.field.point_log).all()
+
+
+def test_juxtaposition_needs_two_intervals():
+    for copies in (1, 0):
+        with pytest.raises(ValueError, match="n_intervals must be >= 2"):
+            juxtaposed_total_masses(LOGN, GridSpec((0.0, 1.0), 3, 2, 0),
+                                    copies, 1, 2)
+
+
 def assert_near_hexes(values, hexes):
     """values within 1e-12 relative of hexes recorded when each juxtaposed
     copy dropped the points in its own interval cone: a point that had

@@ -538,12 +538,27 @@ def test_a_broken_closed_form_fails_areas(name, monkeypatch, tmp_path,
 
 
 def test_scale_ratios_off_the_grid_are_config_errors(tmp_path, capsys):
-    # 0.3 is no whole number of the 16 leaf cells, 2^-5 is below one
-    for ratios in ("0.5, 0.3", "0.5, 0.03125", "1.5"):
+    # 0.3 is no whole number of the 16 leaf cells, 2^-5 is below one;
+    # a lone 1.5 fails the two-ratio bound first, so 1.5 also comes paired
+    for ratios in ("0.5, 0.3", "0.5, 0.03125", "1.5", "0.5, 1.5"):
         path = write_cfg(tmp_path / "s.ini", tmp_path / "s", experiment=(
             f"kind = scaling\nscale_ratios = {ratios}\n"))
         assert run("--config", path, "estimate") == 2
         assert "experiment.scale_ratios" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_scale_ratios_need_two_distinct_values(tmp_path, capsys):
+    # one ratio, or two equal ones, fit no slope: every subcommand stops
+    # at the config, before a replica is drawn or a report written
+    for ratios in ("0.5", "0.5, 0.5"):
+        path = write_cfg(tmp_path / "s.ini", tmp_path / "s", experiment=(
+            f"kind = scaling\nscale_ratios = {ratios}\n"))
+        for command in ("theory", "simulate", "verify", "estimate"):
+            assert run("--config", path, command) == 2, (ratios, command)
+            err = capsys.readouterr().err
+            assert err == ("config error: experiment.scale_ratios: needs "
+                           "at least two distinct ratios\n")
     assert not (tmp_path / "s").exists()
 
 

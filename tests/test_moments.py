@@ -262,6 +262,16 @@ def test_hill_recovers_pareto_index():
         hill_tail_report(x[:50])
 
 
+def test_hill_rejects_a_fraction_without_an_order_statistic_below():
+    x = np.random.default_rng(5).pareto(2.0, 200) + 1.0
+    # 0.995 of 200 is a top count of 199, one below the sample size
+    assert hill_tail_report(x, fractions=(0.5, 0.995)).exceedances == {
+        0.5: 100, 0.995: 199}
+    for bad in (1.0, 1.5, 0.0, -0.1):
+        with pytest.raises(ValueError, match=f"fraction {bad!r} must lie"):
+            hill_tail_report(x, fractions=(0.5, bad))
+
+
 def test_ks_two_sample_floor_and_null():
     rng = np.random.default_rng(9)
     a, b = rng.normal(size=6000), rng.normal(size=6000)
@@ -350,6 +360,9 @@ def test_scaling_fit_on_exact_power_law():
         scaling_fit(LOGN, lams, m[0], [1.0])
     with pytest.raises(ValueError, match="at least two lams"):
         scaling_fit(LOGN, lams[:1], m[:, :1], [1.0])
+    # two ratios but one distinct value: no slope to fit
+    with pytest.raises(ValueError, match="at least two lams"):
+        scaling_fit(LOGN, [0.5, 0.5], m[:, :2], [1.0])
 
 
 def test_growth_probe_quadrature_orders():

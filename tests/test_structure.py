@@ -1,0 +1,45 @@
+"""Which private names the modules of src/idcascade import from one
+another.  A private helper that a second module imports is a decision
+that two modules know; the list is pinned so that a new one is a choice
+made on purpose, and cascade.py leaves the drawing of fields (cones'
+regions included) to field.py."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "idcascade"
+
+
+def private_imports(src=SRC):
+    """(importer, module, name) of every underscore-prefixed name that a
+    module of src imports from another module of the package."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ImportFrom) and node.level
+                    and node.module):
+                found += [(path.stem, node.module, alias.name)
+                          for alias in node.names
+                          if alias.name.startswith("_")]
+    return sorted(found)
+
+
+def imported_modules(path):
+    """The package modules that path imports, by any spelling."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else
+                         [alias.name for alias in node.names])
+    return names
+
+
+def test_private_imports_are_pinned():
+    assert private_imports() == [("cascade", "field", "_scratch"),
+                                 ("moments", "levy", "_unit_gauss")]
+
+
+def test_cascade_does_not_import_cones():
+    modules = imported_modules(SRC / "cascade.py")
+    assert "field" in modules
+    assert "cones" not in modules
