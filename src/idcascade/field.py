@@ -12,8 +12,11 @@ Exact samplers cover the model classes:
   the regions, built densely and Cholesky-factored once per grid: its
   lower triangle is stored as row panels of CHOLESKY_BLOCK rows, each
   cut after its diagonal block, filled once per attempt and factored in
-  place, and a failed attempt refills it before the next jitter
-  (_dense_law builds every such law).  It serves single builds that
+  place through one inverse per diagonal block, and a failed attempt
+  refills it before the next jitter (_dense_law builds every such law).
+  The factor's bits, and those of the one-column draws and refinements
+  made with it, do not depend on the BLAS thread count; a draw of many
+  columns at once may.  It serves single builds that
   carry cells, grids below CIRCULANT_MIN_POINTS points, refinement
   (refine_field, every kind's refinement) and juxtaposition: n_intervals
   adjacent copies of a grid driven by one noise, whose Gram holds the
@@ -241,8 +244,10 @@ def _gram_objects(grid, levels=None):
 
 # Values per block of every blocked loop but the circulant one, each
 # reading it here at call time:
-# * fill_gram rows: the kernel's temporaries (hull, cutoffs, masks,
-#   gathered branch values) are a few blocks, not a few copies of the Gram;
+# * fill_gram rows, a quarter of it: the kernel's temporaries (hull,
+#   cutoffs, masks, gathered branch values) are a few such blocks, not a
+#   few copies of the Gram.  A dense build of 1022 objects traced a peak
+#   of 4.98 MB with quarter blocks against 6.28 MB with whole ones;
 # * evaluation slots plus expected points of a Poisson sub-batch: 12
 #   replicas of the atom config's grid (4096 points), or 3 of its 4
 #   juxtaposed copies.  Drawing and reducing 500 one-copy and 100
@@ -303,7 +308,7 @@ def fill_gram(panels, sigma2, L, feet):
     of temporaries at its peak.
     """
     n = feet[0].size
-    step = max(1, BLOCK_VALUES // n)
+    step = max(1, BLOCK_VALUES // 4 // n)
     tri = np.tri(min(step, n), dtype=bool)
     for a0, e0, p in _spans(panels):
         for a in range(a0, e0, step):
@@ -373,11 +378,21 @@ def _block_slots(count, rows, shape, out=None, work=None):
 
 # Rows per panel of a dense lower factor (the last panel also takes the
 # rows left over), and columns per block of its in-place Cholesky
-# factorization.  Of 64, 128 and 256, 128 was the fastest at dims 1022,
-# 2047 and 4096 on a 2-vCPU x86 host, one BLAS thread: 0.034, 0.16 and
-# 0.99 s, against 0.11, 0.23 and 1.24 s for np.linalg.cholesky with its
-# copies.
-CHOLESKY_BLOCK = 128
+# factorization.  A build in a fresh process (medians of 4 to 6
+# alternating runs, one BLAS thread, 2-vCPU AVX-512 x86 host, OpenBLAS
+# 0.3), by block width and by how the rows below a diagonal block are
+# solved:
+#
+#     objects                 1022     2046     4094     4 x 1024 (4100)
+#     64, one inverse         0.045 s  0.188 s  1.127 s  1.152 s
+#     128, one inverse        0.050 s  0.184 s  0.916 s  0.949 s
+#     128, an LU per panel    0.065 s  0.270 s  1.135 s  1.322 s
+#
+# 64 gives the factor the same bits at one and two BLAS threads: a
+# 64-column block's Cholesky factor and inverse keep their bytes at two
+# OpenBLAS threads, where a 128-column block's factor did not.  Above
+# 2046 objects that costs about a fifth more build time.
+CHOLESKY_BLOCK = 64
 
 
 def _factor_lower(panels):
@@ -385,8 +400,14 @@ def _factor_lower(panels):
     (_spans) of a matrix, in place (Golub & Van Loan, Matrix Computations,
     4.2), CHOLESKY_BLOCK columns at a time: each block column is updated
     with the columns already factored by one matrix product per panel,
-    its diagonal block factored by LAPACK and the rows below solved
-    against that factor, a panel at a time.
+    its diagonal block factored by LAPACK and inverted once, and the rows
+    below solved against that factor as one product with the inverse's
+    transpose per panel.  A well-conditioned factor's inverse solves as
+    accurately as a triangular solve (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 14), and these are: condition numbers
+    of at most 31 at 1022 objects and 54 for 4 juxtaposed copies of 1024
+    points.  L L^T reproduces gauss-single's Gram to 1.2e-15 of its
+    largest entry, as LU solves of each panel did to 1.5e-15.
 
     Nothing above the diagonal is read or written.  False, with the
     panels partly overwritten, if a diagonal block is not positive
@@ -416,9 +437,10 @@ def _factor_lower(panels):
             except np.linalg.LinAlgError:
                 return False
             np.copyto(d, lkk, where=lower)
+            inv_t = np.linalg.inv(lkk).T
             for col in below:
                 if len(col):
-                    col[...] = np.linalg.solve(lkk, col.T).T
+                    col[...] = col @ inv_t
     return True
 
 
@@ -431,8 +453,8 @@ def _chol_with_jitter(fill, dim):
     to the end of its diagonal block: about dim (dim + CHOLESKY_BLOCK) / 2
     doubles, half the square matrix, and the build's peak but for a few
     blocks of temporaries.  The factor's bits are those of the square
-    blocked factorization: each product and solve is one the square one
-    made, or the same rows of it.
+    blocked factorization with one inverse per diagonal block: each
+    product is one the square one made, or the same rows of it.
 
     The jitter, a multiple of the mean diagonal added to the diagonal, is
     0 when the plain factorization succeeds; any other value is warned
@@ -1050,7 +1072,7 @@ def make_sampler(grid, model, n_intervals=1):
 
 
 # One slot: every repeated caller (build_realization in a loop, the star
-# check) reuses a single key, and a dense factor can be large (154 MB of
+# check) reuses a single key, and a dense factor can be large (152 MB of
 # panels for 4096 points at oversample 4 carrying all 2046 cells), so no
 # earlier sampler is kept alive once another is built.  make_sampler
 # resolves the arguments to positions first, so that each key has one

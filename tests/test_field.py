@@ -58,13 +58,15 @@ def lower_factor(panels):
     return out
 
 
-def run_one_blas_thread(script):
-    """The finished process of script run by a fresh interpreter with one
-    BLAS thread, checked to have exited 0: a factor of 128 or more
-    objects takes its bits from the BLAS thread count."""
+def run_blas_threads(script, threads=1):
+    """The finished process of script run by a fresh interpreter with
+    threads BLAS threads, checked to have exited 0: the bit pins were
+    recorded at one thread, and a dense batch product takes its bits from
+    the BLAS thread count."""
     pkg_root = str(Path(field.__file__).resolve().parents[1])
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+    n = str(threads)
+    env = dict(os.environ, OMP_NUM_THREADS=n, OPENBLAS_NUM_THREADS=n,
+               MKL_NUM_THREADS=n, PYTHONPATH=os.pathsep.join(
                    filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -342,6 +344,34 @@ def test_blocked_cholesky_matches_lapack(block, monkeypatch):
         assert not np.triu(chol, 1).any()
 
 
+def test_inverse_solves_keep_the_factor_accurate(monkeypatch):
+    # the rows below each diagonal block are multiplied by that block's
+    # explicit inverse: gauss-single's 1022 objects, 3 juxtaposed copies
+    # of a non-dyadic grid (147) and a 2046-object grid.  Here LL^T
+    # reproduced the Gram to 1.2e-15, 3.6e-16 and 1.2e-15 of its largest
+    # entry, where LU solves of each panel read 1.5e-15, 3.6e-16 and
+    # 1.6e-15
+    grams = []
+    real = field._chol_with_jitter
+
+    def spy(fill, dim):
+        def traced(panels):
+            fill(panels)
+            grams.append(lower_factor(panels))
+        return real(traced, dim)
+
+    monkeypatch.setattr(field, "_chol_with_jitter", spy)
+    for grid, copies in ((GridSpec((0.0, 1.0), 8, 2, None), 1),
+                         (GridSpec((0.1, 0.4), 4, 3, 2), 3),
+                         (GridSpec((0.0, 1.0), 9, 2, None), 1)):
+        sam = GaussianFieldSampler(grid, 0.5, copies)
+        gram = grams[-1] + np.tril(grams[-1], -1).T
+        chol = lower_factor(sam.panels)
+        assert sam.dim > field.CHOLESKY_BLOCK
+        assert _relative_error(chol @ chol.T, gram) <= 1e-14
+        assert _relative_error(chol, np.linalg.cholesky(gram)) <= 1e-12
+
+
 def lower_fill(cov):
     """A fill for _chol_with_jitter: cov's lower triangle into its row
     panels, whose assembled square (lower_factor) is then np.tril(cov)."""
@@ -532,9 +562,9 @@ def test_cholesky_jitter_is_warned():
 
 def test_refinement_keeps_its_bits():
     # recorded with one joint Gram of 54 old and 96 new objects, more than
-    # CHOLESKY_BLOCK: the factor is blocked, and its first diagonal block
-    # is LAPACK's factor of 128 columns, whose OpenBLAS bits change with
-    # the BLAS thread count, so a fresh interpreter draws with one thread
+    # CHOLESKY_BLOCK, so the factor is blocked.  It was recorded with one
+    # BLAS thread, and a fresh interpreter draws with one thread
+    # (test_dense_bits_ignore_the_blas_thread_count checks two)
     script = """if True:
         from idcascade import GridSpec, field, lognormal_model
         from idcascade._rng import make_generator
@@ -547,20 +577,20 @@ def test_refinement_keeps_its_bits():
         print(*[v.hex() for v in fine.field.point_log[::19].tolist()],
               fine.total_mass.hex())
     """
-    proc = run_one_blas_thread(script)
+    proc = run_blas_threads(script)
     assert proc.stdout.split() == [
-        "-0x1.a6252be5b1900p-1", "-0x1.af254849ed288p+0",
-        "-0x1.61580878b9604p+0", "-0x1.f78317f97b1acp-3",
-        "0x1.b372c50a52c80p-5", "-0x1.bbb0c1d919528p-3",
+        "-0x1.a6252be5b18ffp-1", "-0x1.af254849ed28dp+0",
+        "-0x1.61580878b960bp+0", "-0x1.f78317f97b120p-3",
+        "0x1.b372c50a52600p-5", "-0x1.bbb0c1d919598p-3",
         "0x1.663b98a32c0a8p-1"]
 
 
 def test_dense_factors_keep_their_bits():
-    # a factor of 128 or more objects takes its bits from the BLAS thread
-    # count, so a fresh interpreter builds with one thread: gauss-single's
-    # cell-carrying grid (1022 objects), 3 juxtaposed copies of a
-    # non-dyadic grid (144 points on their hull and the copies' 3 cells of
-    # it) and a realization on the first grid
+    # gauss-single's cell-carrying grid (1022 objects), 3 juxtaposed
+    # copies of a non-dyadic grid (144 points on their hull and the
+    # copies' 3 cells of it) and a realization on the first grid, recorded
+    # with one BLAS thread, so a fresh interpreter builds with one thread
+    # (test_dense_bits_ignore_the_blas_thread_count checks two)
     script = inspect.getsource(lower_factor) + """if True:
         import numpy as np
         from idcascade import GridSpec, lognormal_model
@@ -581,23 +611,72 @@ def test_dense_factors_keep_their_bits():
         print(*hexes(r.field.point_log, 4), *hexes(r.field.cell_log[8], 2),
               r.field.cell_log[1][0].hex(), r.total_mass.hex())
     """
-    proc = run_one_blas_thread(script)
+    proc = run_blas_threads(script)
     assert [line.split() for line in proc.stdout.splitlines()] == [
-        ["1022", "0x1.cf1c9343a8906p+0", "0x1.0e1c7152d175cp-3",
-         "-0x1.b5134b51ce1b5p-13", "0x1.89495aff1ecb7p-8",
-         "0x1.078925dac5de9p-12", "0x1.8c29f10a693e0p-27",
-         "-0x1.35e396c453400p-9", "-0x1.a2e42fefa39efp+0",
+        ["1022", "0x1.cf1c9343a8906p+0", "0x1.0e1c7152d172ep-3",
+         "-0x1.b5134b51ccef8p-13", "0x1.89495aff1edd0p-8",
+         "0x1.078925dac97d1p-12", "0x1.8c29ef91924c8p-27",
+         "-0x1.35e396c452be0p-9", "-0x1.a2e42fefa39efp+0",
          "-0x1.a2e42fefa39efp+0", "-0x1.3687a9f1af2b1p+0",
          "-0x1.62e42fefa39efp+0"],
-        ["147", "0x1.8f862c180385ep+0", "0x1.56e73cdd7071fp-3",
-         "0x1.d57db65681ca0p-4", "0x1.2853ed9c08e6ep-3",
-         "0x1.1c498ce24f448p-2", "0x1.5fb0606aa9006p-6",
+        ["147", "0x1.8f862c180385ep+0", "0x1.56e73cdd70721p-3",
+         "0x1.d57db65681c9dp-4", "0x1.2853ed9c08e7ap-3",
+         "0x1.1c498ce24f44bp-2", "0x1.5fb0606aa9001p-6",
          "-0x1.37c1c1e285dbap+0", "-0x1.37c1c1e285dbap+0",
          "-0x1.37c1c1e285dbap+0"],
-        ["0x1.3707e9ae8f60dp+0", "-0x1.59524004fd464p+1",
-         "-0x1.2041d36fbf2cdp+0", "0x1.e59017c0c168ap-1",
-         "0x1.5f5126d2c4a82p-1", "-0x1.a017c34eeaad4p-1",
-         "-0x1.371ed7452a239p-1", "0x1.1885ae81afb7ap-1"]]
+        ["0x1.3707e9ae8f60dp+0", "-0x1.59524004fd466p+1",
+         "-0x1.2041d36fbf2e7p+0", "0x1.e59017c0c162ap-1",
+         "0x1.5f5126d2c4a92p-1", "-0x1.a017c34eeab2cp-1",
+         "-0x1.371ed7452a25fp-1", "0x1.1885ae81afb7bp-1"]]
+
+
+def test_dense_bits_ignore_the_blas_thread_count():
+    # the factor's panels of 3 juxtaposed copies of a non-dyadic grid
+    # (147 objects), of gauss-single's grid (1022), of a 2046-object grid
+    # and of 4 juxtaposed copies of 1024 points (4100), one gauss-single
+    # realization and one refinement have the same bytes at one and two
+    # BLAS threads: a 64-column diagonal block's Cholesky factor and
+    # inverse keep their bits at two threads, where OpenBLAS's factor of
+    # a 128-column block did not.  Dense batch products do not: a
+    # 256-column draw of all 1022 objects and juxtaposed Gaussian
+    # batches, RUN_CHUNK columns wide, read other bytes at two threads,
+    # so the bit pins are drawn at one
+    script = """if True:
+        import hashlib
+        import numpy as np
+        from idcascade import GridSpec, lognormal_model
+        from idcascade._rng import make_generator
+        from idcascade.cascade import build_realization, refine
+        from idcascade.field import GaussianFieldSampler
+
+        def digest(arrays):
+            h = hashlib.sha256()
+            for a in arrays:
+                h.update(np.ascontiguousarray(a).tobytes())
+            return h.hexdigest()
+
+        def field_digest(f):
+            return digest([f.point_log, *f.cell_log.values()])
+
+        for grid, copies in ((GridSpec((0.1, 0.4), 4, 3, 2), 3),
+                             (GridSpec((0.0, 1.0), 8, 2, None), 1),
+                             (GridSpec((0.0, 1.0), 9, 2, None), 1),
+                             (GridSpec((0.0, 1.0), 8, 4, 0), 4)):
+            sam = GaussianFieldSampler(grid, 0.5, copies)
+            print(sam.dim, digest(sam.panels))
+        model = lognormal_model(0.5)
+        r = build_realization(model, GridSpec((0.0, 1.0), 8, 2, None),
+                              seed=7, replica=0)
+        print(field_digest(r.field), r.total_mass.hex())
+        r = build_realization(model, GridSpec((0.1, 0.4), 4, 3, 2), seed=3,
+                              replica=1)
+        fine = refine(r, 1, make_generator(3, 1, "refine"))
+        print(field_digest(fine.field), fine.total_mass.hex())
+    """
+    one, two = (run_blas_threads(script, n).stdout for n in (1, 2))
+    assert [line.split()[0] for line in one.splitlines()[:4]] == [
+        "147", "1022", "2046", "4100"]
+    assert one == two
 
 
 def square_factor_lower(a):
@@ -617,15 +696,16 @@ def square_factor_lower(a):
         lkk = np.linalg.cholesky(d)
         np.copyto(d, lkk, where=lower)
         if e < n:
-            a[e:, k:e] = np.linalg.solve(lkk, a[e:, k:e].T).T
+            a[e:, k:e] = a[e:, k:e] @ np.linalg.inv(lkk).T
     return a
 
 
 def test_panel_factors_have_the_square_factors_bits():
-    # one panel (62 objects), exactly one (128), a last panel that takes
+    # one panel (62 objects), exactly two (128), a last panel that takes
     # 19, 4 and 6 rows left over (3 and 4 juxtaposed copies, two carried
-    # cell levels) and gauss-single's 1022 objects.  BLAS bits depend on
-    # the thread count, so a fresh interpreter factors with one thread
+    # cell levels) and gauss-single's 1022 objects, whose last panel takes
+    # 62.  BLAS bits may depend on the thread count, so a fresh
+    # interpreter factors with one thread
     script = (inspect.getsource(lower_factor)
               + inspect.getsource(square_factor_lower) + """if True:
         import numpy as np
@@ -653,14 +733,14 @@ def test_panel_factors_have_the_square_factors_bits():
             assert np.array_equal(lower_factor(sam.panels), want), sam.dim
             print(sam.dim, len(sam.panels[-1]))
     """)
-    proc = run_one_blas_thread(script)
-    assert proc.stdout.split() == ["62", "62", "128", "128", "147", "147",
-                                   "132", "132", "518", "134", "1022", "254"]
+    proc = run_blas_threads(script)
+    assert proc.stdout.split() == ["62", "62", "128", "64", "147", "83",
+                                   "132", "68", "518", "70", "1022", "126"]
 
 
 def test_panel_draws_match_the_square_factor():
-    # one panel of 62 objects, exactly one of 128, and gauss-single's 1022
-    # objects (7 panels, the last one of 254 rows): a one-column draw, of
+    # one panel of 62 objects, exactly two of 128, and gauss-single's 1022
+    # objects (15 panels, the last one of 126 rows): a one-column draw, of
     # every object or of the points alone, has the bits of the square
     # lower factor's product, and a 256-column one its value to rounding.
     # BLAS bits depend on the thread count, so a fresh interpreter draws
@@ -688,8 +768,8 @@ def test_panel_draws_match_the_square_factor():
             assert err <= 1e-13 * np.abs(want).max(), err
             print(sam.dim, len(sam.panels))
     """
-    proc = run_one_blas_thread(script)
-    assert proc.stdout.split() == ["62", "1", "128", "1", "1022", "7"]
+    proc = run_blas_threads(script)
+    assert proc.stdout.split() == ["62", "1", "128", "2", "1022", "15"]
 
 
 def test_dense_blocks_draw_only_the_point_normals():
