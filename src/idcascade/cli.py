@@ -16,6 +16,7 @@ import sys
 import time
 
 from . import config
+from .cascade import _write_file
 
 
 def _build_parser():
@@ -104,9 +105,8 @@ def _write_json(cfg, name, payload):
     # tokens for them: a value that is not finite is written as null
     payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     path = os.path.join(_outdir(cfg), name)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write_file(path, (json.dumps(payload, indent=2, sort_keys=True,
+                                  allow_nan=False) + "\n").encode())
     return path
 
 
@@ -123,11 +123,9 @@ def _fmt(x):
 
 def _write_csv(cfg, name, columns, rows):
     path = os.path.join(_outdir(cfg), name)
-    with open(path, "w") as fh:
-        fh.write(_csv_header(cfg))
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    lines = [_csv_header(cfg), ",".join(columns) + "\n"]
+    lines += [",".join(_fmt(v) for v in row) + "\n" for row in rows]
+    _write_file(path, "".join(lines).encode())
     return path
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ from idcascade import cascade, cones, field
 from idcascade._rng import make_generator
 from idcascade.cascade import (
     BatchSimulator,
+    StarDecomposition,
     build_realization,
     decompose_star,
     juxtaposed_total_masses,
@@ -25,8 +27,9 @@ from idcascade.cascade import (
     scaled_mass_samples,
     simulate_prefix_masses,
     simulate_total_masses,
+    write_masses_binary,
 )
-from idcascade.field import GridSpec, make_sampler
+from idcascade.field import FieldSample, GridSpec, make_sampler
 from idcascade.levy import (AtomicJumps, TabulatedJumps, build_model,
                             lognormal_model, single_atom_model)
 from idcascade.moments import juxtaposed_pair_moment
@@ -123,6 +126,48 @@ def test_star_split_subtracts_the_cell_noise_exactly(model):
                 np.testing.assert_array_equal(
                     vals, cell_log[lev + k].reshape(2 ** k, -1)[i]
                     - cell_log[k][i])
+
+
+def star_by_cell(realization, level):
+    """decompose_star as a loop over the level's cells, each sub-cascade
+    reduced on its own: the reference for the split's bits."""
+    g, f = realization.grid, realization.field
+    cell_vals = f.cell_log[level]
+    per_cell = f.point_log.reshape(2 ** level, -1)
+    subs = []
+    for i, bounds in enumerate(g.cell_bounds(level)):
+        sub_grid = g.rescaled(bounds, level_drop=level)
+        sub_cells = {lev: f.cell_log[lev + level].reshape(2 ** level, -1)[i]
+                     - cell_vals[i] for lev in sub_grid.carried_levels}
+        subs.append(cascade._realization(realization.model, FieldSample(
+            sub_grid, per_cell[i] - cell_vals[i], sub_cells)))
+    return StarDecomposition(level, np.exp(cell_vals), subs)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("model", [LOGN, ATOM, HYBRID],
+                         ids=["LOGN", "ATOM", "HYBRID"])
+@pytest.mark.parametrize("oversample", [1, 3, 8])
+def test_star_split_keeps_the_bits_of_a_loop_over_cells(model, oversample):
+    g = GridSpec((0.0, 1.0), 6, oversample)
+    r = build_realization(model, g, seed=17, replica=1)
+    for level in range(1, g.levels):
+        star, want = decompose_star(r, level), star_by_cell(r, level)
+        assert (star.level, len(star.subs)) == (level, len(want.subs))
+        assert same_bits(star.weights, want.weights)
+        for sub, ref in zip(star.subs, want.subs):
+            assert sub.grid == ref.grid
+            assert same_bits(sub.field.point_log, ref.field.point_log)
+            assert sub.field.cell_log.keys() == ref.field.cell_log.keys()
+            for lev, vals in ref.field.cell_log.items():
+                assert same_bits(sub.field.cell_log[lev], vals)
+            assert same_bits(sub.cell_masses, ref.cell_masses)
+            assert same_bits(sub.total_mass, ref.total_mass)
+        assert same_bits(star.reconstruct_total(), want.reconstruct_total())
 
 
 @pytest.mark.parametrize("model", [LOGN, ATOM, single_atom_model(-0.4, 0.8, sigma2=0.2)])
@@ -955,6 +1000,76 @@ def test_binary_roundtrip(tmp_path):
     cut.write_bytes(b"IDCZ\x01\x00")
     with pytest.raises(ValueError, match="header cut short"):
         read_binary_masses(cut)
+
+
+def test_dump_cut_inside_a_value_names_its_length(tmp_path):
+    path = tmp_path / "r.bin"
+    realization_to_binary(
+        build_realization(LOGN, GridSpec((0.0, 1.0), 3, 2), seed=2), path)
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(ValueError, match="payload length does not match"):
+        read_binary_masses(path)
+    # a depth of 2^32 - 1 levels, rejected without computing 2 ** depth
+    path.write_bytes(b"IDCZ" + struct.pack("<III", 1, 2 ** 32 - 1, 2)
+                     + bytes(24))
+    with pytest.raises(ValueError, match="payload length does not match"):
+        read_binary_masses(path)
+
+
+def test_binary_writer_rejects_masses_of_another_depth(tmp_path):
+    grid = GridSpec((0.0, 1.0), 3, 2)
+    path = tmp_path / "r.bin"
+    for n in (0, 7, 9, 16):
+        with pytest.raises(ValueError, match="masses for a grid of 8"):
+            write_masses_binary(path, grid, model_digest(LOGN), np.ones(n))
+    assert not path.exists()
+
+
+def write_binary_by_open(path, grid, digest, masses):
+    """write_masses_binary through a truncating open(path, "wb")."""
+    with open(path, "wb") as fh:
+        fh.write(b"IDCZ" + struct.pack("<III", 1, grid.levels,
+                                       grid.oversample) + digest)
+        fh.write(np.asarray(masses, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("model", [LOGN, ATOM, HYBRID],
+                         ids=["LOGN", "ATOM", "HYBRID"])
+def test_binary_dumps_match_a_truncating_writer(model, tmp_path):
+    got, want = tmp_path / "got.bin", tmp_path / "want.bin"
+    got.write_bytes(b"x" * 4096)  # rewritten in place, then cut
+    for levels in (5, 3):
+        r = build_realization(model, GridSpec((0.0, 1.0), levels, 2),
+                              seed=6, replica=levels)
+        realization_to_binary(r, got)
+        write_binary_by_open(want, r.grid, model_digest(model),
+                             r.cell_masses)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_exports_write_to_the_null_device():
+    r = build_realization(LOGN, GridSpec((0.0, 1.0), 3, 2), seed=2)
+    realization_to_csv(r, os.devnull)
+    realization_to_binary(r, os.devnull)
+    write_masses_binary(os.devnull, r.grid, model_digest(LOGN),
+                        r.cell_masses)
+
+
+def test_new_exports_get_the_permissions_of_open(tmp_path):
+    r = build_realization(LOGN, GridSpec((0.0, 1.0), 3, 2), seed=2)
+    writers = {"csv": realization_to_csv, "bin": realization_to_binary}
+    for umask in (0o022, 0o077, 0o000):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / f"ref-{umask}", "wb"):
+                pass
+            for suffix, write in writers.items():
+                write(r, tmp_path / f"r-{umask}.{suffix}")
+        finally:
+            os.umask(old)
+        want = os.stat(tmp_path / f"ref-{umask}").st_mode
+        for suffix in writers:
+            assert os.stat(tmp_path / f"r-{umask}.{suffix}").st_mode == want
 
 
 def test_csv_export(tmp_path):

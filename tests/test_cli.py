@@ -98,6 +98,21 @@ def test_simulate_outputs_and_reruns_identically(cfg_file, tmp_path):
     assert second.decode().splitlines()[2:] == first.decode().splitlines()[2:]
 
 
+def test_reports_rewritten_shorter_are_cut_to_length(cfg_file, tmp_path):
+    # reports and dumps are overwritten in place: a rerun with fewer
+    # replicas leaves no tail of the longer run's files
+    short = tmp_path / "short.ini"
+    short.write_text(cfg_file.read_text().replace("replicas = 3",
+                                                  "replicas = 1"))
+    out = tmp_path / "out"
+    names = ("summary.csv", "summary.json", "realization_000000.bin")
+    assert run("--config", short, "simulate") == 0
+    first = [(out / name).read_bytes() for name in names]
+    assert run("--config", cfg_file, "simulate") == 0
+    assert run("--config", short, "simulate") == 0
+    assert [(out / name).read_bytes() for name in names] == first
+
+
 def test_progress_reports_count_and_rate(tmp_path, capsys, monkeypatch):
     from idcascade import cascade
     monkeypatch.setattr(cascade, "RUN_CHUNK", 2)

@@ -36,6 +36,7 @@ def imported_modules(path):
 
 def test_private_imports_are_pinned():
     assert private_imports() == [("cascade", "field", "_scratch"),
+                                 ("cli", "cascade", "_write_file"),
                                  ("moments", "levy", "_unit_gauss")]
 
 
@@ -43,3 +44,28 @@ def test_cascade_does_not_import_cones():
     modules = imported_modules(SRC / "cascade.py")
     assert "field" in modules
     assert "cones" not in modules
+
+
+def writing_opens(src=SRC):
+    """(module, line) of every call of the builtin open whose mode is not
+    a constant that only reads."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            modes = node.args[1:2] + [k.value for k in node.keywords
+                                      if k.arg == "mode"]
+            if modes and not (isinstance(modes[0], ast.Constant)
+                              and isinstance(modes[0].value, str)
+                              and not set("wax+") & set(modes[0].value)):
+                found.append((path.stem, node.lineno))
+    return found
+
+
+def test_every_output_file_goes_through_one_writer():
+    # the package writes files through cascade._write_file alone, which
+    # overwrites in place and cuts to length
+    assert writing_opens() == []
