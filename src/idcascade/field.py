@@ -795,24 +795,37 @@ def shadow_sums(counts, x, y, jump, lo, spacing, n, work=None):
                                              (n + 1,)))
 
 
-def covered_sums(counts, x, y, jump, lo, width, count):
-    """(len(counts), count) jump totals over the count cells lo + [i, i +
-    1) width of the noise points whose shadow covers the cell whole, its
-    range ceil((x - y/2 - lo) / width) <= i < floor((x + y/2 - lo) /
-    width) with 1e-12 cells to spare; replica j owns the next counts[j]
-    points.  Only the few points about a cell high or higher can cover
-    one, so only they are gathered."""
-    tall = np.flatnonzero(y >= (1.0 - 4e-12) * width)
+def covered_sums(counts, x, y, jump, lo, widths, cells):
+    """For each level l, the (len(counts), cells[l]) jump totals over the
+    cells lo + [i, i + 1) w, w = widths[l], of the noise points whose
+    shadow covers the cell whole, its range ceil((x - y/2 - lo) / w) <= i
+    < floor((x + y/2 - lo) / w) with 1e-12 cells to spare; replica j owns
+    the next counts[j] points.  Only the few points about a cell high or
+    higher can cover one, so only they are gathered.
+
+    One range_sums sweep over a difference array with a row per level and
+    replica, as wide as the most cells: every level's ranges are written
+    in one pass, and each row is summed cumulatively on its own, so a
+    level's totals have the bits of a sweep of that level alone.
+    """
+    widths = np.array(widths, float)[:, None]
+    cells = np.array(cells, np.int64)
+    rise = (1.0 - 4e-12) * widths
+    tall = np.flatnonzero(y >= rise.min(initial=np.inf))
     x, y = x[tall], y[tall]
-    i0 = np.ceil((x - lo - 0.5 * y) / width - 1e-12).astype(np.int64)
-    i1 = np.floor((x - lo + 0.5 * y) / width + 1e-12).astype(np.int64)
-    np.clip(i0, 0, count, out=i0)
-    np.clip(i1, 0, count, out=i1)
-    ok = i0 < i1
-    row = np.searchsorted(np.cumsum(counts), tall[ok], side="right")
-    row *= count + 1
-    return range_sums(i0[ok] + row, i1[ok] + row, jump[tall[ok]],
-                      np.empty((len(counts), count + 1)))
+    i0 = np.ceil((x - lo - 0.5 * y) / widths - 1e-12).astype(np.int64)
+    i1 = np.floor((x - lo + 0.5 * y) / widths + 1e-12).astype(np.int64)
+    np.clip(i0, 0, cells[:, None], out=i0)
+    np.clip(i1, 0, cells[:, None], out=i1)
+    lev, k = np.nonzero((y >= rise) & (i0 < i1))
+    stride = cells.max(initial=0) + 1
+    row = np.searchsorted(np.cumsum(counts), tall[k], side="right")
+    row += lev * len(counts)
+    row *= stride
+    sums = range_sums(i0[lev, k] + row, i1[lev, k] + row, jump[tall[k]],
+                      np.empty((len(cells) * len(counts), stride)))
+    return [sums[l * len(counts):(l + 1) * len(counts), :n]
+            for l, n in enumerate(cells.tolist())]
 
 
 def poisson_points(rngs, strips, nu, work=None):
@@ -897,16 +910,15 @@ class PoissonFieldSampler:
 
     def evaluate(self, x, y, jump):
         """One copy's field values (point_log, cell_log) of one point set."""
-        g, one = self.grid, [x.size]
+        g, one, levels = self.grid, [x.size], self.grid.carried_levels
         lo = g.interval[0]
         point_log = self._base + shadow_sums(
             one, x, y, jump, lo, self._spacing, g.n_points)[0]
-        cell_log = {}
-        for lev in g.carried_levels:
-            count = 2 ** lev
-            cell_log[lev] = self.drift * self._cell_area[lev] + covered_sums(
-                one, x, y, jump, lo, g.length / count, count)[0]
-        return point_log, cell_log
+        cells = covered_sums(one, x, y, jump, lo,
+                             [g.length / 2 ** lev for lev in levels],
+                             [2 ** lev for lev in levels])
+        return point_log, {lev: self.drift * self._cell_area[lev] + c[0]
+                           for lev, c in zip(levels, cells)}
 
     def sample(self, rng):
         """One copy's FieldSample."""
@@ -931,8 +943,8 @@ class PoissonFieldSampler:
                                work).reshape(dest.shape),
                    self._base, out=dest)
             if len(self.shape) > 1:
-                cells = covered_sums(counts, x, y, jump, lo,
-                                     self.grid.length, self.shape[0])
+                [cells] = covered_sums(counts, x, y, jump, lo,
+                                       [self.grid.length], [self.shape[0]])
                 cells += self._copy_base
                 dest -= cells[:, :, None]
             # the points die before the next block's draw

@@ -34,6 +34,8 @@ from idcascade.levy import (AtomicJumps, TabulatedJumps, build_model,
                             lognormal_model, single_atom_model)
 from idcascade.moments import juxtaposed_pair_moment
 
+from pins import assert_pinned
+
 LOGN = lognormal_model(0.5)
 ATOM = single_atom_model(-math.log(2.0), 1.0)
 HYBRID = single_atom_model(-0.4, 0.8, sigma2=0.2)
@@ -383,18 +385,12 @@ def test_circulant_totals_keep_their_pinned_values(monkeypatch):
     # numpy's FFT, unlike the dense path's matrix product, gives the same
     # bits at any BLAS thread count, chunk width and worker count
     assert make_sampler(CIRCULANT_GRID, LOGN).name == "circulant"
-    want = [
-        "0x1.8e6a4d3f0b5a1p-1", "0x1.444c635d67878p-1", "0x1.39b529105e7d2p-2",
-        "0x1.e668abf0ebaadp-4", "0x1.a1b567209a26ap+1", "0x1.fd4436b1c0a38p-1",
-        "0x1.d409e0373707ep-1", "0x1.c01f92adfec48p-1", "0x1.327a8f78eec68p+0",
-        "0x1.4d011eac44253p-4",
-    ]
     for workers in (1, 2):
         monkeypatch.setattr(cascade, "pool_size", lambda: workers)
         for chunk in (1, 4, 10):
             monkeypatch.setattr(cascade, "RUN_CHUNK", chunk)
-            z = simulate_total_masses(LOGN, CIRCULANT_GRID, 5, 10)
-            assert [v.hex() for v in z.tolist()] == want
+            assert_pinned("circulant/batch",
+                          simulate_total_masses(LOGN, CIRCULANT_GRID, 5, 10))
 
 
 @pytest.mark.parametrize("model,grid", [
@@ -639,36 +635,18 @@ def test_juxtaposition_needs_two_intervals():
                                     copies, 1, 2)
 
 
-def assert_near_hexes(values, hexes):
-    """values within 1e-12 relative of hexes recorded when each juxtaposed
-    copy dropped the points in its own interval cone: a point that had
-    flipped from one side to the other would move a value by a whole
-    jump."""
-    np.testing.assert_allclose(values, np.vectorize(float.fromhex)(hexes),
-                               rtol=1e-12, atol=0)
-
-
 def test_poisson_draws_keep_their_pinned_values(monkeypatch):
     # Recorded with the scalar, point-by-point map from uniforms to points:
     # a seed must name the same realization on every version.
-    z = simulate_total_masses(ATOM, GridSpec((0.0, 1.0), 8, 2, 0), 11, 3)
-    assert [v.hex() for v in z.tolist()] == [
-        "0x1.7dd216d965d8ap-2", "0x1.75753984f0249p-1", "0x1.f05ea86fc9337p-2"]
+    assert_pinned("poisson/batch", simulate_total_masses(
+        ATOM, GridSpec((0.0, 1.0), 8, 2, 0), 11, 3))
     # a non-dyadic base interval; every chunk width replays the same bits
     for chunk in (256, 1, 2):
         monkeypatch.setattr(cascade, "RUN_CHUNK", chunk)
         j = juxtaposed_total_masses(ATOM, GridSpec((0.1, 0.4), 6, 2, 0), 3,
                                     11, 2)
-        assert [[v.hex() for v in row] for row in j.tolist()] == [
-            ["0x1.307f8aab7496bp-1", "0x1.02efa9bd968a8p+0",
-             "0x1.d1a9248bb4074p+0"],
-            ["0x1.0087dd9b88fd9p+1", "0x1.39768fcac0cb0p+0",
-             "0x1.63f81f40402cbp-2"]]
-    assert_near_hexes(j, [
-        ["0x1.307f8aab7496bp-1", "0x1.02efa9bd968b0p+0",
-         "0x1.d1a9248bb4082p+0"],
-        ["0x1.0087dd9b88fd6p+1", "0x1.39768fcac0cbep+0",
-         "0x1.63f81f40402d6p-2"]])
+        assert_pinned("poisson/juxtaposed", j)
+    assert_pinned("poisson/juxtaposed/cone-drop", j)
 
 
 def test_poisson_sub_batches_keep_their_pinned_values(monkeypatch):
@@ -678,83 +656,50 @@ def test_poisson_sub_batches_keep_their_pinned_values(monkeypatch):
     # arrays that earlier sub-batches and chunks used; recorded with each
     # sub-batch's arrays allocated afresh
     grid = GridSpec((0.0, 1.0), 10, 4, 0)
-    want = [
-        "0x1.9123608f1b9f4p-1", "0x1.94ed46af583c8p-2", "0x1.661a5ed7ce994p-2",
-        "0x1.1da69de969d2cp+0", "0x1.4503f834c227fp-3", "0x1.0f6d8c45fe702p+1",
-        "0x1.165a5ef407730p+1", "0x1.dda6694a589c6p-4", "0x1.098128ba7a016p+1",
-        "0x1.08261f61fc10fp-1", "0x1.d48f63ac12effp+0", "0x1.20808e622611cp+0",
-        "0x1.c497f056928eap-3", "0x1.ec4df7910833cp-1", "0x1.8e9030fda4c22p-2",
-        "0x1.1a9f88c7a91bap+2", "0x1.7fa869aa89ec6p+0", "0x1.53d8ef4e87178p-1",
-        "0x1.b3fc6049ec69fp-2", "0x1.06484462e2924p+0", "0x1.7a8cf376abd88p-3",
-        "0x1.e61a7fe8c3ce3p-1", "0x1.772da6f8dc07cp-2", "0x1.b687e92d15cecp-2",
-        "0x1.5f08ac68d756dp+0", "0x1.c35a16ff4f1d2p+0", "0x1.645e8c8399fd4p-1",
-        "0x1.b30c55f953003p-2", "0x1.1f6ea6375ab7bp-1", "0x1.c58815db5ed23p-2",
-        "0x1.43c1241833968p-3", "0x1.1c5dbdf5c7fa8p-1", "0x1.c266933284834p-3",
-        "0x1.90ab8fbf9d606p-1", "0x1.02bfd9a244f42p-2", "0x1.944322c4337f2p-2",
-        "0x1.08d6a87b43d2ep+1", "0x1.0194597ff8ec4p-1", "0x1.b316eef1dcb0fp+0",
-        "0x1.868c7a15c6bf1p-2",
-    ]
     for chunk in (1, 7, 40):
         monkeypatch.setattr(cascade, "RUN_CHUNK", chunk)
-        z = simulate_total_masses(ATOM, grid, 7, 40)
-        assert [v.hex() for v in z.tolist()] == want
+        assert_pinned("poisson/sub-batches",
+                      simulate_total_masses(ATOM, grid, 7, 40))
     monkeypatch.setattr(cascade, "RUN_CHUNK", 3)
     j = juxtaposed_total_masses(ATOM, grid, 4, 7, 7)
-    assert [[v.hex() for v in row] for row in j.tolist()] == [
-        ["0x1.770de6c6b7d98p-2", "0x1.3166e8fb3ce03p+0",
-         "0x1.f44cf6c8afc44p-3", "0x1.8a4720dd067f2p-1"],
-        ["0x1.a477fd024d8c4p-1", "0x1.d966ee75d2fa5p-1",
-         "0x1.a04264f74a9cbp-2", "0x1.220f5f6584e36p-2"],
-        ["0x1.2c1561c38354fp+0", "0x1.50091a4bddceap+0",
-         "0x1.35fac20f69c82p+0", "0x1.084a41888fa2cp+1"],
-        ["0x1.9b898f47ea005p-1", "0x1.0e7cf7774adbcp+0",
-         "0x1.80b00f5e6b5b4p-3", "0x1.f9fdaacdf6ad5p-1"],
-        ["0x1.f1b8bf6b995a1p+0", "0x1.9765c799d6ea0p-2",
-         "0x1.de5761ad87ad6p-1", "0x1.94663c4c1e37bp+1"],
-        ["0x1.cde9719504b91p-1", "0x1.5fa56afce1e8ep+0",
-         "0x1.b116fe1749875p-3", "0x1.1d4fe43b2bf92p+0"],
-        ["0x1.8cd5384b06fa3p-1", "0x1.e878c8e1854c5p-1",
-         "0x1.5a555ef9ddb8fp+0", "0x1.6c087d11d4611p+0"],
-    ]
-    assert_near_hexes(j, [
-        ["0x1.770de6c6b7d9cp-2", "0x1.3166e8fb3cef6p+0",
-         "0x1.f44cf6c8afdcfp-3", "0x1.8a4720dd06300p-1"],
-        ["0x1.a477fd024d8c8p-1", "0x1.d966ee75d311bp-1",
-         "0x1.a04264f74ab14p-2", "0x1.220f5f6584a92p-2"],
-        ["0x1.2c1561c383550p+0", "0x1.50091a4bdddfep+0",
-         "0x1.35fac20f69d82p+0", "0x1.084a41888f6e2p+1"],
-        ["0x1.9b898f47ea008p-1", "0x1.0e7cf7774aea2p+0",
-         "0x1.80b00f5e6b6f0p-3", "0x1.f9fdaacdf648cp-1"],
-        ["0x1.f1b8bf6b995a4p+0", "0x1.9765c799d6fe2p-2",
-         "0x1.de5761ad87c50p-1", "0x1.94663c4c1de69p+1"],
-        ["0x1.cde9719504b98p-1", "0x1.5fa56afce1fa3p+0",
-         "0x1.b116fe17499cap-3", "0x1.1d4fe43b2bbfep+0"],
-        ["0x1.8cd5384b06fa8p-1", "0x1.e878c8e185649p-1",
-         "0x1.5a555ef9ddca2p+0", "0x1.6c087d11d4180p+0"],
-    ])
+    assert_pinned("poisson/sub-batches/juxtaposed", j)
+    assert_pinned("poisson/sub-batches/juxtaposed/cone-drop", j)
 
 
-@pytest.mark.parametrize("model,totals,row,parent_row", [
-    (NINE_ATOMS,
-     ["0x1.64025c82b84e6p+1", "0x1.6953fd438b076p+0", "0x1.aca64c297e268p-3"],
-     ["0x1.e17992d416ffap-4", "0x1.a06d9fec704e8p-8", "0x1.079c52a7aa537p-2"],
-     ["0x1.e17992d416ff9p-4", "0x1.a06d9fec7048cp-8", "0x1.079c52a7aa543p-2"]),
-    (TABULATED,
-     ["0x1.648f3bcdecb4fp-4", "0x1.3cb82f35aebfap-1", "0x1.9004ee6bfc9fap+0"],
-     ["0x1.9325175390fc4p-1", "0x1.c6fa248d19fa2p-2", "0x1.f7debf8d7281cp-4"],
-     ["0x1.9325175390fc8p-1", "0x1.c6fa248d19e48p-2", "0x1.f7debf8d72bd4p-4"]),
-], ids=["nine-atoms", "tabulated"])
-def test_jump_measure_draws_keep_their_pinned_values(model, totals, row,
-                                                     parent_row):
+@pytest.mark.parametrize("model,path", [(NINE_ATOMS, "jumps/nine-atoms"),
+                                        (TABULATED, "jumps/tabulated")],
+                         ids=["nine-atoms", "tabulated"])
+def test_jump_measure_draws_keep_their_pinned_values(model, path):
     # the jump draws of a many-atom and of a tabulated measure, pinned so
     # that the measure's own tables replay the bits they had when a
     # separate sampler object held them
-    z = simulate_total_masses(model, GridSpec((0.0, 1.0), 6, 2, 0), 11, 3)
-    assert [v.hex() for v in z.tolist()] == totals
+    assert_pinned(path, simulate_total_masses(
+        model, GridSpec((0.0, 1.0), 6, 2, 0), 11, 3))
     j = juxtaposed_total_masses(model, GridSpec((0.1, 0.4), 5, 2, 0), 3,
                                 11, 1)
-    assert [v.hex() for v in j[0].tolist()] == row
-    assert_near_hexes(j[0], parent_row)
+    assert_pinned(path + "/juxtaposed", j)
+    assert_pinned(path + "/juxtaposed/cone-drop", j)
+
+
+CELL_GRID = GridSpec((0.0, 1.0), 3, 2, None)  # every level carried
+
+
+@pytest.mark.parametrize("model,path", [(ATOM, "single/atoms"),
+                                        (TABULATED, "single/tabulated"),
+                                        (HYBRID, "single/hybrid")],
+                         ids=["atoms", "tabulated", "hybrid"])
+def test_cell_carrying_single_builds_keep_their_pinned_values(model, path):
+    # every fourth point, every other cell of each carried level, the total
+    r = build_realization(model, CELL_GRID, seed=5, replica=2)
+    cells = [r.field.cell_log[lev][::2] for lev in CELL_GRID.carried_levels]
+    assert_pinned(path, [*r.field.point_log[::4], *np.concatenate(cells),
+                         r.total_mass])
+
+
+def test_star_split_keeps_its_pinned_sub_cascade_totals():
+    r = build_realization(ATOM, CELL_GRID, seed=5, replica=2)
+    assert_pinned("star/atoms", [s.total_mass for level in (1, 2)
+                                 for s in decompose_star(r, level).subs])
 
 
 def test_prefix_masses_columns_are_nested():
@@ -964,15 +909,10 @@ def test_model_digest_distinguishes_models():
 
 
 def test_model_digest_keeps_its_pinned_bytes():
-    # written into every binary dump, so the bytes of each kind are fixed
-    want = {
-        "zero": (LOGN, "ae21889734175c3245e2550c0531b284"),
-        "hybrid": (HYBRID, "9f79c9520d4f1a2140cf08dda7b34460"),
-        "atoms": (NINE_ATOMS, "b3e05391544263a0a3e9fd43a0f2d384"),
-        "tabulated": (TABULATED, "383c27b771004b42f73caefed7a2e7f3"),
-    }
-    for kind, (model, digest) in want.items():
-        assert model_digest(model).hex() == digest, kind
+    # written into every binary dump, so the bytes of each kind are fixed:
+    # zero, hybrid, atoms, tabulated
+    assert_pinned("model/digest", [model_digest(m) for m in (
+        LOGN, HYBRID, NINE_ATOMS, TABULATED)])
 
 
 def test_binary_roundtrip(tmp_path):

@@ -22,9 +22,11 @@ from idcascade.field import (
     _chol_with_jitter,
     _gram_objects,
     _points_below,
+    covered_sums,
     field_kind,
     footprint_areas,
     make_sampler,
+    poisson_points,
     truncated_model,
 )
 from idcascade.levy import (
@@ -35,6 +37,8 @@ from idcascade.levy import (
     lognormal_model,
     single_atom_model,
 )
+
+from pins import assert_pinned
 
 
 def filled(sam, rngs):
@@ -412,10 +416,7 @@ def test_failed_factorization_is_refilled(monkeypatch):
     assert jitter == want
     assert _relative_error(chol, ref) <= 1e-13
     assert not np.triu(chol, 1).any()
-    assert [v.hex() for v in chol[np.tril_indices(8)][::5].tolist()] == [
-        "0x1.1c70a0cb6ccc4p+1", "0x1.60d964242e9c1p+1", "0x0.0p+0",
-        "0x0.0p+0", "0x1.3d30094815409p-22", "0x0.0p+0",
-        "0x1.a39ef068df3dcp-1", "0x1.b4f938349314dp+0"]
+    assert_pinned("dense/factor/jittered", chol[np.tril_indices(8)][::5])
     # no jitter helps an indefinite matrix: the error reports the smallest
     # eigenvalue of the refilled matrix
     cov[4:6, 4:6] = [[1.0, 2.0], [2.0, 1.0]]
@@ -560,123 +561,78 @@ def test_cholesky_jitter_is_warned():
     assert np.abs(chol @ chol.T - v @ v.T).max() < 1e-6
 
 
-def test_refinement_keeps_its_bits():
-    # recorded with one joint Gram of 54 old and 96 new objects, more than
-    # CHOLESKY_BLOCK, so the factor is blocked.  It was recorded with one
-    # BLAS thread, and a fresh interpreter draws with one thread
-    # (test_dense_bits_ignore_the_blas_thread_count checks two)
-    script = """if True:
-        from idcascade import GridSpec, field, lognormal_model
-        from idcascade._rng import make_generator
-        from idcascade.cascade import build_realization, refine
-        g = GridSpec((0.1, 0.4), 4, 3, 2)
-        r = build_realization(lognormal_model(0.5), g, seed=3, replica=1)
-        fine = refine(r, 1, make_generator(3, 1, "refine"))
-        old = r.field.point_log.size + sum(map(len, r.field.cell_log.values()))
-        assert old + fine.field.point_log.size > field.CHOLESKY_BLOCK
-        print(*[v.hex() for v in fine.field.point_log[::19].tolist()],
-              fine.total_mass.hex())
-    """
-    proc = run_blas_threads(script)
-    assert proc.stdout.split() == [
-        "-0x1.a6252be5b18ffp-1", "-0x1.af254849ed28dp+0",
-        "-0x1.61580878b960bp+0", "-0x1.f78317f97b120p-3",
-        "0x1.b372c50a52600p-5", "-0x1.bbb0c1d919598p-3",
-        "0x1.663b98a32c0a8p-1"]
+# The factors of 3 juxtaposed copies of a non-dyadic grid (144 points on
+# their hull, 3 cells) and of gauss-single's grid (1022 objects), a single
+# build, a refinement whose joint Gram (54 old, 96 new objects) is blocked,
+# and digests of those and of 2046- and 4100-object factors' panels
+DENSE_SCRIPT = inspect.getsource(lower_factor) + """if True:
+    import hashlib
+    import numpy as np
+    from idcascade import GridSpec, field, lognormal_model
+    from idcascade._rng import make_generator
+    from idcascade.cascade import build_realization, refine
+    from idcascade.field import GaussianFieldSampler
 
+    def hexes(a, count):
+        return [v.hex() for v in a[::max(1, len(a) // count)].tolist()]
 
-def test_dense_factors_keep_their_bits():
-    # gauss-single's cell-carrying grid (1022 objects), 3 juxtaposed
-    # copies of a non-dyadic grid (144 points on their hull and the
-    # copies' 3 cells of it) and a realization on the first grid, recorded
-    # with one BLAS thread, so a fresh interpreter builds with one thread
-    # (test_dense_bits_ignore_the_blas_thread_count checks two)
-    script = inspect.getsource(lower_factor) + """if True:
-        import numpy as np
-        from idcascade import GridSpec, lognormal_model
-        from idcascade.cascade import build_realization
-        from idcascade.field import GaussianFieldSampler
+    def digest(*arrays):
+        data = b"".join(a.tobytes() for a in arrays)
+        return hashlib.sha256(data).hexdigest()
 
-        def hexes(a, count):
-            return [v.hex() for v in a[::max(1, len(a) // count)].tolist()]
-
-        g = GridSpec((0.0, 1.0), 8, 2, None)
-        jux = GridSpec((0.1, 0.4), 4, 3, 2)
-        for sam in (GaussianFieldSampler(g, 0.5),
-                    GaussianFieldSampler(jux, 0.5, 3)):
+    g, jux = GridSpec((0.0, 1.0), 8, 2, None), GridSpec((0.1, 0.4), 4, 3, 2)
+    for path, grid, copies in (("dense/factor/147", jux, 3),
+                               ("dense/factor/1022", g, 1),
+                               (None, GridSpec((0.0, 1.0), 9, 2, None), 1),
+                               (None, GridSpec((0.0, 1.0), 8, 4, 0), 4)):
+        sam = GaussianFieldSampler(grid, 0.5, copies)
+        print("panels", sam.dim, digest(*sam.panels))
+        if path:
             chol = lower_factor(sam.panels)
-            print(sam.dim, *hexes(chol[np.tril_indices(sam.dim)], 6),
+            print(path, sam.dim, *hexes(chol[np.tril_indices(sam.dim)], 6),
                   *hexes(sam.mean, 3))
-        r = build_realization(lognormal_model(0.5), g, seed=7, replica=0)
-        print(*hexes(r.field.point_log, 4), *hexes(r.field.cell_log[8], 2),
-              r.field.cell_log[1][0].hex(), r.total_mass.hex())
-    """
-    proc = run_blas_threads(script)
-    assert [line.split() for line in proc.stdout.splitlines()] == [
-        ["1022", "0x1.cf1c9343a8906p+0", "0x1.0e1c7152d172ep-3",
-         "-0x1.b5134b51ccef8p-13", "0x1.89495aff1edd0p-8",
-         "0x1.078925dac97d1p-12", "0x1.8c29ef91924c8p-27",
-         "-0x1.35e396c452be0p-9", "-0x1.a2e42fefa39efp+0",
-         "-0x1.a2e42fefa39efp+0", "-0x1.3687a9f1af2b1p+0",
-         "-0x1.62e42fefa39efp+0"],
-        ["147", "0x1.8f862c180385ep+0", "0x1.56e73cdd70721p-3",
-         "0x1.d57db65681c9dp-4", "0x1.2853ed9c08e7ap-3",
-         "0x1.1c498ce24f44bp-2", "0x1.5fb0606aa9001p-6",
-         "-0x1.37c1c1e285dbap+0", "-0x1.37c1c1e285dbap+0",
-         "-0x1.37c1c1e285dbap+0"],
-        ["0x1.3707e9ae8f60dp+0", "-0x1.59524004fd466p+1",
-         "-0x1.2041d36fbf2e7p+0", "0x1.e59017c0c162ap-1",
-         "0x1.5f5126d2c4a92p-1", "-0x1.a017c34eeab2cp-1",
-         "-0x1.371ed7452a25fp-1", "0x1.1885ae81afb7bp-1"]]
+    r = build_realization(lognormal_model(0.5), g, seed=7, replica=0)
+    f = r.field
+    print("dense/single", *hexes(f.point_log, 4), *hexes(f.cell_log[8], 2),
+          f.cell_log[1][0].hex(), r.total_mass.hex())
+    r = build_realization(lognormal_model(0.5), jux, seed=3, replica=1)
+    fine = refine(r, 1, make_generator(3, 1, "refine"))
+    old = r.field.point_log.size + sum(map(len, r.field.cell_log.values()))
+    assert old + fine.field.point_log.size > field.CHOLESKY_BLOCK
+    print("dense/refinement", *hexes(fine.field.point_log, 5),
+          fine.total_mass.hex())
+    for f in (f, fine.field):
+        print("field", digest(f.point_log, *f.cell_log.values()))
+"""
 
 
-def test_dense_bits_ignore_the_blas_thread_count():
-    # the factor's panels of 3 juxtaposed copies of a non-dyadic grid
-    # (147 objects), of gauss-single's grid (1022), of a 2046-object grid
-    # and of 4 juxtaposed copies of 1024 points (4100), one gauss-single
-    # realization and one refinement have the same bytes at one and two
-    # BLAS threads: a 64-column diagonal block's Cholesky factor and
-    # inverse keep their bits at two threads, where OpenBLAS's factor of
-    # a 128-column block did not.  Dense batch products do not: a
-    # 256-column draw of all 1022 objects and juxtaposed Gaussian
-    # batches, RUN_CHUNK columns wide, read other bytes at two threads,
-    # so the bit pins are drawn at one
-    script = """if True:
-        import hashlib
-        import numpy as np
-        from idcascade import GridSpec, lognormal_model
-        from idcascade._rng import make_generator
-        from idcascade.cascade import build_realization, refine
-        from idcascade.field import GaussianFieldSampler
+@pytest.fixture(scope="module")
+def dense_rows():
+    return [line.split() for line in run_blas_threads(DENSE_SCRIPT).stdout
+            .splitlines()]
 
-        def digest(arrays):
-            h = hashlib.sha256()
-            for a in arrays:
-                h.update(np.ascontiguousarray(a).tobytes())
-            return h.hexdigest()
 
-        def field_digest(f):
-            return digest([f.point_log, *f.cell_log.values()])
-
-        for grid, copies in ((GridSpec((0.1, 0.4), 4, 3, 2), 3),
-                             (GridSpec((0.0, 1.0), 8, 2, None), 1),
-                             (GridSpec((0.0, 1.0), 9, 2, None), 1),
-                             (GridSpec((0.0, 1.0), 8, 4, 0), 4)):
-            sam = GaussianFieldSampler(grid, 0.5, copies)
-            print(sam.dim, digest(sam.panels))
-        model = lognormal_model(0.5)
-        r = build_realization(model, GridSpec((0.0, 1.0), 8, 2, None),
-                              seed=7, replica=0)
-        print(field_digest(r.field), r.total_mass.hex())
-        r = build_realization(model, GridSpec((0.1, 0.4), 4, 3, 2), seed=3,
-                              replica=1)
-        fine = refine(r, 1, make_generator(3, 1, "refine"))
-        print(field_digest(fine.field), fine.total_mass.hex())
-    """
-    one, two = (run_blas_threads(script, n).stdout for n in (1, 2))
-    assert [line.split()[0] for line in one.splitlines()[:4]] == [
+def test_dense_factors_keep_their_bits(dense_rows):
+    assert [row[1] for row in dense_rows if row[0] == "panels"] == [
         "147", "1022", "2046", "4100"]
-    assert one == two
+    for path in ("dense/factor/147", "dense/factor/1022", "dense/single"):
+        [row] = [row[1:] for row in dense_rows if row[0] == path]
+        assert_pinned(path, row)
+
+
+def test_refinement_keeps_its_bits(dense_rows):
+    [row] = [row[1:] for row in dense_rows if row[0] == "dense/refinement"]
+    assert_pinned("dense/refinement", row)
+
+
+def test_dense_bits_ignore_the_blas_thread_count(dense_rows):
+    # a 64-column diagonal block's Cholesky factor and inverse keep their
+    # bits at two threads, where OpenBLAS's factor of a 128-column block
+    # did not.  Dense batch products do not: a 256-column draw of all 1022
+    # objects and juxtaposed Gaussian batches, RUN_CHUNK columns wide,
+    # read other bytes at two threads, so the bit pins are drawn at one
+    two = run_blas_threads(DENSE_SCRIPT, 2).stdout.splitlines()
+    assert [line.split() for line in two] == dense_rows
 
 
 def square_factor_lower(a):
@@ -811,6 +767,24 @@ def test_poisson_field_matches_bruteforce_points():
             want = drift * area_cell + jump[covered].sum()
             assert f.cell_log[lev][i] == pytest.approx(want, abs=1e-12)
 
+
+def test_covered_sums_keep_the_bits_of_one_sweep_per_level():
+    # four replicas' points on a non-dyadic interval: each level's totals
+    # from one sweep of every level are those of a sweep of its own
+    g = GridSpec((0.25, 1.75), 9, 2)
+    sam = make_sampler(g, single_atom_model(-math.log(2.0), 1.0))
+    counts, x, y, jump = poisson_points(
+        [make_generator(3, r, "field-test") for r in range(4)], sam.strips,
+        sam.nu)
+    widths, cells = [g.length / 2 ** lev for lev in range(10)], [
+        2 ** lev for lev in range(10)]
+    every = covered_sums(counts, x, y, jump, 0.25, widths, cells)
+    assert [c.shape for c in every] == [(4, n) for n in cells]
+    for width, n, got in zip(widths, cells, every):
+        [alone] = covered_sums(counts, x, y, jump, 0.25, [width], [n])
+        assert got.tobytes() == alone.tobytes()
+    assert every[-1].any()
+    assert covered_sums(counts, x, y, jump, 0.25, [], []) == []
 
 def test_poisson_field_is_mean_one():
     model = single_atom_model(-math.log(2.0), 1.0)
