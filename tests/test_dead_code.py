@@ -5,7 +5,7 @@ that only the tests call shows up here.
 A name counts as used when it appears as a name, an attribute, an import
 or a string constant (the tracer wraps methods by their names as strings).
 The package's __init__.py re-exports names for the user, so its imports
-count as no caller.
+and the string constants of its name table count as no caller.
 The subcommand and estimate dispatch builds a name from a prefix and a
 key, as f"cmd_{command}", so a name that is two string constants joined,
 such as "cmd_" and "theory", counts as used too.
@@ -42,8 +42,8 @@ def _definitions(tree):
 
 
 def _references(path, tree):
-    """Names, attributes, imported names (but __init__.py's) and string
-    constants."""
+    """Names, attributes, imported names and string constants (but
+    __init__.py's imports and strings)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
@@ -51,11 +51,12 @@ def _references(path, tree):
             yield node.attr
         elif isinstance(node, ast.alias) and path.name != "__init__.py":
             yield node.name.rsplit(".", 1)[-1]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
+    yield from _strings(path, tree)
 
 
-def _strings(tree):
+def _strings(path, tree):
+    if path.name == "__init__.py":
+        return set()
     return {node.value for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
 
@@ -69,7 +70,7 @@ def unused_definitions(root=ROOT):
         (root / "perfbench").glob("*.py"))]
     used = {name for path, tree in trees
             for name in _references(path, tree)}
-    strings = set().union(*(_strings(tree) for _, tree in trees))
+    strings = set().union(*(_strings(path, tree) for path, tree in trees))
     unused = []
     for path, tree in sources:
         for name in _definitions(tree):
