@@ -40,12 +40,18 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}
-__all__ = list(_HOME)
+# the modules bound as idcascade.<module> (idcascade.config.KEYS, say)
+_MODULES = ("levy", "field", "cascade", "moments", "config", "checks",
+            "cones")
+__all__ = [*_HOME, *_MODULES]
 
 
 def __getattr__(name):
     """Load the module defining the public name, bind the name here and
-    return it; later lookups find it without this call."""
+    return it; later lookups find it without this call.  A module name
+    returns its module, which the import binds here."""
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"),

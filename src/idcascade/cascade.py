@@ -532,21 +532,19 @@ def _write_file(path, data):
     """Write the bytes data as the whole content of the file at path,
     made with open(path, "wb")'s permissions if it is new.  An existing
     file is overwritten in place, with one write, and then cut to
-    len(data) if it is a regular file (not os.devnull, say) and was
-    longer: on ext4 on a 2-vCPU VM a 2 KB rewrite took 6-10 us so, and 90
-    us through the truncation and block reallocation of open(path, "wb");
-    500 fresh 2 KB files took 9.9 ms, and 11.3 ms with a truncation call
-    each.  Neither this nor open syncs to disk.  An overwrite interrupted
-    by a crash can leave the new bytes ahead of the old file's tail, but
-    never an empty file, where a truncating open could leave one."""
+    len(data) if it is a regular file (not os.devnull, say): on ext4 on
+    a 2-vCPU VM a 2 KB rewrite took 6-10 us so, and 90 us through the
+    truncation and block reallocation of open(path, "wb").  Neither this
+    nor open syncs to disk.  An overwrite interrupted by a crash can
+    leave the new bytes ahead of the old file's tail, but never an empty
+    file, where a truncating open could leave one."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
                  0o666)
     try:
         view = memoryview(data)
         while view:
             view = view[os.write(fd, view):]
-        st = os.fstat(fd)
-        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+        if stat.S_ISREG(os.fstat(fd).st_mode):
             os.ftruncate(fd, len(data))
     finally:
         os.close(fd)

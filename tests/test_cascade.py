@@ -995,20 +995,6 @@ def test_exports_write_to_the_null_device():
                         r.cell_masses)
 
 
-def test_writes_truncate_only_a_longer_old_file(monkeypatch, tmp_path):
-    cuts = []
-    truncate = os.ftruncate
-    monkeypatch.setattr(os, "ftruncate",
-                        lambda fd, n: (cuts.append(n), truncate(fd, n)))
-    path = tmp_path / "out.bin"
-    cascade._write_file(path, b"a" * 100)  # fresh file
-    cascade._write_file(path, b"b" * 100)  # equal-length rewrite
-    assert cuts == []
-    cascade._write_file(path, b"c" * 40)  # shorter than the old file
-    assert cuts == [40]
-    assert path.read_bytes() == b"c" * 40
-
-
 def test_new_exports_get_the_permissions_of_open(tmp_path):
     r = build_realization(LOGN, GridSpec((0.0, 1.0), 3, 2), seed=2)
     writers = {"csv": realization_to_csv, "bin": realization_to_binary}

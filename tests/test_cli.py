@@ -645,59 +645,52 @@ def test_import_loads_no_scipy():
     assert _modules_after("import idcascade") == "[]"
 
 
-def test_import_loads_no_module_of_the_package_and_no_numpy():
-    assert _modules_after("import idcascade",
-                          packages=("idcascade", "numpy")) == "['idcascade']"
-
-
-def test_a_levy_name_loads_levy_alone_and_no_numpy_random():
+@pytest.mark.parametrize("launch, packages, loaded", [
+    # the name table alone
+    ("import idcascade", ("idcascade", "numpy", "scipy"), ["idcascade"]),
     # the paper's closed-form diagnostics need no sampler
-    got = _modules_after(
-        "from idcascade import diagnose, lognormal_model",
-        packages=("idcascade.levy", "idcascade.field", "idcascade.cascade",
-                  "numpy.random"))
-    assert got == "['idcascade.levy']"
+    ("from idcascade import diagnose, lognormal_model",
+     ("idcascade.levy", "idcascade.field", "idcascade.cascade",
+      "numpy.random"), ["idcascade.levy"]),
+    # every module that `import idcascade` ran before its names were lazy
+    ("from idcascade import *\nimport threading\n"
+     "assert threading.active_count() == 1",
+     ("scipy", "concurrent.futures"), []),
+], ids=["bare", "levy-names", "star"])
+def test_an_import_loads_only_the_modules_its_names_need(launch, packages,
+                                                         loaded):
+    assert _modules_after(launch, packages=packages) == str(loaded)
 
 
 def test_every_public_name_is_its_defining_modules_object():
     launch = (
         "import importlib, idcascade\n"
-        "for name in idcascade.__all__:\n"
-        "    home = 'idcascade.' + idcascade._HOME[name]\n"
+        "idcascade.config.KEYS, idcascade.checks.VERIFY\n"
+        "idcascade.moments.scaling_fit\n"
+        "from idcascade import GridSpec, cascade\n"
+        "assert cascade.__name__ == 'idcascade.cascade'\n"
+        "assert cascade.GridSpec is GridSpec\n"
+        "for name in idcascade._MODULES:\n"
+        "    module = importlib.import_module('idcascade.' + name)\n"
+        "    assert getattr(idcascade, name) is module, name\n"
+        "for name, module in idcascade._HOME.items():\n"
+        "    home = 'idcascade.' + module\n"
         "    obj = getattr(idcascade, name)\n"
         "    assert obj.__module__ == home, name\n"
         "    assert obj is getattr(importlib.import_module(home), name)\n"
-        "    assert name in dir(idcascade), name\n"
+        "assert set(idcascade.__all__) <= set(dir(idcascade))\n"
         "assert idcascade.GridSpec is idcascade.field.GridSpec\n"
-        "assert len(set(idcascade.__all__)) == len(idcascade.__all__) == 45")
+        "assert len(set(idcascade.__all__)) == len(idcascade.__all__) == 52\n"
+        "from idcascade import *\n"
+        "assert all(globals()[name] is getattr(idcascade, name)\n"
+        "           for name in idcascade.__all__)\n"
+        "try:\n"
+        "    idcascade.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc), exc\n"
+        "else:\n"
+        "    raise SystemExit('no AttributeError')")
     assert _modules_after(launch) == "[]"
-
-
-def test_star_import_binds_every_public_name():
-    launch = ("from idcascade import *\n"
-              "import idcascade\n"
-              "assert all(globals()[name] is getattr(idcascade, name)\n"
-              "           for name in idcascade.__all__)")
-    assert _modules_after(launch) == "[]"
-
-
-def test_a_module_name_imports_the_submodule():
-    launch = ("from idcascade import GridSpec, cascade\n"
-              "assert cascade.__name__ == 'idcascade.cascade'\n"
-              "assert cascade.GridSpec is GridSpec")
-    assert _modules_after(launch, packages=("idcascade.cascade",)) == \
-        "['idcascade.cascade']"
-
-
-def test_an_unknown_name_raises_attribute_error_naming_it():
-    launch = ("import idcascade\n"
-              "try:\n"
-              "    idcascade.no_such_name\n"
-              "except AttributeError as exc:\n"
-              "    assert 'no_such_name' in str(exc), exc\n"
-              "else:\n"
-              "    raise SystemExit('no AttributeError')")
-    assert _modules_after(launch, packages=("idcascade",)) == "['idcascade']"
 
 
 @pytest.mark.parametrize("name", ["atom.ini", "lognormal.ini"])
