@@ -485,15 +485,21 @@ def sample_area_logs(model, area, rngs, size=1):
     return val
 
 
+def _scale_area(lam):
+    """The area log(1/lam) of the region whose noise W relates masses
+    across scale ratio lam, which must lie in (0, 1]."""
+    if not 0.0 < lam <= 1.0:
+        raise ValueError("scale ratio must lie in (0, 1]")
+    return math.log(1.0 / lam)
+
+
 def sample_scale_log(model, lam, rng):
     """log of the random factor relating masses across scale ratio lam.
 
     The factor exp(W) has W the noise of one fixed region of area
     log(1/lam); lam = 1 gives W = 0 exactly.
     """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("scale ratio must lie in (0, 1]")
-    return float(sample_area_logs(model, math.log(1.0 / lam), [rng])[0, 0])
+    return float(sample_area_logs(model, _scale_area(lam), [rng])[0, 0])
 
 
 def scaled_mass_samples(model, grid, lam, seed, replicas, *,
@@ -503,6 +509,7 @@ def scaled_mass_samples(model, grid, lam, seed, replicas, *,
     Z' is simulated at level levels - log2(1/lam) so its relative truncation
     matches the prefix mass mu([0, lam]) read off a level-`levels` grid.
     """
+    area = _scale_area(lam)
     k = math.log2(1.0 / lam)
     if abs(k - round(k)) > 1e-9:
         raise ValueError("scale ratio must be a dyadic power")
@@ -516,8 +523,7 @@ def scaled_mass_samples(model, grid, lam, seed, replicas, *,
     gens = []
     for start, count in BatchSimulator._spans(replicas, RUN_CHUNK, None):
         rngs = streams(gens, seed, start, count, stream_tag + "-w")
-        w[start:start + count] = sample_area_logs(
-            model, math.log(1.0 / lam), rngs)[:, 0]
+        w[start:start + count] = sample_area_logs(model, area, rngs)[:, 0]
     return lam * np.exp(w) * z
 
 

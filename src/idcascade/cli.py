@@ -1,11 +1,13 @@
 """Command-line front-end.
 
 Subcommands: theory (closed-form diagnostics), simulate (replica files),
-verify (invariant suite), estimate (statistical reports).  Configuration
-comes from an INI-style file; the global flags --seed, --out and --format
-override it.  Exit codes: 0 success, 1 failed verification check, 2
-configuration error, 3 runtime/sampler error.  Every batch draws
-cascade.RUN_CHUNK replicas at a time (cascade.pool_size: its workers).
+verify (invariant suite), estimate (statistical reports).  The INI file
+--config names, with the overrides --seed, --out and --format, is checked
+whole before any subcommand runs: main alone builds the model and grid
+that cmd_<sub>(cfg, model, grid) gets.  Exit codes: 0 success, 1 failed
+verification check, 2 configuration error, 3 runtime/sampler error.  Every
+batch draws cascade.RUN_CHUNK replicas at a time (cascade.pool_size: its
+workers).
 """
 
 import argparse
@@ -24,7 +26,8 @@ def _build_parser():
         prog="idcascade",
         description="simulation and verification engine for exactly "
                     "scale-invariant log-infinitely divisible cascades")
-    p.add_argument("--config", help="path to an INI-style run configuration")
+    p.add_argument("--config", required=True,
+                   help="path to an INI-style run configuration")
     p.add_argument("--seed", type=int, help="override experiment.seed")
     p.add_argument("--out", help="override output.directory")
     p.add_argument("--format", choices=config.FORMATS,
@@ -50,8 +53,7 @@ def main(argv=None):
 
     try:
         try:
-            cfg = (config.load_config(args.config) if args.config
-                   else config.RunConfig())
+            cfg = config.load_config(args.config)
         except FileNotFoundError as exc:
             raise config.ConfigError("--config", exc) from None
         if args.seed is not None:
@@ -62,9 +64,9 @@ def main(argv=None):
             cfg.set("output", "directory", args.out)
         if args.format is not None:
             cfg.set("output", "formats", args.format)
-        cfg.check()  # before anything is drawn or written
+        model, grid = cfg.check()  # before anything is drawn or written
         _check_outdir(cfg)
-        return globals()[f"cmd_{args.command}"](cfg)
+        return globals()[f"cmd_{args.command}"](cfg, model, grid)
     except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -164,9 +166,8 @@ class _Progress:
 # ---------------------------------------------------------------------------
 
 
-def cmd_theory(cfg):
+def cmd_theory(cfg, model, grid):
     from .levy import diagnose
-    model = cfg.build_model()
     report = diagnose(model)
     payload = json.loads(report.to_json())
     payload.update(_stamp(cfg))
@@ -175,10 +176,8 @@ def cmd_theory(cfg):
     return 0
 
 
-def cmd_simulate(cfg):
+def cmd_simulate(cfg, model, grid):
     from .cascade import BatchSimulator, model_digest, write_masses_binary
-    model = cfg.build_model()
-    grid = cfg.build_grid()
     seed, replicas = _experiment(cfg, "seed", "replicas")
     outdir = _outdir(cfg)
     fmt = cfg.value("output", "formats")
@@ -204,12 +203,10 @@ def cmd_simulate(cfg):
     return 0
 
 
-def cmd_verify(cfg):
+def cmd_verify(cfg, model, grid):
     """Run each check of experiment.checks, an entry of checks.VERIFY."""
     from .checks import VERIFY
     names = cfg.value("experiment", "checks")
-    model = cfg.build_model() if names else None
-    grid = cfg.build_grid() if names else None
     seed, replicas = _experiment(cfg, "seed", "replicas")
     results = []
     for name in names:
@@ -233,13 +230,12 @@ def cmd_verify(cfg):
 # -- estimate ---------------------------------------------------------------
 
 
-def cmd_estimate(cfg):
+def cmd_estimate(cfg, model, grid):
     """Run experiment.kind: _estimate_<kind>(cfg, model, grid) checks its
     settings, draws through _draw and returns (fields, columns, rows) for
     <kind>.json and <kind>.csv."""
     kind = cfg.value("experiment", "kind")
-    fields, columns, rows = globals()[f"_estimate_{kind}"](
-        cfg, cfg.build_model(), cfg.build_grid())
+    fields, columns, rows = globals()[f"_estimate_{kind}"](cfg, model, grid)
     _write_report(cfg, kind, fields, columns, rows)
     return 0
 

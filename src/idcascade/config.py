@@ -120,7 +120,7 @@ def _checks(name, raw):
 # Every key each section may hold: (parser, default as it would be
 # written in the file, or None for unset).  The section order is the
 # canonical serialization order.  Rules across keys (a jump kind's
-# parameters, the grid's shape, a cutoff's use) are build_model's and
+# parameters, the interval's order, a cutoff's use) are build_model's and
 # build_grid's; q_values has no default here because its default depends
 # on experiment.kind.
 KEYS = {
@@ -138,8 +138,8 @@ KEYS = {
         "substitute_small": (_boolean, "false"),
     },
     "grid": {
-        "levels": (_integer, "8"),
-        "oversample": (_integer, "4"),
+        "levels": (_at_least(1), "8"),
+        "oversample": (_at_least(1), "4"),
         "interval_lo": (_number, "0"),
         "interval_hi": (_number, "1"),
     },
@@ -181,11 +181,12 @@ class RunConfig:
         return None if raw is None else parse(f"{section}.{key}", raw)
 
     def check(self):
-        """Parse every key, set or default: a ConfigError names the first
-        bad one."""
+        """Parse every key, set or default, then build the run's (model,
+        grid): a ConfigError names the first bad key."""
         for section, keys in KEYS.items():
             for key in keys:
                 self.value(section, key)
+        return self.build_model(), self.build_grid()
 
     def build_model(self):
         """The model every subcommand draws and theorizes: the configured
@@ -228,11 +229,11 @@ class RunConfig:
     def build_grid(self):
         """The grid's points alone, as every batch draws them."""
         v = {key: self.value("grid", key) for key in KEYS["grid"]}
-        try:
-            return GridSpec((v["interval_lo"], v["interval_hi"]),
-                            v["levels"], v["oversample"], 0)
-        except ValueError as exc:
-            raise ConfigError("grid", str(exc)) from exc
+        if not v["interval_lo"] < v["interval_hi"]:
+            raise ConfigError("grid.interval_hi",
+                              "must exceed grid.interval_lo")
+        return GridSpec((v["interval_lo"], v["interval_hi"]),
+                        v["levels"], v["oversample"], 0)
 
 
 def parse_config(text):

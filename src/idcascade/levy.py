@@ -342,8 +342,10 @@ class TabulatedJumps(JumpMeasure):
         return (-(self.left_rate or math.inf), self.right_rate or math.inf)
 
     def support_nonpositive(self):
-        return self.right_rate is None and bool(
-            np.all(self._d[self._x > 0] == 0.0))
+        # a bin ending above 0 with density at either end charges x > 0
+        up = self._x[1:] > 0
+        return self.right_rate is None and not (
+            self._d[:-1][up].any() or self._d[1:][up].any())
 
     def digest_fields(self):
         return ["tabulated", list(self.grid_x), list(self.grid_density),

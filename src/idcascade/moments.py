@@ -471,6 +471,8 @@ def covariance_report(model, masses, gaps=None):
     R, K = m.shape
     if gaps is None:
         gaps = tuple(range(1, K))
+    if not all(1 <= g < K for g in gaps):
+        raise ValueError(f"gaps must lie in 1..{K - 1}")
     psi2 = levy_exponent(model, 2.0)
     est, err, claimed, quad = [], [], [], []
     for g in gaps:

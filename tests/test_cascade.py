@@ -868,6 +868,13 @@ def test_scaled_mass_samples_validation():
         scaled_mass_samples(LOGN, g, 0.3, 1, 10)
     with pytest.raises(ValueError):
         scaled_mass_samples(LOGN, g, 2.0 ** -5, 1, 10)
+    # a ratio outside (0, 1] is named before any draw
+    for lam in (0.0, -0.5, 2.0):
+        for call in (lambda: scaled_mass_samples(LOGN, g, lam, 1, 10),
+                     lambda: sample_scale_log(LOGN, lam, None)):
+            with pytest.raises(ValueError,
+                               match=r"scale ratio must lie in \(0, 1\]"):
+                call()
     out = scaled_mass_samples(LOGN, g, 0.25, 1, 16)
     assert out.shape == (16,)
     assert np.all(out > 0)
@@ -940,6 +947,12 @@ def test_binary_roundtrip(tmp_path):
     cut.write_bytes(b"IDCZ\x01\x00")
     with pytest.raises(ValueError, match="header cut short"):
         read_binary_masses(cut)
+    blob[:4] = b"IDCZ"
+    blob[4:8] = (2).to_bytes(4, "little")
+    later = tmp_path / "v2.bin"
+    later.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="unsupported dump version 2"):
+        read_binary_masses(later)
 
 
 def test_dump_cut_inside_a_value_names_its_length(tmp_path):

@@ -458,6 +458,31 @@ def test_a_bad_output_directory_is_a_config_error(command, tmp_path, capsys):
     assert blocker.read_text() == "kept"
 
 
+def test_grid_bounds_stop_every_subcommand(tmp_path, capsys):
+    # the whole configuration is checked before any subcommand runs, so
+    # theory stops on a bad grid as the drawing subcommands do
+    for old, new, name in (
+            ("levels = 4", "levels = 0", "grid.levels"),
+            ("oversample = 2", "oversample = 0", "grid.oversample"),
+            ("oversample = 2", "oversample = 2\ninterval_lo = 2\n"
+             "interval_hi = 1", "grid.interval_hi")):
+        path = write_cfg(tmp_path / "g.ini", tmp_path / "g")
+        path.write_text(path.read_text().replace(old, new))
+        for command in ("theory", "simulate", "verify", "estimate"):
+            assert run("--config", path, command) == 2, (name, command)
+            assert f"config error: {name}: " in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+def test_config_is_required(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run("theory")
+    assert exc.value.code == 2
+    assert "required: --config" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tail_estimate_needs_100_replicas(tmp_path, capsys):
     # the config draws 3 replicas; nothing is drawn or written
     path = write_cfg(tmp_path / "t.ini", tmp_path / "t",
@@ -553,9 +578,10 @@ def test_a_broken_closed_form_fails_areas(name, monkeypatch, tmp_path,
 
 
 def test_scale_ratios_off_the_grid_are_config_errors(tmp_path, capsys):
-    # 0.3 is no whole number of the 16 leaf cells, 2^-5 is below one;
-    # a lone 1.5 fails the two-ratio bound first, so 1.5 also comes paired
-    for ratios in ("0.5, 0.3", "0.5, 0.03125", "1.5", "0.5, 1.5"):
+    # 0.3 is no whole number of the 16 leaf cells, 2^-5 is below one, 0
+    # gives an empty prefix; a lone 1.5 fails the two-ratio bound first,
+    # so 1.5 also comes paired
+    for ratios in ("0.5, 0.3", "0.5, 0.03125", "0.5, 0", "1.5", "0.5, 1.5"):
         path = write_cfg(tmp_path / "s.ini", tmp_path / "s", experiment=(
             f"kind = scaling\nscale_ratios = {ratios}\n"))
         assert run("--config", path, "estimate") == 2

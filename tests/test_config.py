@@ -40,6 +40,7 @@ def test_parse_and_typed_accessors():
     model = cfg.build_model()
     assert model.sigma2 == 0.5
     assert isinstance(model.nu, ZeroJumps)
+    assert cfg.check() == (model, grid)
 
 
 def test_defaults_without_file():
@@ -72,6 +73,8 @@ def test_hash_ignores_formatting_but_not_values():
 
 
 def test_unknown_section_and_bad_values():
+    with pytest.raises(ConfigError, match=r"^\(file\): cannot parse: "):
+        parse_config("sigma2 = 0.5\n")  # a key before any section
     with pytest.raises(ConfigError, match="unknown"):
         parse_config("[nonsense]\nx = 1\n")
     with pytest.raises(ConfigError, match="grid.interval: unknown key"):
@@ -106,6 +109,9 @@ def test_atom_model_from_config():
     cfg = parse_config(SAMPLE)
     cfg.set("model", "sigma2", "0")
     cfg.set("model", "jump_kind", "atoms")
+    with pytest.raises(ConfigError,
+                       match="^model.atom_locations: missing required key$"):
+        cfg.build_model()
     cfg.set("model", "atom_locations", str(-math.log(2.0)))
     cfg.set("model", "atom_masses", "1.0")
     model = cfg.build_model()

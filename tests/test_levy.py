@@ -515,3 +515,22 @@ def test_tabulated_draws_are_uniform_on_a_flat_bin():
     assert x.min() >= -1.0 and x.max() <= 0.5
     assert abs(flat.size / n - 0.8) < 4 * math.sqrt(0.8 * 0.2 / n)
     assert abs(flat.mean() + 0.5) < 4 * math.sqrt(1 / 12 / flat.size)
+
+
+def test_tabulated_support_sign_reads_the_ramp_into_x_above_0():
+    # the bin [0, 1] falls from density 1 at x = 0 to 0 at x = 1: it
+    # charges x > 0, so positive moments end at the tail index
+    ramp = TabulatedJumps((-1.0, 0.0, 1.0), (1.0, 1.0, 0.0))
+    assert not ramp.support_nonpositive()
+    rep = diagnose(build_model(0.0, ramp))
+    assert not rep.all_moments_finite
+    assert rep.moment_region_sup == rep.tail_index == pytest.approx(
+        4.4585, abs=1e-4)
+    # density 0 at both ends of every bin ending above 0 charges none
+    nonpositive = TabulatedJumps((-1.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+    assert nonpositive.support_nonpositive()
+    rep = diagnose(build_model(0.0, nonpositive))
+    assert rep.all_moments_finite and rep.moment_region_sup == math.inf
+    # a declared right tail counts whatever its density
+    assert not TabulatedJumps((-1.0, 0.0, 1.0), (1.0, 0.0, 0.0),
+                              right_rate=2.0).support_nonpositive()

@@ -315,6 +315,9 @@ def test_covariance_report_independent_columns():
     assert [row[5] for row in rep.rows()] == list(rep.theory_series)
     with pytest.raises(ValueError):
         covariance_report(LOGN, m[:, :1])
+    for gaps in ((0,), (1, 4), (5,)):
+        with pytest.raises(ValueError, match=r"gaps must lie in 1\.\.3"):
+            covariance_report(LOGN, m, gaps=gaps)
 
 
 def test_covariance_report_exact_column_matches_quadrature():

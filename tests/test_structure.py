@@ -69,3 +69,23 @@ def test_every_output_file_goes_through_one_writer():
     # the package writes files through cascade._write_file alone, which
     # overwrites in place and cuts to length
     assert writing_opens() == []
+
+
+def config_builds(path=SRC / "cli.py"):
+    """(function, method) of every call of build_model, build_grid or
+    check in a top-level function of path, nested functions included."""
+    found = []
+    for top in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(top, ast.FunctionDef):
+            found += [(top.name, node.func.attr) for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("build_model", "build_grid",
+                                             "check")]
+    return found
+
+
+def test_only_main_builds_the_model_and_grid():
+    # main checks the whole configuration, model and grid included, before
+    # any subcommand runs, and hands each cmd_<sub> what it built
+    assert config_builds() == [("main", "check")]
