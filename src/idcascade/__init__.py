@@ -22,7 +22,7 @@ _EXPORTS = {
     "cascade": (
         "BatchSimulator", "Realization", "build_realization",
         "decompose_star", "juxtaposed_total_masses", "read_binary_masses",
-        "realization_to_binary", "realization_to_csv", "refine",
+        "realization_to_binary", "realization_to_csv",
         "scaled_mass_samples", "simulate_prefix_masses",
         "simulate_total_masses",
     ),

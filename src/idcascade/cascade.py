@@ -6,8 +6,6 @@ The operations here are the structural facts the engine exists to verify:
 
 * star decomposition: the measure restricted to a level-k cell factors into
   the cell weight times an independent rescaled copy of the whole cascade;
-* refinement: field.py extends a realization's field downward in scale
-  without touching the noise already drawn;
 * juxtaposition: cascades on adjacent unit intervals driven by one shared
   noise field, giving a stationary dependent sequence of masses;
 * exact scaling: the mass of [0, lam] equals in law lam * exp(W) * Z' with
@@ -26,7 +24,7 @@ import struct
 import threading
 import warnings
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -45,15 +43,13 @@ def model_digest(model):
 
 @dataclass
 class Realization:
-    """One cascade sample: its field draw, the masses it induces and its
-    provenance.  Its kind is field.field_kind(model)."""
+    """One cascade sample: its field draw and the masses it induces.  Its
+    kind is field.field_kind(model)."""
 
     model: NoiseModel
     field: FieldSample
     cell_masses: np.ndarray            # leaf-level masses, length 2^levels
     total_mass: float
-    seed: Optional[int] = None
-    replica: Optional[int] = None
 
     @property
     def grid(self):
@@ -106,11 +102,11 @@ def masses_from_point_log(grid, point_log):
     return cell, total
 
 
-def _realization(model, sample, seed=None, replica=None):
+def _realization(model, sample):
     """The Realization of a field sample, its masses from
     masses_from_point_log."""
     cell, total = masses_from_point_log(sample.grid, sample.point_log)
-    return Realization(model, sample, cell, float(total), seed, replica)
+    return Realization(model, sample, cell, float(total))
 
 
 def build_realization(model, grid, *, seed, replica=0, stream_tag="cascade"):
@@ -120,8 +116,7 @@ def build_realization(model, grid, *, seed, replica=0, stream_tag="cascade"):
                       "cascade limit is degenerate; fine-level masses will "
                       "collapse", stacklevel=2)
     rng = make_generator(seed, replica, stream_tag)
-    return _realization(model, make_sampler(grid, model).sample(rng), seed,
-                        replica)
+    return _realization(model, make_sampler(grid, model).sample(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -406,33 +401,6 @@ def decompose_star(realization, level):
         masses[i], float(totals[i]))
         for i, sub_grid in enumerate(sub_grids)]
     return StarDecomposition(level, np.exp(cell_vals), subs)
-
-
-# ---------------------------------------------------------------------------
-# refinement
-# ---------------------------------------------------------------------------
-
-
-def refine(realization, extra_levels, rng):
-    """Extend a realization by extra dyadic levels, reusing its noise.
-
-    The already-drawn noise (heights >= eps) is kept; only the band between
-    the new and old truncation heights is fresh, and the refined field is
-    drawn in field.py (field.refine_field).  With extra_levels = 0 the
-    realization is returned as is.
-    """
-    if extra_levels < 0:
-        raise ValueError("extra_levels must be >= 0")
-    if extra_levels == 0:
-        return realization
-    g = realization.grid
-    fine = GridSpec(g.interval, g.levels + extra_levels, g.oversample,
-                    None if g.cell_levels is None else
-                    (g.cell_levels + extra_levels if g.cell_levels == g.levels
-                     else g.cell_levels))
-    f = field.refine_field(realization.model, realization.field, fine, rng)
-    return _realization(realization.model, f, realization.seed,
-                        realization.replica)
 
 
 # ---------------------------------------------------------------------------

@@ -380,9 +380,8 @@ def area_cross(I, J, s, t, eps):
 def strip_kernel(h, lo, hi):
     """Area of cone_of(hull) restricted to heights [lo, hi).
 
-    h is the hull length of the two footprints (array or scalar).  Used when
-    refining: the new noise between two truncation heights has exactly this
-    covariance shape.
+    h is the hull length of the two footprints (array or scalar): the noise
+    between two truncation heights has exactly this covariance shape.
     """
     h = np.asarray(h, float)
     out = np.zeros(h.shape)
@@ -458,11 +457,3 @@ def sampling_domain(interval, eps):
         strips.append(DomainStrip("flank", (lo, hi), L, math.inf))
         return strips
     return [DomainStrip("flank", (lo, hi), eps, math.inf)]
-
-
-def refinement_strip(interval, eps_old, eps_new):
-    """The extra band eps_new <= y < eps_old of the sampling domain."""
-    if not 0 < eps_new < eps_old <= _length(interval):
-        raise ValueError("need 0 < eps_new < eps_old <= interval length")
-    lo, hi = interval
-    return DomainStrip("fan", (lo, hi), eps_new, eps_old)

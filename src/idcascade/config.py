@@ -149,7 +149,8 @@ KEYS = {
         "replicas": (_at_least(1), "1"),
         "kind": (_choice("experiment", EXPERIMENTS), "moments"),
         "checks": (_checks, "default"),
-        "ks_p_min": (_number, "0.01"),
+        "ks_p_min": (_bounded(_number, lambda p: 0 < p < 1,
+                              "must lie in (0, 1)"), "0.01"),
         "q_values": (_numbers, None),
         "scale_ratios": (_bounded(_numbers, lambda v: len(set(v)) >= 2,
                                   "needs at least two distinct ratios"),

@@ -13,15 +13,14 @@ Exact samplers cover the model classes:
   lower triangle is stored as row panels of CHOLESKY_BLOCK rows, each
   cut after its diagonal block, filled once per attempt and factored in
   place through one inverse per diagonal block, and a failed attempt
-  refills it before the next jitter (_dense_law builds every such law).
-  The factor's bits, and those of the one-column draws and refinements
-  made with it, do not depend on the BLAS thread count; a draw of many
-  columns at once may.  It serves single builds that
-  carry cells, grids below CIRCULANT_MIN_POINTS points, refinement
-  (refine_field, every kind's refinement) and juxtaposition: n_intervals
-  adjacent copies of a grid driven by one noise, whose Gram holds the
-  copies' points and their cells of the hull, dim = n_intervals *
-  (n_points + 1) objects in about dim (dim + CHOLESKY_BLOCK) / 2 doubles.
+  refills it before the next jitter.  The factor's bits, and those of
+  the one-column draws made with it, do not depend on the BLAS thread
+  count; a draw of many columns at once may.  It serves single builds
+  that carry cells, grids below CIRCULANT_MIN_POINTS points and
+  juxtaposition: n_intervals adjacent copies of a grid driven by one
+  noise, whose Gram holds the copies' points and their cells of the
+  hull, dim = n_intervals * (n_points + 1) objects in about
+  dim (dim + CHOLESKY_BLOCK) / 2 doubles.
 * Gaussian, circulant embedding: on a points-only grid (cell_levels = 0)
   the covariance depends only on the lag, so it is a Toeplitz matrix and
   its circulant embedding of size M = 2N samples it exactly with one
@@ -107,7 +106,7 @@ class GridSpec:
     """Simulation grid: base interval, dyadic depth, oversampling.
 
     cell_levels limits how many cell-weight levels a single build carries
-    for its star decomposition and refinement (0: none, None: every level
+    for its star decomposition (0: none, None: every level
     1..levels); each carried level enlarges a dense Gaussian Gram.  Batches
     draw the points alone whatever cell_levels says (BatchSimulator).
     """
@@ -187,12 +186,12 @@ class GridSpec:
                        cell_levels=(None if self.cell_levels is None else
                                     max(0, self.cell_levels - level_drop)))
 
-    def split(self, values, levels=None):
+    def split(self, values):
         """(point_log, cell_log): slices of values stacked as _gram_objects
-        stacks the points, then the cells of levels (default: carried)."""
+        stacks the points, then the cells of the carried levels."""
         cell_log = {}
         off = self.n_points
-        for lev in self.carried_levels if levels is None else levels:
+        for lev in self.carried_levels:
             cell_log[lev] = values[off:off + 2 ** lev]
             off += 2 ** lev
         return values[:self.n_points], cell_log
@@ -221,19 +220,19 @@ class FieldSample:
 # ---------------------------------------------------------------------------
 
 
-def _gram_objects(grid, levels=None):
+def _gram_objects(grid):
     """Footprints (lo, hi) and cutoffs of the objects on one grid.
 
     Objects are the evaluation points (degenerate footprint, truncated at
-    eps) followed by the cells of the given levels, by default the carried
-    ones, level by level (full footprint, no truncation: their regions
-    reach down to their own length).
+    eps) followed by the cells of the carried levels, level by level (full
+    footprint, no truncation: their regions reach down to their own
+    length).
     """
     t = grid.eval_points()
     foot_lo = [t]
     foot_hi = [t]
     cut = [np.full(t.size, grid.eps)]
-    for lev in grid.carried_levels if levels is None else levels:
+    for lev in grid.carried_levels:
         b = grid.cell_bounds(lev)
         foot_lo.append(b[:, 0])
         foot_hi.append(b[:, 1])
@@ -496,27 +495,16 @@ def _chol_with_jitter(fill, dim):
     return panels, jitter
 
 
-def _dense_law(sigma2, L, feet):
-    """Read-only (mean, Cholesky panels, jitter) of the values of the
-    footprints feet on base length L (fill_gram, _chol_with_jitter)."""
-    mean = -0.5 * sigma2 * footprint_areas(L, feet)
-    panels, jitter = _chol_with_jitter(
-        lambda out: fill_gram(out, sigma2, L, feet), mean.size)
-    for a in (mean, *panels):
-        a.setflags(write=False)
-    return mean, panels, jitter
-
-
-def _lower_product(panels, x, lo, hi):
-    """Rows lo..hi-1 of the lower factor whose row panels are panels
+def _lower_product(panels, x, hi):
+    """Rows 0..hi-1 of the lower factor whose row panels are panels
     (_spans) times x[:hi], one matrix product per panel: a row's product
     stops at its panel's last column, so of the zeros above the diagonal
     it reads only its diagonal block's."""
-    out = np.empty((hi - lo,) + x.shape[1:])
+    out = np.empty((hi,) + x.shape[1:])
     for a, e, p in _spans(panels):
-        r0, r1 = max(a, lo), min(e, hi)
-        if r0 < r1:
-            np.matmul(p[r0 - a:r1 - a, :r1], x[:r1], out=out[r0 - lo:r1 - lo])
+        r1 = min(e, hi)
+        if a < r1:
+            np.matmul(p[:r1 - a, :r1], x[:r1], out=out[a:r1])
     return out
 
 
@@ -544,9 +532,9 @@ class GaussianFieldSampler:
     points (cut at eps) and footprints (cut 0) on their hull.  Its lower
     triangle lives in row panels of CHOLESKY_BLOCK rows, each cut after
     its diagonal block (panels), filled a block of rows at a time, scaled
-    as it is filled, and Cholesky-factored in place (_dense_law), so the
-    factor and the build's peak are about dim (dim + CHOLESKY_BLOCK) / 2
-    doubles, half a square Gram.  A
+    as it is filled, and Cholesky-factored in place (_chol_with_jitter),
+    so the factor and the build's peak are about
+    dim (dim + CHOLESKY_BLOCK) / 2 doubles, half a square Gram.  A
     replica's point values are the first prod(shape) values, less their
     copy's value for juxtaposed copies.
     """
@@ -569,7 +557,11 @@ class GaussianFieldSampler:
                 (t, t, np.full(t.size, grid.eps)),
                 (edges[:-1], edges[1:], np.zeros(n_intervals)))]
         self.dim = feet[0].size
-        self.mean, self.panels, jitter = _dense_law(sigma2, L, feet)
+        self.mean = -0.5 * sigma2 * footprint_areas(L, feet)
+        self.panels, jitter = _chol_with_jitter(
+            lambda out: fill_gram(out, sigma2, L, feet), self.dim)
+        for a in (self.mean, *self.panels):
+            a.setflags(write=False)
         self.health = {"cholesky_jitter": jitter}
 
     def draw(self, rng, count=1):
@@ -585,7 +577,7 @@ class GaussianFieldSampler:
         row panel gives its rows in one product (_lower_product).
         """
         k = normals.shape[0]
-        vals = _lower_product(self.panels, normals, 0, k)
+        vals = _lower_product(self.panels, normals, k)
         vals += self.mean[:k, None]
         return vals
 
@@ -1101,64 +1093,3 @@ def _cached_sampler(grid, model, n_intervals):
 
 make_sampler.cache_clear = _cached_sampler.cache_clear
 make_sampler.cache_info = _cached_sampler.cache_info
-
-
-# ---------------------------------------------------------------------------
-# refinement
-# ---------------------------------------------------------------------------
-
-
-def refine_field(model, sample, fine, rng):
-    """The FieldSample of model on fine, a finer grid of sample's interval,
-    that keeps every value of sample: atomic fields keep their points and
-    add a Poisson draw on the band between the two truncation heights,
-    Gaussian ones draw the new values from their law given the old."""
-    kind = field_kind(model)
-    if kind == "gaussian":
-        return _refine_gaussian(model, sample, fine, rng)
-    if kind != "poisson":
-        raise ValueError(f"refine not implemented for kind {kind!r}")
-    if sample.points_x is None:
-        raise ValueError("the field sample carries no Poisson points")
-    g = sample.grid
-    strip = cones.refinement_strip(g.interval, g.eps, fine.eps)
-    sampler = PoissonFieldSampler(fine, model)
-    x, y, jump = (np.concatenate(pair) for pair in zip(
-        (sample.points_x, sample.points_y, sample.points_jump),
-        poisson_points([rng], [strip], sampler.nu)[1:]))
-    point_log, cell_log = sampler.evaluate(x, y, jump)
-    return FieldSample(fine, point_log, cell_log,
-                       points_x=x, points_y=y, points_jump=jump)
-
-
-def _refine_gaussian(model, old, fine, rng):
-    # One Gram of the old objects (points cut at the old eps, carried
-    # cells) and the new ones (fine points cut at the new eps, new cell
-    # levels): footprint_areas cuts each pair at the larger cutoff, so it
-    # holds the noise above the old height and the band below it.  With
-    # its factor [[A, 0], [B, C]], the old values fix z = A^-1 (x - mean),
-    # solved forward a panel's diagonal block at a time, and the new
-    # values are mean + [B C] times z and fresh normals.
-    g = old.grid
-    new_levels = [lev for lev in fine.carried_levels
-                  if lev not in g.carried_levels]
-    feet = [np.concatenate(pair) for pair in
-            zip(_gram_objects(g), _gram_objects(fine, new_levels))]
-    mean, panels, _ = _dense_law(model.sigma2, g.length, feet)
-    x_old = np.concatenate([old.point_log] +
-                           [old.cell_log[lev] for lev in g.carried_levels])
-    p = x_old.size
-    z = x_old - mean[:p]
-    for a, e, panel in _spans(panels):
-        if a >= p:
-            break
-        r = min(e, p)
-        z[a:r] -= panel[:r - a, :a] @ z[:a]
-        z[a:r] = np.linalg.solve(panel[:r - a, a:r], z[a:r])
-    vals = mean[p:] + _lower_product(
-        panels, np.concatenate([z, rng.standard_normal(mean.size - p)]),
-        p, mean.size)
-    # the fine grid carries every old level, whose cells keep their values
-    point_log, cells = fine.split(vals, new_levels)
-    cell_log = {lev: old.cell_log[lev].copy() for lev in g.carried_levels}
-    return FieldSample(fine, point_log, {**cell_log, **cells})

@@ -25,9 +25,6 @@ dense/factor/jittered 0x1.1c70a0cb6ccc4p+1 0x1.60d964242e9c1p+1 0x0.0p+0
 dense/single 0x1.3707e9ae8f60dp+0 -0x1.59524004fd466p+1 -0x1.2041d36fbf2e7p+0
     0x1.e59017c0c162ap-1 0x1.5f5126d2c4a92p-1 -0x1.a017c34eeab2cp-1
     -0x1.371ed7452a25fp-1 0x1.1885ae81afb7bp-1
-dense/refinement -0x1.a6252be5b18ffp-1 -0x1.af254849ed28dp+0
-    -0x1.61580878b960bp+0 -0x1.f78317f97b120p-3 0x1.b372c50a52600p-5
-    -0x1.bbb0c1d919598p-3 0x1.663b98a32c0a8p-1
 circulant/batch 0x1.8e6a4d3f0b5a1p-1 0x1.444c635d67878p-1 0x1.39b529105e7d2p-2
     0x1.e668abf0ebaadp-4 0x1.a1b567209a26ap+1 0x1.fd4436b1c0a38p-1
     0x1.d409e0373707ep-1 0x1.c01f92adfec48p-1 0x1.327a8f78eec68p+0

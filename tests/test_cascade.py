@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from idcascade import cascade, cones, field
+from idcascade import cascade, field
 from idcascade._rng import make_generator
 from idcascade.cascade import (
     BatchSimulator,
@@ -21,7 +21,6 @@ from idcascade.cascade import (
     read_binary_masses,
     realization_to_binary,
     realization_to_csv,
-    refine,
     sample_area_logs,
     sample_scale_log,
     scaled_mass_samples,
@@ -605,29 +604,6 @@ def test_hybrid_point_values_do_not_depend_on_cell_levels():
                                atol=1e-12)
 
 
-def test_refine_rejects_a_hybrid_realization():
-    r = build_realization(HYBRID, GridSpec((0.0, 1.0), 4, 2), seed=11)
-    with pytest.raises(ValueError, match="refine not implemented"):
-        refine(r, 1, make_generator(11, 0, "refine"))
-
-
-def test_refine_of_a_star_sub_cascade():
-    # a star split's sub-cascades carry their field values, not the
-    # Poisson points they came from, so a Poisson one cannot be refined;
-    # a Gaussian one keeps every value it carries
-    g = GridSpec((0.0, 1.0), 4, 2)
-    sub = decompose_star(build_realization(ATOM, g, seed=3), 1).subs[0]
-    with pytest.raises(ValueError, match="carries no Poisson points"):
-        refine(sub, 1, make_generator(3, 0, "refine"))
-    sub = decompose_star(build_realization(LOGN, g, seed=3), 1).subs[0]
-    fine = refine(sub, 1, make_generator(3, 0, "refine"))
-    assert fine.grid == GridSpec((0.0, 0.5), 4, 2)
-    assert list(fine.field.cell_log) == [1, 2, 3, 4]
-    for lev, cells in sub.field.cell_log.items():
-        np.testing.assert_array_equal(fine.field.cell_log[lev], cells)
-    assert np.isfinite(fine.field.point_log).all()
-
-
 def test_juxtaposition_needs_two_intervals():
     for copies in (1, 0):
         with pytest.raises(ValueError, match="n_intervals must be >= 2"):
@@ -710,122 +686,6 @@ def test_prefix_masses_columns_are_nested():
     assert np.all(m[:, 1] <= m[:, 2] + 1e-15)
     with pytest.raises(ValueError):
         simulate_prefix_masses(LOGN, g, 3, 5, [0.3])
-
-
-def test_refine_poisson_keeps_old_points():
-    g = GridSpec((0.0, 1.0), 4, 2)
-    r = build_realization(ATOM, g, seed=21)
-    fine = refine(r, 2, make_generator(21, 0, "refine-test"))
-    assert fine.grid.levels == 6
-    old, new = r.field, fine.field
-    n_old = old.points_x.size
-    np.testing.assert_array_equal(new.points_x[:n_old], old.points_x)
-    np.testing.assert_array_equal(new.points_jump[:n_old], old.points_jump)
-    added_y = new.points_y[n_old:]
-    assert np.all(added_y >= fine.grid.eps)
-    assert np.all(added_y < g.eps)
-    assert refine(r, 0, None) is r
-    with pytest.raises(ValueError):
-        refine(r, -1, None)
-
-
-@pytest.mark.parametrize("model", [LOGN, ATOM])
-def test_refine_matches_direct_law(model):
-    # mean and variance of the refined total vs directly simulated totals
-    g = GridSpec((0.0, 1.0), 3, 2, 0 if model is ATOM else None)
-    n = 600
-    rng = make_generator(77, 0, "refine-law")
-    refined = np.empty(n)
-    for i in range(n):
-        r = build_realization(model, g, seed=77, replica=i)
-        refined[i] = refine(r, 2, rng).total_mass
-    direct = simulate_total_masses(model, GridSpec((0.0, 1.0), 5, 2, 0),
-                                   78, n)
-    for q in (1.0, 2.0):
-        a, b = refined ** q, direct ** q
-        se = math.hypot(a.std() / math.sqrt(n), b.std() / math.sqrt(n))
-        assert abs(a.mean() - b.mean()) < 3.5 * se
-
-
-class _UnitNormals:
-    """A stand-in generator: standard_normal(n) gives zeros, then each
-    unit vector of length n in turn."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def standard_normal(self, n):
-        z = np.zeros(n)
-        if self.calls:
-            z[self.calls - 1] = 1.0
-        self.calls += 1
-        return z
-
-
-def _reference_refinement_law(r, fine):
-    """Conditional mean and covariance of a Gaussian refinement's new
-    values: the Schur complement of the old values' Gram, with every new
-    object cut at the old eps, plus the independent band between the two
-    truncation heights (cones.strip_kernel)."""
-    g, s2 = r.grid, r.model.sigma2
-    new_levels = [lev for lev in fine.carried_levels
-                  if lev not in g.carried_levels]
-    p = field._gram_objects(g)
-    q_lo, q_hi, _ = field._gram_objects(fine, new_levels)
-    q = (q_lo, q_hi, np.full(q_lo.size, g.eps))
-    x_old = np.concatenate([r.field.point_log] +
-                           [r.field.cell_log[lev] for lev in g.carried_levels])
-    G_pp, G_qp, G_qq = (s2 * field.footprint_areas(g.length, a, b)
-                        for a, b in ((p, p), (q, p), (q, q)))
-    w = np.linalg.solve(G_pp, x_old + 0.5 * s2 * field.footprint_areas(
-        g.length, p))
-    hull = (np.maximum(q_hi[:, None], q_hi[None, :]) -
-            np.minimum(q_lo[:, None], q_lo[None, :]))
-    mean = -0.5 * s2 * (field.footprint_areas(g.length, q)
-                        + cones.strip_kernel(q_hi - q_lo, fine.eps, g.eps))
-    cov = (G_qq - G_qp @ np.linalg.solve(G_pp, G_qp.T)
-           + s2 * cones.strip_kernel(hull, fine.eps, g.eps))
-    return mean + G_qp @ w, cov
-
-
-@pytest.mark.parametrize("extra", [1, 2])
-@pytest.mark.parametrize("grid", [
-    GridSpec((0.0, 1.0), 3, 2, None), GridSpec((0.0, 1.0), 3, 2, 0),
-    GridSpec((0.1, 0.4), 3, 2, 2)], ids=["cells", "points", "non-dyadic"])
-def test_gaussian_refinement_law_is_exact(grid, extra):
-    # the refinement is affine in its normals: zeros give its mean, each
-    # unit vector one column of its factor
-    r = build_realization(LOGN, grid, seed=4, replica=2)
-    rng = _UnitNormals()
-
-    def new_values():
-        f = refine(r, extra, rng).field
-        return f.grid, np.concatenate([f.point_log] + [
-            v for lev, v in f.cell_log.items()
-            if lev not in grid.carried_levels])
-
-    fine, base = new_values()
-    B = np.column_stack([new_values()[1] - base for _ in range(base.size)])
-    mean, cov = _reference_refinement_law(r, fine)
-    np.testing.assert_allclose(base, mean, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(B @ B.T, cov, rtol=0, atol=1e-12)
-
-
-def test_gaussian_refinement_memory_is_one_gram():
-    # 256 points and 254 cells conditioned, 512 points and 256 cells new:
-    # the joint Gram, factored in place, and as in a dense build either a
-    # panel of the factorization or a block's kernel temporaries
-    r = build_realization(LOGN, GridSpec((0.0, 1.0), 7, 2, None), seed=1)
-    tracemalloc.start()
-    try:
-        refine(r, 1, make_generator(1, 0, "refine"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    dim = 510 + 768
-    block = field.BLOCK_VALUES * 8
-    panel = 8 * dim * field.CHOLESKY_BLOCK
-    assert peak < 8 * dim * dim + panel + 2 * block + 16384
 
 
 @pytest.mark.parametrize("copies", [2, 4, 8])

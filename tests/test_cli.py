@@ -1,5 +1,6 @@
 import configparser
 import json
+import operator
 import os
 import re
 import shutil
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import idcascade
-from idcascade import config, cones
+from idcascade import checks, config, cones
 from idcascade.cli import main
 from idcascade.config import KEYS
 
@@ -259,7 +260,8 @@ def test_seed_flag_changes_rows(cfg_file, tmp_path):
     assert a != b
 
 
-def test_verify_pass_fail_and_unknown(cfg_file, tmp_path, capsys):
+def test_verify_pass_fail_and_unknown(cfg_file, tmp_path, capsys,
+                                     monkeypatch):
     path = write_cfg(tmp_path / "v.ini", tmp_path / "v",
                      experiment="checks = normalization,areas,star\n")
     assert run("--config", path, "verify") == 0
@@ -268,9 +270,11 @@ def test_verify_pass_fail_and_unknown(cfg_file, tmp_path, capsys):
     payload = json.loads((tmp_path / "v" / "verify.json").read_text())
     assert payload["all_passed"] is True
 
-    # any p-value <= 1 is below a bound of 2
+    # a p-value of 0 is below any bound ks_p_min may take
+    monkeypatch.setitem(checks.VERIFY, "scaling_ks", (
+        lambda *args: (0.0, {}), "ks_p_min", operator.ge))
     strict = write_cfg(tmp_path / "strict.ini", tmp_path / "v",
-                       experiment="checks = scaling_ks\nks_p_min = 2\n")
+                       experiment="checks = scaling_ks\n")
     assert run("--config", strict, "verify") == 1
     assert "scaling_ks: FAIL" in capsys.readouterr().out
 
@@ -472,6 +476,19 @@ def test_grid_bounds_stop_every_subcommand(tmp_path, capsys):
             assert run("--config", path, command) == 2, (name, command)
             assert f"config error: {name}: " in capsys.readouterr().err
     assert not (tmp_path / "g").exists()
+
+
+def test_ks_p_min_lies_strictly_between_0_and_1(tmp_path, capsys):
+    # at or below 0 the scaling_ks check could not fail, at or above 1 it
+    # could not pass
+    for value in ("0", "-1", "1", "2"):
+        path = write_cfg(tmp_path / "p.ini", tmp_path / "p",
+                         experiment=f"ks_p_min = {value}\n")
+        for command in ("theory", "simulate", "verify", "estimate"):
+            assert run("--config", path, command) == 2, (value, command)
+            assert "config error: experiment.ks_p_min: must lie in (0, 1)" \
+                in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_config_is_required(tmp_path, capsys, monkeypatch):
@@ -706,7 +723,7 @@ def test_every_public_name_is_its_defining_modules_object():
         "    assert obj is getattr(importlib.import_module(home), name)\n"
         "assert set(idcascade.__all__) <= set(dir(idcascade))\n"
         "assert idcascade.GridSpec is idcascade.field.GridSpec\n"
-        "assert len(set(idcascade.__all__)) == len(idcascade.__all__) == 52\n"
+        "assert len(set(idcascade.__all__)) == len(idcascade.__all__) == 51\n"
         "from idcascade import *\n"
         "assert all(globals()[name] is getattr(idcascade, name)\n"
         "           for name in idcascade.__all__)\n"

@@ -18,7 +18,6 @@ from idcascade.cones import (
     cell_cone,
     local_cone,
     overlap_kernel,
-    refinement_strip,
     region_area,
     sampling_domain,
     strip_kernel,
@@ -221,7 +220,7 @@ def _reference_strip_sample(strip, u_y, u_branch, u_x):
 
 @pytest.mark.parametrize("strip", [
     sampling_domain((0.3, 1.1), 0.8 * 2.0 ** -10)[0],
-    refinement_strip((0.3, 1.1), 0.4, 0.2),
+    DomainStrip("fan", (0.3, 1.1), 0.2, 0.4),  # a fan below L
     sampling_domain((0.3, 1.1), 0.8 * 2.0 ** -10)[1],
     sampling_domain((0.3, 1.1), 1.7)[0],
 ], ids=["fan", "refinement-fan", "flank", "flank-above-L"])
@@ -242,16 +241,6 @@ def test_strip_sample_matches_scalar_formula_bitwise(strip):
         assert 500 < n_log < u.shape[0] - 500    # both branches are hit
     else:
         assert np.isinf(y[:50]).all() and np.isfinite(y[50:]).all()
-
-
-def test_refinement_strip_is_the_missing_band():
-    I = (0.0, 1.0)
-    strip = refinement_strip(I, 0.25, 0.125)
-    assert strip.kind == "fan" and strip.y_lo == 0.125 and strip.y_hi == 0.25
-    assert domain_mass(I, 0.125) == pytest.approx(
-        domain_mass(I, 0.25) + strip.mass(), abs=1e-12)
-    with pytest.raises(ValueError):
-        refinement_strip(I, 0.125, 0.25)
 
 
 def test_region_area_rejects_infinite_regions():

@@ -18,10 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # module.name -> why it stays without a caller in src/ or perfbench/
 ALLOWED = {
-    "cones.strip_kernel": "the independent reference that the refinement "
-                          "law's test checks against, planned for strip "
-                          "draws (ROADMAP item 10)",
-    "cascade.refine": "ROADMAP item 14 weighs it after item 10",
+    "cones.strip_kernel": "planned for strip draws (ROADMAP item 10)",
     "moments.selberg_moment": "ROADMAP item 9 gives it callers",
     "moments.implicit_renewal_constant": "ROADMAP item 9 gives it callers",
     "moments.growth_ratio_probe": "test_11's acceptance line",

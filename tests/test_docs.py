@@ -1,12 +1,17 @@
 """README's reference tables name what the program accepts and reports, no
 more and no less: the config table's keys are config.KEYS, the global-flags
 paragraph names the options of the command-line parser, the list of
-sampler names those the samplers report, and the Install paragraph the
-dependencies pyproject.toml declares."""
+sampler names those the samplers report, the Install paragraph the
+dependencies pyproject.toml declares, and every `module.name` of the
+package's modules names code that exists."""
 
+import functools
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import idcascade
 from idcascade import GridSpec, cli, lognormal_model, single_atom_model
 from idcascade.config import KEYS
 from idcascade.field import make_sampler
@@ -84,3 +89,27 @@ def test_install_paragraph_names_the_runtime_dependencies():
         return {p for p in packages if re.search(rf"\b{p}\b", text)}
     assert named(runtime) == _requirements("dependencies")
     assert named(tests) == _requirements("test")
+
+
+def _module_references(text):
+    """(module, dotted name) of each backticked `module.name`, with or
+    without the `idcascade.` prefix, whose module is one of the
+    package's; a call's arguments are left out."""
+    modules = {m.name for m in pkgutil.iter_modules(idcascade.__path__)}
+    return sorted({(module, name) for module, name in re.findall(
+        r"`(?:idcascade\.)?(\w+)\.([\w.]+)[`(]", text) if module in modules})
+
+
+def test_readme_names_only_code_that_exists():
+    # an output file (moments.json) is named as <kind>.<format>
+    refs = [(module, name) for module, name in _module_references(README)
+            if name not in ("json", "csv")]
+    assert refs
+    missing = []
+    for module, name in refs:
+        try:
+            functools.reduce(getattr, name.split("."),
+                             importlib.import_module(f"idcascade.{module}"))
+        except AttributeError:
+            missing.append(f"{module}.{name}")
+    assert missing == []

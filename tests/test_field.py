@@ -11,7 +11,7 @@ import pytest
 
 from idcascade import cones, field
 from idcascade._rng import make_generator
-from idcascade.cascade import BatchSimulator, build_realization, refine
+from idcascade.cascade import BatchSimulator, build_realization
 from idcascade.checks import normalization_defect
 from idcascade.field import (
     CirculantGaussianSampler,
@@ -428,21 +428,16 @@ def test_failed_factorization_is_refilled(monkeypatch):
 @pytest.mark.parametrize("rows", [1, 7])
 def test_footprint_blocks_leave_the_dense_bits_unchanged(rows, monkeypatch):
     # the block of rows changes neither the dense factors, cell-carrying
-    # and on a non-dyadic interval, nor a refinement's joint Gram nor the
-    # juxtaposed factor
+    # and on a non-dyadic interval, nor the juxtaposed factor
     grids = (GridSpec((0.0, 1.0), 5, 2, None), GridSpec((0.1, 0.4), 4, 3, 2))
-    model = lognormal_model(0.5)
 
     def arrays():
         out = []
         for g in grids:
             sam = GaussianFieldSampler(g, 0.5)
             out += [lower_factor(sam.panels), sam.mean]
-        r = build_realization(model, grids[1], seed=3, replica=1)
-        fine = refine(r, 2, make_generator(3, 1, "refine"))
         jux = GaussianFieldSampler(grids[1], 0.5, 3)
-        return out + [fine.field.point_log, *fine.field.cell_log.values(),
-                      lower_factor(jux.panels), jux.mean]
+        return out + [lower_factor(jux.panels), jux.mean]
 
     # a cached sampler for this key would skip the build, and one built
     # under the patch must not outlive it
@@ -563,14 +558,12 @@ def test_cholesky_jitter_is_warned():
 
 # The factors of 3 juxtaposed copies of a non-dyadic grid (144 points on
 # their hull, 3 cells) and of gauss-single's grid (1022 objects), a single
-# build, a refinement whose joint Gram (54 old, 96 new objects) is blocked,
-# and digests of those and of 2046- and 4100-object factors' panels
+# build, and digests of those and of 2046- and 4100-object factors' panels
 DENSE_SCRIPT = inspect.getsource(lower_factor) + """if True:
     import hashlib
     import numpy as np
-    from idcascade import GridSpec, field, lognormal_model
-    from idcascade._rng import make_generator
-    from idcascade.cascade import build_realization, refine
+    from idcascade import GridSpec, lognormal_model
+    from idcascade.cascade import build_realization
     from idcascade.field import GaussianFieldSampler
 
     def hexes(a, count):
@@ -595,14 +588,7 @@ DENSE_SCRIPT = inspect.getsource(lower_factor) + """if True:
     f = r.field
     print("dense/single", *hexes(f.point_log, 4), *hexes(f.cell_log[8], 2),
           f.cell_log[1][0].hex(), r.total_mass.hex())
-    r = build_realization(lognormal_model(0.5), jux, seed=3, replica=1)
-    fine = refine(r, 1, make_generator(3, 1, "refine"))
-    old = r.field.point_log.size + sum(map(len, r.field.cell_log.values()))
-    assert old + fine.field.point_log.size > field.CHOLESKY_BLOCK
-    print("dense/refinement", *hexes(fine.field.point_log, 5),
-          fine.total_mass.hex())
-    for f in (f, fine.field):
-        print("field", digest(f.point_log, *f.cell_log.values()))
+    print("field", digest(f.point_log, *f.cell_log.values()))
 """
 
 
@@ -618,11 +604,6 @@ def test_dense_factors_keep_their_bits(dense_rows):
     for path in ("dense/factor/147", "dense/factor/1022", "dense/single"):
         [row] = [row[1:] for row in dense_rows if row[0] == path]
         assert_pinned(path, row)
-
-
-def test_refinement_keeps_its_bits(dense_rows):
-    [row] = [row[1:] for row in dense_rows if row[0] == "dense/refinement"]
-    assert_pinned("dense/refinement", row)
 
 
 def test_dense_bits_ignore_the_blas_thread_count(dense_rows):
@@ -1051,7 +1032,7 @@ def replay_strip_map(rng, strips, nu):
     cones.sampling_domain((0.0, 1.0), 2.0 ** -6),     # fan heaviest
     cones.sampling_domain((0.0, 1.0), 0.5),           # flank heaviest
     cones.sampling_domain((0.1, 1.3), 0.3 * 2.0 ** -5),  # juxtaposed hull
-    [cones.refinement_strip((0.0, 1.0), 2.0 ** -4, 2.0 ** -6)],
+    [cones.DomainStrip("fan", (0.0, 1.0), 2.0 ** -6, 2.0 ** -4)],  # below L
 ], ids=["levels-6", "levels-1", "hull", "refinement"])
 @pytest.mark.parametrize("nu", [ATOM.nu, TABULATED.nu],
                          ids=["atom", "tabulated"])

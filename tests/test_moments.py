@@ -315,7 +315,7 @@ def test_covariance_report_independent_columns():
     assert [row[5] for row in rep.rows()] == list(rep.theory_series)
     with pytest.raises(ValueError):
         covariance_report(LOGN, m[:, :1])
-    for gaps in ((0,), (1, 4), (5,)):
+    for gaps in ((0,), (1, 4), (5,), (1.5,), (2.0,)):
         with pytest.raises(ValueError, match=r"gaps must lie in 1\.\.3"):
             covariance_report(LOGN, m, gaps=gaps)
 
