@@ -495,12 +495,13 @@ def _chol_with_jitter(fill, dim):
     return panels, jitter
 
 
-def _lower_product(panels, x, hi):
-    """Rows 0..hi-1 of the lower factor whose row panels are panels
-    (_spans) times x[:hi], one matrix product per panel: a row's product
+def _lower_product(panels, x):
+    """The first len(x) rows of the lower factor whose row panels are
+    panels (_spans) times x, one matrix product per panel: a row's product
     stops at its panel's last column, so of the zeros above the diagonal
     it reads only its diagonal block's."""
-    out = np.empty((hi,) + x.shape[1:])
+    hi = len(x)
+    out = np.empty(x.shape)
     for a, e, p in _spans(panels):
         r1 = min(e, hi)
         if a < r1:
@@ -576,9 +577,8 @@ class GaussianFieldSampler:
         leading normals: with k = n_points, the point values alone.  Each
         row panel gives its rows in one product (_lower_product).
         """
-        k = normals.shape[0]
-        vals = _lower_product(self.panels, normals, k)
-        vals += self.mean[:k, None]
+        vals = _lower_product(self.panels, normals)
+        vals += self.mean[:len(normals), None]
         return vals
 
     def blocks(self, rngs, out=None, work=None):
