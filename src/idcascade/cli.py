@@ -104,8 +104,10 @@ def _stamp(cfg):
 
 def _write_json(cfg, name, payload):
     # JSON has no NaN or infinity, and strict parsers reject Python's
-    # tokens for them: a value that is not finite is written as null
-    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    # tokens for them: an infinite value is written as the string "inf" or
+    # "-inf", a NaN as null
+    payload = json.loads(json.dumps(payload), parse_constant={
+        "Infinity": "inf", "-Infinity": "-inf"}.get)
     path = os.path.join(_outdir(cfg), name)
     _write_file(path, (json.dumps(payload, indent=2, sort_keys=True,
                                   allow_nan=False) + "\n").encode())
@@ -168,10 +170,8 @@ class _Progress:
 
 def cmd_theory(cfg, model, grid):
     from .levy import diagnose
-    report = diagnose(model)
-    payload = json.loads(report.to_json())
-    payload.update(_stamp(cfg))
-    path = _write_json(cfg, "diagnostics.json", payload)
+    path = _write_json(cfg, "diagnostics.json",
+                       {**vars(diagnose(model)), **_stamp(cfg)})
     print(path)
     return 0
 

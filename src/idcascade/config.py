@@ -16,7 +16,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict
 
 from .checks import VERIFY
-from .levy import AtomicJumps, TabulatedJumps, ZeroJumps, build_model
+from .levy import (AtomicJumps, ParameterError, TabulatedJumps, ZeroJumps,
+                   build_model)
 from .field import GridSpec, truncated_model
 
 
@@ -121,8 +122,9 @@ def _checks(name, raw):
 # written in the file, or None for unset).  The section order is the
 # canonical serialization order.  Rules across keys (a jump kind's
 # parameters, the interval's order, a cutoff's use) are build_model's and
-# build_grid's; q_values has no default here because its default depends
-# on experiment.kind.
+# build_grid's, a model parameter's named by its key in PARAMETER_KEYS;
+# q_values has no default here because its default depends on
+# experiment.kind.
 KEYS = {
     "model": {
         "sigma2": (_bounded(_number, lambda s: s >= 0, "must be nonnegative"),
@@ -162,6 +164,11 @@ KEYS = {
         "formats": (_choice("format", FORMATS), "both"),
     },
 }
+# The model key of each parameter that a levy.ParameterError names.
+PARAMETER_KEYS = {"sigma2": "sigma2", "locations": "atom_locations",
+                  "masses": "atom_masses", "grid_x": "tabulated_x",
+                  "grid_density": "tabulated_density",
+                  "left_rate": "left_rate", "right_rate": "right_rate"}
 
 
 @dataclass
@@ -211,10 +218,9 @@ class RunConfig:
                                     self.value("model", "left_rate"),
                                     self.value("model", "right_rate"))
             model = build_model(self.value("model", "sigma2"), nu)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError("model", str(exc)) from exc
+        except ParameterError as exc:
+            raise ConfigError(f"model.{PARAMETER_KEYS[exc.parameter]}",
+                              str(exc)) from exc
         substitute = self.value("model", "substitute_small")
         cutoff = self.value("model", "small_jump_cutoff")
         if cutoff is None and substitute:

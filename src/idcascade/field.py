@@ -27,8 +27,7 @@ Exact samplers cover the model classes:
   inverse real FFT of a replica's M normals, read as a weighted Hermitian
   spectrum, a block of replicas at a time.  It serves points-only grids
   of at least CIRCULANT_MIN_POINTS points, also as a hybrid's Gaussian
-  part, and falls back to the dense sampler, with a RuntimeWarning, if
-  an embedding eigenvalue is negative.
+  part; no eigenvalue is negative (CirculantGaussianSampler).
 * Jumps (compound Poisson): the jump part is a Poisson point process on the
   union of all local cones, its jumps drawn by the jump measure itself
   (uniforms, from_uniforms); each sampled point adds its jump to exactly
@@ -85,8 +84,8 @@ every later draw.  Work arrays never live on a sampler: blocks draws
 into the work dict of its caller, or into its own.  BatchSimulator
 keeps one per thread and reduces each block into one block of leaf
 masses there as it comes, so no batch holds a chunk of them.  A
-fallback or jitter warning is raised when a sampler is built, not on
-later calls that reuse it; the sampler's health still records it.
+jitter warning is raised when a sampler is built, not on later calls
+that reuse it; the sampler's health still records it.
 """
 
 import functools
@@ -322,14 +321,6 @@ def fill_gram(panels, sigma2, L, feet):
                       where=tri[:e - a, :e - a])
 
 
-def _normal_columns(rngs, dim):
-    """(dim, len(rngs)) standard normals, column j drawn from rngs[j]."""
-    normals = np.empty((dim, len(rngs)))
-    for j, r in enumerate(rngs):
-        normals[:, j] = r.standard_normal(dim)
-    return normals
-
-
 def _scratch(work, key, size, shape=(), dtype=float):
     """The first size rows of work[key], a (rows, *shape) array that one
     caller reuses from call to call: allocated when first asked for, and
@@ -496,16 +487,13 @@ def _chol_with_jitter(fill, dim):
 
 
 def _lower_product(panels, x):
-    """The first len(x) rows of the lower factor whose row panels are
-    panels (_spans) times x, one matrix product per panel: a row's product
-    stops at its panel's last column, so of the zeros above the diagonal
-    it reads only its diagonal block's."""
-    hi = len(x)
+    """The lower factor whose row panels are panels (_spans) times x, one
+    matrix product per panel: a row's product stops at its panel's last
+    column, so of the zeros above the diagonal it reads only its diagonal
+    block's."""
     out = np.empty(x.shape)
     for a, e, p in _spans(panels):
-        r1 = min(e, hi)
-        if a < r1:
-            np.matmul(p[:r1 - a, :r1], x[:r1], out=out[a:r1])
+        np.matmul(p, x[:e], out=out[a:e])
     return out
 
 
@@ -570,15 +558,11 @@ class GaussianFieldSampler:
         return self.draw_columns(rng.standard_normal((self.dim, count)))
 
     def draw_columns(self, normals):
-        """Map externally drawn standard normals (k, count) to the values of
-        the first k objects (k = dim for all of them).
-
-        The factor is lower triangular, so the leading values need only the
-        leading normals: with k = n_points, the point values alone.  Each
-        row panel gives its rows in one product (_lower_product).
-        """
+        """Map externally drawn standard normals (dim, count) to the values
+        of all dim objects, one replica per column.  Each row panel gives
+        its rows in one product (_lower_product)."""
         vals = _lower_product(self.panels, normals)
-        vals += self.mean[:len(normals), None]
+        vals += self.mean[:, None]
         return vals
 
     def blocks(self, rngs, out=None, work=None):
@@ -586,14 +570,18 @@ class GaussianFieldSampler:
         its width (see _block_slots for the protocol); a block per call
         leaves nothing in work to reuse.
 
-        On one interval only the point normals are drawn, the first
-        n_points of the ones sample() draws, so the carried cells cost
-        nothing here.  Juxtaposed copies draw every normal and subtract
-        each copy's cell value from its points' values.
+        Column j of the normals is all dim of rngs[j]'s, so one copy must
+        carry no cells (ValueError), as BatchSimulator's grids do not.
+        Juxtaposed copies subtract each copy's cell value from its points'
+        values.
         """
         n = math.prod(self.shape)
-        vals = self.draw_columns(_normal_columns(
-            rngs, n if len(self.shape) == 1 else self.dim))
+        if len(self.shape) == 1 and self.dim > n:
+            raise ValueError("batches draw no cells: use cell_levels = 0")
+        normals = np.empty((self.dim, len(rngs)))
+        for j, r in enumerate(rngs):
+            normals[:, j] = r.standard_normal(self.dim)
+        vals = self.draw_columns(normals)
         if out is None:
             out = np.empty((len(rngs),) + self.shape)
         out[...] = vals[:n].T.reshape(out.shape)
@@ -646,15 +634,17 @@ class CirculantGaussianSampler:
     The point covariance sigma2 * overlap_kernel(L, |t - s|, eps) is the
     Toeplitz matrix of c_j = sigma2 * overlap_kernel(L, j * spacing, eps),
     and c_N = 0.  Its circulant embedding C of size M = 2N, a power of two
-    whenever oversample is, has eigenvalues lam = rfft of its first row,
-    which must be >= 0 (else the constructor raises LinAlgError).  A
-    replica's M normals are the parts of a Hermitian spectrum, the DC and
-    Nyquist bins real, scaled by sqrt(M lam) on those two bins and by
-    sqrt(M lam / 2) on the others; its irfft has covariance C, so its
-    first N entries have the point covariance exactly.  numpy's FFT
-    transforms each row on its own: a batch, drawn and transformed
-    CIRCULANT_BLOCK_VALUES normals at a time, has the bits of single
-    draws.
+    whenever oversample is, has eigenvalues lam = rfft of its first row.
+    They are >= 0: c_j is nonincreasing and convex in j with c_N = 0, so
+    it is a nonnegative sum of tents (1 - j/k)+, k <= N, whose embeddings
+    have Fejer-kernel eigenvalues; the constructor raises LinAlgError on a
+    negative one all the same.  A replica's M normals are the parts of a
+    Hermitian spectrum, the DC and Nyquist bins real, scaled by sqrt(M
+    lam) on those two bins and by sqrt(M lam / 2) on the others; its
+    irfft has covariance C, so its first N entries have the point
+    covariance exactly.  numpy's FFT transforms each row on its own: a
+    batch, drawn and transformed CIRCULANT_BLOCK_VALUES normals at a
+    time, has the bits of single draws.
     """
 
     name = "circulant"
@@ -1024,15 +1014,10 @@ class HybridFieldSampler:
 
 def gaussian_sampler(grid, sigma2, n_intervals=1):
     """The circulant embedding for one copy of a points-only grid of at
-    least CIRCULANT_MIN_POINTS points, else the dense factor; the dense
-    factor too, warned, if the embedding has a negative eigenvalue."""
+    least CIRCULANT_MIN_POINTS points, else the dense factor."""
     if (n_intervals == 1 and grid.cell_levels == 0
             and grid.n_points >= CIRCULANT_MIN_POINTS):
-        try:
-            return CirculantGaussianSampler(grid, sigma2)
-        except np.linalg.LinAlgError as exc:
-            warnings.warn(f"{exc}; using the dense sampler", RuntimeWarning,
-                          stacklevel=4)
+        return CirculantGaussianSampler(grid, sigma2)
     return GaussianFieldSampler(grid, sigma2, n_intervals)
 
 
@@ -1057,7 +1042,7 @@ def make_sampler(grid, model, n_intervals=1):
 
     gaussian_sampler gives a Gaussian model or a hybrid's Gaussian part the
     circulant embedding on a points-only grid of CIRCULANT_MIN_POINTS or
-    more points, else, or on a negative eigenvalue (warned), the dense one.
+    more points, else the dense one.
 
     With n_intervals > 1 it draws that many adjacent copies of the grid
     under one noise, of shape (n_intervals, n_points), from the same
@@ -1067,8 +1052,8 @@ def make_sampler(grid, model, n_intervals=1):
 
     The most recent sampler is kept and returned again to the next call
     with equal arguments, however they are spelled: by keyword or by
-    position, with the default left out or given.  A fallback or jitter
-    warning fires on the build only.  Its shared arrays are read-only.
+    position, with the default left out or given.  A jitter warning
+    fires on the build only.  Its shared arrays are read-only.
     make_sampler.cache_clear() drops it and make_sampler.cache_info()
     counts the hits and misses.
     """

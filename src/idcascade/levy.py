@@ -23,7 +23,6 @@ is the tail index of the total-mass distribution.
 """
 
 import functools
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -76,6 +75,20 @@ class MomentDomainError(ValueError):
     """Raised when an exponential moment of the jump measure diverges."""
 
 
+class ParameterError(ValueError):
+    """A model parameter out of its domain, named as its constructor names
+    it (sigma2, locations, grid_x, ...)."""
+
+    def __init__(self, parameter, message):
+        self.parameter = parameter
+        super().__init__(message)
+
+
+def _check(holds, parameter, message):
+    if not holds:
+        raise ParameterError(parameter, message)
+
+
 # ---------------------------------------------------------------------------
 # jump measure variants
 # ---------------------------------------------------------------------------
@@ -93,7 +106,8 @@ class JumpMeasure:
       x*[|x| <= 1], nu(dx)) and I_2(q) = integral(x^2*exp(q*x), nu(dx));
     * jump_drift(): integral(1 - exp(x), nu(dx));
     * moment_interval(): the open-ended (lo, hi) of q with integral
-      exp(q*x) nu(dx) finite on |x| >= 1, which holds [0, 1];
+      exp(q*x) nu(dx) finite on |x| >= 1, which holds [0, 1], as the
+      mean-one normalization needs;
     * support_nonpositive(): nu charges no x > 0;
     * arithmetic(): the atoms are integer multiples of one spacing;
     * digest_fields(): the JSON list model_digest hashes;
@@ -187,14 +201,14 @@ class AtomicJumps(JumpMeasure):
         # measure hashes
         _set(self, locations=tuple(float(v) for v in self.locations),
              masses=tuple(float(v) for v in self.masses))
-        if len(self.locations) != len(self.masses):
-            raise ValueError("locations and masses must have equal length")
-        if len(self.locations) == 0:
-            raise ValueError("empty atom list; use ZeroJumps instead")
-        if not all(0 < m < math.inf for m in self.masses):
-            raise ValueError("atom masses must be positive and finite")
-        if not all(0 < abs(x) < math.inf for x in self.locations):
-            raise ValueError("atom locations must be finite and nonzero")
+        _check(len(self.locations) == len(self.masses), "masses",
+               "locations and masses must have equal length")
+        _check(len(self.locations), "locations",
+               "empty atom list; use ZeroJumps instead")
+        _check(all(0 < m < math.inf for m in self.masses), "masses",
+               "atom masses must be positive and finite")
+        _check(all(0 < abs(x) < math.inf for x in self.locations),
+               "locations", "atom locations must be finite and nonzero")
         masses = np.asarray(self.masses)
         total = float(masses.sum())
         _set(self, _total=total, _x=np.asarray(self.locations),
@@ -250,7 +264,8 @@ class TabulatedJumps(JumpMeasure):
     right_rate = r > 0 it continues as density(grid_x[-1]) * exp(-r*(x -
     grid_x[-1])) above it.  Tail rates keep every integral here computable in
     closed form on the tail pieces (_tails), with Gauss-Legendre rules on the
-    finite ones (_rules).  The total mass must be positive.
+    finite ones (_rules).  The total mass must be positive, and right_rate
+    above 1, so that the moment interval holds q = 1.
 
     pieces holds the closed-form masses of the left tail, the trapezoid
     bins and the right tail; a jump draw picks a piece by its mass, then
@@ -266,27 +281,28 @@ class TabulatedJumps(JumpMeasure):
     def __post_init__(self):
         x = np.array(self.grid_x, float)
         d = np.array(self.grid_density, float)
-        if x.ndim != 1 or x.size < 2:
-            raise ValueError("need at least two grid nodes")
+        _check(x.ndim == 1 and x.size >= 2, "grid_x",
+               "need at least two grid nodes")
+        _check(d.shape == x.shape, "grid_density",
+               "grid_x and grid_density must have equal length")
         # tuples of floats, as in AtomicJumps, so that the measure hashes
         _set(self, grid_x=tuple(x.tolist()), grid_density=tuple(d.tolist()))
-        if not (np.isfinite(x).all() and np.all(np.diff(x) > 0)):
-            raise ValueError("grid_x must be finite and strictly increasing")
-        if not np.all((d >= 0) & np.isfinite(d)):
-            raise ValueError("density must be finite and nonnegative")
-        if self.left_rate is not None and not 0 < self.left_rate < math.inf:
-            raise ValueError("left_rate must be positive and finite")
-        if self.right_rate is not None and not 0 < self.right_rate < math.inf:
-            raise ValueError("right_rate must be positive and finite")
+        _check(np.isfinite(x).all() and np.all(np.diff(x) > 0), "grid_x",
+               "grid_x must be finite and strictly increasing")
+        _check(np.all((d >= 0) & np.isfinite(d)), "grid_density",
+               "density must be finite and nonnegative")
         b, r = self.left_rate, self.right_rate
+        _check(b is None or 0 < b < math.inf, "left_rate",
+               "left_rate must be positive and finite")
+        _check(r is None or 1 < r < math.inf, "right_rate", "right_rate must "
+               "be finite and above 1: mean one needs exp(x) moments")
         left = d[0] / b if b and d[0] > 0 else 0.0
         right = d[-1] / r if r and d[-1] > 0 else 0.0
         pieces = np.concatenate(
             [[left], 0.5 * (d[:-1] + d[1:]) * np.diff(x), [right]])
         total = float(pieces.sum())
-        if not total > 0:
-            raise ValueError("tabulated density has zero total mass; use "
-                             "ZeroJumps instead")
+        _check(total > 0, "grid_density", "tabulated density has zero "
+               "total mass; use ZeroJumps instead")
         _set(self, _total=total, _x=x, _d=d, pieces=pieces,
              _cum=np.cumsum(pieces) / total)
 
@@ -409,9 +425,9 @@ def _checked_q(nu, q):
 
 def normalize_drift(sigma2, nu):
     """The unique drift making exponent(0) = exponent(1) = 0."""
-    if not 0 <= sigma2 < math.inf:
-        raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
-    _checked_q(nu, 1.0)  # the mean-one normalization needs exp(x) moments
+    _check(0 <= sigma2 < math.inf, "sigma2",
+           f"sigma2 must be finite and nonnegative, got {sigma2}")
+    # every measure's moment interval holds q = 1 (JumpMeasure)
     return -0.5 * sigma2 - nu_integral(nu, 0, 1.0)
 
 
@@ -444,11 +460,9 @@ def build_model(sigma2, nu=None):
     """Validate (sigma2, nu) and attach the normalizing drift."""
     if nu is None:
         nu = ZeroJumps()
-    if sigma2 == 0.0 and isinstance(nu, ZeroJumps):
-        raise ValueError(
-            "sigma2 = 0 with no jumps gives deterministic Lebesgue measure; "
-            "rejected")
-    # every measure's interval holds q < 0, and normalize_drift checks q = 1
+    _check(sigma2 != 0.0 or not isinstance(nu, ZeroJumps), "sigma2",
+           "sigma2 = 0 with no jumps gives deterministic Lebesgue measure; "
+           "rejected")
     drift = normalize_drift(sigma2, nu)
     return NoiseModel(float(sigma2), nu, float(drift), nu.moment_interval())
 
@@ -551,14 +565,6 @@ class DiagnosticsReport:
     tail_constant_at_two: Optional[float]
     neg_moment_bound: float
     arithmetic_support: bool
-
-    def to_json(self):
-        payload = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        # json emits bare Infinity for floats; stringify to stay portable.
-        for k, v in payload.items():
-            if isinstance(v, float) and math.isinf(v):
-                payload[k] = ("inf" if v > 0 else "-inf")
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def diagnose(model):

@@ -1,5 +1,6 @@
 import configparser
 import json
+import math
 import operator
 import os
 import re
@@ -368,8 +369,8 @@ def test_config_error_exits_2(tmp_path):
 @pytest.mark.parametrize("sigma2", ["0", "0.3"])
 def test_zero_mass_tabulated_density_is_a_config_error(tmp_path, capsys,
                                                        rates, sigma2):
-    # a density that is zero everywhere names the model, before anything
-    # is drawn or written, with or without a Gaussian part and tail rates
+    # a density that is zero everywhere names its key, before anything is
+    # drawn or written, with or without a Gaussian part and tail rates
     path = write_cfg(tmp_path / "z.ini", tmp_path / "z")
     path.write_text(path.read_text().replace(
         "sigma2 = 0.5\njump_kind = none\n",
@@ -377,8 +378,8 @@ def test_zero_mass_tabulated_density_is_a_config_error(tmp_path, capsys,
         f"tabulated_density = 0, 0\n{rates}"))
     for command in ("theory", "simulate"):
         assert run("--config", path, command) == 2
-        assert "model: tabulated density has zero total mass" in \
-            capsys.readouterr().err
+        assert ("model.tabulated_density: tabulated density has zero "
+                "total mass") in capsys.readouterr().err
     assert not (tmp_path / "z").exists()
 
 
@@ -526,6 +527,24 @@ MALFORMED = {
     "experiment.kind": "bogus", "experiment.checks": "nosuch",
     "experiment.q_values": "1, two", "output.formats": "xml",
 }
+# Rules across model keys, each broken on configs/atom.ini: the key the
+# error names, and the model keys that break it.
+TABULATED = {"jump_kind": "tabulated", "tabulated_x": "-1, 1",
+             "tabulated_density": "1, 1"}
+CROSS_KEY = [
+    ("atom_masses", {"atom_locations": "-0.5, -0.3", "atom_masses": "1"}),
+    ("atom_masses", {"atom_masses": "0"}),
+    ("atom_locations", {"atom_locations": "0"}),
+    ("tabulated_x", {**TABULATED, "tabulated_x": "0",
+                     "tabulated_density": "1"}),
+    ("tabulated_x", {**TABULATED, "tabulated_x": "1, 0"}),
+    ("tabulated_density", {**TABULATED, "tabulated_density": "1, -1"}),
+    ("tabulated_density", {**TABULATED, "tabulated_density": "0, 0"}),
+    ("tabulated_density", {**TABULATED, "tabulated_x": "-1, 0, 1"}),
+    ("left_rate", {**TABULATED, "left_rate": "-2"}),
+    ("right_rate", {**TABULATED, "right_rate": "0.5"}),
+    ("sigma2", {"sigma2": "0", "jump_kind": "none"}),
+]
 # Every comma-list key, holding no number.
 EMPTY_LISTS = [(name, ",") for name in (
     "model.atom_locations", "model.atom_masses", "model.tabulated_x",
@@ -549,6 +568,18 @@ def test_every_malformed_key_is_named(tmp_path, capsys):
             assert run("--config", path, command) == 2, (name, command)
             assert f"config error: {name}: " in capsys.readouterr().err
         assert not (tmp_path / "k").exists()
+
+
+@pytest.mark.parametrize("key,model", CROSS_KEY,
+                         ids=[f"{k}-{i}" for i, (k, _) in enumerate(CROSS_KEY)])
+def test_every_cross_key_model_error_names_its_key(key, model, tmp_path,
+                                                   capsys):
+    path = shipped_cfg("atom.ini", tmp_path, model=model)
+    # caught before anything is drawn or written, on every subcommand
+    for command in ("theory", "simulate", "verify", "estimate"):
+        assert run("--config", path, command) == 2, command
+        assert f"config error: model.{key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys):
@@ -641,6 +672,17 @@ def test_moments_report_is_strict_json(tmp_path):
         csv = (out / "moments.csv").read_text().splitlines()[2:]
         assert [line.split(",")[3:] for line in csv] == [
             ["nan", "" if h is None else str(h)] for h in heavy]
+
+
+def test_json_reports_spell_infinities_and_write_nan_as_null(cfg_file,
+                                                            tmp_path):
+    from idcascade.cli import _write_json
+    path = _write_json(config.load_config(cfg_file), "r.json", {
+        "values": [math.inf, -math.inf, math.nan, 1.5],
+        "health": {"ratio": math.inf}})
+    assert Path(path).read_text() == (
+        '{\n  "health": {\n    "ratio": "inf"\n  },\n  "values": [\n'
+        '    "inf",\n    "-inf",\n    null,\n    1.5\n  ]\n}\n')
 
 
 def test_console_script_smoke(cfg_file, tmp_path):

@@ -476,7 +476,7 @@ def test_make_sampler_dispatches_gaussian_by_grid():
         assert type(hybrid.gauss) is gauss
 
 
-def test_negative_embedding_eigenvalue_falls_back_to_dense(monkeypatch):
+def test_negative_embedding_eigenvalue_raises(monkeypatch):
     real = field._embedding_spectrum
 
     def negative(row):
@@ -491,12 +491,37 @@ def test_negative_embedding_eigenvalue_falls_back_to_dense(monkeypatch):
     # under the patch must not outlive it
     field.make_sampler.cache_clear()
     try:
-        with pytest.warns(RuntimeWarning, match="negative eigenvalue"):
-            sam = make_sampler(g, lognormal_model(0.5))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"negative eigenvalue \(min/max -1\.000e-03\)"):
+            make_sampler(g, lognormal_model(0.5))
     finally:
         field.make_sampler.cache_clear()
-    assert type(sam) is GaussianFieldSampler
-    assert sam.health == {"cholesky_jitter": 0.0}
+
+
+# Points-only grids of 2048 to 32768 points: oversample 1, 2, 4, 8 and 16
+# at five depths each, and 3 at four, on three intervals
+EMBEDDED_GRIDS = [
+    GridSpec(interval, levels, m, 0)
+    for interval in ((0.0, 1.0), (0.1, 0.4), (-3.0, 5.0))
+    for m in (1, 2, 3, 4, 8, 16)
+    for levels in range(1, 16)
+    if 2048 <= m * 2 ** levels <= 32768]
+
+
+def test_circulant_embeddings_have_no_negative_eigenvalue():
+    # the embedding of a nonincreasing convex row with c_N = 0 is a
+    # nonnegative sum of tents' embeddings, whose eigenvalues are Fejer
+    # kernel values: no negative eigenvalue on any grid
+    assert len(EMBEDDED_GRIDS) == 87
+    for g in EMBEDDED_GRIDS:
+        sam = CirculantGaussianSampler(g, 0.5)
+        assert sam.health["min_eigenvalue_ratio"] > 0, g
+        c = cones.overlap_kernel(g.length, g.spacing * np.arange(
+            g.n_points + 1), g.eps)
+        tol = 1e-12 * c[0]
+        assert c[-1] == 0.0
+        assert np.diff(c).max() <= tol, g
+        assert np.diff(c, 2).min() >= -tol, g
 
 
 def test_make_sampler_shares_one_read_only_sampler():
@@ -677,9 +702,9 @@ def test_panel_factors_have_the_square_factors_bits():
 
 def test_panel_draws_match_the_square_factor():
     # one panel of 62 objects, exactly two of 128, and gauss-single's 1022
-    # objects (15 panels, the last one of 126 rows): a one-column draw, of
-    # every object or of the points alone, has the bits of the square
-    # lower factor's product, and a 256-column one its value to rounding.
+    # objects (15 panels, the last one of 126 rows): a one-column draw has
+    # the bits of the square lower factor's product, and a 256-column one
+    # its value to rounding.
     # BLAS bits depend on the thread count, so a fresh interpreter draws
     # with one thread
     script = inspect.getsource(lower_factor) + """if True:
@@ -695,10 +720,8 @@ def test_panel_draws_match_the_square_factor():
             chol = np.tril(lower_factor(sam.panels))
             rng = make_generator(2, sam.dim, "panels")
             z = rng.standard_normal((sam.dim, 1))
-            for k in (sam.dim, grid.n_points):
-                want = chol[:k, :k] @ z[:k]
-                want += sam.mean[:k, None]
-                assert np.array_equal(sam.draw_columns(z[:k]), want), k
+            want = chol @ z + sam.mean[:, None]
+            assert np.array_equal(sam.draw_columns(z), want)
             z = rng.standard_normal((sam.dim, 256))
             want = chol @ z + sam.mean[:, None]
             err = np.abs(sam.draw_columns(z) - want).max()
@@ -707,19 +730,6 @@ def test_panel_draws_match_the_square_factor():
     """
     proc = run_blas_threads(script)
     assert proc.stdout.split() == ["62", "1", "128", "2", "1022", "15"]
-
-
-def test_dense_blocks_draw_only_the_point_normals():
-    g = GridSpec((0.0, 1.0), 4, 2)
-    sam = GaussianFieldSampler(g, 0.5)
-    rngs = [make_generator(8, j, "t") for j in range(3)]
-    batch = filled(sam, rngs)
-    for j, r in enumerate(rngs):
-        # the stream stopped after n_points normals
-        ref = make_generator(8, j, "t").standard_normal(g.n_points + 1)
-        assert r.standard_normal() == ref[-1]
-        single = sam.sample(make_generator(8, j, "t")).point_log
-        np.testing.assert_allclose(batch[j], single, rtol=1e-12)
 
 
 def test_poisson_field_matches_bruteforce_points():
@@ -842,13 +852,13 @@ def test_juxtaposed_poisson_batches_are_width_invariant(slots, monkeypatch):
 
 
 SAMPLERS = [  # name, model, grid, copies: each sampler make_sampler gives
-    ("dense", lognormal_model(0.5), GridSpec((0.1, 0.4), 4, 2), 1),
+    ("dense", lognormal_model(0.5), GridSpec((0.1, 0.4), 4, 2, 0), 1),
     ("juxtaposed-dense", lognormal_model(0.5), GridSpec((0.1, 0.4), 4, 2, 0),
      3),
     ("circulant", lognormal_model(0.5), GridSpec((0.0, 1.0), 9, 4, 0), 1),
     ("poisson", TWO_ATOMS, GridSpec((0.1, 0.4), 4, 2), 1),
     ("juxtaposed-poisson", TWO_ATOMS, GridSpec((0.1, 0.4), 4, 2, 0), 3),
-    ("hybrid", HYBRID, GridSpec((0.1, 0.4), 4, 2), 1),
+    ("hybrid", HYBRID, GridSpec((0.1, 0.4), 4, 2, 0), 1),
     ("juxtaposed-hybrid", HYBRID, GridSpec((0.1, 0.4), 4, 2, 0), 3),
 ]
 
@@ -880,6 +890,12 @@ def test_every_sampler_draws_batches_with_blocks(name, model, grid, copies):
         assert type(sam) is type(one) and name == "juxtaposed-" + one.name
         with pytest.raises(ValueError, match="blocks"):
             sam.sample(make_generator(7, 0, "t"))
+    if name in ("dense", "hybrid"):
+        # the dense factor draws all its rows, the cells' too, so it
+        # draws no batch on a grid that carries cells
+        cells = make_sampler(GridSpec((0.1, 0.4), 4, 2), model)
+        with pytest.raises(ValueError, match="cell_levels = 0"):
+            next(cells.blocks(gens()))
 
 
 @pytest.mark.parametrize("model", [lognormal_model(0.5), TWO_ATOMS],

@@ -381,6 +381,8 @@ def test_atomic_validation():
         AtomicJumps((0.1,), (-1.0,))
     with pytest.raises(ValueError):
         TabulatedJumps((0.0, -1.0), (1.0, 1.0))
+    with pytest.raises(ValueError, match="equal length"):
+        TabulatedJumps((-1.0, 0.0, 1.0), (1.0, 1.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -405,8 +407,7 @@ def test_diagnose_atom_model_report():
     assert rep.tail_index is None
     assert rep.growth_constant == pytest.approx(0.5)
     assert rep.arithmetic_support
-    payload = rep.to_json()
-    assert "growth_constant" in payload
+    assert rep.moment_region_sup == math.inf
 
 
 @pytest.mark.parametrize("locations, lattice", [
@@ -435,7 +436,7 @@ def test_array_valued_measures_hash_and_diagnose():
     assert atoms == AtomicJumps((-0.5, 0.3), (1.0, 0.5))
     for nu, same in ((tab, ref), (atoms, AtomicJumps((-0.5, 0.3), (1.0, 0.5)))):
         rep = diagnose(build_model(0.1, nu))
-        assert rep.to_json() == diagnose(build_model(0.1, same)).to_json()
+        assert rep == diagnose(build_model(0.1, same))
 
 
 def test_diagnose_critical_tail_constant():

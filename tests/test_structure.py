@@ -89,3 +89,38 @@ def test_only_main_builds_the_model_and_grid():
     # main checks the whole configuration, model and grid included, before
     # any subcommand runs, and hands each cmd_<sub> what it built
     assert config_builds() == [("main", "check")]
+
+
+def warning_texts(src=SRC):
+    """The leading literal text of the message of every warnings.warn
+    call in src: an f-string's up to its first replacement field."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "warn" and node.args):
+                continue
+            msg = node.args[0]
+            parts = msg.values if isinstance(msg, ast.JoinedStr) else [msg]
+            text = ""
+            for part in parts:
+                if not (isinstance(part, ast.Constant)
+                        and isinstance(part.value, str)):
+                    break
+                text += part.value
+            found.append(text)
+    return found
+
+
+def test_every_warning_filter_names_a_warning_the_package_raises(
+        pytestconfig):
+    # a filter whose warning no code raises any more guards nothing; the
+    # scipy filter is the tests' own reference quadrature's
+    filters = pytestconfig.getini("filterwarnings")
+    texts = warning_texts()
+    ours = [f.split(":")[1] for f in filters
+            if f.startswith("error:") and f.endswith(":RuntimeWarning")]
+    assert ours and len(ours) == len(filters) - 1
+    for message in ours:
+        assert any(t.startswith(message) for t in texts), message
