@@ -570,8 +570,8 @@ class GaussianFieldSampler:
         its width (see _block_slots for the protocol); a block per call
         leaves nothing in work to reuse.
 
-        Column j of the normals is all dim of rngs[j]'s, so one copy must
-        carry no cells (ValueError), as BatchSimulator's grids do not.
+        Each replica draws all dim normals, so one copy must carry no
+        cells (ValueError), as BatchSimulator's grids do not.
         Juxtaposed copies subtract each copy's cell value from its points'
         values.
         """
